@@ -20,7 +20,9 @@
 # dynamics bench (emits results/BENCH_scenarios.json plus
 # results/trace_scenario.jsonl and self-checks that throttling raises
 # straggler skip counts and Helios beats synchronous FedAvg under
-# churn + throttle + drift).
+# churn + throttle + drift). Before the benches, and also under
+# --skip-bench, it builds, tests, and smoke-runs the repository
+# benchmark package (benchmark/), which the workspace does not compile.
 #
 # Usage: ./ci.sh [--skip-bench]
 set -euo pipefail
@@ -62,6 +64,16 @@ cargo build --release --workspace
 
 step "cargo test -q"
 cargo test -q --workspace
+
+step "repository benchmark builds and smoke-runs (benchmark/)"
+# benchmark/ is a cargo package of its own, so none of the workspace
+# commands above compile it: a changed signature on the public surface
+# it drives (listed in benchmark/README.md) would otherwise surface only
+# when the benchmark driver fails to produce numbers. Runs under
+# --skip-bench too.
+cargo build --release --manifest-path benchmark/Cargo.toml
+cargo test -q --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --quick
 
 if [ "$SKIP_BENCH" -eq 0 ]; then
     step "kernel-throughput + thread-scaling microbench (results/BENCH_parallel.json)"

@@ -9,7 +9,7 @@ use helios_net::{codec, simulate_round, LinkProfile, NetConfig, RoundJob, SimTra
 use helios_nn::models::ModelKind;
 use helios_nn::{CrossEntropyLoss, Network};
 use helios_scenario::{ChurnAction, DriftKind, EventKind, ScenarioConfig, Schedule};
-use helios_tensor::{map_items_mut, ParallelismConfig, TensorRng};
+use helios_tensor::{map_indexed, map_items_mut, ParallelismConfig, TensorRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -500,22 +500,48 @@ impl FlEnv {
                 num_clients: n,
             });
         }
-        let config = self.config.clone();
+        self.materialize_missing(&[i])
+    }
+
+    /// Materializes every client of `ids` (enrolled ids, checked by the
+    /// callers) a lazy fleet does not hold yet, fanning the
+    /// constructions out across the run's thread budget; a no-op on
+    /// eager environments. [`LazyFleet::materialize`] is pure in the
+    /// device index and emits no trace events, so the clients are
+    /// bitwise those a serial walk would build; they enter the cache,
+    /// and the first error surfaces, in `ids` order.
+    fn materialize_missing(&mut self, ids: &[usize]) -> Result<()> {
+        let ClientStore::Lazy(l) = &mut self.store else {
+            return Ok(());
+        };
+        let missing: Vec<usize> = ids
+            .iter()
+            .copied()
+            .filter(|i| !l.cache.contains_key(i))
+            .collect();
+        if missing.is_empty() {
+            return Ok(());
+        }
+        let config = &self.config;
         let throttle_cycle = self.scenario_rt.as_ref().map(|rt| rt.current_cycle);
-        if let ClientStore::Lazy(l) = &mut self.store {
-            if !l.cache.contains_key(&i) {
-                let mut client = l.materialize(i, &config)?;
-                if let Some(cycle) = throttle_cycle {
-                    // A device materialized mid-run picks up the
-                    // throttle scale already in force, exactly as if it
-                    // had been resident since cycle 0.
-                    let scale = Self::combined_compute_scale(&config.scenario, i, cycle);
-                    if scale != 1.0 {
-                        client.set_compute_scale(scale);
-                    }
+        let fleet = &*l;
+        let threads = config.parallelism.resolve();
+        let built = map_indexed(missing.len(), threads, |slot| -> Result<Client> {
+            let i = missing[slot];
+            let mut client = fleet.materialize(i, config)?;
+            if let Some(cycle) = throttle_cycle {
+                // A device materialized mid-run picks up the throttle
+                // scale already in force, exactly as if it had been
+                // resident since cycle 0.
+                let scale = Self::combined_compute_scale(&config.scenario, i, cycle);
+                if scale != 1.0 {
+                    client.set_compute_scale(scale);
                 }
-                l.cache.insert(i, client);
             }
+            Ok(client)
+        });
+        for (i, client) in missing.into_iter().zip(built) {
+            l.cache.insert(i, client?);
         }
         Ok(())
     }
@@ -573,13 +599,11 @@ impl FlEnv {
         }
         if let ClientStore::Lazy(l) = &mut self.store {
             if !l.spec.retain_clients {
-                let keep: BTreeSet<usize> = cohort.iter().copied().collect();
-                l.cache.retain(|id, _| keep.contains(id));
+                // The sampler returns the cohort sorted ascending.
+                l.cache.retain(|id, _| cohort.binary_search(id).is_ok());
             }
         }
-        for &i in &cohort {
-            self.ensure_client(i)?;
-        }
+        self.materialize_missing(&cohort)?;
         Ok(cohort)
     }
 
@@ -1054,9 +1078,7 @@ impl FlEnv {
                 });
             }
         }
-        for &i in participants {
-            self.ensure_client(i)?;
-        }
+        self.materialize_missing(participants)?;
         let threads = self.config.parallelism.resolve();
         let mut selected: Vec<&mut Client> = match &mut self.store {
             ClientStore::Eager(v) => v
@@ -1221,34 +1243,51 @@ impl FlEnv {
         // Broadcasts are always v1 full frames: the broadcast *is* the
         // shared base every v2 upload decodes against (DESIGN.md §4k).
         let broadcast = codec::encode_full(codec::SERVER_SENDER, cycle as u32, &self.global)?;
+        // Encode and decode are pure per participant, so both fan out
+        // across the thread budget; the transport between them stays
+        // serial because its fault-RNG draws, statistics, and trace
+        // events are ordered by the event queue (DESIGN.md §4d).
         let compression = self.config.net.compression;
-        let mut jobs = Vec::with_capacity(updates.len());
-        for (u, &compute) in updates.iter().zip(compute_times) {
-            let frame = compression.encode_update(
+        let threads = self.config.parallelism.resolve();
+        let global = &self.global;
+        let frames = map_indexed(updates.len(), threads, |i| {
+            let u = &updates[i];
+            compression.encode_update(
                 u.client as u32,
                 cycle as u32,
                 &u.params,
                 u.param_mask.as_deref(),
-                &self.global,
-            )?;
+                global,
+            )
+        });
+        let mut jobs = Vec::with_capacity(updates.len());
+        for ((u, &compute), frame) in updates.iter().zip(compute_times).zip(frames) {
             jobs.push(RoundJob {
                 device: u.client,
                 compute,
-                upload_frame: frame,
+                upload_frame: frame?,
             });
         }
         let timeout = self.config.net.round_timeout_s.map(SimTime::from_secs);
         let outcome = simulate_round(transport, &broadcast, &jobs, timeout)?;
-        let mut delivered = Vec::with_capacity(updates.len());
+        // Each worker swaps its update's parameters for the decoded ones
+        // and frees the delivered bytes as it goes, so no second copy of
+        // the cohort is ever held.
+        let mut slots: Vec<_> = updates.into_iter().zip(outcome.deliveries).collect();
+        let decoded = map_items_mut(&mut slots, threads, |_, (u, delivery)| -> Result<bool> {
+            let Some((_, bytes)) = delivery.take() else {
+                return Ok(false);
+            };
+            u.params = codec::decode(&bytes)?.into_params(global)?;
+            Ok(true)
+        });
+        let mut delivered = Vec::with_capacity(slots.len());
         let mut missed = Vec::new();
-        for (mut u, slot) in updates.into_iter().zip(outcome.deliveries) {
-            match slot {
-                Some((_, bytes)) => {
-                    let frame = codec::decode(&bytes)?;
-                    u.params = frame.into_params(&self.global)?;
-                    delivered.push(u);
-                }
-                None => missed.push(u.client),
+        for ((u, _), arrived) in slots.into_iter().zip(decoded) {
+            if arrived? {
+                delivered.push(u);
+            } else {
+                missed.push(u.client);
             }
         }
         Ok(RoutedCycle {

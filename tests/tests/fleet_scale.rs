@@ -127,6 +127,58 @@ fn lazy_fleet_matches_eager_twin_bitwise_for_every_strategy() {
     }
 }
 
+/// Cohort materialization fans out across the thread budget; at every
+/// width the clients it builds — profile, shard, model replica, and the
+/// shuffle stream their first training step draws from — are the eager
+/// constructor's, bit for bit. Clients are retained, as the eager twin
+/// retains them, so later cycles fan out over only the newly sampled.
+#[test]
+fn parallel_cohort_materialization_matches_eager_clients_bitwise() {
+    const SEED: u64 = 977;
+    const POPULATION: usize = 48;
+    const COHORT: usize = 16;
+    let spec = fleet_spec(POPULATION, SEED);
+    for threads in THREAD_WIDTHS {
+        let (mut lazy, mut eager) = lazy_and_eager_twin(
+            &spec,
+            fl_config(SEED, threads, SamplerConfig::uniform(COHORT)),
+        );
+        for cycle in 0..2 {
+            let cohort = lazy.select_cohort(cycle).expect("lazy cohort");
+            assert_eq!(cohort, eager.select_cohort(cycle).expect("eager cohort"));
+            for &i in &cohort {
+                let (l, e) = (
+                    lazy.client(i).expect("lazy"),
+                    eager.client(i).expect("eager"),
+                );
+                assert_eq!(l.id(), e.id());
+                assert_eq!(l.profile(), e.profile(), "client {i} at {threads} threads");
+                assert_eq!(l.dataset().labels(), e.dataset().labels());
+                assert_eq!(
+                    bits(l.dataset().images().as_slice()),
+                    bits(e.dataset().images().as_slice())
+                );
+                assert_eq!(
+                    bits(&l.network().param_vector()),
+                    bits(&e.network().param_vector())
+                );
+                assert_eq!(l.cycle_time(), e.cycle_time());
+            }
+            let trained_lazy = lazy.train_selected(&cohort).expect("lazy train");
+            let trained_eager = eager.train_selected(&cohort).expect("eager train");
+            for (l, e) in trained_lazy.iter().zip(&trained_eager) {
+                assert_eq!(l.client, e.client);
+                assert_eq!(
+                    bits(&l.params),
+                    bits(&e.params),
+                    "client {} cycle {cycle} at {threads} threads",
+                    l.client
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     /// Lazy-vs-eager equivalence holds with sampling enabled too, over
     /// random seeds, fleet sizes, cohort sizes, and thread widths.

@@ -10,10 +10,12 @@
 use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
+use helios_device::SimTime;
 use helios_fl::{
-    FaultConfig, FlConfig, FlEnv, LinkProfile, NetConfig, RunMetrics, Strategy, SyncFedAvg,
+    CompressionConfig, CompressionMode, FaultConfig, FlConfig, FlEnv, FlError, LinkProfile,
+    LocalUpdate, NetConfig, RunMetrics, Strategy, SyncFedAvg,
 };
-use helios_net::codec;
+use helios_net::{codec, NetError};
 use helios_nn::models::ModelKind;
 use helios_nn::{checkpoint, models};
 use helios_tensor::{ParallelismConfig, TensorRng};
@@ -23,7 +25,17 @@ const SEED: u64 = 2024;
 const CYCLES: usize = 3;
 
 fn make_env(seed: u64, threads: usize, net: NetConfig) -> FlEnv {
-    let clients = 3;
+    make_fleet_env(seed, threads, net, 2, 1)
+}
+
+fn make_fleet_env(
+    seed: u64,
+    threads: usize,
+    net: NetConfig,
+    capable: usize,
+    stragglers: usize,
+) -> FlEnv {
+    let clients = capable + stragglers;
     let mut rng = TensorRng::seed_from(seed);
     let (train, test) = SyntheticVision::mnist_like()
         .generate(30 * clients, 30, &mut rng)
@@ -34,7 +46,7 @@ fn make_env(seed: u64, threads: usize, net: NetConfig) -> FlEnv {
         .collect();
     FlEnv::new(
         ModelKind::LeNet,
-        presets::mixed_fleet(2, 1),
+        presets::mixed_fleet(capable, stragglers),
         shards,
         test,
         FlConfig {
@@ -154,6 +166,123 @@ fn round_timeout_drops_slow_participant_without_error() {
         .device_stats(2)
         .missed_cycles;
     assert_eq!(missed, 2);
+}
+
+/// The benchmark's `fleet_lossy` link and fault profile under `mode`.
+fn fleet_lossy_net(mode: CompressionMode) -> NetConfig {
+    NetConfig {
+        enabled: true,
+        link: LinkProfile::constrained(2e6, 0.05),
+        faults: FaultConfig {
+            drop_prob: 0.05,
+            corrupt_prob: 0.05,
+            delay_prob: 0.1,
+            max_extra_delay_s: 0.5,
+        },
+        round_timeout_s: Some(2.2),
+        compression: CompressionConfig {
+            mode,
+            topk_ratio: 0.25,
+        },
+        ..NetConfig::default()
+    }
+}
+
+const ROUTED_CLIENTS: usize = 11;
+
+/// One trained update per client of an 11-device fleet, every third one
+/// soft-trained (masked-out entries hold the broadcast global), plus
+/// compute spans of which the last overruns the round deadline.
+fn routed_inputs() -> (Vec<LocalUpdate>, Vec<SimTime>) {
+    let mut env = make_fleet_env(SEED, 1, NetConfig::default(), 8, 3);
+    let mut updates = env.train_all().expect("train");
+    for u in updates.iter_mut().step_by(3) {
+        let mask: Vec<bool> = (0..u.params.len()).map(|j| j % 5 != u.client % 5).collect();
+        for (j, _) in mask.iter().enumerate().filter(|(_, &on)| !on) {
+            u.params[j] = env.global()[j];
+        }
+        u.param_mask = Some(mask);
+    }
+    let mut compute: Vec<SimTime> = (0..ROUTED_CLIENTS)
+        .map(|i| SimTime::from_secs(0.2 + 0.05 * i as f64))
+        .collect();
+    compute[ROUTED_CLIENTS - 1] = SimTime::from_secs(3.0);
+    (updates, compute)
+}
+
+/// What one routed cycle exposes, as exactly comparable values.
+type RoutedBits = (Vec<(usize, Vec<u32>, Option<Vec<bool>>)>, Vec<usize>, u64);
+
+/// `route_updates` fans encode and decode out across the thread budget;
+/// delivered parameters, their order, the missed list, the round span,
+/// and the transport's counters must not depend on the width.
+#[test]
+fn routed_cycles_are_bitwise_equal_across_thread_widths_for_every_mode() {
+    let (updates, compute) = routed_inputs();
+    for mode in [
+        CompressionMode::None,
+        CompressionMode::Delta,
+        CompressionMode::TopK,
+        CompressionMode::QuantF16,
+        CompressionMode::QuantInt8,
+    ] {
+        let route = |threads: usize| {
+            let mut env = make_fleet_env(SEED, threads, fleet_lossy_net(mode), 8, 3);
+            let cycles: Vec<RoutedBits> = (0..3)
+                .map(|cycle| {
+                    let routed = env
+                        .route_updates(cycle, updates.clone(), &compute)
+                        .expect("route");
+                    let delivered = routed
+                        .updates
+                        .into_iter()
+                        .map(|u| {
+                            let bits = u.params.iter().map(|p| p.to_bits()).collect();
+                            (u.client, bits, u.param_mask)
+                        })
+                        .collect();
+                    let span = routed.cycle_time.as_secs_f64().to_bits();
+                    (delivered, routed.missed, span)
+                })
+                .collect();
+            (cycles, *env.transport().expect("transport").stats())
+        };
+        let (reference, stats) = route(1);
+        assert!(stats.retries > 0, "{mode:?}: the fault profile must trip");
+        for (delivered, missed, _) in &reference {
+            assert!(missed.contains(&(ROUTED_CLIENTS - 1)), "{mode:?}: deadline");
+            assert_eq!(delivered.len() + missed.len(), ROUTED_CLIENTS);
+        }
+        for threads in [2usize, 4, 8] {
+            let (cycles, wide_stats) = route(threads);
+            assert_eq!(cycles, reference, "{mode:?} at {threads} threads");
+            assert_eq!(wide_stats, stats, "{mode:?} at {threads} threads");
+        }
+    }
+}
+
+/// With two malformed updates in one cycle, the error reported is the
+/// earlier participant's, whichever worker reaches its slot first.
+#[test]
+fn first_malformed_update_in_participant_order_wins_at_every_width() {
+    let (mut updates, compute) = routed_inputs();
+    updates[2].param_mask = Some(vec![true; 3]);
+    updates[9].param_mask = Some(vec![true; 5]);
+    for mode in [CompressionMode::None, CompressionMode::QuantInt8] {
+        for threads in [1usize, 2, 4, 8] {
+            let mut env = make_fleet_env(SEED, threads, fleet_lossy_net(mode), 8, 3);
+            let err = env.route_updates(0, updates.clone(), &compute).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    FlError::Net(NetError::MaskLengthMismatch { mask: 3, .. })
+                ),
+                "{mode:?} at {threads} threads: {err}"
+            );
+            // Nothing reached the wire.
+            assert_eq!(env.transport().expect("transport").stats().messages, 0);
+        }
+    }
 }
 
 /// Special values guaranteed present in every codec/checkpoint case, on

@@ -3,8 +3,9 @@
 //! declarative [`ScenarioConfig`] timeline, replays bitwise at any
 //! thread width, and leaves empty-scenario runs untouched.
 //!
-//! The obs bus is process-global, so the trace-recording tests hold
-//! [`OBS_LOCK`] for their full body.
+//! The obs bus is process-global, so every test here holds [`OBS_LOCK`]
+//! for its full body: the trace-recording tests so nothing else lands in
+//! their sinks, the others so they emit into nobody's.
 
 use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, ShardSynthesizer, SyntheticVision};
@@ -21,10 +22,14 @@ use helios_scenario::{
 use helios_tensor::{ParallelismConfig, TensorRng};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Serializes the trace-recording tests around the process-global bus.
+/// Serializes this file's tests around the process-global bus.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+fn obs_serial() -> MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Thread widths every axis must replay bitwise across.
 const WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -128,7 +133,7 @@ fn netted_env(seed: u64, threads: usize, scenario: ScenarioConfig) -> FlEnv {
 /// whole run replays byte-identically at every thread width.
 #[test]
 fn link_outage_window_blacks_out_device_then_restores() {
-    let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let _serial = obs_serial();
     let scenario = ScenarioConfig {
         outages: vec![OutageWindow {
             from_cycle: 1,
@@ -236,6 +241,7 @@ fn churn_scenario() -> ScenarioConfig {
 
 #[test]
 fn churn_timeline_drives_population_and_replays_bitwise() {
+    let _serial = obs_serial();
     let run = |threads: usize| {
         let mut env = lazy_env(
             4,
@@ -270,6 +276,7 @@ fn churn_timeline_drives_population_and_replays_bitwise() {
 
 #[test]
 fn helios_classifies_scenario_joiners_mid_run() {
+    let _serial = obs_serial();
     let mut env = lazy_env(
         4,
         91,
@@ -299,6 +306,7 @@ fn helios_classifies_scenario_joiners_mid_run() {
 
 #[test]
 fn diurnal_wave_biases_weighted_cohorts_and_replays_bitwise() {
+    let _serial = obs_serial();
     let wave = DiurnalWave {
         period_cycles: 4,
         min_scale: 0.05,
@@ -353,6 +361,7 @@ fn diurnal_wave_biases_weighted_cohorts_and_replays_bitwise() {
 
 #[test]
 fn throttle_ramp_slows_rounds_and_replays_bitwise() {
+    let _serial = obs_serial();
     let scenario = ScenarioConfig {
         throttle: vec![ThrottleRule {
             start_cycle: 1,
@@ -399,6 +408,7 @@ fn throttle_ramp_slows_rounds_and_replays_bitwise() {
 
 #[test]
 fn drift_timeline_shifts_data_and_replays_bitwise() {
+    let _serial = obs_serial();
     let scenario = ScenarioConfig {
         drift: vec![
             DriftEvent {
@@ -523,7 +533,7 @@ fn traced_scenario_bytes(threads: usize, scenario: ScenarioConfig) -> Vec<u8> {
 
 #[test]
 fn scenario_traces_are_byte_identical_across_widths() {
-    let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let _serial = obs_serial();
     let reference = traced_scenario_bytes(1, combined_scenario());
     assert!(!reference.is_empty());
     for threads in &WIDTHS[1..] {
@@ -548,7 +558,7 @@ fn scenario_traces_are_byte_identical_across_widths() {
 
 #[test]
 fn empty_scenario_is_bitwise_inert_and_emits_no_events() {
-    let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let _serial = obs_serial();
     let mut env = lazy_env(
         4,
         37,
@@ -594,6 +604,7 @@ proptest! {
             0..16,
         ),
     ) {
+        let _serial = obs_serial();
         let mut cycle = 0usize;
         let mut population = initial;
         let mut offline: BTreeSet<usize> = BTreeSet::new();
