@@ -44,12 +44,26 @@ cargo fmt --all -- --check
 step "cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step "clippy unwrap/expect deny gate (crates/fl, crates/net, crates/obs, crates/scenario)"
+step "clippy unwrap/expect deny gate (crates/fl, crates/net, crates/obs, crates/scenario, crates/helios)"
 # These crates carry `#![cfg_attr(not(test), deny(clippy::unwrap_used,
 # clippy::expect_used))]`, locking in the PR 3 typed-error migration for
 # non-test code; this step compiles them standalone so a violation fails
 # CI even if the workspace pass above is ever narrowed.
-cargo clippy -p helios-fl -p helios-net -p helios-obs -p helios-scenario --all-targets
+cargo clippy -p helios-fl -p helios-net -p helios-obs -p helios-scenario -p helios-core \
+    --all-targets
+
+step "first-party non-test line counts per crate"
+# Lines before the first `#[cfg(test)]` of every file under
+# crates/*/src, summed per crate: the size trajectory appended to
+# results/BENCH_history.jsonl with each PR.
+for crate in crates/*/; do
+    find "$crate/src" -name '*.rs' -print0 | sort -z |
+        xargs -0 awk -v crate="$(basename "$crate")" '
+            FNR == 1 { in_tests = 0 }
+            /#\[cfg\(test\)\]/ { in_tests = 1 }
+            !in_tests { lines++ }
+            END { printf "%-10s %6d\n", crate, lines }'
+done
 
 step "cargo doc (warnings are errors)"
 # Scoped to first-party crates: the vendored deps are workspace members

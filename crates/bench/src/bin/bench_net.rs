@@ -162,7 +162,7 @@ fn run_report(name: &str, strategy: &mut dyn Strategy, env: &mut FlEnv) -> (RunR
                 upload_frame_bytes: env
                     .client(i)
                     .expect("client")
-                    .upload_wire_size()
+                    .upload_wire_size(&env.config().net.compression)
                     .total_bytes(),
             }
         })
@@ -213,7 +213,7 @@ fn curve_point(
     let straggler_frame = env
         .client(CAPABLE)
         .expect("straggler client")
-        .upload_wire_size_with(&compression)
+        .upload_wire_size(&compression)
         .total_bytes();
     let total_upload_bytes = run.devices.iter().map(|d| d.upload_bytes).sum();
     ModePoint {
@@ -249,7 +249,7 @@ fn main() {
     let masked_frame_bytes = helios_env
         .client(CAPABLE)
         .expect("straggler client")
-        .upload_wire_size()
+        .upload_wire_size(&CompressionConfig::default())
         .total_bytes();
 
     println!("Simulated network — full vs soft-trained exchange ({CYCLES} cycles)");

@@ -15,7 +15,7 @@
 //!    non-FMA peak.)
 //! 2. **Thread scaling** — the hot tensor kernels (matmul, conv2d
 //!    forward/backward) and a full federated client round
-//!    (`FlEnv::train_all`) at thread budgets 1/2/4/8, with speedups
+//!    (`FlEnv::train_selected`) at thread budgets 1/2/4/8, with speedups
 //!    relative to the serial baseline. On a single-core host every
 //!    speedup is ≈1.0 (the engine degrades to inline serial
 //!    execution); the parity test suite — not this bench — is what
@@ -252,7 +252,7 @@ fn bench_client_round(records: &mut Vec<KernelRecord>) {
         let ms = time_millis(|| {
             // Re-broadcast so every rep trains from the same state.
             env.broadcast_global(0).expect("broadcast");
-            env.train_all().expect("train_all");
+            env.train_selected(&[0, 1, 2, 3]).expect("train_selected");
         });
         if t == 1 {
             serial_ms = ms;

@@ -46,12 +46,7 @@ fn capable_cycle_duration(env: &FlEnv, straggler_ids: &[usize]) -> Result<SimTim
 
 fn validate_stragglers(env: &FlEnv, straggler_ids: &[usize]) -> Result<()> {
     for &i in straggler_ids {
-        if i >= env.num_clients() {
-            return Err(FlError::UnknownClient {
-                client: i,
-                num_clients: env.num_clients(),
-            });
-        }
+        env.store.check_enrolled(i)?;
     }
     if straggler_ids.len() >= env.num_clients() {
         return Err(FlError::InvalidStrategyConfig {
@@ -144,10 +139,8 @@ impl AsyncFl {
     pub fn with_fixed_period(straggler_ids: Vec<usize>, period: usize) -> Self {
         assert!(period > 0, "period must be nonzero");
         AsyncFl {
-            straggler_ids,
             fixed_period: Some(period),
-            cycle_duration: SimTime::ZERO,
-            periods: Vec::new(),
+            ..AsyncFl::new(straggler_ids)
         }
     }
 }
@@ -243,11 +236,9 @@ impl Afo {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
         assert!(decay >= 0.0, "decay must be non-negative");
         Afo {
-            straggler_ids,
             alpha,
             decay,
-            cycle_duration: SimTime::ZERO,
-            periods: Vec::new(),
+            ..Afo::new(straggler_ids)
         }
     }
 

@@ -185,46 +185,21 @@ impl Client {
         self.current_mask.as_ref()
     }
 
-    /// Number of parameters active under the current mask (all of them
-    /// when no mask is installed).
-    pub fn active_param_count(&self) -> usize {
-        match &self.current_mask {
-            Some(m) => self
-                .net
-                .layout()
-                .param_mask(m)
-                .iter()
-                .filter(|&&b| b)
-                .count(),
-            None => self.net.param_len(),
-        }
-    }
-
-    /// Wire size of this client's next upload: the masked layout when a
-    /// soft-training mask is installed (bitset + active parameters
-    /// only), the full layout otherwise. This is how a straggler's
-    /// upload genuinely shrinks on the wire.
-    pub fn upload_wire_size(&self) -> WireSize {
-        let n = self.net.param_len();
-        match &self.current_mask {
-            Some(_) => WireSize::masked(n, self.active_param_count()),
-            None => WireSize::full(n),
-        }
-    }
-
-    /// Wire size of this client's next upload under a wire-v2
+    /// Wire size of this client's next upload under the run's
     /// [`CompressionConfig`]: the planning estimate the server uses for
     /// straggler identification and deadline fitting. With compression
-    /// off this is exactly [`Client::upload_wire_size`]; the v2 modes
-    /// shrink it further (worst-case estimates for the data-dependent
-    /// delta/top-k layouts — see `CompressionConfig::upload_wire_size`).
-    pub fn upload_wire_size_with(&self, compression: &CompressionConfig) -> WireSize {
-        let n = self.net.param_len();
-        let active = self
-            .current_mask
-            .as_ref()
-            .map(|_| self.active_param_count());
-        compression.upload_wire_size(n, active)
+    /// off it is the masked layout when a soft-training mask is
+    /// installed (bitset + active parameters only — how a straggler's
+    /// upload genuinely shrinks on the wire) and the full layout
+    /// otherwise; the v2 modes shrink it further (worst-case estimates
+    /// for the data-dependent delta/top-k layouts — see
+    /// `CompressionConfig::upload_wire_size`).
+    pub fn upload_wire_size(&self, compression: &CompressionConfig) -> WireSize {
+        let active = self.current_mask.as_ref().map(|m| {
+            let trained = self.net.layout().param_mask(m);
+            trained.iter().filter(|&&b| b).count()
+        });
+        compression.upload_wire_size(self.net.param_len(), active)
     }
 
     /// Fraction of maskable neurons active under the current mask.
@@ -363,10 +338,7 @@ impl Client {
     /// Propagates tensor construction errors (impossible for finite
     /// amounts).
     pub fn apply_drift(&mut self, kind: DriftKind, amount: f64) -> Result<()> {
-        self.dataset = match kind {
-            DriftKind::LabelRotate => self.dataset.rotate_labels(amount.max(0.0).round() as usize),
-            DriftKind::InputShift => self.dataset.shift_inputs(amount as f32)?,
-        };
+        self.dataset = drifted(&self.dataset, kind, amount)?;
         self.drift_applied += 1;
         Ok(())
     }
@@ -390,6 +362,15 @@ impl Client {
     pub fn scaled_resident_bytes(&self) -> f64 {
         self.resident_bytes() * self.memory_scale
     }
+}
+
+/// `dataset` after one scenario drift event (shards and the held-out
+/// test set drift by the same rule).
+pub(crate) fn drifted(dataset: &Dataset, kind: DriftKind, amount: f64) -> Result<Dataset> {
+    Ok(match kind {
+        DriftKind::LabelRotate => dataset.rotate_labels(amount.max(0.0).round() as usize),
+        DriftKind::InputShift => dataset.shift_inputs(amount as f32)?,
+    })
 }
 
 #[cfg(test)]

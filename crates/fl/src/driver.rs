@@ -10,27 +10,7 @@
 //! implements [`Strategy`] (a blanket impl), so policies keep plugging
 //! into `Vec<Box<dyn Strategy>>` harnesses unchanged.
 //!
-//! # Phase sequence
-//!
-//! For each cycle `c` in `0..cycles` the driver executes, in order:
-//!
-//! 1. **select** — the policy names this cycle's participants (training
-//!    *and* aggregation order).
-//! 2. **broadcast** — the global model goes out (default: to everyone).
-//! 3. **configure** — [`RoundPolicy::configure_client`] runs serially in
-//!    participant order (mask installation, RNG draws).
-//! 4. **train** — [`FlEnv::train_selected`] fans the participants out
-//!    across worker threads; updates come back in participant order.
-//! 5. **route** — the exchange rides [`FlEnv::route_updates`] (a
-//!    transparent passthrough when networking is disabled); participants
-//!    that miss the deadline drop out of the aggregation set.
-//! 6. **aggregate** — the policy folds the delivered updates into the
-//!    global model.
-//! 7. **clock** — the simulated clock advances by
-//!    [`RoundPolicy::cycle_span`] (default: the routed round span), then
-//!    [`RoundPolicy::post_cycle`] runs (e.g. Helios volume adjustment).
-//! 8. **evaluate & record** — global-model evaluation, then a
-//!    [`RoundRecord`] with a per-phase [`PhaseBreakdown`] is appended.
+//! [`RoundDriver::run`] documents the phase sequence.
 //!
 //! The driver is bitwise-transparent: a policy whose hooks perform the
 //! same operations in the same order as a hand-written loop produces

@@ -69,29 +69,33 @@
 
 mod asynchronous;
 mod client;
+mod config;
 mod driver;
 mod env;
 mod error;
 pub mod fleet;
 mod metrics;
+mod population;
 mod random_partial;
+mod route;
 pub mod sampler;
+mod scenario_rt;
 mod server;
 mod strategy;
 mod sync;
 
 pub use asynchronous::{Afo, AsyncFl};
 pub use client::{Client, LocalUpdate, DEFAULT_MEMORY_SCALE, GRAD_CLIP_NORM};
+pub use config::FlConfig;
 pub use driver::{fedavg_into_global, RoundDriver, RoundPolicy};
-pub use env::{FlConfig, FlEnv, RoutedCycle};
+pub use env::FlEnv;
 pub use error::FlError;
 pub use fleet::{AvailabilityModel, FleetSpec};
 pub use metrics::{PhaseBreakdown, RoundRecord, RunMetrics, RunProfile};
 pub use random_partial::{random_mask, RandomPartial};
+pub use route::RoutedCycle;
 pub use sampler::{ClientSampler, SamplerConfig, SamplingStrategy};
-pub use server::{
-    aggregate, cycle_comm_bytes, cycle_comm_bytes_with, MaskedUpdate, OnlineAggregator,
-};
+pub use server::{aggregate, cycle_comm_bytes_with, MaskedUpdate, OnlineAggregator};
 pub use strategy::Strategy;
 pub use sync::SyncFedAvg;
 

@@ -3,38 +3,17 @@
 
 use crate::LocalUpdate;
 
-/// Bytes exchanged with the server for a set of updates in one cycle:
-/// each participant uploads 4 bytes per *trained* parameter (soft-trained
-/// stragglers upload only their selected neurons) and downloads the full
-/// model.
-pub fn cycle_comm_bytes(updates: &[LocalUpdate]) -> f64 {
-    updates
-        .iter()
-        .map(|u| {
-            let uploaded = match &u.param_mask {
-                Some(m) => m.iter().filter(|&&b| b).count(),
-                None => u.params.len(),
-            };
-            ((uploaded + u.params.len()) * 4) as f64
-        })
-        .sum()
-}
-
-/// [`cycle_comm_bytes`] under a wire-v2
-/// [`CompressionConfig`](helios_net::CompressionConfig): uploads
-/// use the configured mode's planning estimate (full-frame payload bytes,
-/// not wire framing — same accounting basis as the v1 function), while
-/// downloads stay 4 bytes per parameter because broadcasts are never
-/// compressed. With `CompressionMode::None` this reproduces
-/// [`cycle_comm_bytes`] exactly.
+/// Bytes exchanged with the server for a set of updates in one cycle
+/// under a [`CompressionConfig`](helios_net::CompressionConfig): each
+/// participant downloads the full model (4 bytes per parameter —
+/// broadcasts are never compressed) and uploads the configured mode's
+/// planning estimate, payload bytes only, no wire framing. With
+/// `CompressionMode::None` that is 4 bytes per *trained* parameter:
+/// soft-trained stragglers upload only their selected neurons.
 pub fn cycle_comm_bytes_with(
     updates: &[LocalUpdate],
     compression: &helios_net::CompressionConfig,
 ) -> f64 {
-    use helios_net::CompressionMode;
-    if compression.mode == CompressionMode::None {
-        return cycle_comm_bytes(updates);
-    }
     updates
         .iter()
         .map(|u| {
@@ -43,8 +22,12 @@ pub fn cycle_comm_bytes_with(
                 .param_mask
                 .as_ref()
                 .map(|m| m.iter().filter(|&&b| b).count());
-            let size = compression.upload_wire_size(n, active);
-            let up = size.mask_bytes + size.index_bytes + size.scale_bytes + size.payload_bytes;
+            let up = if compression.mode == helios_net::CompressionMode::None {
+                active.unwrap_or(n) * 4
+            } else {
+                let size = compression.upload_wire_size(n, active);
+                size.mask_bytes + size.index_bytes + size.scale_bytes + size.payload_bytes
+            };
             (up + n * 4) as f64
         })
         .sum()
@@ -233,13 +216,14 @@ mod tests {
     fn comm_bytes_counts_uploads_and_downloads() {
         // Full update of 10 params: upload 40 B + download 40 B.
         let full = update(vec![0.0; 10], None);
-        assert_eq!(cycle_comm_bytes(std::slice::from_ref(&full)), 80.0);
+        let v1 = |u: &[LocalUpdate]| cycle_comm_bytes_with(u, &Default::default());
+        assert_eq!(v1(std::slice::from_ref(&full)), 80.0);
         // Half-masked update: upload 20 B + download 40 B.
         let half = update(vec![0.0; 10], Some((0..10).map(|i| i % 2 == 0).collect()));
-        assert_eq!(cycle_comm_bytes(std::slice::from_ref(&half)), 60.0);
+        assert_eq!(v1(std::slice::from_ref(&half)), 60.0);
         // Sums over participants.
-        assert_eq!(cycle_comm_bytes(&[full, half]), 140.0);
-        assert_eq!(cycle_comm_bytes(&[]), 0.0);
+        assert_eq!(v1(&[full, half]), 140.0);
+        assert_eq!(v1(&[]), 0.0);
     }
 
     #[test]
@@ -249,11 +233,9 @@ mod tests {
             update(vec![0.0; 10], None),
             update(vec![0.0; 10], Some((0..10).map(|i| i % 2 == 0).collect())),
         ];
-        let off = CompressionConfig::default();
-        assert_eq!(
-            cycle_comm_bytes_with(&updates, &off),
-            cycle_comm_bytes(&updates)
-        );
+        // Off: 4 B per trained param up (10 + 5) and 4 B per param down.
+        let off = cycle_comm_bytes_with(&updates, &CompressionConfig::default());
+        assert_eq!(off, 140.0);
         // Quantized uploads bill fewer bytes than v1; downloads (4 B per
         // param per participant) are unchanged.
         for mode in [CompressionMode::QuantF16, CompressionMode::QuantInt8] {
@@ -262,7 +244,7 @@ mod tests {
                 ..CompressionConfig::default()
             };
             let with = cycle_comm_bytes_with(&updates, &cfg);
-            assert!(with < cycle_comm_bytes(&updates), "{mode:?}: {with}");
+            assert!(with < off, "{mode:?}: {with}");
             assert!(with > 80.0, "downloads still billed");
         }
     }

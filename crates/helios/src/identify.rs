@@ -98,28 +98,31 @@ pub fn resource_based(
     workload: &TrainingWorkload,
     slowdown_threshold: f64,
 ) -> Result<Vec<usize>> {
+    let times: Vec<f64> = profiles
+        .iter()
+        .map(|p| CostModel::time_for(p, workload).as_secs_f64())
+        .collect();
+    slower_than_fastest(&times, slowdown_threshold)
+}
+
+/// Positions in `times` more than `slowdown_threshold` times slower
+/// than the fastest entry — the white-box straggler rule.
+fn slower_than_fastest(times: &[f64], slowdown_threshold: f64) -> Result<Vec<usize>> {
     if !(slowdown_threshold > 1.0 && slowdown_threshold.is_finite()) {
         return Err(HeliosError::Identification {
             what: format!("slowdown threshold {slowdown_threshold} must exceed 1"),
         });
     }
-    if profiles.is_empty() {
+    if times.is_empty() {
         return Err(HeliosError::Identification {
             what: "empty fleet".into(),
         });
     }
-    let times: Vec<f64> = profiles
-        .iter()
-        .map(|p| CostModel::time_for(p, workload).as_secs_f64())
-        .collect();
     let fastest = times.iter().copied().fold(f64::INFINITY, f64::min);
-    let stragglers: Vec<usize> = times
-        .iter()
-        .enumerate()
-        .filter(|(_, &t)| t > slowdown_threshold * fastest)
-        .map(|(i, _)| i)
+    let stragglers: Vec<usize> = (0..times.len())
+        .filter(|&i| times[i] > slowdown_threshold * fastest)
         .collect();
-    if stragglers.len() == profiles.len() {
+    if stragglers.len() == times.len() {
         return Err(HeliosError::Identification {
             what: "every device classified as straggler".into(),
         });
@@ -127,45 +130,16 @@ pub fn resource_based(
     Ok(stragglers)
 }
 
-/// Convenience wrapper: resource-based identification over an
-/// environment's fleet, using client 0's full-model cycle workload as the
-/// common reference workload.
-///
-/// # Errors
-///
-/// Same conditions as [`resource_based`].
-pub fn resource_based_env(env: &FlEnv, slowdown_threshold: f64) -> Result<Vec<usize>> {
-    let workload = env.client(0).map_err(HeliosError::from)?.cycle_workload();
-    let profiles: Vec<&ResourceProfile> = (0..env.num_clients())
-        .map(|i| env.client(i).map(|c| c.profile()))
-        .collect::<std::result::Result<_, _>>()
-        .map_err(HeliosError::from)?;
-    resource_based(&profiles, &workload, slowdown_threshold)
-}
-
-/// Resource-based identification over an environment's fleet using
-/// *combined* time — the paper's full `T_e = W/C_cpu + M/V_mc + U/B_n`:
-/// the common reference workload evaluated on each device's profile plus
-/// the device's expected link transfer time for one round's exchange.
-/// Identical to [`resource_based_env`] when networking is disabled or
-/// every link is ideal.
-///
-/// # Errors
-///
-/// Same conditions as [`resource_based`].
-pub fn resource_based_combined(env: &FlEnv, slowdown_threshold: f64) -> Result<Vec<usize>> {
-    let cohort: Vec<usize> = (0..env.num_clients()).collect();
-    resource_based_combined_cohort(env, &cohort, slowdown_threshold)
-}
-
-/// [`resource_based_combined`] restricted to a sampled cohort: combined
-/// `compute + comm` time is evaluated only for the cohort's members
-/// (slowdown measured against the fastest *cohort* device), so a
-/// 100k-device fleet is classified at O(cohort) cost and unmaterialized
-/// devices are never touched. The reference workload is the first cohort
-/// member's full-model cycle workload. Returns absolute client ids, in
-/// cohort order. Over the full fleet this is exactly
-/// [`resource_based_combined`].
+/// Resource-based identification over the members of `cohort` (the whole
+/// fleet, or a sampled cohort) using *combined* time — the paper's full
+/// `T_e = W/C_cpu + M/V_mc + U/B_n`: the first member's full-model cycle
+/// workload evaluated on each member's profile, plus the member's
+/// expected link transfer time for one round's exchange (zero when
+/// networking is disabled or the link is ideal, which reduces this to
+/// [`resource_based`] over the members' profiles). Slowdown is measured
+/// against the fastest *member*, so a 100k-device fleet is classified at
+/// O(cohort) cost and unmaterialized devices are never touched. Returns
+/// absolute client ids, in cohort order.
 ///
 /// # Errors
 ///
@@ -176,40 +150,19 @@ pub fn resource_based_combined_cohort(
     cohort: &[usize],
     slowdown_threshold: f64,
 ) -> Result<Vec<usize>> {
-    if !(slowdown_threshold > 1.0 && slowdown_threshold.is_finite()) {
-        return Err(HeliosError::Identification {
-            what: format!("slowdown threshold {slowdown_threshold} must exceed 1"),
-        });
-    }
     let Some(&reference) = cohort.first() else {
         return Err(HeliosError::Identification {
             what: "empty cohort".into(),
         });
     };
-    let workload = env
-        .client(reference)
-        .map_err(HeliosError::from)?
-        .cycle_workload();
+    let workload = env.client(reference)?.cycle_workload();
     let mut times = Vec::with_capacity(cohort.len());
     for &i in cohort {
-        let client = env.client(i).map_err(HeliosError::from)?;
-        let compute = CostModel::time_for(client.profile(), &workload);
-        let comm = env.comm_overhead(i).map_err(HeliosError::from)?;
-        times.push((compute + comm).as_secs_f64());
+        let compute = CostModel::time_for(env.client(i)?.profile(), &workload);
+        times.push((compute + env.comm_overhead(i)?).as_secs_f64());
     }
-    let fastest = times.iter().copied().fold(f64::INFINITY, f64::min);
-    let stragglers: Vec<usize> = cohort
-        .iter()
-        .zip(&times)
-        .filter(|(_, &t)| t > slowdown_threshold * fastest)
-        .map(|(&i, _)| i)
-        .collect();
-    if stragglers.len() == cohort.len() {
-        return Err(HeliosError::Identification {
-            what: "every device classified as straggler".into(),
-        });
-    }
-    Ok(stragglers)
+    let slow = slower_than_fastest(&times, slowdown_threshold)?;
+    Ok(slow.into_iter().map(|pos| cohort[pos]).collect())
 }
 
 #[cfg(test)]
@@ -287,7 +240,8 @@ mod tests {
     #[test]
     fn cohort_identification_matches_full_fleet_on_subsets() {
         let e = env(2, 2);
-        let full = resource_based_combined(&e, 1.5).unwrap();
+        let all: Vec<usize> = (0..4).collect();
+        let full = resource_based_combined_cohort(&e, &all, 1.5).unwrap();
         assert_eq!(full, vec![2, 3]);
         // A cohort holding one capable + one straggler flags only the
         // straggler, measured against the cohort's own fastest device.
@@ -295,9 +249,6 @@ mod tests {
             resource_based_combined_cohort(&e, &[1, 3], 1.5).unwrap(),
             vec![3]
         );
-        // The whole-fleet wrapper is exactly the full-cohort call.
-        let all: Vec<usize> = (0..4).collect();
-        assert_eq!(resource_based_combined_cohort(&e, &all, 1.5).unwrap(), full);
         assert!(resource_based_combined_cohort(&e, &[], 1.5).is_err());
     }
 
@@ -305,7 +256,21 @@ mod tests {
     fn both_methods_agree_on_mixed_fleet() {
         let e = env(2, 2);
         let by_time = time_based(&e, 2, 2).unwrap();
-        let by_resource = resource_based_env(&e, 1.5).unwrap();
+        // Networking is disabled here, so combined time is pure compute
+        // time and white box must match black box.
+        let all: Vec<usize> = (0..4).collect();
+        let by_resource = resource_based_combined_cohort(&e, &all, 1.5).unwrap();
+        assert_eq!(by_resource, vec![2, 3]);
         assert_eq!(by_time, by_resource);
+        // The profile-level primitive agrees.
+        let profiles: Vec<&ResourceProfile> = all
+            .iter()
+            .map(|&i| e.client(i).unwrap().profile())
+            .collect();
+        let workload = e.client(0).unwrap().cycle_workload();
+        assert_eq!(
+            resource_based(&profiles, &workload, 1.5).unwrap(),
+            by_resource
+        );
     }
 }

@@ -68,6 +68,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No panicking shortcut in non-test code; tests may still unwrap freely.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod aggregation;
 pub mod analysis;

@@ -39,8 +39,8 @@ pub fn contributions_from_delta(
 /// `k` active units (Eq 2's `TopK(U) ∪ Rand(U)`).
 ///
 /// This is the sorting-and-selection step whose overhead the paper's §V
-/// footnote measures (18 ms vs 12 min of training); the `neuron_selection`
-/// criterion bench reproduces that comparison.
+/// footnote measures (18 ms vs 12 min of training); `paper_properties.rs`
+/// checks the ratio against an AlexNet training step.
 ///
 /// # Panics
 ///

@@ -203,9 +203,28 @@ impl HeliosStrategy {
             return Ok(());
         }
         self.config.validate()?;
+        let fleet: Vec<usize> = (0..env.num_clients()).collect();
+        // One split chain in ranked order (pinned by the goldens).
+        let mut chain = TensorRng::seed_from(env.config().seed ^ 0x48454c49); // "HELI"
+        self.establish(env, &fleet, |_| chain.split())
+    }
+
+    /// Establishes the run's reference frame over `members` — the whole
+    /// fleet, or the first sampled cohort — at O(members) cost and
+    /// touching no device outside it:
+    /// rank → deadline → volumes → trainers.
+    /// `trainer_rng` yields each straggler's scheduler stream.
+    fn establish(
+        &mut self,
+        env: &mut FlEnv,
+        members: &[usize],
+        mut trainer_rng: impl FnMut(usize) -> TensorRng,
+    ) -> Result<()> {
         // 1. Straggler identification, ranked slowest first.
         let ranked: Vec<usize> = match &self.config.identification {
             Identification::TimeBased { iterations, top_k } => {
+                // Benches the full fleet (`begin_run` rejects it for
+                // sampled cohorts).
                 let index = identify::test_bench_index(env, *iterations)?;
                 index.iter().take(*top_k).map(|e| e.client).collect()
             }
@@ -214,59 +233,60 @@ impl HeliosStrategy {
                 // device behind a constrained uplink ranks as the
                 // straggler it effectively is (identical to pure compute
                 // ranking when networking is disabled).
-                let ids = identify::resource_based_combined(env, *slowdown_threshold)?;
-                let mut times: Vec<(usize, f64)> = Vec::new();
-                for &i in &ids {
+                let ids =
+                    identify::resource_based_combined_cohort(env, members, *slowdown_threshold)?;
+                let mut times: Vec<(usize, f64)> = Vec::with_capacity(ids.len());
+                for i in ids {
                     times.push((i, env.combined_cycle_time(i)?.as_secs_f64()));
                 }
                 times.sort_by(|a, b| b.1.total_cmp(&a.1));
                 times.into_iter().map(|(i, _)| i).collect()
             }
         };
-        // 2. Capable pace = slowest capable device at full volume,
+        // 2. Capable pace = slowest capable member at full volume,
         // communication included.
         let mut deadline = SimTime::ZERO;
-        for i in 0..env.num_clients() {
+        for &i in members {
             if !ranked.contains(&i) {
                 deadline = deadline.max(env.combined_cycle_time(i)?);
             }
         }
         self.deadline = deadline;
-        // 3. Volume determination + soft-trainer construction. Fitting
-        // targets the *compute* budget: the deadline minus the
-        // straggler's expected (full-volume, hence conservative) link
-        // time — shrinking the model cannot speed up the download.
-        let mut rng = TensorRng::seed_from(env.config().seed ^ 0x48454c49); // "HELI"
+        // 3. Volume determination + soft-trainer construction.
         let volumes: Vec<(usize, f64)> = match &self.config.volume {
             VolumePolicy::Predefined(levels) => target::assign_predefined(&ranked, levels)?,
             VolumePolicy::ResourceFitted => {
                 let mut out = Vec::with_capacity(ranked.len());
                 for &i in &ranked {
-                    let budget = target::comm_adjusted_deadline(deadline, env.comm_overhead(i)?);
-                    let keep = target::fitted_keep_ratio(env.client_mut(i)?, budget)?;
-                    out.push((i, keep));
+                    out.push((i, fitted_keep(env, deadline, i)?));
                 }
                 out
             }
         };
         for (client, keep) in volumes {
-            let units = env.client_mut(client)?.network_mut().maskable_units();
-            let trainer = SoftTrainer::new(
-                units,
-                keep,
-                self.config.p_s,
-                self.config.regulation,
-                rng.split(),
-            )?;
-            self.trainers.insert(client, trainer);
+            self.install_trainer(env, client, keep, trainer_rng(client))?;
         }
         self.stragglers = ranked;
         self.stragglers.sort_unstable();
-        // Record the classified frontier: devices that join later (the
-        // §VI.C admission path or scenario churn) are measured against
-        // the established pace when they first appear in a cohort.
-        self.classified.extend(0..env.num_clients());
+        // Record the classified frontier: devices that appear later
+        // (newly sampled, the §VI.C admission path, or scenario churn)
+        // are measured against the established pace when they first
+        // show up in a cohort.
+        self.classified.extend(members.iter().copied());
         self.initialized = true;
+        Ok(())
+    }
+
+    fn install_trainer(
+        &mut self,
+        env: &mut FlEnv,
+        client: usize,
+        keep: f64,
+        rng: TensorRng,
+    ) -> Result<()> {
+        let units = env.client_mut(client)?.network_mut().maskable_units();
+        let trainer = SoftTrainer::new(units, keep, self.config.p_s, self.config.regulation, rng)?;
+        self.trainers.insert(client, trainer);
         Ok(())
     }
 
@@ -305,104 +325,56 @@ impl HeliosStrategy {
         let full_time = env.combined_cycle_time(id)?;
         if full_time.as_secs_f64() > 1.05 * self.deadline.as_secs_f64() {
             let keep = match &self.config.volume {
-                VolumePolicy::Predefined(levels) => *levels.last().expect("validated non-empty"),
-                VolumePolicy::ResourceFitted => {
-                    let budget =
-                        target::comm_adjusted_deadline(self.deadline, env.comm_overhead(id)?);
-                    target::fitted_keep_ratio(env.client_mut(id)?, budget)?
+                VolumePolicy::Predefined(levels) => {
+                    *levels.last().ok_or_else(|| HeliosError::InvalidConfig {
+                        what: "predefined volume ladder is empty".into(),
+                    })?
                 }
+                VolumePolicy::ResourceFitted => fitted_keep(env, self.deadline, id)?,
             };
-            let units = env.client_mut(id)?.network_mut().maskable_units();
-            let trainer = SoftTrainer::new(
-                units,
-                keep,
-                self.config.p_s,
-                self.config.regulation,
-                TensorRng::seed_from(env.config().seed ^ (id as u64) << 8),
-            )?;
-            self.trainers.insert(id, trainer);
+            self.install_trainer(env, id, keep, device_rng(env.config().seed, id))?;
             self.stragglers.push(id);
             self.stragglers.sort_unstable();
         }
         Ok(())
     }
 
-    /// Incremental-mode classification of a sampled cohort.
-    ///
-    /// The first cohort establishes the run's reference frame entirely
-    /// cohort-relatively — stragglers via
-    /// [`identify::resource_based_combined_cohort`], the deadline as the
-    /// slowest *capable cohort member*, volumes fitted against it — at
-    /// O(cohort) cost, never touching unmaterialized devices. Devices
-    /// first sampled in later cohorts are measured against that
-    /// established pace (`1.05 × deadline`, the admission rule); devices
-    /// re-sampled later keep their classification and trainer state.
+    /// Classifies whatever `cohort` surfaces for the first time. In
+    /// incremental mode the first cohort establishes the reference frame
+    /// cohort-relatively; after that (and on a fully classified fleet)
+    /// newcomers — newly sampled, admitted, or joined by scenario churn —
+    /// are measured against the established pace, while re-sampled
+    /// devices keep their classification and trainer state.
     fn classify_cohort(&mut self, env: &mut FlEnv, cohort: &[usize]) -> Result<()> {
-        if !self.initialized {
-            // First cohort: cohort-relative identification + deadline.
-            let slowdown = match &self.config.identification {
-                Identification::ResourceBased { slowdown_threshold } => *slowdown_threshold,
-                Identification::TimeBased { .. } => {
-                    // begin_run rejects this combination; defensive here.
-                    return Err(HeliosError::InvalidConfig {
-                        what: "time-based identification cannot run on sampled cohorts".into(),
-                    });
-                }
-            };
-            let mut ranked = identify::resource_based_combined_cohort(env, cohort, slowdown)?;
-            let mut times: Vec<(usize, f64)> = Vec::with_capacity(ranked.len());
-            for &i in &ranked {
-                times.push((i, env.combined_cycle_time(i)?.as_secs_f64()));
-            }
-            times.sort_by(|a, b| b.1.total_cmp(&a.1));
-            ranked = times.into_iter().map(|(i, _)| i).collect();
-            let mut deadline = SimTime::ZERO;
-            for &i in cohort {
-                if !ranked.contains(&i) {
-                    deadline = deadline.max(env.combined_cycle_time(i)?);
-                }
-            }
-            self.deadline = deadline;
-            let volumes: Vec<(usize, f64)> = match &self.config.volume {
-                VolumePolicy::Predefined(levels) => target::assign_predefined(&ranked, levels)?,
-                VolumePolicy::ResourceFitted => {
-                    let mut out = Vec::with_capacity(ranked.len());
-                    for &i in &ranked {
-                        let budget =
-                            target::comm_adjusted_deadline(deadline, env.comm_overhead(i)?);
-                        let keep = target::fitted_keep_ratio(env.client_mut(i)?, budget)?;
-                        out.push((i, keep));
-                    }
-                    out
-                }
-            };
-            for (client, keep) in volumes {
-                let units = env.client_mut(client)?.network_mut().maskable_units();
-                let trainer = SoftTrainer::new(
-                    units,
-                    keep,
-                    self.config.p_s,
-                    self.config.regulation,
-                    // Device-keyed stream (not a shared split chain): the
-                    // same device gets the same stream regardless of
-                    // which cohort first surfaced it.
-                    TensorRng::seed_from(env.config().seed ^ (client as u64) << 8),
-                )?;
-                self.trainers.insert(client, trainer);
-            }
-            self.stragglers = ranked;
-            self.stragglers.sort_unstable();
-            self.classified.extend(cohort.iter().copied());
-            self.initialized = true;
-            return Ok(());
+        if self.incremental && !self.initialized {
+            // Device-keyed streams (not a shared split chain): the same
+            // device gets the same stream regardless of which cohort
+            // first surfaced it.
+            let seed = env.config().seed;
+            return self.establish(env, cohort, |i| device_rng(seed, i));
         }
-        for &i in cohort {
-            if !self.classified.contains(&i) {
-                self.classify_device(env, i)?;
+        if self.initialized {
+            for &i in cohort {
+                if !self.classified.contains(&i) {
+                    self.classify_device(env, i)?;
+                }
             }
         }
         Ok(())
     }
+}
+
+/// The largest volume whose compute fits `deadline` minus the device's
+/// expected (full-volume, hence conservative) link time — shrinking the
+/// model cannot speed up the download.
+fn fitted_keep(env: &mut FlEnv, deadline: SimTime, i: usize) -> Result<f64> {
+    let budget = target::comm_adjusted_deadline(deadline, env.comm_overhead(i)?);
+    target::fitted_keep_ratio(env.client_mut(i)?, budget)
+}
+
+/// The scheduler stream of a device classified on its own.
+fn device_rng(seed: u64, id: usize) -> TensorRng {
+    TensorRng::seed_from(seed ^ (id as u64) << 8)
 }
 
 /// The Helios pipeline expressed as `helios_fl` round-lifecycle hooks:
@@ -449,15 +421,9 @@ impl RoundPolicy for HeliosStrategy {
     /// fully-classified fleet this is a no-op.
     fn select(&mut self, env: &mut FlEnv, cycle: usize) -> helios_fl::Result<Vec<usize>> {
         let cohort = env.select_cohort(cycle)?;
+        self.classify_cohort(env, &cohort).map_err(to_fl_error)?;
         if self.incremental {
-            self.classify_cohort(env, &cohort).map_err(to_fl_error)?;
             self.last_cohort = cohort.clone();
-        } else if self.initialized {
-            for &i in &cohort {
-                if !self.classified.contains(&i) {
-                    self.classify_device(env, i).map_err(to_fl_error)?;
-                }
-            }
         }
         Ok(cohort)
     }
@@ -518,28 +484,21 @@ impl RoundPolicy for HeliosStrategy {
         // skip counters, while a missed cycle (update dropped or timed
         // out) increments *every* counter — the scheduled units were
         // wasted and the idle ones skipped another cycle regardless.
-        for u in updates {
-            if let Some(mask) = self.issued_masks.remove(&u.client) {
-                if let Some(trainer) = self.trainers.get_mut(&u.client) {
+        let delivered = updates.iter().map(|u| (u.client, true));
+        let missed = routed.missed.iter().map(|&client| (client, false));
+        for (client, delivered) in delivered.chain(missed) {
+            let issued = self.issued_masks.remove(&client);
+            if let (Some(mask), Some(trainer)) = (issued, self.trainers.get_mut(&client)) {
+                if delivered {
                     trainer.observe(&mask);
-                    helios_obs::emit(|| helios_obs::TraceEvent::SkipSettled {
-                        cycle: cycle as u64,
-                        device: u.client as u64,
-                        delivered: true,
-                    });
-                }
-            }
-        }
-        for client in &routed.missed {
-            if self.issued_masks.remove(client).is_some() {
-                if let Some(trainer) = self.trainers.get_mut(client) {
+                } else {
                     trainer.observe_missed();
-                    helios_obs::emit(|| helios_obs::TraceEvent::SkipSettled {
-                        cycle: cycle as u64,
-                        device: *client as u64,
-                        delivered: false,
-                    });
                 }
+                helios_obs::emit(|| helios_obs::TraceEvent::SkipSettled {
+                    cycle: cycle as u64,
+                    device: client as u64,
+                    delivered,
+                });
             }
         }
         self.issued_masks.clear();
@@ -591,25 +550,18 @@ impl RoundPolicy for HeliosStrategy {
         if cycle >= self.config.dynamic_volume_cycles {
             return Ok(());
         }
-        let deadline = self.deadline;
-        if self.incremental {
-            // Cohort-relative: only this cycle's participants were
-            // observed (and only they are guaranteed materialized).
-            for &i in &self.last_cohort {
-                if let Some(trainer) = self.trainers.get_mut(&i) {
-                    let masked_time = env.combined_cycle_time(i)?;
-                    let next = target::adjust_keep_ratio(trainer.keep(), masked_time, deadline);
-                    if (next - trainer.keep()).abs() > 1e-9 {
-                        trainer.set_keep(next).map_err(to_fl_error)?;
-                    }
-                }
-            }
-            return Ok(());
-        }
-        for i in 0..env.num_clients() {
+        // Incremental mode is cohort-relative: only this cycle's
+        // participants were observed (and only they are guaranteed
+        // materialized).
+        let members = if self.incremental {
+            self.last_cohort.clone()
+        } else {
+            (0..env.num_clients()).collect()
+        };
+        for &i in &members {
             if let Some(trainer) = self.trainers.get_mut(&i) {
                 let masked_time = env.combined_cycle_time(i)?;
-                let next = target::adjust_keep_ratio(trainer.keep(), masked_time, deadline);
+                let next = target::adjust_keep_ratio(trainer.keep(), masked_time, self.deadline);
                 if (next - trainer.keep()).abs() > 1e-9 {
                     trainer.set_keep(next).map_err(to_fl_error)?;
                 }
@@ -711,6 +663,29 @@ mod tests {
         assert_eq!(Strategy::name(&h), "helios_st_only");
         let h = HeliosStrategy::new(HeliosConfig::default());
         assert_eq!(Strategy::name(&h), "helios");
+    }
+
+    /// What justifies the shared `establish` routine: over the same
+    /// members, the full-fleet entry point and a first sampled cohort
+    /// reach the same classification — only the trainers' RNG streams
+    /// (split chain vs device-keyed) may differ.
+    #[test]
+    fn initialize_and_first_cohort_agree_over_the_whole_fleet() {
+        let mut e1 = env(2, 3, 79);
+        let mut e2 = env(2, 3, 79);
+        let mut fleet = HeliosStrategy::new(HeliosConfig::default());
+        fleet.initialize(&mut e1).unwrap();
+        let mut cohort = HeliosStrategy::new(HeliosConfig::default());
+        cohort.incremental = true;
+        let all: Vec<usize> = (0..e2.num_clients()).collect();
+        cohort.classify_cohort(&mut e2, &all).unwrap();
+        assert_eq!(fleet.stragglers(), &[2, 3, 4]);
+        assert_eq!(fleet.stragglers(), cohort.stragglers());
+        assert_eq!(fleet.deadline(), cohort.deadline());
+        for i in all {
+            assert_eq!(fleet.keep_ratio(i), cohort.keep_ratio(i), "device {i}");
+        }
+        assert_eq!(fleet.classified, cohort.classified);
     }
 
     #[test]

@@ -172,16 +172,20 @@ mod tests {
     use super::*;
     use helios_data::SyntheticVision;
     use helios_device::presets;
-    use helios_nn::models;
+    use helios_fl::{FlConfig, FlEnv};
+    use helios_nn::models::ModelKind;
     use helios_tensor::TensorRng;
 
+    /// A one-device environment's client: LeNet, 48 samples, the default
+    /// run hyper-parameters.
     fn client(profile: helios_device::ResourceProfile) -> Client {
         let mut rng = TensorRng::seed_from(60);
-        let net = models::lenet(10, &mut rng);
-        let (train, _) = SyntheticVision::mnist_like()
-            .generate(48, 0, &mut rng)
+        let (train, test) = SyntheticVision::mnist_like()
+            .generate(48, 8, &mut rng)
             .unwrap();
-        Client::new(1, net, train, profile, 0.05, 0.9, 16, 1, 2000.0, rng)
+        let config = FlConfig::default();
+        let env = FlEnv::new(ModelKind::LeNet, vec![profile], vec![train], test, config).unwrap();
+        env.client(0).unwrap().clone()
     }
 
     #[test]

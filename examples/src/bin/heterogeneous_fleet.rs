@@ -47,7 +47,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!("  client {} ({name}): {}", entry.client, entry.time);
     }
     let black_box = identify::time_based(&env, 2, 4)?;
-    let white_box = identify::resource_based_env(&env, 1.5)?;
+    let fleet: Vec<usize> = (0..env.num_clients()).collect();
+    let white_box = identify::resource_based_combined_cohort(&env, &fleet, 1.5)?;
     println!("black-box stragglers : {black_box:?}");
     println!("white-box stragglers : {white_box:?}");
     assert_eq!(black_box, white_box, "both methods agree on this fleet");

@@ -1,1 +1,78 @@
-//! Integration-test host crate; see the tests/ directory.
+//! Integration-test host crate (see the `tests/` directory) and the
+//! helpers those tests share.
+
+use helios_fl::FlEnv;
+use helios_tensor::{ParallelismConfig, Tensor};
+use std::io::Write;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Thread widths every bitwise contract must hold across.
+pub const THREAD_WIDTHS: [usize; 4] = [1, 2, 4, 8];
+
+/// Runs `f` under a fixed ambient kernel thread budget.
+pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
+    let _guard = ParallelismConfig::with_threads(n).scoped();
+    f()
+}
+
+/// Bit patterns of a parameter vector, for exact comparison with a
+/// readable failure.
+pub fn bits(params: &[f32]) -> Vec<u32> {
+    params.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Bit patterns of an environment's global model.
+pub fn global_bits(env: &FlEnv) -> Vec<u32> {
+    bits(env.global())
+}
+
+/// Bitwise equality of two tensors — `f32::eq` would conflate `0.0`
+/// with `-0.0` and miss NaN payloads.
+pub fn bitwise_equal(a: &Tensor, b: &Tensor) -> bool {
+    let (x, y) = (a.as_slice().iter(), b.as_slice().iter());
+    a.dims() == b.dims() && x.map(|v| v.to_bits()).eq(y.map(|v| v.to_bits()))
+}
+
+/// [`bitwise_equal`] as an assertion naming the first differing element.
+pub fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
+    assert_eq!(a.dims(), b.dims(), "{what}: dims");
+    for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{what}: element {i} differs ({x} vs {y})"
+        );
+    }
+}
+
+/// Serializes a test binary's tests around the process-global obs bus
+/// for as long as the guard lives: a sink installed by one test must
+/// never observe another test's run. (A poisoned lock is still a lock.)
+pub fn obs_serial() -> MutexGuard<'static, ()> {
+    static OBS_LOCK: Mutex<()> = Mutex::new(());
+    OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Shared byte buffer standing in for a trace file.
+#[derive(Clone, Default)]
+pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl SharedBuf {
+    /// Drains everything written so far.
+    pub fn take(&self) -> Vec<u8> {
+        std::mem::take(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+impl Write for SharedBuf {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend_from_slice(data);
+        Ok(data.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}

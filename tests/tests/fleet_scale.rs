@@ -22,17 +22,10 @@ use helios_fl::{
     LinkProfile, MaskedUpdate, NetConfig, OnlineAggregator, RandomPartial, Result, RoundPolicy,
     RoutedCycle, RunMetrics, SamplerConfig, Strategy, SyncFedAvg,
 };
+use helios_integration::{bits, THREAD_WIDTHS};
 use helios_nn::models::ModelKind;
 use helios_tensor::{ParallelismConfig, TensorRng};
 use proptest::prelude::*;
-
-const THREAD_WIDTHS: [usize; 4] = [1, 2, 4, 8];
-
-/// Bit patterns of a parameter vector, for exact comparison with a
-/// readable failure.
-fn bits(params: &[f32]) -> Vec<u32> {
-    params.iter().map(|x| x.to_bits()).collect()
-}
 
 /// The pure generators of a test fleet: `population` devices, ~30%
 /// stragglers, 6-sample shards.

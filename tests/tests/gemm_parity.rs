@@ -10,32 +10,12 @@
 //! shaped conv cycle checks its im2col / pack scratch back out of the
 //! thread-local pool without a single fresh allocation.
 
+use helios_integration::{assert_bitwise, with_threads, THREAD_WIDTHS as WIDTHS};
 use helios_tensor::{
     conv2d, conv2d_backward, naive_matmul, reset_workspace_stats, uniform_init, workspace_stats,
     ConvSpec, ParallelismConfig, Tensor, TensorRng,
 };
 use proptest::prelude::*;
-
-/// Thread widths the blocked kernel must agree across.
-const WIDTHS: [usize; 4] = [1, 2, 4, 8];
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = ParallelismConfig::with_threads(n).scoped();
-    f()
-}
-
-/// Bitwise comparison — `f32::eq` would conflate `0.0` with `-0.0` and
-/// miss NaN payloads.
-fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
-    assert_eq!(a.dims(), b.dims(), "{what}: dims");
-    for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: element {i} differs ({x} vs {y})"
-        );
-    }
-}
 
 /// One matrix element, biased toward the values that break blocked
 /// kernels: exact zeros (the skip path), negative zeros (must NOT take

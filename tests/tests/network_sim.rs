@@ -15,6 +15,7 @@ use helios_fl::{
     CompressionConfig, CompressionMode, FaultConfig, FlConfig, FlEnv, FlError, LinkProfile,
     LocalUpdate, NetConfig, RunMetrics, Strategy, SyncFedAvg,
 };
+use helios_integration::global_bits;
 use helios_net::{codec, NetError};
 use helios_nn::models::ModelKind;
 use helios_nn::{checkpoint, models};
@@ -63,10 +64,6 @@ fn run_helios(env: &mut FlEnv) -> RunMetrics {
     HeliosStrategy::new(HeliosConfig::default())
         .run(env, CYCLES)
         .expect("helios run")
-}
-
-fn global_bits(env: &FlEnv) -> Vec<u32> {
-    env.global().iter().map(|p| p.to_bits()).collect()
 }
 
 /// Fault-free Helios through the transport is bitwise identical to the
@@ -195,7 +192,8 @@ const ROUTED_CLIENTS: usize = 11;
 /// compute spans of which the last overruns the round deadline.
 fn routed_inputs() -> (Vec<LocalUpdate>, Vec<SimTime>) {
     let mut env = make_fleet_env(SEED, 1, NetConfig::default(), 8, 3);
-    let mut updates = env.train_all().expect("train");
+    let everyone: Vec<usize> = (0..ROUTED_CLIENTS).collect();
+    let mut updates = env.train_selected(&everyone).expect("train");
     for u in updates.iter_mut().step_by(3) {
         let mask: Vec<bool> = (0..u.params.len()).map(|j| j % 5 != u.client % 5).collect();
         for (j, _) in mask.iter().enumerate().filter(|(_, &on)| !on) {

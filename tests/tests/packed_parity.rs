@@ -12,9 +12,10 @@
 //! every test in this binary serializes on one lock and restores the
 //! default (packed on) before releasing it.
 
+use helios_integration::with_threads;
 use helios_nn::{
     models, set_packed_execution, Conv2d, CrossEntropyLoss, Dense, Flatten, Layer, MaxPool2d,
-    ModelMask, Network, ParallelismConfig, Relu, Sgd,
+    ModelMask, Network, Relu, Sgd,
 };
 use helios_tensor::{kernel_counters, uniform_init, ConvSpec, Tensor, TensorRng};
 use proptest::prelude::*;
@@ -43,11 +44,6 @@ impl Drop for ExecGuard {
     fn drop(&mut self) {
         set_packed_execution(true);
     }
-}
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = ParallelismConfig::with_threads(n).scoped();
-    f()
 }
 
 /// Runs two SGD-with-momentum training steps and captures every

@@ -4,12 +4,16 @@
 //! thresholds are deliberately tolerant — they pin the *direction* of
 //! each effect, the benches measure the magnitude.
 
+use helios_core::softtrain::select_layer_mask;
 use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
 use helios_fl::{AsyncFl, FlConfig, FlEnv, Strategy, SyncFedAvg};
-use helios_nn::models::ModelKind;
-use helios_tensor::TensorRng;
+use helios_nn::models::{self, ModelKind};
+use helios_nn::{CrossEntropyLoss, Sgd};
+use helios_tensor::{uniform_init, TensorRng};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn build_env(non_iid: bool, seed: u64) -> FlEnv {
     let clients = 4;
@@ -191,5 +195,58 @@ fn dynamic_join_preserves_pace() {
     assert!(
         pace_after < 1.5 * pace_before,
         "pace {pace_after:.1}s should stay near {pace_before:.1}s after the join"
+    );
+}
+
+/// Median host time of `reps` runs of `f`.
+fn median_time(reps: usize, mut f: impl FnMut()) -> Duration {
+    let mut samples: Vec<Duration> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed()
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[reps / 2]
+}
+
+/// §V footnote: the sorting overhead of contribution-guided selection is
+/// negligible next to a training step (18 ms vs 12 min on-device, about
+/// 1:40000). Here both sides are host time on scaled-down models; the
+/// bound is 10%, which leaves three orders of magnitude for a loaded
+/// host.
+#[test]
+fn selection_overhead_is_negligible_next_to_a_training_step() {
+    let units = 8192;
+    let mut rng = TensorRng::seed_from(1);
+    let contributions: Vec<f32> = (0..units).map(|_| rng.uniform(0.0, 1.0)).collect();
+    let (k, top) = (units / 8, units / 80);
+    let select = median_time(21, || {
+        let mut rng = TensorRng::seed_from(2);
+        black_box(select_layer_mask(
+            black_box(&contributions),
+            k,
+            top,
+            &[],
+            &mut rng,
+        ));
+    });
+
+    let mut net = models::alexnet(10, &mut rng);
+    let x = uniform_init(&[16, 3, 16, 16], -1.0, 1.0, &mut rng);
+    let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
+    let loss = CrossEntropyLoss::new();
+    let mut opt = Sgd::new(0.01);
+    let step = median_time(5, || {
+        net.zero_grad();
+        let logits = net.forward(black_box(&x)).expect("forward");
+        let (_, grad) = loss.forward_backward(&logits, &labels).expect("loss");
+        net.backward(&grad).expect("backward");
+        opt.step(&mut net).expect("step");
+    });
+    assert!(
+        select.as_secs_f64() < 0.1 * step.as_secs_f64(),
+        "selecting {k} of {units} units took {select:?}, a training step {step:?}"
     );
 }

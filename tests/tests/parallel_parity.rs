@@ -10,32 +10,15 @@ use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
 use helios_fl::{FlConfig, FlEnv, RandomPartial, Strategy, SyncFedAvg};
+use helios_integration::{assert_bitwise, with_threads, THREAD_WIDTHS};
 use helios_nn::models::ModelKind;
 use helios_tensor::{
     avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward, max_pool2d, max_pool2d_backward,
-    uniform_init, ConvSpec, ParallelismConfig, PoolSpec, Tensor, TensorRng,
+    uniform_init, ConvSpec, ParallelismConfig, PoolSpec, TensorRng,
 };
 
 /// Thread counts compared against the serial baseline.
-const WIDTHS: [usize; 3] = [2, 4, 8];
-
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = ParallelismConfig::with_threads(n).scoped();
-    f()
-}
-
-/// Bitwise tensor comparison: `f32::eq` would conflate `0.0` / `-0.0`
-/// and miss NaN payloads, so compare raw bit patterns.
-fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
-    assert_eq!(a.dims(), b.dims(), "{what}: dims");
-    for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{what}: element {i} differs ({x} vs {y})"
-        );
-    }
-}
+const WIDTHS: [usize; 3] = [THREAD_WIDTHS[1], THREAD_WIDTHS[2], THREAD_WIDTHS[3]];
 
 #[test]
 fn matmul_parity_across_shapes_and_threads() {

@@ -5,27 +5,13 @@ use helios_core::target::{keep_counts, probe_mask};
 use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
 use helios_fl::{aggregate, FlConfig, FlEnv, MaskedUpdate, Strategy, SyncFedAvg};
+use helios_integration::{bitwise_equal, with_threads};
 use helios_nn::models::ModelKind;
 use helios_nn::{models, MaskableUnits, ModelMask, NeuronId};
 use helios_tensor::{
-    conv2d, conv2d_backward, uniform_init, ConvSpec, ParallelismConfig, Tensor, TensorRng,
+    conv2d, conv2d_backward, uniform_init, ConvSpec, ParallelismConfig, TensorRng,
 };
 use proptest::prelude::*;
-
-/// Runs `f` under a fixed ambient kernel thread budget.
-fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = ParallelismConfig::with_threads(n).scoped();
-    f()
-}
-
-/// Bitwise equality of two tensors (catches even sign-of-zero drift).
-fn bitwise_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.dims() == b.dims()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
 
 proptest! {
     /// Aggregating identical replicas is the identity, regardless of

@@ -3,9 +3,10 @@
 //! declarative [`ScenarioConfig`] timeline, replays bitwise at any
 //! thread width, and leaves empty-scenario runs untouched.
 //!
-//! The obs bus is process-global, so every test here holds [`OBS_LOCK`]
-//! for its full body: the trace-recording tests so nothing else lands in
-//! their sinks, the others so they emit into nobody's.
+//! The obs bus is process-global, so every test here holds
+//! [`obs_serial`]'s lock for its full body: the trace-recording tests so
+//! nothing else lands in their sinks, the others so they emit into
+//! nobody's.
 
 use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, ShardSynthesizer, SyntheticVision};
@@ -13,6 +14,7 @@ use helios_device::{presets, ProfileSynthesizer};
 use helios_fl::{
     AvailabilityModel, FlConfig, FlEnv, FleetSpec, NetConfig, SamplerConfig, Strategy, SyncFedAvg,
 };
+use helios_integration::{obs_serial, SharedBuf, THREAD_WIDTHS as WIDTHS};
 use helios_nn::models::ModelKind;
 use helios_obs::TraceEvent;
 use helios_scenario::{
@@ -22,17 +24,6 @@ use helios_scenario::{
 use helios_tensor::{ParallelismConfig, TensorRng};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Serializes this file's tests around the process-global bus.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
-
-fn obs_serial() -> MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Thread widths every axis must replay bitwise across.
-const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// A lazy fleet whose devices (initial population *and* scenario
 /// joiners) come from the same pure per-device generators.
@@ -143,22 +134,6 @@ fn link_outage_window_blacks_out_device_then_restores() {
         ..ScenarioConfig::default()
     };
     let run = |threads: usize| -> (Vec<u8>, Vec<u64>, Option<f64>) {
-        use std::io::Write;
-        use std::sync::Arc;
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let buf = SharedBuf::default();
         let handle =
             helios_obs::install(Box::new(helios_obs::JsonlSink::new(Box::new(buf.clone()))));
@@ -168,8 +143,7 @@ fn link_outage_window_blacks_out_device_then_restores() {
         let transport = env.transport().expect("transport");
         let missed = (0..2).map(|d| transport.device_stats(d).missed_cycles);
         let restored = transport.link(1).expect("link 1").bandwidth_bps;
-        let mut captured = buf.0.lock().unwrap_or_else(PoisonError::into_inner);
-        (std::mem::take(&mut *captured), missed.collect(), restored)
+        (buf.take(), missed.collect(), restored)
     };
     let (reference, missed, restored) = run(1);
     assert_eq!(
@@ -498,22 +472,6 @@ fn combined_scenario() -> ScenarioConfig {
 /// Runs the combined scenario at `threads` and returns the raw JSONL
 /// trace bytes.
 fn traced_scenario_bytes(threads: usize, scenario: ScenarioConfig) -> Vec<u8> {
-    use std::io::Write;
-    use std::sync::Arc;
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-    impl Write for SharedBuf {
-        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-            self.0
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .extend_from_slice(data);
-            Ok(data.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
     let buf = SharedBuf::default();
     let sink = helios_obs::JsonlSink::new(Box::new(buf.clone()));
     let handle = helios_obs::install(Box::new(sink));
@@ -527,8 +485,7 @@ fn traced_scenario_bytes(threads: usize, scenario: ScenarioConfig) -> Vec<u8> {
     );
     SyncFedAvg::new().run(&mut env, 4).expect("traced run");
     drop(handle); // detach + flush
-    let mut captured = buf.0.lock().unwrap_or_else(PoisonError::into_inner);
-    std::mem::take(&mut *captured)
+    buf.take()
 }
 
 #[test]

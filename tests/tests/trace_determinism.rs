@@ -4,27 +4,23 @@
 //! is eventually settled by a terminal outcome.
 //!
 //! The obs bus is process-global, so every test in this binary holds
-//! [`OBS_LOCK`] for its full body — a sink installed by one test must
+//! [`obs_serial`]'s lock for its full body — a sink installed by one test must
 //! never observe another test's run.
 
 use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
 use helios_fl::{FaultConfig, FlConfig, FlEnv, LinkProfile, NetConfig, Strategy};
+use helios_integration::{obs_serial, SharedBuf};
 use helios_net::transport::Direction;
 use helios_net::{codec, SimTransport};
 use helios_nn::models::ModelKind;
 use helios_obs::{chrome_trace, RingBufferSink, TraceEvent};
 use helios_tensor::{ParallelismConfig, TensorRng};
 use proptest::prelude::*;
-use std::io::Write;
-use std::sync::{Arc, Mutex, PoisonError};
 
 const SEED: u64 = 2024;
 const CYCLES: usize = 3;
-
-/// Serializes every test in this binary around the process-global bus.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// The pinned FNV-1a digest of the lossy reference trace. Any change to
 /// the event taxonomy, serializer, or simulated outcome moves this
@@ -33,29 +29,6 @@ static OBS_LOCK: Mutex<()> = Mutex::new(());
 /// Last bump: fleet-scaling PR — `RoundStart` gained `population` and
 /// `DeviceSelected` gained `cohort`.
 const PINNED_TRACE_DIGEST: u64 = 0xd81d_f18e_ab35_4978;
-
-/// Shared byte buffer standing in for a trace file.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl SharedBuf {
-    fn take(&self) -> Vec<u8> {
-        std::mem::take(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-}
-
-impl Write for SharedBuf {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .extend_from_slice(data);
-        Ok(data.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
 
 fn lossy_net() -> NetConfig {
     NetConfig {
@@ -144,7 +117,7 @@ fn assert_faults_settle(records: &[helios_obs::TraceRecord]) {
 /// cannot slip through.
 #[test]
 fn lossy_trace_is_byte_identical_across_thread_widths() {
-    let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let _serial = obs_serial();
     let reference = traced_run_bytes(1);
     assert!(!reference.is_empty(), "traced run must emit events");
     for threads in [2usize, 4, 8] {
@@ -176,7 +149,7 @@ fn lossy_trace_is_byte_identical_across_thread_widths() {
 /// and one named track per device.
 #[test]
 fn chrome_export_is_valid_json_with_device_tracks() {
-    let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let _serial = obs_serial();
     let ring = RingBufferSink::with_capacity(1 << 20);
     let handle = helios_obs::install(Box::new(ring.clone()));
     let mut env = make_env(SEED, 2, lossy_net());
@@ -226,7 +199,7 @@ proptest! {
         max_retries in 0u32..4,
         frames in 1usize..6,
     ) {
-        let _serial = OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _serial = obs_serial();
         let cfg = NetConfig {
             enabled: true,
             link: LinkProfile::constrained(1e6, 0.01),
