@@ -258,28 +258,6 @@ pub fn run_strategies_with_config(
     s.run(&mut env, cycles).expect("helios run succeeds")
 }
 
-/// Averages the per-cycle accuracy curves of several same-strategy runs
-/// (multi-seed smoothing). All runs must have equal length.
-///
-/// # Panics
-///
-/// Panics when `runs` is empty or lengths differ.
-pub fn mean_accuracy_curve(runs: &[RunMetrics]) -> Vec<f64> {
-    assert!(!runs.is_empty(), "need at least one run");
-    let len = runs[0].records().len();
-    for r in runs {
-        assert_eq!(r.records().len(), len, "curve lengths differ");
-    }
-    (0..len)
-        .map(|i| {
-            runs.iter()
-                .map(|r| r.records()[i].test_accuracy)
-                .sum::<f64>()
-                / runs.len() as f64
-        })
-        .collect()
-}
-
 /// Renders accuracy-vs-cycle curves as an aligned text table (one row per
 /// strategy, sampled every `step` cycles), the textual analogue of the
 /// paper's figure panels.
@@ -420,29 +398,6 @@ mod tests {
         assert!(volumes[0].is_none() && volumes[1].is_none());
         assert!(volumes[2].unwrap() < 1.0);
         assert!(volumes[3].unwrap() < 1.0);
-    }
-
-    #[test]
-    fn mean_curve_averages_pointwise() {
-        use helios_device::SimTime;
-        use helios_fl::RoundRecord;
-        let mk = |accs: &[f64]| {
-            let mut m = RunMetrics::new("x");
-            for (i, &a) in accs.iter().enumerate() {
-                m.push(RoundRecord {
-                    cycle: i,
-                    sim_time: SimTime::from_secs(i as f64),
-                    test_accuracy: a,
-                    test_loss: 0.0,
-                    participants: 1,
-                    comm_bytes: 0.0,
-                    phases: Default::default(),
-                });
-            }
-            m
-        };
-        let mean = mean_accuracy_curve(&[mk(&[0.2, 0.4]), mk(&[0.4, 0.8])]);
-        assert_eq!(mean, vec![0.30000000000000004, 0.6000000000000001]);
     }
 
     #[test]

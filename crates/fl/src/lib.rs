@@ -114,24 +114,3 @@ pub use helios_tensor::ParallelismConfig;
 
 /// Crate-wide result alias carrying an [`FlError`].
 pub type Result<T> = std::result::Result<T, FlError>;
-
-/// Bridges the workspace's host-only accumulators (tensor kernel
-/// counters, `nn::profiler` wall timers) into the `helios_obs` metrics
-/// registry as polled gauges.
-///
-/// These quantities measure the *host* (FLOPs executed, wall seconds in
-/// forward/backward/step), never simulated outcomes, so they stay out
-/// of traces and appear only in [`helios_obs::registry::snapshot`].
-/// Idempotent — re-registering replaces the closures.
-pub fn register_host_gauges() {
-    use helios_obs::registry::register_poll;
-    register_poll("host.tensor.kernel_flops", || {
-        helios_tensor::kernel_counters().flops as f64
-    });
-    register_poll("host.tensor.kernel_elements", || {
-        helios_tensor::kernel_counters().elements as f64
-    });
-    register_poll("host.nn.forward_s", || helios_nn::nn_timings().forward_s);
-    register_poll("host.nn.backward_s", || helios_nn::nn_timings().backward_s);
-    register_poll("host.nn.step_s", || helios_nn::nn_timings().step_s);
-}

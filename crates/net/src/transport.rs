@@ -171,8 +171,7 @@ impl SimTransport {
 
     /// Number of devices with materialized per-device state (RNG stream,
     /// link override, or traffic counters) — the transport's actual
-    /// footprint, which the fleet bench asserts stays O(sampled), not
-    /// O(population).
+    /// footprint, which stays O(sampled), not O(population).
     pub fn touched_devices(&self) -> usize {
         let mut touched: std::collections::BTreeSet<usize> = self.rngs.keys().copied().collect();
         touched.extend(self.link_overrides.keys());

@@ -6,8 +6,9 @@
 //! *packed* path (gather active units into compact tensors, run the
 //! kernels on the packed shapes, scatter back). Packed execution is the
 //! default — it is what makes a keep-ratio sub-model proportionally
-//! cheaper — but tests and benchmarks flip this switch to prove the two
-//! paths agree bit for bit and to measure the flop gap between them.
+//! cheaper — but `tests/tests/packed_parity.rs` flips this switch to
+//! prove the two paths agree bit for bit and that packed flops shrink
+//! with the keep ratio.
 //!
 //! The flag is a global atomic rather than a thread-local because the
 //! tensor kernels fan work out to scoped worker threads and FL clients

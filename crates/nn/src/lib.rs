@@ -65,7 +65,7 @@ pub use layers::{AvgPool2d, Conv2d, Dense, Flatten, MaxPool2d, Relu, Residual, U
 pub use loss::CrossEntropyLoss;
 pub use network::{MaskableUnits, ModelMask, Network, NeuronId, NeuronLayout, ParamGroup};
 pub use optim::Sgd;
-pub use profiler::{nn_timings, HostMetricsScope, NnTimings};
+pub use profiler::{nn_timings, NnTimings};
 
 #[doc(no_inline)]
 pub use helios_tensor::{ParallelismConfig, ParallelismGuard};

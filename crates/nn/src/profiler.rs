@@ -72,97 +72,24 @@ pub fn nn_timings() -> NnTimings {
     }
 }
 
-/// Zeroes the process-wide hot-path timers.
-///
-/// See [`HostMetricsScope`] for the safe way to use this from a bench
-/// or demo bin; concurrent counter consumers (tests sharing a binary)
-/// must stick to snapshot deltas instead.
-pub fn reset_nn_timings() {
-    FORWARD_NS.store(0, Ordering::Relaxed);
-    BACKWARD_NS.store(0, Ordering::Relaxed);
-    STEP_NS.store(0, Ordering::Relaxed);
-}
-
-/// Scoped reset of every process-global host accumulator: the
-/// `nn::profiler` wall timers and the tensor kernel counters.
-///
-/// Consecutive runs in one process — a bench bin sweeping strategies,
-/// a demo looping configurations — otherwise bleed totals into each
-/// other. Entering a scope zeroes both families, so `nn_timings()` /
-/// `kernel_counters()` read per-scope totals; dropping it zeroes them
-/// again, leaving a clean slate for whatever runs next.
-///
-/// Single-process use only: the accumulators are global, so a scope
-/// constructed while *concurrent* threads consume the counters (tests
-/// in one binary) destroys their deltas. The `bench_*` bins are serial
-/// and wrap each measured section in a scope.
-///
-/// ```
-/// let scope = helios_nn::profiler::HostMetricsScope::enter();
-/// // ... run a workload ...
-/// let t = helios_nn::nn_timings(); // totals attributed to this scope
-/// drop(scope);
-/// ```
-#[derive(Debug)]
-#[must_use = "dropping the scope immediately clears the accumulators"]
-pub struct HostMetricsScope(());
-
-impl HostMetricsScope {
-    /// Zeroes the host accumulators and returns the scope guard.
-    pub fn enter() -> Self {
-        helios_tensor::reset_kernel_counters();
-        reset_nn_timings();
-        HostMetricsScope(())
-    }
-}
-
-impl Drop for HostMetricsScope {
-    fn drop(&mut self) {
-        helios_tensor::reset_kernel_counters();
-        reset_nn_timings();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, PoisonError};
-
-    /// The timers are process-global and the scope test resets them,
-    /// so tests touching the accumulators serialize here.
-    static TIMER_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn timed_sections_accumulate() {
-        let _serial = TIMER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let before = nn_timings();
         let out = timed(Hotpath::Forward, || {
             std::thread::sleep(std::time::Duration::from_millis(2));
             7
         });
         assert_eq!(out, 7);
+        // A lower bound on the timer this test drives: sibling tests in
+        // the binary charge the same process-global accumulators.
         let spent = nn_timings().since(&before);
-        assert!(spent.forward_s > 0.0);
-        assert_eq!(spent.step_s, 0.0);
+        assert!(spent.forward_s >= 0.002);
         // Swapped snapshots clamp to zero.
         let none = before.since(&nn_timings());
         assert_eq!(none.forward_s, 0.0);
-    }
-
-    #[test]
-    fn host_metrics_scope_resets_on_entry_and_exit() {
-        let _serial = TIMER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        timed(Hotpath::Step, || {
-            std::thread::sleep(std::time::Duration::from_millis(1))
-        });
-        {
-            let _scope = HostMetricsScope::enter();
-            assert_eq!(nn_timings(), NnTimings::default(), "entry clears");
-            timed(Hotpath::Backward, || {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            });
-            assert!(nn_timings().backward_s > 0.0, "scope-local totals");
-        }
-        assert_eq!(nn_timings(), NnTimings::default(), "exit clears");
     }
 }

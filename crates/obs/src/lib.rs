@@ -1,18 +1,17 @@
 //! # helios-obs — deterministic tracing and metrics for the simulator
 //!
 //! This crate is the observability layer of the workspace: a
-//! process-wide event bus carrying typed [`TraceEvent`]s, a
-//! counter/gauge/histogram [`registry`], and pluggable sinks
-//! ([`RingBufferSink`], [`JsonlSink`], [`ChromeTraceSink`]).
+//! process-wide event bus carrying typed [`TraceEvent`]s, pluggable
+//! sinks ([`RingBufferSink`], [`JsonlSink`], [`ChromeTraceSink`]), and
+//! trace analysis ([`report`]).
 //!
 //! ## The two clocks
 //!
 //! Everything on the bus is stamped with **simulated** time (published
 //! by the round driver via [`set_sim_time`]); host wall-clock never
 //! appears in a trace. Host-side profiling (kernel flop counters,
-//! `nn::profiler` wall timers) stays out of traces entirely and bridges
-//! into the [`registry`] as polled gauges instead. The payoff is the
-//! workspace determinism contract: a fixed-seed run emits a
+//! `nn::profiler` wall timers) stays out of traces entirely. The payoff
+//! is the workspace determinism contract: a fixed-seed run emits a
 //! byte-identical JSONL trace at any thread width.
 //!
 //! ## Zero-cost when off
@@ -20,8 +19,7 @@
 //! The bus is disabled until a sink is [`install`]ed. [`emit`] takes a
 //! closure and checks a single relaxed atomic before building the
 //! payload, so instrumented hot paths cost one predictable branch when
-//! tracing is off (`bench_obs` pins this below 3% on the engine
-//! workload).
+//! tracing is off (the repository benchmark's `obs.emit_disabled_ns`).
 //!
 //! ## Typical use
 //!
@@ -44,7 +42,7 @@
 mod bus;
 mod chrome;
 mod event;
-pub mod registry;
+pub mod report;
 mod sink;
 
 pub use bus::{emit, enabled, flush, install, set_sim_time, sim_time_s, PhaseGuard, SinkHandle};

@@ -12,7 +12,7 @@ use crate::event::TraceRecord;
 ///
 /// Implementations must tolerate being called from the serial main
 /// thread only (the bus guarantees this) but are `Send` so the global
-/// registry can own them.
+/// bus can own them.
 pub trait TraceSink: Send {
     /// Handles one record.
     fn record(&mut self, record: &TraceRecord);

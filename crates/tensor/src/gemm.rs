@@ -616,10 +616,9 @@ fn pack_b_t(bp: &mut [f32], b: &[f32], k: usize, n: usize, nr_w: usize) {
 /// The original naive triple-loop matmul, kept verbatim as the pinned
 /// bitwise reference for the blocked kernel.
 ///
-/// Parity tests (`tests/gemm_parity.rs`) and the `bench_parallel`
-/// throughput self-check compare [`Tensor::matmul`] against this kernel;
-/// it performs and records exactly the same work the pre-blocked kernel
-/// did, including the row-partitioned parallelism.
+/// The parity tests (`tests/gemm_parity.rs`) compare [`Tensor::matmul`]
+/// against this kernel; it performs and records exactly the same work
+/// the pre-blocked kernel did, including the row-partitioned parallelism.
 ///
 /// # Errors
 ///

@@ -77,48 +77,21 @@ pub(crate) fn record_kernel(flops: u64, elements: u64) {
     ELEMENTS.fetch_add(elements, Ordering::Relaxed);
 }
 
-/// Zeroes the process-wide kernel counters.
-///
-/// Consecutive runs in one process (bench bins, demo loops) bleed
-/// totals into each other through these global atomics; resetting
-/// between runs restores per-run attribution. Callers that share the
-/// process with *concurrent* counter consumers (tests in one binary)
-/// must not call this — take snapshot deltas instead. The `bench_*`
-/// bins route through `helios_nn::profiler::HostMetricsScope`, which
-/// calls this on entry.
-pub fn reset_kernel_counters() {
-    FLOPS.store(0, Ordering::Relaxed);
-    ELEMENTS.store(0, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, PoisonError};
-
-    /// The counters are process-global and `reset_kernel_counters`
-    /// would race the delta assertions, so these tests serialize.
-    static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn deltas_accumulate_and_saturate() {
-        let _serial = COUNTER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let before = kernel_counters();
         record_kernel(100, 10);
         record_kernel(1, 2);
+        // Lower bounds: the kernel tests sharing this binary bump the
+        // same process-global counters concurrently.
         let spent = kernel_counters().since(&before);
-        assert_eq!(spent.flops, 101);
-        assert_eq!(spent.elements, 12);
+        assert!(spent.flops >= 101);
+        assert!(spent.elements >= 12);
         // Swapped arguments saturate to zero instead of wrapping.
         assert_eq!(before.since(&kernel_counters()), KernelCounters::default());
-    }
-
-    #[test]
-    fn reset_zeroes_the_totals() {
-        let _serial = COUNTER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        record_kernel(5, 5);
-        assert!(kernel_counters().flops > 0);
-        reset_kernel_counters();
-        assert_eq!(kernel_counters(), KernelCounters::default());
     }
 }

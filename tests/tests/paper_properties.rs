@@ -2,13 +2,13 @@
 //!
 //! These use small fleets and seeds averaged where variance demands it;
 //! thresholds are deliberately tolerant — they pin the *direction* of
-//! each effect, the benches measure the magnitude.
+//! each effect, the paper bins measure the magnitude.
 
 use helios_core::softtrain::select_layer_mask;
 use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
-use helios_fl::{AsyncFl, FlConfig, FlEnv, Strategy, SyncFedAvg};
+use helios_fl::{AsyncFl, FlConfig, FlEnv, RunMetrics, Strategy, SyncFedAvg};
 use helios_nn::models::{self, ModelKind};
 use helios_nn::{CrossEntropyLoss, Sgd};
 use helios_tensor::{uniform_init, TensorRng};
@@ -102,6 +102,14 @@ fn helios_speedup_over_sync_at_target() {
         if let Some(s) = helios.speedup_over(&sync, target) {
             speedups.push(s);
         }
+        // The speedup comes from the train phase: soft-trained
+        // stragglers stop gating each round's simulated compute span.
+        let train_s = |m: &RunMetrics| m.records().iter().map(|r| r.phases.train_s).sum::<f64>();
+        let (helios_s, sync_s) = (train_s(&helios), train_s(&sync));
+        assert!(
+            helios_s < sync_s,
+            "seed {seed}: helios train phase {helios_s:.2}s must undercut sync {sync_s:.2}s"
+        );
     }
     assert!(!speedups.is_empty(), "at least one seed reaches the target");
     let mean = speedups.iter().sum::<f64>() / speedups.len() as f64;

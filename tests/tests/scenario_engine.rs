@@ -502,6 +502,7 @@ fn scenario_traces_are_byte_identical_across_widths() {
     }
     let text = String::from_utf8(reference).expect("utf8");
     let records = helios_obs::parse_jsonl(&text).expect("trace parses");
+    helios_obs::report::validate(&records).expect("trace validates");
     let mut kinds = BTreeSet::new();
     for r in &records {
         if let TraceEvent::ScenarioEvent { kind, .. } = &r.event {
@@ -511,6 +512,111 @@ fn scenario_traces_are_byte_identical_across_widths() {
     for expected in ["join", "leave", "return", "throttle", "drift_label_rotate"] {
         assert!(kinds.contains(expected), "missing scenario kind {expected}");
     }
+}
+
+/// The fleet-wide battery/thermal ramp of the two tests below: every
+/// device decays 15% per cycle from cycle 0 down to a 0.35 floor, so
+/// Helios' classification already sees the slowdown.
+fn fleet_throttle_ramp() -> ThrottleRule {
+    ThrottleRule {
+        start_cycle: 0,
+        device: None,
+        compute_decay: 0.15,
+        bandwidth_decay: 0.0,
+        floor: 0.35,
+    }
+}
+
+/// The 6-device seed-61 lazy fleet both tests below run for 8 cycles.
+fn ramp_fleet(scenario: ScenarioConfig) -> FlEnv {
+    lazy_env(
+        6,
+        61,
+        2,
+        SamplerConfig::default(),
+        scenario,
+        AvailabilityModel::always_on(),
+    )
+}
+
+/// Runs Helios over [`ramp_fleet`] and returns the stragglers'
+/// accumulated skip-counter mass and their number.
+fn straggler_skip_mass(scenario: ScenarioConfig) -> (u64, usize) {
+    let mut env = ramp_fleet(scenario);
+    let mut helios = HeliosStrategy::new(HeliosConfig::default());
+    helios.run(&mut env, 8).expect("helios run");
+    let mass = helios
+        .stragglers()
+        .iter()
+        .filter_map(|&id| helios.trainer(id))
+        .flat_map(|t| t.skip_cycles().iter().flatten())
+        .map(|&c| u64::from(c))
+        .sum();
+    (mass, helios.stragglers().len())
+}
+
+/// Throttled stragglers are fitted a smaller soft-training volume, so
+/// more units sit idle per cycle and the §VI.A skip counters `C_s`
+/// accumulate faster.
+#[test]
+fn throttle_ramp_raises_straggler_skip_mass() {
+    let _serial = obs_serial();
+    let (baseline, _) = straggler_skip_mass(ScenarioConfig::default());
+    let (throttled, stragglers) = straggler_skip_mass(ScenarioConfig {
+        throttle: vec![fleet_throttle_ramp()],
+        ..ScenarioConfig::default()
+    });
+    assert!(stragglers > 0, "the fleet has stragglers to regulate");
+    assert!(
+        throttled > baseline,
+        "throttling must raise the skip mass ({throttled} vs {baseline})"
+    );
+}
+
+/// Helios keeps its simulated-time lead over synchronous FedAvg while
+/// the fleet churns (join at 2, device 1 away for cycles 3–4), throttles
+/// and drifts (label rotation at 4) under it — and neither strategy is
+/// ever starved of participants.
+#[test]
+fn helios_beats_sync_under_churn_throttle_and_drift() {
+    let _serial = obs_serial();
+    let churn = |cycle, action, device| ChurnEvent {
+        cycle,
+        action,
+        device,
+        count: 1,
+    };
+    let scenario = ScenarioConfig {
+        churn: vec![
+            churn(2, ChurnAction::Join, 0),
+            churn(3, ChurnAction::Leave, 1),
+            churn(5, ChurnAction::Return, 1),
+        ],
+        throttle: vec![fleet_throttle_ramp()],
+        drift: vec![DriftEvent {
+            cycle: 4,
+            kind: DriftKind::LabelRotate,
+            amount: 2.0,
+        }],
+        ..ScenarioConfig::default()
+    };
+    let run = |strategy: &mut dyn Strategy| {
+        let mut env = ramp_fleet(scenario.clone());
+        let m = strategy.run(&mut env, 8).expect("run survives churn");
+        assert_eq!(m.records().len(), 8);
+        assert!(
+            m.records().iter().all(|r| r.participants > 0),
+            "churn must never starve a cycle"
+        );
+        assert!(env.num_clients() > 6, "the join lands");
+        m.total_time()
+    };
+    let helios = run(&mut HeliosStrategy::new(HeliosConfig::default()));
+    let sync = run(&mut SyncFedAvg::new());
+    assert!(
+        helios < sync,
+        "helios {helios} must finish ahead of sync fedavg {sync}"
+    );
 }
 
 #[test]
