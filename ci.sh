@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the Helios workspace: formatting, lints (including an
 # unwrap/expect deny gate for the typed-error crates), first-party line
-# counts, docs, release build, tests, and the repository benchmark
-# package (benchmark/) built, tested and smoke-run. Takes no arguments.
+# counts, a no-shared-statics gate, docs, release build, tests, and the
+# repository benchmark package (benchmark/) built, tested and smoke-run.
+# Takes no arguments.
 set -euo pipefail
 cd "$(dirname "$0")"
 [ $# -eq 0 ] || { echo "usage: ./ci.sh (takes no arguments)" >&2; exit 2; }
@@ -36,6 +37,22 @@ for crate in crates/*/; do
             END { printf "%-10s %6d\n", crate, lines }'
 done
 
+step "no shared mutable statics (non-test code of crates/*/src, all of tests/)"
+# State belongs to the thread that drives the run: bus, counters and
+# thread budget are `thread_local!` Cells, so no test needs a lock and
+# no run sees another's trace or counts. The only statics left are those
+# `thread_local!` bodies and the const `CRC_TABLES`; a new process-wide
+# atomic, lock or lazy cell fails here.
+find crates/*/src tests -name '*.rs' -print0 | sort -z |
+    xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /#\[cfg\(test\)\]/ && FILENAME !~ /^tests\// { in_tests = 1 }
+        !in_tests && /(^|[^a-z_\047])static( mut)? +[A-Za-z_0-9]+ *:.*(Atomic[A-Z]|Mutex|RwLock|OnceLock|LazyLock)/ {
+            printf "%s:%d: %s\n", FILENAME, FNR, $0
+            bad = 1
+        }
+        END { exit bad }'
+
 step "cargo doc (warnings are errors)"
 # Scoped to first-party crates: the vendored deps are workspace members
 # but their docs are upstream's, not ours to lint.
@@ -49,6 +66,16 @@ cargo build --release --workspace
 
 step "cargo test -q"
 cargo test -q --workspace
+
+step "thread-scoped state: tracing and counting test binaries at one test thread and eight"
+# Every test in these three installs trace sinks or reads counter deltas
+# with no lock around it. One test thread runs them all in sequence on
+# the same thread-locals (nothing may leak from test to test); eight
+# interleaves them (nothing may leak across threads).
+for n in 1 8; do
+    cargo test -q -p helios-integration --test trace_determinism \
+        --test scenario_engine --test packed_parity -- --test-threads="$n"
+done
 
 step "repository benchmark builds and smoke-runs (benchmark/)"
 # benchmark/ is a cargo package of its own, so none of the workspace

@@ -11,8 +11,10 @@ use std::fmt::Write as _;
 /// simulated span: `train_s + comm_s` equals the clock advance the cycle
 /// produced. The wire fields come from the simulated transport and are
 /// zero when networking is disabled. The flop counters are snapshot
-/// deltas of the process-wide kernel counters. Equality compares only
-/// the simulated outcome (timing partition and participation) — see
+/// deltas of the driving thread's kernel counters, into which every
+/// fan-out folds its workers' counts: they are this run's work alone,
+/// comparable across runs and widths. Equality compares only the
+/// simulated outcome (timing partition and participation) — see
 /// [`PhaseBreakdown::eq`] for why the observability counters (wire
 /// bytes, retries, flops) are excluded.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -34,23 +36,25 @@ pub struct PhaseBreakdown {
     pub missed: usize,
     /// Client updates folded into the global model this cycle.
     pub aggregated_updates: usize,
-    /// Kernel floating-point operations counted during the local
-    /// training phase (not compared — see the struct docs).
+    /// Kernel floating-point operations of this cycle's local training,
+    /// summed over every participant: exact, comparable across runs and
+    /// widths (left out of `==` — see the struct docs).
     pub train_flops: u64,
-    /// Kernel floating-point operations counted during global-model
-    /// evaluation (not compared — see the struct docs).
+    /// Kernel floating-point operations of this cycle's global-model
+    /// evaluation: exact, comparable across runs and widths (left out
+    /// of `==` — see the struct docs).
     pub eval_flops: u64,
 }
 
 impl PartialEq for PhaseBreakdown {
     /// Compares the *simulated collaboration outcome* — the timing
     /// partition and the participation counts. The observability
-    /// counters are excluded: the flop counters are process-global and
-    /// interleave with concurrent runs, and the wire/retry counters
-    /// describe how the transport carried the exchange, which differs
-    /// between a routed and a direct run even when the learning outcome
-    /// is bitwise identical (the transparency invariant the parity
-    /// suites assert).
+    /// counters are excluded because they describe how the outcome was
+    /// computed and carried, not the outcome: the flop counters differ
+    /// between packed and zeroing execution of one sub-model, and the
+    /// wire/retry counters between a routed and a direct run, even when
+    /// the learning outcome is bitwise identical (the transparency
+    /// invariants the parity suites assert).
     fn eq(&self, other: &Self) -> bool {
         self.train_s == other.train_s
             && self.comm_s == other.comm_s
@@ -84,10 +88,14 @@ pub struct RoundRecord {
 
 /// Host-side profile of one strategy run, filled in by the round driver.
 ///
-/// All fields are *wall-clock* observations of this process (seconds of
-/// real time, summed across worker threads for the fan-out phases) —
+/// The time fields are *wall-clock* observations of this run (seconds
+/// of real time, summed across worker threads for the fan-out phases) —
 /// they describe how long the simulation took to execute, never the
-/// simulated timeline, and are excluded from [`RunMetrics`] equality.
+/// simulated timeline. The kernel counts are exact work counts,
+/// comparable across runs and widths. Everything here is read from the
+/// driving thread's own counters, so a concurrent run on another thread
+/// adds nothing to it; all of it is excluded from [`RunMetrics`]
+/// equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunProfile {
     /// Wall time spent in client selection and per-client configuration.
@@ -381,9 +389,9 @@ mod tests {
 
     #[test]
     fn observability_counters_do_not_break_equality() {
-        // The kernel counters are process-global and interleave with
-        // concurrent runs, and the wire counters differ between routed
-        // and direct runs with identical learning outcomes — neither may
+        // The kernel counters differ between packed and zeroing
+        // execution, and the wire counters between routed and direct
+        // runs, with identical learning outcomes — neither may
         // participate in equality.
         let a = PhaseBreakdown {
             train_s: 1.0,

@@ -192,6 +192,24 @@ impl Layer {
         }
     }
 
+    /// Sets the masked-execution strategy of every parameterized layer
+    /// (see [`Network::set_packed_execution`](crate::Network::set_packed_execution)).
+    pub(crate) fn set_packed_execution(&mut self, enabled: bool) {
+        match self {
+            Layer::Dense(l) => l.packed = enabled,
+            Layer::Conv2d(l) => l.packed = enabled,
+            Layer::Residual(l) => {
+                for inner in l.body_mut() {
+                    inner.set_packed_execution(enabled);
+                }
+                if let Some(s) = l.shortcut_mut() {
+                    s.packed = enabled;
+                }
+            }
+            _ => {}
+        }
+    }
+
     /// Visits every maskable parameterized layer in canonical order.
     ///
     /// Layers constructed with `non_maskable()` (classifier heads,

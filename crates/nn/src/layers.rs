@@ -110,6 +110,8 @@ pub struct Dense {
     mask: Option<Vec<bool>>,
     input_mask: Option<Vec<bool>>,
     maskable: bool,
+    /// See [`Network::set_packed_execution`](crate::Network::set_packed_execution).
+    pub(crate) packed: bool,
     cached_input: Option<Tensor>,
 }
 
@@ -126,6 +128,7 @@ impl Dense {
             mask: None,
             input_mask: None,
             maskable: true,
+            packed: true,
             cached_input: None,
         }
     }
@@ -162,7 +165,7 @@ impl Dense {
 
     /// The packed-execution index sets, when the fast path applies.
     fn packed_plan(&self) -> PackedPlan {
-        if !crate::packed_execution_enabled() {
+        if !self.packed {
             return None;
         }
         let out_idx = active_indices(self.mask.as_deref());
@@ -375,6 +378,8 @@ pub struct Conv2d {
     mask: Option<Vec<bool>>,
     input_mask: Option<Vec<bool>>,
     maskable: bool,
+    /// See [`Network::set_packed_execution`](crate::Network::set_packed_execution).
+    pub(crate) packed: bool,
     cached_input: Option<Tensor>,
 }
 
@@ -392,6 +397,7 @@ impl Conv2d {
             mask: None,
             input_mask: None,
             maskable: true,
+            packed: true,
             cached_input: None,
         }
     }
@@ -440,7 +446,7 @@ impl Conv2d {
 
     /// The packed-execution index sets, when the fast path applies.
     fn packed_plan(&self) -> PackedPlan {
-        if !crate::packed_execution_enabled() {
+        if !self.packed {
             return None;
         }
         let out_idx = active_indices(self.mask.as_deref());

@@ -48,7 +48,6 @@
 pub mod checkpoint;
 mod cost;
 mod error;
-mod exec;
 mod layer;
 mod layers;
 mod loss;
@@ -59,7 +58,6 @@ pub mod profiler;
 
 pub use cost::{LayerCost, NetworkCost};
 pub use error::NnError;
-pub use exec::{packed_execution_enabled, set_packed_execution};
 pub use layer::Layer;
 pub use layers::{AvgPool2d, Conv2d, Dense, Flatten, MaxPool2d, Relu, Residual, UnitMaskable};
 pub use loss::CrossEntropyLoss;

@@ -458,6 +458,20 @@ impl Network {
         self.refresh_input_masks();
     }
 
+    /// Chooses how this network's masked [`Dense`](crate::Dense) /
+    /// [`Conv2d`](crate::Conv2d) layers execute: *packed* (the default —
+    /// gather the active units into compact tensors, run the kernels on
+    /// the packed shapes, scatter back) or, when disabled, the *zeroing*
+    /// reference (full-width kernels, masked outputs and gradients
+    /// zeroed). Results are bitwise identical either way; only the
+    /// executed (and counted) kernel work changes. The choice is part of
+    /// the network value and is carried by `clone`.
+    pub fn set_packed_execution(&mut self, enabled: bool) {
+        for layer in &mut self.layers {
+            layer.set_packed_execution(enabled);
+        }
+    }
+
     /// Re-derives every layer's input mask from the unit masks of the
     /// layers upstream of it. A unit mask guarantees the masked units'
     /// outputs are exactly zero; threading that guarantee forward tells

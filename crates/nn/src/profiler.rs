@@ -1,24 +1,22 @@
-//! Process-wide wall-clock profiling of the three training hot paths:
+//! Wall-clock profiling of the three training hot paths:
 //! [`Network::forward`](crate::Network::forward),
 //! [`Network::backward`](crate::Network::backward), and
 //! [`Sgd::step`](crate::Sgd::step).
 //!
-//! The accumulators are global atomics holding nanoseconds, so the
-//! numbers are *host* observability data: they sum CPU time across every
-//! thread currently training (a fan-out of eight clients contributes
-//! eight forward passes' worth per batch) and vary run to run. They
-//! never feed simulated time or any bitwise-compared metric — the
-//! federated engine snapshots deltas around each phase and reports them
-//! in its run profile only.
+//! Timed sections are charged, in nanoseconds, to the calling thread's
+//! counter block in `helios_tensor`, so they travel with the kernel flop
+//! counts: a fan-out folds its workers' time into the thread that
+//! started it (a fan-out of eight clients contributes eight forward
+//! passes' worth per batch), and a delta taken around a region is that
+//! region's CPU time alone. The numbers are *host* observability data
+//! and vary run to run; they never feed simulated time or any
+//! bitwise-compared metric — the federated engine snapshots deltas
+//! around a run and reports them in its run profile only.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use helios_tensor::charge_host_ns;
 use std::time::Instant;
 
-static FORWARD_NS: AtomicU64 = AtomicU64::new(0);
-static BACKWARD_NS: AtomicU64 = AtomicU64::new(0);
-static STEP_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Which hot path a timed section belongs to.
+/// Which hot path a timed section belongs to (the slot it is charged to).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Hotpath {
     Forward,
@@ -31,12 +29,7 @@ pub(crate) fn timed<T>(path: Hotpath, f: impl FnOnce() -> T) -> T {
     let start = Instant::now();
     let out = f();
     let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let slot = match path {
-        Hotpath::Forward => &FORWARD_NS,
-        Hotpath::Backward => &BACKWARD_NS,
-        Hotpath::Step => &STEP_NS,
-    };
-    slot.fetch_add(ns, Ordering::Relaxed);
+    charge_host_ns(path as usize, ns);
     out
 }
 
@@ -62,13 +55,14 @@ impl NnTimings {
     }
 }
 
-/// Reads the current process-wide hot-path totals.
+/// Reads the calling thread's hot-path totals: its own timed sections
+/// plus those folded in from the fan-outs it started.
 pub fn nn_timings() -> NnTimings {
-    let secs = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64 / 1e9;
+    let [forward, backward, step] = charge_host_ns(0, 0).map(|ns| ns as f64 / 1e9);
     NnTimings {
-        forward_s: secs(&FORWARD_NS),
-        backward_s: secs(&BACKWARD_NS),
-        step_s: secs(&STEP_NS),
+        forward_s: forward,
+        backward_s: backward,
+        step_s: step,
     }
 }
 
@@ -84,10 +78,10 @@ mod tests {
             7
         });
         assert_eq!(out, 7);
-        // A lower bound on the timer this test drives: sibling tests in
-        // the binary charge the same process-global accumulators.
         let spent = nn_timings().since(&before);
         assert!(spent.forward_s >= 0.002);
+        // Nothing else charges this thread's block.
+        assert_eq!((spent.backward_s, spent.step_s), (0.0, 0.0));
         // Swapped snapshots clamp to zero.
         let none = before.since(&nn_timings());
         assert_eq!(none.forward_s, 0.0);

@@ -1,11 +1,27 @@
-//! The process-wide deterministic event bus.
+//! The deterministic event bus of the thread that drives a run.
 //!
 //! The bus is **off by default** and zero-cost when off: [`emit`] takes
-//! a closure and checks one relaxed atomic before building the event,
-//! so an uninstrumented run pays a single predictable branch per call
-//! site. Installing a sink flips the bus on; dropping the returned
+//! a closure and checks one thread-local flag before building the
+//! event, so an uninstrumented run pays a single predictable branch per
+//! call site. Installing a sink flips the bus on; dropping the returned
 //! [`SinkHandle`] detaches it again (the bus turns back off when the
 //! last sink detaches).
+//!
+//! ## Scope
+//!
+//! All bus state — the switch, the sim clock, the sink list — is
+//! `thread_local!`: a sink sees exactly the events emitted on the
+//! thread that installed it, so concurrent runs on different threads
+//! (parallel tests, side-by-side strategies) each get their own trace
+//! with no lock between them. [`SinkHandle`] is `!Send`, which pins a
+//! sink's detach to the thread it was installed on.
+//!
+//! Thread-scoped is not call-scoped: a thread that performs several
+//! runs in sequence (libtest under `--test-threads=1` runs every test
+//! on one thread) reuses one bus, so nothing may outlive its run. The
+//! handle is the RAII guard for that: its `Drop` — on the normal path
+//! and on unwind alike — removes its sink and, when it was the last,
+//! switches the bus off and zeroes the sim clock.
 //!
 //! ## Timestamps
 //!
@@ -13,52 +29,50 @@
 //! driver via [`set_sim_time`] as the sim-clock advances. Host
 //! wall-clock never enters a trace, which is the property that makes
 //! traces bitwise reproducible across thread widths. There is no
-//! global sequence counter either — one would differ between runs
-//! sharing a process — so the record order *is* the sequence.
+//! sequence counter either: the record order *is* the sequence.
 //!
 //! ## Determinism contract
 //!
-//! Every emission point in the workspace sits on the serial main-thread
-//! path (driver phases, post-join fan-in, transport send loop); nothing
-//! emits from inside a parallel worker. That keeps the record stream
-//! byte-identical regardless of `ParallelismConfig`.
+//! Every emission point in the workspace sits on the serial path of
+//! the driving thread (driver phases, post-join fan-in, transport send
+//! loop); nothing emits from inside a parallel worker, whose own bus
+//! is off. That keeps the record stream byte-identical regardless of
+//! `ParallelismConfig`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 
 use helios_device::SimTime;
 
 use crate::event::{TraceEvent, TraceRecord};
 use crate::sink::TraceSink;
 
-/// Fast-path switch: true iff at least one sink is installed.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Current simulated time, stored as raw f64 bits.
-static SIM_TIME_BITS: AtomicU64 = AtomicU64::new(0);
-/// Installed sinks, keyed by handle id so detach removes the right one.
-static SINKS: Mutex<Vec<(u64, Box<dyn TraceSink>)>> = Mutex::new(Vec::new());
-/// Monotonic id source for [`SinkHandle`]s.
-static NEXT_HANDLE: AtomicU64 = AtomicU64::new(1);
-
-fn sinks() -> std::sync::MutexGuard<'static, Vec<(u64, Box<dyn TraceSink>)>> {
-    SINKS.lock().unwrap_or_else(PoisonError::into_inner)
+thread_local! {
+    /// Fast-path switch: true iff at least one sink is installed.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    /// Current simulated time in seconds.
+    static SIM_TIME_S: Cell<f64> = const { Cell::new(0.0) };
+    /// Id source for [`SinkHandle`]s.
+    static NEXT_HANDLE: Cell<u64> = const { Cell::new(1) };
+    /// Installed sinks, keyed by handle id so detach removes the right one.
+    static SINKS: RefCell<Vec<(u64, Box<dyn TraceSink>)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Whether any sink is currently installed.
+/// Whether any sink is currently installed on this thread.
 ///
 /// Call sites may use this to skip *argument* computation that the
 /// [`emit`] closure cannot capture cheaply; `emit` itself already
 /// checks it.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.get()
 }
 
 /// Publishes the current simulated time for subsequent events.
 ///
 /// The driver calls this as the sim-clock advances; emission points
 /// never read the clock themselves. The value is stored raw (no
-/// monotone clamping) so back-to-back runs in one process each start
+/// monotone clamping) so back-to-back runs on one thread each start
 /// from their own t=0; [`trace-report`'s] `--validate` checks per-trace
 /// monotonicity instead.
 ///
@@ -66,17 +80,17 @@ pub fn enabled() -> bool {
 #[inline]
 pub fn set_sim_time(now: SimTime) {
     if enabled() {
-        SIM_TIME_BITS.store(now.as_secs_f64().to_bits(), Ordering::Relaxed);
+        SIM_TIME_S.set(now.as_secs_f64());
     }
 }
 
 /// The simulated timestamp events are currently stamped with.
 #[inline]
 pub fn sim_time_s() -> f64 {
-    f64::from_bits(SIM_TIME_BITS.load(Ordering::Relaxed))
+    SIM_TIME_S.get()
 }
 
-/// Emits an event to every installed sink.
+/// Emits an event to every sink installed on this thread.
 ///
 /// The closure only runs when a sink is installed, so call sites can
 /// pass payload construction (formatting, mask counting) without
@@ -93,59 +107,63 @@ pub fn emit(event: impl FnOnce() -> TraceEvent) {
 }
 
 fn emit_record(record: TraceRecord) {
-    let mut guard = sinks();
-    match guard.len() {
-        0 => {}
-        1 => guard[0].1.record(&record),
-        _ => {
-            for (_, sink) in guard.iter_mut() {
-                sink.record(&record);
-            }
+    SINKS.with_borrow_mut(|sinks| {
+        for (_, sink) in sinks.iter_mut() {
+            sink.record(&record);
         }
-    }
+    });
 }
 
 /// Detaches its sink (and flushes it) when dropped.
 ///
-/// Returned by [`install`]; hold it for the duration of the traced run.
+/// Returned by [`install`]; hold it for the duration of the traced run,
+/// on the thread that runs it (the handle is `!Send`).
 #[must_use = "dropping the handle immediately uninstalls the sink"]
 pub struct SinkHandle {
     id: u64,
+    _this_thread: PhantomData<*const ()>,
 }
 
 impl Drop for SinkHandle {
     fn drop(&mut self) {
-        let mut guard = sinks();
-        if let Some(pos) = guard.iter().position(|(id, _)| *id == self.id) {
-            let (_, mut sink) = guard.remove(pos);
-            sink.flush();
-        }
-        if guard.is_empty() {
-            ENABLED.store(false, Ordering::Relaxed);
-            SIM_TIME_BITS.store(0, Ordering::Relaxed);
-        }
+        // `try_with`: a handle dropped during thread teardown, after the
+        // sink list itself is gone, has nothing left to detach.
+        let _ = SINKS.try_with(|sinks| {
+            let mut sinks = sinks.borrow_mut();
+            if let Some(pos) = sinks.iter().position(|(id, _)| *id == self.id) {
+                let (_, mut sink) = sinks.remove(pos);
+                sink.flush();
+            }
+            if sinks.is_empty() {
+                ENABLED.set(false);
+                SIM_TIME_S.set(0.0);
+            }
+        });
     }
 }
 
-/// Installs a sink and switches the bus on.
+/// Installs a sink on the calling thread and switches its bus on.
 ///
 /// Sinks receive records in emission order. The sink is detached (and
 /// flushed) when the returned handle drops.
 pub fn install(sink: Box<dyn TraceSink>) -> SinkHandle {
-    let id = NEXT_HANDLE.fetch_add(1, Ordering::Relaxed);
-    let mut guard = sinks();
-    guard.push((id, sink));
-    ENABLED.store(true, Ordering::Relaxed);
-    drop(guard);
-    SinkHandle { id }
+    let id = NEXT_HANDLE.replace(NEXT_HANDLE.get() + 1);
+    SINKS.with_borrow_mut(|sinks| sinks.push((id, sink)));
+    ENABLED.set(true);
+    SinkHandle {
+        id,
+        _this_thread: PhantomData,
+    }
 }
 
-/// Flushes every installed sink (e.g. before reading a trace file that
-/// is still being written).
+/// Flushes every sink installed on this thread (e.g. before reading a
+/// trace file that is still being written).
 pub fn flush() {
-    for (_, sink) in sinks().iter_mut() {
-        sink.flush();
-    }
+    SINKS.with_borrow_mut(|sinks| {
+        for (_, sink) in sinks.iter_mut() {
+            sink.flush();
+        }
+    });
 }
 
 /// Emits `PhaseStart` on construction and `PhaseEnd` on drop.
@@ -188,12 +206,8 @@ mod tests {
     use super::*;
     use crate::sink::RingBufferSink;
 
-    /// The bus is process-global, so tests touching it serialize here.
-    pub(crate) static BUS_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn disabled_bus_skips_payload_construction() {
-        let _serial = BUS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let mut built = false;
         emit(|| {
             built = true;
@@ -205,7 +219,6 @@ mod tests {
 
     #[test]
     fn install_emit_detach_round_trip() {
-        let _serial = BUS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let ring = RingBufferSink::with_capacity(16);
         let handle = install(Box::new(ring.clone()));
         assert!(enabled());
@@ -240,8 +253,20 @@ mod tests {
     }
 
     #[test]
+    fn unwinding_run_leaves_the_bus_off() {
+        let sink = RingBufferSink::with_capacity(4);
+        let unwound = std::panic::catch_unwind(move || {
+            let _handle = install(Box::new(sink));
+            set_sim_time(SimTime::from_secs(3.0));
+            panic!("run failed");
+        });
+        assert!(unwound.is_err());
+        assert!(!enabled(), "the handle detached while unwinding");
+        assert_eq!(sim_time_s(), 0.0);
+    }
+
+    #[test]
     fn phase_guard_brackets_its_span() {
-        let _serial = BUS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let ring = RingBufferSink::with_capacity(16);
         let handle = install(Box::new(ring.clone()));
         {
@@ -255,7 +280,6 @@ mod tests {
 
     #[test]
     fn multiple_sinks_each_receive_records() {
-        let _serial = BUS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let a = RingBufferSink::with_capacity(4);
         let b = RingBufferSink::with_capacity(4);
         let ha = install(Box::new(a.clone()));

@@ -1,7 +1,7 @@
 //! # helios-obs — deterministic tracing and metrics for the simulator
 //!
 //! This crate is the observability layer of the workspace: a
-//! process-wide event bus carrying typed [`TraceEvent`]s, pluggable
+//! thread-scoped event bus carrying typed [`TraceEvent`]s, pluggable
 //! sinks ([`RingBufferSink`], [`JsonlSink`], [`ChromeTraceSink`]), and
 //! trace analysis ([`report`]).
 //!
@@ -16,10 +16,11 @@
 //!
 //! ## Zero-cost when off
 //!
-//! The bus is disabled until a sink is [`install`]ed. [`emit`] takes a
-//! closure and checks a single relaxed atomic before building the
-//! payload, so instrumented hot paths cost one predictable branch when
-//! tracing is off (the repository benchmark's `obs.emit_disabled_ns`).
+//! The bus is disabled until a sink is [`install`]ed on the calling
+//! thread. [`emit`] takes a closure and checks a single thread-local
+//! flag before building the payload, so instrumented hot paths cost one
+//! predictable branch when tracing is off (the repository benchmark's
+//! `obs.emit_disabled_ns`).
 //!
 //! ## Typical use
 //!

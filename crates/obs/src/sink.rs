@@ -10,9 +10,9 @@ use crate::event::TraceRecord;
 
 /// Receives every emitted [`TraceRecord`], in emission order.
 ///
-/// Implementations must tolerate being called from the serial main
-/// thread only (the bus guarantees this) but are `Send` so the global
-/// bus can own them.
+/// A sink is only ever called on the thread that installed it (the bus
+/// is thread-local); it is `Send` so it can be built on one thread and
+/// handed to the thread that drives the run.
 pub trait TraceSink: Send {
     /// Handles one record.
     fn record(&mut self, record: &TraceRecord);

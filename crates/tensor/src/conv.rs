@@ -320,82 +320,11 @@ pub fn conv2d_backward(
             rhs: vec![n, spec.out_channels, oh, ow],
         });
     }
-    let o = spec.out_channels;
-    let pl = spec.patch_len();
-    let rows_n = n * oh * ow;
-    let g = grad_output.as_slice();
-    // Bias gradient, parallel over output channels. For each channel the
-    // additions run in ascending (ni, oy, ox) order — the same order the
-    // serial relayout loop used — so sums are bitwise stable.
-    let mut grad_bias = vec![0.0f32; o];
-    for_each_block(&mut grad_bias, 1, n * oh * ow, |first, chunk| {
-        for (bi, acc) in chunk.iter_mut().enumerate() {
-            let oc = first + bi;
-            for ni in 0..n {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        *acc += g[((ni * o + oc) * oh + oy) * ow + ox];
-                    }
-                }
-            }
-        }
-    });
-    let mut grad_weight = vec![0.0f32; o * pl];
-    let mut grad_input = vec![0.0f32; input.len()];
-    // The relayouted gradient, the patch matrix, and `dcols` are all
-    // transient workspace; `rows` is written in full by the relayout, so
-    // it skips even the zero-fill.
-    with_scratch_dirty(rows_n * o, |rows| -> Result<()> {
-        // Re-layout grad_output from NCHW to rows [N*OH*OW, O], parallel
-        // over batch items (disjoint row blocks per item).
-        for_each_block(rows, oh * ow * o, oh * ow * o, |first, chunk| {
-            for (bi, item) in chunk.chunks_mut(oh * ow * o).enumerate() {
-                let ni = first + bi;
-                for oc in 0..o {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            item[(oy * ow + ox) * o + oc] = g[((ni * o + oc) * oh + oy) * ow + ox];
-                        }
-                    }
-                }
-            }
-        });
-        with_scratch(rows_n * pl, |cols| -> Result<()> {
-            im2col_into(cols, input, spec)?;
-            // dW = gradᵀ × cols : [O, N*OH*OW] × [N*OH*OW, CKK] →
-            // [O, CKK]. `rows` stores the logical Aᵀ; read in place.
-            gemm_into(
-                &mut grad_weight,
-                o,
-                rows_n,
-                pl,
-                rows,
-                Layout::Transposed,
-                cols,
-                Layout::Normal,
-            );
-            Ok(())
-        })?;
-        with_scratch(rows_n * pl, |dcols| {
-            // dcols = grad × W : [N*OH*OW, O] × [O, CKK] → [N*OH*OW, CKK]
-            gemm_into(
-                dcols,
-                rows_n,
-                o,
-                pl,
-                rows,
-                Layout::Normal,
-                weight.as_slice(),
-                Layout::Normal,
-            );
-            col2im_into(&mut grad_input, dcols, spec, n, h, w);
-        });
-        Ok(())
-    })?;
+    let grads = backward_body(input, weight, grad_output, spec, spec)?;
     Ok(Conv2dGrads {
-        grad_input: Tensor::from_vec(grad_input, &[n, spec.in_channels, h, w])?,
-        grad_weight: Tensor::from_vec(grad_weight, &[o, pl])?,
-        grad_bias: Tensor::from_vec(grad_bias, &[o])?,
+        grad_input: grads.grad_input,
+        grad_weight: grads.grad_weight,
+        grad_bias: grads.grad_bias,
     })
 }
 
@@ -471,9 +400,47 @@ pub fn conv2d_backward_packed(
             ),
         });
     }
-    // Accumulate the packed bias gradient — the same loop as
-    // `conv2d_backward` with `o := oa`, so per-element order matches.
-    let g = grad_output_packed.as_slice();
+    // Patch matrix over the *active* input channels only: identical
+    // entries to the active column blocks of the full im2col, in the
+    // same relative order, because the column layout is channel-major.
+    let cols_spec = ConvSpec {
+        in_channels: ca,
+        out_channels: oa,
+        ..*spec
+    };
+    backward_body(
+        input_packed,
+        weight_rows,
+        grad_output_packed,
+        &cols_spec,
+        spec,
+    )
+}
+
+/// The backward pass behind [`conv2d_backward`] (`cols_spec == spec`)
+/// and [`conv2d_backward_packed`] (`cols_spec` narrowed to the active
+/// channels), whose callers have checked the operand shapes: `input` is
+/// `[N, Ca, H, W]`, `weight_rows` `[Oa, C*K*K]`, `grad_output`
+/// `[N, Oa, OH, OW]`. One body is what keeps the two bitwise
+/// comparable — every sum runs in the same per-element order at any
+/// channel count.
+fn backward_body(
+    input: &Tensor,
+    weight_rows: &Tensor,
+    grad_output: &Tensor,
+    cols_spec: &ConvSpec,
+    spec: &ConvSpec,
+) -> Result<Conv2dPackedGrads> {
+    let (n, h, w) = (input.dims()[0], input.dims()[2], input.dims()[3]);
+    let oa = grad_output.dims()[1];
+    let (oh, ow) = spec.output_hw(h, w);
+    let pl = spec.patch_len();
+    let pl_p = cols_spec.patch_len();
+    let rows_n = n * oh * ow;
+    let g = grad_output.as_slice();
+    // Bias gradient, parallel over output channels. For each channel the
+    // additions run in ascending (ni, oy, ox) order, so sums are bitwise
+    // stable.
     let mut grad_bias = vec![0.0f32; oa];
     for_each_block(&mut grad_bias, 1, n * oh * ow, |first, chunk| {
         for (bi, acc) in chunk.iter_mut().enumerate() {
@@ -487,15 +454,14 @@ pub fn conv2d_backward_packed(
             }
         }
     });
-    let pl = spec.patch_len();
-    let pl_p = ca * spec.kernel * spec.kernel;
-    let rows_n = n * oh * ow;
     let mut grad_weight = vec![0.0f32; oa * pl_p];
     let mut grad_input = vec![0.0f32; n * spec.in_channels * h * w];
+    // The relayouted gradient, the patch matrix, and `dcols` are all
+    // transient workspace; `rows` is written in full by the relayout, so
+    // it skips even the zero-fill.
     with_scratch_dirty(rows_n * oa, |rows| -> Result<()> {
-        // Re-layout the packed grad from NCHW to rows [N*OH*OW, Oa] —
-        // the same loop as `conv2d_backward`, so per-element order
-        // matches.
+        // Re-layout grad_output from NCHW to rows [N*OH*OW, Oa], parallel
+        // over batch items (disjoint row blocks per item).
         for_each_block(rows, oh * ow * oa, oh * ow * oa, |first, chunk| {
             for (bi, item) in chunk.chunks_mut(oh * ow * oa).enumerate() {
                 let ni = first + bi;
@@ -509,19 +475,10 @@ pub fn conv2d_backward_packed(
                 }
             }
         });
-        // Patch matrix over the *active* input channels only: identical
-        // entries to the active column blocks of the full im2col, in the
-        // same relative order, because the column layout is channel-major.
-        let packed_in_spec = ConvSpec {
-            in_channels: ca,
-            out_channels: oa,
-            kernel: spec.kernel,
-            stride: spec.stride,
-            padding: spec.padding,
-        };
-        with_scratch(rows_n * pl_p, |cols_p| -> Result<()> {
-            im2col_into(cols_p, input_packed, &packed_in_spec)?;
-            // dW_p = grad_pᵀ × cols_p : [Oa, N*OH*OW] × [N*OH*OW, Ca*KK]
+        with_scratch(rows_n * pl_p, |cols| -> Result<()> {
+            im2col_into(cols, input, cols_spec)?;
+            // dW = gradᵀ × cols : [Oa, N*OH*OW] × [N*OH*OW, Ca*KK] →
+            // [Oa, Ca*KK]. `rows` stores the logical Aᵀ; read in place.
             gemm_into(
                 &mut grad_weight,
                 oa,
@@ -529,15 +486,15 @@ pub fn conv2d_backward_packed(
                 pl_p,
                 rows,
                 Layout::Transposed,
-                cols_p,
+                cols,
                 Layout::Normal,
             );
             Ok(())
         })?;
         with_scratch(rows_n * pl, |dcols| {
-            // dcols = grad_p × W_rows : [N*OH*OW, Oa] × [Oa, C*KK] —
-            // full input columns, so col2im reproduces the full-shape
-            // grad_input exactly.
+            // dcols = grad × W_rows : [N*OH*OW, Oa] × [Oa, C*KK] — full
+            // input columns, so col2im produces the full-shape
+            // grad_input.
             gemm_into(
                 dcols,
                 rows_n,

@@ -1,4 +1,4 @@
-//! Process-wide kernel counters feeding the per-phase instrumentation in
+//! Per-thread work counters feeding the per-phase instrumentation in
 //! the federated-learning engine.
 //!
 //! Every leaf compute kernel ([`Tensor::matmul`](crate::Tensor::matmul)
@@ -9,11 +9,18 @@
 //! identical at every parallelism width — unlike wall-clock time they
 //! measure the work itself, not how it was scheduled.
 //!
-//! The counters are global atomics: cheap, lock-free, and visible from
-//! any thread. The trade-off is that concurrent runs in one process
-//! (e.g. tests sharing a binary) interleave their counts, so consumers
-//! take snapshot *deltas* around the region they care about and treat
-//! the numbers as observability data, not as values to compare bitwise.
+//! The counters belong to the thread that drives the work: one
+//! `thread_local!` block, which every fan-out in [`crate::parallel`]
+//! folds into its caller at the join (`parent += child`), so work done
+//! on client or kernel workers lands on the thread that started it and
+//! nowhere else. A delta taken around a region is therefore exactly
+//! that region's work, whatever other threads in the process are doing.
+//!
+//! Thread-scoped is not call-scoped: the block only ever grows, and a
+//! thread that runs several regions in sequence (libtest under
+//! `--test-threads=1` runs every test on one) sees their sum. Consumers
+//! never read absolute totals — they take a snapshot before, a snapshot
+//! after, and use [`KernelCounters::since`].
 //!
 //! # Example
 //!
@@ -33,12 +40,46 @@
 //! # }
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static FLOPS: AtomicU64 = AtomicU64::new(0);
-static ELEMENTS: AtomicU64 = AtomicU64::new(0);
+/// Everything a worker hands back to its parent at a join.
+#[derive(Clone, Copy)]
+pub(crate) struct Block {
+    flops: u64,
+    elements: u64,
+    /// Host nanoseconds per `helios-nn` hot path (see [`charge_host_ns`]).
+    host_ns: [u64; 3],
+}
 
-/// A snapshot of the process-wide kernel counters.
+thread_local! {
+    static BLOCK: Cell<Block> = const {
+        Cell::new(Block { flops: 0, elements: 0, host_ns: [0; 3] })
+    };
+}
+
+/// This thread's block, for a finishing worker to return to its parent.
+pub(crate) fn block() -> Block {
+    BLOCK.get()
+}
+
+fn update(f: impl FnOnce(&mut Block)) {
+    let mut b = BLOCK.get();
+    f(&mut b);
+    BLOCK.set(b);
+}
+
+/// Adds a joined worker's block to this thread's.
+pub(crate) fn fold(child: Block) {
+    update(|b| {
+        b.flops += child.flops;
+        b.elements += child.elements;
+        for (mine, theirs) in b.host_ns.iter_mut().zip(child.host_ns) {
+            *mine += theirs;
+        }
+    });
+}
+
+/// A snapshot of the calling thread's kernel counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Floating-point operations executed by the counted kernels
@@ -51,8 +92,8 @@ pub struct KernelCounters {
 impl KernelCounters {
     /// The counters accumulated since an `earlier` snapshot.
     ///
-    /// Saturating: a snapshot taken from another process epoch (or
-    /// swapped arguments) yields zero rather than wrapping.
+    /// Saturating: a snapshot taken on another thread (or swapped
+    /// arguments) yields zero rather than wrapping.
     pub fn since(&self, earlier: &KernelCounters) -> KernelCounters {
         KernelCounters {
             flops: self.flops.saturating_sub(earlier.flops),
@@ -61,20 +102,33 @@ impl KernelCounters {
     }
 }
 
-/// Reads the current process-wide counter totals.
+/// Reads the calling thread's counter totals: everything it has run
+/// itself plus everything folded in from the fan-outs it started.
 pub fn kernel_counters() -> KernelCounters {
+    let b = BLOCK.get();
     KernelCounters {
-        flops: FLOPS.load(Ordering::Relaxed),
-        elements: ELEMENTS.load(Ordering::Relaxed),
+        flops: b.flops,
+        elements: b.elements,
     }
 }
 
 /// Records one kernel invocation. Called by the kernels themselves with
-/// shape-derived counts; relaxed ordering is enough because the counters
-/// carry no synchronization meaning.
+/// shape-derived counts.
 pub(crate) fn record_kernel(flops: u64, elements: u64) {
-    FLOPS.fetch_add(flops, Ordering::Relaxed);
-    ELEMENTS.fetch_add(elements, Ordering::Relaxed);
+    update(|b| {
+        b.flops += flops;
+        b.elements += elements;
+    });
+}
+
+/// Adds `ns` host nanoseconds to slot `path` of this thread's block and
+/// returns the three slot totals. `helios-nn`'s profiler is the only
+/// caller: it owns the slot meaning (forward / backward / step), charges
+/// its timed sections here so they fold at the same joins as the flops,
+/// and reads with `ns = 0`.
+pub fn charge_host_ns(path: usize, ns: u64) -> [u64; 3] {
+    update(|b| b.host_ns[path] += ns);
+    BLOCK.get().host_ns
 }
 
 #[cfg(test)]
@@ -86,11 +140,8 @@ mod tests {
         let before = kernel_counters();
         record_kernel(100, 10);
         record_kernel(1, 2);
-        // Lower bounds: the kernel tests sharing this binary bump the
-        // same process-global counters concurrently.
         let spent = kernel_counters().since(&before);
-        assert!(spent.flops >= 101);
-        assert!(spent.elements >= 12);
+        assert_eq!((spent.flops, spent.elements), (101, 12));
         // Swapped arguments saturate to zero instead of wrapping.
         assert_eq!(before.since(&kernel_counters()), KernelCounters::default());
     }

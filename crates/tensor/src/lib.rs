@@ -49,6 +49,8 @@ pub use conv::{
 pub use error::TensorError;
 pub use gemm::{naive_matmul, KC, MR, NR};
 pub use init::{he_normal, uniform_init, xavier_uniform, TensorRng};
+#[doc(hidden)]
+pub use instrument::charge_host_ns;
 pub use instrument::{kernel_counters, KernelCounters};
 pub use packed::{
     gather_channels, gather_elems, gather_rows_cols, scatter_add_elems, scatter_add_rows_cols,

@@ -18,6 +18,7 @@
 //! call site. The override is thread-local, so concurrently running
 //! tests (or FL client workers) cannot race on each other's setting.
 
+use crate::instrument;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 
@@ -108,6 +109,54 @@ fn plan_threads(items: usize, item_work: usize) -> usize {
     current_threads().min(items.max(1)).min(by_work)
 }
 
+/// The one fan-out: cuts `a` (items of `a_len` elements) and `b` (items
+/// of `b_len`, cut in lockstep) into contiguous blocks of `per_worker`
+/// whole items — the last block takes the remainder — and runs
+/// `f(first_item, block_a, block_b)` on one scoped thread per block. A
+/// single block is `f(0, a, b)` on the calling thread.
+///
+/// The join is also where counters change hands: each worker returns
+/// its thread's [`instrument`] block and the caller adds it to its own,
+/// in worker order. A worker that itself fans out has already folded
+/// its own workers by the time it returns, so counts reach the thread
+/// that drives the run through any depth of nesting.
+fn fan_out<A, B, F>(a: &mut [A], a_len: usize, b: &mut [B], b_len: usize, per_worker: usize, f: F)
+where
+    A: Send,
+    B: Send,
+    F: Fn(usize, &mut [A], &mut [B]) + Sync,
+{
+    if per_worker * a_len >= a.len() {
+        f(0, a, b);
+        return;
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        let mut workers = Vec::new();
+        let (mut rest_a, mut rest_b) = (a, b);
+        let mut first_item = 0usize;
+        while !rest_a.is_empty() {
+            let take_items = per_worker.min(rest_a.len() / a_len);
+            let (chunk_a, tail_a) = rest_a.split_at_mut(take_items * a_len);
+            let (chunk_b, tail_b) = rest_b.split_at_mut(take_items * b_len);
+            rest_a = tail_a;
+            rest_b = tail_b;
+            let start = first_item;
+            workers.push(scope.spawn(move || {
+                f(start, chunk_a, chunk_b);
+                instrument::block()
+            }));
+            first_item += take_items;
+        }
+        for worker in workers {
+            match worker.join() {
+                Ok(block) => instrument::fold(block),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+}
+
 /// Runs `f` over disjoint chunks of `data`, partitioned on an item axis.
 ///
 /// `data` is treated as `data.len() / item_len` contiguous items of
@@ -124,30 +173,7 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    if item_len == 0 || data.is_empty() {
-        return;
-    }
-    debug_assert_eq!(data.len() % item_len, 0, "data must be whole items");
-    let items = data.len() / item_len;
-    let threads = plan_threads(items, item_work);
-    if threads <= 1 {
-        f(0, data);
-        return;
-    }
-    let per_thread = items.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest = data;
-        let mut first_item = 0usize;
-        while !rest.is_empty() {
-            let take_items = per_thread.min(rest.len() / item_len);
-            let (chunk, tail) = rest.split_at_mut(take_items * item_len);
-            rest = tail;
-            let start = first_item;
-            scope.spawn(move || f(start, chunk));
-            first_item += take_items;
-        }
-    });
+    for_each_block_aligned(data, item_len, item_work, 1, f);
 }
 
 /// Like [`for_each_block`], but rounds each worker's item share up to a
@@ -172,25 +198,20 @@ pub fn for_each_block_aligned<T, F>(
     }
     debug_assert_eq!(data.len() % item_len, 0, "data must be whole items");
     let items = data.len() / item_len;
-    let threads = plan_threads(items, item_work);
-    if threads <= 1 {
-        f(0, data);
-        return;
-    }
-    let per_thread = items.div_ceil(threads).next_multiple_of(align.max(1));
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest = data;
-        let mut first_item = 0usize;
-        while !rest.is_empty() {
-            let take_items = per_thread.min(rest.len() / item_len);
-            let (chunk, tail) = rest.split_at_mut(take_items * item_len);
-            rest = tail;
-            let start = first_item;
-            scope.spawn(move || f(start, chunk));
-            first_item += take_items;
-        }
-    });
+    let per_worker = items
+        .div_ceil(plan_threads(items, item_work))
+        .next_multiple_of(align.max(1));
+    // The second buffer is zero-sized: every cut of it is empty.
+    fan_out(
+        data,
+        item_len,
+        &mut [(); 0],
+        0,
+        per_worker,
+        |first, chunk, _| {
+            f(first, chunk);
+        },
+    );
 }
 
 /// Like [`for_each_block`], but partitions two output buffers in
@@ -215,38 +236,8 @@ pub fn for_each_block2<A, B, F>(
     debug_assert_eq!(a.len() % a_len, 0, "a must be whole items");
     debug_assert_eq!(a.len() / a_len, b.len() / b_len, "item counts must match");
     let items = a.len() / a_len;
-    let threads = plan_threads(items, item_work);
-    if threads <= 1 {
-        f(0, a, b);
-        return;
-    }
-    let per_thread = items.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let (mut rest_a, mut rest_b) = (a, b);
-        let mut first_item = 0usize;
-        while !rest_a.is_empty() {
-            let take_items = per_thread.min(rest_a.len() / a_len);
-            let (chunk_a, tail_a) = rest_a.split_at_mut(take_items * a_len);
-            let (chunk_b, tail_b) = rest_b.split_at_mut(take_items * b_len);
-            rest_a = tail_a;
-            rest_b = tail_b;
-            let start = first_item;
-            scope.spawn(move || f(start, chunk_a, chunk_b));
-            first_item += take_items;
-        }
-    });
-}
-
-/// Splits a total thread budget between a fan-out of `count` items and
-/// the kernels running inside each item: the fan-out width is capped at
-/// the budget, and whatever budget is left over per worker is granted
-/// to that worker's kernels. `budget = 1` therefore means fully serial;
-/// `budget = 8` over 2 items means 2 workers running 4-thread kernels.
-fn split_budget(count: usize, budget: usize) -> (usize, ParallelismConfig) {
-    let budget = budget.max(1);
-    let width = budget.min(count.max(1));
-    (width, ParallelismConfig::with_threads(budget / width))
+    let per_worker = items.div_ceil(plan_threads(items, item_work));
+    fan_out(a, a_len, b, b_len, per_worker, f);
 }
 
 /// Runs one closure per item of `out` on worker threads, writing each
@@ -254,49 +245,16 @@ fn split_budget(count: usize, budget: usize) -> (usize, ParallelismConfig) {
 /// clients training in parallel): item order in `out` matches input
 /// order regardless of which worker ran which item. `threads` is the
 /// *total* budget — it caps the fan-out width, and any surplus per
-/// worker is granted to that worker's kernels (the budget split).
-/// Results are bitwise identical for every budget because the kernels
-/// themselves are deterministic at any width.
+/// worker is granted to that worker's kernels: `threads = 1` is fully
+/// serial, `threads = 8` over 2 items is 2 workers running 4-thread
+/// kernels. Results are bitwise identical for every budget because the
+/// kernels themselves are deterministic at any width.
 pub fn map_indexed<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let mut out: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    let (width, per_worker) = split_budget(count, threads);
-    if width <= 1 || count <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            // Match the multi-threaded path: kernels get the budget the
-            // single "worker" (this thread) is entitled to.
-            let _guard = per_worker.scoped();
-            *slot = Some(f(i));
-        }
-    } else {
-        let per_thread = count.div_ceil(width);
-        std::thread::scope(|scope| {
-            let f = &f;
-            let mut rest: &mut [Option<T>] = &mut out;
-            let mut first = 0usize;
-            while !rest.is_empty() {
-                let take = per_thread.min(rest.len());
-                let (chunk, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let start = first;
-                scope.spawn(move || {
-                    // Workers only get the budget left after the
-                    // fan-out, so nested kernels never oversubscribe.
-                    let _guard = per_worker.scoped();
-                    for (off, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(f(start + off));
-                    }
-                });
-                first += take;
-            }
-        });
-    }
-    out.into_iter()
-        .map(|slot| slot.expect("every item filled"))
-        .collect()
+    map_items_mut(&mut vec![(); count], threads, |i, ()| f(i))
 }
 
 /// Like [`map_indexed`], but each closure call also receives exclusive
@@ -310,40 +268,27 @@ where
     U: Send,
     F: Fn(usize, &mut T) -> U + Sync,
 {
-    let count = items.len();
-    let mut out: Vec<Option<U>> = (0..count).map(|_| None).collect();
-    let (width, per_worker) = split_budget(count, threads);
-    if width <= 1 || count <= 1 {
-        for (i, (slot, item)) in out.iter_mut().zip(items.iter_mut()).enumerate() {
+    let mut out: Vec<Option<U>> = items.iter().map(|_| None).collect();
+    let budget = threads.max(1);
+    let width = budget.min(items.len().max(1));
+    // Workers (or, serially, this thread for the duration of the loop)
+    // only get the budget left after the fan-out, so nested kernels
+    // never oversubscribe.
+    let per_worker = ParallelismConfig::with_threads(budget / width);
+    let per_worker_items = items.len().div_ceil(width);
+    fan_out(
+        &mut out,
+        1,
+        items,
+        1,
+        per_worker_items,
+        |first, slots, items| {
             let _guard = per_worker.scoped();
-            *slot = Some(f(i, item));
-        }
-    } else {
-        let per_thread = count.div_ceil(width);
-        std::thread::scope(|scope| {
-            let f = &f;
-            let mut rest_out: &mut [Option<U>] = &mut out;
-            let mut rest_items: &mut [T] = items;
-            let mut first = 0usize;
-            while !rest_out.is_empty() {
-                let take = per_thread.min(rest_out.len());
-                let (chunk_out, tail_out) = rest_out.split_at_mut(take);
-                let (chunk_items, tail_items) = rest_items.split_at_mut(take);
-                rest_out = tail_out;
-                rest_items = tail_items;
-                let start = first;
-                scope.spawn(move || {
-                    let _guard = per_worker.scoped();
-                    for (off, (slot, item)) in
-                        chunk_out.iter_mut().zip(chunk_items.iter_mut()).enumerate()
-                    {
-                        *slot = Some(f(start + off, item));
-                    }
-                });
-                first += take;
+            for (off, (slot, item)) in slots.iter_mut().zip(items).enumerate() {
+                *slot = Some(f(first + off, item));
             }
-        });
-    }
+        },
+    );
     out.into_iter()
         .map(|slot| slot.expect("every item filled"))
         .collect()
@@ -447,5 +392,27 @@ mod tests {
         }
         let mut empty: Vec<usize> = Vec::new();
         assert!(map_items_mut(&mut empty, 4, |_, _| 0).is_empty());
+    }
+
+    #[test]
+    fn worker_counters_fold_into_the_caller() {
+        let spent = |threads: usize| {
+            let mut items = vec![vec![0u32; 6]; 4];
+            let before = instrument::kernel_counters();
+            map_items_mut(&mut items, threads, |_, item| {
+                instrument::record_kernel(7, 1);
+                // Large item_work defeats the small-work cutoff.
+                for_each_block(item, 1, usize::MAX / 64, |_, chunk| {
+                    instrument::record_kernel(chunk.len() as u64, 0);
+                });
+            });
+            instrument::kernel_counters().since(&before)
+        };
+        let serial = spent(1);
+        assert_eq!((serial.flops, serial.elements), (4 * (7 + 6), 4));
+        // Four client workers; then four workers with two kernel threads
+        // each, whose counts reach this thread through two joins.
+        assert_eq!(spent(4), serial);
+        assert_eq!(spent(8), serial);
     }
 }

@@ -4,7 +4,7 @@
 use helios_fl::FlEnv;
 use helios_tensor::{ParallelismConfig, Tensor};
 use std::io::Write;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Thread widths every bitwise contract must hold across.
 pub const THREAD_WIDTHS: [usize; 4] = [1, 2, 4, 8];
@@ -43,14 +43,6 @@ pub fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
             "{what}: element {i} differs ({x} vs {y})"
         );
     }
-}
-
-/// Serializes a test binary's tests around the process-global obs bus
-/// for as long as the guard lives: a sink installed by one test must
-/// never observe another test's run. (A poisoned lock is still a lock.)
-pub fn obs_serial() -> MutexGuard<'static, ()> {
-    static OBS_LOCK: Mutex<()> = Mutex::new(());
-    OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Shared byte buffer standing in for a trace file.

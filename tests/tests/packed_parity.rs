@@ -8,43 +8,17 @@
 //! kernel skips zero operands term-by-term, so packing removes exactly
 //! the terms the zeroing path never accumulated, in the same order.
 //!
-//! These tests flip the process-wide `set_packed_execution` switch, so
-//! every test in this binary serializes on one lock and restores the
-//! default (packed on) before releasing it.
+//! The strategy is a property of the `Network` value
+//! (`Network::set_packed_execution`, default packed), so each test
+//! flips it on its own clones.
 
 use helios_integration::with_threads;
 use helios_nn::{
-    models, set_packed_execution, Conv2d, CrossEntropyLoss, Dense, Flatten, Layer, MaxPool2d,
-    ModelMask, Network, Relu, Sgd,
+    models, Conv2d, CrossEntropyLoss, Dense, Flatten, Layer, MaxPool2d, ModelMask, Network, Relu,
+    Sgd,
 };
 use helios_tensor::{kernel_counters, uniform_init, ConvSpec, Tensor, TensorRng};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Serializes tests in this binary around the global packed-execution
-/// flag (and the global kernel counters), restoring the packed default
-/// on drop even if an assertion fails mid-test.
-struct ExecGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl ExecGuard {
-    fn lock() -> Self {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let guard = match LOCK.get_or_init(|| Mutex::new(())).lock() {
-            Ok(g) => g,
-            // A previous test panicked while holding the lock; the flag
-            // is restored by that test's ExecGuard drop, so the state
-            // is still clean.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        ExecGuard(guard)
-    }
-}
-
-impl Drop for ExecGuard {
-    fn drop(&mut self) {
-        set_packed_execution(true);
-    }
-}
 
 /// Runs two SGD-with-momentum training steps and captures every
 /// observable bit: per-step logits, per-step loss, and the final
@@ -107,18 +81,16 @@ fn assert_packed_parity(
 ) -> (u64, u64) {
     let mut packed = net.clone();
     packed.set_masks(mask).expect("set masks (packed)");
-    set_packed_execution(true);
     let before = kernel_counters();
     let got_packed = train_twice(&mut packed, x, labels);
     let packed_flops = kernel_counters().since(&before).flops;
 
     let mut zeroing = net.clone();
+    zeroing.set_packed_execution(false);
     zeroing.set_masks(mask).expect("set masks (zeroing)");
-    set_packed_execution(false);
     let before = kernel_counters();
     let got_zeroing = train_twice(&mut zeroing, x, labels);
     let zeroing_flops = kernel_counters().since(&before).flops;
-    set_packed_execution(true);
 
     assert_eq!(got_packed.0, got_zeroing.0, "logit bits diverged");
     assert_eq!(got_packed.1, got_zeroing.1, "loss bits diverged");
@@ -150,7 +122,6 @@ proptest! {
         seed in 0u64..500,
         mask_seed in 0u64..500,
     ) {
-        let _exec = ExecGuard::lock();
         let net = mlp(in_features, hidden, 4, seed);
         let mut mask_rng = TensorRng::seed_from(mask_seed);
         let bits = uniform_init(&[2 * hidden], 0.0, 1.0, &mut mask_rng);
@@ -176,7 +147,6 @@ proptest! {
         seed in 0u64..500,
         mask_seed in 0u64..500,
     ) {
-        let _exec = ExecGuard::lock();
         let net = conv_net(channels, conv_out, hidden, 3, seed);
         let mut mask_rng = TensorRng::seed_from(mask_seed);
         let bits = uniform_init(&[conv_out + hidden], 0.0, 1.0, &mut mask_rng);
@@ -196,7 +166,6 @@ proptest! {
 /// the same way the full-width ones do.
 #[test]
 fn packed_parity_holds_at_every_thread_width() {
-    let _exec = ExecGuard::lock();
     let net = conv_net(3, 6, 12, 3, 77);
     let mut probe = net.clone();
     let mask = leading_units_mask(&mut probe, 0.5);
@@ -204,11 +173,10 @@ fn packed_parity_holds_at_every_thread_width() {
     let x = uniform_init(&[4, 3, 8, 8], -1.0, 1.0, &mut rng);
     let labels = vec![0, 1, 2, 0];
 
-    set_packed_execution(false);
     let mut baseline_net = net.clone();
+    baseline_net.set_packed_execution(false);
     baseline_net.set_masks(&mask).expect("masks");
     let baseline = with_threads(1, || train_twice(&mut baseline_net, &x, &labels));
-    set_packed_execution(true);
 
     for threads in [1, 2, 4, 8] {
         let mut packed = net.clone();
@@ -223,21 +191,23 @@ fn packed_parity_holds_at_every_thread_width() {
 /// of sub-model soft-training.
 #[test]
 fn packed_flops_are_monotone_in_keep_ratio() {
-    let _exec = ExecGuard::lock();
     let mut rng = TensorRng::seed_from(5);
     let net = models::lenet(10, &mut rng);
     let x = uniform_init(&[8, 1, 16, 16], -1.0, 1.0, &mut rng);
     let labels: Vec<usize> = (0..8).map(|i| i % 10).collect();
 
     let mut flops = Vec::new();
+    let mut zeroing_flops = Vec::new();
     for keep in [0.25, 0.5, 1.0] {
-        let mut run = net.clone();
-        let mask = leading_units_mask(&mut run, keep);
-        run.set_masks(&mask).expect("masks");
-        let before = kernel_counters();
-        train_twice(&mut run, &x, &labels);
-        flops.push(kernel_counters().since(&before).flops);
+        let mask = leading_units_mask(&mut net.clone(), keep);
+        let (packed, zeroing) = assert_packed_parity(&net, &mask, &x, &labels);
+        flops.push(packed);
+        zeroing_flops.push(zeroing);
     }
+    // The counters are this thread's alone, so these are equalities: the
+    // zeroing reference runs full width whatever the mask, and a full
+    // mask leaves nothing to pack.
+    assert_eq!(zeroing_flops, [flops[2]; 3]);
     assert!(
         flops[0] < flops[1] && flops[1] < flops[2],
         "flops must grow with keep ratio: {flops:?}"

@@ -14,8 +14,9 @@ use helios_integration::{assert_bitwise, with_threads, THREAD_WIDTHS};
 use helios_nn::models::ModelKind;
 use helios_tensor::{
     avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward, max_pool2d, max_pool2d_backward,
-    uniform_init, ConvSpec, ParallelismConfig, PoolSpec, TensorRng,
+    uniform_init, ConvSpec, ParallelismConfig, PoolSpec, Tensor, TensorRng,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Thread counts compared against the serial baseline.
 const WIDTHS: [usize; 3] = [THREAD_WIDTHS[1], THREAD_WIDTHS[2], THREAD_WIDTHS[3]];
@@ -212,5 +213,45 @@ fn helios_round_parity() {
             .expect("parallel run");
         assert_eq!(serial.records(), metrics.records(), "threads={threads}");
         assert_global_bitwise(&serial_env, &env, &format!("helios threads={threads}"));
+    }
+}
+
+/// Flop counts are the run's own: `train_flops` / `eval_flops` per
+/// cycle and the profile's `kernel_flops` are exactly equal at every
+/// width, while a sibling thread runs kernels of its own throughout.
+#[test]
+fn flop_counts_are_exact_at_every_width_beside_a_busy_thread() {
+    let mut envs = THREAD_WIDTHS.map(|threads| env_with_threads(204, threads));
+    let stop = AtomicBool::new(false);
+    let busy = std::sync::Barrier::new(2);
+    let runs = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let a = Tensor::ones(&[16, 16]);
+            a.matmul(&a).expect("matmul");
+            busy.wait();
+            while !stop.load(Ordering::Relaxed) {
+                a.matmul(&a).expect("matmul");
+            }
+        });
+        busy.wait();
+        // Errors leave the scope as values so the sibling is always stopped.
+        let runs = envs
+            .each_mut()
+            .map(|env| HeliosStrategy::new(HeliosConfig::default()).run(env, 2));
+        stop.store(true, Ordering::Relaxed);
+        runs
+    });
+    let counts = runs.map(|run| {
+        let metrics = run.expect("helios run");
+        let per_cycle: Vec<(u64, u64)> = metrics
+            .records()
+            .iter()
+            .map(|r| (r.phases.train_flops, r.phases.eval_flops))
+            .collect();
+        (per_cycle, metrics.profile().kernel_flops)
+    });
+    assert!(counts[0].1 > 0, "the run counted kernels");
+    for (threads, count) in THREAD_WIDTHS.iter().zip(&counts) {
+        assert_eq!(count, &counts[0], "threads={threads}");
     }
 }

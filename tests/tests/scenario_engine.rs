@@ -2,11 +2,6 @@
 //! availability, throttling, drift — is driven purely from the
 //! declarative [`ScenarioConfig`] timeline, replays bitwise at any
 //! thread width, and leaves empty-scenario runs untouched.
-//!
-//! The obs bus is process-global, so every test here holds
-//! [`obs_serial`]'s lock for its full body: the trace-recording tests so
-//! nothing else lands in their sinks, the others so they emit into
-//! nobody's.
 
 use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, ShardSynthesizer, SyntheticVision};
@@ -14,7 +9,7 @@ use helios_device::{presets, ProfileSynthesizer};
 use helios_fl::{
     AvailabilityModel, FlConfig, FlEnv, FleetSpec, NetConfig, SamplerConfig, Strategy, SyncFedAvg,
 };
-use helios_integration::{obs_serial, SharedBuf, THREAD_WIDTHS as WIDTHS};
+use helios_integration::{SharedBuf, THREAD_WIDTHS as WIDTHS};
 use helios_nn::models::ModelKind;
 use helios_obs::TraceEvent;
 use helios_scenario::{
@@ -124,7 +119,6 @@ fn netted_env(seed: u64, threads: usize, scenario: ScenarioConfig) -> FlEnv {
 /// whole run replays byte-identically at every thread width.
 #[test]
 fn link_outage_window_blacks_out_device_then_restores() {
-    let _serial = obs_serial();
     let scenario = ScenarioConfig {
         outages: vec![OutageWindow {
             from_cycle: 1,
@@ -215,7 +209,6 @@ fn churn_scenario() -> ScenarioConfig {
 
 #[test]
 fn churn_timeline_drives_population_and_replays_bitwise() {
-    let _serial = obs_serial();
     let run = |threads: usize| {
         let mut env = lazy_env(
             4,
@@ -250,7 +243,6 @@ fn churn_timeline_drives_population_and_replays_bitwise() {
 
 #[test]
 fn helios_classifies_scenario_joiners_mid_run() {
-    let _serial = obs_serial();
     let mut env = lazy_env(
         4,
         91,
@@ -280,7 +272,6 @@ fn helios_classifies_scenario_joiners_mid_run() {
 
 #[test]
 fn diurnal_wave_biases_weighted_cohorts_and_replays_bitwise() {
-    let _serial = obs_serial();
     let wave = DiurnalWave {
         period_cycles: 4,
         min_scale: 0.05,
@@ -335,7 +326,6 @@ fn diurnal_wave_biases_weighted_cohorts_and_replays_bitwise() {
 
 #[test]
 fn throttle_ramp_slows_rounds_and_replays_bitwise() {
-    let _serial = obs_serial();
     let scenario = ScenarioConfig {
         throttle: vec![ThrottleRule {
             start_cycle: 1,
@@ -382,7 +372,6 @@ fn throttle_ramp_slows_rounds_and_replays_bitwise() {
 
 #[test]
 fn drift_timeline_shifts_data_and_replays_bitwise() {
-    let _serial = obs_serial();
     let scenario = ScenarioConfig {
         drift: vec![
             DriftEvent {
@@ -490,7 +479,6 @@ fn traced_scenario_bytes(threads: usize, scenario: ScenarioConfig) -> Vec<u8> {
 
 #[test]
 fn scenario_traces_are_byte_identical_across_widths() {
-    let _serial = obs_serial();
     let reference = traced_scenario_bytes(1, combined_scenario());
     assert!(!reference.is_empty());
     for threads in &WIDTHS[1..] {
@@ -560,7 +548,6 @@ fn straggler_skip_mass(scenario: ScenarioConfig) -> (u64, usize) {
 /// accumulate faster.
 #[test]
 fn throttle_ramp_raises_straggler_skip_mass() {
-    let _serial = obs_serial();
     let (baseline, _) = straggler_skip_mass(ScenarioConfig::default());
     let (throttled, stragglers) = straggler_skip_mass(ScenarioConfig {
         throttle: vec![fleet_throttle_ramp()],
@@ -579,7 +566,6 @@ fn throttle_ramp_raises_straggler_skip_mass() {
 /// ever starved of participants.
 #[test]
 fn helios_beats_sync_under_churn_throttle_and_drift() {
-    let _serial = obs_serial();
     let churn = |cycle, action, device| ChurnEvent {
         cycle,
         action,
@@ -621,7 +607,6 @@ fn helios_beats_sync_under_churn_throttle_and_drift() {
 
 #[test]
 fn empty_scenario_is_bitwise_inert_and_emits_no_events() {
-    let _serial = obs_serial();
     let mut env = lazy_env(
         4,
         37,
@@ -667,7 +652,6 @@ proptest! {
             0..16,
         ),
     ) {
-        let _serial = obs_serial();
         let mut cycle = 0usize;
         let mut population = initial;
         let mut offline: BTreeSet<usize> = BTreeSet::new();

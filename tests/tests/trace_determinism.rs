@@ -3,15 +3,16 @@
 //! width, pinned by content digest, and every frame-level fault event
 //! is eventually settled by a terminal outcome.
 //!
-//! The obs bus is process-global, so every test in this binary holds
-//! [`obs_serial`]'s lock for its full body — a sink installed by one test must
-//! never observe another test's run.
+//! The obs bus belongs to the thread that drives a run, so the tests in
+//! this binary trace concurrently without a lock — and one of them pins
+//! exactly that: two threads tracing at once each get the reference
+//! trace.
 
 use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
 use helios_fl::{FaultConfig, FlConfig, FlEnv, LinkProfile, NetConfig, Strategy};
-use helios_integration::{obs_serial, SharedBuf};
+use helios_integration::SharedBuf;
 use helios_net::transport::Direction;
 use helios_net::{codec, SimTransport};
 use helios_nn::models::ModelKind;
@@ -71,17 +72,44 @@ fn make_env(seed: u64, threads: usize, net: NetConfig) -> FlEnv {
 }
 
 /// Runs the lossy reference workload at `threads` and returns the raw
-/// JSONL trace bytes.
-fn traced_run_bytes(threads: usize) -> Vec<u8> {
+/// JSONL trace bytes. `sync` is called once the sink is installed and
+/// again before it is detached.
+fn traced_run_bytes_with(threads: usize, sync: impl Fn()) -> Vec<u8> {
     let buf = SharedBuf::default();
     let sink = helios_obs::JsonlSink::new(Box::new(buf.clone()));
     let handle = helios_obs::install(Box::new(sink));
+    sync();
     let mut env = make_env(SEED, threads, lossy_net());
-    HeliosStrategy::new(HeliosConfig::default())
-        .run(&mut env, CYCLES)
-        .expect("helios run");
+    let run = HeliosStrategy::new(HeliosConfig::default()).run(&mut env, CYCLES);
+    sync();
     drop(handle); // detach + flush
+    run.expect("helios run");
     buf.take()
+}
+
+fn traced_run_bytes(threads: usize) -> Vec<u8> {
+    traced_run_bytes_with(threads, || {})
+}
+
+/// A trace is its run's alone: two threads tracing the reference
+/// workload at the same time — the barrier holds both sinks installed
+/// for the whole of both runs — each record the pinned byte stream.
+#[test]
+fn concurrent_runs_each_record_the_pinned_trace() {
+    let both = std::sync::Barrier::new(2);
+    let digests = std::thread::scope(|scope| {
+        let runs = [1usize, 2].map(|threads| {
+            let both = &both;
+            scope.spawn(move || {
+                let bytes = traced_run_bytes_with(threads, || {
+                    both.wait();
+                });
+                helios_obs::content_digest(&bytes)
+            })
+        });
+        runs.map(|run| run.join().expect("traced run"))
+    });
+    assert_eq!(digests, [PINNED_TRACE_DIGEST; 2]);
 }
 
 /// The tentpole guarantee: byte-identical JSONL at 1/2/4/8 threads,
@@ -89,7 +117,6 @@ fn traced_run_bytes(threads: usize) -> Vec<u8> {
 /// cannot slip through.
 #[test]
 fn lossy_trace_is_byte_identical_across_thread_widths() {
-    let _serial = obs_serial();
     let reference = traced_run_bytes(1);
     assert!(!reference.is_empty(), "traced run must emit events");
     for threads in [2usize, 4, 8] {
@@ -122,7 +149,6 @@ fn lossy_trace_is_byte_identical_across_thread_widths() {
 /// and one named track per device.
 #[test]
 fn chrome_export_is_valid_json_with_device_tracks() {
-    let _serial = obs_serial();
     let ring = RingBufferSink::with_capacity(1 << 20);
     let handle = helios_obs::install(Box::new(ring.clone()));
     let mut env = make_env(SEED, 2, lossy_net());
@@ -172,7 +198,6 @@ proptest! {
         max_retries in 0u32..4,
         frames in 1usize..6,
     ) {
-        let _serial = obs_serial();
         let cfg = NetConfig {
             enabled: true,
             link: LinkProfile::constrained(1e6, 0.01),
