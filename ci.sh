@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the Helios workspace: formatting, lints (including an
 # unwrap/expect deny gate for the typed-error crates), first-party line
-# counts, a no-shared-statics gate, docs, release build, tests, and the
-# repository benchmark package (benchmark/) built, tested and smoke-run.
+# counts, a no-shared-statics gate, a single-thread-scope gate, docs,
+# release build, tests, and the repository benchmark package
+# (benchmark/) built, tested and smoke-run.
 # Takes no arguments.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -52,6 +53,21 @@ find crates/*/src tests -name '*.rs' -print0 | sort -z |
             bad = 1
         }
         END { exit bad }'
+
+step "one thread::scope (non-test code of crates/*/src: tensor/src/parallel.rs only)"
+# Every fan-out rides on the private `fan_out` core, whose join folds
+# worker counters into the caller; a second scope would spawn threads
+# whose counts never reach the thread that drives the run.
+scopes=$(find crates/*/src -name '*.rs' -print0 | sort -z |
+    xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && /thread::scope\(/ { printf "%s:%d\n", FILENAME, FNR }')
+echo "$scopes"
+if [ "$(echo "$scopes" | grep -c .)" -ne 1 ] || [[ "$scopes" != crates/tensor/src/parallel.rs:* ]]; then
+    echo "expected exactly one thread::scope, in crates/tensor/src/parallel.rs" >&2
+    exit 1
+fi
 
 step "cargo doc (warnings are errors)"
 # Scoped to first-party crates: the vendored deps are workspace members

@@ -1,13 +1,15 @@
 //! Scoped-thread parallel execution engine for the tensor kernels.
 //!
 //! Everything here is std-only (`std::thread::scope` + `split_at_mut`)
-//! and safe: output buffers are partitioned into disjoint per-thread
-//! chunks along an "item" axis (rows for matmul, batch entries for the
-//! convolution relayouts, `N*C` planes for pooling), and every element
-//! is computed by exactly one thread in exactly the order the serial
-//! loop would use. That structural property is what makes parallel
-//! results **bitwise identical** to serial ones — no atomics, no
-//! reductions across threads, no reordered float accumulation.
+//! and safe. Kernel fronts partition output buffers into disjoint
+//! contiguous chunks along an "item" axis (rows for matmul, batch
+//! entries for the convolution relayouts, `N*C` planes for pooling);
+//! client fan-outs hand each worker the next unclaimed item. Either way
+//! every result is computed by exactly one thread in exactly the order
+//! the serial loop would use and lands at its item's index. That
+//! structural property is what makes parallel results **bitwise
+//! identical** to serial ones — no reductions across threads, no
+//! reordered float accumulation.
 //!
 //! The thread count is ambient: kernels consult [`current_threads`],
 //! which reads a thread-local override installed by
@@ -21,6 +23,7 @@
 use crate::instrument;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
+use std::sync::{Mutex, PoisonError};
 
 /// How many worker threads the tensor kernels and FL client rounds may
 /// use.
@@ -240,15 +243,15 @@ pub fn for_each_block2<A, B, F>(
     fan_out(a, a_len, b, b_len, per_worker, f);
 }
 
-/// Runs one closure per item of `out` on worker threads, writing each
-/// item's result into its slot. Used for coarse-grained fan-out (FL
-/// clients training in parallel): item order in `out` matches input
-/// order regardless of which worker ran which item. `threads` is the
-/// *total* budget — it caps the fan-out width, and any surplus per
-/// worker is granted to that worker's kernels: `threads = 1` is fully
-/// serial, `threads = 8` over 2 items is 2 workers running 4-thread
-/// kernels. Results are bitwise identical for every budget because the
-/// kernels themselves are deterministic at any width.
+/// Runs one closure per index `0..count` on worker threads, claim-next
+/// as in [`map_items_mut`], and returns the results in index order. Used
+/// for coarse-grained fan-out (FL clients, route encode/decode, lazy
+/// materialization). `threads` is the *total* budget — it caps the
+/// fan-out width, and any surplus per worker is granted to that worker's
+/// kernels: `threads = 1` is fully serial, `threads = 8` over 2 items is
+/// 2 workers running 4-thread kernels. Results are bitwise identical for
+/// every budget because the kernels themselves are deterministic at any
+/// width.
 pub fn map_indexed<T, F>(count: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -259,9 +262,11 @@ where
 
 /// Like [`map_indexed`], but each closure call also receives exclusive
 /// mutable access to its item of `items` — the primitive behind the FL
-/// layer's parallel client rounds, where item `i` is client `i` and the
-/// closure runs its local training. Output order matches item order and
-/// the thread budget is split exactly as in [`map_indexed`].
+/// layer's parallel client rounds. Each of `width` workers loops: claim
+/// the next `(i, item, slot)` under a call-local lock, release it, and
+/// write `f(i, item)` into slot `i`. Items are claimed in order, so a
+/// caller that sorts costliest first gets longest-first scheduling;
+/// output order is item order regardless.
 pub fn map_items_mut<T, U, F>(items: &mut [T], threads: usize, f: F) -> Vec<U>
 where
     T: Send,
@@ -275,20 +280,18 @@ where
     // only get the budget left after the fan-out, so nested kernels
     // never oversubscribe.
     let per_worker = ParallelismConfig::with_threads(budget / width);
-    let per_worker_items = items.len().div_ceil(width);
-    fan_out(
-        &mut out,
-        1,
-        items,
-        1,
-        per_worker_items,
-        |first, slots, items| {
-            let _guard = per_worker.scoped();
-            for (off, (slot, item)) in slots.iter_mut().zip(items).enumerate() {
-                *slot = Some(f(first + off, item));
-            }
-        },
-    );
+    let queue = Mutex::new(items.iter_mut().zip(out.iter_mut()).enumerate());
+    // One block per worker; the blocks carry nothing but the fan-out.
+    fan_out(&mut vec![(); width], 1, &mut [(); 0], 0, 1, |_, _, _| {
+        let _guard = per_worker.scoped();
+        loop {
+            // The guard is a temporary, released before `f` runs; nothing
+            // can panic while it is held, so the lock is never poisoned.
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, (item, slot))) = next else { break };
+            *slot = Some(f(i, item));
+        }
+    });
     out.into_iter()
         .map(|slot| slot.expect("every item filled"))
         .collect()
@@ -392,6 +395,53 @@ mod tests {
         }
         let mut empty: Vec<usize> = Vec::new();
         assert!(map_items_mut(&mut empty, 4, |_, _| 0).is_empty());
+    }
+
+    #[test]
+    fn map_items_mut_hands_the_next_item_to_an_idle_worker() {
+        // Items 0 and 1 can only finish together: each waits for the
+        // other. A fixed contiguous share would put both on one worker
+        // and time out; claim-next gives them one worker each.
+        let arrived = (Mutex::new([false; 2]), std::sync::Condvar::new());
+        let mut items = [0, 1, 2, 3];
+        let met = map_items_mut(&mut items, 2, |i, _| {
+            if i > 1 {
+                return true;
+            }
+            let (lock, cvar) = &arrived;
+            let mut seen = lock.lock().unwrap();
+            seen[i] = true;
+            cvar.notify_all();
+            let wait = std::time::Duration::from_secs(5);
+            let (_seen, timeout) = cvar.wait_timeout_while(seen, wait, |s| !s[1 - i]).unwrap();
+            !timeout.timed_out()
+        });
+        assert_eq!(met, [true; 4]);
+    }
+
+    #[test]
+    fn skewed_costs_keep_item_order_and_the_first_error() {
+        // Early items are the slow ones, so later items finish first.
+        let nap =
+            |i: usize| std::thread::sleep(std::time::Duration::from_millis(8 * (6 - i as u64)));
+        for threads in [1, 2, 3, 8] {
+            let mut items: Vec<usize> = (0..6).collect();
+            let out = map_items_mut(&mut items, threads, |i, v| {
+                nap(i);
+                *v * 10
+            });
+            assert_eq!(out, [0, 10, 20, 30, 40, 50], "threads={threads}");
+            let results = map_items_mut(&mut items, threads, |i, _| {
+                nap(i);
+                if i % 2 == 1 {
+                    Err(i)
+                } else {
+                    Ok(i)
+                }
+            });
+            let first: Result<Vec<usize>, usize> = results.into_iter().collect();
+            assert_eq!(first, Err(1), "threads={threads}");
+        }
     }
 
     #[test]

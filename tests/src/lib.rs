@@ -2,6 +2,7 @@
 //! helpers those tests share.
 
 use helios_fl::FlEnv;
+use helios_nn::{ModelMask, Network};
 use helios_tensor::{ParallelismConfig, Tensor};
 use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -13,6 +14,17 @@ pub const THREAD_WIDTHS: [usize; 4] = [1, 2, 4, 8];
 pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     let _guard = ParallelismConfig::with_threads(n).scoped();
     f()
+}
+
+/// First-⌈keep·n⌉-units-active mask over every maskable layer.
+pub fn leading_units_mask(net: &mut Network, keep: f64) -> ModelMask {
+    let units = net.maskable_units();
+    let mut mask = ModelMask::all_active(&units);
+    for (i, &n) in units.0.iter().enumerate() {
+        let k = ((keep * n as f64).ceil() as usize).clamp(1, n);
+        mask.set_layer(i, Some((0..n).map(|j| j < k).collect()));
+    }
+    mask
 }
 
 /// Bit patterns of a parameter vector, for exact comparison with a

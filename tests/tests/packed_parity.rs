@@ -12,7 +12,7 @@
 //! (`Network::set_packed_execution`, default packed), so each test
 //! flips it on its own clones.
 
-use helios_integration::with_threads;
+use helios_integration::{leading_units_mask, with_threads};
 use helios_nn::{
     models, Conv2d, CrossEntropyLoss, Dense, Flatten, Layer, MaxPool2d, ModelMask, Network, Relu,
     Sgd,
@@ -96,17 +96,6 @@ fn assert_packed_parity(
     assert_eq!(got_packed.1, got_zeroing.1, "loss bits diverged");
     assert_eq!(got_packed.2, got_zeroing.2, "parameter bits diverged");
     (packed_flops, zeroing_flops)
-}
-
-/// First-⌈keep·n⌉-units-active mask over every maskable layer.
-fn leading_units_mask(net: &mut Network, keep: f64) -> ModelMask {
-    let units = net.maskable_units();
-    let mut mask = ModelMask::all_active(&units);
-    for (i, &n) in units.0.iter().enumerate() {
-        let k = ((keep * n as f64).ceil() as usize).clamp(1, n);
-        mask.set_layer(i, Some((0..n).map(|j| j < k).collect()));
-    }
-    mask
 }
 
 proptest! {

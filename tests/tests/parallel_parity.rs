@@ -10,7 +10,7 @@ use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
 use helios_fl::{FlConfig, FlEnv, RandomPartial, Strategy, SyncFedAvg};
-use helios_integration::{assert_bitwise, with_threads, THREAD_WIDTHS};
+use helios_integration::{assert_bitwise, bits, leading_units_mask, with_threads, THREAD_WIDTHS};
 use helios_nn::models::ModelKind;
 use helios_tensor::{
     avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward, max_pool2d, max_pool2d_backward,
@@ -139,8 +139,14 @@ fn pooling_parity_across_shapes_and_threads() {
 /// Builds the standard two-client mixed fleet with an explicit thread
 /// budget in its config.
 fn env_with_threads(seed: u64, threads: usize) -> FlEnv {
+    fleet_env(seed, 1, threads)
+}
+
+/// An up-front mixed fleet of `per_class` capable devices followed by
+/// `per_class` stragglers, with an explicit thread budget.
+fn fleet_env(seed: u64, per_class: usize, threads: usize) -> FlEnv {
     let mut rng = TensorRng::seed_from(seed);
-    let clients = 2;
+    let clients = 2 * per_class;
     let (train, test) = SyntheticVision::mnist_like()
         .generate(30 * clients, 30, &mut rng)
         .expect("generate");
@@ -150,7 +156,7 @@ fn env_with_threads(seed: u64, threads: usize) -> FlEnv {
         .collect();
     FlEnv::new(
         ModelKind::LeNet,
-        presets::mixed_fleet(1, 1),
+        presets::mixed_fleet(per_class, per_class),
         shards,
         test,
         FlConfig {
@@ -213,6 +219,81 @@ fn helios_round_parity() {
             .expect("parallel run");
         assert_eq!(serial.records(), metrics.records(), "threads={threads}");
         assert_global_bitwise(&serial_env, &env, &format!("helios threads={threads}"));
+    }
+}
+
+/// Installs a first-`keep`-fraction-of-units mask on `client`.
+fn mask_leading_units(env: &mut FlEnv, client: usize, keep: f64) {
+    let c = env.client_mut(client).expect("client");
+    let mask = leading_units_mask(c.network_mut(), keep);
+    c.set_masks(Some(mask)).expect("mask");
+}
+
+/// `train_selected` schedules costliest clients first; that must not
+/// show. Full and masked clients listed in shuffled order come back in
+/// that order, bitwise equal to the one-thread result, at every width.
+#[test]
+fn train_selected_returns_participant_order_over_a_mixed_cost_cohort() {
+    let participants = [3, 0, 5, 2, 4, 1];
+    let train = |threads: usize| {
+        let mut env = fleet_env(205, 3, threads);
+        env.broadcast_global(0).expect("broadcast");
+        mask_leading_units(&mut env, 1, 0.25);
+        mask_leading_units(&mut env, 4, 0.5);
+        env.train_selected(&participants).expect("train")
+    };
+    let serial = train(1);
+    assert!(serial[5].param_mask.is_some(), "client 1 trained masked");
+    for threads in THREAD_WIDTHS {
+        let updates = train(threads);
+        let order: Vec<usize> = updates.iter().map(|u| u.client).collect();
+        assert_eq!(order, participants, "threads={threads}");
+        for (s, p) in serial.iter().zip(updates) {
+            let what = format!("client {} threads={threads}", s.client);
+            assert_eq!(bits(&s.params), bits(&p.params), "{what}: params");
+            assert_eq!(s.param_mask, p.param_mask, "{what}: mask");
+            assert_eq!(
+                s.train_loss.to_bits(),
+                p.train_loss.to_bits(),
+                "{what}: loss"
+            );
+            assert_eq!(
+                s.keep_ratio.to_bits(),
+                p.keep_ratio.to_bits(),
+                "{what}: keep"
+            );
+        }
+    }
+}
+
+/// A failing cohort reports its lowest-id failure at every width, even
+/// though the costliest client is scheduled first. Joined clients 2 and
+/// 3 both hold shards with the wrong channel count (two and three);
+/// client 2 is masked, so it is predicted cheaper and runs last.
+#[test]
+fn train_selected_reports_the_lowest_id_error_whatever_the_schedule() {
+    let train = |threads: usize, participants: &[usize]| {
+        let mut env = env_with_threads(206, threads);
+        for channels in [2, 3] {
+            let spec = SyntheticVision {
+                channels,
+                ..SyntheticVision::mnist_like()
+            };
+            let mut rng = TensorRng::seed_from(channels as u64);
+            let shard = spec.generate(8, 1, &mut rng).expect("generate").0;
+            let profile = env.client(0).expect("client").profile().clone();
+            env.join_client(profile, shard).expect("join");
+        }
+        mask_leading_units(&mut env, 2, 0.25);
+        match env.train_selected(participants) {
+            Ok(_) => panic!("threads={threads}: a bad shard trained"),
+            Err(e) => e.to_string(),
+        }
+    };
+    let (client2, client3) = (train(1, &[2]), train(1, &[3]));
+    assert_ne!(client2, client3, "the two failures are distinguishable");
+    for threads in THREAD_WIDTHS {
+        assert_eq!(train(threads, &[3, 2, 1, 0]), client2, "threads={threads}");
     }
 }
 
