@@ -11,7 +11,6 @@ use helios_net::SimTransport;
 use helios_nn::models::ModelKind;
 use helios_nn::{CrossEntropyLoss, Network};
 use helios_tensor::{map_items_mut, TensorRng};
-use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 
 /// The full experimental setup: a fleet of [`Client`]s, the held-out test
@@ -388,10 +387,10 @@ impl FlEnv {
     /// returns the updates **in `participants` order** (the aggregation
     /// order every policy relies on).
     ///
-    /// The fan-out width is capped by [`FlConfig::parallelism`], workers
-    /// take clients costliest first by [`Client::cycle_workload`], and
-    /// surplus budget flows to the tensor kernels inside each worker. Because
-    /// every kernel is bitwise deterministic at any thread width and the
+    /// The fan-out width is capped by [`FlConfig::parallelism`], an idle
+    /// worker claims the next client in id order, and surplus budget
+    /// flows to the tensor kernels inside each worker. Because every
+    /// kernel is bitwise deterministic at any thread width and the
     /// returned updates preserve participant order, the result is
     /// identical to calling [`Client::train_local`] serially —
     /// strategies may aggregate it without any reordering concerns.
@@ -418,14 +417,10 @@ impl FlEnv {
         let threads = self.config.parallelism.resolve();
         let residents = self.store.iter_mut();
         let mut selected: Vec<_> = residents.filter(|c| wanted.contains(&c.id())).collect();
-        // Longest predicted host work (the installed mask's flops times
-        // the step count) first; non-negative `f64` bits order as values.
-        selected.sort_by_cached_key(|c| (Reverse(c.cycle_workload().flops.to_bits()), c.id()));
-        let mut results = map_items_mut(&mut selected, threads, |_, c| (c.id(), c.train_local()));
-        // Errors surface in client-id order, as in the serial loops.
-        results.sort_unstable_by_key(|&(id, _)| id);
-        let mut by_client: HashMap<usize, LocalUpdate> = HashMap::with_capacity(results.len());
-        for (_, r) in results {
+        // The fan-out returns results in client-id order; errors surface
+        // in that order too, matching the historical serial loops.
+        let mut by_client: HashMap<usize, LocalUpdate> = HashMap::with_capacity(selected.len());
+        for r in map_items_mut(&mut selected, threads, |_, c| c.train_local()) {
             let u = r?;
             by_client.insert(u.client, u);
         }

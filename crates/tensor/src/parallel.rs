@@ -264,9 +264,9 @@ where
 /// mutable access to its item of `items` — the primitive behind the FL
 /// layer's parallel client rounds. Each of `width` workers loops: claim
 /// the next `(i, item, slot)` under a call-local lock, release it, and
-/// write `f(i, item)` into slot `i`. Items are claimed in order, so a
-/// caller that sorts costliest first gets longest-first scheduling;
-/// output order is item order regardless.
+/// write `f(i, item)` into slot `i`. An idle worker never waits while
+/// an item is unclaimed, and output order is item order regardless of
+/// which worker ran which item.
 pub fn map_items_mut<T, U, F>(items: &mut [T], threads: usize, f: F) -> Vec<U>
 where
     T: Send,
@@ -387,6 +387,8 @@ mod tests {
         for threads in [1, 2, 5, 16] {
             let mut items: Vec<usize> = (0..9).collect();
             let out = map_items_mut(&mut items, threads, |i, v| {
+                // Early items are the slow ones, so later items finish first.
+                std::thread::sleep(std::time::Duration::from_millis(2 * (9 - i as u64)));
                 *v += 100;
                 i * 10
             });
@@ -417,31 +419,6 @@ mod tests {
             !timeout.timed_out()
         });
         assert_eq!(met, [true; 4]);
-    }
-
-    #[test]
-    fn skewed_costs_keep_item_order_and_the_first_error() {
-        // Early items are the slow ones, so later items finish first.
-        let nap =
-            |i: usize| std::thread::sleep(std::time::Duration::from_millis(8 * (6 - i as u64)));
-        for threads in [1, 2, 3, 8] {
-            let mut items: Vec<usize> = (0..6).collect();
-            let out = map_items_mut(&mut items, threads, |i, v| {
-                nap(i);
-                *v * 10
-            });
-            assert_eq!(out, [0, 10, 20, 30, 40, 50], "threads={threads}");
-            let results = map_items_mut(&mut items, threads, |i, _| {
-                nap(i);
-                if i % 2 == 1 {
-                    Err(i)
-                } else {
-                    Ok(i)
-                }
-            });
-            let first: Result<Vec<usize>, usize> = results.into_iter().collect();
-            assert_eq!(first, Err(1), "threads={threads}");
-        }
     }
 
     #[test]

@@ -136,14 +136,8 @@ fn pooling_parity_across_shapes_and_threads() {
     }
 }
 
-/// Builds the standard two-client mixed fleet with an explicit thread
-/// budget in its config.
-fn env_with_threads(seed: u64, threads: usize) -> FlEnv {
-    fleet_env(seed, 1, threads)
-}
-
 /// An up-front mixed fleet of `per_class` capable devices followed by
-/// `per_class` stragglers, with an explicit thread budget.
+/// `per_class` stragglers, with an explicit thread budget in its config.
 fn fleet_env(seed: u64, per_class: usize, threads: usize) -> FlEnv {
     let mut rng = TensorRng::seed_from(seed);
     let clients = 2 * per_class;
@@ -177,12 +171,12 @@ fn assert_global_bitwise(a: &FlEnv, b: &FlEnv, what: &str) {
 
 #[test]
 fn sync_fedavg_round_parity() {
-    let mut serial_env = env_with_threads(201, 1);
+    let mut serial_env = fleet_env(201, 1, 1);
     let serial = SyncFedAvg::new()
         .run(&mut serial_env, 2)
         .expect("serial run");
     for threads in WIDTHS {
-        let mut env = env_with_threads(201, threads);
+        let mut env = fleet_env(201, 1, threads);
         let metrics = SyncFedAvg::new().run(&mut env, 2).expect("parallel run");
         assert_eq!(serial.records(), metrics.records(), "threads={threads}");
         assert_global_bitwise(&serial_env, &env, &format!("sync threads={threads}"));
@@ -192,12 +186,12 @@ fn sync_fedavg_round_parity() {
 #[test]
 fn random_partial_round_parity() {
     let ratios = vec![None, Some(0.4)];
-    let mut serial_env = env_with_threads(202, 1);
+    let mut serial_env = fleet_env(202, 1, 1);
     let serial = RandomPartial::new(ratios.clone())
         .run(&mut serial_env, 2)
         .expect("serial run");
     for threads in WIDTHS {
-        let mut env = env_with_threads(202, threads);
+        let mut env = fleet_env(202, 1, threads);
         let metrics = RandomPartial::new(ratios.clone())
             .run(&mut env, 2)
             .expect("parallel run");
@@ -208,12 +202,12 @@ fn random_partial_round_parity() {
 
 #[test]
 fn helios_round_parity() {
-    let mut serial_env = env_with_threads(203, 1);
+    let mut serial_env = fleet_env(203, 1, 1);
     let serial = HeliosStrategy::new(HeliosConfig::default())
         .run(&mut serial_env, 2)
         .expect("serial run");
     for threads in WIDTHS {
-        let mut env = env_with_threads(203, threads);
+        let mut env = fleet_env(203, 1, threads);
         let metrics = HeliosStrategy::new(HeliosConfig::default())
             .run(&mut env, 2)
             .expect("parallel run");
@@ -229,9 +223,9 @@ fn mask_leading_units(env: &mut FlEnv, client: usize, keep: f64) {
     c.set_masks(Some(mask)).expect("mask");
 }
 
-/// `train_selected` schedules costliest clients first; that must not
-/// show. Full and masked clients listed in shuffled order come back in
-/// that order, bitwise equal to the one-thread result, at every width.
+/// Which worker claims which client must not show. Full and masked
+/// clients listed in shuffled order come back in that order, bitwise
+/// equal to the one-thread result, at every width.
 #[test]
 fn train_selected_returns_participant_order_over_a_mixed_cost_cohort() {
     let participants = [3, 0, 5, 2, 4, 1];
@@ -266,14 +260,14 @@ fn train_selected_returns_participant_order_over_a_mixed_cost_cohort() {
     }
 }
 
-/// A failing cohort reports its lowest-id failure at every width, even
-/// though the costliest client is scheduled first. Joined clients 2 and
-/// 3 both hold shards with the wrong channel count (two and three);
-/// client 2 is masked, so it is predicted cheaper and runs last.
+/// A failing cohort reports its lowest-id failure at every width,
+/// whichever worker fails first. Joined clients 2 and 3 both hold
+/// shards with the wrong channel count (two and three); client 2 is
+/// masked, so a schedule by cost would run it last.
 #[test]
 fn train_selected_reports_the_lowest_id_error_whatever_the_schedule() {
     let train = |threads: usize, participants: &[usize]| {
-        let mut env = env_with_threads(206, threads);
+        let mut env = fleet_env(206, 1, threads);
         for channels in [2, 3] {
             let spec = SyntheticVision {
                 channels,
@@ -302,7 +296,7 @@ fn train_selected_reports_the_lowest_id_error_whatever_the_schedule() {
 /// width, while a sibling thread runs kernels of its own throughout.
 #[test]
 fn flop_counts_are_exact_at_every_width_beside_a_busy_thread() {
-    let mut envs = THREAD_WIDTHS.map(|threads| env_with_threads(204, threads));
+    let mut envs = THREAD_WIDTHS.map(|threads| fleet_env(204, 1, threads));
     let stop = AtomicBool::new(false);
     let busy = std::sync::Barrier::new(2);
     let runs = std::thread::scope(|scope| {
