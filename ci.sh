@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate for the Helios workspace: formatting, lints (including an
 # unwrap/expect deny gate for the typed-error crates), first-party line
-# counts, a no-shared-statics gate, a single-thread-scope gate, docs,
-# release build, tests, and the repository benchmark package
-# (benchmark/) built, tested and smoke-run.
+# counts, a no-shared-statics gate, a single-thread-scope gate, a
+# one-mask-type gate, docs, release build, tests, and the repository
+# benchmark package (benchmark/) built, tested and smoke-run.
 # Takes no arguments.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -68,6 +68,22 @@ if [ "$(echo "$scopes" | grep -c .)" -ne 1 ] || [[ "$scopes" != crates/tensor/sr
     echo "expected exactly one thread::scope, in crates/tensor/src/parallel.rs" >&2
     exit 1
 fi
+
+step "one mask type (non-test code of crates/*/src: no Vec<bool> or [bool])"
+# Unit and parameter masks are `UnitMask` bit-words from soft-training
+# selection to aggregation, stored the way the wire stores them. The two
+# ReLU activation-sign caches are per activation, not per unit, and are
+# allowed by name.
+find crates/*/src -name '*.rs' -print0 | sort -z |
+    xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && /(Vec<bool>|\[bool\])/ &&
+            !/^ *(cached_positive|cached_sum_positive): Option<Vec<bool>>,$/ {
+            printf "%s:%d: %s\n", FILENAME, FNR, $0
+            bad = 1
+        }
+        END { exit bad }'
 
 step "cargo doc (warnings are errors)"
 # Scoped to first-party crates: the vendored deps are workspace members

@@ -7,7 +7,8 @@ use helios_device::{CostModel, ResourceProfile, SimTime, TrainingWorkload};
 use helios_net::{CompressionConfig, WireSize};
 use helios_nn::{CrossEntropyLoss, ModelMask, Network, NetworkCost, Sgd};
 use helios_scenario::DriftKind;
-use helios_tensor::TensorRng;
+use helios_tensor::{TensorRng, UnitMask};
+use std::sync::OnceLock;
 
 /// Global gradient-norm clip applied by every client's optimizer —
 /// protection against divergence on hard (heavily Non-IID) shards; large
@@ -27,10 +28,11 @@ pub struct LocalUpdate {
     pub client: usize,
     /// The client's full flat parameter vector after local training.
     pub params: Vec<f32>,
-    /// Parameter-level activity mask (`None` = every parameter trained).
-    /// Masked-out entries still hold the pre-training global values and
-    /// must not be averaged in.
-    pub param_mask: Option<Vec<bool>>,
+    /// Parameter-level activity mask (`None` = every parameter trained)
+    /// as the LSB-first `u64` words of a [`UnitMask`] of `params.len()`
+    /// bits — the wire codec's bitset layout. Masked-out entries still
+    /// hold the pre-training global values and must not be averaged in.
+    pub param_mask: Option<Vec<u64>>,
     /// Mean training loss over the cycle's batches.
     pub train_loss: f32,
     /// Number of local samples (FedAvg weighting).
@@ -61,6 +63,9 @@ pub struct Client {
     memory_scale: f64,
     rng: TensorRng,
     current_mask: Option<ModelMask>,
+    /// `current_mask` expanded to the flat parameter vector, derived on
+    /// first read after each install (see [`Client::param_mask`]).
+    param_mask: OnceLock<UnitMask>,
     last_based_on: usize,
     /// Scenario-engine battery/thermal scale applied to the profile's
     /// compute bandwidth when deriving cycle times; `1.0` (the default)
@@ -114,6 +119,7 @@ impl Client {
             memory_scale: DEFAULT_MEMORY_SCALE,
             rng,
             current_mask: None,
+            param_mask: OnceLock::new(),
             last_based_on: 0,
             compute_scale: 1.0,
             drift_applied: 0,
@@ -176,6 +182,7 @@ impl Client {
             Some(m) => self.net.set_masks(m)?,
             None => self.net.clear_masks(),
         }
+        self.param_mask.take();
         self.current_mask = mask;
         Ok(())
     }
@@ -183,6 +190,17 @@ impl Client {
     /// The currently installed mask, if any.
     pub fn current_mask(&self) -> Option<&ModelMask> {
         self.current_mask.as_ref()
+    }
+
+    /// The installed mask expanded to the flat parameter vector, derived
+    /// once per install on first read: a mask that is only costed (as
+    /// the keep-ratio fit's probes are) never pays for it.
+    fn param_mask(&self) -> Option<&UnitMask> {
+        let mask = self.current_mask.as_ref()?;
+        Some(
+            self.param_mask
+                .get_or_init(|| self.net.layout().param_mask(mask)),
+        )
     }
 
     /// Wire size of this client's next upload under the run's
@@ -195,10 +213,7 @@ impl Client {
     /// for the data-dependent delta/top-k layouts — see
     /// `CompressionConfig::upload_wire_size`).
     pub fn upload_wire_size(&self, compression: &CompressionConfig) -> WireSize {
-        let active = self.current_mask.as_ref().map(|m| {
-            let trained = self.net.layout().param_mask(m);
-            trained.iter().filter(|&&b| b).count()
-        });
+        let active = self.param_mask().map(UnitMask::count_ones);
         compression.upload_wire_size(self.net.param_len(), active)
     }
 
@@ -251,10 +266,7 @@ impl Client {
             }
         }
         let params = self.net.param_vector();
-        let param_mask = self
-            .current_mask
-            .as_ref()
-            .map(|m| self.net.layout().param_mask(m));
+        let param_mask = self.param_mask().map(|m| m.words().to_vec());
         let keep_ratio = self.keep_ratio();
         Ok(LocalUpdate {
             client: self.id,
@@ -434,7 +446,8 @@ mod tests {
         assert!((c.keep_ratio() - 0.5).abs() < 0.1);
         let u = c.train_local().unwrap();
         let pm = u.param_mask.expect("masked training reports a mask");
-        assert!(pm.iter().any(|&b| !b));
+        let pm = UnitMask::from_words(pm, u.params.len()).unwrap();
+        assert!(!pm.is_full());
         // Clearing masks restores the full cost.
         c.set_masks(None).unwrap();
         assert_eq!(c.cycle_time(), full_time);

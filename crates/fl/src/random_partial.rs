@@ -3,7 +3,7 @@
 
 use crate::{FlEnv, FlError, Result, RoundPolicy, RoutedCycle};
 use helios_nn::{MaskableUnits, ModelMask};
-use helios_tensor::TensorRng;
+use helios_tensor::{TensorRng, UnitMask};
 
 /// Samples a uniform random mask keeping `ceil(keep · n_i)` units of every
 /// maskable layer.
@@ -14,10 +14,9 @@ pub fn random_mask(units: &MaskableUnits, keep: f64, rng: &mut TensorRng) -> Mod
     let mut mask = ModelMask::all_active(units);
     for (i, &n) in units.0.iter().enumerate() {
         let k = ((keep * n as f64).ceil() as usize).clamp(1, n);
-        let chosen = rng.sample_indices(n, k);
-        let mut layer = vec![false; n];
-        for c in chosen {
-            layer[c] = true;
+        let mut layer: UnitMask = std::iter::repeat_n(false, n).collect();
+        for c in rng.sample_indices(n, k) {
+            layer.set(c, true);
         }
         mask.set_layer(i, Some(layer));
     }

@@ -2,6 +2,7 @@
 //! partial-model averaging, and Helios's heterogeneity-weighted rule.
 
 use crate::LocalUpdate;
+use helios_tensor::{mask_bit, mask_population};
 
 /// Bytes exchanged with the server for a set of updates in one cycle
 /// under a [`CompressionConfig`](helios_net::CompressionConfig): each
@@ -18,10 +19,9 @@ pub fn cycle_comm_bytes_with(
         .iter()
         .map(|u| {
             let n = u.params.len();
-            let active = u
-                .param_mask
-                .as_ref()
-                .map(|m| m.iter().filter(|&&b| b).count());
+            let active = u.param_mask.as_ref().map(|m| {
+                mask_population(m, n).unwrap_or_else(|e| panic!("client {}: {e:?}", u.client))
+            });
             let up = if compression.mode == helios_net::CompressionMode::None {
                 active.unwrap_or(n) * 4
             } else {
@@ -38,8 +38,9 @@ pub fn cycle_comm_bytes_with(
 pub struct MaskedUpdate<'a> {
     /// The client's full parameter vector after local training.
     pub params: &'a [f32],
-    /// Which entries actually trained (`None` = all).
-    pub param_mask: Option<&'a [bool]>,
+    /// Which entries actually trained (`None` = all), as the LSB-first
+    /// `u64` words of a `params.len()`-bit [`UnitMask`](helios_tensor::UnitMask).
+    pub param_mask: Option<&'a [u64]>,
     /// Aggregation weight (need not be normalized; normalization happens
     /// per-parameter over the contributors that cover it).
     pub weight: f64,
@@ -66,7 +67,7 @@ pub struct MaskedUpdate<'a> {
 ///
 /// let mut global = vec![0.0f32, 10.0];
 /// let a = [2.0f32, 2.0];
-/// let mask = [true, false];
+/// let mask = [0b01]; // index 0 trained, index 1 not
 /// aggregate(
 ///     &mut global,
 ///     &[MaskedUpdate { params: &a, param_mask: Some(&mask), weight: 1.0 }],
@@ -152,7 +153,7 @@ impl OnlineAggregator {
             n
         );
         if let Some(m) = u.param_mask {
-            assert_eq!(m.len(), n, "mask length mismatch");
+            assert!(mask_population(m, n).is_ok(), "mask does not hold {n} bits");
         }
         assert!(
             u.weight.is_finite() && u.weight >= 0.0,
@@ -166,12 +167,10 @@ impl OnlineAggregator {
                     self.wsum[i] += u.weight;
                 }
             }
-            Some(mask) => {
-                for (i, &covered) in mask.iter().enumerate() {
-                    if covered {
-                        self.acc[i] += u.weight * u.params[i] as f64;
-                        self.wsum[i] += u.weight;
-                    }
+            Some(words) => {
+                for i in (0..n).filter(|&i| mask_bit(words, i)) {
+                    self.acc[i] += u.weight * u.params[i] as f64;
+                    self.wsum[i] += u.weight;
                 }
             }
         }
@@ -199,12 +198,13 @@ impl OnlineAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use helios_tensor::UnitMask;
 
-    fn update(params: Vec<f32>, mask: Option<Vec<bool>>) -> LocalUpdate {
+    fn update(params: Vec<f32>, mask: Option<UnitMask>) -> LocalUpdate {
         LocalUpdate {
             client: 0,
             params,
-            param_mask: mask,
+            param_mask: mask.map(UnitMask::into_words),
             train_loss: 0.0,
             num_samples: 1,
             keep_ratio: 1.0,
@@ -278,7 +278,7 @@ mod tests {
     fn uncovered_indices_keep_global_value() {
         let mut global = vec![7.0f32, 7.0];
         let a = [1.0f32, 99.0];
-        let mask = [true, false];
+        let mask = [0b01];
         aggregate(
             &mut global,
             &[MaskedUpdate {
@@ -295,7 +295,7 @@ mod tests {
         let mut global = vec![0.0f32, 0.0];
         let a = [2.0f32, 2.0];
         let b = [6.0f32, 6.0];
-        let mask_b = [false, true];
+        let mask_b = [0b10];
         aggregate(
             &mut global,
             &[
@@ -348,11 +348,12 @@ mod tests {
             let n = 1 + rng.below(40);
             let mut global: Vec<f32> = (0..n).map(|_| rng.uniform(-2.0, 2.0)).collect();
             let num_updates = rng.below(6);
-            let storage: Vec<(Vec<f32>, Option<Vec<bool>>, f64)> = (0..num_updates)
+            let storage: Vec<(Vec<f32>, Option<Vec<u64>>, f64)> = (0..num_updates)
                 .map(|_| {
                     let params: Vec<f32> = (0..n).map(|_| rng.uniform(-3.0, 3.0)).collect();
                     let mask = if rng.unit_f64() < 0.5 {
-                        Some((0..n).map(|_| rng.unit_f64() < 0.6).collect())
+                        let m: UnitMask = (0..n).map(|_| rng.unit_f64() < 0.6).collect();
+                        Some(m.into_words())
                     } else {
                         None
                     };

@@ -3,7 +3,7 @@
 
 use crate::{HeliosError, Result};
 use helios_nn::{MaskableUnits, ModelMask, NeuronLayout};
-use helios_tensor::TensorRng;
+use helios_tensor::{TensorRng, UnitMask};
 
 /// Per-layer contribution values `U^{ij}` (Eq 1) of a straggler's maskable
 /// neurons: `contributions[i][j]` is the L1 parameter change of unit `j`
@@ -52,10 +52,10 @@ pub fn select_layer_mask(
     top_count: usize,
     forced: &[usize],
     rng: &mut TensorRng,
-) -> Vec<bool> {
+) -> UnitMask {
     let n = contributions.len();
     assert!(k <= n, "cannot keep {k} of {n} units");
-    let mut active = vec![false; n];
+    let mut active: UnitMask = std::iter::repeat_n(false, n).collect();
     let mut chosen = 0usize;
     // 1. Forced rejoins (skip-cycle regulator), capped at k.
     for &f in forced {
@@ -63,8 +63,8 @@ pub fn select_layer_mask(
         if chosen == k {
             break;
         }
-        if !active[f] {
-            active[f] = true;
+        if !active.get(f) {
+            active.set(f, true);
             chosen += 1;
         }
     }
@@ -78,19 +78,19 @@ pub fn select_layer_mask(
     // fill instead, which covers every unit over time.
     if chosen < k && top_count > 0 {
         let mut order: Vec<usize> = (0..n)
-            .filter(|&i| !active[i] && contributions[i] > 0.0)
+            .filter(|&i| !active.get(i) && contributions[i] > 0.0)
             .collect();
         order.sort_by(|&a, &b| contributions[b].total_cmp(&contributions[a]));
         for &i in order.iter().take(top_count.min(k - chosen)) {
-            active[i] = true;
+            active.set(i, true);
             chosen += 1;
         }
     }
     // 3. Random rotation fill from the remainder.
     if chosen < k {
-        let rest: Vec<usize> = (0..n).filter(|&i| !active[i]).collect();
+        let rest: Vec<usize> = (0..n).filter(|&i| !active.get(i)).collect();
         for idx in rng.sample_indices(rest.len(), k - chosen) {
-            active[rest[idx]] = true;
+            active.set(rest[idx], true);
         }
     }
     active
@@ -314,10 +314,10 @@ mod tests {
         let contribs = vec![0.1, 0.9, 0.5, 0.0, 0.8, 0.2];
         // k=3, top 2 by contribution are units 1 and 4; unit 3 forced.
         let mask = select_layer_mask(&contribs, 3, 2, &[3], &mut rng);
-        assert_eq!(mask.iter().filter(|&&b| b).count(), 3);
-        assert!(mask[3], "forced unit must join");
-        assert!(mask[1], "top contributor must join");
-        assert!(mask[4], "second contributor must join");
+        assert_eq!(mask.count_ones(), 3);
+        assert!(mask.get(3), "forced unit must join");
+        assert!(mask.get(1), "top contributor must join");
+        assert!(mask.get(4), "second contributor must join");
     }
 
     #[test]
@@ -326,7 +326,7 @@ mod tests {
         let zeros = vec![0.0f32; 12];
         let a = select_layer_mask(&zeros, 4, 0, &[], &mut rng);
         let b = select_layer_mask(&zeros, 4, 0, &[], &mut rng);
-        assert_eq!(a.iter().filter(|&&x| x).count(), 4);
+        assert_eq!(a.count_ones(), 4);
         assert_ne!(a, b, "pure random selection should rotate");
     }
 
@@ -335,7 +335,7 @@ mod tests {
         let mut rng = TensorRng::seed_from(4);
         let zeros = vec![0.0f32; 5];
         let mask = select_layer_mask(&zeros, 2, 0, &[0, 1, 2, 3], &mut rng);
-        assert_eq!(mask.iter().filter(|&&b| b).count(), 2);
+        assert_eq!(mask.count_ones(), 2);
     }
 
     #[test]
@@ -373,7 +373,7 @@ mod tests {
         // Craft a mask that always skips unit 0 of layer 0.
         let mut skip_first = ModelMask::all_active(&units());
         skip_first.set_layer(0, Some((0..10).map(|j| j != 0).collect()));
-        skip_first.set_layer(1, Some(vec![true; 20]));
+        skip_first.set_layer(1, Some(UnitMask::full(20)));
         // Observe enough cycles to cross the threshold (3).
         for _ in 0..4 {
             t.observe(&skip_first);
@@ -434,9 +434,9 @@ mod tests {
         let mut rng = TensorRng::seed_from(9);
         let contribs = vec![f32::NAN, 5.0, f32::NAN, 1.0, 0.5, f32::NAN];
         let mask = select_layer_mask(&contribs, 2, 2, &[], &mut rng);
-        assert_eq!(mask.iter().filter(|&&b| b).count(), 2);
-        assert!(mask[1], "finite top contributor wins over NaNs");
-        assert!(mask[3], "second finite contributor wins over NaNs");
+        assert_eq!(mask.count_ones(), 2);
+        assert!(mask.get(1), "finite top contributor wins over NaNs");
+        assert!(mask.get(3), "second finite contributor wins over NaNs");
     }
 
     #[test]
@@ -461,9 +461,9 @@ mod tests {
         let mut always_active = [true; 16];
         for _ in 0..40 {
             let mask = select_layer_mask(&zeros, 4, 2, &[], &mut rng);
-            assert_eq!(mask.iter().filter(|&&b| b).count(), 4);
-            for (seen, &b) in always_active.iter_mut().zip(&mask) {
-                *seen &= b;
+            assert_eq!(mask.count_ones(), 4);
+            for (unit, seen) in always_active.iter_mut().enumerate() {
+                *seen &= mask.get(unit);
             }
         }
         assert!(
@@ -482,9 +482,9 @@ mod tests {
         let mut always_active = [true; 16];
         for _ in 0..40 {
             let mask = select_layer_mask(&nans, 4, 2, &[], &mut rng);
-            assert_eq!(mask.iter().filter(|&&b| b).count(), 4);
-            for (seen, &b) in always_active.iter_mut().zip(&mask) {
-                *seen &= b;
+            assert_eq!(mask.count_ones(), 4);
+            for (unit, seen) in always_active.iter_mut().enumerate() {
+                *seen &= mask.get(unit);
             }
         }
         assert!(

@@ -66,18 +66,15 @@ pub fn masked_cycle_time(client: &mut Client, keep: f64) -> Result<SimTime> {
 /// ([`MIN_KEEP_RATIO`]) misses the deadline or memory budget.
 pub fn fitted_keep_ratio(client: &mut Client, deadline: SimTime) -> Result<f64> {
     let fits = |client: &mut Client, keep: f64| -> Result<bool> {
-        let t = masked_cycle_time(client, keep)?;
-        if t > deadline {
-            return Ok(false);
-        }
-        // Memory check uses the same workload scaling as the time model.
+        // One install serves both checks; the memory check uses the same
+        // workload scaling as the time model.
         let saved = client.current_mask().cloned();
         let units = client.network_mut().maskable_units();
         client
             .set_masks(Some(probe_mask(&units, keep)))
             .map_err(HeliosError::from)?;
-        let resident = client.scaled_resident_bytes();
-        let ok = CostModel::fits_memory(client.profile(), resident);
+        let ok = client.cycle_time() <= deadline
+            && CostModel::fits_memory(client.profile(), client.scaled_resident_bytes());
         client.set_masks(saved).map_err(HeliosError::from)?;
         Ok(ok)
     };

@@ -52,6 +52,7 @@
 //! broadcast reconstruct identical bits.
 
 use crate::error::NetError;
+use helios_tensor::{mask_bit, mask_population, MaskWordsError, UnitMask};
 use serde::{Deserialize, Serialize};
 
 /// Magic bytes opening every frame.
@@ -112,14 +113,6 @@ impl CompressionMode {
     /// Whether reconstruction is bit-exact for every update.
     pub fn is_lossless(self) -> bool {
         matches!(self, CompressionMode::None | CompressionMode::Delta)
-    }
-
-    /// The frame version this mode emits on the wire.
-    pub fn frame_version(self) -> u8 {
-        match self {
-            CompressionMode::None => VERSION,
-            _ => VERSION_V2,
-        }
     }
 
     /// Stable lowercase tag used in traces and benchmark artifacts.
@@ -434,7 +427,7 @@ pub enum Payload {
     /// locating them in the full vector (v1).
     Masked {
         /// Per-parameter activity (length = total parameter count).
-        mask: Vec<bool>,
+        mask: UnitMask,
         /// Values of the active parameters, in mask order.
         active: Vec<f32>,
     },
@@ -442,7 +435,7 @@ pub enum Payload {
     /// base (v2, lossless).
     Delta {
         /// Per-parameter changed flag (length = total parameter count).
-        changed: Vec<bool>,
+        changed: UnitMask,
         /// Values of the changed parameters, in bitset order.
         values: Vec<f32>,
     },
@@ -459,14 +452,14 @@ pub enum Payload {
     /// IEEE binary16 quantized deltas against the base (v2, lossy).
     QuantF16 {
         /// Per-parameter activity (length = total parameter count).
-        mask: Vec<bool>,
+        mask: UnitMask,
         /// binary16 bits of `update − base` for the active entries.
         values: Vec<u16>,
     },
     /// int8 quantized deltas with a per-tensor scale (v2, lossy).
     QuantInt8 {
         /// Per-parameter activity (length = total parameter count).
-        mask: Vec<bool>,
+        mask: UnitMask,
         /// Dequantization scale: `delta ≈ q · scale`.
         scale: f32,
         /// Quantized deltas for the active entries.
@@ -475,8 +468,8 @@ pub enum Payload {
 }
 
 /// Checks that a bitset/value pairing agrees: `|values| == popcount`.
-fn check_bitset_pairing(mask: &[bool], values: usize) -> Result<(), NetError> {
-    let counted = mask.iter().filter(|&&b| b).count();
+fn check_bitset_pairing(mask: &UnitMask, values: usize) -> Result<(), NetError> {
+    let counted = mask.count_ones();
     if counted != values {
         return Err(NetError::MaskCountMismatch {
             declared: values,
@@ -531,31 +524,19 @@ impl Frame {
                 check_base(p.len(), base)?;
                 Ok(p)
             }
-            Payload::Masked { mask, active } => {
-                check_base(mask.len(), base)?;
-                check_bitset_pairing(&mask, active.len())?;
-                let mut out = base.to_vec();
-                let mut next = active.iter();
-                for (slot, &on) in out.iter_mut().zip(&mask) {
-                    if on {
-                        if let Some(&v) = next.next() {
-                            *slot = v;
-                        }
-                    }
-                }
-                Ok(out)
+            Payload::Masked {
+                mask: bits,
+                active: values,
             }
-            Payload::Delta { changed, values } => {
-                check_base(changed.len(), base)?;
-                check_bitset_pairing(&changed, values.len())?;
+            | Payload::Delta {
+                changed: bits,
+                values,
+            } => {
+                check_base(bits.len(), base)?;
+                check_bitset_pairing(&bits, values.len())?;
                 let mut out = base.to_vec();
-                let mut next = values.iter();
-                for (slot, &on) in out.iter_mut().zip(&changed) {
-                    if on {
-                        if let Some(&v) = next.next() {
-                            *slot = v;
-                        }
-                    }
+                for (i, v) in bits.iter_ones().zip(values) {
+                    out[i] = v;
                 }
                 Ok(out)
             }
@@ -582,15 +563,10 @@ impl Frame {
                 check_base(mask.len(), base)?;
                 check_bitset_pairing(&mask, values.len())?;
                 let mut out = base.to_vec();
-                let mut next = values.iter();
-                for (slot, &on) in out.iter_mut().zip(&mask) {
-                    if on {
-                        if let Some(&h) = next.next() {
-                            // ±0 delta: keep the base bits untouched.
-                            if h & 0x7fff != 0 {
-                                *slot += f16_bits_to_f32(h);
-                            }
-                        }
+                for (i, h) in mask.iter_ones().zip(values) {
+                    // ±0 delta: keep the base bits untouched.
+                    if h & 0x7fff != 0 {
+                        out[i] += f16_bits_to_f32(h);
                     }
                 }
                 Ok(out)
@@ -608,14 +584,9 @@ impl Frame {
                     });
                 }
                 let mut out = base.to_vec();
-                let mut next = values.iter();
-                for (slot, &on) in out.iter_mut().zip(&mask) {
-                    if on {
-                        if let Some(&q) = next.next() {
-                            if q != 0 {
-                                *slot += f32::from(q) * scale;
-                            }
-                        }
+                for (i, q) in mask.iter_ones().zip(values) {
+                    if q != 0 {
+                        out[i] += f32::from(q) * scale;
                     }
                 }
                 Ok(out)
@@ -663,20 +634,23 @@ fn push_header(buf: &mut Vec<u8>, kind: u8, sender: u32, cycle: u32, n: u32, k: 
     buf.extend_from_slice(&k.to_le_bytes());
 }
 
-/// Packs up to eight flags into one LSB-first bitset byte.
-fn pack_bits(bits: &[bool]) -> u8 {
-    bits.iter()
-        .enumerate()
-        .fold(0, |byte, (bit, &on)| byte | (u8::from(on) << bit))
+/// Validates a parameter mask given as a `UnitMask`'s words for `n`
+/// parameters and returns its population.
+fn checked_population(words: &[u64], n: usize) -> Result<usize, NetError> {
+    mask_population(words, n).map_err(|e| match e {
+        MaskWordsError::WordCount => NetError::MaskLengthMismatch {
+            params: n,
+            mask: words.len(),
+        },
+        MaskWordsError::PaddingSet => NetError::MaskPaddingSet { params: n },
+    })
 }
 
-fn push_bitset(buf: &mut Vec<u8>, bits: &[bool]) {
-    let whole = bits.chunks_exact(8);
-    let tail = whole.remainder();
-    buf.extend(whole.map(pack_bits));
-    if !tail.is_empty() {
-        buf.push(pack_bits(tail));
-    }
+/// Appends the wire bitset of an `n`-bit word mask: the words'
+/// little-endian bytes, cut to ⌈n/8⌉.
+fn push_bitset(buf: &mut Vec<u8>, words: &[u64], n: usize) {
+    let bytes = words.iter().flat_map(|w| w.to_le_bytes());
+    buf.extend(bytes.take(n.div_ceil(8)));
 }
 
 /// Appends `values` as one block of little-endian f32 words.
@@ -709,32 +683,29 @@ pub fn encode_full(sender: u32, cycle: u32, params: &[f32]) -> Result<Vec<u8>, N
 }
 
 /// Encodes a masked update: the activity bitset plus only the active
-/// parameter values.
+/// parameter values. `mask` holds one bit per parameter in LSB-first
+/// `u64` words (a `UnitMask`'s words).
 ///
 /// # Errors
 ///
-/// Returns [`NetError::MaskLengthMismatch`] when `mask` and `params`
-/// disagree, or [`NetError::TooManyParams`] for oversized vectors.
+/// Returns [`NetError::MaskLengthMismatch`] when `mask` is not ⌈n/64⌉
+/// words for `n` parameters, [`NetError::MaskPaddingSet`] when a bit
+/// past the last parameter is set, or [`NetError::TooManyParams`] for
+/// oversized vectors.
 pub fn encode_masked(
     sender: u32,
     cycle: u32,
     params: &[f32],
-    mask: &[bool],
+    mask: &[u64],
 ) -> Result<Vec<u8>, NetError> {
-    if mask.len() != params.len() {
-        return Err(NetError::MaskLengthMismatch {
-            params: params.len(),
-            mask: mask.len(),
-        });
-    }
+    let active = checked_population(mask, params.len())?;
     let n = check_len(params.len())?;
-    let active = mask.iter().filter(|&&b| b).count();
     let k = check_len(active)?;
     let mut buf = Vec::with_capacity(WireSize::masked(params.len(), active).total_bytes());
     push_header(&mut buf, KIND_MASKED, sender, cycle, n, k);
-    push_bitset(&mut buf, mask);
-    for (p, &on) in params.iter().zip(mask) {
-        if on {
+    push_bitset(&mut buf, mask, params.len());
+    for (i, p) in params.iter().enumerate() {
+        if mask_bit(mask, i) {
             buf.extend_from_slice(&p.to_le_bytes());
         }
     }
@@ -853,13 +824,13 @@ fn topk_rank(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
 /// # Errors
 ///
 /// Returns [`NetError::ParamLengthMismatch`] when `base` and `params`
-/// disagree, [`NetError::MaskLengthMismatch`] for a bad mask, or
+/// disagree, the [`encode_masked`] mask errors for a bad mask, or
 /// [`NetError::TooManyParams`] for oversized vectors.
 pub fn encode_quant_f16(
     sender: u32,
     cycle: u32,
     params: &[f32],
-    mask: Option<&[bool]>,
+    mask: Option<&[u64]>,
     base: &[f32],
 ) -> Result<Vec<u8>, NetError> {
     check_base(params.len(), base)?;
@@ -868,11 +839,11 @@ pub fn encode_quant_f16(
     push_header(&mut buf, KIND_QF16, sender, cycle, n, k);
     if let Some(m) = mask {
         if !all {
-            push_bitset(&mut buf, m);
+            push_bitset(&mut buf, m, params.len());
         }
     }
     for (i, (p, b)) in params.iter().zip(base).enumerate() {
-        if mask.is_none_or(|m| m[i]) {
+        if mask.is_none_or(|m| mask_bit(m, i)) {
             // Bit-equal entries encode a zero delta so the receiver keeps
             // the base bits exactly (`inf - inf` would otherwise smuggle
             // a NaN into an unchanged slot).
@@ -900,20 +871,20 @@ pub fn encode_quant_f16(
 /// # Errors
 ///
 /// Returns [`NetError::ParamLengthMismatch`] when `base` and `params`
-/// disagree, [`NetError::MaskLengthMismatch`] for a bad mask, or
+/// disagree, the [`encode_masked`] mask errors for a bad mask, or
 /// [`NetError::TooManyParams`] for oversized vectors.
 pub fn encode_quant_i8(
     sender: u32,
     cycle: u32,
     params: &[f32],
-    mask: Option<&[bool]>,
+    mask: Option<&[u64]>,
     base: &[f32],
 ) -> Result<Vec<u8>, NetError> {
     check_base(params.len(), base)?;
     let (n, k, all) = quant_extent(params.len(), mask)?;
     let mut max_abs = 0.0f32;
     for (i, (p, b)) in params.iter().zip(base).enumerate() {
-        if mask.is_none_or(|m| m[i]) {
+        if mask.is_none_or(|m| mask_bit(m, i)) {
             let d = p - b;
             if d.is_finite() {
                 max_abs = max_abs.max(d.abs());
@@ -925,12 +896,12 @@ pub fn encode_quant_i8(
     push_header(&mut buf, KIND_QI8, sender, cycle, n, k);
     if let Some(m) = mask {
         if !all {
-            push_bitset(&mut buf, m);
+            push_bitset(&mut buf, m, params.len());
         }
     }
     buf.extend_from_slice(&scale.to_le_bytes());
     for (i, (p, b)) in params.iter().zip(base).enumerate() {
-        if mask.is_none_or(|m| m[i]) {
+        if mask.is_none_or(|m| mask_bit(m, i)) {
             let d = p - b;
             let q = if d.is_finite() && scale > 0.0 {
                 (d / scale).round().clamp(-127.0, 127.0) as i8
@@ -945,17 +916,11 @@ pub fn encode_quant_i8(
 
 /// Shared mask bookkeeping for the quantized encoders: validates the
 /// mask length and returns `(n, k, mask_covers_everything)`.
-fn quant_extent(params: usize, mask: Option<&[bool]>) -> Result<(u32, u32, bool), NetError> {
+fn quant_extent(params: usize, mask: Option<&[u64]>) -> Result<(u32, u32, bool), NetError> {
     let n = check_len(params)?;
     match mask {
         Some(m) => {
-            if m.len() != params {
-                return Err(NetError::MaskLengthMismatch {
-                    params,
-                    mask: m.len(),
-                });
-            }
-            let active = m.iter().filter(|&&b| b).count();
+            let active = checked_population(m, params)?;
             Ok((n, check_len(active)?, active == params))
         }
         None => Ok((n, n, true)),
@@ -972,7 +937,7 @@ pub fn encode_update(
     sender: u32,
     cycle: u32,
     params: &[f32],
-    mask: Option<&[bool]>,
+    mask: Option<&[u64]>,
 ) -> Result<Vec<u8>, NetError> {
     match mask {
         Some(m) => encode_masked(sender, cycle, params, m),
@@ -1015,14 +980,9 @@ fn read_f32(bytes: &[u8], offset: usize) -> f32 {
 
 /// Reads an LSB-first bitset of `n` bits starting at `offset` and checks
 /// its population against the declared count `k`. Padding bits in the
-/// last byte are ignored.
-fn read_bitset(bytes: &[u8], offset: usize, n: usize, k: usize) -> Result<Vec<bool>, NetError> {
-    let packed = &bytes[offset..offset + n.div_ceil(8)];
-    let mut mask = Vec::with_capacity(8 * packed.len());
-    for &byte in packed {
-        mask.extend((0..8).map(|bit| byte & (1 << bit) != 0));
-    }
-    mask.truncate(n);
+/// last byte are ignored (cleared).
+fn read_bitset(bytes: &[u8], offset: usize, n: usize, k: usize) -> Result<UnitMask, NetError> {
+    let mask = UnitMask::from_le_bytes(&bytes[offset..], n);
     check_bitset_pairing(&mask, k)?;
     Ok(mask)
 }
@@ -1184,12 +1144,12 @@ pub fn decode(bytes: &[u8]) -> Result<Frame, NetError> {
 /// Reads the optional activity bitset of a quantized frame (present iff
 /// `k < n`; an omitted bitset means every entry is active). Returns the
 /// materialized mask and the offset just past it.
-fn read_quant_mask(bytes: &[u8], n: usize, k: usize) -> Result<(Vec<bool>, usize), NetError> {
+fn read_quant_mask(bytes: &[u8], n: usize, k: usize) -> Result<(UnitMask, usize), NetError> {
     if k < n {
         let mask = read_bitset(bytes, HEADER_BYTES, n, k)?;
         Ok((mask, HEADER_BYTES + n.div_ceil(8)))
     } else {
-        Ok((vec![true; n], HEADER_BYTES))
+        Ok((UnitMask::full(n), HEADER_BYTES))
     }
 }
 
@@ -1244,7 +1204,11 @@ mod tests {
         }
     }
 
-    /// Bitsets pack LSB-first and unpack to the same flags, whatever the
+    fn mask(bits: &[bool]) -> UnitMask {
+        bits.iter().copied().collect()
+    }
+
+    /// Bitsets pack LSB-first and unpack to the same mask, whatever the
     /// length leaves in the last byte.
     #[test]
     fn bitset_pack_and_unpack_match_the_per_bit_layout() {
@@ -1254,21 +1218,55 @@ mod tests {
             for (i, _) in bits.iter().enumerate().filter(|(_, &on)| on) {
                 per_bit[i / 8] |= 1 << (i % 8);
             }
+            let m = mask(&bits);
             let mut packed = Vec::new();
-            push_bitset(&mut packed, &bits);
+            push_bitset(&mut packed, m.words(), n);
             assert_eq!(packed, per_bit, "n = {n}");
-            let k = bits.iter().filter(|&&b| b).count();
-            assert_eq!(read_bitset(&packed, 0, n, k).unwrap(), bits, "n = {n}");
+            let k = m.count_ones();
+            assert_eq!(read_bitset(&packed, 0, n, k).unwrap(), m, "n = {n}");
             // Set padding bits are ignored, as the per-bit reader did.
             if n % 8 != 0 {
                 *packed.last_mut().unwrap() |= 0xff << (n % 8);
-                assert_eq!(read_bitset(&packed, 0, n, k).unwrap(), bits, "n = {n}");
+                assert_eq!(read_bitset(&packed, 0, n, k).unwrap(), m, "n = {n}");
             }
             assert!(matches!(
                 read_bitset(&packed, 0, n, k + 1),
                 Err(NetError::MaskCountMismatch { .. })
             ));
         }
+    }
+
+    /// Recomputes a frame's CRC trailer after a deliberate edit.
+    fn reseal(frame: &mut [u8]) {
+        let body = frame.len() - CHECKSUM_BYTES;
+        let crc = crc32(&frame[..body]).to_le_bytes();
+        frame[body..].copy_from_slice(&crc);
+    }
+
+    /// A sender that leaves garbage in the bitset's padding bits still
+    /// produces a frame that decodes to the same parameters.
+    #[test]
+    fn set_padding_bits_decode_to_the_same_parameters() {
+        let base = vec![10.0, 20.0, 30.0, 40.0, 50.0];
+        let trained = vec![10.0, -2.0, 30.0, 40.0, 7.5];
+        let m = mask(&[false, true, false, false, true]);
+        for frame in [
+            encode_masked(1, 0, &trained, m.words()).unwrap(),
+            encode_quant_f16(1, 0, &trained, Some(m.words()), &base).unwrap(),
+            encode_quant_i8(1, 0, &trained, Some(m.words()), &base).unwrap(),
+        ] {
+            let clean = decode(&frame).unwrap().into_params(&base).unwrap();
+            let mut padded = frame.clone();
+            padded[HEADER_BYTES] |= 0b1110_0000;
+            reseal(&mut padded);
+            assert_ne!(padded, frame);
+            let out = decode(&padded).unwrap().into_params(&base).unwrap();
+            assert_eq!(bits_of(&out), bits_of(&clean));
+        }
+    }
+
+    fn bits_of(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// Test oracle for [`encode_topk`]: rank every candidate with a full
@@ -1378,8 +1376,8 @@ mod tests {
         let mut trained = base.clone();
         trained[1] = -2.0;
         trained[4] = 7.5;
-        let mask = vec![false, true, false, false, true];
-        let frame = encode_masked(1, 0, &trained, &mask).unwrap();
+        let mask = mask(&[false, true, false, false, true]);
+        let frame = encode_masked(1, 0, &trained, mask.words()).unwrap();
         assert_eq!(frame.len(), WireSize::masked(5, 2).total_bytes());
         let out = decode(&frame).unwrap().into_params(&base).unwrap();
         assert_eq!(out, trained);
@@ -1420,8 +1418,13 @@ mod tests {
 
     #[test]
     fn encode_masked_validates_mask_length() {
-        let err = encode_masked(0, 0, &[1.0, 2.0], &[true]);
-        assert!(matches!(err, Err(NetError::MaskLengthMismatch { .. })));
+        let err = encode_masked(0, 0, &[1.0, 2.0], &[]);
+        assert!(matches!(
+            err,
+            Err(NetError::MaskLengthMismatch { params: 2, mask: 0 })
+        ));
+        let err = encode_masked(0, 0, &[1.0, 2.0], &[0b101]);
+        assert!(matches!(err, Err(NetError::MaskPaddingSet { params: 2 })));
     }
 
     #[test]
@@ -1436,7 +1439,7 @@ mod tests {
     #[test]
     fn encode_update_picks_layout_by_mask() {
         let full = encode_update(0, 0, &[1.0, 2.0], None).unwrap();
-        let masked = encode_update(0, 0, &[1.0, 2.0], Some(&[true, false])).unwrap();
+        let masked = encode_update(0, 0, &[1.0, 2.0], Some(&[0b01])).unwrap();
         assert!(matches!(decode(&full).unwrap().payload, Payload::Full(_)));
         assert!(matches!(
             decode(&masked).unwrap().payload,
@@ -1455,7 +1458,7 @@ mod tests {
             sender: 0,
             cycle: 0,
             payload: Payload::Masked {
-                mask: vec![true, false, true],
+                mask: mask(&[true, false, true]),
                 active: vec![1.0], // popcount is 2
             },
         };
@@ -1476,7 +1479,7 @@ mod tests {
             sender: 0,
             cycle: 0,
             payload: Payload::Masked {
-                mask: vec![true, false, true],
+                mask: mask(&[true, false, true]),
                 active: vec![1.0, 2.0, 3.0], // popcount is 2
             },
         };
@@ -1496,7 +1499,7 @@ mod tests {
             sender: 0,
             cycle: 0,
             payload: Payload::Delta {
-                changed: vec![true, true],
+                changed: UnitMask::full(2),
                 values: vec![1.0],
             },
         };
@@ -1508,7 +1511,7 @@ mod tests {
             sender: 0,
             cycle: 0,
             payload: Payload::QuantF16 {
-                mask: vec![true, true],
+                mask: UnitMask::full(2),
                 values: vec![0x3c00, 0x3c00, 0x3c00],
             },
         };
@@ -1520,7 +1523,7 @@ mod tests {
             sender: 0,
             cycle: 0,
             payload: Payload::QuantInt8 {
-                mask: vec![true, false],
+                mask: mask(&[true, false]),
                 scale: 1.0,
                 values: vec![],
             },
@@ -1691,7 +1694,7 @@ mod tests {
     fn quant_frames_compose_with_activity_mask() {
         let base = vec![1.0, 2.0, 3.0, 4.0];
         let update = vec![1.5, 2.0, 3.25, 4.0];
-        let mask = vec![true, false, true, false];
+        let mask = [0b0101];
         for frame in [
             encode_quant_f16(0, 0, &update, Some(&mask), &base).unwrap(),
             encode_quant_i8(0, 0, &update, Some(&mask), &base).unwrap(),
@@ -1842,7 +1845,7 @@ mod tests {
         let base = vec![1.0, 2.0];
         let v1 = encode_full(0, 0, &base).unwrap();
         assert_eq!(frame_mode(&v1), None);
-        let masked = encode_masked(0, 0, &base, &[true, false]).unwrap();
+        let masked = encode_masked(0, 0, &base, &[0b01]).unwrap();
         assert_eq!(frame_mode(&masked), None);
         assert_eq!(
             frame_mode(&encode_delta(0, 0, &[9.0, 2.0], &base).unwrap()),

@@ -41,12 +41,17 @@ pub enum NetError {
         /// Active bits actually set in the bitset.
         counted: usize,
     },
-    /// An encode-side mask length does not match the parameter vector.
+    /// An encode-side mask is not ⌈params/64⌉ words long.
     MaskLengthMismatch {
         /// Parameter count.
         params: usize,
-        /// Mask length.
+        /// Mask length in `u64` words.
         mask: usize,
+    },
+    /// An encode-side mask sets a bit past its last parameter.
+    MaskPaddingSet {
+        /// Parameter count.
+        params: usize,
     },
     /// A frame's parameter count disagrees with the receiver's model.
     ParamLengthMismatch {
@@ -104,7 +109,10 @@ impl fmt::Display for NetError {
                 "mask bitset has {counted} active bits but header declares {declared}"
             ),
             NetError::MaskLengthMismatch { params, mask } => {
-                write!(f, "mask length {mask} does not match {params} parameters")
+                write!(f, "mask of {mask} words does not cover {params} parameters")
+            }
+            NetError::MaskPaddingSet { params } => {
+                write!(f, "mask sets a bit past its {params} parameters")
             }
             NetError::ParamLengthMismatch { expected, actual } => {
                 write!(

@@ -72,17 +72,21 @@ impl CompressionConfig {
 
     /// Encodes one update upload under the configured mode, against the
     /// broadcast `base` the receiver holds. With mode `None` this is
-    /// exactly the v1 [`codec::encode_update`] path.
+    /// exactly the v1 [`codec::encode_update`] path. `mask` is the
+    /// parameter mask as LSB-first `u64` words (a `UnitMask`'s words,
+    /// `params.len()` bits); the delta and top-k modes do not consult it.
     ///
     /// # Errors
     ///
-    /// Propagates the underlying encoder's [`NetError`] conditions.
+    /// Propagates the underlying encoder's [`NetError`] conditions,
+    /// including a typed error for a mask of the wrong word count or with
+    /// a padding bit set.
     pub fn encode_update(
         &self,
         sender: u32,
         cycle: u32,
         params: &[f32],
-        mask: Option<&[bool]>,
+        mask: Option<&[u64]>,
         base: &[f32],
     ) -> Result<Vec<u8>, NetError> {
         match self.mode {
@@ -503,12 +507,53 @@ mod tests {
         // Mode None respects the v1 full/masked split.
         let cfg = CompressionConfig::default();
         let masked = cfg
-            .encode_update(0, 0, &update, Some(&[true, false, true]), &base)
+            .encode_update(0, 0, &update, Some(&[0b101]), &base)
             .unwrap();
         assert!(matches!(
             decode(&masked).unwrap().payload,
             Payload::Masked { .. }
         ));
+    }
+
+    /// Every mode that reads the mask rejects a malformed word slice with
+    /// a typed error instead of panicking.
+    #[test]
+    fn encode_update_rejects_malformed_mask_words_in_every_masking_mode() {
+        let params = vec![0.5f32; 70];
+        let good = [u64::MAX, 0b11_1111];
+        for mode in [
+            CompressionMode::None,
+            CompressionMode::QuantF16,
+            CompressionMode::QuantInt8,
+        ] {
+            let cfg = CompressionConfig {
+                mode,
+                ..CompressionConfig::default()
+            };
+            let encode = |mask: &[u64]| cfg.encode_update(0, 0, &params, Some(mask), &params);
+            assert!(encode(&good).is_ok(), "{mode:?}");
+            assert_eq!(
+                encode(&good[..1]),
+                Err(NetError::MaskLengthMismatch {
+                    params: 70,
+                    mask: 1
+                }),
+                "{mode:?}"
+            );
+            assert_eq!(
+                encode(&[u64::MAX, 0, 0]),
+                Err(NetError::MaskLengthMismatch {
+                    params: 70,
+                    mask: 3
+                }),
+                "{mode:?}"
+            );
+            assert_eq!(
+                encode(&[u64::MAX, 1 << 6]),
+                Err(NetError::MaskPaddingSet { params: 70 }),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]

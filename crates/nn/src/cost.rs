@@ -11,6 +11,7 @@
 use crate::layer::Layer;
 use crate::layers::UnitMaskable;
 use crate::Network;
+use helios_tensor::UnitMask;
 use serde::Serialize;
 
 /// Cost contribution of a single layer.
@@ -96,11 +97,8 @@ impl NetworkCost {
     }
 }
 
-fn keep_of(mask: Option<&[bool]>, units: usize) -> f64 {
-    match mask {
-        Some(m) => m.iter().filter(|&&b| b).count() as f64 / units.max(1) as f64,
-        None => 1.0,
-    }
+fn keep_of(mask: Option<&UnitMask>, units: usize) -> f64 {
+    mask.map_or(1.0, |m| m.count_ones() as f64 / units.max(1) as f64)
 }
 
 fn walk(
@@ -252,7 +250,7 @@ mod tests {
         // Keep only half the units of every maskable layer.
         let mut mask = ModelMask::all_active(&units);
         for (i, &n) in units.0.iter().enumerate() {
-            let m: Vec<bool> = (0..n).map(|j| j < n / 2).collect();
+            let m: UnitMask = (0..n).map(|j| j < n / 2).collect();
             mask.set_layer(i, Some(m));
         }
         net.set_masks(&mask).unwrap();

@@ -2,7 +2,7 @@
 
 use crate::layers::{AvgPool2d, Conv2d, Dense, Flatten, MaxPool2d, Relu, Residual, UnitMaskable};
 use crate::Result;
-use helios_tensor::Tensor;
+use helios_tensor::{Tensor, UnitMask};
 
 /// A single network layer.
 ///
@@ -153,39 +153,34 @@ impl Layer {
     /// - Residual blocks thread `prev` through the body and into the
     ///   projection shortcut, but emit `None`: the shortcut is never
     ///   masked, so no output channel is guaranteed zero.
-    pub(crate) fn thread_input_mask(&mut self, prev: Option<&[bool]>) -> Option<Vec<bool>> {
+    pub(crate) fn thread_input_mask<'a>(
+        &'a mut self,
+        prev: Option<&'a UnitMask>,
+    ) -> Option<&'a UnitMask> {
         match self {
             Layer::Dense(l) => {
                 let expanded = prev.and_then(|p| {
-                    if p.is_empty() || l.in_features() % p.len() != 0 {
+                    if p.len() == 0 || l.in_features() % p.len() != 0 {
                         return None;
                     }
                     let f = l.in_features() / p.len();
-                    Some(
-                        p.iter()
-                            .flat_map(|&b| std::iter::repeat_n(b, f))
-                            .collect::<Vec<bool>>(),
-                    )
+                    Some((0..l.in_features()).map(|i| p.get(i / f)).collect())
                 });
                 l.set_input_mask(expanded);
-                l.unit_mask().map(<[bool]>::to_vec)
+                l.unit_mask()
             }
             Layer::Conv2d(l) => {
-                let channels = prev.filter(|p| p.len() == l.spec().in_channels);
-                l.set_input_mask(channels.map(<[bool]>::to_vec));
-                l.unit_mask().map(<[bool]>::to_vec)
+                l.set_input_mask(prev.cloned());
+                l.unit_mask()
             }
-            Layer::Relu(_) | Layer::MaxPool2d(_) | Layer::AvgPool2d(_) | Layer::Flatten(_) => {
-                prev.map(<[bool]>::to_vec)
-            }
+            Layer::Relu(_) | Layer::MaxPool2d(_) | Layer::AvgPool2d(_) | Layer::Flatten(_) => prev,
             Layer::Residual(l) => {
-                let mut cur = prev.map(<[bool]>::to_vec);
-                for inner in l.body_mut() {
-                    cur = inner.thread_input_mask(cur.as_deref());
-                }
                 if let Some(s) = l.shortcut_mut() {
-                    let channels = prev.filter(|p| p.len() == s.spec().in_channels);
-                    s.set_input_mask(channels.map(<[bool]>::to_vec));
+                    s.set_input_mask(prev.cloned());
+                }
+                let mut cur = prev;
+                for inner in l.body_mut() {
+                    cur = inner.thread_input_mask(cur);
                 }
                 None
             }
@@ -196,14 +191,14 @@ impl Layer {
     /// (see [`Network::set_packed_execution`](crate::Network::set_packed_execution)).
     pub(crate) fn set_packed_execution(&mut self, enabled: bool) {
         match self {
-            Layer::Dense(l) => l.packed = enabled,
-            Layer::Conv2d(l) => l.packed = enabled,
+            Layer::Dense(l) => l.set_packed(enabled),
+            Layer::Conv2d(l) => l.set_packed(enabled),
             Layer::Residual(l) => {
                 for inner in l.body_mut() {
                     inner.set_packed_execution(enabled);
                 }
                 if let Some(s) = l.shortcut_mut() {
-                    s.packed = enabled;
+                    s.set_packed(enabled);
                 }
             }
             _ => {}

@@ -13,7 +13,7 @@ use helios_tensor::{
     avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward, conv2d_backward_packed,
     gather_channels, gather_elems, gather_rows_cols, he_normal, max_pool2d, max_pool2d_backward,
     scatter_add_elems, scatter_add_rows_cols, scatter_channels, scatter_cols, xavier_uniform,
-    ConvSpec, PoolIndices, PoolSpec, Tensor, TensorRng,
+    ConvSpec, PoolIndices, PoolSpec, Tensor, TensorRng, UnitMask,
 };
 
 /// Common interface of layers whose output units can be masked.
@@ -31,54 +31,76 @@ pub trait UnitMaskable {
     ///
     /// Returns [`NnError::MaskLengthMismatch`] when the mask length differs
     /// from [`UnitMaskable::units`].
-    fn set_unit_mask(&mut self, mask: Option<Vec<bool>>) -> Result<()>;
+    fn set_unit_mask(&mut self, mask: Option<UnitMask>) -> Result<()>;
 
     /// The current mask, if any.
-    fn unit_mask(&self) -> Option<&[bool]>;
+    fn unit_mask(&self) -> Option<&UnitMask>;
 }
 
-fn validate_mask(units: usize, mask: &Option<Vec<bool>>) -> Result<()> {
-    if let Some(m) = mask {
-        if m.len() != units {
-            return Err(NnError::MaskLengthMismatch {
-                units,
-                mask_len: m.len(),
-            });
-        }
+fn validate_mask(units: usize, mask: Option<&UnitMask>) -> Result<()> {
+    match mask {
+        Some(m) if m.len() != units => Err(NnError::MaskLengthMismatch {
+            units,
+            mask_len: m.len(),
+        }),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Active indices of `mask`, or `None` when every unit is active — an
 /// all-true mask is equivalent to no mask, so packing it would only
 /// copy data without saving work.
-fn active_indices(mask: Option<&[bool]>) -> Option<Vec<usize>> {
-    let m = mask?;
-    if m.iter().all(|&b| b) {
-        return None;
-    }
-    Some(
-        m.iter()
-            .enumerate()
-            .filter_map(|(i, &b)| b.then_some(i))
-            .collect(),
-    )
+fn active_indices(mask: Option<&UnitMask>) -> Option<Vec<usize>> {
+    mask.filter(|m| !m.is_full())
+        .map(|m| m.iter_ones().collect())
 }
 
-/// A packed-execution dispatch: `(active output units, active input
-/// positions)`, each `None` when that axis is unmasked and stays
-/// full-width. The plan itself is `None` when the legacy zeroing path
-/// must run instead.
-type PackedPlan = Option<(Option<Vec<usize>>, Option<Vec<usize>>)>;
+/// A packed-execution dispatch, derived once per installed mask: the
+/// active output units and active input positions, each `None` when
+/// that axis is unmasked and stays full-width.
+#[derive(Debug, Clone)]
+struct PackedPlan {
+    out_idx: Option<Vec<usize>>,
+    in_idx: Option<Vec<usize>>,
+    /// [`Conv2d`] only: the weight columns of the active input
+    /// channels, each channel's contiguous `K·K` block.
+    col_idx: Option<Vec<usize>>,
+}
 
-/// Whether the packed fast path applies to this `(output, input)` index
-/// pair: at least one axis is genuinely masked, and neither axis is
-/// masked down to nothing. Fully-masked layers keep the legacy zeroing
-/// path, which is trivially correct for degenerate shapes.
-fn packable(out_idx: &Option<Vec<usize>>, in_idx: &Option<Vec<usize>>) -> bool {
-    (out_idx.is_some() || in_idx.is_some())
+/// The plan for a layer's `(mask, input_mask)`, or `None` when the
+/// zeroing path must run: packed execution is off, neither axis is
+/// masked, or an axis is masked down to nothing (fully-masked layers
+/// keep the zeroing path, which is trivially correct for degenerate
+/// shapes).
+fn packed_plan(
+    packed: bool,
+    mask: Option<&UnitMask>,
+    input_mask: Option<&UnitMask>,
+) -> Option<PackedPlan> {
+    if !packed {
+        return None;
+    }
+    let out_idx = active_indices(mask);
+    let in_idx = active_indices(input_mask);
+    let packable = (out_idx.is_some() || in_idx.is_some())
         && out_idx.as_ref().is_none_or(|v| !v.is_empty())
-        && in_idx.as_ref().is_none_or(|v| !v.is_empty())
+        && in_idx.as_ref().is_none_or(|v| !v.is_empty());
+    packable.then_some(PackedPlan {
+        out_idx,
+        in_idx,
+        col_idx: None,
+    })
+}
+
+/// The zeroing path's masking: clears every entry of a row-major
+/// `[N, units, inner]` block whose unit is masked out (`inner` is 1 for
+/// dense columns and `H·W` for conv planes).
+fn zero_inactive(data: &mut [f32], mask: &UnitMask, inner: usize) {
+    for (i, block) in data.chunks_mut(inner.max(1)).enumerate() {
+        if !mask.get(i % mask.len()) {
+            block.fill(0.0);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -107,11 +129,15 @@ pub struct Dense {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    mask: Option<Vec<bool>>,
-    input_mask: Option<Vec<bool>>,
+    mask: Option<UnitMask>,
+    input_mask: Option<UnitMask>,
     maskable: bool,
     /// See [`Network::set_packed_execution`](crate::Network::set_packed_execution).
-    pub(crate) packed: bool,
+    packed: bool,
+    plan: Option<PackedPlan>,
+    /// Set by every mask and packed-execution setter; cleared when
+    /// `plan` is re-derived.
+    plan_stale: bool,
     cached_input: Option<Tensor>,
 }
 
@@ -129,6 +155,8 @@ impl Dense {
             input_mask: None,
             maskable: true,
             packed: true,
+            plan: None,
+            plan_stale: false,
             cached_input: None,
         }
     }
@@ -159,37 +187,34 @@ impl Dense {
     /// feature may be nonzero, `false` = guaranteed exactly zero). An
     /// input mask is an optimization hint, never a requirement, so a
     /// length mismatch conservatively clears it.
-    pub(crate) fn set_input_mask(&mut self, mask: Option<Vec<bool>>) {
+    pub(crate) fn set_input_mask(&mut self, mask: Option<UnitMask>) {
         self.input_mask = mask.filter(|m| m.len() == self.in_features);
+        self.plan_stale = true;
     }
 
-    /// The packed-execution index sets, when the fast path applies.
-    fn packed_plan(&self) -> PackedPlan {
-        if !self.packed {
-            return None;
+    /// See [`Network::set_packed_execution`](crate::Network::set_packed_execution).
+    pub(crate) fn set_packed(&mut self, enabled: bool) {
+        self.packed = enabled;
+        self.plan_stale = true;
+    }
+
+    /// Derives the packed plan from the installed masks if a setter has
+    /// changed them since the last derivation: once per installed mask
+    /// that runs, never for one that is only costed.
+    fn refresh_plan(&mut self) {
+        if std::mem::take(&mut self.plan_stale) {
+            self.plan = packed_plan(self.packed, self.mask.as_ref(), self.input_mask.as_ref());
         }
-        let out_idx = active_indices(self.mask.as_deref());
-        let in_idx = active_indices(self.input_mask.as_deref());
-        packable(&out_idx, &in_idx).then_some((out_idx, in_idx))
     }
 
     pub(crate) fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        let y = match self.packed_plan() {
-            Some((out_idx, in_idx)) => {
-                self.forward_packed(x, out_idx.as_deref(), in_idx.as_deref())?
-            }
+        self.refresh_plan();
+        let y = match &self.plan {
+            Some(plan) => self.forward_packed(x, plan)?,
             None => {
                 let mut y = x.matmul(&self.weight)?.add_row_broadcast(&self.bias)?;
                 if let Some(mask) = &self.mask {
-                    let (n, out) = (y.dims()[0], y.dims()[1]);
-                    let data = y.as_mut_slice();
-                    for i in 0..n {
-                        for (j, &keep) in mask.iter().enumerate() {
-                            if !keep {
-                                data[i * out + j] = 0.0;
-                            }
-                        }
-                    }
+                    zero_inactive(y.as_mut_slice(), mask, 1);
                 }
                 y
             }
@@ -204,12 +229,8 @@ impl Dense {
     /// masked columns). The masked input columns of `x` hold exact
     /// zeros, which the matmul kernel would have skipped term-by-term,
     /// so dropping them preserves every accumulation order.
-    fn forward_packed(
-        &self,
-        x: &Tensor,
-        out_idx: Option<&[usize]>,
-        in_idx: Option<&[usize]>,
-    ) -> Result<Tensor> {
+    fn forward_packed(&self, x: &Tensor, plan: &PackedPlan) -> Result<Tensor> {
+        let (out_idx, in_idx) = (plan.out_idx.as_deref(), plan.in_idx.as_deref());
         let xp_store;
         let x_p = match in_idx {
             Some(idx) => {
@@ -235,29 +256,22 @@ impl Dense {
     }
 
     pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        if let Some((out_idx, in_idx)) = self.packed_plan() {
-            return self.backward_packed(grad_out, out_idx.as_deref(), in_idx.as_deref());
+        self.refresh_plan();
+        // Moved out for the call so the packed path can borrow it beside
+        // `&mut self`; restored before the result is returned.
+        if let Some(plan) = self.plan.take() {
+            let g = self.backward_packed(grad_out, &plan);
+            self.plan = Some(plan);
+            return g;
         }
         let x = self
             .cached_input
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "Dense" })?;
-        let g = match &self.mask {
-            Some(mask) => {
-                let mut g = grad_out.clone();
-                let (n, out) = (g.dims()[0], g.dims()[1]);
-                let data = g.as_mut_slice();
-                for i in 0..n {
-                    for (j, &keep) in mask.iter().enumerate() {
-                        if !keep {
-                            data[i * out + j] = 0.0;
-                        }
-                    }
-                }
-                g
-            }
-            None => grad_out.clone(),
-        };
+        let mut g = grad_out.clone();
+        if let Some(mask) = &self.mask {
+            zero_inactive(g.as_mut_slice(), mask, 1);
+        }
         // dW = xᵀ·g and dX = g·Wᵀ via the transposed-operand GEMM entry
         // points: the kernel reads `x` and `weight` where they lie, no
         // materialized `transpose()` copies on the training path.
@@ -274,12 +288,8 @@ impl Dense {
     /// be bitwise identical everywhere, including masked input
     /// positions, whose values come out of the same GEMM terms the
     /// full-width kernel would have used.
-    fn backward_packed(
-        &mut self,
-        grad_out: &Tensor,
-        out_idx: Option<&[usize]>,
-        in_idx: Option<&[usize]>,
-    ) -> Result<Tensor> {
+    fn backward_packed(&mut self, grad_out: &Tensor, plan: &PackedPlan) -> Result<Tensor> {
+        let (out_idx, in_idx) = (plan.out_idx.as_deref(), plan.in_idx.as_deref());
         let x = self
             .cached_input
             .as_ref()
@@ -344,14 +354,15 @@ impl UnitMaskable for Dense {
         self.out_features
     }
 
-    fn set_unit_mask(&mut self, mask: Option<Vec<bool>>) -> Result<()> {
-        validate_mask(self.out_features, &mask)?;
+    fn set_unit_mask(&mut self, mask: Option<UnitMask>) -> Result<()> {
+        validate_mask(self.out_features, mask.as_ref())?;
         self.mask = mask;
+        self.plan_stale = true;
         Ok(())
     }
 
-    fn unit_mask(&self) -> Option<&[bool]> {
-        self.mask.as_deref()
+    fn unit_mask(&self) -> Option<&UnitMask> {
+        self.mask.as_ref()
     }
 }
 
@@ -375,11 +386,15 @@ pub struct Conv2d {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    mask: Option<Vec<bool>>,
-    input_mask: Option<Vec<bool>>,
+    mask: Option<UnitMask>,
+    input_mask: Option<UnitMask>,
     maskable: bool,
     /// See [`Network::set_packed_execution`](crate::Network::set_packed_execution).
-    pub(crate) packed: bool,
+    packed: bool,
+    plan: Option<PackedPlan>,
+    /// Set by every mask and packed-execution setter; cleared when
+    /// `plan` is re-derived.
+    plan_stale: bool,
     cached_input: Option<Tensor>,
 }
 
@@ -398,6 +413,8 @@ impl Conv2d {
             input_mask: None,
             maskable: true,
             packed: true,
+            plan: None,
+            plan_stale: false,
             cached_input: None,
         }
     }
@@ -418,51 +435,39 @@ impl Conv2d {
         &self.spec
     }
 
-    fn mask_channels(&self, t: &mut Tensor) {
-        if let Some(mask) = &self.mask {
-            let d = t.dims().to_vec();
-            let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-            let data = t.as_mut_slice();
-            for ni in 0..n {
-                for (ci, &keep) in mask.iter().enumerate().take(c) {
-                    if !keep {
-                        let start = ((ni * c) + ci) * h * w;
-                        for v in &mut data[start..start + h * w] {
-                            *v = 0.0;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Installs the upstream-derived input-channel mask (`true` = the
     /// channel may be nonzero, `false` = guaranteed exactly zero). An
     /// input mask is an optimization hint, never a requirement, so a
     /// length mismatch conservatively clears it.
-    pub(crate) fn set_input_mask(&mut self, mask: Option<Vec<bool>>) {
+    pub(crate) fn set_input_mask(&mut self, mask: Option<UnitMask>) {
         self.input_mask = mask.filter(|m| m.len() == self.spec.in_channels);
+        self.plan_stale = true;
     }
 
-    /// The packed-execution index sets, when the fast path applies.
-    fn packed_plan(&self) -> PackedPlan {
-        if !self.packed {
-            return None;
+    /// See [`Network::set_packed_execution`](crate::Network::set_packed_execution).
+    pub(crate) fn set_packed(&mut self, enabled: bool) {
+        self.packed = enabled;
+        self.plan_stale = true;
+    }
+
+    /// Derives the packed plan as [`Dense`] does. The `[O, C·K·K]`
+    /// weight layout is input-channel-major, so each active input
+    /// channel owns one contiguous `K·K` block of weight columns.
+    fn refresh_plan(&mut self) {
+        if !std::mem::take(&mut self.plan_stale) {
+            return;
         }
-        let out_idx = active_indices(self.mask.as_deref());
-        let in_idx = active_indices(self.input_mask.as_deref());
-        packable(&out_idx, &in_idx).then_some((out_idx, in_idx))
-    }
-
-    /// Weight-matrix column indices covered by the given active input
-    /// channels: the `[O, C·K·K]` layout is input-channel-major, so each
-    /// channel owns one contiguous `K·K` column block.
-    fn weight_col_blocks(&self, in_idx: &[usize]) -> Vec<usize> {
         let kk = self.spec.kernel * self.spec.kernel;
-        in_idx
-            .iter()
-            .flat_map(|&ci| ci * kk..(ci + 1) * kk)
-            .collect()
+        self.plan =
+            packed_plan(self.packed, self.mask.as_ref(), self.input_mask.as_ref()).map(|plan| {
+                PackedPlan {
+                    col_idx: plan
+                        .in_idx
+                        .as_ref()
+                        .map(|idx| idx.iter().flat_map(|&ci| ci * kk..(ci + 1) * kk).collect()),
+                    ..plan
+                }
+            });
     }
 
     /// The convolution geometry restricted to the active channels.
@@ -477,10 +482,9 @@ impl Conv2d {
     }
 
     pub(crate) fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        let y = match self.packed_plan() {
-            Some((out_idx, in_idx)) => {
-                self.forward_packed(x, out_idx.as_deref(), in_idx.as_deref())?
-            }
+        self.refresh_plan();
+        let y = match &self.plan {
+            Some(plan) => self.forward_packed(x, plan)?,
             None => {
                 let mut y = conv2d(x, &self.weight, &self.bias, &self.spec)?;
                 self.mask_channels(&mut y);
@@ -491,6 +495,14 @@ impl Conv2d {
         Ok(y)
     }
 
+    /// The zeroing path: clears the masked-out output-channel planes.
+    fn mask_channels(&self, t: &mut Tensor) {
+        if let Some(mask) = &self.mask {
+            let plane = t.dims()[2] * t.dims()[3];
+            zero_inactive(t.as_mut_slice(), mask, plane);
+        }
+    }
+
     /// Packed forward: gather the active input-channel planes, the
     /// active weight sub-grid (rows = active output channels, columns =
     /// the active channels' `K·K` blocks), run the convolution on the
@@ -498,12 +510,8 @@ impl Conv2d {
     /// `+0.0` in masked channels). Masked input planes hold exact
     /// zeros, so dropping their patch columns removes only terms the
     /// GEMM kernel would have skipped anyway.
-    fn forward_packed(
-        &self,
-        x: &Tensor,
-        out_idx: Option<&[usize]>,
-        in_idx: Option<&[usize]>,
-    ) -> Result<Tensor> {
+    fn forward_packed(&self, x: &Tensor, plan: &PackedPlan) -> Result<Tensor> {
+        let (out_idx, in_idx) = (plan.out_idx.as_deref(), plan.in_idx.as_deref());
         let xp_store;
         let x_p = match in_idx {
             Some(idx) => {
@@ -512,8 +520,7 @@ impl Conv2d {
             }
             None => x,
         };
-        let col_idx = in_idx.map(|idx| self.weight_col_blocks(idx));
-        let w_p = gather_rows_cols(&self.weight, out_idx, col_idx.as_deref())?;
+        let w_p = gather_rows_cols(&self.weight, out_idx, plan.col_idx.as_deref())?;
         let bp_store;
         let b_p = match out_idx {
             Some(idx) => {
@@ -530,8 +537,13 @@ impl Conv2d {
     }
 
     pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        if let Some((out_idx, in_idx)) = self.packed_plan() {
-            return self.backward_packed(grad_out, out_idx.as_deref(), in_idx.as_deref());
+        self.refresh_plan();
+        // Moved out for the call so the packed path can borrow it beside
+        // `&mut self`; restored before the result is returned.
+        if let Some(plan) = self.plan.take() {
+            let g = self.backward_packed(grad_out, &plan);
+            self.plan = Some(plan);
+            return g;
         }
         let x = self
             .cached_input
@@ -551,12 +563,8 @@ impl Conv2d {
     /// sub-grid (masked entries accumulate exactly nothing either way).
     /// [`conv2d_backward_packed`] keeps the weight's input-column axis
     /// whole so `grad_input` comes back full-shape and bit-exact.
-    fn backward_packed(
-        &mut self,
-        grad_out: &Tensor,
-        out_idx: Option<&[usize]>,
-        in_idx: Option<&[usize]>,
-    ) -> Result<Tensor> {
+    fn backward_packed(&mut self, grad_out: &Tensor, plan: &PackedPlan) -> Result<Tensor> {
+        let (out_idx, in_idx) = (plan.out_idx.as_deref(), plan.in_idx.as_deref());
         let x = self
             .cached_input
             .as_ref()
@@ -586,12 +594,11 @@ impl Conv2d {
             None => &self.weight,
         };
         let grads = conv2d_backward_packed(x_p, w_rows, g_p, &self.spec)?;
-        let col_idx = in_idx.map(|idx| self.weight_col_blocks(idx));
         scatter_add_rows_cols(
             &mut self.grad_weight,
             &grads.grad_weight,
             out_idx,
-            col_idx.as_deref(),
+            plan.col_idx.as_deref(),
         )?;
         match out_idx {
             Some(idx) => scatter_add_elems(&mut self.grad_bias, &grads.grad_bias, idx)?,
@@ -626,14 +633,15 @@ impl UnitMaskable for Conv2d {
         self.spec.out_channels
     }
 
-    fn set_unit_mask(&mut self, mask: Option<Vec<bool>>) -> Result<()> {
-        validate_mask(self.spec.out_channels, &mask)?;
+    fn set_unit_mask(&mut self, mask: Option<UnitMask>) -> Result<()> {
+        validate_mask(self.spec.out_channels, mask.as_ref())?;
         self.mask = mask;
+        self.plan_stale = true;
         Ok(())
     }
 
-    fn unit_mask(&self) -> Option<&[bool]> {
-        self.mask.as_deref()
+    fn unit_mask(&self) -> Option<&UnitMask> {
+        self.mask.as_ref()
     }
 }
 
@@ -906,7 +914,7 @@ mod tests {
     #[test]
     fn dense_mask_zeroes_output_and_freezes_unit() {
         let mut d = Dense::new(3, 4, &mut rng());
-        d.set_unit_mask(Some(vec![true, false, true, false]))
+        d.set_unit_mask(Some((0..4).map(|j| j % 2 == 0).collect()))
             .unwrap();
         let x = Tensor::ones(&[2, 3]);
         let y = d.forward(&x).unwrap();
@@ -927,8 +935,8 @@ mod tests {
     #[test]
     fn dense_mask_validation() {
         let mut d = Dense::new(3, 4, &mut rng());
-        assert!(d.set_unit_mask(Some(vec![true; 3])).is_err());
-        assert!(d.set_unit_mask(Some(vec![true; 4])).is_ok());
+        assert!(d.set_unit_mask(Some(UnitMask::full(3))).is_err());
+        assert!(d.set_unit_mask(Some(UnitMask::full(4))).is_ok());
         assert!(d.set_unit_mask(None).is_ok());
         assert!(d.unit_mask().is_none());
     }
@@ -981,7 +989,8 @@ mod tests {
     fn conv_mask_zeroes_channels() {
         let spec = ConvSpec::new(1, 3, 3, 1, 1);
         let mut c = Conv2d::new(spec, &mut rng());
-        c.set_unit_mask(Some(vec![true, false, true])).unwrap();
+        c.set_unit_mask(Some((0..3).map(|j| j != 1).collect()))
+            .unwrap();
         let x = Tensor::ones(&[1, 1, 4, 4]);
         let y = c.forward(&x).unwrap();
         for h in 0..4 {

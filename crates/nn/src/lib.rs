@@ -45,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 mod cost;
 mod error;
 mod layer;

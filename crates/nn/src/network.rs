@@ -3,7 +3,7 @@
 
 use crate::layer::Layer;
 use crate::{NnError, Result};
-use helios_tensor::Tensor;
+use helios_tensor::{Tensor, UnitMask};
 use serde::{Deserialize, Serialize};
 
 /// Number of output units of each maskable layer of a network, in
@@ -35,9 +35,9 @@ impl MaskableUnits {
 /// `None` means "all units active". This is the object the Helios
 /// soft-training scheduler produces each cycle and the aggregation layer
 /// consumes to know which parameters a device actually trained.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelMask {
-    masks: Vec<Option<Vec<bool>>>,
+    masks: Vec<Option<UnitMask>>,
 }
 
 impl ModelMask {
@@ -49,18 +49,13 @@ impl ModelMask {
     }
 
     /// Builds a mask from explicit per-layer activity vectors.
-    pub fn from_layers(masks: Vec<Option<Vec<bool>>>) -> Self {
+    pub fn from_layers(masks: Vec<Option<UnitMask>>) -> Self {
         ModelMask { masks }
     }
 
-    /// Number of layers this mask covers.
-    pub fn num_layers(&self) -> usize {
-        self.masks.len()
-    }
-
     /// The mask of layer `i` (`None` = all active).
-    pub fn layer(&self, i: usize) -> Option<&[bool]> {
-        self.masks.get(i).and_then(|m| m.as_deref())
+    pub fn layer(&self, i: usize) -> Option<&UnitMask> {
+        self.masks.get(i).and_then(Option::as_ref)
     }
 
     /// Replaces the mask of layer `i`.
@@ -68,16 +63,13 @@ impl ModelMask {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn set_layer(&mut self, i: usize, mask: Option<Vec<bool>>) {
+    pub fn set_layer(&mut self, i: usize, mask: Option<UnitMask>) {
         self.masks[i] = mask;
     }
 
     /// Whether unit `unit` of maskable layer `layer` is active.
     pub fn is_active(&self, layer: usize, unit: usize) -> bool {
-        match self.layer(layer) {
-            Some(m) => m.get(unit).copied().unwrap_or(false),
-            None => true,
-        }
+        self.layer(layer).is_none_or(|m| m.get(unit))
     }
 
     /// Number of active units per layer.
@@ -87,7 +79,7 @@ impl ModelMask {
             .iter()
             .enumerate()
             .map(|(i, &n)| match self.layer(i) {
-                Some(m) => m.iter().filter(|&&b| b).count(),
+                Some(m) => m.count_ones(),
                 None => n,
             })
             .collect()
@@ -150,14 +142,6 @@ impl ParamGroup {
     pub fn maskable_id(&self) -> Option<usize> {
         self.maskable_id
     }
-
-    /// Number of parameters owned by each unit (weights + bias).
-    pub fn params_per_unit(&self) -> usize {
-        match self.kind {
-            GroupKind::Dense { in_features, .. } => in_features + 1,
-            GroupKind::Conv { patch_len, .. } => patch_len + 1,
-        }
-    }
 }
 
 /// Index from neurons to their positions in the flat parameter vector.
@@ -182,19 +166,6 @@ impl NeuronLayout {
         self.total_params
     }
 
-    /// Total neurons across all parameter groups (the paper's `m`).
-    pub fn total_neurons(&self) -> usize {
-        self.groups.iter().map(|g| g.units()).sum()
-    }
-
-    /// Iterates all neuron identifiers in canonical order.
-    pub fn neuron_ids(&self) -> impl Iterator<Item = NeuronId> + '_ {
-        self.groups
-            .iter()
-            .enumerate()
-            .flat_map(|(gi, g)| (0..g.units()).map(move |u| NeuronId { group: gi, unit: u }))
-    }
-
     /// Flat parameter indices owned by one neuron (its weight fan-in plus
     /// its bias element).
     ///
@@ -202,27 +173,25 @@ impl NeuronLayout {
     ///
     /// Panics if the neuron id is out of range.
     pub fn neuron_param_indices(&self, id: NeuronId) -> Vec<usize> {
+        self.neuron_params(id).collect()
+    }
+
+    /// [`NeuronLayout::neuron_param_indices`] without the allocation.
+    fn neuron_params(&self, id: NeuronId) -> impl Iterator<Item = usize> {
         let g = &self.groups[id.group];
         assert!(id.unit < g.units(), "unit {} out of range", id.unit);
-        match g.kind {
+        let (first, stride, count) = match g.kind {
             GroupKind::Dense {
                 in_features,
                 out_features,
-            } => {
-                let mut v = Vec::with_capacity(in_features + 1);
-                for k in 0..in_features {
-                    v.push(g.weight_offset + k * out_features + id.unit);
-                }
-                v.push(g.bias_offset + id.unit);
-                v
-            }
+            } => (g.weight_offset + id.unit, out_features, in_features),
             GroupKind::Conv { patch_len, .. } => {
-                let start = g.weight_offset + id.unit * patch_len;
-                let mut v: Vec<usize> = (start..start + patch_len).collect();
-                v.push(g.bias_offset + id.unit);
-                v
+                (g.weight_offset + id.unit * patch_len, 1, patch_len)
             }
-        }
+        };
+        (0..count)
+            .map(move |k| first + k * stride)
+            .chain([g.bias_offset + id.unit])
     }
 
     /// L1 norm of the parameter change of one neuron between two flat
@@ -232,8 +201,7 @@ impl NeuronLayout {
     ///
     /// Panics if either slice is shorter than [`NeuronLayout::total_params`].
     pub fn neuron_delta_l1(&self, id: NeuronId, prev: &[f32], curr: &[f32]) -> f32 {
-        self.neuron_param_indices(id)
-            .into_iter()
+        self.neuron_params(id)
             .map(|i| (curr[i] - prev[i]).abs())
             .sum()
     }
@@ -243,18 +211,15 @@ impl NeuronLayout {
     ///
     /// Parameters of non-maskable groups are always active; parameters of a
     /// masked-out unit are inactive.
-    pub fn param_mask(&self, mask: &ModelMask) -> Vec<bool> {
-        let mut out = vec![true; self.total_params];
+    pub fn param_mask(&self, mask: &ModelMask) -> UnitMask {
+        let mut out = UnitMask::full(self.total_params);
         for (gi, g) in self.groups.iter().enumerate() {
-            let Some(mid) = g.maskable_id else { continue };
-            let Some(layer_mask) = mask.layer(mid) else {
+            let Some(layer) = g.maskable_id.and_then(|mid| mask.layer(mid)) else {
                 continue;
             };
-            for (unit, &keep) in layer_mask.iter().enumerate() {
-                if !keep {
-                    for idx in self.neuron_param_indices(NeuronId { group: gi, unit }) {
-                        out[idx] = false;
-                    }
+            for unit in (0..layer.len()).filter(|&unit| !layer.get(unit)) {
+                for idx in self.neuron_params(NeuronId { group: gi, unit }) {
+                    out.set(idx, false);
                 }
             }
         }
@@ -437,8 +402,7 @@ impl Network {
                 if result.is_err() {
                     return;
                 }
-                let layer_mask = mask.layer(idx).map(|s| s.to_vec());
-                if let Err(e) = m.set_unit_mask(layer_mask) {
+                if let Err(e) = m.set_unit_mask(mask.layer(idx).cloned()) {
                     result = Err(e);
                 }
                 idx += 1;
@@ -480,9 +444,9 @@ impl Network {
     /// rows/channels without changing a single output bit. The network
     /// input itself carries no guarantee.
     fn refresh_input_masks(&mut self) {
-        let mut prev: Option<Vec<bool>> = None;
+        let mut prev = None;
         for layer in &mut self.layers {
-            prev = layer.thread_input_mask(prev.as_deref());
+            prev = layer.thread_input_mask(prev);
         }
     }
 
@@ -639,7 +603,6 @@ mod tests {
         assert_eq!(layout.total_params(), net.param_len());
         // Groups: conv(2 units), dense(8 units), head dense(3 units).
         assert_eq!(layout.groups().len(), 3);
-        assert_eq!(layout.total_neurons(), 13);
         assert_eq!(layout.groups()[0].maskable_id(), Some(0));
         assert_eq!(layout.groups()[1].maskable_id(), Some(1));
         assert_eq!(layout.groups()[2].maskable_id(), None);
@@ -686,22 +649,22 @@ mod tests {
         let layout = net.layout();
         let units = net.maskable_units();
         let mut mask = ModelMask::all_active(&units);
-        mask.set_layer(0, Some(vec![true, false]));
+        mask.set_layer(0, Some([true, false].into_iter().collect()));
         let pm = layout.param_mask(&mask);
         assert_eq!(pm.len(), layout.total_params());
         let inactive: Vec<usize> = layout.neuron_param_indices(NeuronId { group: 0, unit: 1 });
         for i in inactive {
-            assert!(!pm[i]);
+            assert!(!pm.get(i));
         }
         // Unmasked group params stay active.
         let active = layout.neuron_param_indices(NeuronId { group: 1, unit: 0 });
         for i in active {
-            assert!(pm[i]);
+            assert!(pm.get(i));
         }
         // Head params always active.
         let head = layout.neuron_param_indices(NeuronId { group: 2, unit: 0 });
         for i in head {
-            assert!(pm[i]);
+            assert!(pm.get(i));
         }
     }
 
@@ -710,13 +673,13 @@ mod tests {
         let mut net = tiny_net();
         let units = net.maskable_units();
         let mut mask = ModelMask::all_active(&units);
-        mask.set_layer(0, Some(vec![true, false]));
+        mask.set_layer(0, Some([true, false].into_iter().collect()));
         net.set_masks(&mask).unwrap();
         let x = Tensor::ones(&[1, 1, 4, 4]);
         let _ = net.forward(&x).unwrap();
         // Masked channel produces zero activations: verify via conv layer.
         if let Layer::Conv2d(c) = &net.layers()[0] {
-            assert_eq!(c.unit_mask().unwrap(), &[true, false]);
+            assert_eq!(c.unit_mask().unwrap().iter_ones().collect::<Vec<_>>(), [0]);
         } else {
             panic!("layer 0 should be conv");
         }
@@ -729,7 +692,7 @@ mod tests {
     #[test]
     fn set_masks_rejects_bad_length() {
         let mut net = tiny_net();
-        let mask = ModelMask::from_layers(vec![Some(vec![true; 5]), None]);
+        let mask = ModelMask::from_layers(vec![Some(UnitMask::full(5)), None]);
         assert!(net.set_masks(&mask).is_err());
     }
 
@@ -739,10 +702,7 @@ mod tests {
         let full = ModelMask::all_active(&units);
         assert_eq!(full.keep_ratio(&units), 1.0);
         let mut half = ModelMask::all_active(&units);
-        half.set_layer(
-            1,
-            Some(vec![true, true, true, true, false, false, false, false]),
-        );
+        half.set_layer(1, Some((0..8).map(|j| j < 4).collect()));
         assert!((half.keep_ratio(&units) - 0.6).abs() < 1e-9);
         assert_eq!(half.active_counts(&units), vec![2, 4]);
         assert!(half.is_active(0, 0));

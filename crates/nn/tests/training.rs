@@ -125,7 +125,7 @@ fn masked_training_leaves_masked_params_untouched() {
     let mut frozen_checked = 0;
     let mut trained_moved = 0;
     for i in 0..before.len() {
-        if !pm[i] {
+        if !pm.get(i) {
             assert_eq!(before[i], after[i], "masked param {i} moved");
             frozen_checked += 1;
         } else if before[i] != after[i] {

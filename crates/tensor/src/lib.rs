@@ -35,6 +35,7 @@ mod error;
 mod gemm;
 mod init;
 mod instrument;
+mod mask;
 mod ops;
 mod packed;
 mod parallel;
@@ -52,6 +53,7 @@ pub use init::{he_normal, uniform_init, xavier_uniform, TensorRng};
 #[doc(hidden)]
 pub use instrument::charge_host_ns;
 pub use instrument::{kernel_counters, KernelCounters};
+pub use mask::{mask_bit, mask_population, MaskWordsError, UnitMask};
 pub use packed::{
     gather_channels, gather_elems, gather_rows_cols, scatter_add_elems, scatter_add_rows_cols,
     scatter_channels, scatter_cols,

@@ -355,7 +355,10 @@ fn collect_then_average(global: &[f32], routed: &RoutedCycle) -> Vec<f32> {
     for u in &routed.updates {
         let w = u.num_samples as f64;
         for i in 0..n {
-            if u.param_mask.as_ref().is_none_or(|m| m[i]) {
+            if u.param_mask
+                .as_ref()
+                .is_none_or(|m| helios_tensor::mask_bit(m, i))
+            {
                 num[i] += w * f64::from(u.params[i]);
                 den[i] += w;
             }

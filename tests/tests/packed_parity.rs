@@ -17,7 +17,7 @@ use helios_nn::{
     models, Conv2d, CrossEntropyLoss, Dense, Flatten, Layer, MaxPool2d, ModelMask, Network, Relu,
     Sgd,
 };
-use helios_tensor::{kernel_counters, uniform_init, ConvSpec, Tensor, TensorRng};
+use helios_tensor::{kernel_counters, uniform_init, ConvSpec, Tensor, TensorRng, UnitMask};
 use proptest::prelude::*;
 
 /// Runs two SGD-with-momentum training steps and captures every
@@ -114,7 +114,7 @@ proptest! {
         let net = mlp(in_features, hidden, 4, seed);
         let mut mask_rng = TensorRng::seed_from(mask_seed);
         let bits = uniform_init(&[2 * hidden], 0.0, 1.0, &mut mask_rng);
-        let layer_mask = |off: usize| -> Vec<bool> {
+        let layer_mask = |off: usize| -> UnitMask {
             (0..hidden).map(|j| bits.as_slice()[off + j] < 0.6).collect()
         };
         let mask = ModelMask::from_layers(vec![Some(layer_mask(0)), Some(layer_mask(hidden))]);
@@ -139,8 +139,8 @@ proptest! {
         let net = conv_net(channels, conv_out, hidden, 3, seed);
         let mut mask_rng = TensorRng::seed_from(mask_seed);
         let bits = uniform_init(&[conv_out + hidden], 0.0, 1.0, &mut mask_rng);
-        let conv_mask: Vec<bool> = (0..conv_out).map(|j| bits.as_slice()[j] < 0.6).collect();
-        let dense_mask: Vec<bool> =
+        let conv_mask: UnitMask = (0..conv_out).map(|j| bits.as_slice()[j] < 0.6).collect();
+        let dense_mask: UnitMask =
             (0..hidden).map(|j| bits.as_slice()[conv_out + j] < 0.6).collect();
         let mask = ModelMask::from_layers(vec![Some(conv_mask), Some(dense_mask)]);
         let mut rng = TensorRng::seed_from(seed ^ 0x51f3);
@@ -172,6 +172,48 @@ fn packed_parity_holds_at_every_thread_width() {
         packed.set_masks(&mask).expect("masks");
         let got = with_threads(threads, || train_twice(&mut packed, &x, &labels));
         assert_eq!(got, baseline, "packed run at {threads} threads diverged");
+    }
+}
+
+/// The packed plan is derived once per installed mask, not per step. A
+/// network walked through mask A → mask B → cleared → mask A, training
+/// after each, tracks its zeroing twin bit for bit at every stage, so no
+/// plan outlives the mask it was derived from.
+#[test]
+fn no_stale_plan_survives_a_reinstall_or_a_clear() {
+    let net = conv_net(3, 6, 12, 3, 91);
+    let mut probe = net.clone();
+    let mask_a = leading_units_mask(&mut probe, 0.5);
+    let units = probe.maskable_units();
+    let mask_b = ModelMask::from_layers(
+        units
+            .0
+            .iter()
+            .map(|&n| Some((0..n).map(|j| j % 3 != 1).collect()))
+            .collect(),
+    );
+    let mut rng = TensorRng::seed_from(92);
+    let x = uniform_init(&[4, 3, 8, 8], -1.0, 1.0, &mut rng);
+    let labels = vec![0, 1, 2, 0];
+
+    let mut packed = net.clone();
+    let mut zeroing = net;
+    zeroing.set_packed_execution(false);
+    for (stage, mask) in [Some(&mask_a), Some(&mask_b), None, Some(&mask_a)]
+        .into_iter()
+        .enumerate()
+    {
+        for twin in [&mut packed, &mut zeroing] {
+            match mask {
+                Some(m) => twin.set_masks(m).expect("masks"),
+                None => twin.clear_masks(),
+            }
+        }
+        assert_eq!(
+            train_twice(&mut packed, &x, &labels),
+            train_twice(&mut zeroing, &x, &labels),
+            "stage {stage} diverged"
+        );
     }
 }
 

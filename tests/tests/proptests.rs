@@ -9,7 +9,7 @@ use helios_integration::{bitwise_equal, with_threads};
 use helios_nn::models::ModelKind;
 use helios_nn::{models, MaskableUnits, ModelMask, NeuronId};
 use helios_tensor::{
-    conv2d, conv2d_backward, uniform_init, ConvSpec, ParallelismConfig, TensorRng,
+    conv2d, conv2d_backward, uniform_init, ConvSpec, ParallelismConfig, TensorRng, UnitMask,
 };
 use proptest::prelude::*;
 
@@ -24,8 +24,11 @@ proptest! {
     ) {
         let mut rng = TensorRng::seed_from(seed);
         let base: Vec<f32> = (0..n).map(|_| rng.uniform(-2.0, 2.0)).collect();
-        let masks: Vec<Vec<bool>> = (0..clients)
-            .map(|_| (0..n).map(|_| rng.uniform(0.0, 1.0) > 0.3).collect())
+        let masks: Vec<Vec<u64>> = (0..clients)
+            .map(|_| {
+                let m: UnitMask = (0..n).map(|_| rng.uniform(0.0, 1.0) > 0.3).collect();
+                m.into_words()
+            })
             .collect();
         let weights: Vec<f64> = (0..clients).map(|_| rng.uniform(0.1, 3.0) as f64).collect();
         let updates: Vec<MaskedUpdate<'_>> = masks
@@ -110,12 +113,12 @@ proptest! {
         let k = (n / 3).max(2);
         let top = (k / 5).max(1);
         let mask = select_layer_mask(&contributions, k, top, &[], &mut rng);
-        prop_assert_eq!(mask.iter().filter(|&&b| b).count(), k);
+        prop_assert_eq!(mask.count_ones(), k);
         // The single largest contributor is always selected.
         let argmax = (0..n)
             .max_by(|&a, &b| contributions[a].partial_cmp(&contributions[b]).unwrap())
             .unwrap();
-        prop_assert!(mask[argmax]);
+        prop_assert!(mask.get(argmax));
     }
 
     /// A SoftTrainer mask always has the planned active counts, whatever
@@ -184,7 +187,10 @@ proptest! {
         ] {
             let layout = net.layout();
             let mut claimed = vec![false; layout.total_params()];
-            for id in layout.neuron_ids() {
+            let ids = layout.groups().iter().enumerate().flat_map(|(group, g)| {
+                (0..g.units()).map(move |unit| NeuronId { group, unit })
+            });
+            for id in ids {
                 for idx in layout.neuron_param_indices(id) {
                     prop_assert!(idx < claimed.len());
                     prop_assert!(!claimed[idx], "index {idx} claimed twice");
@@ -207,7 +213,7 @@ proptest! {
         let layout = net.layout();
         let mask: ModelMask = probe_mask(&units, keep);
         let pm = layout.param_mask(&mask);
-        let inactive = pm.iter().filter(|&&b| !b).count();
+        let inactive = pm.len() - pm.count_ones();
         let mut expected = 0usize;
         for (gi, group) in layout.groups().iter().enumerate() {
             let Some(mid) = group.maskable_id() else { continue };

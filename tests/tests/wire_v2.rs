@@ -26,7 +26,7 @@ use helios_fl::{
 };
 use helios_net::codec::{self, Payload};
 use helios_nn::models::ModelKind;
-use helios_tensor::{ParallelismConfig, TensorRng};
+use helios_tensor::{ParallelismConfig, TensorRng, UnitMask};
 use proptest::prelude::*;
 
 const SEED: u64 = 7401;
@@ -216,11 +216,11 @@ fn update_vs_base() -> impl proptest::strategy::Strategy<Value = Vec<(f32, f32, 
     )
 }
 
-fn split(entries: &[(f32, f32, bool)]) -> (Vec<f32>, Vec<f32>, Vec<bool>) {
+fn split(entries: &[(f32, f32, bool)]) -> (Vec<f32>, Vec<f32>, Vec<u64>) {
     let base = entries.iter().map(|e| e.0).collect();
     let update = entries.iter().map(|e| e.1).collect();
-    let mask = entries.iter().map(|e| e.2).collect();
-    (base, update, mask)
+    let mask = entries.iter().map(|e| e.2).collect::<UnitMask>();
+    (base, update, mask.into_words())
 }
 
 proptest! {
@@ -352,7 +352,7 @@ proptest! {
     /// change nothing.
     #[test]
     fn all_masked_updates_are_identity(values in proptest::collection::vec(adversarial_f32(), 1..48)) {
-        let mask = vec![false; values.len()];
+        let mask = vec![0u64; values.len().div_ceil(64)];
         for frame in [
             codec::encode_quant_f16(0, 0, &values, Some(&mask), &values).unwrap(),
             codec::encode_quant_i8(0, 0, &values, Some(&mask), &values).unwrap(),
