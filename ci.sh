@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # CI gate for the Helios workspace: formatting, lints (including an
 # unwrap/expect deny gate for the typed-error crates), first-party line
-# counts, a no-shared-statics gate, a single-thread-scope gate, a
-# one-mask-type gate, docs, release build, tests, and the repository
-# benchmark package (benchmark/) built, tested and smoke-run.
-# Takes no arguments.
+# counts, a public-surface report (never fails), a no-shared-statics
+# gate, a single-thread-scope gate, a one-mask-type gate, docs, release
+# build, tests, and the repository benchmark package (benchmark/) built,
+# tested and smoke-run. Takes no arguments.
 set -euo pipefail
 cd "$(dirname "$0")"
 [ $# -eq 0 ] || { echo "usage: ./ci.sh (takes no arguments)" >&2; exit 2; }
@@ -37,6 +37,44 @@ for crate in crates/*/; do
             !in_tests { lines++ }
             END { printf "%-10s %6d\n", crate, lines }'
 done
+
+step "public surface per crate (report only, never fails)"
+# Non-test `pub fn|struct|enum|const|type|trait` declarations per crate
+# (anything a caller outside the crate does not use is `pub(crate)`),
+# then every `pub fn` / `pub const` name that no non-test code mentions
+# outside its definition and `use` lines, searching crates/*/src (the
+# paper bins included), examples and benchmark/src. Each name listed
+# is kept for an integration-test or documented caller; a new one is
+# an orphan to delete or narrow.
+for crate in crates/*/; do
+    find "$crate/src" -name '*.rs' -print0 | sort -z |
+        xargs -0 awk -v crate="$(basename "$crate")" '
+            FNR == 1 { in_tests = 0 }
+            /#\[cfg\(test\)\]/ { in_tests = 1 }
+            !in_tests && /^[ \t]*pub (fn|struct|enum|const|type|trait) / { n++ }
+            END { printf "%-10s %6d\n", crate, n }'
+done
+echo "pub fn / pub const names with no non-test caller:"
+find crates/*/src examples benchmark/src -name '*.rs' -print0 | sort -z |
+    xargs -0 awk '
+        FNR == 1 { in_tests = 0; in_use = 0 }
+        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        in_tests { next }
+        { gsub(/"([^"\\]|\\.)*"/, "\"\""); sub(/\/\/.*/, "") }
+        /^[ \t]*(pub )?use / { in_use = 1 }
+        in_use { if (/;/) in_use = 0; next }
+        FILENAME ~ /^crates\/[^\/]+\/src\// &&
+            match($0, /^[ \t]*pub (const )?(fn|const) [A-Za-z_0-9]+/) {
+            n = split(substr($0, RSTART, RLENGTH), w, /[ \t]+/)
+            defs[w[n]]++; where[w[n]] = FILENAME ":" FNR
+        }
+        {
+            gsub(/[^A-Za-z_0-9]+/, " ")
+            n = split($0, t, " ")
+            for (i = 1; i <= n; i++) seen[t[i]]++
+        }
+        END { for (name in defs) if (seen[name] == defs[name]) printf "  %-32s %s\n", name, where[name] }' |
+    sort || true
 
 step "no shared mutable statics (non-test code of crates/*/src, all of tests/)"
 # State belongs to the thread that drives the run: bus, counters and

@@ -144,7 +144,7 @@ impl ExperimentConfig {
     ///
     /// Panics if called on an unvalidated config with a bad workload name
     /// (construct via [`ExperimentConfig::from_json`] to avoid this).
-    pub fn spec(&self) -> ExperimentSpec {
+    pub(crate) fn spec(&self) -> ExperimentSpec {
         ExperimentSpec {
             workload: Workload::parse(&self.workload).expect("validated workload"),
             capable: self.capable,

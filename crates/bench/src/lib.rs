@@ -142,7 +142,7 @@ impl ExperimentSpec {
 
     /// Client indices of the stragglers (the fleet builder places capable
     /// devices first).
-    pub fn straggler_ids(&self) -> Vec<usize> {
+    pub(crate) fn straggler_ids(&self) -> Vec<usize> {
         (self.capable..self.devices()).collect()
     }
 
@@ -188,7 +188,7 @@ impl ExperimentSpec {
     /// returns the fitted keep ratio per client (`None` for capable
     /// devices) — handed to the Random baseline so both train the same
     /// expected volumes, as in the paper's comparison.
-    pub fn helios_volumes(&self) -> Vec<Option<f64>> {
+    pub(crate) fn helios_volumes(&self) -> Vec<Option<f64>> {
         let mut env = self.build_env();
         let mut helios = HeliosStrategy::new(HeliosConfig::default());
         helios

@@ -12,14 +12,14 @@ use helios_tensor::{Tensor, TensorRng};
 ///
 /// ```
 /// # use std::error::Error;
-/// use helios_data::Dataset;
-/// use helios_tensor::Tensor;
+/// use helios_data::SyntheticVision;
+/// use helios_tensor::TensorRng;
 ///
 /// # fn main() -> Result<(), Box<dyn Error>> {
-/// let images = Tensor::zeros(&[4, 1, 2, 2]);
-/// let ds = Dataset::new(images, vec![0, 1, 0, 1], 2)?;
-/// assert_eq!(ds.len(), 4);
-/// assert_eq!(ds.class_counts(), vec![2, 2]);
+/// let (ds, _) = SyntheticVision::mnist_like().generate(40, 0, &mut TensorRng::seed_from(0))?;
+/// let shard = ds.subset(&[0, 1, 2, 3])?;
+/// assert_eq!(shard.len(), 4);
+/// assert_eq!(shard.class_counts().iter().sum::<usize>(), 4);
 /// # Ok(())
 /// # }
 /// ```
@@ -37,7 +37,7 @@ impl Dataset {
     ///
     /// Returns [`DataError::LengthMismatch`] when counts disagree and
     /// [`DataError::LabelOutOfRange`] for an invalid label.
-    pub fn new(images: Tensor, labels: Vec<usize>, num_classes: usize) -> Result<Self> {
+    pub(crate) fn new(images: Tensor, labels: Vec<usize>, num_classes: usize) -> Result<Self> {
         let n = images.dims().first().copied().unwrap_or(0);
         if n != labels.len() {
             return Err(DataError::LengthMismatch {
@@ -59,13 +59,9 @@ impl Dataset {
     }
 
     /// Number of samples.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.labels.len()
-    }
-
-    /// Whether the dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
     }
 
     /// Number of classes.
@@ -84,7 +80,7 @@ impl Dataset {
     }
 
     /// Per-sample dimensions (`[C, H, W]`).
-    pub fn sample_dims(&self) -> Vec<usize> {
+    pub(crate) fn sample_dims(&self) -> Vec<usize> {
         self.images.dims()[1..].to_vec()
     }
 
@@ -124,60 +120,6 @@ impl Dataset {
             labels,
             num_classes: self.num_classes,
         })
-    }
-
-    /// Concatenates two datasets with identical sample dimensions and
-    /// class counts (e.g. merging shards when devices leave and their
-    /// data is redistributed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::InvalidArgument`] when geometries differ.
-    pub fn merge(&self, other: &Dataset) -> Result<Dataset> {
-        if self.sample_dims() != other.sample_dims() || self.num_classes != other.num_classes {
-            return Err(DataError::InvalidArgument {
-                what: format!(
-                    "cannot merge {:?}/{} classes with {:?}/{} classes",
-                    self.sample_dims(),
-                    self.num_classes,
-                    other.sample_dims(),
-                    other.num_classes
-                ),
-            });
-        }
-        let mut data = self.images.as_slice().to_vec();
-        data.extend_from_slice(other.images.as_slice());
-        let mut labels = self.labels.clone();
-        labels.extend_from_slice(&other.labels);
-        let mut dims = vec![self.len() + other.len()];
-        dims.extend(self.sample_dims());
-        Ok(Dataset {
-            images: Tensor::from_vec(data, &dims)?,
-            labels,
-            num_classes: self.num_classes,
-        })
-    }
-
-    /// The samples belonging to one class, in dataset order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::LabelOutOfRange`] for an invalid class.
-    pub fn class_subset(&self, class: usize) -> Result<Dataset> {
-        if class >= self.num_classes {
-            return Err(DataError::LabelOutOfRange {
-                label: class,
-                classes: self.num_classes,
-            });
-        }
-        let indices: Vec<usize> = self
-            .labels
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l == class)
-            .map(|(i, _)| i)
-            .collect();
-        self.subset(&indices)
     }
 
     /// Returns a copy with every label rotated `by` class positions
@@ -355,30 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_concatenates_compatible_datasets() {
-        let a = four_sample_dataset();
-        let b = four_sample_dataset();
-        let m = a.merge(&b).unwrap();
-        assert_eq!(m.len(), 8);
-        assert_eq!(m.class_counts(), vec![4, 2, 2]);
-        assert_eq!(&m.images().as_slice()[16..20], &[0.0, 1.0, 2.0, 3.0]);
-        // Geometry mismatch is rejected.
-        let other = Dataset::new(Tensor::zeros(&[1, 1, 3, 3]), vec![0], 3).unwrap();
-        assert!(a.merge(&other).is_err());
-    }
-
-    #[test]
-    fn class_subset_selects_one_label() {
-        let ds = four_sample_dataset();
-        let zeros = ds.class_subset(0).unwrap();
-        assert_eq!(zeros.len(), 2);
-        assert!(zeros.labels().iter().all(|&l| l == 0));
-        let empty = ds.class_subset(1).unwrap();
-        assert_eq!(empty.len(), 1);
-        assert!(ds.class_subset(9).is_err());
-    }
-
-    #[test]
     fn rotate_labels_wraps_and_composes() {
         let ds = four_sample_dataset();
         let r = ds.rotate_labels(2);
@@ -405,7 +323,7 @@ mod tests {
     #[test]
     fn empty_dataset_is_ok() {
         let ds = Dataset::new(Tensor::zeros(&[0, 1, 2, 2]), vec![], 3).unwrap();
-        assert!(ds.is_empty());
+        assert!(ds.labels().is_empty());
         assert_eq!(ds.batches(4).count(), 0);
     }
 }

@@ -51,4 +51,4 @@ pub use error::DataError;
 pub use synthetic::{ShardSynthesizer, SyntheticVision};
 
 /// Crate-wide result alias carrying a [`DataError`].
-pub type Result<T> = std::result::Result<T, DataError>;
+pub(crate) type Result<T> = std::result::Result<T, DataError>;

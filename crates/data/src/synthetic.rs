@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// # fn main() -> Result<(), Box<dyn Error>> {
 /// let spec = SyntheticVision::cifar10_like();
 /// let (train, test) = spec.generate(200, 50, &mut TensorRng::seed_from(1))?;
-/// assert_eq!(train.sample_dims(), vec![3, 16, 16]);
+/// assert_eq!(train.images().dims()[1..], [3, 16, 16]);
 /// assert_eq!(test.len(), 50);
 /// # Ok(())
 /// # }
@@ -238,21 +238,6 @@ impl ShardSynthesizer {
             samples_per_shard,
             base_seed,
         })
-    }
-
-    /// The dataset specification shared by every shard.
-    pub fn spec(&self) -> &SyntheticVision {
-        &self.spec
-    }
-
-    /// Number of samples in each synthesized shard.
-    pub fn samples_per_shard(&self) -> usize {
-        self.samples_per_shard
-    }
-
-    /// The seed every per-shard stream is derived from.
-    pub fn base_seed(&self) -> u64 {
-        self.base_seed
     }
 
     /// Synthesizes the shard of device `index`.

@@ -16,7 +16,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// use helios_device::SimTime;
 ///
 /// let a = SimTime::from_secs(90.0);
-/// let b = SimTime::from_mins(1.0);
+/// let b = SimTime::from_secs(60.0);
 /// assert!(a > b);
 /// assert_eq!((a - b).as_secs_f64(), 30.0);
 /// assert_eq!(format!("{b}"), "1m00.0s");
@@ -42,32 +42,9 @@ impl SimTime {
         SimTime(secs)
     }
 
-    /// Creates a time from minutes.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`SimTime::from_secs`].
-    pub fn from_mins(mins: f64) -> Self {
-        SimTime::from_secs(mins * 60.0)
-    }
-
-    /// Creates a time from hours.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`SimTime::from_secs`].
-    pub fn from_hours(hours: f64) -> Self {
-        SimTime::from_secs(hours * 3600.0)
-    }
-
     /// Seconds as `f64`.
     pub fn as_secs_f64(self) -> f64 {
         self.0
-    }
-
-    /// Minutes as `f64`.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 / 60.0
     }
 
     /// Hours as `f64`.
@@ -134,7 +111,6 @@ impl fmt::Display for SimTime {
 ///
 /// let mut clock = SimClock::new();
 /// clock.advance(SimTime::from_secs(5.0));
-/// clock.advance_to(SimTime::from_secs(3.0)); // in the past: no-op
 /// assert_eq!(clock.now().as_secs_f64(), 5.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -157,12 +133,6 @@ impl SimClock {
     pub fn advance(&mut self, span: SimTime) {
         self.now += span;
     }
-
-    /// Moves the clock forward to `t`; a `t` in the past is ignored
-    /// (the clock is monotone).
-    pub fn advance_to(&mut self, t: SimTime) {
-        self.now = self.now.max(t);
-    }
 }
 
 #[cfg(test)]
@@ -171,8 +141,8 @@ mod tests {
 
     #[test]
     fn construction_and_conversion() {
-        assert_eq!(SimTime::from_mins(2.0).as_secs_f64(), 120.0);
-        assert_eq!(SimTime::from_hours(1.0).as_mins_f64(), 60.0);
+        assert_eq!(SimTime::from_secs(120.0).as_secs_f64(), 120.0);
+        assert_eq!(SimTime::from_secs(5400.0).as_hours_f64(), 1.5);
         assert_eq!(SimTime::ZERO.as_secs_f64(), 0.0);
     }
 
@@ -202,7 +172,7 @@ mod tests {
     fn display_formats_by_magnitude() {
         assert_eq!(SimTime::from_secs(5.25).to_string(), "5.25s");
         assert_eq!(SimTime::from_secs(90.0).to_string(), "1m30.0s");
-        assert_eq!(SimTime::from_hours(2.5).to_string(), "2h30.0m");
+        assert_eq!(SimTime::from_secs(9000.0).to_string(), "2h30.0m");
     }
 
     #[test]
@@ -210,9 +180,9 @@ mod tests {
         let mut c = SimClock::new();
         c.advance(SimTime::from_secs(7.0));
         assert_eq!(c.now().as_secs_f64(), 7.0);
-        c.advance_to(SimTime::from_secs(3.0));
+        c.advance(SimTime::ZERO);
         assert_eq!(c.now().as_secs_f64(), 7.0);
-        c.advance_to(SimTime::from_secs(11.0));
+        c.advance(SimTime::from_secs(4.0));
         assert_eq!(c.now().as_secs_f64(), 11.0);
     }
 }

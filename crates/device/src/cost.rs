@@ -77,22 +77,6 @@ impl CostModel {
     pub fn fits_memory(device: &ResourceProfile, resident_bytes: f64) -> bool {
         resident_bytes <= device.memory_capacity_bytes()
     }
-
-    /// Ratio of `device`'s cycle time to `reference`'s on the same
-    /// workload — >1 means `device` is slower (a straggler candidate).
-    pub fn slowdown_vs(
-        device: &ResourceProfile,
-        reference: &ResourceProfile,
-        work: &TrainingWorkload,
-    ) -> f64 {
-        let t_dev = Self::time_for(device, work).as_secs_f64();
-        let t_ref = Self::time_for(reference, work).as_secs_f64();
-        if t_ref == 0.0 {
-            1.0
-        } else {
-            t_dev / t_ref
-        }
-    }
 }
 
 #[cfg(test)]
@@ -125,8 +109,6 @@ mod tests {
         let weak = device(1e9, 1e9, 1e8);
         let w = TrainingWorkload::new(1e10, 1e8, 1e6);
         assert!(CostModel::time_for(&weak, &w) > CostModel::time_for(&strong, &w));
-        assert!(CostModel::slowdown_vs(&weak, &strong, &w) > 1.0);
-        assert!((CostModel::slowdown_vs(&strong, &strong, &w) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -75,16 +75,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedules `event` to fire at `time`.
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
@@ -92,25 +82,9 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { time, seq, event });
     }
 
-    /// Timestamp of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
-    }
-
-    /// Pops every event scheduled at or before `deadline`, in order.
-    pub fn drain_until(&mut self, deadline: SimTime) -> Vec<(SimTime, E)> {
-        let mut fired = Vec::new();
-        while self.peek_time().is_some_and(|t| t <= deadline) {
-            if let Some(entry) = self.pop() {
-                fired.push(entry);
-            }
-        }
-        fired
     }
 }
 
@@ -130,11 +104,10 @@ mod tests {
         q.schedule(SimTime::from_secs(3.0), 3);
         q.schedule(SimTime::from_secs(1.0), 1);
         q.schedule(SimTime::from_secs(2.0), 2);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time().unwrap().as_secs_f64(), 1.0);
+        assert_eq!(q.heap.len(), 3);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![1, 2, 3]);
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
     }
 
     #[test]
@@ -145,20 +118,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn drain_until_respects_deadline() {
-        let mut q = EventQueue::new();
-        for i in 1..=5 {
-            q.schedule(SimTime::from_secs(i as f64), i);
-        }
-        let fired = q.drain_until(SimTime::from_secs(3.0));
-        assert_eq!(fired.len(), 3);
-        assert_eq!(fired.last().unwrap().1, 3);
-        assert_eq!(q.len(), 2);
-        // Deadline before everything: nothing fires.
-        assert!(q.drain_until(SimTime::from_secs(0.5)).is_empty());
     }
 
     #[test]
@@ -176,7 +135,6 @@ mod tests {
     #[test]
     fn default_is_empty() {
         let q: EventQueue<u8> = EventQueue::default();
-        assert!(q.is_empty());
-        assert!(q.peek_time().is_none());
+        assert!(q.heap.is_empty());
     }
 }

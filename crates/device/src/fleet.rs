@@ -86,18 +86,6 @@ impl ProfileSynthesizer {
         }
     }
 
-    /// The seed every per-device draw is derived from.
-    #[must_use]
-    pub fn base_seed(&self) -> u64 {
-        self.base_seed
-    }
-
-    /// Fraction of the population drawn from the Table I straggler boards.
-    #[must_use]
-    pub fn straggler_fraction(&self) -> f64 {
-        self.straggler_fraction
-    }
-
     /// Synthesizes the profile of device `index`.
     ///
     /// Pure in `(base_seed, index)` — calling it in any order, any number

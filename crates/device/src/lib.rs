@@ -30,7 +30,7 @@
 //! ```
 //! use helios_device::{presets, CostModel, TrainingWorkload};
 //!
-//! let nano = presets::jetson_nano_cpu();
+//! let nano = presets::jetson_nano();
 //! let work = TrainingWorkload::new(1.0e12, 2.0e9, 1.0e7);
 //! let te = CostModel::time_for(&nano, &work);
 //! assert!(te.as_secs_f64() > 0.0);

@@ -25,7 +25,7 @@ pub fn jetson_nano() -> ResourceProfile {
 }
 
 /// Jetson Nano throttled to CPU-only mode (Table I column 1).
-pub fn jetson_nano_cpu() -> ResourceProfile {
+pub(crate) fn jetson_nano_cpu() -> ResourceProfile {
     ResourceProfile::new("jetson-nano-cpu", 7.0e9, 4.0e9, 12.0e6, 252 * MB)
 }
 
@@ -35,7 +35,7 @@ pub fn raspberry_pi() -> ResourceProfile {
 }
 
 /// AWS DeepLens in GPU mode (Table I column 3).
-pub fn deeplens_gpu() -> ResourceProfile {
+pub(crate) fn deeplens_gpu() -> ResourceProfile {
     ResourceProfile::new("deeplens-gpu", 5.5e9, 3.0e9, 12.0e6, 100 * MB)
 }
 
@@ -115,7 +115,8 @@ mod tests {
         let work = TrainingWorkload::new(8.0e12, 4.0e10, 1.0e7);
         let capable = jetson_nano();
         for s in table1_stragglers() {
-            let slowdown = CostModel::slowdown_vs(&s, &capable, &work);
+            let slowdown = CostModel::time_for(&s, &work).as_secs_f64()
+                / CostModel::time_for(&capable, &work).as_secs_f64();
             assert!(
                 (2.5..8.0).contains(&slowdown),
                 "{}: slowdown {slowdown:.1} out of expected band",

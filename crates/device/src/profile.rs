@@ -12,11 +12,11 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use helios_device::ResourceProfile;
+/// use helios_device::presets;
 ///
-/// let dev = ResourceProfile::new("probe", 5.0e9, 2.0e9, 1.0e8, 128 << 20);
-/// assert_eq!(dev.name(), "probe");
-/// assert!(dev.compute_flops_per_sec() > dev.net_bytes_per_sec());
+/// let dev = presets::jetson_nano();
+/// assert_eq!(dev.name(), "jetson-nano-gpu");
+/// assert_eq!(dev.compute_flops_per_sec(), 25.0e9);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResourceProfile {
@@ -34,7 +34,7 @@ impl ResourceProfile {
     ///
     /// Panics if any bandwidth or capacity is not positive and finite —
     /// a zero-bandwidth device would yield infinite training time.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         compute_flops_per_sec: f64,
         mem_bytes_per_sec: f64,
@@ -72,12 +72,12 @@ impl ResourceProfile {
     }
 
     /// Memory transfer speed `V_mc` in bytes/s.
-    pub fn mem_bytes_per_sec(&self) -> f64 {
+    pub(crate) fn mem_bytes_per_sec(&self) -> f64 {
         self.mem_bytes_per_sec
     }
 
     /// Network bandwidth `B_n` in bytes/s.
-    pub fn net_bytes_per_sec(&self) -> f64 {
+    pub(crate) fn net_bytes_per_sec(&self) -> f64 {
         self.net_bytes_per_sec
     }
 
@@ -88,7 +88,7 @@ impl ResourceProfile {
 
     /// Returns a renamed copy (used when instantiating several simulated
     /// boards from one preset).
-    pub fn renamed(&self, name: impl Into<String>) -> Self {
+    pub(crate) fn renamed(&self, name: impl Into<String>) -> Self {
         let mut p = self.clone();
         p.name = name.into();
         p
@@ -101,7 +101,7 @@ impl ResourceProfile {
     /// # Panics
     ///
     /// Panics if `factor` is not positive and finite.
-    pub fn throttled(&self, factor: f64) -> Self {
+    pub(crate) fn throttled(&self, factor: f64) -> Self {
         assert!(
             factor.is_finite() && factor > 0.0,
             "throttle factor must be positive and finite, got {factor}"
@@ -114,7 +114,7 @@ impl ResourceProfile {
     /// Returns a copy with compute bandwidth scaled by `factor`, keeping
     /// the name unchanged — the scenario engine's battery/thermal
     /// throttling knob, recomputed from the pristine profile every cycle
-    /// (a renaming copy like [`ResourceProfile::throttled`] would
+    /// (a renaming copy like `ResourceProfile::throttled` would
     /// compound suffixes when applied repeatedly).
     ///
     /// # Panics

@@ -1,9 +1,8 @@
 //! Asynchronous baselines: plain async FL and AFO (staleness-aware
 //! asynchronous federated optimization).
 
-use crate::{
-    aggregate, fedavg_into_global, FlEnv, FlError, MaskedUpdate, Result, RoundPolicy, RoutedCycle,
-};
+use crate::driver::fedavg_into_global;
+use crate::{aggregate, FlEnv, FlError, MaskedUpdate, Result, RoundPolicy, RoutedCycle};
 use helios_device::SimTime;
 
 /// Computes each straggler's update period: how many capable-device
@@ -202,43 +201,28 @@ impl RoundPolicy for AsyncFl {
 /// baseline \[6\]).
 ///
 /// Capable updates are FedAvg-combined and mixed into the global model
-/// with rate `alpha`; each straggler arrival is mixed individually with
-/// `alpha · (1 + staleness)^(−decay)`, so stale updates move the global
+/// with rate `ALPHA`; each straggler arrival is mixed individually with
+/// `ALPHA · (1 + staleness)^(−DECAY)`, so stale updates move the global
 /// model less — reducing, but not eliminating, the staleness damage.
 #[derive(Debug, Clone)]
 pub struct Afo {
     straggler_ids: Vec<usize>,
-    alpha: f64,
-    decay: f64,
     cycle_duration: SimTime,
     periods: Vec<usize>,
 }
 
 impl Afo {
-    /// AFO with the customary mixing rate 0.6 and polynomial staleness
-    /// exponent 0.5.
+    /// The customary server mixing rate.
+    const ALPHA: f64 = 0.6;
+    /// The polynomial staleness exponent.
+    const DECAY: f64 = 0.5;
+
+    /// AFO for the given straggler ids.
     pub fn new(straggler_ids: Vec<usize>) -> Self {
         Afo {
             straggler_ids,
-            alpha: 0.6,
-            decay: 0.5,
             cycle_duration: SimTime::ZERO,
             periods: Vec::new(),
-        }
-    }
-
-    /// Overrides the mixing hyper-parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]` or `decay` is negative.
-    pub fn with_mixing(straggler_ids: Vec<usize>, alpha: f64, decay: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        assert!(decay >= 0.0, "decay must be non-negative");
-        Afo {
-            alpha,
-            decay,
-            ..Afo::new(straggler_ids)
         }
     }
 
@@ -275,7 +259,7 @@ impl RoundPolicy for Afo {
     }
 
     fn aggregate(&mut self, env: &mut FlEnv, cycle: usize, routed: &RoutedCycle) -> Result<()> {
-        // Fresh capable updates, FedAvg-combined then mixed at alpha.
+        // Fresh capable updates, FedAvg-combined then mixed at ALPHA.
         let mut combined = env.global().to_vec();
         let masked: Vec<MaskedUpdate<'_>> = routed
             .updates
@@ -289,7 +273,7 @@ impl RoundPolicy for Afo {
             .collect();
         aggregate(&mut combined, &masked);
         let mut global = env.global().to_vec();
-        Self::mix(&mut global, &combined, self.alpha);
+        Self::mix(&mut global, &combined, Self::ALPHA);
         // Straggler arrivals mixed individually with decayed rate.
         for u in routed
             .updates
@@ -297,7 +281,7 @@ impl RoundPolicy for Afo {
             .filter(|u| self.straggler_ids.contains(&u.client))
         {
             let staleness = cycle.saturating_sub(u.based_on_cycle) as f64;
-            let rate = self.alpha * (1.0 + staleness).powf(-self.decay);
+            let rate = Self::ALPHA * (1.0 + staleness).powf(-Self::DECAY);
             Self::mix(&mut global, &u.params, rate);
             env.set_global(global.clone())?;
             env.send_global_to(u.client, cycle + 1)?;
@@ -397,12 +381,6 @@ mod tests {
         assert_eq!(g, vec![0.5, 1.0]);
         Afo::mix(&mut g, &[0.5, 1.0], 1.0);
         assert_eq!(g, vec![0.5, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in")]
-    fn afo_rejects_bad_alpha() {
-        let _ = Afo::with_mixing(vec![1], 0.0, 0.5);
     }
 
     #[test]

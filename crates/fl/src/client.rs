@@ -15,11 +15,11 @@ use std::sync::OnceLock;
 /// enough to be inactive in ordinary training.
 pub const GRAD_CLIP_NORM: f32 = 5.0;
 
-/// Default factor mapping a scaled experiment model's memory footprint to
+/// Factor mapping a scaled experiment model's memory footprint to
 /// the full-size model's footprint (16×16 → 32×32 inputs, reduced channel
 /// counts). Chosen so the full models land in the 50–250 MB band of the
 /// paper's Table I memory budgets.
-pub const DEFAULT_MEMORY_SCALE: f64 = 60.0;
+pub(crate) const DEFAULT_MEMORY_SCALE: f64 = 60.0;
 
 /// The result of one local training cycle, ready for aggregation.
 #[derive(Debug, Clone)]
@@ -60,7 +60,6 @@ pub struct Client {
     batch_size: usize,
     local_epochs: usize,
     workload_scale: f64,
-    memory_scale: f64,
     rng: TensorRng,
     current_mask: Option<ModelMask>,
     /// `current_mask` expanded to the flat parameter vector, derived on
@@ -88,7 +87,7 @@ impl Client {
     /// the paper's full-size models (see `FlConfig::workload_scale`), so
     /// the compute term dominates the cost formula exactly as in Table I.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         id: usize,
         net: Network,
         dataset: Dataset,
@@ -116,7 +115,6 @@ impl Client {
             batch_size,
             local_epochs,
             workload_scale,
-            memory_scale: DEFAULT_MEMORY_SCALE,
             rng,
             current_mask: None,
             param_mask: OnceLock::new(),
@@ -124,20 +122,6 @@ impl Client {
             compute_scale: 1.0,
             drift_applied: 0,
         }
-    }
-
-    /// Overrides the memory scale factor (see [`Client::scaled_resident_bytes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `memory_scale` is not positive and finite.
-    pub fn with_memory_scale(mut self, memory_scale: f64) -> Self {
-        assert!(
-            memory_scale.is_finite() && memory_scale > 0.0,
-            "memory scale must be positive and finite, got {memory_scale}"
-        );
-        self.memory_scale = memory_scale;
-        self
     }
 
     /// Client index within the fleet.
@@ -212,13 +196,13 @@ impl Client {
     /// otherwise; the v2 modes shrink it further (worst-case estimates
     /// for the data-dependent delta/top-k layouts — see
     /// `CompressionConfig::upload_wire_size`).
-    pub fn upload_wire_size(&self, compression: &CompressionConfig) -> WireSize {
+    pub(crate) fn upload_wire_size(&self, compression: &CompressionConfig) -> WireSize {
         let active = self.param_mask().map(UnitMask::count_ones);
         compression.upload_wire_size(self.net.param_len(), active)
     }
 
     /// Fraction of maskable neurons active under the current mask.
-    pub fn keep_ratio(&mut self) -> f64 {
+    pub(crate) fn keep_ratio(&mut self) -> f64 {
         let units = self.net.maskable_units();
         match &self.current_mask {
             Some(m) => m.keep_ratio(&units),
@@ -232,7 +216,7 @@ impl Client {
     /// # Errors
     ///
     /// Returns an error when the vector length is wrong.
-    pub fn receive_global(&mut self, params: &[f32], cycle: usize) -> Result<()> {
+    pub(crate) fn receive_global(&mut self, params: &[f32], cycle: usize) -> Result<()> {
         self.net.set_param_vector(params)?;
         self.optimizer.reset_state();
         self.last_based_on = cycle;
@@ -313,7 +297,7 @@ impl Client {
     }
 
     /// The current scenario compute scale (see
-    /// [`Client::set_compute_scale`]).
+    /// `Client::set_compute_scale`).
     pub fn compute_scale(&self) -> f64 {
         self.compute_scale
     }
@@ -326,7 +310,7 @@ impl Client {
     /// # Panics
     ///
     /// Panics if `scale` is not positive and finite.
-    pub fn set_compute_scale(&mut self, scale: f64) {
+    pub(crate) fn set_compute_scale(&mut self, scale: f64) {
         assert!(
             scale.is_finite() && scale > 0.0,
             "compute scale must be positive and finite, got {scale}"
@@ -335,7 +319,7 @@ impl Client {
     }
 
     /// Number of scenario drift events already applied to the local
-    /// shard (see [`Client::apply_drift`]).
+    /// shard (see `Client::apply_drift`).
     pub fn drift_applied(&self) -> usize {
         self.drift_applied
     }
@@ -349,20 +333,15 @@ impl Client {
     ///
     /// Propagates tensor construction errors (impossible for finite
     /// amounts).
-    pub fn apply_drift(&mut self, kind: DriftKind, amount: f64) -> Result<()> {
+    pub(crate) fn apply_drift(&mut self, kind: DriftKind, amount: f64) -> Result<()> {
         self.dataset = drifted(&self.dataset, kind, amount)?;
         self.drift_applied += 1;
         Ok(())
     }
 
-    /// The workload scale factor (see [`Client::new`]).
-    pub fn workload_scale(&self) -> f64 {
-        self.workload_scale
-    }
-
     /// Peak training memory footprint under the current mask, in bytes
     /// (of the scaled experiment model itself).
-    pub fn resident_bytes(&self) -> f64 {
+    pub(crate) fn resident_bytes(&self) -> f64 {
         NetworkCost::of(&self.net, self.batch_size).memory_bytes()
     }
 
@@ -372,7 +351,7 @@ impl Client {
     /// with parameters and activations, not with dataset passes), hence a
     /// separate, smaller factor than `workload_scale`.
     pub fn scaled_resident_bytes(&self) -> f64 {
-        self.resident_bytes() * self.memory_scale
+        self.resident_bytes() * DEFAULT_MEMORY_SCALE
     }
 }
 
@@ -446,8 +425,8 @@ mod tests {
         assert!((c.keep_ratio() - 0.5).abs() < 0.1);
         let u = c.train_local().unwrap();
         let pm = u.param_mask.expect("masked training reports a mask");
-        let pm = UnitMask::from_words(pm, u.params.len()).unwrap();
-        assert!(!pm.is_full());
+        let active = helios_tensor::mask_population(&pm, u.params.len()).unwrap();
+        assert!(active < u.params.len());
         // Clearing masks restores the full cost.
         c.set_masks(None).unwrap();
         assert_eq!(c.cycle_time(), full_time);

@@ -85,7 +85,7 @@ impl FlConfig {
     /// Returns [`FlError::InvalidRunConfig`] for zero batch/epoch
     /// counts, a non-finite or non-positive learning rate or workload
     /// scale, a momentum outside `[0, 1)`, or an invalid `net` section.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         let invalid = |what: String| Err(FlError::InvalidRunConfig { what });
         if self.batch_size == 0 {
             return invalid("batch_size must be nonzero".into());

@@ -32,7 +32,7 @@ use std::time::Instant;
 /// default that matches plain synchronous FedAvg (select everyone,
 /// broadcast to everyone, train full models, advance the clock by the
 /// routed round span). The driver calls the hooks in the order documented
-/// on [`RoundDriver::run`].
+/// on `RoundDriver::run`.
 pub trait RoundPolicy {
     /// Short machine-friendly name (used in metrics and CSV output).
     fn name(&self) -> &str;
@@ -146,7 +146,7 @@ impl<P: RoundPolicy> Strategy for P {
 ///
 /// Propagates [`FlEnv::set_global`] length errors (impossible for updates
 /// produced by this environment's clients).
-pub fn fedavg_into_global(env: &mut FlEnv, updates: &[LocalUpdate]) -> Result<()> {
+pub(crate) fn fedavg_into_global(env: &mut FlEnv, updates: &[LocalUpdate]) -> Result<()> {
     let mut global = env.global().to_vec();
     // Stream one update at a time through the online accumulator —
     // bitwise identical to collect-then-[`aggregate`] (which is itself
@@ -164,7 +164,7 @@ pub fn fedavg_into_global(env: &mut FlEnv, updates: &[LocalUpdate]) -> Result<()
 }
 
 /// The engine that owns the canonical round lifecycle (see
-/// [`RoundDriver::run`] for the phase sequence).
+/// `RoundDriver::run` for the phase sequence).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundDriver;
 
@@ -201,7 +201,7 @@ impl RoundDriver {
     ///
     /// Propagates the first policy or environment error; the environment
     /// state is unspecified afterwards.
-    pub fn run<P: RoundPolicy + ?Sized>(
+    pub(crate) fn run<P: RoundPolicy + ?Sized>(
         policy: &mut P,
         env: &mut FlEnv,
         cycles: usize,

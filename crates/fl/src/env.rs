@@ -58,7 +58,7 @@ impl FlEnv {
     ///
     /// Returns [`FlError::FleetMismatch`] when profile and shard counts
     /// differ, [`FlError::InvalidStrategyConfig`] for an empty fleet, or
-    /// [`FlError::InvalidRunConfig`] when [`FlConfig::validate`] rejects
+    /// [`FlError::InvalidRunConfig`] when `FlConfig::validate` rejects
     /// the configuration.
     pub fn new(
         model: ModelKind,
@@ -103,7 +103,7 @@ impl FlEnv {
     ///
     /// Returns [`FlError::InvalidStrategyConfig`] for an empty
     /// population or [`FlError::InvalidRunConfig`] when
-    /// [`FlConfig::validate`] rejects the configuration.
+    /// `FlConfig::validate` rejects the configuration.
     pub fn new_lazy(
         model: ModelKind,
         spec: FleetSpec,
@@ -180,11 +180,6 @@ impl FlEnv {
     /// [`FlEnv::new_lazy`] — the fleet bench's O(cohort) memory contract.
     pub fn materialized_clients(&self) -> usize {
         self.store.resident_len()
-    }
-
-    /// The availability model consulted by weighted sampling.
-    pub fn availability_model(&self) -> &AvailabilityModel {
-        &self.availability
     }
 
     /// Whether per-round cohort sampling is enabled in the config.
@@ -348,7 +343,7 @@ impl FlEnv {
     ///
     /// Only materialized clients receive the broadcast — which is
     /// equivalent to broadcasting to everyone, because
-    /// [`Client::receive_global`] fully overwrites the replica (params,
+    /// `Client::receive_global` fully overwrites the replica (params,
     /// optimizer state, staleness tag) and cohort members are
     /// materialized by [`FlEnv::select_cohort`] *before* the broadcast
     /// phase; a device materialized in a later cycle is overwritten by
@@ -375,7 +370,7 @@ impl FlEnv {
     /// # Errors
     ///
     /// Returns [`FlError::UnknownClient`] for an out-of-range index.
-    pub fn send_global_to(&mut self, client: usize, cycle: usize) -> Result<()> {
+    pub(crate) fn send_global_to(&mut self, client: usize, cycle: usize) -> Result<()> {
         self.ensure_client(client)?;
         self.store
             .get_mut(client)?
@@ -467,11 +462,6 @@ impl FlEnv {
         }
         let n = self.test_set.len().max(1);
         Ok((loss_sum / batches.max(1) as f64, correct as f64 / n as f64))
-    }
-
-    /// The held-out test set.
-    pub fn test_set(&self) -> &Dataset {
-        &self.test_set
     }
 }
 

@@ -80,12 +80,6 @@ impl AvailabilityModel {
         self
     }
 
-    /// The installed diurnal wave, if any.
-    #[must_use]
-    pub fn wave(&self) -> Option<&DiurnalWave> {
-        self.wave.as_ref()
-    }
-
     /// Base availability ignoring any diurnal wave: `0.0` for
     /// permanently offline devices, in `(0, 1]` otherwise. Pure in
     /// `(base_seed, device)`.
@@ -227,7 +221,7 @@ mod tests {
             phase_spread: 1.0,
         };
         let m = AvailabilityModel::new(9, 0.25).with_wave(wave);
-        assert!(m.wave().is_some());
+        assert!(m.wave.is_some());
         // Pure in (device, cycle) and bounded by the static weight.
         let static_m = AvailabilityModel::new(9, 0.25);
         for device in 0..64 {

@@ -85,14 +85,14 @@ mod strategy;
 mod sync;
 
 pub use asynchronous::{Afo, AsyncFl};
-pub use client::{Client, LocalUpdate, DEFAULT_MEMORY_SCALE, GRAD_CLIP_NORM};
+pub use client::{Client, LocalUpdate, GRAD_CLIP_NORM};
 pub use config::FlConfig;
-pub use driver::{fedavg_into_global, RoundDriver, RoundPolicy};
+pub use driver::{RoundDriver, RoundPolicy};
 pub use env::FlEnv;
 pub use error::FlError;
 pub use fleet::{AvailabilityModel, FleetSpec};
 pub use metrics::{PhaseBreakdown, RoundRecord, RunMetrics, RunProfile};
-pub use random_partial::{random_mask, RandomPartial};
+pub use random_partial::RandomPartial;
 pub use route::RoutedCycle;
 pub use sampler::{ClientSampler, SamplerConfig, SamplingStrategy};
 pub use server::{aggregate, cycle_comm_bytes_with, MaskedUpdate, OnlineAggregator};

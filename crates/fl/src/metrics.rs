@@ -141,8 +141,8 @@ pub struct RunProfile {
 ///     phases: Default::default(),
 /// });
 /// assert_eq!(m.best_accuracy(), 0.5);
-/// assert!(m.cycles_to_reach(0.4).is_some());
-/// assert!(m.cycles_to_reach(0.9).is_none());
+/// assert!(m.time_to_reach(0.4).is_some());
+/// assert!(m.time_to_reach(0.9).is_none());
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunMetrics {
@@ -236,14 +236,6 @@ impl RunMetrics {
             .sum::<f64>()
             / tail.len() as f64;
         var.sqrt()
-    }
-
-    /// First cycle whose accuracy reaches `target`, if any.
-    pub fn cycles_to_reach(&self, target: f64) -> Option<usize> {
-        self.records
-            .iter()
-            .find(|r| r.test_accuracy >= target)
-            .map(|r| r.cycle)
     }
 
     /// Simulated time at which accuracy first reaches `target`, if ever.
@@ -350,9 +342,8 @@ mod tests {
     #[test]
     fn target_search() {
         let m = sample_run();
-        assert_eq!(m.cycles_to_reach(0.55), Some(1));
         assert_eq!(m.time_to_reach(0.55).unwrap().as_secs_f64(), 20.0);
-        assert_eq!(m.cycles_to_reach(0.95), None);
+        assert_eq!(m.time_to_reach(0.95), None);
     }
 
     #[test]
@@ -371,7 +362,7 @@ mod tests {
         assert_eq!(m.best_accuracy(), 0.0);
         assert_eq!(m.tail_accuracy(5), 0.0);
         assert_eq!(m.total_time(), SimTime::ZERO);
-        assert!(m.cycles_to_reach(0.1).is_none());
+        assert!(m.time_to_reach(0.1).is_none());
     }
 
     #[test]

@@ -6,11 +6,8 @@ use helios_nn::{MaskableUnits, ModelMask};
 use helios_tensor::{TensorRng, UnitMask};
 
 /// Samples a uniform random mask keeping `ceil(keep · n_i)` units of every
-/// maskable layer.
-///
-/// Shared by the Random baseline and by Helios's initial cycle; public so
-/// the `helios-core` crate can reuse it.
-pub fn random_mask(units: &MaskableUnits, keep: f64, rng: &mut TensorRng) -> ModelMask {
+/// maskable layer: the Random baseline's per-cycle draw.
+pub(crate) fn random_mask(units: &MaskableUnits, keep: f64, rng: &mut TensorRng) -> ModelMask {
     let mut mask = ModelMask::all_active(units);
     for (i, &n) in units.0.iter().enumerate() {
         let k = ((keep * n as f64).ceil() as usize).clamp(1, n);
@@ -113,7 +110,7 @@ impl RoundPolicy for RandomPartial {
     }
 
     fn aggregate(&mut self, env: &mut FlEnv, _cycle: usize, routed: &RoutedCycle) -> Result<()> {
-        crate::fedavg_into_global(env, &routed.updates)
+        crate::driver::fedavg_into_global(env, &routed.updates)
     }
 }
 

@@ -90,7 +90,7 @@ impl SamplerConfig {
     ///
     /// Returns [`FlError::InvalidRunConfig`] when sampling is enabled
     /// with an empty cohort.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.enabled && self.per_round == 0 {
             return Err(FlError::InvalidRunConfig {
                 what: "sampling enabled with per_round == 0".into(),
@@ -153,7 +153,7 @@ impl ClientSampler {
 
     /// The seed of cycle `cycle`'s draw stream.
     #[must_use]
-    pub fn cycle_seed(&self, cycle: usize) -> u64 {
+    pub(crate) fn cycle_seed(&self, cycle: usize) -> u64 {
         self.base_seed ^ SAMPLE_STREAM ^ GOLDEN.wrapping_mul(cycle as u64 + 1)
     }
 

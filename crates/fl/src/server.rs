@@ -116,7 +116,6 @@ pub fn aggregate(global: &mut [f32], updates: &[MaskedUpdate<'_>]) {
 pub struct OnlineAggregator {
     acc: Vec<f64>,
     wsum: Vec<f64>,
-    updates: usize,
 }
 
 impl OnlineAggregator {
@@ -126,14 +125,7 @@ impl OnlineAggregator {
         OnlineAggregator {
             acc: vec![0.0f64; model_len],
             wsum: vec![0.0f64; model_len],
-            updates: 0,
         }
-    }
-
-    /// Number of updates folded in so far.
-    #[must_use]
-    pub fn updates(&self) -> usize {
-        self.updates
     }
 
     /// Folds one contribution into the running accumulator.
@@ -174,7 +166,6 @@ impl OnlineAggregator {
                 }
             }
         }
-        self.updates += 1;
     }
 
     /// Writes the weighted means into `global`; indices no pushed update
@@ -204,7 +195,7 @@ mod tests {
         LocalUpdate {
             client: 0,
             params,
-            param_mask: mask.map(UnitMask::into_words),
+            param_mask: mask.map(|m| m.words().to_vec()),
             train_loss: 0.0,
             num_samples: 1,
             keep_ratio: 1.0,
@@ -353,7 +344,7 @@ mod tests {
                     let params: Vec<f32> = (0..n).map(|_| rng.uniform(-3.0, 3.0)).collect();
                     let mask = if rng.unit_f64() < 0.5 {
                         let m: UnitMask = (0..n).map(|_| rng.unit_f64() < 0.6).collect();
-                        Some(m.into_words())
+                        Some(m.words().to_vec())
                     } else {
                         None
                     };
@@ -380,7 +371,6 @@ mod tests {
             for u in &updates {
                 acc.push(u);
             }
-            assert_eq!(acc.updates(), updates.len());
             acc.finish_into(&mut global);
             let batch_bits: Vec<u32> = batch.iter().map(|x| x.to_bits()).collect();
             let stream_bits: Vec<u32> = global.iter().map(|x| x.to_bits()).collect();

@@ -1,6 +1,7 @@
 //! Synchronized FedAvg — the paper's "Syn. FL" baseline.
 
-use crate::{fedavg_into_global, FlEnv, Result, RoundPolicy, RoutedCycle};
+use crate::driver::fedavg_into_global;
+use crate::{FlEnv, Result, RoundPolicy, RoutedCycle};
 
 /// Fully synchronous FedAvg: every cycle, every device (stragglers
 /// included) trains the complete model and the server waits for the

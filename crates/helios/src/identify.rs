@@ -2,7 +2,7 @@
 //! resource-based profiling.
 
 use crate::{HeliosError, Result};
-use helios_device::{CostModel, ResourceProfile, SimTime, TrainingWorkload};
+use helios_device::{CostModel, SimTime};
 use helios_fl::FlEnv;
 
 /// A device's rank entry in the time index `T` of the paper: devices
@@ -84,27 +84,6 @@ pub fn time_based(env: &FlEnv, iterations: usize, k: usize) -> Result<Vec<usize>
     Ok(ids)
 }
 
-/// *Resource-based profiling* (white box): evaluates the full cost model
-/// on every device's [`ResourceProfile`] and declares stragglers to be the
-/// devices more than `slowdown_threshold` times slower than the fastest
-/// device on the same workload.
-///
-/// # Errors
-///
-/// Returns [`HeliosError::Identification`] when the threshold is not
-/// greater than 1, or when every device would be a straggler.
-pub fn resource_based(
-    profiles: &[&ResourceProfile],
-    workload: &TrainingWorkload,
-    slowdown_threshold: f64,
-) -> Result<Vec<usize>> {
-    let times: Vec<f64> = profiles
-        .iter()
-        .map(|p| CostModel::time_for(p, workload).as_secs_f64())
-        .collect();
-    slower_than_fastest(&times, slowdown_threshold)
-}
-
 /// Positions in `times` more than `slowdown_threshold` times slower
 /// than the fastest entry — the white-box straggler rule.
 fn slower_than_fastest(times: &[f64], slowdown_threshold: f64) -> Result<Vec<usize>> {
@@ -130,21 +109,22 @@ fn slower_than_fastest(times: &[f64], slowdown_threshold: f64) -> Result<Vec<usi
     Ok(stragglers)
 }
 
-/// Resource-based identification over the members of `cohort` (the whole
-/// fleet, or a sampled cohort) using *combined* time — the paper's full
-/// `T_e = W/C_cpu + M/V_mc + U/B_n`: the first member's full-model cycle
-/// workload evaluated on each member's profile, plus the member's
-/// expected link transfer time for one round's exchange (zero when
-/// networking is disabled or the link is ideal, which reduces this to
-/// [`resource_based`] over the members' profiles). Slowdown is measured
+/// *Resource-based profiling* (white box) over the members of `cohort`
+/// (the whole fleet, or a sampled cohort) using *combined* time — the
+/// paper's full `T_e = W/C_cpu + M/V_mc + U/B_n`: the first member's
+/// full-model cycle workload evaluated on each member's profile, plus the
+/// member's expected link transfer time for one round's exchange (zero
+/// when networking is disabled or the link is ideal, which reduces this
+/// to the cost model over the members' profiles). Slowdown is measured
 /// against the fastest *member*, so a 100k-device fleet is classified at
 /// O(cohort) cost and unmaterialized devices are never touched. Returns
 /// absolute client ids, in cohort order.
 ///
 /// # Errors
 ///
-/// Same conditions as [`resource_based`], applied to the cohort, plus an
-/// [`HeliosError::Identification`] for an empty cohort.
+/// Returns [`HeliosError::Identification`] when the threshold is not
+/// greater than 1, when every member would be a straggler, or for an
+/// empty cohort.
 pub fn resource_based_combined_cohort(
     env: &FlEnv,
     cohort: &[usize],
@@ -169,10 +149,24 @@ pub fn resource_based_combined_cohort(
 mod tests {
     use super::*;
     use helios_data::{partition, Dataset, SyntheticVision};
-    use helios_device::presets;
+    use helios_device::{presets, ResourceProfile, TrainingWorkload};
     use helios_fl::FlConfig;
     use helios_nn::models::ModelKind;
     use helios_tensor::TensorRng;
+
+    /// The white-box rule over bare profiles: the cohort path's oracle
+    /// when networking is off.
+    fn resource_based(
+        profiles: &[&ResourceProfile],
+        workload: &TrainingWorkload,
+        slowdown_threshold: f64,
+    ) -> Result<Vec<usize>> {
+        let times: Vec<f64> = profiles
+            .iter()
+            .map(|p| CostModel::time_for(p, workload).as_secs_f64())
+            .collect();
+        slower_than_fastest(&times, slowdown_threshold)
+    }
 
     fn env(capable: usize, stragglers: usize) -> FlEnv {
         let mut rng = TensorRng::seed_from(50);

@@ -83,4 +83,4 @@ pub use error::HeliosError;
 pub use strategy::{AggregationMode, HeliosConfig, HeliosStrategy, Identification, VolumePolicy};
 
 /// Crate-wide result alias carrying a [`HeliosError`].
-pub type Result<T> = std::result::Result<T, HeliosError>;
+pub(crate) type Result<T> = std::result::Result<T, HeliosError>;

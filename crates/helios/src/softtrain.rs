@@ -8,7 +8,7 @@ use helios_tensor::{TensorRng, UnitMask};
 /// Per-layer contribution values `U^{ij}` (Eq 1) of a straggler's maskable
 /// neurons: `contributions[i][j]` is the L1 parameter change of unit `j`
 /// of maskable layer `i` over the last training cycle.
-pub type Contributions = Vec<Vec<f32>>;
+pub(crate) type Contributions = Vec<Vec<f32>>;
 
 /// Computes the contribution metric `U^{ij} = |θ(S_k) − θ(S_{k−1})|`
 /// (Eq 1) for every maskable neuron from two flat parameter vectors.
@@ -162,7 +162,7 @@ impl SoftTrainer {
     }
 
     /// Current keep ratio (the straggler's expected model volume).
-    pub fn keep(&self) -> f64 {
+    pub(crate) fn keep(&self) -> f64 {
         self.keep
     }
 
@@ -171,7 +171,7 @@ impl SoftTrainer {
     /// # Errors
     ///
     /// Returns [`HeliosError::InvalidConfig`] for a ratio outside `(0, 1]`.
-    pub fn set_keep(&mut self, keep: f64) -> Result<()> {
+    pub(crate) fn set_keep(&mut self, keep: f64) -> Result<()> {
         if !(keep > 0.0 && keep <= 1.0) {
             return Err(HeliosError::InvalidConfig {
                 what: format!("keep ratio {keep} outside (0, 1]"),
@@ -271,7 +271,7 @@ impl SoftTrainer {
     /// *no* unit trained. Every counter increments — the units that
     /// were scheduled wasted their cycle, and the idle ones skipped one
     /// more — keeping the §VI.A regulator honest under lossy links.
-    pub fn observe_missed(&mut self) {
+    pub(crate) fn observe_missed(&mut self) {
         for counts in &mut self.skip_cycles {
             for c in counts.iter_mut() {
                 *c += 1;

@@ -6,13 +6,9 @@ use helios_device::{CostModel, SimTime};
 use helios_fl::Client;
 use helios_nn::{MaskableUnits, ModelMask};
 
-/// Default predefined volume ladder (§IV.C "multiple model volume levels
-/// in advance"): entry 0 is handed to the slowest straggler.
-pub const DEFAULT_VOLUME_LEVELS: [f64; 4] = [0.25, 0.35, 0.5, 0.65];
-
 /// Smallest keep ratio the planner will ever assign; below this the
 /// sub-model degenerates (one neuron per layer carries no information).
-pub const MIN_KEEP_RATIO: f64 = 0.05;
+pub(crate) const MIN_KEEP_RATIO: f64 = 0.05;
 
 /// Per-layer active-unit counts for a uniform keep ratio `keep`:
 /// `ceil(keep · n_i)`, at least 1 (the paper's `P_i n_i` with a common
@@ -45,14 +41,24 @@ pub fn probe_mask(units: &MaskableUnits, keep: f64) -> ModelMask {
 /// Propagates mask-installation errors (impossible for well-formed
 /// ratios).
 pub fn masked_cycle_time(client: &mut Client, keep: f64) -> Result<SimTime> {
+    with_probe_mask(client, keep, Client::cycle_time)
+}
+
+/// Installs the uniform `keep` probe mask on `client`, reads it, and
+/// restores the client's previous mask.
+fn with_probe_mask<T>(
+    client: &mut Client,
+    keep: f64,
+    read: impl FnOnce(&Client) -> T,
+) -> Result<T> {
     let saved = client.current_mask().cloned();
     let units = client.network_mut().maskable_units();
     client
         .set_masks(Some(probe_mask(&units, keep)))
         .map_err(HeliosError::from)?;
-    let t = client.cycle_time();
+    let value = read(client);
     client.set_masks(saved).map_err(HeliosError::from)?;
-    Ok(t)
+    Ok(value)
 }
 
 /// *Resource-fitted* volume determination: the largest keep ratio whose
@@ -63,20 +69,15 @@ pub fn masked_cycle_time(client: &mut Client, keep: f64) -> Result<SimTime> {
 /// # Errors
 ///
 /// Returns [`HeliosError::InfeasibleVolume`] when even the minimum volume
-/// ([`MIN_KEEP_RATIO`]) misses the deadline or memory budget.
+/// (`MIN_KEEP_RATIO`) misses the deadline or memory budget.
 pub fn fitted_keep_ratio(client: &mut Client, deadline: SimTime) -> Result<f64> {
-    let fits = |client: &mut Client, keep: f64| -> Result<bool> {
-        // One install serves both checks; the memory check uses the same
-        // workload scaling as the time model.
-        let saved = client.current_mask().cloned();
-        let units = client.network_mut().maskable_units();
-        client
-            .set_masks(Some(probe_mask(&units, keep)))
-            .map_err(HeliosError::from)?;
-        let ok = client.cycle_time() <= deadline
-            && CostModel::fits_memory(client.profile(), client.scaled_resident_bytes());
-        client.set_masks(saved).map_err(HeliosError::from)?;
-        Ok(ok)
+    // One install serves both checks; the memory check uses the same
+    // workload scaling as the time model.
+    let fits = |client: &mut Client, keep: f64| {
+        with_probe_mask(client, keep, |c| {
+            c.cycle_time() <= deadline
+                && CostModel::fits_memory(c.profile(), c.scaled_resident_bytes())
+        })
     };
     if fits(client, 1.0)? {
         return Ok(1.0);
@@ -102,15 +103,19 @@ pub fn fitted_keep_ratio(client: &mut Client, deadline: SimTime) -> Result<f64> 
     Ok(lo)
 }
 
-/// *Predefined-level* volume determination: stragglers ranked slowest
-/// first receive [`DEFAULT_VOLUME_LEVELS`]-style ladders (slowest gets the
-/// smallest volume; extras reuse the last level).
+/// *Predefined-level* volume determination (§IV.C "multiple model volume
+/// levels in advance"): stragglers ranked slowest first walk the `levels`
+/// ladder (slowest gets entry 0, the smallest volume; extras reuse the
+/// last level).
 ///
 /// # Errors
 ///
 /// Returns [`HeliosError::InvalidConfig`] when `levels` is empty or holds
 /// a ratio outside `(0, 1]`.
-pub fn assign_predefined(ranked_stragglers: &[usize], levels: &[f64]) -> Result<Vec<(usize, f64)>> {
+pub(crate) fn assign_predefined(
+    ranked_stragglers: &[usize],
+    levels: &[f64],
+) -> Result<Vec<(usize, f64)>> {
     if levels.is_empty() {
         return Err(HeliosError::InvalidConfig {
             what: "volume levels must not be empty".into(),
@@ -146,7 +151,7 @@ pub fn comm_adjusted_deadline(deadline: SimTime, comm: SimTime) -> SimTime {
 /// ratio so the straggler's masked time converges to the capable pace.
 ///
 /// Returns the adjusted keep ratio in `[MIN_KEEP_RATIO, 1]`.
-pub fn adjust_keep_ratio(current: f64, masked_time: SimTime, deadline: SimTime) -> f64 {
+pub(crate) fn adjust_keep_ratio(current: f64, masked_time: SimTime, deadline: SimTime) -> f64 {
     let t = masked_time.as_secs_f64();
     let d = deadline.as_secs_f64();
     if d <= 0.0 || t <= 0.0 {

@@ -34,7 +34,8 @@
 //!   [`f32::total_cmp`], ties broken toward the lower index.
 //! - kind 4 `qf16`: body = optional `⌈n/8⌉` bitset (present iff k < n) +
 //!   `2·k` IEEE binary16 LE *delta* values (`update − base`, round to
-//!   nearest even, finite overflow saturating to ±[`F16_MAX`]).
+//!   nearest even, finite overflow saturating to ±65504, the largest
+//!   finite binary16).
 //! - kind 5 `qi8`: body = optional bitset (iff k < n) + 4-byte f32 LE
 //!   per-tensor scale + `k` i8 quantized deltas
 //!   (`round(delta/scale)` clamped to ±127, `scale = max|delta|/127`).
@@ -56,25 +57,22 @@ use helios_tensor::{mask_bit, mask_population, MaskWordsError, UnitMask};
 use serde::{Deserialize, Serialize};
 
 /// Magic bytes opening every frame.
-pub const MAGIC: [u8; 4] = *b"HNET";
+pub(crate) const MAGIC: [u8; 4] = *b"HNET";
 
 /// Original wire format version (full + masked frames).
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 
 /// Wire format version carrying the compressed frame kinds.
-pub const VERSION_V2: u8 = 2;
+pub(crate) const VERSION_V2: u8 = 2;
 
 /// Sender id used for server→client broadcast frames.
 pub const SERVER_SENDER: u32 = u32::MAX;
 
 /// Fixed byte size of the frame header (before bitset and payload).
-pub const HEADER_BYTES: usize = 22;
+pub(crate) const HEADER_BYTES: usize = 22;
 
 /// Byte size of the CRC32 trailer.
-pub const CHECKSUM_BYTES: usize = 4;
-
-/// Largest finite IEEE binary16 value; finite deltas beyond it saturate.
-pub const F16_MAX: f32 = 65504.0;
+pub(crate) const CHECKSUM_BYTES: usize = 4;
 
 const KIND_FULL: u8 = 0;
 const KIND_MASKED: u8 = 1;
@@ -113,17 +111,6 @@ impl CompressionMode {
     /// Whether reconstruction is bit-exact for every update.
     pub fn is_lossless(self) -> bool {
         matches!(self, CompressionMode::None | CompressionMode::Delta)
-    }
-
-    /// Stable lowercase tag used in traces and benchmark artifacts.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CompressionMode::None => "none",
-            CompressionMode::Delta => "delta",
-            CompressionMode::TopK => "topk",
-            CompressionMode::QuantF16 => "qf16",
-            CompressionMode::QuantInt8 => "qi8",
-        }
     }
 }
 
@@ -224,7 +211,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// `#[serde(default)]`, so artifacts written before v2 still parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WireSize {
-    /// Fixed header bytes ([`HEADER_BYTES`]).
+    /// Fixed header bytes (`HEADER_BYTES`).
     pub header_bytes: usize,
     /// Activity/changed-bitset bytes (`⌈n/8⌉` when present, else 0).
     pub mask_bytes: usize,
@@ -236,7 +223,7 @@ pub struct WireSize {
     pub scale_bytes: usize,
     /// Value payload bytes (4 per f32, 2 per f16, 1 per i8 entry).
     pub payload_bytes: usize,
-    /// CRC trailer bytes ([`CHECKSUM_BYTES`]).
+    /// CRC trailer bytes (`CHECKSUM_BYTES`).
     pub checksum_bytes: usize,
 }
 
@@ -254,7 +241,7 @@ impl WireSize {
     }
 
     /// Size of a masked frame carrying `active` of `params` parameters.
-    pub fn masked(params: usize, active: usize) -> Self {
+    pub(crate) fn masked(params: usize, active: usize) -> Self {
         WireSize {
             header_bytes: HEADER_BYTES,
             mask_bytes: params.div_ceil(8),
@@ -267,12 +254,12 @@ impl WireSize {
 
     /// Size of a v2 delta frame carrying `changed` of `params` entries
     /// (same shape as a masked frame: bitset + raw f32 values).
-    pub fn delta(params: usize, changed: usize) -> Self {
+    pub(crate) fn delta(params: usize, changed: usize) -> Self {
         WireSize::masked(params, changed)
     }
 
     /// Size of a v2 top-k frame keeping `kept` entries.
-    pub fn topk(kept: usize) -> Self {
+    pub(crate) fn topk(kept: usize) -> Self {
         WireSize {
             header_bytes: HEADER_BYTES,
             mask_bytes: 0,
@@ -285,7 +272,7 @@ impl WireSize {
 
     /// Size of a v2 f16-quantized frame carrying `active` of `params`
     /// entries (the bitset is omitted when every entry is active).
-    pub fn quant_f16(params: usize, active: usize) -> Self {
+    pub(crate) fn quant_f16(params: usize, active: usize) -> Self {
         WireSize {
             header_bytes: HEADER_BYTES,
             mask_bytes: if active < params {
@@ -302,7 +289,7 @@ impl WireSize {
 
     /// Size of a v2 int8-quantized frame carrying `active` of `params`
     /// entries plus its per-tensor scale.
-    pub fn quant_i8(params: usize, active: usize) -> Self {
+    pub(crate) fn quant_i8(params: usize, active: usize) -> Self {
         WireSize {
             header_bytes: HEADER_BYTES,
             mask_bytes: if active < params {
@@ -332,10 +319,10 @@ impl WireSize {
 ///
 /// Deterministic pure-integer arithmetic — no platform FPU mode can
 /// perturb it. Finite values beyond the binary16 range saturate to
-/// ±[`F16_MAX`]; infinities stay infinite; NaNs stay NaN with the top 10
+/// ±65504; infinities stay infinite; NaNs stay NaN with the top 10
 /// payload bits preserved (a zeroed payload is forced to 1 to keep the
 /// value NaN). Values below the smallest subnormal round to signed zero.
-pub fn f32_to_f16_bits(x: f32) -> u16 {
+pub(crate) fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
     let exp = ((bits >> 23) & 0xff) as i32;
@@ -349,7 +336,7 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
     }
     let unbiased = exp - 127;
     if unbiased >= 16 {
-        return sign | 0x7bff; // finite overflow → ±F16_MAX
+        return sign | 0x7bff; // finite overflow → ±65504
     }
     if unbiased >= -14 {
         // Normal binary16 range: drop 13 mantissa bits with RNE.
@@ -384,7 +371,7 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
 /// Every binary16 value (including subnormals, ±0, ±inf, and NaN
 /// payloads) maps to a distinct `f32` bit pattern, so
 /// `f32_to_f16_bits(f16_bits_to_f32(h)) == h` for all 65536 inputs.
-pub fn f16_bits_to_f32(h: u16) -> f32 {
+pub(crate) fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = (u32::from(h) & 0x8000) << 16;
     let exp = (h >> 10) & 0x1f;
     let man = u32::from(h & 0x03ff);
@@ -490,18 +477,6 @@ fn check_base(frame_len: usize, base: &[f32]) -> Result<(), NetError> {
 }
 
 impl Frame {
-    /// Total parameter count of the model this frame describes.
-    pub fn param_len(&self) -> usize {
-        match &self.payload {
-            Payload::Full(p) => p.len(),
-            Payload::Masked { mask, .. } => mask.len(),
-            Payload::Delta { changed, .. } => changed.len(),
-            Payload::TopK { len, .. } => *len,
-            Payload::QuantF16 { mask, .. } => mask.len(),
-            Payload::QuantInt8 { mask, .. } => mask.len(),
-        }
-    }
-
     /// Reassembles the full parameter vector. For every kind except
     /// `Full`, entries the frame does not carry are filled from `base` —
     /// the receiver's copy of the global vector the sender trained from.
@@ -814,11 +789,11 @@ fn topk_rank(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
 
 /// Encodes a v2 f16-quantized frame: `update − base` deltas of the
 /// active entries as IEEE binary16, round-to-nearest-even, finite
-/// overflow saturating to ±[`F16_MAX`]. The bitset rides along only when
+/// overflow saturating to ±65504. The bitset rides along only when
 /// a mask leaves some entries inactive.
 ///
 /// Determinism argument: binary16 conversion is pure integer bit
-/// manipulation ([`f32_to_f16_bits`]), and the delta subtraction is a
+/// manipulation (`f32_to_f16_bits`), and the delta subtraction is a
 /// single IEEE f32 operation — identical on every host.
 ///
 /// # Errors
@@ -933,7 +908,7 @@ fn quant_extent(params: usize, mask: Option<&[u64]>) -> Result<(u32, u32, bool),
 /// # Errors
 ///
 /// Same conditions as [`encode_full`] and [`encode_masked`].
-pub fn encode_update(
+pub(crate) fn encode_update(
     sender: u32,
     cycle: u32,
     params: &[f32],
@@ -1784,10 +1759,11 @@ mod tests {
         assert_eq!(f32_to_f16_bits(f32::NEG_INFINITY), 0xfc00);
         assert_eq!(f32_to_f16_bits(0.0), 0x0000);
         assert_eq!(f32_to_f16_bits(-0.0), 0x8000);
-        // Finite overflow saturates to ±F16_MAX instead of rounding to inf.
+        // Finite overflow saturates to ±65504 (the largest finite
+        // binary16) instead of rounding to inf.
         assert_eq!(f32_to_f16_bits(1e9), 0x7bff);
         assert_eq!(f32_to_f16_bits(-1e9), 0xfbff);
-        assert_eq!(f16_bits_to_f32(0x7bff), F16_MAX);
+        assert_eq!(f16_bits_to_f32(0x7bff), 65504.0);
         // NaN stays NaN.
         assert!(f16_bits_to_f32(f32_to_f16_bits(f32::NAN)).is_nan());
         // Round-to-nearest-even at the halfway point: 1 + 2^-11 is exactly

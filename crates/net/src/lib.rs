@@ -66,6 +66,3 @@ pub use error::NetError;
 pub use link::{CompressionConfig, FaultConfig, LinkProfile, NetConfig};
 pub use round::{simulate_round, RoundJob, RoundOutcome};
 pub use transport::{DeviceStats, SimTransport, TransportStats};
-
-/// Crate-wide result alias carrying a [`NetError`].
-pub type Result<T> = std::result::Result<T, NetError>;

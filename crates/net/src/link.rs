@@ -52,7 +52,7 @@ impl CompressionConfig {
     ///
     /// Returns [`NetError::InvalidConfig`] for a top-k ratio outside
     /// `(0, 1]`.
-    pub fn validate(&self) -> Result<(), NetError> {
+    pub(crate) fn validate(&self) -> Result<(), NetError> {
         if !(self.topk_ratio.is_finite() && self.topk_ratio > 0.0 && self.topk_ratio <= 1.0) {
             return Err(NetError::InvalidConfig {
                 what: format!("topk_ratio {} outside (0, 1]", self.topk_ratio),
@@ -72,7 +72,7 @@ impl CompressionConfig {
 
     /// Encodes one update upload under the configured mode, against the
     /// broadcast `base` the receiver holds. With mode `None` this is
-    /// exactly the v1 [`codec::encode_update`] path. `mask` is the
+    /// exactly the v1 `codec::encode_update` path. `mask` is the
     /// parameter mask as LSB-first `u64` words (a `UnitMask`'s words,
     /// `params.len()` bits); the delta and top-k modes do not consult it.
     ///
@@ -174,11 +174,6 @@ impl LinkProfile {
         self
     }
 
-    /// Whether this link adds no simulated time at all.
-    pub fn is_ideal(&self) -> bool {
-        self.bandwidth_bps.is_none() && self.latency_s == 0.0 && self.jitter_s == 0.0
-    }
-
     /// Deterministic expected transfer time for `bytes` (latency plus
     /// serialization delay, without jitter or faults) — the estimator the
     /// Helios scheduler uses for deadlines and straggler ranking.
@@ -196,7 +191,7 @@ impl LinkProfile {
     ///
     /// Returns [`NetError::InvalidConfig`] for non-finite or non-positive
     /// bandwidth, or negative/non-finite latency or jitter.
-    pub fn validate(&self) -> Result<(), NetError> {
+    pub(crate) fn validate(&self) -> Result<(), NetError> {
         if let Some(bw) = self.bandwidth_bps {
             if !(bw.is_finite() && bw > 0.0) {
                 return Err(NetError::InvalidConfig {
@@ -235,18 +230,13 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// Whether every fault probability is zero.
-    pub fn is_quiet(&self) -> bool {
-        self.drop_prob == 0.0 && self.corrupt_prob == 0.0 && self.delay_prob == 0.0
-    }
-
     /// Validates the fault probabilities.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::InvalidConfig`] for probabilities outside
     /// `[0, 1]` or a negative/non-finite delay bound.
-    pub fn validate(&self) -> Result<(), NetError> {
+    pub(crate) fn validate(&self) -> Result<(), NetError> {
         for (name, p) in [
             ("drop_prob", self.drop_prob),
             ("corrupt_prob", self.corrupt_prob),
@@ -364,8 +354,8 @@ mod tests {
     fn default_is_disabled_and_ideal() {
         let cfg = NetConfig::default();
         assert!(!cfg.enabled);
-        assert!(cfg.link.is_ideal());
-        assert!(cfg.faults.is_quiet());
+        assert_eq!(cfg.link, LinkProfile::ideal());
+        assert_eq!(cfg.faults, FaultConfig::default());
         assert!(cfg.round_timeout_s.is_none());
         cfg.validate().unwrap();
     }
@@ -381,7 +371,7 @@ mod tests {
         let link = LinkProfile::constrained(1000.0, 0.25);
         let t = link.expected_transfer(500);
         assert!((t.as_secs_f64() - 0.75).abs() < 1e-12);
-        assert!(!link.is_ideal());
+        assert_ne!(link, LinkProfile::ideal());
     }
 
     #[test]

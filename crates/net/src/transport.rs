@@ -164,21 +164,6 @@ impl SimTransport {
         device
     }
 
-    /// Number of registered devices.
-    pub fn num_devices(&self) -> usize {
-        self.num_devices
-    }
-
-    /// Number of devices with materialized per-device state (RNG stream,
-    /// link override, or traffic counters) — the transport's actual
-    /// footprint, which stays O(sampled), not O(population).
-    pub fn touched_devices(&self) -> usize {
-        let mut touched: std::collections::BTreeSet<usize> = self.rngs.keys().copied().collect();
-        touched.extend(self.link_overrides.keys());
-        touched.extend(self.device_stats.keys());
-        touched.len()
-    }
-
     /// The link profile of `device`.
     ///
     /// # Errors
@@ -394,6 +379,16 @@ mod tests {
         encode_full(0, 0, &[1.0, 2.0, 3.0, 4.0]).unwrap()
     }
 
+    /// Number of devices with materialized per-device state (RNG stream,
+    /// link override, or traffic counters) — the transport's actual
+    /// footprint, which stays O(sampled), not O(population).
+    fn touched_devices(t: &SimTransport) -> usize {
+        let mut touched: std::collections::BTreeSet<usize> = t.rngs.keys().copied().collect();
+        touched.extend(t.link_overrides.keys());
+        touched.extend(t.device_stats.keys());
+        touched.len()
+    }
+
     fn config(faults: FaultConfig, link: LinkProfile) -> NetConfig {
         NetConfig {
             enabled: true,
@@ -545,12 +540,12 @@ mod tests {
         );
         // 100k enrolled devices cost nothing until they see traffic.
         let mut t = SimTransport::new(100_000, &cfg, 7).unwrap();
-        assert_eq!(t.num_devices(), 100_000);
-        assert_eq!(t.touched_devices(), 0);
+        assert_eq!(t.num_devices, 100_000);
+        assert_eq!(touched_devices(&t), 0);
         let f = frame();
         let a = t.transmit(99_999, &f, Direction::Upload).unwrap();
         let b = t.transmit(3, &f, Direction::Upload).unwrap();
-        assert!(t.touched_devices() <= 2);
+        assert!(touched_devices(&t) <= 2);
         // Per-device streams are pure in (seed, index): a transport that
         // serves the same devices in the opposite order sees identical
         // outcomes.
@@ -576,7 +571,7 @@ mod tests {
         let mut a = SimTransport::new(2, &cfg, 5).unwrap();
         let id = a.add_device();
         assert_eq!(id, 2);
-        assert_eq!(a.num_devices(), 3);
+        assert_eq!(a.num_devices, 3);
         // A transport built with 3 devices up front has identical streams.
         let b = SimTransport::new(3, &cfg, 5).unwrap();
         let fa = frame();

@@ -37,14 +37,13 @@ pub struct LayerCost {
 ///
 /// let mut net = models::lenet(10, &mut TensorRng::seed_from(0));
 /// let cost = helios_nn::NetworkCost::of(&net, 32);
-/// assert!(cost.flops_training() > cost.flops_forward());
+/// assert!(cost.flops_training() > 0.0);
 /// assert!(cost.memory_bytes() > 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NetworkCost {
     /// Per-layer breakdown in forward order.
     pub layers: Vec<LayerCost>,
-    batch_size: usize,
 }
 
 const BYTES_PER_PARAM: f64 = 4.0;
@@ -63,16 +62,11 @@ impl NetworkCost {
         for layer in net.layers() {
             walk(layer, &mut shape, &mut in_keep, batch_size, &mut layers);
         }
-        NetworkCost { layers, batch_size }
-    }
-
-    /// Batch size the profile was computed for.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
+        NetworkCost { layers }
     }
 
     /// Total forward FLOPs per batch.
-    pub fn flops_forward(&self) -> f64 {
+    pub(crate) fn flops_forward(&self) -> f64 {
         self.layers.iter().map(|l| l.flops_forward).sum()
     }
 
@@ -87,7 +81,7 @@ impl NetworkCost {
     }
 
     /// Activation bytes for the whole batch.
-    pub fn activation_bytes(&self) -> f64 {
+    pub(crate) fn activation_bytes(&self) -> f64 {
         self.layers.iter().map(|l| l.activation_bytes).sum()
     }
 

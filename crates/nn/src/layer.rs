@@ -35,7 +35,7 @@ impl Layer {
     /// # Errors
     ///
     /// Propagates shape errors from the underlying tensor operations.
-    pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
+    pub(crate) fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
         match self {
             Layer::Dense(l) => l.forward(x),
             Layer::Conv2d(l) => l.forward(x),
@@ -54,7 +54,7 @@ impl Layer {
     ///
     /// Returns [`crate::NnError::BackwardBeforeForward`] when no forward
     /// state is cached, and propagates tensor shape errors.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         match self {
             Layer::Dense(l) => l.backward(grad_out),
             Layer::Conv2d(l) => l.backward(grad_out),
@@ -67,7 +67,7 @@ impl Layer {
     }
 
     /// Resets accumulated parameter gradients to zero.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         match self {
             Layer::Dense(l) => l.zero_grad(),
             Layer::Conv2d(l) => l.zero_grad(),
@@ -78,7 +78,7 @@ impl Layer {
 
     /// Visits every parameter tensor in canonical order (body before
     /// shortcut inside residual blocks).
-    pub fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+    pub(crate) fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
         match self {
             Layer::Dense(l) => l.for_each_param(f),
             Layer::Conv2d(l) => l.for_each_param(f),
@@ -96,7 +96,7 @@ impl Layer {
 
     /// Visits every parameter tensor mutably, same order as
     /// [`Layer::for_each_param`].
-    pub fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+    pub(crate) fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         match self {
             Layer::Dense(l) => l.for_each_param_mut(f),
             Layer::Conv2d(l) => l.for_each_param_mut(f),
@@ -114,7 +114,7 @@ impl Layer {
 
     /// Visits `(parameter, gradient)` pairs mutably, same order as
     /// [`Layer::for_each_param`]. This is the optimizer's entry point.
-    pub fn for_each_param_grad_mut(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    pub(crate) fn for_each_param_grad_mut(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         match self {
             Layer::Dense(l) => l.for_each_param_grad_mut(f),
             Layer::Conv2d(l) => l.for_each_param_grad_mut(f),
@@ -209,7 +209,7 @@ impl Layer {
     ///
     /// Layers constructed with `non_maskable()` (classifier heads,
     /// projection shortcuts) are skipped.
-    pub fn visit_maskable(&mut self, f: &mut dyn FnMut(&mut dyn UnitMaskable)) {
+    pub(crate) fn visit_maskable(&mut self, f: &mut dyn FnMut(&mut dyn UnitMaskable)) {
         match self {
             Layer::Dense(l) if l.is_maskable() => {
                 f(l);

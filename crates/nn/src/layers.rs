@@ -21,7 +21,7 @@ use helios_tensor::{
 /// Implemented by [`Dense`] (units are neurons) and [`Conv2d`] (units are
 /// output channels). The Helios scheduler manipulates layers exclusively
 /// through this trait.
-pub trait UnitMaskable {
+pub(crate) trait UnitMaskable {
     /// Number of output units.
     fn units(&self) -> usize;
 
@@ -169,7 +169,7 @@ impl Dense {
     }
 
     /// Whether the soft-training scheduler may mask this layer.
-    pub fn is_maskable(&self) -> bool {
+    pub(crate) fn is_maskable(&self) -> bool {
         self.maskable
     }
 
@@ -420,13 +420,13 @@ impl Conv2d {
     }
 
     /// Marks the layer as exempt from masking.
-    pub fn non_maskable(mut self) -> Self {
+    pub(crate) fn non_maskable(mut self) -> Self {
         self.maskable = false;
         self
     }
 
     /// Whether the soft-training scheduler may mask this layer.
-    pub fn is_maskable(&self) -> bool {
+    pub(crate) fn is_maskable(&self) -> bool {
         self.maskable
     }
 
@@ -730,7 +730,7 @@ pub struct AvgPool2d {
 
 impl AvgPool2d {
     /// Creates an average-pooling layer with the given window and stride.
-    pub fn new(kernel: usize, stride: usize) -> Self {
+    pub(crate) fn new(kernel: usize, stride: usize) -> Self {
         AvgPool2d {
             spec: PoolSpec::new(kernel, stride),
             cached_input_dims: None,
@@ -738,7 +738,7 @@ impl AvgPool2d {
     }
 
     /// The pooling geometry.
-    pub fn spec(&self) -> &PoolSpec {
+    pub(crate) fn spec(&self) -> &PoolSpec {
         &self.spec
     }
 
@@ -809,7 +809,7 @@ pub struct Residual {
 
 impl Residual {
     /// Creates a residual block with an identity shortcut.
-    pub fn new(body: Vec<crate::Layer>) -> Self {
+    pub(crate) fn new(body: Vec<crate::Layer>) -> Self {
         Residual {
             body,
             shortcut: None,
@@ -818,7 +818,7 @@ impl Residual {
     }
 
     /// Creates a residual block with a 1×1 convolution projection shortcut.
-    pub fn with_projection(body: Vec<crate::Layer>, projection: Conv2d) -> Self {
+    pub(crate) fn with_projection(body: Vec<crate::Layer>, projection: Conv2d) -> Self {
         Residual {
             body,
             shortcut: Some(Box::new(projection)),
@@ -827,7 +827,7 @@ impl Residual {
     }
 
     /// The layers of the residual body.
-    pub fn body(&self) -> &[crate::Layer] {
+    pub(crate) fn body(&self) -> &[crate::Layer] {
         &self.body
     }
 
@@ -837,7 +837,7 @@ impl Residual {
     }
 
     /// The projection shortcut, if present.
-    pub fn shortcut(&self) -> Option<&Conv2d> {
+    pub(crate) fn shortcut(&self) -> Option<&Conv2d> {
         self.shortcut.as_deref()
     }
 
@@ -916,14 +916,14 @@ mod tests {
         let mut d = Dense::new(3, 4, &mut rng());
         d.set_unit_mask(Some((0..4).map(|j| j % 2 == 0).collect()))
             .unwrap();
-        let x = Tensor::ones(&[2, 3]);
+        let x = Tensor::full(&[2, 3], 1.0);
         let y = d.forward(&x).unwrap();
         for i in 0..2 {
             assert_eq!(y.get(&[i, 1]).unwrap(), 0.0);
             assert_eq!(y.get(&[i, 3]).unwrap(), 0.0);
         }
         // Backward: masked units accumulate zero gradient.
-        d.backward(&Tensor::ones(&[2, 4])).unwrap();
+        d.backward(&Tensor::full(&[2, 4], 1.0)).unwrap();
         for k in 0..3 {
             assert_eq!(d.grad_weight.get(&[k, 1]).unwrap(), 0.0);
             assert_ne!(d.grad_weight.get(&[k, 0]).unwrap(), 0.0);
@@ -945,7 +945,7 @@ mod tests {
     fn dense_backward_before_forward_errors() {
         let mut d = Dense::new(2, 2, &mut rng());
         assert!(matches!(
-            d.backward(&Tensor::ones(&[1, 2])),
+            d.backward(&Tensor::full(&[1, 2], 1.0)),
             Err(NnError::BackwardBeforeForward { .. })
         ));
     }
@@ -956,7 +956,7 @@ mod tests {
         let x = helios_tensor::uniform_init(&[4, 3], -1.0, 1.0, &mut rng());
         // Loss = sum of outputs.
         let _ = d.forward(&x).unwrap();
-        let gin = d.backward(&Tensor::ones(&[4, 2])).unwrap();
+        let gin = d.backward(&Tensor::full(&[4, 2], 1.0)).unwrap();
         let eps = 1e-3f32;
         // Weight gradient check.
         for &i in &[0usize, 3, 5] {
@@ -991,14 +991,14 @@ mod tests {
         let mut c = Conv2d::new(spec, &mut rng());
         c.set_unit_mask(Some((0..3).map(|j| j != 1).collect()))
             .unwrap();
-        let x = Tensor::ones(&[1, 1, 4, 4]);
+        let x = Tensor::full(&[1, 1, 4, 4], 1.0);
         let y = c.forward(&x).unwrap();
         for h in 0..4 {
             for w in 0..4 {
                 assert_eq!(y.get(&[0, 1, h, w]).unwrap(), 0.0);
             }
         }
-        c.backward(&Tensor::ones(&[1, 3, 4, 4])).unwrap();
+        c.backward(&Tensor::full(&[1, 3, 4, 4], 1.0)).unwrap();
         // Channel 1's weight row stays untrained.
         for k in 0..9 {
             assert_eq!(c.grad_weight.get(&[1, k]).unwrap(), 0.0);
@@ -1013,14 +1013,14 @@ mod tests {
         let x = Tensor::from_vec(vec![-1.0, 2.0, 0.0, 3.0], &[1, 4]).unwrap();
         let y = r.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0, 3.0]);
-        let g = r.backward(&Tensor::ones(&[1, 4])).unwrap();
+        let g = r.backward(&Tensor::full(&[1, 4], 1.0)).unwrap();
         assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
     #[test]
     fn flatten_round_trips_shape() {
         let mut f = Flatten::new();
-        let x = Tensor::ones(&[2, 3, 4, 4]);
+        let x = Tensor::full(&[2, 3, 4, 4], 1.0);
         let y = f.forward(&x).unwrap();
         assert_eq!(y.dims(), &[2, 48]);
         let g = f.backward(&y).unwrap();
@@ -1032,14 +1032,14 @@ mod tests {
         // Body = identity 1x1 conv with weight 1 → y = relu(x + x) = 2x for x > 0.
         let spec = ConvSpec::new(1, 1, 1, 1, 0);
         let mut conv = Conv2d::new(spec, &mut rng());
-        conv.weight = Tensor::ones(&[1, 1]);
+        conv.weight = Tensor::full(&[1, 1], 1.0);
         conv.bias = Tensor::zeros(&[1]);
         let mut block = Residual::new(vec![Layer::Conv2d(conv)]);
         let x = Tensor::full(&[1, 1, 2, 2], 1.5);
         let y = block.forward(&x).unwrap();
         assert!(y.as_slice().iter().all(|&v| (v - 3.0).abs() < 1e-6));
         // Backward: gradient flows through both paths, so dx = 2·g.
-        let g = block.backward(&Tensor::ones(&[1, 1, 2, 2])).unwrap();
+        let g = block.backward(&Tensor::full(&[1, 1, 2, 2], 1.0)).unwrap();
         assert!(g.as_slice().iter().all(|&v| (v - 2.0).abs() < 1e-6));
     }
 
@@ -1053,10 +1053,10 @@ mod tests {
             Conv2d::new(proj_spec, &mut r),
         );
         let mut block = block;
-        let x = Tensor::ones(&[1, 2, 4, 4]);
+        let x = Tensor::full(&[1, 2, 4, 4], 1.0);
         let y = block.forward(&x).unwrap();
         assert_eq!(y.dims(), &[1, 4, 4, 4]);
-        let g = block.backward(&Tensor::ones(&[1, 4, 4, 4])).unwrap();
+        let g = block.backward(&Tensor::full(&[1, 4, 4, 4], 1.0)).unwrap();
         assert_eq!(g.dims(), &[1, 2, 4, 4]);
     }
 

@@ -58,7 +58,7 @@ pub mod profiler;
 pub use cost::{LayerCost, NetworkCost};
 pub use error::NnError;
 pub use layer::Layer;
-pub use layers::{AvgPool2d, Conv2d, Dense, Flatten, MaxPool2d, Relu, Residual, UnitMaskable};
+pub use layers::{AvgPool2d, Conv2d, Dense, Flatten, MaxPool2d, Relu, Residual};
 pub use loss::CrossEntropyLoss;
 pub use network::{MaskableUnits, ModelMask, Network, NeuronId, NeuronLayout, ParamGroup};
 pub use optim::Sgd;
@@ -68,4 +68,4 @@ pub use profiler::{nn_timings, NnTimings};
 pub use helios_tensor::{ParallelismConfig, ParallelismGuard};
 
 /// Crate-wide result alias carrying an [`NnError`].
-pub type Result<T> = std::result::Result<T, NnError>;
+pub(crate) type Result<T> = std::result::Result<T, NnError>;

@@ -70,12 +70,10 @@ impl std::fmt::Display for ModelKind {
 /// use helios_tensor::TensorRng;
 ///
 /// let net = models::lenet(10, &mut TensorRng::seed_from(0));
-/// assert_eq!(net.num_classes(), 10);
 /// assert_eq!(net.input_dims(), &[1, 16, 16]);
 /// ```
 pub fn lenet(num_classes: usize, rng: &mut TensorRng) -> Network {
     Network::new(
-        "lenet",
         vec![
             Layer::Conv2d(Conv2d::new(ConvSpec::new(1, 8, 3, 1, 1), rng)),
             Layer::Relu(Relu::new()),
@@ -89,7 +87,6 @@ pub fn lenet(num_classes: usize, rng: &mut TensorRng) -> Network {
             Layer::Dense(Dense::new(64, num_classes, rng).non_maskable()),
         ],
         &[1, 16, 16],
-        num_classes,
     )
 }
 
@@ -97,7 +94,6 @@ pub fn lenet(num_classes: usize, rng: &mut TensorRng) -> Network {
 /// mirroring AlexNet's deeper-conv/denser-head profile at reduced scale.
 pub fn alexnet(num_classes: usize, rng: &mut TensorRng) -> Network {
     Network::new(
-        "alexnet",
         vec![
             Layer::Conv2d(Conv2d::new(ConvSpec::new(3, 16, 3, 1, 1), rng)),
             Layer::Relu(Relu::new()),
@@ -113,7 +109,6 @@ pub fn alexnet(num_classes: usize, rng: &mut TensorRng) -> Network {
             Layer::Dense(Dense::new(128, num_classes, rng).non_maskable()),
         ],
         &[3, 16, 16],
-        num_classes,
     )
 }
 
@@ -141,7 +136,6 @@ fn downsample_block(in_ch: usize, out_ch: usize, rng: &mut TensorRng) -> Residua
 /// block at 32 channels, global average pooling, and a linear head.
 pub fn resnet18(num_classes: usize, rng: &mut TensorRng) -> Network {
     Network::new(
-        "resnet18",
         vec![
             Layer::Conv2d(Conv2d::new(ConvSpec::new(3, 16, 3, 1, 1), rng)),
             Layer::Relu(Relu::new()),
@@ -154,7 +148,6 @@ pub fn resnet18(num_classes: usize, rng: &mut TensorRng) -> Network {
             Layer::Dense(Dense::new(32, num_classes, rng).non_maskable()),
         ],
         &[3, 16, 16],
-        num_classes,
     )
 }
 
@@ -170,7 +163,7 @@ mod tests {
     #[test]
     fn lenet_shapes() {
         let mut net = lenet(10, &mut rng());
-        let y = net.forward(&Tensor::ones(&[2, 1, 16, 16])).unwrap();
+        let y = net.forward(&Tensor::full(&[2, 1, 16, 16], 1.0)).unwrap();
         assert_eq!(y.dims(), &[2, 10]);
         let units = net.maskable_units();
         assert_eq!(units.0, vec![8, 16, 64]);
@@ -179,7 +172,7 @@ mod tests {
     #[test]
     fn alexnet_shapes() {
         let mut net = alexnet(10, &mut rng());
-        let y = net.forward(&Tensor::ones(&[2, 3, 16, 16])).unwrap();
+        let y = net.forward(&Tensor::full(&[2, 3, 16, 16], 1.0)).unwrap();
         assert_eq!(y.dims(), &[2, 10]);
         let units = net.maskable_units();
         assert_eq!(units.0, vec![16, 32, 32, 128]);
@@ -188,10 +181,10 @@ mod tests {
     #[test]
     fn resnet18_shapes_and_backward() {
         let mut net = resnet18(100, &mut rng());
-        let y = net.forward(&Tensor::ones(&[2, 3, 16, 16])).unwrap();
+        let y = net.forward(&Tensor::full(&[2, 3, 16, 16], 1.0)).unwrap();
         assert_eq!(y.dims(), &[2, 100]);
         // Backward must flow through residual blocks without error.
-        net.backward(&Tensor::ones(&[2, 100])).unwrap();
+        net.backward(&Tensor::full(&[2, 100], 1.0)).unwrap();
         // 1 stem + 2*4 body convs are maskable; projection + head are not.
         let units = net.maskable_units();
         assert_eq!(units.0, vec![16, 16, 16, 16, 16, 32, 32, 32, 32]);
@@ -201,7 +194,6 @@ mod tests {
     fn model_kind_builds_matching_network() {
         for kind in [ModelKind::LeNet, ModelKind::AlexNet, ModelKind::ResNet18] {
             let net = kind.build(10, &mut rng());
-            assert_eq!(net.name(), kind.to_string());
             let dims = kind.input_dims();
             assert_eq!(net.input_dims(), &dims);
         }

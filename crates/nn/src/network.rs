@@ -54,7 +54,7 @@ impl ModelMask {
     }
 
     /// The mask of layer `i` (`None` = all active).
-    pub fn layer(&self, i: usize) -> Option<&UnitMask> {
+    pub(crate) fn layer(&self, i: usize) -> Option<&UnitMask> {
         self.masks.get(i).and_then(Option::as_ref)
     }
 
@@ -235,42 +235,23 @@ impl NeuronLayout {
 pub struct Network {
     layers: Vec<Layer>,
     input_dims: Vec<usize>,
-    num_classes: usize,
-    name: String,
 }
 
 impl Network {
     /// Assembles a network.
     ///
     /// `input_dims` are per-sample dimensions (e.g. `[1, 16, 16]` for a
-    /// one-channel 16×16 image); `num_classes` is the classifier width.
-    pub fn new(
-        name: impl Into<String>,
-        layers: Vec<Layer>,
-        input_dims: &[usize],
-        num_classes: usize,
-    ) -> Self {
+    /// one-channel 16×16 image).
+    pub fn new(layers: Vec<Layer>, input_dims: &[usize]) -> Self {
         Network {
             layers,
             input_dims: input_dims.to_vec(),
-            num_classes,
-            name: name.into(),
         }
-    }
-
-    /// Human-readable architecture name (e.g. `"lenet"`).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Per-sample input dimensions.
     pub fn input_dims(&self) -> &[usize] {
         &self.input_dims
-    }
-
-    /// Number of output classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
     }
 
     /// The layer stack.
@@ -279,7 +260,7 @@ impl Network {
     }
 
     /// Mutable access to the layer stack (used by the cost walker).
-    pub fn layers_mut(&mut self) -> &mut [Layer] {
+    pub(crate) fn layers_mut(&mut self) -> &mut [Layer] {
         &mut self.layers
     }
 
@@ -560,7 +541,6 @@ mod tests {
     fn tiny_net() -> Network {
         let mut rng = TensorRng::seed_from(1);
         Network::new(
-            "tiny",
             vec![
                 Layer::Conv2d(Conv2d::new(ConvSpec::new(1, 2, 3, 1, 1), &mut rng)),
                 Layer::Relu(Relu::new()),
@@ -570,14 +550,13 @@ mod tests {
                 Layer::Dense(Dense::new(8, 3, &mut rng).non_maskable()),
             ],
             &[1, 4, 4],
-            3,
         )
     }
 
     #[test]
     fn forward_produces_logits() {
         let mut net = tiny_net();
-        let x = Tensor::ones(&[5, 1, 4, 4]);
+        let x = Tensor::full(&[5, 1, 4, 4], 1.0);
         let y = net.forward(&x).unwrap();
         assert_eq!(y.dims(), &[5, 3]);
     }
@@ -675,7 +654,7 @@ mod tests {
         let mut mask = ModelMask::all_active(&units);
         mask.set_layer(0, Some([true, false].into_iter().collect()));
         net.set_masks(&mask).unwrap();
-        let x = Tensor::ones(&[1, 1, 4, 4]);
+        let x = Tensor::full(&[1, 1, 4, 4], 1.0);
         let _ = net.forward(&x).unwrap();
         // Masked channel produces zero activations: verify via conv layer.
         if let Layer::Conv2d(c) = &net.layers()[0] {
@@ -713,7 +692,7 @@ mod tests {
     #[test]
     fn accuracy_counts_correct_predictions() {
         let mut net = tiny_net();
-        let x = Tensor::ones(&[4, 1, 4, 4]);
+        let x = Tensor::full(&[4, 1, 4, 4], 1.0);
         let logits = net.forward(&x).unwrap();
         let pred = logits.argmax_rows().unwrap();
         let acc = net.accuracy(&x, &pred).unwrap();

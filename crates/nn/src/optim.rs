@@ -70,16 +70,6 @@ impl Sgd {
         self
     }
 
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.learning_rate
-    }
-
-    /// Replaces the learning rate (e.g. for decay schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.learning_rate = lr;
-    }
-
     /// Clears momentum state (used when a client receives a fresh global
     /// model and stale velocity would be misleading).
     pub fn reset_state(&mut self) {
@@ -162,20 +152,15 @@ mod tests {
 
     fn one_layer_net() -> Network {
         let mut rng = TensorRng::seed_from(0);
-        Network::new(
-            "probe",
-            vec![Layer::Dense(Dense::new(2, 2, &mut rng))],
-            &[2],
-            2,
-        )
+        Network::new(vec![Layer::Dense(Dense::new(2, 2, &mut rng))], &[2])
     }
 
     #[test]
     fn step_moves_params_against_gradient() {
         let mut net = one_layer_net();
-        let x = Tensor::ones(&[1, 2]);
+        let x = Tensor::full(&[1, 2], 1.0);
         let _ = net.forward(&x).unwrap();
-        net.backward(&Tensor::ones(&[1, 2])).unwrap();
+        net.backward(&Tensor::full(&[1, 2], 1.0)).unwrap();
         let before = net.param_vector();
         let mut opt = Sgd::new(0.1);
         opt.step(&mut net).unwrap();
@@ -190,16 +175,16 @@ mod tests {
     fn momentum_accumulates_velocity() {
         let mut net = one_layer_net();
         let mut opt = Sgd::with_momentum(0.1, 0.5);
-        let x = Tensor::ones(&[1, 2]);
+        let x = Tensor::full(&[1, 2], 1.0);
         // Two identical steps: second update is lr*(1 + 0.5) = 0.15.
         let _ = net.forward(&x).unwrap();
-        net.backward(&Tensor::ones(&[1, 2])).unwrap();
+        net.backward(&Tensor::full(&[1, 2], 1.0)).unwrap();
         let p0 = net.param_vector();
         opt.step(&mut net).unwrap();
         let p1 = net.param_vector();
         net.zero_grad();
         let _ = net.forward(&x).unwrap();
-        net.backward(&Tensor::ones(&[1, 2])).unwrap();
+        net.backward(&Tensor::full(&[1, 2], 1.0)).unwrap();
         opt.step(&mut net).unwrap();
         let p2 = net.param_vector();
         let d1 = p0[0] - p1[0];
@@ -210,7 +195,7 @@ mod tests {
         opt.reset_state();
         net.zero_grad();
         let _ = net.forward(&x).unwrap();
-        net.backward(&Tensor::ones(&[1, 2])).unwrap();
+        net.backward(&Tensor::full(&[1, 2], 1.0)).unwrap();
         opt.step(&mut net).unwrap();
         let p3 = net.param_vector();
         assert!((p2[0] - p3[0] - 0.1).abs() < 1e-6);
@@ -219,20 +204,12 @@ mod tests {
     #[test]
     fn zero_grad_prevents_update() {
         let mut net = one_layer_net();
-        let x = Tensor::ones(&[1, 2]);
+        let x = Tensor::full(&[1, 2], 1.0);
         let _ = net.forward(&x).unwrap();
-        net.backward(&Tensor::ones(&[1, 2])).unwrap();
+        net.backward(&Tensor::full(&[1, 2], 1.0)).unwrap();
         net.zero_grad();
         let before = net.param_vector();
         Sgd::new(0.1).step(&mut net).unwrap();
         assert_eq!(before, net.param_vector());
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Sgd::new(0.3);
-        assert_eq!(opt.learning_rate(), 0.3);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 }

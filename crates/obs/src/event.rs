@@ -239,7 +239,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The `"type"` discriminant this event serializes under.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             TraceEvent::RoundStart { .. } => "RoundStart",
             TraceEvent::PhaseStart { .. } => "PhaseStart",
@@ -265,7 +265,7 @@ impl TraceEvent {
     }
 
     /// The device this event concerns, if it is device-scoped.
-    pub fn device(&self) -> Option<u64> {
+    pub(crate) fn device(&self) -> Option<u64> {
         match self {
             TraceEvent::DeviceSelected { device, .. }
             | TraceEvent::MaskIssued { device, .. }
@@ -281,24 +281,6 @@ impl TraceEvent {
             | TraceEvent::SkipSettled { device, .. }
             | TraceEvent::DeviceJoined { device } => Some(*device),
             TraceEvent::ScenarioEvent { device, .. } => *device,
-            _ => None,
-        }
-    }
-
-    /// The cycle this event belongs to, when it carries one.
-    pub fn cycle(&self) -> Option<u64> {
-        match self {
-            TraceEvent::RoundStart { cycle, .. }
-            | TraceEvent::PhaseStart { cycle, .. }
-            | TraceEvent::PhaseEnd { cycle, .. }
-            | TraceEvent::DeviceSelected { cycle, .. }
-            | TraceEvent::BroadcastSent { cycle, .. }
-            | TraceEvent::MaskIssued { cycle, .. }
-            | TraceEvent::UpdateAggregated { cycle, .. }
-            | TraceEvent::SkipSettled { cycle, .. }
-            | TraceEvent::EvalDone { cycle, .. }
-            | TraceEvent::RoundEnd { cycle, .. }
-            | TraceEvent::ScenarioEvent { cycle, .. } => Some(*cycle),
             _ => None,
         }
     }
@@ -849,9 +831,6 @@ mod tests {
             assert!(json.contains(&format!("\"type\":\"{}\"", event.kind())));
             if let Some(d) = event.device() {
                 assert!(json.contains(&format!("\"device\":{d}")));
-            }
-            if let Some(c) = event.cycle() {
-                assert!(json.contains(&format!("\"cycle\":{c}")));
             }
         }
     }

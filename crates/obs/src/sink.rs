@@ -50,19 +50,6 @@ impl RingBufferSink {
             .cloned()
             .collect()
     }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.buf
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// True when nothing has been recorded (or everything evicted).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl TraceSink for RingBufferSink {
@@ -137,7 +124,7 @@ mod tests {
     fn ring_buffer_evicts_oldest() {
         let ring = RingBufferSink::with_capacity(2);
         let mut sink = ring.clone();
-        assert!(ring.is_empty());
+        assert!(ring.records().is_empty());
         for i in 0..3 {
             sink.record(&rec(i as f64, i));
         }

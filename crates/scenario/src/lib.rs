@@ -342,7 +342,7 @@ impl ScenarioConfig {
     /// Population size at the start of `cycle`, after all joins with
     /// `cycle <= cycle` have fired.
     #[must_use]
-    pub fn population_at(&self, initial_population: usize, cycle: usize) -> usize {
+    pub(crate) fn population_at(&self, initial_population: usize, cycle: usize) -> usize {
         let joined: usize = self
             .churn
             .iter()
@@ -520,14 +520,6 @@ impl Schedule {
     pub fn events(&self) -> &[ScheduledEvent] {
         &self.events
     }
-
-    /// Events firing exactly at `cycle`.
-    #[must_use]
-    pub fn events_at(&self, cycle: usize) -> &[ScheduledEvent] {
-        let lo = self.events.partition_point(|e| e.cycle < cycle);
-        let hi = self.events.partition_point(|e| e.cycle <= cycle);
-        &self.events[lo..hi]
-    }
 }
 
 #[cfg(test)]
@@ -625,9 +617,6 @@ mod tests {
         );
         assert_eq!(schedule.events()[1].kind, EventKind::Join { count: 2 });
         assert!(matches!(schedule.events()[2].kind, EventKind::Drift { .. }));
-        assert_eq!(schedule.events_at(1).len(), 3);
-        assert_eq!(schedule.events_at(5).len(), 1);
-        assert!(schedule.events_at(2).is_empty());
         // Compilation is deterministic.
         assert_eq!(s.compile(), schedule);
     }

@@ -110,6 +110,25 @@ fn check_nchw(op: &'static str, t: &Tensor) -> Result<(usize, usize, usize, usiz
     Ok((d[0], d[1], d[2], d[3]))
 }
 
+/// [`check_nchw`] for a convolution input, which must also cover the
+/// kernel once padded — otherwise [`ConvSpec::output_hw`] underflows.
+fn check_conv_input(
+    op: &'static str,
+    input: &Tensor,
+    spec: &ConvSpec,
+) -> Result<(usize, usize, usize, usize)> {
+    let (n, c, h, w) = check_nchw(op, input)?;
+    if h + 2 * spec.padding < spec.kernel || w + 2 * spec.padding < spec.kernel {
+        return Err(TensorError::InvalidArgument {
+            what: format!(
+                "{op}: kernel {} exceeds input {h}x{w} padded by {}",
+                spec.kernel, spec.padding
+            ),
+        });
+    }
+    Ok((n, c, h, w))
+}
+
 /// Unrolls `[N, C, H, W]` input patches into the `[N*OH*OW, C*K*K]`
 /// matrix `cols`, which must arrive zero-filled — the padding positions
 /// of each patch are simply never written. Callers check `cols` out of
@@ -215,7 +234,8 @@ fn col2im_into(out: &mut [f32], cs: &[f32], spec: &ConvSpec, n: usize, h: usize,
 ///
 /// # Errors
 ///
-/// Returns a [`TensorError`] when the operand shapes do not match `spec`.
+/// Returns a [`TensorError`] when the operand shapes do not match `spec`
+/// or the padded input is smaller than the kernel.
 ///
 /// # Example
 ///
@@ -225,7 +245,7 @@ fn col2im_into(out: &mut [f32], cs: &[f32], spec: &ConvSpec, n: usize, h: usize,
 ///
 /// # fn main() -> Result<(), Box<dyn Error>> {
 /// let spec = ConvSpec::new(1, 2, 3, 1, 1);
-/// let input = Tensor::ones(&[1, 1, 4, 4]);
+/// let input = Tensor::full(&[1, 1, 4, 4], 1.0);
 /// let weight = Tensor::zeros(&[2, 9]);
 /// let bias = Tensor::from_vec(vec![0.5, -0.5], &[2])?;
 /// let out = conv2d(&input, &weight, &bias, &spec)?;
@@ -235,7 +255,7 @@ fn col2im_into(out: &mut [f32], cs: &[f32], spec: &ConvSpec, n: usize, h: usize,
 /// # }
 /// ```
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
-    let (n, _c, h, w) = check_nchw("conv2d", input)?;
+    let (n, _c, h, w) = check_conv_input("conv2d", input, spec)?;
     if weight.dims() != spec.weight_dims() {
         return Err(TensorError::ShapeMismatch {
             op: "conv2d",
@@ -303,14 +323,15 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
 ///
 /// # Errors
 ///
-/// Returns a [`TensorError`] when shapes are inconsistent with `spec`.
+/// Returns a [`TensorError`] when shapes are inconsistent with `spec` or
+/// the padded input is smaller than the kernel.
 pub fn conv2d_backward(
     input: &Tensor,
     weight: &Tensor,
     grad_output: &Tensor,
     spec: &ConvSpec,
 ) -> Result<Conv2dGrads> {
-    let (n, _c, h, w) = check_nchw("conv2d_backward", input)?;
+    let (n, _c, h, w) = check_conv_input("conv2d_backward", input, spec)?;
     let (gn, go, goh, gow) = check_nchw("conv2d_backward", grad_output)?;
     let (oh, ow) = spec.output_hw(h, w);
     if gn != n || go != spec.out_channels || goh != oh || gow != ow {
@@ -367,14 +388,15 @@ pub struct Conv2dPackedGrads {
 /// # Errors
 ///
 /// Returns a [`TensorError`] when operand shapes are inconsistent with
-/// `spec` or with each other.
+/// `spec` or with each other, or the padded input is smaller than the
+/// kernel.
 pub fn conv2d_backward_packed(
     input_packed: &Tensor,
     weight_rows: &Tensor,
     grad_output_packed: &Tensor,
     spec: &ConvSpec,
 ) -> Result<Conv2dPackedGrads> {
-    let (n, ca, h, w) = check_nchw("conv2d_backward_packed", input_packed)?;
+    let (n, ca, h, w) = check_conv_input("conv2d_backward_packed", input_packed, spec)?;
     let (gn, oa, goh, gow) = check_nchw("conv2d_backward_packed", grad_output_packed)?;
     let (oh, ow) = spec.output_hw(h, w);
     if gn != n || goh != oh || gow != ow {
@@ -785,11 +807,37 @@ mod tests {
     }
 
     #[test]
+    fn kernel_larger_than_padded_input_is_rejected() {
+        // A 3×3 kernel without padding does not fit a 2×2 input (nor a
+        // 3×2 one); `output_hw` would underflow.
+        let spec = ConvSpec::new(1, 1, 3, 1, 0);
+        let weight = Tensor::zeros(&[1, 9]);
+        let grad = Tensor::zeros(&[1, 1, 1, 1]);
+        let rejected = |r: Result<()>| matches!(r, Err(TensorError::InvalidArgument { .. }));
+        for dims in [[1, 1, 2, 2], [1, 1, 3, 2]] {
+            let x = Tensor::zeros(&dims);
+            assert!(rejected(
+                conv2d(&x, &weight, &Tensor::zeros(&[1]), &spec).map(drop)
+            ));
+            assert!(rejected(
+                conv2d_backward(&x, &weight, &grad, &spec).map(drop)
+            ));
+            assert!(rejected(
+                conv2d_backward_packed(&x, &weight, &grad, &spec).map(drop)
+            ));
+        }
+        // Padding 1 makes the same input cover the kernel.
+        let padded = ConvSpec::new(1, 1, 3, 1, 1);
+        let x = Tensor::zeros(&[1, 1, 2, 2]);
+        assert!(conv2d(&x, &weight, &Tensor::zeros(&[1]), &padded).is_ok());
+    }
+
+    #[test]
     fn conv2d_identity_kernel_reproduces_input() {
         // A 1x1 kernel with weight 1 and bias 0 is the identity map.
         let spec = ConvSpec::new(1, 1, 1, 1, 0);
         let input = Tensor::from_vec((0..16).map(|i| i as f32).collect(), &[1, 1, 4, 4]).unwrap();
-        let weight = Tensor::ones(&[1, 1]);
+        let weight = Tensor::full(&[1, 1], 1.0);
         let bias = Tensor::zeros(&[1]);
         let out = conv2d(&input, &weight, &bias, &spec).unwrap();
         assert_eq!(out.as_slice(), input.as_slice());
@@ -799,8 +847,8 @@ mod tests {
     fn conv2d_sum_kernel_known_value() {
         // 3x3 all-ones kernel, no padding: each output is the 3x3 patch sum.
         let spec = ConvSpec::new(1, 1, 3, 1, 0);
-        let input = Tensor::ones(&[1, 1, 4, 4]);
-        let weight = Tensor::ones(&[1, 9]);
+        let input = Tensor::full(&[1, 1, 4, 4], 1.0);
+        let weight = Tensor::full(&[1, 9], 1.0);
         let bias = Tensor::zeros(&[1]);
         let out = conv2d(&input, &weight, &bias, &spec).unwrap();
         assert_eq!(out.dims(), &[1, 1, 2, 2]);
@@ -810,8 +858,8 @@ mod tests {
     #[test]
     fn conv2d_padding_zeroes_border_contributions() {
         let spec = ConvSpec::new(1, 1, 3, 1, 1);
-        let input = Tensor::ones(&[1, 1, 3, 3]);
-        let weight = Tensor::ones(&[1, 9]);
+        let input = Tensor::full(&[1, 1, 3, 3], 1.0);
+        let weight = Tensor::full(&[1, 9], 1.0);
         let bias = Tensor::zeros(&[1]);
         let out = conv2d(&input, &weight, &bias, &spec).unwrap();
         // Corner output sees only a 2x2 live patch.
@@ -823,7 +871,7 @@ mod tests {
     #[test]
     fn conv2d_rejects_mismatched_weight() {
         let spec = ConvSpec::new(1, 2, 3, 1, 1);
-        let input = Tensor::ones(&[1, 1, 4, 4]);
+        let input = Tensor::full(&[1, 1, 4, 4], 1.0);
         let bad_weight = Tensor::zeros(&[2, 8]);
         let bias = Tensor::zeros(&[2]);
         assert!(conv2d(&input, &bad_weight, &bias, &spec).is_err());
@@ -849,7 +897,7 @@ mod tests {
         let bias = Tensor::from_vec(mk(3, 3), &[3]).unwrap();
         // Loss = sum of outputs, so grad_output = ones.
         let out = conv2d(&input, &weight, &bias, &spec).unwrap();
-        let grad_out = Tensor::ones(out.dims());
+        let grad_out = Tensor::full(out.dims(), 1.0);
         let grads = conv2d_backward(&input, &weight, &grad_out, &spec).unwrap();
 
         let eps = 1e-2f32;
@@ -906,7 +954,7 @@ mod tests {
         let (out, idx) = max_pool2d(&input, &spec).unwrap();
         assert_eq!(out.dims(), &[1, 1, 2, 2]);
         assert_eq!(out.as_slice(), &[3.0, 5.0, 7.0, 9.0]);
-        let grad = max_pool2d_backward(&Tensor::ones(&[1, 1, 2, 2]), &idx).unwrap();
+        let grad = max_pool2d_backward(&Tensor::full(&[1, 1, 2, 2], 1.0), &idx).unwrap();
         // Exactly the four argmax positions receive gradient 1.
         assert_eq!(grad.sum(), 4.0);
         assert_eq!(grad.get(&[0, 0, 1, 0]).unwrap(), 1.0); // 3.0
@@ -921,14 +969,15 @@ mod tests {
         let spec = PoolSpec::new(2, 2);
         let out = avg_pool2d(&input, &spec).unwrap();
         assert_eq!(out.as_slice(), &[2.5, 4.5, 10.5, 12.5]);
-        let grad = avg_pool2d_backward(&Tensor::ones(&[1, 1, 2, 2]), &spec, &[1, 1, 4, 4]).unwrap();
+        let grad =
+            avg_pool2d_backward(&Tensor::full(&[1, 1, 2, 2], 1.0), &spec, &[1, 1, 4, 4]).unwrap();
         // Each input cell belongs to exactly one window; gradient 1/4 each.
         assert!(grad.as_slice().iter().all(|&g| (g - 0.25).abs() < 1e-6));
     }
 
     #[test]
     fn pool_rejects_oversized_kernel() {
-        let input = Tensor::ones(&[1, 1, 2, 2]);
+        let input = Tensor::full(&[1, 1, 2, 2], 1.0);
         let spec = PoolSpec::new(3, 1);
         assert!(max_pool2d(&input, &spec).is_err());
         assert!(avg_pool2d(&input, &spec).is_err());

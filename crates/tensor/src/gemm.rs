@@ -14,7 +14,7 @@
 //!   copy B into k-major scratch panels (`ldb == nr`): a transposed
 //!   operand (whose logical rows are strided gathers), and the final
 //!   partial panel when `nr ∤ n` (which needs zero-padded lanes). The
-//!   panel width `nr` is chosen per call from `{16, 48, 64}` ([`NR`] is
+//!   panel width `nr` is chosen per call from `{16, 48, 64}` (`NR` is
 //!   the widest) to minimize tail padding: the conv shapes (`n = 16/32`)
 //!   map onto 16-wide panels with zero waste, the dense shapes
 //!   (`n = 128/512`) onto 64-wide panels.
@@ -86,14 +86,14 @@ pub const MR: usize = 4;
 /// Each GEMM call picks its actual panel width from `PANEL_WIDTHS` to
 /// minimize tail padding; `NR` is the widest choice and bounds the
 /// per-panel scratch layout.
-pub const NR: usize = 64;
+const NR: usize = 64;
 /// k-dimension slab length: one A tile of `MR * KC` floats (4 KiB) plus
 /// one B panel of at most `KC * NR` floats stay cache-resident together.
 pub const KC: usize = 256;
 
-/// Panel widths with a monomorphized microkernel. Must stay sorted
-/// ascending; the widest must equal [`NR`].
-const PANEL_WIDTHS: [usize; 3] = [16, 48, 64];
+/// Panel widths with a monomorphized microkernel, sorted ascending; the
+/// widest is `NR`.
+const PANEL_WIDTHS: [usize; 3] = [16, 48, NR];
 
 /// Picks the panel width that minimizes the padded output width
 /// `⌈n/w⌉·w` (ties go to the wider panel, which runs closer to peak).

@@ -48,7 +48,7 @@ pub use conv::{
     max_pool2d_backward, Conv2dGrads, Conv2dPackedGrads, ConvSpec, PoolIndices, PoolSpec,
 };
 pub use error::TensorError;
-pub use gemm::{naive_matmul, KC, MR, NR};
+pub use gemm::{naive_matmul, KC, MR};
 pub use init::{he_normal, uniform_init, xavier_uniform, TensorRng};
 #[doc(hidden)]
 pub use instrument::charge_host_ns;
@@ -58,13 +58,10 @@ pub use packed::{
     gather_channels, gather_elems, gather_rows_cols, scatter_add_elems, scatter_add_rows_cols,
     scatter_channels, scatter_cols,
 };
-pub use parallel::{
-    current_threads, for_each_block, for_each_block2, for_each_block_aligned, map_indexed,
-    map_items_mut, ParallelismConfig, ParallelismGuard,
-};
-pub use shape::Shape;
+pub use parallel::{map_indexed, map_items_mut, ParallelismConfig, ParallelismGuard};
+use shape::Shape;
 pub use tensor::Tensor;
 pub use workspace::{reset_workspace_stats, workspace_stats, WorkspaceStats};
 
 /// Crate-wide result alias carrying a [`TensorError`].
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub(crate) type Result<T> = std::result::Result<T, TensorError>;

@@ -2,9 +2,6 @@
 //! vector) take part in a soft-training cycle, stored the way the wire
 //! stores it.
 
-use crate::error::TensorError;
-use crate::Result;
-
 const WORD_BITS: usize = 64;
 
 /// A fixed-length set of active units, one bit each (`true` = active).
@@ -24,8 +21,6 @@ const WORD_BITS: usize = 64;
 /// assert_eq!(mask.count_ones(), 24);
 /// assert!(mask.get(69) && !mask.get(68));
 /// assert_eq!(mask.iter_ones().take(3).collect::<Vec<_>>(), vec![0, 3, 6]);
-/// let back = UnitMask::from_words(mask.words().to_vec(), 70).unwrap();
-/// assert_eq!(back, mask);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitMask {
@@ -43,15 +38,14 @@ pub enum MaskWordsError {
 }
 
 /// The number of set bits of `words` read as a [`UnitMask`] of `len`
-/// bits: the layout check of [`UnitMask::from_words`] on a borrowed
-/// slice.
+/// bits: the layout check a decoded or aggregated mask must pass.
 ///
 /// # Errors
 ///
 /// Returns [`MaskWordsError::WordCount`] unless there are exactly
 /// ⌈len/64⌉ words, and [`MaskWordsError::PaddingSet`] if a bit past
 /// `len` is set.
-pub fn mask_population(words: &[u64], len: usize) -> std::result::Result<usize, MaskWordsError> {
+pub fn mask_population(words: &[u64], len: usize) -> Result<usize, MaskWordsError> {
     let tail = len % WORD_BITS;
     if words.len() != len.div_ceil(WORD_BITS) {
         Err(MaskWordsError::WordCount)
@@ -79,25 +73,6 @@ impl UnitMask {
             *last >>= (WORD_BITS - len % WORD_BITS) % WORD_BITS;
         }
         UnitMask { words, len }
-    }
-
-    /// Wraps LSB-first words holding `len` bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] unless there are exactly
-    /// ⌈len/64⌉ words and every bit past `len` is zero.
-    pub fn from_words(words: Vec<u64>, len: usize) -> Result<Self> {
-        if mask_population(&words, len).is_err() {
-            return Err(TensorError::InvalidArgument {
-                what: format!(
-                    "{} mask words with padding {:#x} do not hold exactly {len} bits",
-                    words.len(),
-                    words.last().copied().unwrap_or(0)
-                ),
-            });
-        }
-        Ok(UnitMask { words, len })
     }
 
     /// Reads the first ⌈len/8⌉ bytes of an LSB-first bitset (the words'
@@ -173,11 +148,6 @@ impl UnitMask {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
-
-    /// Consumes the mask, returning its words.
-    pub fn into_words(self) -> Vec<u64> {
-        self.words
-    }
 }
 
 impl FromIterator<bool> for UnitMask {
@@ -249,8 +219,6 @@ mod tests {
                     set.set(i, b);
                 }
                 prop_assert_eq!(&set, &mask);
-                let back = UnitMask::from_words(mask.clone().into_words(), n).unwrap();
-                prop_assert_eq!(&back, &mask);
                 // Set padding bits in the last byte are read and dropped.
                 let mut bytes = le_bytes(&mask);
                 if let Some(last) = bytes.last_mut().filter(|_| n % 8 != 0) {
@@ -264,25 +232,20 @@ mod tests {
     }
 
     #[test]
-    fn from_words_rejects_a_wrong_word_count_or_a_set_padding_bit() {
+    fn mask_population_rejects_a_wrong_word_count_or_a_set_padding_bit() {
         for n in [0, 1, 63, 64, 65, 127, 128, 129] {
-            let words = UnitMask::full(n).into_words();
-            assert!(UnitMask::from_words(words.clone(), n).is_ok(), "n = {n}");
+            let words = UnitMask::full(n).words().to_vec();
+            assert_eq!(mask_population(&words, n), Ok(n));
             let mut longer = words.clone();
             longer.push(0);
             assert_eq!(mask_population(&longer, n), Err(MaskWordsError::WordCount));
-            assert!(UnitMask::from_words(longer, n).is_err(), "n = {n}");
             if let Some((_, shorter)) = words.split_last() {
-                assert!(
-                    UnitMask::from_words(shorter.to_vec(), n).is_err(),
-                    "n = {n}"
-                );
+                assert_eq!(mask_population(shorter, n), Err(MaskWordsError::WordCount));
             }
             if n % 64 != 0 {
                 let mut padded = words;
                 *padded.last_mut().unwrap() |= 1 << (n % 64);
                 assert_eq!(mask_population(&padded, n), Err(MaskWordsError::PaddingSet));
-                assert!(UnitMask::from_words(padded, n).is_err(), "n = {n}");
             }
         }
     }

@@ -274,30 +274,6 @@ impl Tensor {
         }
         Tensor::from_vec(out, &[m, n])
     }
-
-    /// Extracts row `i` of a `[m, n]` matrix as a `[n]` vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrices and
-    /// [`TensorError::IndexOutOfBounds`] for an invalid row.
-    pub fn row(&self, i: usize) -> Result<Tensor> {
-        if self.shape().rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                op: "row",
-                expected: 2,
-                actual: self.shape().rank(),
-            });
-        }
-        let (m, n) = (self.dims()[0], self.dims()[1]);
-        if i >= m {
-            return Err(TensorError::IndexOutOfBounds {
-                index: vec![i],
-                shape: self.dims().to_vec(),
-            });
-        }
-        Tensor::from_vec(self.as_slice()[i * n..(i + 1) * n].to_vec(), &[n])
-    }
 }
 
 #[cfg(test)]
@@ -376,12 +352,5 @@ mod tests {
         assert!(s.as_slice().iter().all(|x| x.is_finite()));
         // Uniform logits produce uniform probabilities.
         assert!((s.get(&[1, 0]).unwrap() - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn row_extraction() {
-        let a = t(&[1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        assert_eq!(a.row(1).unwrap().as_slice(), &[3.0, 4.0]);
-        assert!(a.row(2).is_err());
     }
 }

@@ -94,7 +94,7 @@ fn hardware_threads() -> usize {
 }
 
 /// The worker count kernels on this thread currently use.
-pub fn current_threads() -> usize {
+pub(crate) fn current_threads() -> usize {
     OVERRIDE
         .with(Cell::get)
         .unwrap_or_else(hardware_threads)
@@ -171,7 +171,7 @@ where
 ///
 /// `item_work` estimates the elementary operations per item and only
 /// gates how many threads are worth spawning.
-pub fn for_each_block<T, F>(data: &mut [T], item_len: usize, item_work: usize, f: F)
+pub(crate) fn for_each_block<T, F>(data: &mut [T], item_len: usize, item_work: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -186,7 +186,7 @@ where
 /// points *between* workers; every element is still computed by exactly
 /// one thread in serial order, so results remain bitwise identical at
 /// any width. The final block absorbs the remainder.
-pub fn for_each_block_aligned<T, F>(
+pub(crate) fn for_each_block_aligned<T, F>(
     data: &mut [T],
     item_len: usize,
     item_work: usize,
@@ -221,7 +221,7 @@ pub fn for_each_block_aligned<T, F>(
 /// lockstep (e.g. max-pool values and argmax indices): item `i` spans
 /// `a[i*a_len..]` and `b[i*b_len..]`, and both chunks for a block go to
 /// the same worker.
-pub fn for_each_block2<A, B, F>(
+pub(crate) fn for_each_block2<A, B, F>(
     a: &mut [A],
     a_len: usize,
     b: &mut [B],

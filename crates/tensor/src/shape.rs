@@ -10,53 +10,40 @@ use std::fmt;
 ///
 /// # Example
 ///
-/// ```
-/// use helios_tensor::Shape;
+/// A tensor's shape is read through [`Tensor::dims`](crate::Tensor::dims):
 ///
-/// let s = Shape::new(&[2, 3, 4]);
-/// assert_eq!(s.rank(), 3);
-/// assert_eq!(s.num_elements(), 24);
-/// assert_eq!(s.dim(1), 3);
+/// ```
+/// use helios_tensor::Tensor;
+///
+/// let t = Tensor::zeros(&[2, 3, 4]);
+/// assert_eq!(t.dims(), &[2, 3, 4]);
+/// assert_eq!(t.len(), 24);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Shape {
+pub(crate) struct Shape {
     dims: Vec<usize>,
 }
 
 impl Shape {
     /// Creates a shape from a slice of dimension extents.
-    pub fn new(dims: &[usize]) -> Self {
+    pub(crate) fn new(dims: &[usize]) -> Self {
         Shape {
             dims: dims.to_vec(),
         }
     }
 
-    /// Creates a scalar (rank-0) shape.
-    pub fn scalar() -> Self {
-        Shape { dims: Vec::new() }
-    }
-
     /// Number of dimensions.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.dims.len()
     }
 
-    /// Extent of dimension `axis`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= self.rank()`.
-    pub fn dim(&self, axis: usize) -> usize {
-        self.dims[axis]
-    }
-
     /// All dimension extents as a slice.
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.dims
     }
 
     /// Total number of elements (product of the extents; 1 for scalars).
-    pub fn num_elements(&self) -> usize {
+    pub(crate) fn num_elements(&self) -> usize {
         self.dims.iter().product()
     }
 
@@ -64,7 +51,7 @@ impl Shape {
     ///
     /// The stride of the last axis is 1; each preceding axis strides by the
     /// product of all later extents.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1; self.dims.len()];
         for i in (0..self.dims.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];
@@ -74,7 +61,7 @@ impl Shape {
 
     /// Converts a multi-dimensional index into a flat row-major offset, or
     /// `None` when any coordinate is out of bounds or the rank differs.
-    pub fn flat_index(&self, index: &[usize]) -> Option<usize> {
+    pub(crate) fn flat_index(&self, index: &[usize]) -> Option<usize> {
         if index.len() != self.dims.len() {
             return None;
         }
@@ -121,7 +108,7 @@ mod tests {
 
     #[test]
     fn scalar_shape_has_one_element() {
-        let s = Shape::scalar();
+        let s = Shape::new(&[]);
         assert_eq!(s.rank(), 0);
         assert_eq!(s.num_elements(), 1);
     }
@@ -144,7 +131,7 @@ mod tests {
     #[test]
     fn display_lists_dims() {
         assert_eq!(Shape::new(&[2, 3]).to_string(), "[2, 3]");
-        assert_eq!(Shape::scalar().to_string(), "[]");
+        assert_eq!(Shape::new(&[]).to_string(), "[]");
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a tensor of ones with the given shape.
-    pub fn ones(dims: &[usize]) -> Self {
-        Tensor::full(dims, 1.0)
-    }
-
     /// Creates the `n × n` identity matrix.
     pub fn eye(n: usize) -> Self {
         let mut t = Tensor::zeros(&[n, n]);
@@ -63,14 +58,6 @@ impl Tensor {
             t.data[i * n + i] = 1.0;
         }
         t
-    }
-
-    /// Creates a rank-0 scalar tensor.
-    pub fn scalar(value: f32) -> Self {
-        Tensor {
-            shape: Shape::scalar(),
-            data: vec![value],
-        }
     }
 
     /// Creates a tensor from a flat `Vec` and a shape.
@@ -91,7 +78,7 @@ impl Tensor {
     }
 
     /// The tensor shape.
-    pub fn shape(&self) -> &Shape {
+    pub(crate) fn shape(&self) -> &Shape {
         &self.shape
     }
 
@@ -101,13 +88,9 @@ impl Tensor {
     }
 
     /// Total element count.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// Whether the tensor holds zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Immutable view of the flat row-major storage.
@@ -118,11 +101,6 @@ impl Tensor {
     /// Mutable view of the flat row-major storage.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns its flat storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Reads the element at a multi-dimensional index.
@@ -138,24 +116,6 @@ impl Tensor {
                 index: index.to_vec(),
                 shape: self.shape.dims().to_vec(),
             })
-    }
-
-    /// Writes the element at a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::IndexOutOfBounds`] for an invalid index.
-    pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
-        match self.shape.flat_index(index) {
-            Some(i) => {
-                self.data[i] = value;
-                Ok(())
-            }
-            None => Err(TensorError::IndexOutOfBounds {
-                index: index.to_vec(),
-                shape: self.shape.dims().to_vec(),
-            }),
-        }
     }
 
     /// Returns a tensor with the same data and a new shape.
@@ -186,7 +146,7 @@ impl Tensor {
     }
 
     /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
+    pub(crate) fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
         for x in &mut self.data {
             *x = f(*x);
         }
@@ -197,7 +157,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Self> {
+    pub(crate) fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Self> {
         if self.shape != other.shape {
             return Err(TensorError::ShapeMismatch {
                 op: "zip_map",
@@ -234,15 +194,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a - b)
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Result<Self> {
-        self.zip_map(other, |a, b| a * b)
-    }
-
     /// In-place `self += alpha * other` (the BLAS `axpy` primitive).
     ///
     /// # Errors
@@ -260,11 +211,6 @@ impl Tensor {
             *a += alpha * b;
         }
         Ok(())
-    }
-
-    /// Multiplies every element by `s`, producing a new tensor.
-    pub fn scale(&self, s: f32) -> Self {
-        self.map(|x| x * s)
     }
 
     /// Multiplies every element by `s` in place.
@@ -289,26 +235,6 @@ impl Tensor {
         } else {
             self.sum() / self.data.len() as f32
         }
-    }
-
-    /// Maximum element (`f32::NEG_INFINITY` for empty tensors).
-    pub fn max(&self) -> f32 {
-        self.data.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Minimum element (`f32::INFINITY` for empty tensors).
-    pub fn min(&self) -> f32 {
-        self.data.iter().copied().fold(f32::INFINITY, f32::min)
-    }
-
-    /// Euclidean (L2) norm of the flattened tensor.
-    pub fn l2_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Sum of absolute values (L1 norm) of the flattened tensor.
-    pub fn l1_norm(&self) -> f32 {
-        self.data.iter().map(|x| x.abs()).sum()
     }
 }
 
@@ -345,7 +271,7 @@ mod tests {
         let z = Tensor::zeros(&[2, 3]);
         assert_eq!(z.len(), 6);
         assert!(z.as_slice().iter().all(|&x| x == 0.0));
-        let o = Tensor::ones(&[4]);
+        let o = Tensor::full(&[4], 1.0);
         assert_eq!(o.sum(), 4.0);
     }
 
@@ -358,10 +284,9 @@ mod tests {
     #[test]
     fn get_set_round_trip() {
         let mut t = Tensor::zeros(&[3, 3]);
-        t.set(&[1, 2], 7.5).unwrap();
+        t.as_mut_slice()[5] = 7.5;
         assert_eq!(t.get(&[1, 2]).unwrap(), 7.5);
         assert!(t.get(&[3, 0]).is_err());
-        assert!(t.set(&[0, 3], 1.0).is_err());
     }
 
     #[test]
@@ -378,14 +303,13 @@ mod tests {
         let b = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
         assert_eq!(a.add(&b).unwrap().as_slice(), &[4.0, 6.0]);
         assert_eq!(a.sub(&b).unwrap().as_slice(), &[-2.0, -2.0]);
-        assert_eq!(a.mul(&b).unwrap().as_slice(), &[3.0, 8.0]);
         let c = Tensor::zeros(&[3]);
         assert!(a.add(&c).is_err());
     }
 
     #[test]
     fn axpy_accumulates() {
-        let mut a = Tensor::ones(&[3]);
+        let mut a = Tensor::full(&[3], 1.0);
         let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
         a.axpy(0.5, &b).unwrap();
         assert_eq!(a.as_slice(), &[1.5, 2.0, 2.5]);
@@ -394,10 +318,6 @@ mod tests {
     #[test]
     fn norms_and_reductions() {
         let t = Tensor::from_vec(vec![3.0, -4.0], &[2]).unwrap();
-        assert_eq!(t.l2_norm(), 5.0);
-        assert_eq!(t.l1_norm(), 7.0);
-        assert_eq!(t.max(), 3.0);
-        assert_eq!(t.min(), -4.0);
         assert_eq!(t.mean(), -0.5);
     }
 
@@ -419,7 +339,7 @@ mod tests {
 
     #[test]
     fn scalar_tensor() {
-        let s = Tensor::scalar(2.5);
+        let s = Tensor::from_vec(vec![2.5], &[]).unwrap();
         assert_eq!(s.len(), 1);
         assert_eq!(s.shape().rank(), 0);
         assert_eq!(s.sum(), 2.5);

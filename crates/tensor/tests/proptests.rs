@@ -14,6 +14,11 @@ fn matrix(max_dim: usize) -> impl Strategy<Value = Tensor> {
     })
 }
 
+/// Euclidean (L2) norm of the flattened tensor.
+fn l2_norm(t: &Tensor) -> f32 {
+    t.as_slice().iter().map(|x| x * x).sum::<f32>().sqrt()
+}
+
 proptest! {
     #[test]
     fn transpose_is_involutive(a in matrix(8)) {
@@ -104,7 +109,7 @@ proptest! {
         let a = helios_tensor::uniform_init(&[len], -5.0, 5.0, &mut rng);
         let b = helios_tensor::uniform_init(&[len], -5.0, 5.0, &mut rng);
         let sum = a.add(&b).unwrap();
-        prop_assert!(sum.l2_norm() <= a.l2_norm() + b.l2_norm() + 1e-4);
+        prop_assert!(l2_norm(&sum) <= l2_norm(&a) + l2_norm(&b) + 1e-4);
     }
 
     #[test]
@@ -141,7 +146,7 @@ proptest! {
         let b = Tensor::zeros(&[2]);
         let d = helios_tensor::uniform_init(&[1, 1, 4, 4], -1.0, 1.0, &mut rng);
         let out = conv2d(&x, &w, &b, &spec).unwrap();
-        let grads = conv2d_backward(&x, &w, &Tensor::ones(out.dims()), &spec).unwrap();
+        let grads = conv2d_backward(&x, &w, &Tensor::full(out.dims(), 1.0), &spec).unwrap();
         // Directional derivative of sum-loss along d.
         let analytic: f32 = grads
             .grad_input

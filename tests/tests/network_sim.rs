@@ -198,7 +198,7 @@ fn routed_inputs() -> (Vec<LocalUpdate>, Vec<SimTime>) {
         for j in (0..mask.len()).filter(|&j| !mask.get(j)) {
             u.params[j] = env.global()[j];
         }
-        u.param_mask = Some(mask.into_words());
+        u.param_mask = Some(mask.words().to_vec());
     }
     let mut compute: Vec<SimTime> = (0..ROUTED_CLIENTS)
         .map(|i| SimTime::from_secs(0.2 + 0.05 * i as f64))

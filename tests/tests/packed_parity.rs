@@ -50,7 +50,7 @@ fn mlp(in_features: usize, hidden: usize, classes: usize, seed: u64) -> Network 
         Layer::Relu(Relu::new()),
         Layer::Dense(Dense::new(hidden, classes, &mut rng).non_maskable()),
     ];
-    Network::new("mlp", layers, &[in_features], classes)
+    Network::new(layers, &[in_features])
 }
 
 fn conv_net(channels: usize, conv_out: usize, hidden: usize, classes: usize, seed: u64) -> Network {
@@ -68,7 +68,7 @@ fn conv_net(channels: usize, conv_out: usize, hidden: usize, classes: usize, see
         Layer::Relu(Relu::new()),
         Layer::Dense(Dense::new(hidden, classes, &mut rng).non_maskable()),
     ];
-    Network::new("convnet", layers, &[channels, 8, 8], classes)
+    Network::new(layers, &[channels, 8, 8])
 }
 
 /// Asserts packed and zeroing runs of `net` agree bit-for-bit, and

@@ -301,7 +301,7 @@ fn flop_counts_are_exact_at_every_width_beside_a_busy_thread() {
     let busy = std::sync::Barrier::new(2);
     let runs = std::thread::scope(|scope| {
         scope.spawn(|| {
-            let a = Tensor::ones(&[16, 16]);
+            let a = Tensor::full(&[16, 16], 1.0);
             a.matmul(&a).expect("matmul");
             busy.wait();
             while !stop.load(Ordering::Relaxed) {

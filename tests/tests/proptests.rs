@@ -27,7 +27,7 @@ proptest! {
         let masks: Vec<Vec<u64>> = (0..clients)
             .map(|_| {
                 let m: UnitMask = (0..n).map(|_| rng.uniform(0.0, 1.0) > 0.3).collect();
-                m.into_words()
+                m.words().to_vec()
             })
             .collect();
         let weights: Vec<f64> = (0..clients).map(|_| rng.uniform(0.1, 3.0) as f64).collect();

@@ -220,7 +220,7 @@ fn split(entries: &[(f32, f32, bool)]) -> (Vec<f32>, Vec<f32>, Vec<u64>) {
     let base = entries.iter().map(|e| e.0).collect();
     let update = entries.iter().map(|e| e.1).collect();
     let mask = entries.iter().map(|e| e.2).collect::<UnitMask>();
-    (base, update, mask.into_words())
+    (base, update, mask.words().to_vec())
 }
 
 proptest! {
@@ -304,7 +304,7 @@ proptest! {
                     "entry {}: {} vs {} (bound {})", i, o, u, bound
                 );
             } else {
-                // Finite overflow saturates to ±F16_MAX instead of inf.
+                // Finite overflow saturates to ±65504 instead of inf.
                 prop_assert!(o.is_finite(), "saturated entry {} became {}", i, o);
                 prop_assert!((o - b).abs() <= 65504.0 * (1.0 + 1e-6) + b.abs() * 1e-6);
             }
