@@ -2,9 +2,11 @@
 # CI gate for the Helios workspace: formatting, lints (including an
 # unwrap/expect deny gate for the typed-error crates), first-party line
 # counts, a public-surface report (never fails), a no-shared-statics
-# gate, a single-thread-scope gate, a one-mask-type gate, docs, release
-# build, tests, and the repository benchmark package (benchmark/) built,
-# tested and smoke-run. Takes no arguments.
+# gate, a single-thread-scope gate, a one-mask-type gate, a dev-profile
+# checks gate, docs, release build, tests, the thread-scoped-state test
+# binaries and the packed-parity suite at one and eight test threads, and
+# the repository benchmark package (benchmark/) built, tested and
+# smoke-run. Takes no arguments.
 set -euo pipefail
 cd "$(dirname "$0")"
 [ $# -eq 0 ] || { echo "usage: ./ci.sh (takes no arguments)" >&2; exit 2; }
@@ -123,6 +125,23 @@ find crates/*/src -name '*.rs' -print0 | sort -z |
         }
         END { exit bad }'
 
+step "dev profile keeps debug assertions and overflow checks (Cargo.toml)"
+# Tier-1 tests build the dev profile at opt-level 1 for speed; the
+# checks that caught real bugs there (debug_assert!, integer overflow)
+# must stay on. Both are pinned to true under [profile.dev], and no
+# profile may turn either off.
+awk '
+    /^\[/ { dev = ($0 == "[profile.dev]") }
+    dev && /^(debug-assertions|overflow-checks) *= *true *$/ { on[$1]++ }
+    /^(debug-assertions|overflow-checks) *= *false/ { printf "Cargo.toml:%d: %s\n", FNR, $0; bad = 1 }
+    END {
+        if (!on["debug-assertions"] || !on["overflow-checks"]) {
+            print "[profile.dev] must set debug-assertions = true and overflow-checks = true"
+            bad = 1
+        }
+        exit bad
+    }' Cargo.toml
+
 step "cargo doc (warnings are errors)"
 # Scoped to first-party crates: the vendored deps are workspace members
 # but their docs are upstream's, not ours to lint.
@@ -137,14 +156,17 @@ cargo build --release --workspace
 step "cargo test -q"
 cargo test -q --workspace
 
-step "thread-scoped state: tracing and counting test binaries at one test thread and eight"
-# Every test in these three installs trace sinks or reads counter deltas
-# with no lock around it. One test thread runs them all in sequence on
-# the same thread-locals (nothing may leak from test to test); eight
-# interleaves them (nothing may leak across threads).
+step "thread-scoped state: tracing and counting tests at one test thread and eight"
+# Every test in these installs trace sinks or reads counter deltas with
+# no lock around it: two integration binaries and the packed-parity
+# suite (the `packed_parity` module of helios-nn's unit tests, which
+# compares kernel-flop deltas). One test thread runs them all in
+# sequence on the same thread-locals (nothing may leak from test to
+# test); eight interleaves them (nothing may leak across threads).
 for n in 1 8; do
     cargo test -q -p helios-integration --test trace_determinism \
-        --test scenario_engine --test packed_parity -- --test-threads="$n"
+        --test scenario_engine -- --test-threads="$n"
+    cargo test -q -p helios-nn --lib packed_parity -- --test-threads="$n"
 done
 
 step "repository benchmark builds and smoke-runs (benchmark/)"

@@ -9,7 +9,6 @@
 //! accelerates a straggler.
 
 use crate::layer::Layer;
-use crate::layers::UnitMaskable;
 use crate::Network;
 use helios_tensor::UnitMask;
 use serde::Serialize;
@@ -106,7 +105,7 @@ fn walk(
     match layer {
         Layer::Dense(d) => {
             let (inf, outf) = (d.in_features() as f64, d.out_features() as f64);
-            let out_keep = keep_of(d.unit_mask(), d.out_features());
+            let out_keep = keep_of(d.core.unit_mask(), d.out_features());
             out.push(LayerCost {
                 name: "dense",
                 flops_forward: 2.0 * inf * outf * *in_keep * out_keep * b,
@@ -122,7 +121,7 @@ fn walk(
             let (oh, ow) = spec.output_hw(h, w);
             let patch = (spec.in_channels * spec.kernel * spec.kernel) as f64;
             let o = spec.out_channels as f64;
-            let out_keep = keep_of(c.unit_mask(), spec.out_channels);
+            let out_keep = keep_of(c.core.unit_mask(), spec.out_channels);
             out.push(LayerCost {
                 name: "conv2d",
                 flops_forward: 2.0 * patch * o * (oh * ow) as f64 * *in_keep * out_keep * b,

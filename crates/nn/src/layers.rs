@@ -2,49 +2,48 @@
 //!
 //! Every layer owns its parameters, its accumulated gradients, and whatever
 //! forward-pass state its backward pass needs. Parameterized layers
-//! ([`Dense`], [`Conv2d`]) additionally carry an optional **unit mask**:
-//! the Helios soft-training mechanism that excludes individual output
-//! neurons / channels from a training cycle. A masked-out unit produces
-//! zero activation and receives zero gradient, exactly the sub-model
-//! semantics of the paper's partial training (§V.A).
+//! ([`Dense`], [`Conv2d`]) keep all of that in one [`MaskedCore`], which
+//! also carries an optional **unit mask**: the Helios soft-training
+//! mechanism that excludes individual output neurons / channels from a
+//! training cycle. A masked-out unit produces zero activation and receives
+//! zero gradient, exactly the sub-model semantics of the paper's partial
+//! training (§V.A).
 
 use crate::{NnError, Result};
 use helios_tensor::{
-    avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward, conv2d_backward_packed,
-    gather_channels, gather_elems, gather_rows_cols, he_normal, max_pool2d, max_pool2d_backward,
-    scatter_add_elems, scatter_add_rows_cols, scatter_channels, scatter_cols, xavier_uniform,
-    ConvSpec, PoolIndices, PoolSpec, Tensor, TensorRng, UnitMask,
+    avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward_packed, gather_channels, gather_elems,
+    gather_rows_cols, he_normal, max_pool2d, max_pool2d_backward, scatter_add_elems,
+    scatter_add_rows_cols, scatter_channels, scatter_cols, xavier_uniform, ConvSpec, PoolIndices,
+    PoolSpec, Tensor, TensorError, TensorRng, UnitMask,
 };
+use std::borrow::Cow;
 
-/// Common interface of layers whose output units can be masked.
-///
-/// Implemented by [`Dense`] (units are neurons) and [`Conv2d`] (units are
-/// output channels). The Helios scheduler manipulates layers exclusively
-/// through this trait.
-pub(crate) trait UnitMaskable {
-    /// Number of output units.
-    fn units(&self) -> usize;
+/// Restricts an activation or gradient to the listed units or inputs
+/// along its unit axis (dense columns, conv channels).
+type Gather = fn(&Tensor, &[usize]) -> std::result::Result<Tensor, TensorError>;
 
-    /// Installs (or clears, with `None`) the unit mask.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::MaskLengthMismatch`] when the mask length differs
-    /// from [`UnitMaskable::units`].
-    fn set_unit_mask(&mut self, mask: Option<UnitMask>) -> Result<()>;
+/// Spreads a packed output back to `n` units along the unit axis,
+/// exact `+0.0` in the units it does not list.
+type Scatter = fn(&Tensor, &[usize], usize) -> std::result::Result<Tensor, TensorError>;
 
-    /// The current mask, if any.
-    fn unit_mask(&self) -> Option<&UnitMask>;
+/// A parameter of a [`MaskedCore`].
+#[derive(Clone, Copy)]
+enum Param {
+    Weight,
+    Bias,
 }
 
-fn validate_mask(units: usize, mask: Option<&UnitMask>) -> Result<()> {
-    match mask {
-        Some(m) if m.len() != units => Err(NnError::MaskLengthMismatch {
-            units,
-            mask_len: m.len(),
-        }),
-        _ => Ok(()),
-    }
+/// Adds a backward kernel's gradient of one parameter into the layer's.
+/// Kernels hand each over as soon as it is computed, so it is freed
+/// before the next one is allocated, which keeps the peak heap down.
+type Accumulate<'a> = &'a mut dyn FnMut(Param, &Tensor) -> Result<()>;
+
+/// `t` gathered down to `idx`, or `t` itself when the axis is whole.
+fn gathered<'a>(t: &'a Tensor, idx: Option<&[usize]>, gather: Gather) -> Result<Cow<'a, Tensor>> {
+    Ok(match idx {
+        Some(idx) => Cow::Owned(gather(t, idx)?),
+        None => Cow::Borrowed(t),
+    })
 }
 
 /// Active indices of `mask`, or `None` when every unit is active — an
@@ -62,44 +61,312 @@ fn active_indices(mask: Option<&UnitMask>) -> Option<Vec<usize>> {
 struct PackedPlan {
     out_idx: Option<Vec<usize>>,
     in_idx: Option<Vec<usize>>,
-    /// [`Conv2d`] only: the weight columns of the active input
-    /// channels, each channel's contiguous `K·K` block.
-    col_idx: Option<Vec<usize>>,
+    /// `in_idx` as entries of the weight's input axis, when each input
+    /// owns a block of several (`K·K` columns per conv channel); `None`
+    /// when an input owns one entry and `in_idx` serves as is.
+    in_weight_idx: Option<Vec<usize>>,
 }
 
-/// The plan for a layer's `(mask, input_mask)`, or `None` when the
-/// zeroing path must run: packed execution is off, neither axis is
-/// masked, or an axis is masked down to nothing (fully-masked layers
-/// keep the zeroing path, which is trivially correct for degenerate
-/// shapes).
-fn packed_plan(
-    packed: bool,
-    mask: Option<&UnitMask>,
-    input_mask: Option<&UnitMask>,
-) -> Option<PackedPlan> {
-    if !packed {
-        return None;
+impl PackedPlan {
+    /// Row and column indices of the weight sub-grid the active units
+    /// and inputs span, for a weight whose units lie along `unit_axis`.
+    fn weight_grid(&self, unit_axis: usize) -> [Option<&[usize]>; 2] {
+        let inputs = self.in_weight_idx.as_deref().or(self.in_idx.as_deref());
+        let mut grid = [inputs; 2];
+        grid[unit_axis] = self.out_idx.as_deref();
+        grid
     }
-    let out_idx = active_indices(mask);
-    let in_idx = active_indices(input_mask);
-    let packable = (out_idx.is_some() || in_idx.is_some())
-        && out_idx.as_ref().is_none_or(|v| !v.is_empty())
-        && in_idx.as_ref().is_none_or(|v| !v.is_empty());
-    packable.then_some(PackedPlan {
-        out_idx,
-        in_idx,
-        col_idx: None,
-    })
 }
 
-/// The zeroing path's masking: clears every entry of a row-major
-/// `[N, units, inner]` block whose unit is masked out (`inner` is 1 for
-/// dense columns and `H·W` for conv planes).
-fn zero_inactive(data: &mut [f32], mask: &UnitMask, inner: usize) {
-    for (i, block) in data.chunks_mut(inner.max(1)).enumerate() {
-        if !mask.get(i % mask.len()) {
-            block.fill(0.0);
+/// The state [`Dense`] and [`Conv2d`] share: a `[rows, cols]` weight
+/// matrix whose output units lie along one axis, a bias per unit, their
+/// gradients, the unit and input masks, the packed plan derived from
+/// them, and the forward input that backward needs. The layer types keep
+/// only their kernel geometry.
+///
+/// Alongside its own unit `mask`, a core carries an optional
+/// `input_mask`: a per-input guarantee, installed by
+/// [`Network::set_masks`](crate::Network::set_masks) from the *upstream*
+/// layer's unit mask, that the marked input positions are exactly zero.
+/// With either mask installed the core runs **packed execution**: active
+/// inputs and units are gathered into compact tensors, the kernel runs on
+/// the packed shapes, and the results are scattered back — bitwise
+/// identical to full-width execution (the GEMM kernel already skips zero
+/// operands term-by-term) but proportionally cheaper. The full-width
+/// branch runs when neither axis is masked, or when a mask leaves an axis
+/// empty (trivially correct for degenerate shapes); masked units are then
+/// zeroed in the output and in the incoming gradient.
+#[derive(Debug, Clone)]
+pub(crate) struct MaskedCore {
+    weight: Tensor,
+    bias: Tensor,
+    grad_weight: Tensor,
+    grad_bias: Tensor,
+    /// Weight axis that indexes output units: 1 for a dense `[in, out]`
+    /// weight, 0 for a conv `[O, C·K·K]` one.
+    unit_axis: usize,
+    /// Input positions (dense features, conv channels) the other weight
+    /// axis is split into, one block of entries each.
+    inputs: usize,
+    mask: Option<UnitMask>,
+    input_mask: Option<UnitMask>,
+    maskable: bool,
+    plan: Option<PackedPlan>,
+    /// Set by every mask setter; cleared when `plan` is re-derived.
+    plan_stale: bool,
+    cached_input: Option<Tensor>,
+}
+
+impl MaskedCore {
+    /// A maskable core around `weight`, zero bias and zero gradients.
+    fn new(weight: Tensor, unit_axis: usize, inputs: usize) -> Self {
+        let units = weight.dims()[unit_axis];
+        MaskedCore {
+            grad_weight: Tensor::zeros(weight.dims()),
+            weight,
+            bias: Tensor::zeros(&[units]),
+            grad_bias: Tensor::zeros(&[units]),
+            unit_axis,
+            inputs,
+            mask: None,
+            input_mask: None,
+            maskable: true,
+            plan: None,
+            plan_stale: false,
+            cached_input: None,
         }
+    }
+
+    /// Number of output units.
+    pub(crate) fn units(&self) -> usize {
+        self.bias.len()
+    }
+
+    /// `[rows, cols]` of the weight matrix.
+    pub(crate) fn weight_dims(&self) -> [usize; 2] {
+        [self.weight.dims()[0], self.weight.dims()[1]]
+    }
+
+    /// Weight axis that indexes output units (see [`MaskedCore`]).
+    pub(crate) fn unit_axis(&self) -> usize {
+        self.unit_axis
+    }
+
+    /// Whether the soft-training scheduler may mask this layer. Heads
+    /// and projection shortcuts are not maskable.
+    pub(crate) fn is_maskable(&self) -> bool {
+        self.maskable
+    }
+
+    /// Checks that `mask` fits this layer's units.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::MaskLengthMismatch`] when the mask length
+    /// differs from [`MaskedCore::units`].
+    pub(crate) fn validate_mask(&self, mask: Option<&UnitMask>) -> Result<()> {
+        match mask {
+            Some(m) if m.len() != self.units() => Err(NnError::MaskLengthMismatch {
+                units: self.units(),
+                mask_len: m.len(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Installs (or clears, with `None`) the unit mask, which the caller
+    /// has checked with [`MaskedCore::validate_mask`].
+    pub(crate) fn set_unit_mask(&mut self, mask: Option<UnitMask>) {
+        self.mask = mask;
+        self.plan_stale = true;
+    }
+
+    /// The current unit mask, if any.
+    pub(crate) fn unit_mask(&self) -> Option<&UnitMask> {
+        self.mask.as_ref()
+    }
+
+    /// Installs the input mask implied by `prev`, the unit mask of the
+    /// layer producing this one's input (`false` = that unit's outputs
+    /// are exactly zero). Each unit covers `inputs / prev.len()`
+    /// consecutive inputs: one for a conv channel or dense neuron, the
+    /// `H·W` features of a channel for a dense layer after a flatten
+    /// (the flatten of a row-major `[N, C, H, W]` tensor is
+    /// channel-major). An input mask is an optimization hint, never a
+    /// requirement, so one that does not divide the inputs is dropped.
+    pub(crate) fn set_input_mask(&mut self, prev: Option<&UnitMask>) {
+        let inputs = self.inputs;
+        self.input_mask = prev
+            .filter(|p| p.len() > 0 && inputs.is_multiple_of(p.len()))
+            .map(|p| {
+                let per = inputs / p.len();
+                (0..inputs).map(|i| p.get(i / per)).collect()
+            });
+        self.plan_stale = true;
+    }
+
+    /// Derives the packed plan from the installed masks if a setter has
+    /// changed them since the last derivation: once per installed mask
+    /// that runs, never for one that is only costed. No plan (the
+    /// full-width branch) when neither axis is masked or an axis is
+    /// masked down to nothing.
+    fn refresh_plan(&mut self) {
+        if !std::mem::take(&mut self.plan_stale) {
+            return;
+        }
+        let out_idx = active_indices(self.mask.as_ref());
+        let in_idx = active_indices(self.input_mask.as_ref());
+        let packable = (out_idx.is_some() || in_idx.is_some())
+            && out_idx.as_ref().is_none_or(|v| !v.is_empty())
+            && in_idx.as_ref().is_none_or(|v| !v.is_empty());
+        let block = self.weight.dims()[1 - self.unit_axis] / self.inputs;
+        self.plan = packable.then(|| PackedPlan {
+            in_weight_idx: in_idx.as_ref().filter(|_| block > 1).map(|idx| {
+                idx.iter()
+                    .flat_map(|&i| i * block..(i + 1) * block)
+                    .collect()
+            }),
+            out_idx,
+            in_idx,
+        });
+    }
+
+    /// Zeroes every masked unit's block of `t`, a row-major
+    /// `[N, units, …]` output or output gradient.
+    fn zero_masked(&self, t: &mut Tensor) {
+        if let Some(mask) = &self.mask {
+            let inner = t.dims()[1..].iter().product::<usize>() / mask.len().max(1);
+            for (i, block) in t.as_mut_slice().chunks_mut(inner.max(1)).enumerate() {
+                if !mask.get(i % mask.len()) {
+                    block.fill(0.0);
+                }
+            }
+        }
+    }
+
+    /// The forward pass. `kernel(x, weight, bias)` is the layer's
+    /// computation. With a plan it runs on packed operands — `x`
+    /// gathered to the active inputs by `gather`, the weight to the
+    /// active sub-grid, the bias to the active units — and its output is
+    /// scattered back to full width by `scatter`. The masked inputs of
+    /// `x` hold exact zeros, which the kernel would have skipped
+    /// term-by-term, so dropping them preserves every accumulation
+    /// order. Without a plan it runs full-width and the masked units are
+    /// zeroed.
+    fn forward(
+        &mut self,
+        x: &Tensor,
+        gather: Gather,
+        scatter: Scatter,
+        kernel: impl FnOnce(&Tensor, &Tensor, &Tensor) -> Result<Tensor>,
+    ) -> Result<Tensor> {
+        self.refresh_plan();
+        let y = match &self.plan {
+            Some(plan) => {
+                let out_idx = plan.out_idx.as_deref();
+                let x_p = gathered(x, plan.in_idx.as_deref(), gather)?;
+                let [rows, cols] = plan.weight_grid(self.unit_axis);
+                let w_p = gather_rows_cols(&self.weight, rows, cols)?;
+                let b_p = gathered(&self.bias, out_idx, gather_elems)?;
+                let y_p = kernel(&x_p, &w_p, &b_p)?;
+                match out_idx {
+                    Some(idx) => scatter(&y_p, idx, self.units())?,
+                    None => y_p,
+                }
+            }
+            None => {
+                let mut y = kernel(x, &self.weight, &self.bias)?;
+                self.zero_masked(&mut y);
+                y
+            }
+        };
+        self.cached_input = Some(x.clone());
+        Ok(y)
+    }
+
+    /// The backward pass. `kernel(x, weight_rows, grad, accumulate)`
+    /// hands the weight and bias gradients to `accumulate`, then returns
+    /// the input gradient. With a plan the masked output gradients are definitionally zero, so only
+    /// the active units' gradient planes are gathered, `x` is gathered as
+    /// in forward, and the packed weight/bias gradients scatter-add into
+    /// the active sub-grid (masked entries accumulate exactly nothing
+    /// either way). `weight_rows` keeps the weight's input axis
+    /// **whole**: `grad_input` must be bitwise identical everywhere,
+    /// including masked input positions, whose values come out of the
+    /// same GEMM terms the full-width kernel would have used.
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        layer: &'static str,
+        gather: Gather,
+        kernel: impl FnOnce(&Tensor, &Tensor, &Tensor, Accumulate<'_>) -> Result<Tensor>,
+    ) -> Result<Tensor> {
+        self.refresh_plan();
+        let x = self
+            .cached_input
+            .as_ref()
+            .ok_or(NnError::BackwardBeforeForward { layer })?;
+        let (g, x, w) = match &self.plan {
+            Some(plan) => {
+                let out_idx = plan.out_idx.as_deref();
+                let g_p = gathered(grad_out, out_idx, gather)?;
+                let x_p = gathered(x, plan.in_idx.as_deref(), gather)?;
+                let mut grid = [None; 2];
+                grid[self.unit_axis] = out_idx;
+                let w_rows = match out_idx {
+                    Some(_) => Cow::Owned(gather_rows_cols(&self.weight, grid[0], grid[1])?),
+                    None => Cow::Borrowed(&self.weight),
+                };
+                (g_p, x_p, w_rows)
+            }
+            None => {
+                let mut g = grad_out.clone();
+                self.zero_masked(&mut g);
+                (Cow::Owned(g), Cow::Borrowed(x), Cow::Borrowed(&self.weight))
+            }
+        };
+        let (plan, unit_axis) = (self.plan.as_ref(), self.unit_axis);
+        let (grad_weight, grad_bias) = (&mut self.grad_weight, &mut self.grad_bias);
+        kernel(&x, &w, &g, &mut |param, grad| {
+            match (plan, param) {
+                (None, Param::Weight) => grad_weight.axpy(1.0, grad)?,
+                (None, Param::Bias) => grad_bias.axpy(1.0, grad)?,
+                (Some(plan), Param::Weight) => {
+                    let [rows, cols] = plan.weight_grid(unit_axis);
+                    scatter_add_rows_cols(grad_weight, grad, rows, cols)?;
+                }
+                (Some(plan), Param::Bias) => match plan.out_idx.as_deref() {
+                    Some(idx) => scatter_add_elems(grad_bias, grad, idx)?,
+                    None => grad_bias.axpy(1.0, grad)?,
+                },
+            }
+            Ok(())
+        })
+    }
+
+    /// Resets the accumulated gradients to zero.
+    pub(crate) fn zero_grad(&mut self) {
+        self.grad_weight.fill_zero();
+        self.grad_bias.fill_zero();
+    }
+
+    /// Visits the weight, then the bias.
+    pub(crate) fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
+        f(&self.weight);
+        f(&self.bias);
+    }
+
+    /// Visits the weight, then the bias, mutably.
+    pub(crate) fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
+    }
+
+    /// Visits `(parameter, gradient)` pairs in the same order: the
+    /// optimizer's entry point.
+    pub(crate) fn for_each_param_grad_mut(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+        f(&mut self.weight, &mut self.grad_weight);
+        f(&mut self.bias, &mut self.grad_bias);
     }
 }
 
@@ -110,260 +377,62 @@ fn zero_inactive(data: &mut [f32], mask: &UnitMask, inner: usize) {
 /// Fully connected layer: `y = x · W + b` with `W: [in, out]`.
 ///
 /// Output unit `j` (a *neuron* in the paper's vocabulary) owns weight
-/// column `j` and bias element `j`.
-///
-/// Alongside its own unit `mask`, the layer carries an optional
-/// `input_mask`: a per-input-feature guarantee, installed by
-/// [`Network::set_masks`](crate::Network::set_masks) from the *upstream*
-/// layer's unit mask, that the marked input positions are exactly zero.
-/// With either mask installed, the layer runs **packed execution**:
-/// active rows/columns are gathered into compact tensors, the GEMMs run
-/// on the packed shapes, and the results are scattered back — bitwise
-/// identical to full-width execution (the matmul kernel already skips
-/// zero operands term-by-term) but proportionally cheaper.
+/// column `j` and bias element `j`; input feature `i` owns weight row
+/// `i`.
 #[derive(Debug, Clone)]
 pub struct Dense {
-    in_features: usize,
-    out_features: usize,
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
-    mask: Option<UnitMask>,
-    input_mask: Option<UnitMask>,
-    maskable: bool,
-    /// See [`Network::set_packed_execution`](crate::Network::set_packed_execution).
-    packed: bool,
-    plan: Option<PackedPlan>,
-    /// Set by every mask and packed-execution setter; cleared when
-    /// `plan` is re-derived.
-    plan_stale: bool,
-    cached_input: Option<Tensor>,
+    pub(crate) core: MaskedCore,
 }
 
 impl Dense {
     /// Creates a dense layer with Xavier-uniform weights and zero bias.
     pub fn new(in_features: usize, out_features: usize, rng: &mut TensorRng) -> Self {
+        let weight = xavier_uniform(&[in_features, out_features], in_features, out_features, rng);
         Dense {
-            in_features,
-            out_features,
-            weight: xavier_uniform(&[in_features, out_features], in_features, out_features, rng),
-            bias: Tensor::zeros(&[out_features]),
-            grad_weight: Tensor::zeros(&[in_features, out_features]),
-            grad_bias: Tensor::zeros(&[out_features]),
-            mask: None,
-            input_mask: None,
-            maskable: true,
-            packed: true,
-            plan: None,
-            plan_stale: false,
-            cached_input: None,
+            core: MaskedCore::new(weight, 1, in_features),
         }
     }
 
     /// Marks the layer as exempt from masking (used for classifier heads,
     /// whose class outputs must never be dropped).
     pub fn non_maskable(mut self) -> Self {
-        self.maskable = false;
+        self.core.maskable = false;
         self
-    }
-
-    /// Whether the soft-training scheduler may mask this layer.
-    pub(crate) fn is_maskable(&self) -> bool {
-        self.maskable
     }
 
     /// Input feature count.
     pub fn in_features(&self) -> usize {
-        self.in_features
+        self.core.inputs
     }
 
     /// Output feature count.
     pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
-    /// Installs the upstream-derived input-feature mask (`true` = the
-    /// feature may be nonzero, `false` = guaranteed exactly zero). An
-    /// input mask is an optimization hint, never a requirement, so a
-    /// length mismatch conservatively clears it.
-    pub(crate) fn set_input_mask(&mut self, mask: Option<UnitMask>) {
-        self.input_mask = mask.filter(|m| m.len() == self.in_features);
-        self.plan_stale = true;
-    }
-
-    /// See [`Network::set_packed_execution`](crate::Network::set_packed_execution).
-    pub(crate) fn set_packed(&mut self, enabled: bool) {
-        self.packed = enabled;
-        self.plan_stale = true;
-    }
-
-    /// Derives the packed plan from the installed masks if a setter has
-    /// changed them since the last derivation: once per installed mask
-    /// that runs, never for one that is only costed.
-    fn refresh_plan(&mut self) {
-        if std::mem::take(&mut self.plan_stale) {
-            self.plan = packed_plan(self.packed, self.mask.as_ref(), self.input_mask.as_ref());
-        }
+        self.core.units()
     }
 
     pub(crate) fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        self.refresh_plan();
-        let y = match &self.plan {
-            Some(plan) => self.forward_packed(x, plan)?,
-            None => {
-                let mut y = x.matmul(&self.weight)?.add_row_broadcast(&self.bias)?;
-                if let Some(mask) = &self.mask {
-                    zero_inactive(y.as_mut_slice(), mask, 1);
-                }
-                y
-            }
-        };
-        self.cached_input = Some(x.clone());
-        Ok(y)
+        self.core
+            .forward(x, dense_columns, scatter_cols, |x, w, b| {
+                Ok(x.matmul(w)?.add_row_broadcast(b)?)
+            })
     }
 
-    /// Packed forward: gather the active input columns of `x` and the
-    /// active `[in × out]` sub-grid of the weight, run the GEMM on the
-    /// packed shapes, scatter into a full-width output (exact `+0.0` in
-    /// masked columns). The masked input columns of `x` hold exact
-    /// zeros, which the matmul kernel would have skipped term-by-term,
-    /// so dropping them preserves every accumulation order.
-    fn forward_packed(&self, x: &Tensor, plan: &PackedPlan) -> Result<Tensor> {
-        let (out_idx, in_idx) = (plan.out_idx.as_deref(), plan.in_idx.as_deref());
-        let xp_store;
-        let x_p = match in_idx {
-            Some(idx) => {
-                xp_store = gather_rows_cols(x, None, Some(idx))?;
-                &xp_store
-            }
-            None => x,
-        };
-        let w_p = gather_rows_cols(&self.weight, in_idx, out_idx)?;
-        let bp_store;
-        let b_p = match out_idx {
-            Some(idx) => {
-                bp_store = gather_elems(&self.bias, idx)?;
-                &bp_store
-            }
-            None => &self.bias,
-        };
-        let y_p = x_p.matmul(&w_p)?.add_row_broadcast(b_p)?;
-        match out_idx {
-            Some(idx) => Ok(scatter_cols(&y_p, idx, self.out_features)?),
-            None => Ok(y_p),
-        }
-    }
-
+    /// dW = xᵀ·g and dX = g·Wᵀ via the transposed-operand GEMM entry
+    /// points: the kernel reads `x` and the weight where they lie, no
+    /// materialized `transpose()` copies on the training path.
     pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        self.refresh_plan();
-        // Moved out for the call so the packed path can borrow it beside
-        // `&mut self`; restored before the result is returned.
-        if let Some(plan) = self.plan.take() {
-            let g = self.backward_packed(grad_out, &plan);
-            self.plan = Some(plan);
-            return g;
-        }
-        let x = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: "Dense" })?;
-        let mut g = grad_out.clone();
-        if let Some(mask) = &self.mask {
-            zero_inactive(g.as_mut_slice(), mask, 1);
-        }
-        // dW = xᵀ·g and dX = g·Wᵀ via the transposed-operand GEMM entry
-        // points: the kernel reads `x` and `weight` where they lie, no
-        // materialized `transpose()` copies on the training path.
-        self.grad_weight.axpy(1.0, &x.matmul_tn(&g)?)?;
-        self.grad_bias.axpy(1.0, &g.sum_rows()?)?;
-        Ok(g.matmul_nt(&self.weight)?)
-    }
-
-    /// Packed backward: masked output gradients are definitionally
-    /// zeroed, so gather only the active columns and scatter-add the
-    /// packed weight/bias gradients into the active sub-grid (masked
-    /// entries accumulate exactly nothing either way). The input axis
-    /// of the returned gradient stays **full-width**: `grad_input` must
-    /// be bitwise identical everywhere, including masked input
-    /// positions, whose values come out of the same GEMM terms the
-    /// full-width kernel would have used.
-    fn backward_packed(&mut self, grad_out: &Tensor, plan: &PackedPlan) -> Result<Tensor> {
-        let (out_idx, in_idx) = (plan.out_idx.as_deref(), plan.in_idx.as_deref());
-        let x = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: "Dense" })?;
-        let gp_store;
-        let g_p = match out_idx {
-            Some(idx) => {
-                gp_store = gather_rows_cols(grad_out, None, Some(idx))?;
-                &gp_store
-            }
-            None => grad_out,
-        };
-        let xp_store;
-        let x_p = match in_idx {
-            Some(idx) => {
-                xp_store = gather_rows_cols(x, None, Some(idx))?;
-                &xp_store
-            }
-            None => x,
-        };
-        let gw_p = x_p.matmul_tn(g_p)?;
-        scatter_add_rows_cols(&mut self.grad_weight, &gw_p, in_idx, out_idx)?;
-        let gb_p = g_p.sum_rows()?;
-        match out_idx {
-            Some(idx) => scatter_add_elems(&mut self.grad_bias, &gb_p, idx)?,
-            None => self.grad_bias.axpy(1.0, &gb_p)?,
-        }
-        let wr_store;
-        let w_rows = match out_idx {
-            Some(idx) => {
-                wr_store = gather_rows_cols(&self.weight, None, Some(idx))?;
-                &wr_store
-            }
-            None => &self.weight,
-        };
-        Ok(g_p.matmul_nt(w_rows)?)
-    }
-
-    pub(crate) fn zero_grad(&mut self) {
-        self.grad_weight.fill_zero();
-        self.grad_bias.fill_zero();
-    }
-
-    pub(crate) fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
-        f(&self.weight);
-        f(&self.bias);
-    }
-
-    pub(crate) fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        f(&mut self.weight);
-        f(&mut self.bias);
-    }
-
-    pub(crate) fn for_each_param_grad_mut(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        f(&mut self.weight, &mut self.grad_weight);
-        f(&mut self.bias, &mut self.grad_bias);
+        self.core
+            .backward(grad_out, "Dense", dense_columns, |x, w, g, accumulate| {
+                accumulate(Param::Weight, &x.matmul_tn(g)?)?;
+                accumulate(Param::Bias, &g.sum_rows()?)?;
+                Ok(g.matmul_nt(w)?)
+            })
     }
 }
 
-impl UnitMaskable for Dense {
-    fn units(&self) -> usize {
-        self.out_features
-    }
-
-    fn set_unit_mask(&mut self, mask: Option<UnitMask>) -> Result<()> {
-        validate_mask(self.out_features, mask.as_ref())?;
-        self.mask = mask;
-        self.plan_stale = true;
-        Ok(())
-    }
-
-    fn unit_mask(&self) -> Option<&UnitMask> {
-        self.mask.as_ref()
-    }
+/// The columns `idx` of a `[N, features]` activation.
+fn dense_columns(t: &Tensor, idx: &[usize]) -> std::result::Result<Tensor, TensorError> {
+    gather_rows_cols(t, None, Some(idx))
 }
 
 // ---------------------------------------------------------------------------
@@ -373,61 +442,23 @@ impl UnitMaskable for Dense {
 /// 2-D convolution layer over `[N, C, H, W]` tensors.
 ///
 /// Output unit `o` (a *channel*) owns weight row `o` of the
-/// `[O, C·K·K]` weight matrix and bias element `o`.
-/// Like [`Dense`], the layer carries an optional `input_mask` of
-/// guaranteed-zero input channels (derived from the upstream layer's
-/// unit mask by [`Network::set_masks`](crate::Network::set_masks)) and
-/// runs packed execution over the active output channels × active input
-/// channels whenever either mask is installed.
+/// `[O, C·K·K]` weight matrix and bias element `o`; input channel `c`
+/// owns the contiguous `K·K` block of columns `c·K·K..(c+1)·K·K`, so
+/// packed execution runs over active output × active input channels.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     spec: ConvSpec,
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
-    mask: Option<UnitMask>,
-    input_mask: Option<UnitMask>,
-    maskable: bool,
-    /// See [`Network::set_packed_execution`](crate::Network::set_packed_execution).
-    packed: bool,
-    plan: Option<PackedPlan>,
-    /// Set by every mask and packed-execution setter; cleared when
-    /// `plan` is re-derived.
-    plan_stale: bool,
-    cached_input: Option<Tensor>,
+    pub(crate) core: MaskedCore,
 }
 
 impl Conv2d {
     /// Creates a convolution layer with He-normal weights and zero bias.
     pub fn new(spec: ConvSpec, rng: &mut TensorRng) -> Self {
         let wd = spec.weight_dims();
-        let fan_in = wd[1];
         Conv2d {
             spec,
-            weight: he_normal(&wd, fan_in, rng),
-            bias: Tensor::zeros(&[spec.out_channels]),
-            grad_weight: Tensor::zeros(&wd),
-            grad_bias: Tensor::zeros(&[spec.out_channels]),
-            mask: None,
-            input_mask: None,
-            maskable: true,
-            packed: true,
-            plan: None,
-            plan_stale: false,
-            cached_input: None,
+            core: MaskedCore::new(he_normal(&wd, wd[1], rng), 0, spec.in_channels),
         }
-    }
-
-    /// Marks the layer as exempt from masking.
-    pub(crate) fn non_maskable(mut self) -> Self {
-        self.maskable = false;
-        self
-    }
-
-    /// Whether the soft-training scheduler may mask this layer.
-    pub(crate) fn is_maskable(&self) -> bool {
-        self.maskable
     }
 
     /// The convolution geometry.
@@ -435,213 +466,38 @@ impl Conv2d {
         &self.spec
     }
 
-    /// Installs the upstream-derived input-channel mask (`true` = the
-    /// channel may be nonzero, `false` = guaranteed exactly zero). An
-    /// input mask is an optimization hint, never a requirement, so a
-    /// length mismatch conservatively clears it.
-    pub(crate) fn set_input_mask(&mut self, mask: Option<UnitMask>) {
-        self.input_mask = mask.filter(|m| m.len() == self.spec.in_channels);
-        self.plan_stale = true;
-    }
-
-    /// See [`Network::set_packed_execution`](crate::Network::set_packed_execution).
-    pub(crate) fn set_packed(&mut self, enabled: bool) {
-        self.packed = enabled;
-        self.plan_stale = true;
-    }
-
-    /// Derives the packed plan as [`Dense`] does. The `[O, C·K·K]`
-    /// weight layout is input-channel-major, so each active input
-    /// channel owns one contiguous `K·K` block of weight columns.
-    fn refresh_plan(&mut self) {
-        if !std::mem::take(&mut self.plan_stale) {
-            return;
-        }
-        let kk = self.spec.kernel * self.spec.kernel;
-        self.plan =
-            packed_plan(self.packed, self.mask.as_ref(), self.input_mask.as_ref()).map(|plan| {
-                PackedPlan {
-                    col_idx: plan
-                        .in_idx
-                        .as_ref()
-                        .map(|idx| idx.iter().flat_map(|&ci| ci * kk..(ci + 1) * kk).collect()),
-                    ..plan
-                }
-            });
-    }
-
-    /// The convolution geometry restricted to the active channels.
-    fn packed_spec(&self, out_idx: Option<&[usize]>, in_idx: Option<&[usize]>) -> ConvSpec {
-        ConvSpec::new(
-            in_idx.map_or(self.spec.in_channels, <[usize]>::len),
-            out_idx.map_or(self.spec.out_channels, <[usize]>::len),
-            self.spec.kernel,
-            self.spec.stride,
-            self.spec.padding,
-        )
-    }
-
     pub(crate) fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        self.refresh_plan();
-        let y = match &self.plan {
-            Some(plan) => self.forward_packed(x, plan)?,
-            None => {
-                let mut y = conv2d(x, &self.weight, &self.bias, &self.spec)?;
-                self.mask_channels(&mut y);
-                y
-            }
-        };
-        self.cached_input = Some(x.clone());
-        Ok(y)
+        let spec = self.spec;
+        self.core
+            .forward(x, gather_channels, scatter_channels, |x, w, b| {
+                // The geometry of `w`, the whole weight or its packed
+                // sub-grid of active rows and channel blocks.
+                let packed = ConvSpec {
+                    in_channels: w.dims()[1] / (spec.kernel * spec.kernel),
+                    out_channels: w.dims()[0],
+                    ..spec
+                };
+                Ok(conv2d(x, w, b, &packed)?)
+            })
     }
 
-    /// The zeroing path: clears the masked-out output-channel planes.
-    fn mask_channels(&self, t: &mut Tensor) {
-        if let Some(mask) = &self.mask {
-            let plane = t.dims()[2] * t.dims()[3];
-            zero_inactive(t.as_mut_slice(), mask, plane);
-        }
-    }
-
-    /// Packed forward: gather the active input-channel planes, the
-    /// active weight sub-grid (rows = active output channels, columns =
-    /// the active channels' `K·K` blocks), run the convolution on the
-    /// packed geometry, and scatter the output planes back (exact
-    /// `+0.0` in masked channels). Masked input planes hold exact
-    /// zeros, so dropping their patch columns removes only terms the
-    /// GEMM kernel would have skipped anyway.
-    fn forward_packed(&self, x: &Tensor, plan: &PackedPlan) -> Result<Tensor> {
-        let (out_idx, in_idx) = (plan.out_idx.as_deref(), plan.in_idx.as_deref());
-        let xp_store;
-        let x_p = match in_idx {
-            Some(idx) => {
-                xp_store = gather_channels(x, idx)?;
-                &xp_store
-            }
-            None => x,
-        };
-        let w_p = gather_rows_cols(&self.weight, out_idx, plan.col_idx.as_deref())?;
-        let bp_store;
-        let b_p = match out_idx {
-            Some(idx) => {
-                bp_store = gather_elems(&self.bias, idx)?;
-                &bp_store
-            }
-            None => &self.bias,
-        };
-        let y_p = conv2d(x_p, &w_p, b_p, &self.packed_spec(out_idx, in_idx))?;
-        match out_idx {
-            Some(idx) => Ok(scatter_channels(&y_p, idx, self.spec.out_channels)?),
-            None => Ok(y_p),
-        }
-    }
-
-    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        self.refresh_plan();
-        // Moved out for the call so the packed path can borrow it beside
-        // `&mut self`; restored before the result is returned.
-        if let Some(plan) = self.plan.take() {
-            let g = self.backward_packed(grad_out, &plan);
-            self.plan = Some(plan);
-            return g;
-        }
-        let x = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: "Conv2d" })?;
-        let mut g = grad_out.clone();
-        self.mask_channels(&mut g);
-        let grads = conv2d_backward(x, &self.weight, &g, &self.spec)?;
-        self.grad_weight.axpy(1.0, &grads.grad_weight)?;
-        self.grad_bias.axpy(1.0, &grads.grad_bias)?;
-        Ok(grads.grad_input)
-    }
-
-    /// Packed backward: masked output-channel gradients are
-    /// definitionally zeroed, so only the active planes are gathered;
-    /// the packed weight/bias gradients scatter-add into the active
-    /// sub-grid (masked entries accumulate exactly nothing either way).
     /// [`conv2d_backward_packed`] keeps the weight's input-column axis
-    /// whole so `grad_input` comes back full-shape and bit-exact.
-    fn backward_packed(&mut self, grad_out: &Tensor, plan: &PackedPlan) -> Result<Tensor> {
-        let (out_idx, in_idx) = (plan.out_idx.as_deref(), plan.in_idx.as_deref());
-        let x = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer: "Conv2d" })?;
-        let gp_store;
-        let g_p = match out_idx {
-            Some(idx) => {
-                gp_store = gather_channels(grad_out, idx)?;
-                &gp_store
-            }
-            None => grad_out,
-        };
-        let xp_store;
-        let x_p = match in_idx {
-            Some(idx) => {
-                xp_store = gather_channels(x, idx)?;
-                &xp_store
-            }
-            None => x,
-        };
-        let wr_store;
-        let w_rows = match out_idx {
-            Some(idx) => {
-                wr_store = gather_rows_cols(&self.weight, Some(idx), None)?;
-                &wr_store
-            }
-            None => &self.weight,
-        };
-        let grads = conv2d_backward_packed(x_p, w_rows, g_p, &self.spec)?;
-        scatter_add_rows_cols(
-            &mut self.grad_weight,
-            &grads.grad_weight,
-            out_idx,
-            plan.col_idx.as_deref(),
-        )?;
-        match out_idx {
-            Some(idx) => scatter_add_elems(&mut self.grad_bias, &grads.grad_bias, idx)?,
-            None => self.grad_bias.axpy(1.0, &grads.grad_bias)?,
-        }
-        Ok(grads.grad_input)
-    }
-
-    pub(crate) fn zero_grad(&mut self) {
-        self.grad_weight.fill_zero();
-        self.grad_bias.fill_zero();
-    }
-
-    pub(crate) fn for_each_param(&self, f: &mut dyn FnMut(&Tensor)) {
-        f(&self.weight);
-        f(&self.bias);
-    }
-
-    pub(crate) fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
-        f(&mut self.weight);
-        f(&mut self.bias);
-    }
-
-    pub(crate) fn for_each_param_grad_mut(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        f(&mut self.weight, &mut self.grad_weight);
-        f(&mut self.bias, &mut self.grad_bias);
-    }
-}
-
-impl UnitMaskable for Conv2d {
-    fn units(&self) -> usize {
-        self.spec.out_channels
-    }
-
-    fn set_unit_mask(&mut self, mask: Option<UnitMask>) -> Result<()> {
-        validate_mask(self.spec.out_channels, mask.as_ref())?;
-        self.mask = mask;
-        self.plan_stale = true;
-        Ok(())
-    }
-
-    fn unit_mask(&self) -> Option<&UnitMask> {
-        self.mask.as_ref()
+    /// whole so `grad_input` comes back full-shape and bit-exact. With
+    /// full-width operands it runs the same body as `conv2d_backward`,
+    /// so one call serves the packed and the full-width branch.
+    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        let spec = self.spec;
+        self.core.backward(
+            grad_out,
+            "Conv2d",
+            gather_channels,
+            |x, w, g, accumulate| {
+                let grads = conv2d_backward_packed(x, w, g, &spec)?;
+                accumulate(Param::Weight, &grads.grad_weight)?;
+                accumulate(Param::Bias, &grads.grad_bias)?;
+                Ok(grads.grad_input)
+            },
+        )
     }
 }
 
@@ -817,8 +673,11 @@ impl Residual {
         }
     }
 
-    /// Creates a residual block with a 1×1 convolution projection shortcut.
-    pub(crate) fn with_projection(body: Vec<crate::Layer>, projection: Conv2d) -> Self {
+    /// Creates a residual block with a 1×1 convolution projection
+    /// shortcut. The projection is never maskable: it keeps the residual
+    /// sum shape-compatible.
+    pub(crate) fn with_projection(body: Vec<crate::Layer>, mut projection: Conv2d) -> Self {
+        projection.core.maskable = false;
         Residual {
             body,
             shortcut: Some(Box::new(projection)),
@@ -831,7 +690,7 @@ impl Residual {
         &self.body
     }
 
-    /// Mutable access to the body layers (used by the mask visitor).
+    /// Mutable access to the body layers.
     pub(crate) fn body_mut(&mut self) -> &mut [crate::Layer] {
         &mut self.body
     }
@@ -880,14 +739,17 @@ impl Residual {
         };
         Ok(gb.add(&gs)?)
     }
+}
 
-    pub(crate) fn zero_grad(&mut self) {
-        for layer in &mut self.body {
-            layer.zero_grad();
-        }
-        if let Some(conv) = &mut self.shortcut {
-            conv.zero_grad();
-        }
+#[cfg(test)]
+impl MaskedCore {
+    /// Drops the plan derived from the installed masks, so the next
+    /// passes take the full-width branch whatever the masks: the zeroing
+    /// oracle the packed-parity suite compares packed execution against.
+    /// The next mask setter derives a plan again.
+    pub(crate) fn force_full_width(&mut self) {
+        self.plan = None;
+        self.plan_stale = false;
     }
 }
 
@@ -903,8 +765,8 @@ mod tests {
     #[test]
     fn dense_forward_known_values() {
         let mut d = Dense::new(2, 2, &mut rng());
-        d.weight = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        d.bias = Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap();
+        d.core.weight = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
+        d.core.bias = Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap();
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]).unwrap();
         let y = d.forward(&x).unwrap();
         // [1*1+1*3+0.5, 1*2+1*4-0.5] = [4.5, 5.5]
@@ -914,8 +776,8 @@ mod tests {
     #[test]
     fn dense_mask_zeroes_output_and_freezes_unit() {
         let mut d = Dense::new(3, 4, &mut rng());
-        d.set_unit_mask(Some((0..4).map(|j| j % 2 == 0).collect()))
-            .unwrap();
+        d.core
+            .set_unit_mask(Some((0..4).map(|j| j % 2 == 0).collect()));
         let x = Tensor::full(&[2, 3], 1.0);
         let y = d.forward(&x).unwrap();
         for i in 0..2 {
@@ -925,20 +787,20 @@ mod tests {
         // Backward: masked units accumulate zero gradient.
         d.backward(&Tensor::full(&[2, 4], 1.0)).unwrap();
         for k in 0..3 {
-            assert_eq!(d.grad_weight.get(&[k, 1]).unwrap(), 0.0);
-            assert_ne!(d.grad_weight.get(&[k, 0]).unwrap(), 0.0);
+            assert_eq!(d.core.grad_weight.get(&[k, 1]).unwrap(), 0.0);
+            assert_ne!(d.core.grad_weight.get(&[k, 0]).unwrap(), 0.0);
         }
-        assert_eq!(d.grad_bias.get(&[1]).unwrap(), 0.0);
-        assert_eq!(d.grad_bias.get(&[0]).unwrap(), 2.0);
+        assert_eq!(d.core.grad_bias.get(&[1]).unwrap(), 0.0);
+        assert_eq!(d.core.grad_bias.get(&[0]).unwrap(), 2.0);
     }
 
     #[test]
     fn dense_mask_validation() {
-        let mut d = Dense::new(3, 4, &mut rng());
-        assert!(d.set_unit_mask(Some(UnitMask::full(3))).is_err());
-        assert!(d.set_unit_mask(Some(UnitMask::full(4))).is_ok());
-        assert!(d.set_unit_mask(None).is_ok());
-        assert!(d.unit_mask().is_none());
+        let d = Dense::new(3, 4, &mut rng());
+        assert!(d.core.validate_mask(Some(&UnitMask::full(3))).is_err());
+        assert!(d.core.validate_mask(Some(&UnitMask::full(4))).is_ok());
+        assert!(d.core.validate_mask(None).is_ok());
+        assert!(d.core.unit_mask().is_none());
     }
 
     #[test]
@@ -961,11 +823,11 @@ mod tests {
         // Weight gradient check.
         for &i in &[0usize, 3, 5] {
             let mut dp = d.clone();
-            dp.weight.as_mut_slice()[i] += eps;
+            dp.core.weight.as_mut_slice()[i] += eps;
             let mut dm = d.clone();
-            dm.weight.as_mut_slice()[i] -= eps;
+            dm.core.weight.as_mut_slice()[i] -= eps;
             let num = (dp.forward(&x).unwrap().sum() - dm.forward(&x).unwrap().sum()) / (2.0 * eps);
-            let ana = d.grad_weight.as_slice()[i];
+            let ana = d.core.grad_weight.as_slice()[i];
             assert!((num - ana).abs() < 1e-2, "weight {i}: {num} vs {ana}");
         }
         // Input gradient check via directional derivative.
@@ -989,8 +851,7 @@ mod tests {
     fn conv_mask_zeroes_channels() {
         let spec = ConvSpec::new(1, 3, 3, 1, 1);
         let mut c = Conv2d::new(spec, &mut rng());
-        c.set_unit_mask(Some((0..3).map(|j| j != 1).collect()))
-            .unwrap();
+        c.core.set_unit_mask(Some((0..3).map(|j| j != 1).collect()));
         let x = Tensor::full(&[1, 1, 4, 4], 1.0);
         let y = c.forward(&x).unwrap();
         for h in 0..4 {
@@ -1001,10 +862,10 @@ mod tests {
         c.backward(&Tensor::full(&[1, 3, 4, 4], 1.0)).unwrap();
         // Channel 1's weight row stays untrained.
         for k in 0..9 {
-            assert_eq!(c.grad_weight.get(&[1, k]).unwrap(), 0.0);
+            assert_eq!(c.core.grad_weight.get(&[1, k]).unwrap(), 0.0);
         }
-        assert_eq!(c.grad_bias.get(&[1]).unwrap(), 0.0);
-        assert_ne!(c.grad_bias.get(&[0]).unwrap(), 0.0);
+        assert_eq!(c.core.grad_bias.get(&[1]).unwrap(), 0.0);
+        assert_ne!(c.core.grad_bias.get(&[0]).unwrap(), 0.0);
     }
 
     #[test]
@@ -1032,8 +893,8 @@ mod tests {
         // Body = identity 1x1 conv with weight 1 → y = relu(x + x) = 2x for x > 0.
         let spec = ConvSpec::new(1, 1, 1, 1, 0);
         let mut conv = Conv2d::new(spec, &mut rng());
-        conv.weight = Tensor::full(&[1, 1], 1.0);
-        conv.bias = Tensor::zeros(&[1]);
+        conv.core.weight = Tensor::full(&[1, 1], 1.0);
+        conv.core.bias = Tensor::zeros(&[1]);
         let mut block = Residual::new(vec![Layer::Conv2d(conv)]);
         let x = Tensor::full(&[1, 1, 2, 2], 1.5);
         let y = block.forward(&x).unwrap();
@@ -1063,10 +924,11 @@ mod tests {
     #[test]
     fn maskable_flag_defaults_and_builder() {
         let d = Dense::new(2, 2, &mut rng());
-        assert!(d.is_maskable());
+        assert!(d.core.is_maskable());
         let d = d.non_maskable();
-        assert!(!d.is_maskable());
-        let c = Conv2d::new(ConvSpec::new(1, 1, 1, 1, 0), &mut rng()).non_maskable();
-        assert!(!c.is_maskable());
+        assert!(!d.core.is_maskable());
+        let spec = ConvSpec::new(1, 1, 1, 1, 0);
+        let block = Residual::with_projection(vec![], Conv2d::new(spec, &mut rng()));
+        assert!(!block.shortcut().unwrap().core.is_maskable());
     }
 }

@@ -127,7 +127,7 @@ fn downsample_block(in_ch: usize, out_ch: usize, rng: &mut TensorRng) -> Residua
             Layer::Relu(Relu::new()),
             Layer::Conv2d(Conv2d::new(ConvSpec::new(out_ch, out_ch, 3, 1, 1), rng)),
         ],
-        Conv2d::new(ConvSpec::new(in_ch, out_ch, 1, 2, 0), rng).non_maskable(),
+        Conv2d::new(ConvSpec::new(in_ch, out_ch, 1, 2, 0), rng),
     )
 }
 

@@ -2,6 +2,7 @@
 //! ([`NeuronLayout`]) used by federated aggregation.
 
 use crate::layer::Layer;
+use crate::layers::MaskedCore;
 use crate::{NnError, Result};
 use helios_tensor::{Tensor, UnitMask};
 use serde::{Deserialize, Serialize};
@@ -46,11 +47,6 @@ impl ModelMask {
         ModelMask {
             masks: vec![None; units.num_layers()],
         }
-    }
-
-    /// Builds a mask from explicit per-layer activity vectors.
-    pub fn from_layers(masks: Vec<Option<UnitMask>>) -> Self {
-        ModelMask { masks }
     }
 
     /// The mask of layer `i` (`None` = all active).
@@ -107,22 +103,14 @@ pub struct NeuronId {
     pub unit: usize,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum GroupKind {
-    Dense {
-        in_features: usize,
-        out_features: usize,
-    },
-    Conv {
-        out_channels: usize,
-        patch_len: usize,
-    },
-}
-
 /// Metadata of one parameterized layer inside the flat parameter vector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParamGroup {
-    kind: GroupKind,
+    /// `[rows, cols]` of the row-major weight matrix.
+    weight_dims: [usize; 2],
+    /// Weight axis that indexes units: 1 for dense `[in, out]`, 0 for
+    /// conv `[O, C·K·K]`.
+    unit_axis: usize,
     /// Position among *maskable* layers, when the layer is maskable.
     maskable_id: Option<usize>,
     weight_offset: usize,
@@ -132,10 +120,7 @@ pub struct ParamGroup {
 impl ParamGroup {
     /// Number of output units (neurons / channels).
     pub fn units(&self) -> usize {
-        match self.kind {
-            GroupKind::Dense { out_features, .. } => out_features,
-            GroupKind::Conv { out_channels, .. } => out_channels,
-        }
+        self.weight_dims[self.unit_axis]
     }
 
     /// Index among maskable layers, or `None` for head/projection layers.
@@ -180,17 +165,13 @@ impl NeuronLayout {
     fn neuron_params(&self, id: NeuronId) -> impl Iterator<Item = usize> {
         let g = &self.groups[id.group];
         assert!(id.unit < g.units(), "unit {} out of range", id.unit);
-        let (first, stride, count) = match g.kind {
-            GroupKind::Dense {
-                in_features,
-                out_features,
-            } => (g.weight_offset + id.unit, out_features, in_features),
-            GroupKind::Conv { patch_len, .. } => {
-                (g.weight_offset + id.unit * patch_len, 1, patch_len)
-            }
-        };
-        (0..count)
-            .map(move |k| first + k * stride)
+        // A unit's weights are one row (conv) or one column (dense) of
+        // the row-major matrix.
+        let strides = [g.weight_dims[1], 1];
+        let fan_in = 1 - g.unit_axis;
+        let first = g.weight_offset + id.unit * strides[g.unit_axis];
+        (0..g.weight_dims[fan_in])
+            .map(move |k| first + k * strides[fan_in])
             .chain([g.bias_offset + id.unit])
     }
 
@@ -259,9 +240,19 @@ impl Network {
         &self.layers
     }
 
-    /// Mutable access to the layer stack (used by the cost walker).
-    pub(crate) fn layers_mut(&mut self) -> &mut [Layer] {
-        &mut self.layers
+    /// Visits every parameterized layer's core in canonical order (see
+    /// [`Layer::for_each_core`]).
+    pub(crate) fn for_each_core(&self, f: &mut dyn FnMut(&MaskedCore)) {
+        for layer in &self.layers {
+            layer.for_each_core(f);
+        }
+    }
+
+    /// [`Network::for_each_core`], mutably.
+    pub(crate) fn for_each_core_mut(&mut self, f: &mut dyn FnMut(&mut MaskedCore)) {
+        for layer in &mut self.layers {
+            layer.for_each_core_mut(f);
+        }
     }
 
     /// Forward pass over a batch whose first dimension is the batch size.
@@ -297,26 +288,20 @@ impl Network {
 
     /// Resets all accumulated gradients.
     pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grad();
-        }
+        self.for_each_core_mut(&mut MaskedCore::zero_grad);
     }
 
     /// Total number of parameters.
     pub fn param_len(&self) -> usize {
         let mut n = 0;
-        for layer in &self.layers {
-            layer.for_each_param(&mut |t| n += t.len());
-        }
+        self.for_each_core(&mut |c| c.for_each_param(&mut |t| n += t.len()));
         n
     }
 
     /// Copies all parameters into one flat vector (canonical order).
     pub fn param_vector(&self) -> Vec<f32> {
         let mut v = Vec::with_capacity(self.param_len());
-        for layer in &self.layers {
-            layer.for_each_param(&mut |t| v.extend_from_slice(t.as_slice()));
-        }
+        self.for_each_core(&mut |c| c.for_each_param(&mut |t| v.extend_from_slice(t.as_slice())));
         v
     }
 
@@ -334,14 +319,14 @@ impl Network {
             });
         }
         let mut offset = 0;
-        for layer in &mut self.layers {
-            layer.for_each_param_mut(&mut |t| {
+        self.for_each_core_mut(&mut |c| {
+            c.for_each_param_mut(&mut |t| {
                 let n = t.len();
                 t.as_mut_slice()
                     .copy_from_slice(&params[offset..offset + n]);
                 offset += n;
             });
-        }
+        });
         Ok(())
     }
 
@@ -349,72 +334,75 @@ impl Network {
     pub fn layout(&self) -> NeuronLayout {
         let mut groups = Vec::new();
         let mut offset = 0usize;
-        let mut maskable_counter = 0usize;
-        for layer in &self.layers {
-            collect_groups(layer, &mut offset, &mut maskable_counter, &mut groups);
-        }
+        let mut maskable = 0usize;
+        self.for_each_core(&mut |c| {
+            let [rows, cols] = c.weight_dims();
+            groups.push(ParamGroup {
+                weight_dims: [rows, cols],
+                unit_axis: c.unit_axis(),
+                maskable_id: c.is_maskable().then(|| {
+                    maskable += 1;
+                    maskable - 1
+                }),
+                weight_offset: offset,
+                bias_offset: offset + rows * cols,
+            });
+            offset += rows * cols + c.units();
+        });
         NeuronLayout {
             groups,
             total_params: offset,
         }
     }
 
+    /// Visits the maskable cores in canonical order: the order of
+    /// [`MaskableUnits`] and [`ModelMask`] layers. Heads and projection
+    /// shortcuts are skipped.
+    fn for_each_maskable(&mut self, f: &mut dyn FnMut(&mut MaskedCore)) {
+        self.for_each_core_mut(&mut |c| {
+            if c.is_maskable() {
+                f(c);
+            }
+        });
+    }
+
     /// Output unit counts of the maskable layers, in canonical order.
     pub fn maskable_units(&mut self) -> MaskableUnits {
         let mut units = Vec::new();
-        for layer in &mut self.layers {
-            layer.visit_maskable(&mut |m| units.push(m.units()));
-        }
+        self.for_each_maskable(&mut |c| units.push(c.units()));
         MaskableUnits(units)
     }
 
-    /// Installs per-layer unit masks.
+    /// Installs per-layer unit masks: all of them or, on error, none.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::MaskLengthMismatch`] when any layer mask has the
-    /// wrong length. Extra mask entries beyond the network's maskable
-    /// layers are ignored; missing entries leave layers unmasked.
+    /// wrong length; the network then keeps the masks it had. Extra mask
+    /// entries beyond the network's maskable layers are ignored; missing
+    /// entries leave layers unmasked.
     pub fn set_masks(&mut self, mask: &ModelMask) -> Result<()> {
+        let (mut idx, mut checked) = (0usize, Ok(()));
+        self.for_each_maskable(&mut |c| {
+            if checked.is_ok() {
+                checked = c.validate_mask(mask.layer(idx));
+            }
+            idx += 1;
+        });
+        checked?;
         let mut idx = 0usize;
-        let mut result = Ok(());
-        for layer in &mut self.layers {
-            layer.visit_maskable(&mut |m| {
-                if result.is_err() {
-                    return;
-                }
-                if let Err(e) = m.set_unit_mask(mask.layer(idx).cloned()) {
-                    result = Err(e);
-                }
-                idx += 1;
-            });
-        }
+        self.for_each_maskable(&mut |c| {
+            c.set_unit_mask(mask.layer(idx).cloned());
+            idx += 1;
+        });
         self.refresh_input_masks();
-        result
+        Ok(())
     }
 
     /// Removes all unit masks (every neuron active).
     pub fn clear_masks(&mut self) {
-        for layer in &mut self.layers {
-            layer.visit_maskable(&mut |m| {
-                let _ = m.set_unit_mask(None);
-            });
-        }
+        self.for_each_maskable(&mut |c| c.set_unit_mask(None));
         self.refresh_input_masks();
-    }
-
-    /// Chooses how this network's masked [`Dense`](crate::Dense) /
-    /// [`Conv2d`](crate::Conv2d) layers execute: *packed* (the default —
-    /// gather the active units into compact tensors, run the kernels on
-    /// the packed shapes, scatter back) or, when disabled, the *zeroing*
-    /// reference (full-width kernels, masked outputs and gradients
-    /// zeroed). Results are bitwise identical either way; only the
-    /// executed (and counted) kernel work changes. The choice is part of
-    /// the network value and is carried by `clone`.
-    pub fn set_packed_execution(&mut self, enabled: bool) {
-        for layer in &mut self.layers {
-            layer.set_packed_execution(enabled);
-        }
     }
 
     /// Re-derives every layer's input mask from the unit masks of the
@@ -451,91 +439,18 @@ impl Network {
     }
 }
 
-fn collect_groups(
-    layer: &Layer,
-    offset: &mut usize,
-    maskable_counter: &mut usize,
-    out: &mut Vec<ParamGroup>,
-) {
-    match layer {
-        Layer::Dense(d) => {
-            let weight_offset = *offset;
-            *offset += d.in_features() * d.out_features();
-            let bias_offset = *offset;
-            *offset += d.out_features();
-            let maskable_id = if d.is_maskable() {
-                let id = *maskable_counter;
-                *maskable_counter += 1;
-                Some(id)
-            } else {
-                None
-            };
-            out.push(ParamGroup {
-                kind: GroupKind::Dense {
-                    in_features: d.in_features(),
-                    out_features: d.out_features(),
-                },
-                maskable_id,
-                weight_offset,
-                bias_offset,
-            });
-        }
-        Layer::Conv2d(c) => {
-            let spec = *c.spec();
-            let wd = spec.weight_dims();
-            let weight_offset = *offset;
-            *offset += wd[0] * wd[1];
-            let bias_offset = *offset;
-            *offset += spec.out_channels;
-            let maskable_id = if c.is_maskable() {
-                let id = *maskable_counter;
-                *maskable_counter += 1;
-                Some(id)
-            } else {
-                None
-            };
-            out.push(ParamGroup {
-                kind: GroupKind::Conv {
-                    out_channels: spec.out_channels,
-                    patch_len: wd[1],
-                },
-                maskable_id,
-                weight_offset,
-                bias_offset,
-            });
-        }
-        Layer::Residual(r) => {
-            for inner in r.body() {
-                collect_groups(inner, offset, maskable_counter, out);
-            }
-            if let Some(s) = r.shortcut() {
-                // Projection shortcuts contribute parameters but are never
-                // maskable, mirroring `visit_maskable`.
-                let spec = *s.spec();
-                let wd = spec.weight_dims();
-                let weight_offset = *offset;
-                *offset += wd[0] * wd[1];
-                let bias_offset = *offset;
-                *offset += spec.out_channels;
-                out.push(ParamGroup {
-                    kind: GroupKind::Conv {
-                        out_channels: spec.out_channels,
-                        patch_len: wd[1],
-                    },
-                    maskable_id: None,
-                    weight_offset,
-                    bias_offset,
-                });
-            }
-        }
-        _ => {}
+#[cfg(test)]
+impl ModelMask {
+    /// Builds a mask from explicit per-layer activity vectors.
+    pub(crate) fn from_layers(masks: Vec<Option<UnitMask>>) -> Self {
+        ModelMask { masks }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Conv2d, Dense, Flatten, Relu, UnitMaskable};
+    use crate::layers::{Conv2d, Dense, Flatten, Relu};
     use helios_tensor::{ConvSpec, TensorRng};
 
     fn tiny_net() -> Network {
@@ -658,13 +573,16 @@ mod tests {
         let _ = net.forward(&x).unwrap();
         // Masked channel produces zero activations: verify via conv layer.
         if let Layer::Conv2d(c) = &net.layers()[0] {
-            assert_eq!(c.unit_mask().unwrap().iter_ones().collect::<Vec<_>>(), [0]);
+            assert_eq!(
+                c.core.unit_mask().unwrap().iter_ones().collect::<Vec<_>>(),
+                [0]
+            );
         } else {
             panic!("layer 0 should be conv");
         }
         net.clear_masks();
         if let Layer::Conv2d(c) = &net.layers()[0] {
-            assert!(c.unit_mask().is_none());
+            assert!(c.core.unit_mask().is_none());
         }
     }
 
@@ -673,6 +591,56 @@ mod tests {
         let mut net = tiny_net();
         let mask = ModelMask::from_layers(vec![Some(UnitMask::full(5)), None]);
         assert!(net.set_masks(&mask).is_err());
+    }
+
+    /// A rejected `set_masks` installs nothing: every layer keeps its
+    /// mask and a training step is bitwise the same as if the call had
+    /// never been made.
+    #[test]
+    fn rejected_set_masks_leaves_every_mask_and_step_unchanged() {
+        let mut rng = TensorRng::seed_from(3);
+        let mut net = Network::new(
+            vec![
+                Layer::Dense(Dense::new(4, 4, &mut rng)),
+                Layer::Relu(Relu::new()),
+                Layer::Dense(Dense::new(4, 5, &mut rng)),
+                Layer::Relu(Relu::new()),
+                Layer::Dense(Dense::new(5, 2, &mut rng).non_maskable()),
+            ],
+            &[4],
+        );
+        let old = ModelMask::from_layers(vec![
+            Some([true, true, false, true].into_iter().collect()),
+            Some([true, false, true, true, true].into_iter().collect()),
+        ]);
+        net.set_masks(&old).unwrap();
+        let mut twin = net.clone();
+        let bad = ModelMask::from_layers(vec![
+            Some([false, true, true, true].into_iter().collect()),
+            Some(UnitMask::full(3)),
+        ]);
+        assert!(net.set_masks(&bad).is_err());
+
+        let masks = |net: &Network| {
+            let mut masks = Vec::new();
+            net.for_each_core(&mut |c| masks.push(c.unit_mask().cloned()));
+            masks
+        };
+        assert_eq!(masks(&net), masks(&twin));
+        let x = Tensor::from_vec((0..8).map(|i| i as f32 / 4.0 - 1.0).collect(), &[2, 4]).unwrap();
+        let step = |net: &mut Network| {
+            let loss = crate::CrossEntropyLoss::new();
+            let (_, grad) = loss
+                .forward_backward(&net.forward(&x).unwrap(), &[0, 1])
+                .unwrap();
+            net.backward(&grad).unwrap();
+            crate::Sgd::new(0.1).step(net).unwrap();
+            net.param_vector()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(step(&mut net), step(&mut twin));
     }
 
     #[test]

@@ -90,15 +90,15 @@ impl Sgd {
         let grad_scale = match self.max_grad_norm {
             Some(max_norm) => {
                 let mut sq = 0.0f64;
-                for layer in net.layers_mut() {
-                    layer.for_each_param_grad_mut(&mut |_, grad| {
+                net.for_each_core_mut(&mut |c| {
+                    c.for_each_param_grad_mut(&mut |_, grad| {
                         sq += grad
                             .as_slice()
                             .iter()
                             .map(|&g| (g as f64).powi(2))
                             .sum::<f64>();
                     });
-                }
+                });
                 let norm = sq.sqrt() as f32;
                 if norm.is_finite() && norm > max_norm {
                     max_norm / norm
@@ -113,8 +113,8 @@ impl Sgd {
         let velocities = &mut self.velocities;
         let mut idx = 0usize;
         let mut failure = None;
-        for layer in net.layers_mut() {
-            layer.for_each_param_grad_mut(&mut |param, grad| {
+        net.for_each_core_mut(&mut |c| {
+            c.for_each_param_grad_mut(&mut |param, grad| {
                 if failure.is_some() {
                     return;
                 }
@@ -135,7 +135,7 @@ impl Sgd {
                 }
                 idx += 1;
             });
-        }
+        });
         match failure {
             Some(e) => Err(e.into()),
             None => Ok(()),

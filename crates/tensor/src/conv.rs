@@ -87,14 +87,22 @@ impl ConvSpec {
     }
 }
 
-/// Gradients produced by [`conv2d_backward`].
+/// Gradients produced by [`conv2d_backward`] and
+/// [`conv2d_backward_packed`].
+///
+/// After a packed backward the weight and bias gradients are in *packed*
+/// coordinates (active output rows, active input-channel column blocks)
+/// and must be scatter-added into the full gradient tensors by the
+/// caller; `grad_input` is always full-shape, and bitwise identical to
+/// the unpacked backward's.
 #[derive(Debug, Clone)]
 pub struct Conv2dGrads {
-    /// Gradient with respect to the input, `[N, C, H, W]`.
+    /// Gradient with respect to the full input, `[N, C, H, W]`.
     pub grad_input: Tensor,
-    /// Gradient with respect to the weight matrix, `[O, C*K*K]`.
+    /// Gradient with respect to the weight matrix, `[O, C*K*K]`, or
+    /// `[Oa, Ca*K*K]` packed.
     pub grad_weight: Tensor,
-    /// Gradient with respect to the bias, `[O]`.
+    /// Gradient with respect to the bias, `[O]`, or `[Oa]` packed.
     pub grad_bias: Tensor,
 }
 
@@ -341,29 +349,7 @@ pub fn conv2d_backward(
             rhs: vec![n, spec.out_channels, oh, ow],
         });
     }
-    let grads = backward_body(input, weight, grad_output, spec, spec)?;
-    Ok(Conv2dGrads {
-        grad_input: grads.grad_input,
-        grad_weight: grads.grad_weight,
-        grad_bias: grads.grad_bias,
-    })
-}
-
-/// Gradients produced by [`conv2d_backward_packed`].
-///
-/// Weight and bias gradients are in *packed* coordinates (active output
-/// rows, active input-channel column blocks) and must be scatter-added
-/// into the full gradient tensors by the caller; `grad_input` is already
-/// full-shape and bitwise identical to the unpacked backward's.
-#[derive(Debug, Clone)]
-pub struct Conv2dPackedGrads {
-    /// Gradient with respect to the full input, `[N, C, H, W]`.
-    pub grad_input: Tensor,
-    /// Packed weight gradient, `[Oa, Ca*K*K]` (active rows × active
-    /// input-channel column blocks).
-    pub grad_weight: Tensor,
-    /// Packed bias gradient, `[Oa]`.
-    pub grad_bias: Tensor,
+    backward_body(input, weight, grad_output, spec, spec)
 }
 
 /// 2-D convolution backward pass over a *packed* sub-model.
@@ -395,7 +381,7 @@ pub fn conv2d_backward_packed(
     weight_rows: &Tensor,
     grad_output_packed: &Tensor,
     spec: &ConvSpec,
-) -> Result<Conv2dPackedGrads> {
+) -> Result<Conv2dGrads> {
     let (n, ca, h, w) = check_conv_input("conv2d_backward_packed", input_packed, spec)?;
     let (gn, oa, goh, gow) = check_nchw("conv2d_backward_packed", grad_output_packed)?;
     let (oh, ow) = spec.output_hw(h, w);
@@ -452,7 +438,7 @@ fn backward_body(
     grad_output: &Tensor,
     cols_spec: &ConvSpec,
     spec: &ConvSpec,
-) -> Result<Conv2dPackedGrads> {
+) -> Result<Conv2dGrads> {
     let (n, h, w) = (input.dims()[0], input.dims()[2], input.dims()[3]);
     let oa = grad_output.dims()[1];
     let (oh, ow) = spec.output_hw(h, w);
@@ -531,7 +517,7 @@ fn backward_body(
         });
         Ok(())
     })?;
-    Ok(Conv2dPackedGrads {
+    Ok(Conv2dGrads {
         grad_input: Tensor::from_vec(grad_input, &[n, spec.in_channels, h, w])?,
         grad_weight: Tensor::from_vec(grad_weight, &[oa, pl_p])?,
         grad_bias: Tensor::from_vec(grad_bias, &[oa])?,

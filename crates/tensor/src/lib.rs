@@ -45,7 +45,7 @@ mod workspace;
 
 pub use conv::{
     avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward, conv2d_backward_packed, max_pool2d,
-    max_pool2d_backward, Conv2dGrads, Conv2dPackedGrads, ConvSpec, PoolIndices, PoolSpec,
+    max_pool2d_backward, Conv2dGrads, ConvSpec, PoolIndices, PoolSpec,
 };
 pub use error::TensorError;
 pub use gemm::{naive_matmul, KC, MR};

@@ -80,3 +80,21 @@ impl Write for SharedBuf {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests {
+    /// The test build keeps the checks `[profile.dev]` pins: debug
+    /// assertions on, and an overflowing integer add panics rather than
+    /// wrapping, at the profile's raised opt-level.
+    #[test]
+    fn test_build_keeps_debug_assertions_and_overflow_checks() {
+        let debug_assert = std::panic::catch_unwind(|| debug_assert!(std::hint::black_box(false)));
+        assert!(debug_assert.is_err(), "debug assertions are off");
+        let overflow =
+            std::panic::catch_unwind(|| std::hint::black_box(u8::MAX) + std::hint::black_box(1u8));
+        assert!(
+            overflow.is_err(),
+            "u8::MAX + 1 wrapped instead of panicking"
+        );
+    }
+}
