@@ -3,10 +3,11 @@
 # unwrap/expect deny gate for the typed-error crates), first-party line
 # counts, a public-surface report (never fails), a no-shared-statics
 # gate, a single-thread-scope gate, a one-mask-type gate, a dev-profile
-# checks gate, docs, release build, tests, the thread-scoped-state test
-# binaries and the packed-parity suite at one and eight test threads, and
-# the repository benchmark package (benchmark/) built, tested and
-# smoke-run. Takes no arguments.
+# checks gate, docs, release build, tests, the kernel parity suites again
+# under release codegen, the thread-scoped-state test binaries and the
+# packed-parity suite at one and eight test threads, and the repository
+# benchmark package (benchmark/) built, tested and smoke-run. Takes no
+# arguments.
 set -euo pipefail
 cd "$(dirname "$0")"
 [ $# -eq 0 ] || { echo "usage: ./ci.sh (takes no arguments)" >&2; exit 2; }
@@ -155,6 +156,15 @@ cargo build --release --workspace
 
 step "cargo test -q"
 cargo test -q --workspace
+
+step "kernel parity under release codegen (helios-tensor unit tests, gemm_parity, parallel_parity)"
+# The test profile builds at opt-level 1, where the microkernels may not
+# vectorize; the benchmark times opt-level 3. These suites pin the
+# kernels bitwise against their oracles, so they run again on the code
+# the benchmark runs. Named targets only: helios-integration's lib tests
+# check debug assertions, which release turns off.
+cargo test -q --release -p helios-tensor --lib
+cargo test -q --release -p helios-integration --test gemm_parity --test parallel_parity
 
 step "thread-scoped state: tracing and counting tests at one test thread and eight"
 # Every test in these installs trace sinks or reads counter deltas with

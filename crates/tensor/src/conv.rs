@@ -106,15 +106,14 @@ pub struct Conv2dGrads {
     pub grad_bias: Tensor,
 }
 
-fn check_nchw(op: &'static str, t: &Tensor) -> Result<(usize, usize, usize, usize)> {
-    if t.shape().rank() != 4 {
+fn check_nchw(op: &'static str, d: &[usize]) -> Result<(usize, usize, usize, usize)> {
+    if d.len() != 4 {
         return Err(TensorError::RankMismatch {
             op,
             expected: 4,
-            actual: t.shape().rank(),
+            actual: d.len(),
         });
     }
-    let d = t.dims();
     Ok((d[0], d[1], d[2], d[3]))
 }
 
@@ -125,7 +124,7 @@ fn check_conv_input(
     input: &Tensor,
     spec: &ConvSpec,
 ) -> Result<(usize, usize, usize, usize)> {
-    let (n, c, h, w) = check_nchw(op, input)?;
+    let (n, c, h, w) = check_nchw(op, input.dims())?;
     if h + 2 * spec.padding < spec.kernel || w + 2 * spec.padding < spec.kernel {
         return Err(TensorError::InvalidArgument {
             what: format!(
@@ -137,6 +136,51 @@ fn check_conv_input(
     Ok((n, c, h, w))
 }
 
+/// The loop geometry [`im2col_into`] and [`col2im_into`] share. Output
+/// column `ox`'s window starts at input column `ox·stride − padding`;
+/// `interior` is the range of `ox` whose whole window lies inside the
+/// input, so each of its kernel rows moves as one contiguous copy.
+struct Unroll {
+    spec: ConvSpec,
+    h: usize,
+    w: usize,
+    ow: usize,
+    interior: std::ops::Range<usize>,
+}
+
+impl Unroll {
+    fn new(spec: &ConvSpec, h: usize, w: usize) -> Self {
+        let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+        let ow = spec.output_hw(h, w).1;
+        let lo = p.div_ceil(s).min(ow);
+        let hi = (w + p).checked_sub(k).map_or(0, |r| (r / s + 1).min(ow));
+        let (spec, interior) = (*spec, lo..hi);
+        Unroll {
+            spec,
+            h,
+            w,
+            ow,
+            interior,
+        }
+    }
+
+    /// First input column of output column `ox`'s window when the whole
+    /// window lies inside the input, `None` when it reaches the padding.
+    fn interior_start(&self, ox: usize) -> Option<usize> {
+        self.interior
+            .contains(&ox)
+            .then(|| ox * self.spec.stride - self.spec.padding)
+    }
+
+    /// Input row (or column) of kernel offset `kk` at output position
+    /// `o`, or `None` where it falls in the padding.
+    fn src(&self, o: usize, kk: usize, len: usize) -> Option<usize> {
+        (o * self.spec.stride + kk)
+            .checked_sub(self.spec.padding)
+            .filter(|&i| i < len)
+    }
+}
+
 /// Unrolls `[N, C, H, W]` input patches into the `[N*OH*OW, C*K*K]`
 /// matrix `cols`, which must arrive zero-filled — the padding positions
 /// of each patch are simply never written. Callers check `cols` out of
@@ -144,7 +188,7 @@ fn check_conv_input(
 /// path reuses one buffer cycle after cycle instead of allocating a
 /// multi-megabyte `Vec` per forward/backward.
 fn im2col_into(cols: &mut [f32], input: &Tensor, spec: &ConvSpec) -> Result<()> {
-    let (n, c, h, w) = check_nchw("im2col", input)?;
+    let (n, c, h, w) = check_nchw("im2col", input.dims())?;
     if c != spec.in_channels {
         return Err(TensorError::ShapeMismatch {
             op: "im2col",
@@ -153,86 +197,119 @@ fn im2col_into(cols: &mut [f32], input: &Tensor, spec: &ConvSpec) -> Result<()> 
         });
     }
     let (oh, ow) = spec.output_hw(h, w);
-    let k = spec.kernel;
-    let pl = spec.patch_len();
+    let g = Unroll::new(spec, h, w);
+    let item_len = oh * ow * spec.patch_len();
+    debug_assert_eq!(cols.len(), n * item_len, "cols must be [N*OH*OW, C*K*K]");
     let x = input.as_slice();
-    debug_assert_eq!(
-        cols.len(),
-        n * oh * ow * pl,
-        "cols must be [N*OH*OW, C*K*K]"
-    );
+    let fill = match spec.kernel {
+        1 => im2col_item::<1>,
+        3 => im2col_item::<3>,
+        5 => im2col_item::<5>,
+        _ => im2col_item::<0>,
+    };
     // Parallel over batch items: each item's rows live in a disjoint
     // slice of `cols`, so workers never share output elements.
-    for_each_block(cols, oh * ow * pl, oh * ow * pl, |first, chunk| {
-        for (bi, item) in chunk.chunks_mut(oh * ow * pl).enumerate() {
+    for_each_block(cols, item_len, item_len, |first, chunk| {
+        for (bi, item) in chunk.chunks_mut(item_len).enumerate() {
             let ni = first + bi;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = (oy * ow + ox) * pl;
-                    for ci in 0..c {
-                        for ky in 0..k {
-                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                            if iy < 0 || iy as usize >= h {
-                                continue;
-                            }
-                            let iy = iy as usize;
-                            for kx in 0..k {
-                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                                if ix < 0 || ix as usize >= w {
-                                    continue;
-                                }
-                                let ix = ix as usize;
-                                item[row + (ci * k + ky) * k + kx] =
-                                    x[((ni * c + ci) * h + iy) * w + ix];
-                            }
-                        }
-                    }
-                }
-            }
+            fill(item, &x[ni * c * h * w..(ni + 1) * c * h * w], &g);
         }
     });
     Ok(())
 }
 
-/// Scatter-adds a `[N*OH*OW, C*K*K]` column matrix into the
-/// `[N, C, H, W]` buffer `out` (which the caller supplies zero-filled).
-fn col2im_into(out: &mut [f32], cs: &[f32], spec: &ConvSpec, n: usize, h: usize, w: usize) {
-    let (oh, ow) = spec.output_hw(h, w);
-    let c = spec.in_channels;
-    let k = spec.kernel;
-    let pl = spec.patch_len();
-    debug_assert_eq!(cs.len(), n * oh * ow * pl, "cols must be [N*OH*OW, C*K*K]");
-    debug_assert_eq!(out.len(), n * c * h * w, "out must be [N, C, H, W]");
-    // Parallel over batch items: the scatter-add for item `ni` only
-    // touches `out[ni * c*h*w ..]`, so per-item chunks are disjoint and
-    // the within-item accumulation order matches the serial loop.
-    for_each_block(out, c * h * w, oh * ow * pl, |first, chunk| {
-        for (bi, item) in chunk.chunks_mut(c * h * w).enumerate() {
-            let ni = first + bi;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = ((ni * oh + oy) * ow + ox) * pl;
-                    for ci in 0..c {
-                        for ky in 0..k {
-                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                            if iy < 0 || iy as usize >= h {
-                                continue;
-                            }
-                            let iy = iy as usize;
-                            for kx in 0..k {
-                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                                if ix < 0 || ix as usize >= w {
-                                    continue;
+/// One batch item of [`im2col_into`]: walks each output row `(oy, ox)`
+/// → `ci` → `ky` and moves the `K` inputs of one kernel row as one copy.
+/// `K == 0` reads the kernel size from `g` at run time; any other `K`
+/// must equal it and makes every copy a fixed-size one.
+fn im2col_item<const K: usize>(item: &mut [f32], x: &[f32], g: &Unroll) {
+    let (k, pl) = (if K == 0 { g.spec.kernel } else { K }, g.spec.patch_len());
+    for (oy, out_rows) in item.chunks_exact_mut(g.ow * pl).enumerate() {
+        for (ox, row) in out_rows.chunks_exact_mut(pl).enumerate() {
+            let ix0 = g.interior_start(ox);
+            for (ci, patch) in row.chunks_exact_mut(k * k).enumerate() {
+                for (ky, dst) in patch.chunks_exact_mut(k).enumerate() {
+                    let Some(iy) = g.src(oy, ky, g.h) else {
+                        continue;
+                    };
+                    let src = &x[(ci * g.h + iy) * g.w..][..g.w];
+                    match ix0 {
+                        Some(ix0) => dst.copy_from_slice(&src[ix0..ix0 + k]),
+                        None => {
+                            for (kx, d) in dst.iter_mut().enumerate() {
+                                if let Some(ix) = g.src(ox, kx, g.w) {
+                                    *d = src[ix];
                                 }
-                                let ix = ix as usize;
-                                item[(ci * h + iy) * w + ix] += cs[row + (ci * k + ky) * k + kx];
                             }
                         }
                     }
                 }
             }
         }
+    }
+}
+
+/// Scatter-adds a `[N*OH*OW, C*K*K]` column matrix into the
+/// `[N, C, H, W]` buffer `out` (which the caller supplies zero-filled).
+///
+/// Every input element receives its terms in ascending `(oy, ox)` order,
+/// as in the scalar reference: the loops run `oy → ox → ci → ky → kx`
+/// as it did, only moving a kernel row's `K` terms at once, and one
+/// output position `(oy, ox)` adds at most one term to each element.
+fn col2im_into(out: &mut [f32], cs: &[f32], spec: &ConvSpec, n: usize, h: usize, w: usize) {
+    let (oh, ow) = spec.output_hw(h, w);
+    let g = Unroll::new(spec, h, w);
+    let (item_in, item_out) = (oh * ow * spec.patch_len(), spec.in_channels * h * w);
+    debug_assert_eq!(cs.len(), n * item_in, "cols must be [N*OH*OW, C*K*K]");
+    debug_assert_eq!(out.len(), n * item_out, "out must be [N, C, H, W]");
+    let add = match spec.kernel {
+        1 => col2im_item::<1>,
+        3 => col2im_item::<3>,
+        5 => col2im_item::<5>,
+        _ => col2im_item::<0>,
+    };
+    // Parallel over batch items: the scatter-add for item `ni` only
+    // touches `out[ni * c*h*w ..]`, so per-item chunks are disjoint.
+    for_each_block(out, item_out, item_in, |first, chunk| {
+        for (bi, item) in chunk.chunks_mut(item_out).enumerate() {
+            let ni = first + bi;
+            add(item, &cs[ni * item_in..(ni + 1) * item_in], &g);
+        }
     });
+}
+
+/// One batch item of [`col2im_into`], the transpose of [`im2col_item`]:
+/// the `K` terms of one kernel row add onto one input row as one
+/// fixed-size slice (for `K != 0`).
+fn col2im_item<const K: usize>(item: &mut [f32], cs: &[f32], g: &Unroll) {
+    let (k, pl) = (if K == 0 { g.spec.kernel } else { K }, g.spec.patch_len());
+    for (oy, rows) in cs.chunks_exact(g.ow * pl).enumerate() {
+        for (ox, row) in rows.chunks_exact(pl).enumerate() {
+            let ix0 = g.interior_start(ox);
+            for (ci, patch) in row.chunks_exact(k * k).enumerate() {
+                for (ky, src) in patch.chunks_exact(k).enumerate() {
+                    let Some(iy) = g.src(oy, ky, g.h) else {
+                        continue;
+                    };
+                    let dst = &mut item[(ci * g.h + iy) * g.w..][..g.w];
+                    match ix0 {
+                        Some(ix0) => {
+                            for (d, &v) in dst[ix0..ix0 + k].iter_mut().zip(src) {
+                                *d += v;
+                            }
+                        }
+                        None => {
+                            for (kx, &v) in src.iter().enumerate() {
+                                if let Some(ix) = g.src(ox, kx, g.w) {
+                                    dst[ix] += v;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// 2-D convolution forward pass.
@@ -303,16 +380,15 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
                 weight.as_slice(),
                 Layout::Transposed,
             );
-            // Parallel over batch items: relayout rows → NCHW plus bias.
-            for_each_block(&mut out, o * oh * ow, o * oh * ow, |first, chunk| {
-                for (bi, item) in chunk.chunks_mut(o * oh * ow).enumerate() {
-                    let ni = first + bi;
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let row = ((ni * oh + oy) * ow + ox) * o;
-                            for oc in 0..o {
-                                item[(oc * oh + oy) * ow + ox] = prod[row + oc] + b[oc];
-                            }
+            // Parallel over batch items: relayout rows → NCHW plus bias,
+            // one contiguous output plane at a time.
+            let ohw = oh * ow;
+            for_each_block(&mut out, o * ohw, o * ohw, |first, chunk| {
+                for (bi, item) in chunk.chunks_mut(o * ohw).enumerate() {
+                    let rows = &prod[(first + bi) * ohw * o..][..ohw * o];
+                    for (oc, plane) in item.chunks_exact_mut(ohw).enumerate() {
+                        for (v, row) in plane.iter_mut().zip(rows.chunks_exact(o)) {
+                            *v = row[oc] + b[oc];
                         }
                     }
                 }
@@ -340,7 +416,7 @@ pub fn conv2d_backward(
     spec: &ConvSpec,
 ) -> Result<Conv2dGrads> {
     let (n, _c, h, w) = check_conv_input("conv2d_backward", input, spec)?;
-    let (gn, go, goh, gow) = check_nchw("conv2d_backward", grad_output)?;
+    let (gn, go, goh, gow) = check_nchw("conv2d_backward", grad_output.dims())?;
     let (oh, ow) = spec.output_hw(h, w);
     if gn != n || go != spec.out_channels || goh != oh || gow != ow {
         return Err(TensorError::ShapeMismatch {
@@ -383,7 +459,7 @@ pub fn conv2d_backward_packed(
     spec: &ConvSpec,
 ) -> Result<Conv2dGrads> {
     let (n, ca, h, w) = check_conv_input("conv2d_backward_packed", input_packed, spec)?;
-    let (gn, oa, goh, gow) = check_nchw("conv2d_backward_packed", grad_output_packed)?;
+    let (gn, oa, goh, gow) = check_nchw("conv2d_backward_packed", grad_output_packed.dims())?;
     let (oh, ow) = spec.output_hw(h, w);
     if gn != n || goh != oh || gow != ow {
         return Err(TensorError::ShapeMismatch {
@@ -446,22 +522,7 @@ fn backward_body(
     let pl_p = cols_spec.patch_len();
     let rows_n = n * oh * ow;
     let g = grad_output.as_slice();
-    // Bias gradient, parallel over output channels. For each channel the
-    // additions run in ascending (ni, oy, ox) order, so sums are bitwise
-    // stable.
     let mut grad_bias = vec![0.0f32; oa];
-    for_each_block(&mut grad_bias, 1, n * oh * ow, |first, chunk| {
-        for (bi, acc) in chunk.iter_mut().enumerate() {
-            let oc = first + bi;
-            for ni in 0..n {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        *acc += g[((ni * oa + oc) * oh + oy) * ow + ox];
-                    }
-                }
-            }
-        }
-    });
     let mut grad_weight = vec![0.0f32; oa * pl_p];
     let mut grad_input = vec![0.0f32; n * spec.in_channels * h * w];
     // The relayouted gradient, the patch matrix, and `dcols` are all
@@ -469,20 +530,26 @@ fn backward_body(
     // it skips even the zero-fill.
     with_scratch_dirty(rows_n * oa, |rows| -> Result<()> {
         // Re-layout grad_output from NCHW to rows [N*OH*OW, Oa], parallel
-        // over batch items (disjoint row blocks per item).
-        for_each_block(rows, oh * ow * oa, oh * ow * oa, |first, chunk| {
-            for (bi, item) in chunk.chunks_mut(oh * ow * oa).enumerate() {
-                let ni = first + bi;
-                for oc in 0..oa {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            item[(oy * ow + ox) * oa + oc] =
-                                g[((ni * oa + oc) * oh + oy) * ow + ox];
-                        }
+        // over batch items (disjoint row blocks per item), reading one
+        // contiguous input plane at a time.
+        let ohw = oh * ow;
+        for_each_block(rows, ohw * oa, ohw * oa, |first, chunk| {
+            for (bi, item) in chunk.chunks_mut(ohw * oa).enumerate() {
+                let planes = &g[(first + bi) * oa * ohw..][..oa * ohw];
+                for (oc, plane) in planes.chunks_exact(ohw).enumerate() {
+                    for (row, &v) in item.chunks_exact_mut(oa).zip(plane) {
+                        row[oc] = v;
                     }
                 }
             }
         });
+        // Bias gradient: the rows run in ascending (ni, oy, ox) order,
+        // so each channel's sum is that chain, added across channels.
+        for row in rows.chunks_exact(oa) {
+            for (acc, &v) in grad_bias.iter_mut().zip(row) {
+                *acc += v;
+            }
+        }
         with_scratch(rows_n * pl_p, |cols| -> Result<()> {
             im2col_into(cols, input, cols_spec)?;
             // dW = gradᵀ × cols : [Oa, N*OH*OW] × [N*OH*OW, Ca*KK] →
@@ -545,12 +612,29 @@ impl PoolSpec {
         PoolSpec { kernel, stride }
     }
 
-    /// Output spatial size for an `h × w` input.
+    /// Output spatial size for an `h × w` input no smaller than the
+    /// window.
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
         let oh = (h - self.kernel) / self.stride + 1;
         let ow = (w - self.kernel) / self.stride + 1;
         (oh, ow)
     }
+}
+
+/// [`check_nchw`] for a pooling input, which must cover the window —
+/// otherwise [`PoolSpec::output_hw`] underflows.
+fn check_pool_input(
+    op: &'static str,
+    dims: &[usize],
+    spec: &PoolSpec,
+) -> Result<(usize, usize, usize, usize)> {
+    let (n, c, h, w) = check_nchw(op, dims)?;
+    if h < spec.kernel || w < spec.kernel {
+        return Err(TensorError::InvalidArgument {
+            what: format!("{op}: pool kernel {} exceeds input {h}x{w}", spec.kernel),
+        });
+    }
+    Ok((n, c, h, w))
 }
 
 /// Flat input indices of the maxima chosen by [`max_pool2d`], needed by the
@@ -571,12 +655,7 @@ pub struct PoolIndices {
 /// Returns a [`TensorError`] when the input is not rank 4 or smaller than
 /// the pooling window.
 pub fn max_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<(Tensor, PoolIndices)> {
-    let (n, c, h, w) = check_nchw("max_pool2d", input)?;
-    if h < spec.kernel || w < spec.kernel {
-        return Err(TensorError::InvalidArgument {
-            what: format!("pool kernel {} exceeds input {h}x{w}", spec.kernel),
-        });
-    }
+    let (n, c, h, w) = check_pool_input("max_pool2d", input.dims(), spec)?;
     let (oh, ow) = spec.output_hw(h, w);
     let x = input.as_slice();
     let mut out = vec![0.0f32; n * c * oh * ow];
@@ -600,14 +679,17 @@ pub fn max_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<(Tensor, PoolIndice
                 let plane = first + bi; // == ni * c + ci
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut best_v = f32::NEG_INFINITY;
-                        let mut best_i = 0usize;
+                        // Seeded with the window's first element, so the
+                        // argmax stays inside the window even when no
+                        // element beats -inf; a NaN wins and propagates.
+                        let mut best_i = (plane * h + oy * spec.stride) * w + ox * spec.stride;
+                        let mut best_v = x[best_i];
                         for ky in 0..spec.kernel {
                             for kx in 0..spec.kernel {
                                 let iy = oy * spec.stride + ky;
                                 let ix = ox * spec.stride + kx;
                                 let fi = (plane * h + iy) * w + ix;
-                                if x[fi] > best_v {
+                                if x[fi] > best_v || x[fi].is_nan() {
                                     best_v = x[fi];
                                     best_i = fi;
                                 }
@@ -673,12 +755,7 @@ pub fn max_pool2d_backward(grad_output: &Tensor, indices: &PoolIndices) -> Resul
 /// Returns a [`TensorError`] when the input is not rank 4 or smaller than
 /// the pooling window.
 pub fn avg_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<Tensor> {
-    let (n, c, h, w) = check_nchw("avg_pool2d", input)?;
-    if h < spec.kernel || w < spec.kernel {
-        return Err(TensorError::InvalidArgument {
-            what: format!("pool kernel {} exceeds input {h}x{w}", spec.kernel),
-        });
-    }
+    let (n, c, h, w) = check_pool_input("avg_pool2d", input.dims(), spec)?;
     let (oh, ow) = spec.output_hw(h, w);
     let x = input.as_slice();
     let area = (spec.kernel * spec.kernel) as f32;
@@ -721,20 +798,13 @@ pub fn avg_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<Tensor> {
 /// # Errors
 ///
 /// Returns a [`TensorError`] when `grad_output` is inconsistent with the
-/// given input geometry.
+/// given input geometry, or the input is smaller than the pooling window.
 pub fn avg_pool2d_backward(
     grad_output: &Tensor,
     spec: &PoolSpec,
     input_dims: &[usize],
 ) -> Result<Tensor> {
-    if input_dims.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            op: "avg_pool2d_backward",
-            expected: 4,
-            actual: input_dims.len(),
-        });
-    }
-    let (n, c, h, w) = (input_dims[0], input_dims[1], input_dims[2], input_dims[3]);
+    let (n, c, h, w) = check_pool_input("avg_pool2d_backward", input_dims, spec)?;
     let (oh, ow) = spec.output_hw(h, w);
     if grad_output.dims() != [n, c, oh, ow] {
         return Err(TensorError::ShapeMismatch {
@@ -962,10 +1032,174 @@ mod tests {
     }
 
     #[test]
+    fn max_pool_window_without_a_finite_maximum_stays_in_its_plane() {
+        // Plane 1 is one window that is all NaN, then all -inf: it must
+        // pool to that value and route its gradient inside plane 1.
+        let spec = PoolSpec::new(2, 2);
+        for fill in [f32::NAN, f32::NEG_INFINITY] {
+            let mut x = vec![1.0, 2.0, 4.0, 3.0];
+            x.extend([fill; 4]);
+            let input = Tensor::from_vec(x, &[1, 2, 2, 2]).unwrap();
+            let (out, idx) = max_pool2d(&input, &spec).unwrap();
+            assert_eq!(out.as_slice()[0], 4.0);
+            assert_eq!(out.as_slice()[1].to_bits(), fill.to_bits());
+            let grad = max_pool2d_backward(&Tensor::full(&[1, 2, 1, 1], 1.0), &idx).unwrap();
+            assert_eq!(grad.as_slice()[..4], [0.0, 0.0, 1.0, 0.0]);
+            assert_eq!(grad.as_slice()[4..].iter().sum::<f32>(), 1.0);
+        }
+    }
+
+    #[test]
+    fn avg_pool_backward_rejects_a_window_larger_than_its_input() {
+        let spec = PoolSpec::new(3, 1);
+        for dims in [[1, 1, 2, 2], [1, 1, 3, 2]] {
+            let r = avg_pool2d_backward(&Tensor::zeros(&[1, 1, 1, 1]), &spec, &dims);
+            assert!(
+                matches!(r, Err(TensorError::InvalidArgument { .. })),
+                "{dims:?}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
     fn pool_rejects_oversized_kernel() {
         let input = Tensor::full(&[1, 1, 2, 2], 1.0);
         let spec = PoolSpec::new(3, 1);
         assert!(max_pool2d(&input, &spec).is_err());
         assert!(avg_pool2d(&input, &spec).is_err());
+    }
+}
+
+/// The scalar im2col/col2im the row-copy versions replaced, kept as the
+/// bitwise oracle for them: one element per step, every index checked.
+#[cfg(test)]
+mod unroll_oracle {
+    use super::*;
+    use crate::ParallelismConfig;
+    use proptest::prelude::*;
+
+    fn im2col_scalar(cols: &mut [f32], x: &[f32], spec: &ConvSpec, n: usize, h: usize, w: usize) {
+        let (oh, ow) = spec.output_hw(h, w);
+        let (c, k, pl) = (spec.in_channels, spec.kernel, spec.patch_len());
+        for ni in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = ((ni * oh + oy) * ow + ox) * pl;
+                    for ci in 0..c {
+                        for ky in 0..k {
+                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                            if iy < 0 || iy as usize >= h {
+                                continue;
+                            }
+                            let iy = iy as usize;
+                            for kx in 0..k {
+                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                                if ix < 0 || ix as usize >= w {
+                                    continue;
+                                }
+                                let ix = ix as usize;
+                                cols[row + (ci * k + ky) * k + kx] =
+                                    x[((ni * c + ci) * h + iy) * w + ix];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn col2im_scalar(out: &mut [f32], cs: &[f32], spec: &ConvSpec, n: usize, h: usize, w: usize) {
+        let (oh, ow) = spec.output_hw(h, w);
+        let (c, k, pl) = (spec.in_channels, spec.kernel, spec.patch_len());
+        for ni in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = ((ni * oh + oy) * ow + ox) * pl;
+                    for ci in 0..c {
+                        for ky in 0..k {
+                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                            if iy < 0 || iy as usize >= h {
+                                continue;
+                            }
+                            let iy = iy as usize;
+                            for kx in 0..k {
+                                let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                                if ix < 0 || ix as usize >= w {
+                                    continue;
+                                }
+                                let ix = ix as usize;
+                                out[((ni * c + ci) * h + iy) * w + ix] +=
+                                    cs[row + (ci * k + ky) * k + kx];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Ordinary values mixed with ±0, subnormals of both signs, ±∞ and
+    /// NaN.
+    fn element() -> impl Strategy<Value = f32> {
+        (0u32..u32::MAX).prop_map(|r| {
+            let payload = r >> 4;
+            match r % 16 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(payload % 0x007f_ffff + 1),
+                3 => -f32::from_bits(payload % 0x007f_ffff + 1),
+                4 => f32::INFINITY,
+                5 => f32::NEG_INFINITY,
+                6 => f32::NAN,
+                _ => payload as f32 / (1u32 << 28) as f32 * 4.0 - 2.0,
+            }
+        })
+    }
+
+    /// A spec with kernel 1–7, stride 1–3 and padding 0–3, a batch of
+    /// 1–3 non-square inputs covering the padded kernel, and values for
+    /// both the input and the column matrix.
+    fn case() -> impl Strategy<Value = (ConvSpec, [usize; 4], Vec<f32>, Vec<f32>)> {
+        (1..=7usize, 1..=3usize, 0..=3usize, 1..=3usize, 1..=3usize)
+            .prop_flat_map(|(k, s, p, n, c)| {
+                let min = k.saturating_sub(2 * p).max(1);
+                (min..min + 7, min..min + 7)
+                    .prop_map(move |(h, w)| (ConvSpec::new(c, 1, k, s, p), [n, c, h, w]))
+            })
+            .prop_flat_map(|(spec, dims)| {
+                let [n, c, h, w] = dims;
+                let (oh, ow) = spec.output_hw(h, w);
+                let x = proptest::collection::vec(element(), n * c * h * w);
+                let cs = proptest::collection::vec(element(), n * oh * ow * spec.patch_len());
+                (x, cs).prop_map(move |(x, cs)| (spec, dims, x, cs))
+            })
+    }
+
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    proptest! {
+        #[test]
+        fn row_copies_are_bitwise_the_scalar_unroll(cases in proptest::collection::vec(case(), 8)) {
+            for (spec, dims, x, cs) in cases {
+                let [n, _, h, w] = dims;
+                let input = Tensor::from_vec(x.clone(), &dims).unwrap();
+                let mut want_cols = vec![0.0; cs.len()];
+                im2col_scalar(&mut want_cols, &x, &spec, n, h, w);
+                let mut want_img = vec![0.0; x.len()];
+                col2im_scalar(&mut want_img, &cs, &spec, n, h, w);
+                for threads in [1, 2, 4, 8] {
+                    let _guard = ParallelismConfig::with_threads(threads).scoped();
+                    let mut cols = vec![0.0; cs.len()];
+                    im2col_into(&mut cols, &input, &spec).unwrap();
+                    let tag = format!("{spec:?} {dims:?} threads={threads}");
+                    prop_assert!(same_bits(&cols, &want_cols), "im2col {tag}");
+                    let mut img = vec![0.0; x.len()];
+                    col2im_into(&mut img, &cs, &spec, n, h, w);
+                    prop_assert!(same_bits(&img, &want_img), "col2im {tag}");
+                }
+            }
+        }
     }
 }

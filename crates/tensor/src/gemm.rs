@@ -56,19 +56,20 @@
 //! processed in ascending-`k` order, the microkernel loads the current
 //! partial sums from `out`, appends its slab's terms in ascending order,
 //! and stores them back (an exact `f32` round trip). Tile padding cannot
-//! perturb results — padded A lanes are `0.0` and therefore skipped by
-//! the same zero-skip the real data uses, and padded B lanes only feed
-//! accumulator lanes that are never stored. Parallel execution partitions
+//! perturb results — padded A and B lanes only feed accumulator lanes
+//! that are never stored. Parallel execution partitions
 //! output *rows* across workers, which leaves each element's chain
 //! untouched, so results are bitwise identical to [`naive_matmul`] at
 //! every thread width. `tests/gemm_parity.rs` enforces this property over
-//! random, zero-heavy, `-0.0`, and subnormal operands.
+//! random, zero-heavy, `±0.0`, subnormal and non-finite operands.
 //!
 //! The zero-skip is semantics, not a fast path: it makes masked
 //! (soft-training) operands contribute *no term at all*, which is what
-//! lets packed execution (PR 5) drop masked rows/columns without moving a
+//! lets packed execution drop masked rows/columns without moving a
 //! single bit of the result — and it keeps `0 · ∞ = NaN` out of masked
-//! positions.
+//! positions. `-0.0 == 0.0`, so it skips both zeros. Only a non-finite B
+//! can tell a skipped term from an added one, so the branch-free kernels
+//! run whenever B is finite ([`gemm_into`]).
 
 // Kernel entry points take the full (out, shape, operand, layout,
 // stride) coordinate set as scalars: bundling them into structs costs
@@ -166,9 +167,11 @@ impl<'a> BSrc<'a> {
 /// Computes `out += A · B` for logical shapes `[m, k] × [k, n] → [m, n]`,
 /// with either operand optionally stored transposed.
 ///
-/// `out` must arrive zero-filled to compute a plain product (every caller
-/// allocates via `vec![0.0; ..]` or the zeroing workspace arena). Work is
-/// recorded once, shape-derived, independent of layout and thread count.
+/// `out` must arrive filled with `+0.0` (every caller allocates via
+/// `vec![0.0; ..]` or the zeroing workspace arena): the product is then
+/// the reference chain, which starts at `+0.0`, and the finite-B dispatch
+/// below is exact. Work is recorded once, shape-derived, independent of
+/// layout and thread count.
 pub(crate) fn gemm_into(
     out: &mut [f32],
     m: usize,
@@ -191,11 +194,17 @@ pub(crate) fn gemm_into(
     }
     let nr_w = pick_nr(n);
     let nb = n.div_ceil(nr_w);
+    // The zero-skip is dispatched once per call, on B alone. `acc` is
+    // never -0.0 (it starts at +0.0, and a round-to-nearest sum is -0.0
+    // only when both operands are), so for finite `b` the skipped term
+    // `±0 · b = ±0` leaves every bit of `acc` as it is — NaN and ±∞
+    // included. Only a non-finite B needs the checked kernels.
+    let kernels = Kernels::select(nr_w, b.iter().fold(true, |acc, v| acc & v.is_finite()));
     // Same row partition and work model as the naive kernel; tile
     // alignment only moves worker boundaries, never element order.
     let run = |out: &mut [f32], bsrc: BSrc| {
         for_each_block_aligned(out, n, k * n, MR, |first_row, block| {
-            gemm_row_block(block, first_row, m, k, n, nr_w, a, ta, bsrc);
+            gemm_row_block(block, first_row, m, k, n, nr_w, a, ta, bsrc, kernels);
         });
     };
     // Scratch panels are packed serially, before the parallel region:
@@ -226,6 +235,7 @@ fn gemm_row_block(
     a: &[f32],
     ta: Layout,
     bsrc: BSrc,
+    kernels: Kernels,
 ) {
     let rows = block.len() / n;
     let nb = n.div_ceil(nr_w);
@@ -249,44 +259,29 @@ fn gemm_row_block(
         let kc = slab_base + usize::from(s < slab_extra);
         for bi in 0..full_tiles {
             let gi = row0 + bi * MR;
-            // An A slab with no zeros can never trigger the zero-skip,
-            // so the branch-free kernel variant is exact for it. The
-            // scans fold with `&` instead of short-circuiting: the
-            // reduction has no early exit, so it vectorizes.
             match ta {
                 Layout::Normal => {
-                    let rows_a: [&[f32]; MR] =
-                        std::array::from_fn(|i| &a[(gi + i) * k + kp..(gi + i) * k + kp + kc]);
-                    let clean = rows_a
-                        .iter()
-                        .all(|r| r.iter().fold(true, |acc, &v| acc & (v != 0.0)));
-                    let kern = select_rows_kernel(nr_w, clean);
+                    let rows_a = std::array::from_fn(|i| &a[(gi + i) * k + kp..][..kc]);
                     for jp in 0..nb {
                         let nr = nr_w.min(n - jp * nr_w);
                         let (bpan, ldb) = bsrc.panel(jp, kp, k, n, nr_w);
-                        kern(block, n, bi * MR, jp * nr_w, nr, rows_a, kc, bpan, ldb);
+                        (kernels.rows)(block, n, bi * MR, jp * nr_w, nr, rows_a, kc, bpan, ldb);
                     }
                 }
                 Layout::Transposed => {
                     let a_base = &a[kp * m + gi..];
-                    let clean = (0..kc).fold(true, |acc, kk| {
-                        acc & a_base[kk * m..kk * m + MR]
-                            .iter()
-                            .fold(true, |a2, &v| a2 & (v != 0.0))
-                    });
-                    let kern = select_cols_kernel(nr_w, clean);
                     for jp in 0..nb {
                         let nr = nr_w.min(n - jp * nr_w);
                         let (bpan, ldb) = bsrc.panel(jp, kp, k, n, nr_w);
-                        kern(block, n, bi * MR, jp * nr_w, nr, a_base, m, kc, bpan, ldb);
+                        (kernels.cols)(block, n, bi * MR, jp * nr_w, nr, a_base, m, kc, bpan, ldb);
                     }
                 }
             }
         }
         if tail > 0 {
             // The tail tile needs zero-padded lanes, so it goes through
-            // the packed-A kernel; padding is 0.0, which the zero-skip
-            // drops, and its accumulator lanes are never stored anyway.
+            // the packed-A kernel; its padded accumulator lanes are
+            // never stored.
             pack_a_tail(
                 &mut tail_buf,
                 a,
@@ -298,11 +293,10 @@ fn gemm_row_block(
                 kp,
                 kc,
             );
-            let kern = select_packed_kernel(nr_w);
             for jp in 0..nb {
                 let nr = nr_w.min(n - jp * nr_w);
                 let (bpan, ldb) = bsrc.panel(jp, kp, k, n, nr_w);
-                kern(
+                (kernels.packed)(
                     block,
                     n,
                     full_tiles * MR,
@@ -327,43 +321,36 @@ type ColsKernel = fn(&mut [f32], usize, usize, usize, usize, &[f32], usize, usiz
 /// Packed-A microkernel (tail tiles).
 type PackedKernel = fn(&mut [f32], usize, usize, usize, usize, usize, &[f32], &[f32], usize);
 
-/// Resolves the monomorphized row-source microkernel for a panel width
-/// and slab cleanliness. `clean` slabs (no zero anywhere in the A tile)
-/// take the branch-free variant; dirty slabs take the one with the
-/// per-lane zero-skip. Both append identical terms in identical order.
-fn select_rows_kernel(nr_w: usize, clean: bool) -> RowsKernel {
-    match (nr_w, clean) {
-        (16, true) => micro_rows::<16, false>,
-        (16, false) => micro_rows::<16, true>,
-        (48, true) => micro_rows::<48, false>,
-        (48, false) => micro_rows::<48, true>,
-        (64, true) => micro_rows::<64, false>,
-        (64, false) => micro_rows::<64, true>,
-        _ => unreachable!("panel width {nr_w} has no microkernel"),
-    }
+/// The three monomorphized microkernels one `gemm_into` call runs,
+/// resolved once from its panel width and B's finiteness.
+#[derive(Clone, Copy)]
+struct Kernels {
+    rows: RowsKernel,
+    cols: ColsKernel,
+    packed: PackedKernel,
 }
 
-/// Transposed-layout counterpart of [`select_rows_kernel`].
-fn select_cols_kernel(nr_w: usize, clean: bool) -> ColsKernel {
-    match (nr_w, clean) {
-        (16, true) => micro_cols::<16, false>,
-        (16, false) => micro_cols::<16, true>,
-        (48, true) => micro_cols::<48, false>,
-        (48, false) => micro_cols::<48, true>,
-        (64, true) => micro_cols::<64, false>,
-        (64, false) => micro_cols::<64, true>,
-        _ => unreachable!("panel width {nr_w} has no microkernel"),
-    }
-}
-
-/// Packed-A kernel for tail tiles — always the checked variant, because
-/// the zero padding must be skipped.
-fn select_packed_kernel(nr_w: usize) -> PackedKernel {
-    match nr_w {
-        16 => micro_tile::<16, true>,
-        48 => micro_tile::<48, true>,
-        64 => micro_tile::<64, true>,
-        _ => unreachable!("panel width {nr_w} has no microkernel"),
+impl Kernels {
+    /// A `finite` B takes the branch-free variants, which are exact for
+    /// it (see [`gemm_into`]); any other B takes the ones with the
+    /// per-lane zero-skip. Both append identical terms in identical order.
+    fn select(nr_w: usize, finite: bool) -> Kernels {
+        fn of<const NR_W: usize, const CHECKED: bool>() -> Kernels {
+            Kernels {
+                rows: micro_rows::<NR_W, CHECKED>,
+                cols: micro_cols::<NR_W, CHECKED>,
+                packed: micro_tile::<NR_W, CHECKED>,
+            }
+        }
+        match (nr_w, finite) {
+            (16, true) => of::<16, false>(),
+            (16, false) => of::<16, true>(),
+            (48, true) => of::<48, false>(),
+            (48, false) => of::<48, true>(),
+            (64, true) => of::<64, false>(),
+            (64, false) => of::<64, true>(),
+            _ => unreachable!("panel width {nr_w} has no microkernel"),
+        }
     }
 }
 
@@ -379,14 +366,13 @@ fn select_packed_kernel(nr_w: usize) -> PackedKernel {
 /// padded B lanes feed only accumulator lanes that are never stored.
 ///
 /// The zero-skip is the one branch that would defeat vectorization, so it
-/// is hoisted twice. Per call: slabs that [`gemm_row_block`] verified
-/// zero-free dispatch to the `CHECKED = false` instantiation, whose k
-/// loop is pure straight-line broadcast-multiply-add. Per k step in the
-/// `CHECKED` variant: a single "any lane zero?" test guards the same
-/// straight-line update, falling back to the per-lane skip only when a
-/// zero is actually present. All three paths append exactly the same
-/// terms in exactly the same order — the faster ones are just
-/// no-skip-taken specializations — so results are bitwise unchanged.
+/// is hoisted twice. Per call: a finite B makes every skipped term an
+/// exact no-op (see [`gemm_into`]), so it dispatches to the
+/// `CHECKED = false` instantiation, whose k loop is pure straight-line
+/// broadcast-multiply-add. Per k step in the `CHECKED` variant: a single
+/// "any lane zero?" test guards the same straight-line update, falling
+/// back to the per-lane skip only when a zero is actually present. All
+/// three paths produce the same bits.
 ///
 /// `inline(never)`: inlined into the packing/blocking loops LLVM fails
 /// to autovectorize this body (the surrounding control flow defeats the
@@ -719,20 +705,28 @@ mod tests {
 
     #[test]
     fn clean_and_dirty_slabs_agree_with_naive() {
-        // All-nonzero A exercises the branch-free kernel; flipping a few
-        // entries to zero forces the checked kernel onto the same tiles.
+        // A finite B runs the branch-free kernel whatever A holds; a
+        // non-finite B entry forces the checked kernel onto every tile.
+        // Both must match the reference with and without zeros in A; the
+        // dirty A is -0.0 at k = 7 and +0.0 at k = 14 in every row, right
+        // where B holds ∞ and NaN.
         let (m, k, n) = (11, 70, 35);
         let clean: Vec<f32> = (0..m * k).map(|i| 0.5 + (i % 9) as f32 * 0.125).collect();
-        let b = t(seq(k * n, 0.0625), &[k, n]);
-        let a = t(clean.clone(), &[m, k]);
-        assert_bitwise(&a.matmul(&b).unwrap(), &naive_matmul(&a, &b).unwrap());
-
-        let mut dirty = clean;
+        let mut dirty = clean.clone();
         for i in (0..m * k).step_by(7) {
-            dirty[i] = 0.0;
+            dirty[i] = if i % 2 == 0 { 0.0 } else { -0.0 };
         }
-        let a = t(dirty, &[m, k]);
-        assert_bitwise(&a.matmul(&b).unwrap(), &naive_matmul(&a, &b).unwrap());
+        let finite = seq(k * n, 0.0625);
+        let mut non_finite = finite.clone();
+        non_finite[7 * n + 5] = f32::INFINITY;
+        non_finite[14 * n + 9] = f32::NAN;
+        for a in [clean, dirty] {
+            let a = t(a, &[m, k]);
+            for b in [&finite, &non_finite] {
+                let b = t(b.clone(), &[k, n]);
+                assert_bitwise(&a.matmul(&b).unwrap(), &naive_matmul(&a, &b).unwrap());
+            }
+        }
     }
 
     #[test]
