@@ -362,8 +362,8 @@ impl Kernels {
 ///
 /// All compute loops have compile-time trip counts (`MR` and the `NR_W`
 /// const generic), so the whole body unrolls and vectorizes — no unsafe,
-/// no intrinsics. Padded A lanes are `0.0` and skipped by the zero-skip;
-/// padded B lanes feed only accumulator lanes that are never stored.
+/// no intrinsics. Padded A lanes and padded B lanes feed only
+/// accumulator lanes that are never stored.
 ///
 /// The zero-skip is the one branch that would defeat vectorization, so it
 /// is hoisted twice. Per call: a finite B makes every skipped term an
@@ -371,8 +371,8 @@ impl Kernels {
 /// `CHECKED = false` instantiation, whose k loop is pure straight-line
 /// broadcast-multiply-add. Per k step in the `CHECKED` variant: a single
 /// "any lane zero?" test guards the same straight-line update, falling
-/// back to the per-lane skip only when a zero is actually present. All
-/// three paths produce the same bits.
+/// back to the per-lane skip only when a zero is actually present. Both
+/// paths produce the same bits.
 ///
 /// `inline(never)`: inlined into the packing/blocking loops LLVM fails
 /// to autovectorize this body (the surrounding control flow defeats the
