@@ -810,6 +810,48 @@ mod tests {
         assert!(json.ends_with(r#""mode":"topk"}"#), "{json}");
     }
 
+    /// The exact JSONL line of every `samples()` entry, stamped
+    /// `t = 0.5 * index`: the trace schema's bytes, variant by variant.
+    const GOLDEN_LINES: [&str; 22] = [
+        r#"{"t":0.0,"type":"RoundStart","cycle":3,"population":100}"#,
+        r#"{"t":0.5,"type":"PhaseStart","cycle":3,"phase":"train"}"#,
+        r#"{"t":1.0,"type":"PhaseEnd","cycle":3,"phase":"train"}"#,
+        r#"{"t":1.5,"type":"DeviceSelected","cycle":3,"device":1,"cohort":2}"#,
+        r#"{"t":2.0,"type":"BroadcastSent","cycle":3,"devices":4}"#,
+        r#"{"t":2.5,"type":"MaskIssued","cycle":3,"device":2,"active_units":17,"total_units":42}"#,
+        r#"{"t":3.0,"type":"TrainDone","device":2,"compute_s":1.25}"#,
+        r#"{"t":3.5,"type":"FrameSent","device":0,"dir":"up","bytes":2048,"attempt":1}"#,
+        r#"{"t":4.0,"type":"FrameSent","device":0,"dir":"up","bytes":512,"attempt":1,"mode":"qi8"}"#,
+        r#"{"t":4.5,"type":"FrameDropped","device":0,"attempt":1}"#,
+        r#"{"t":5.0,"type":"FrameCorrupted","device":0,"attempt":2}"#,
+        r#"{"t":5.5,"type":"Retry","device":0,"attempt":2,"backoff_s":0.5}"#,
+        r#"{"t":6.0,"type":"Delivered","device":0,"bytes":2048,"attempts":3,"elapsed_s":2.75}"#,
+        r#"{"t":6.5,"type":"SendFailed","device":1,"attempts":4,"elapsed_s":9.5}"#,
+        r#"{"t":7.0,"type":"Timeout","device":1}"#,
+        r#"{"t":7.5,"type":"UpdateAggregated","cycle":3,"device":0}"#,
+        r#"{"t":8.0,"type":"SkipSettled","cycle":3,"device":2,"delivered":true}"#,
+        r#"{"t":8.5,"type":"EvalDone","cycle":3,"loss":1.5,"accuracy":0.5}"#,
+        r#"{"t":9.0,"type":"RoundEnd","cycle":3,"span_s":10.0,"train_s":8.0,"comm_s":2.0,"aggregated":3,"missed":1}"#,
+        r#"{"t":9.5,"type":"DeviceJoined","device":4}"#,
+        r#"{"t":10.0,"type":"ScenarioEvent","cycle":3,"kind":"throttle","device":2,"value":0.75}"#,
+        r#"{"t":10.5,"type":"ScenarioEvent","cycle":4,"kind":"drift_label_rotate","device":null,"value":1.0}"#,
+    ];
+
+    #[test]
+    fn every_variant_serializes_to_its_golden_line() {
+        let samples = samples();
+        assert_eq!(samples.len(), GOLDEN_LINES.len());
+        for (i, (event, golden)) in samples.into_iter().zip(GOLDEN_LINES).enumerate() {
+            let rec = TraceRecord {
+                t: i as f64 * 0.5,
+                event,
+            };
+            assert_eq!(serde_json::to_string(&rec).expect("serialize"), golden);
+            let back: TraceRecord = serde_json::from_str(golden).expect("deserialize");
+            assert_eq!(back, rec, "{golden}");
+        }
+    }
+
     #[test]
     fn every_variant_round_trips_through_json() {
         for (i, event) in samples().into_iter().enumerate() {
