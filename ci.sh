@@ -2,12 +2,12 @@
 # CI gate for the Helios workspace: formatting, lints (including an
 # unwrap/expect deny gate for the typed-error crates), first-party line
 # counts, a public-surface report (never fails), a no-shared-statics
-# gate, a single-thread-scope gate, a one-mask-type gate, a dev-profile
-# checks gate, docs, release build, tests, the kernel parity suites again
-# under release codegen, the thread-scoped-state test binaries and the
-# packed-parity suite at one and eight test threads, and the repository
-# benchmark package (benchmark/) built, tested and smoke-run. Takes no
-# arguments.
+# gate, a single-thread-scope gate, a one-mask-type gate, a
+# derived-serde-schemas gate, a dev-profile checks gate, docs, release
+# build, tests, the kernel parity suites again under release codegen,
+# the thread-scoped-state test binaries and the packed-parity suite at
+# one and eight test threads, and the repository benchmark package
+# (benchmark/) built, tested and smoke-run. Takes no arguments.
 set -euo pipefail
 cd "$(dirname "$0")"
 [ $# -eq 0 ] || { echo "usage: ./ci.sh (takes no arguments)" >&2; exit 2; }
@@ -121,6 +121,21 @@ find crates/*/src -name '*.rs' -print0 | sort -z |
         /#\[cfg\(test\)\]/ { in_tests = 1 }
         !in_tests && /(Vec<bool>|\[bool\])/ &&
             !/^ *(cached_positive|cached_sum_positive): Option<Vec<bool>>,$/ {
+            printf "%s:%d: %s\n", FILENAME, FNR, $0
+            bad = 1
+        }
+        END { exit bad }'
+
+step "derived serde schemas (non-test code of crates/*/src: no hand-written Serialize/Deserialize)"
+# Every type that crosses JSON, the trace schema included, derives its
+# impls through the vendored serde_derive, so each schema is written once,
+# by its declaration. A hand-written impl would be a second copy to keep
+# in step; teach the derive the shape instead.
+find crates/*/src -name '*.rs' -print0 | sort -z |
+    xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests && /impl(<[^>]*>)? +(::)?(serde::)?(Serialize|Deserialize) +for / {
             printf "%s:%d: %s\n", FILENAME, FNR, $0
             bad = 1
         }

@@ -2,7 +2,7 @@
 //! asynchronous federated optimization).
 
 use crate::driver::fedavg_into_global;
-use crate::{aggregate, FlEnv, FlError, MaskedUpdate, Result, RoundPolicy, RoutedCycle};
+use crate::{FlEnv, FlError, MaskedUpdate, OnlineAggregator, Result, RoundPolicy, RoutedCycle};
 use helios_device::SimTime;
 
 /// Computes each straggler's update period: how many capable-device
@@ -260,18 +260,20 @@ impl RoundPolicy for Afo {
 
     fn aggregate(&mut self, env: &mut FlEnv, cycle: usize, routed: &RoutedCycle) -> Result<()> {
         // Fresh capable updates, FedAvg-combined then mixed at ALPHA.
-        let mut combined = env.global().to_vec();
-        let masked: Vec<MaskedUpdate<'_>> = routed
+        let mut acc = OnlineAggregator::new(env.global().len());
+        for u in routed
             .updates
             .iter()
             .filter(|u| !self.straggler_ids.contains(&u.client))
-            .map(|u| MaskedUpdate {
+        {
+            acc.push(&MaskedUpdate {
                 params: &u.params,
                 param_mask: None,
                 weight: u.num_samples as f64,
-            })
-            .collect();
-        aggregate(&mut combined, &masked);
+            });
+        }
+        let mut combined = env.global().to_vec();
+        acc.finish_into(&mut combined);
         let mut global = env.global().to_vec();
         Self::mix(&mut global, &combined, Self::ALPHA);
         // Straggler arrivals mixed individually with decayed rate.

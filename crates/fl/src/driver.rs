@@ -148,9 +148,8 @@ impl<P: RoundPolicy> Strategy for P {
 /// produced by this environment's clients).
 pub(crate) fn fedavg_into_global(env: &mut FlEnv, updates: &[LocalUpdate]) -> Result<()> {
     let mut global = env.global().to_vec();
-    // Stream one update at a time through the online accumulator —
-    // bitwise identical to collect-then-[`aggregate`] (which is itself
-    // built on the same fold) while holding O(model) server state.
+    // Stream one update at a time through the online accumulator,
+    // holding O(model) server state.
     let mut acc = OnlineAggregator::new(global.len());
     for u in updates {
         acc.push(&MaskedUpdate {

@@ -10,8 +10,8 @@
 //!   therefore faster);
 //! - [`FlEnv`] — the shared experimental setup (clients, test set, global
 //!   parameter vector, simulated clock);
-//! - [`aggregate`] — masked weighted parameter averaging, the primitive
-//!   under every aggregation rule in the paper;
+//! - [`OnlineAggregator`] — streaming masked weighted parameter
+//!   averaging, the primitive under every aggregation rule in the paper;
 //! - [`RoundDriver`] — the unified round-lifecycle engine: one canonical
 //!   phase sequence (selection → broadcast → local training → transport
 //!   routing → aggregation → evaluation → metrics recording) shared by
@@ -95,7 +95,7 @@ pub use metrics::{PhaseBreakdown, RoundRecord, RunMetrics, RunProfile};
 pub use random_partial::RandomPartial;
 pub use route::RoutedCycle;
 pub use sampler::{ClientSampler, SamplerConfig, SamplingStrategy};
-pub use server::{aggregate, cycle_comm_bytes_with, MaskedUpdate, OnlineAggregator};
+pub use server::{cycle_comm_bytes_with, MaskedUpdate, OnlineAggregator};
 pub use strategy::Strategy;
 pub use sync::SyncFedAvg;
 

@@ -46,71 +46,33 @@ pub struct MaskedUpdate<'a> {
     pub weight: f64,
 }
 
-/// Weighted per-parameter averaging with partial coverage.
+/// Streaming weighted per-parameter averaging with partial coverage:
+/// consumes one [`MaskedUpdate`] at a time and holds only the running
+/// accumulator — O(model) server memory regardless of cohort size.
 ///
-/// For every parameter index, the new global value is the weighted mean of
-/// the contributions whose mask covers that index. Indices no client
+/// For every parameter index, the new global value is the weighted mean
+/// of the contributions whose mask covers that index. Indices no client
 /// trained keep their previous global value — exactly the paper's rule
-/// that skipped neurons "maintain their contribution" in the global model
-/// rather than being dragged toward stale replicas.
-///
-/// # Panics
-///
-/// Panics if any update's `params` (or mask) length differs from
-/// `global.len()`, or a weight is negative/non-finite — both indicate
-/// programming errors in the calling strategy.
+/// that skipped neurons "maintain their contribution" in the global
+/// model rather than being dragged toward stale replicas.
 ///
 /// # Example
 ///
 /// ```
-/// use helios_fl::{aggregate, MaskedUpdate};
+/// use helios_fl::{MaskedUpdate, OnlineAggregator};
 ///
-/// let mut global = vec![0.0f32, 10.0];
-/// let a = [2.0f32, 2.0];
 /// let mask = [0b01]; // index 0 trained, index 1 not
-/// aggregate(
-///     &mut global,
-///     &[MaskedUpdate { params: &a, param_mask: Some(&mask), weight: 1.0 }],
-/// );
-/// assert_eq!(global, vec![2.0, 10.0]); // index 1 untouched
-/// ```
-pub fn aggregate(global: &mut [f32], updates: &[MaskedUpdate<'_>]) {
-    let mut acc = OnlineAggregator::new(global.len());
-    for u in updates {
-        acc.push(u);
-    }
-    acc.finish_into(global);
-}
-
-/// Streaming weighted aggregation: consumes one [`MaskedUpdate`] at a
-/// time and holds only the running accumulator — O(model) server memory
-/// regardless of cohort size, where collect-then-average holds
-/// O(participants · model).
-///
-/// Pushing updates in order and then finishing is **bitwise identical**
-/// to [`aggregate`] over the same sequence: both perform the same
-/// per-update `f64` fold in the same order, and [`aggregate`] is in fact
-/// implemented on top of this type.
-///
-/// # Example
-///
-/// ```
-/// use helios_fl::{aggregate, MaskedUpdate, OnlineAggregator};
-///
 /// let updates = [
 ///     MaskedUpdate { params: &[2.0, 2.0], param_mask: None, weight: 1.0 },
-///     MaskedUpdate { params: &[6.0, 6.0], param_mask: None, weight: 3.0 },
+///     MaskedUpdate { params: &[6.0, 6.0], param_mask: Some(&mask), weight: 3.0 },
 /// ];
-/// let mut batch = vec![0.0f32, 10.0];
-/// aggregate(&mut batch, &updates);
-///
 /// let mut acc = OnlineAggregator::new(2);
 /// for u in &updates {
 ///     acc.push(u); // one update at a time — nothing else retained
 /// }
-/// let mut streamed = vec![0.0f32, 10.0];
-/// acc.finish_into(&mut streamed);
-/// assert_eq!(streamed, batch);
+/// let mut global = vec![0.0f32, 10.0];
+/// acc.finish_into(&mut global);
+/// assert_eq!(global, vec![5.0, 2.0]); // index 1: only the first update
 /// ```
 #[derive(Debug, Clone)]
 pub struct OnlineAggregator {
@@ -190,6 +152,31 @@ impl OnlineAggregator {
 mod tests {
     use super::*;
     use helios_tensor::UnitMask;
+
+    /// Streams `updates` through the production accumulator.
+    fn aggregate(global: &mut [f32], updates: &[MaskedUpdate<'_>]) {
+        let mut acc = OnlineAggregator::new(global.len());
+        for u in updates {
+            acc.push(u);
+        }
+        acc.finish_into(global);
+    }
+
+    /// Collect-then-average oracle: each index's weighted mean over the
+    /// collected updates that cover it, summed in update order.
+    fn collect_then_average(global: &mut [f32], updates: &[MaskedUpdate<'_>]) {
+        for (i, g) in global.iter_mut().enumerate() {
+            let (acc, wsum) = updates
+                .iter()
+                .filter(|u| u.param_mask.is_none_or(|m| mask_bit(m, i)))
+                .fold((0.0f64, 0.0f64), |(acc, wsum), u| {
+                    (acc + u.weight * u.params[i] as f64, wsum + u.weight)
+                });
+            if wsum > 0.0 {
+                *g = (acc / wsum) as f32;
+            }
+        }
+    }
 
     fn update(params: Vec<f32>, mask: Option<UnitMask>) -> LocalUpdate {
         LocalUpdate {
@@ -366,12 +353,8 @@ mod tests {
                 })
                 .collect();
             let mut batch = global.clone();
-            aggregate(&mut batch, &updates);
-            let mut acc = OnlineAggregator::new(n);
-            for u in &updates {
-                acc.push(u);
-            }
-            acc.finish_into(&mut global);
+            collect_then_average(&mut batch, &updates);
+            aggregate(&mut global, &updates);
             let batch_bits: Vec<u32> = batch.iter().map(|x| x.to_bits()).collect();
             let stream_bits: Vec<u32> = global.iter().map(|x| x.to_bits()).collect();
             assert_eq!(batch_bits, stream_bits, "case {case} diverged");

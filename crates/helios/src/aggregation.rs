@@ -37,7 +37,7 @@ pub fn heterogeneity_weights(keep_ratios: &[f64]) -> Vec<f64> {
 
 /// Combines the heterogeneity ratio with FedAvg's sample weighting: the
 /// aggregation weight of device `n` is `r_n · |D_n|`. Per-parameter
-/// normalization happens inside [`helios_fl::aggregate`], so the weights
+/// normalization happens inside [`helios_fl::OnlineAggregator`], so the weights
 /// need not sum to 1.
 pub fn combined_weights(keep_ratios: &[f64], sample_counts: &[usize]) -> Vec<f64> {
     assert_eq!(

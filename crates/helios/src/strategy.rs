@@ -524,9 +524,8 @@ impl RoundPolicy for HeliosStrategy {
         let masked_upload = self.config.aggregation == AggregationMode::MaskedWeighted;
         let mut global = env.global().to_vec();
         // Stream the fold: one update at a time through the online
-        // accumulator (bitwise identical to collect-then-average, which
-        // is built on the same primitive) — O(model) server state even
-        // for fleet-scale cohorts.
+        // accumulator — O(model) server state even for fleet-scale
+        // cohorts.
         let mut acc = OnlineAggregator::new(global.len());
         for (u, &w) in updates.iter().zip(&weights) {
             acc.push(&MaskedUpdate {

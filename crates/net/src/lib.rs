@@ -39,12 +39,12 @@
 //!
 //! ```
 //! use helios_net::{codec, LinkProfile, NetConfig, SimTransport};
-//! use helios_net::transport::Direction;
+//! use helios_obs::Dir;
 //!
 //! let cfg = NetConfig { enabled: true, ..NetConfig::default() };
 //! let mut transport = SimTransport::new(1, &cfg, 42).unwrap();
 //! let frame = codec::encode_full(0, 0, &[1.0, -2.5, 3.25]).unwrap();
-//! let tx = transport.transmit(0, &frame, Direction::Upload).unwrap();
+//! let tx = transport.transmit(0, &frame, Dir::Up).unwrap();
 //! let decoded = codec::decode(&tx.delivered.unwrap()).unwrap();
 //! assert_eq!(decoded.into_params(&[0.0; 3]).unwrap(), vec![1.0, -2.5, 3.25]);
 //! ```

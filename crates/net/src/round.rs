@@ -4,8 +4,9 @@
 //! exchanges to "missed the cycle" instead of panicking.
 
 use crate::error::NetError;
-use crate::transport::{Direction, SimTransport};
+use crate::transport::SimTransport;
 use helios_device::{EventQueue, SimTime};
+use helios_obs::Dir;
 
 /// One participant's work in a round.
 #[derive(Debug, Clone)]
@@ -80,7 +81,7 @@ pub fn simulate_round(
         missed.push(idx);
     };
     for (idx, job) in jobs.iter().enumerate() {
-        let tx = transport.transmit(job.device, broadcast_frame, Direction::Download)?;
+        let tx = transport.transmit(job.device, broadcast_frame, Dir::Down)?;
         match tx.delivered {
             Some(_) => queue.schedule(tx.elapsed, Phase::Downloaded(idx)),
             None => miss(idx, tx.elapsed, false, transport, &mut span, &mut missed),
@@ -94,11 +95,7 @@ pub fn simulate_round(
                     continue;
                 }
                 let ready = t + jobs[idx].compute;
-                let tx = transport.transmit(
-                    jobs[idx].device,
-                    &jobs[idx].upload_frame,
-                    Direction::Upload,
-                )?;
+                let tx = transport.transmit(jobs[idx].device, &jobs[idx].upload_frame, Dir::Up)?;
                 match tx.delivered {
                     Some(frame) => queue.schedule(ready + tx.elapsed, Phase::Uploaded(idx, frame)),
                     None => miss(

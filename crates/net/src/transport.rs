@@ -5,20 +5,10 @@ use crate::codec;
 use crate::error::NetError;
 use crate::link::{FaultConfig, LinkProfile, NetConfig};
 use helios_device::SimTime;
-use helios_obs::TraceEvent;
+use helios_obs::{Dir, TraceEvent};
 use helios_tensor::TensorRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Whether a message travels server→device or device→server (statistics
-/// bookkeeping only; links are symmetric).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Server → device (global model broadcast).
-    Download,
-    /// Device → server (local update upload).
-    Upload,
-}
 
 /// Aggregate counters over every transmission the transport performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -245,14 +235,10 @@ impl SimTransport {
         &mut self,
         device: usize,
         frame: &[u8],
-        direction: Direction,
+        direction: Dir,
     ) -> Result<Transmission, NetError> {
         let link = *self.link(device)?;
         self.stats.messages += 1;
-        let obs_dir = match direction {
-            Direction::Download => helios_obs::Dir::Down,
-            Direction::Upload => helios_obs::Dir::Up,
-        };
         // v2 frames carry their compression mode into the trace; v1
         // frames emit no mode field at all, keeping pre-v2 captures (and
         // the pinned trace digest) byte-identical.
@@ -265,7 +251,7 @@ impl SimTransport {
             self.stats.bytes_on_wire += frame.len() as u64;
             helios_obs::emit(|| TraceEvent::FrameSent {
                 device: device as u64,
-                dir: obs_dir,
+                dir: direction,
                 bytes: frame.len() as u64,
                 attempt: u64::from(attempts),
                 mode: frame_mode.map(str::to_string),
@@ -345,7 +331,7 @@ impl SimTransport {
     fn deliver(
         &mut self,
         device: usize,
-        direction: Direction,
+        direction: Dir,
         frame: Vec<u8>,
         elapsed: f64,
         attempts: u32,
@@ -353,8 +339,8 @@ impl SimTransport {
         self.stats.delivered_bytes += frame.len() as u64;
         let d = self.device_stats.entry(device).or_default();
         match direction {
-            Direction::Download => d.download_bytes += frame.len() as u64,
-            Direction::Upload => d.upload_bytes += frame.len() as u64,
+            Dir::Down => d.download_bytes += frame.len() as u64,
+            Dir::Up => d.upload_bytes += frame.len() as u64,
         }
         helios_obs::emit(|| TraceEvent::Delivered {
             device: device as u64,
@@ -403,7 +389,7 @@ mod tests {
         let cfg = config(FaultConfig::default(), LinkProfile::ideal());
         let mut t = SimTransport::new(2, &cfg, 7).unwrap();
         let f = frame();
-        let tx = t.transmit(0, &f, Direction::Upload).unwrap();
+        let tx = t.transmit(0, &f, Dir::Up).unwrap();
         assert_eq!(tx.delivered.as_deref(), Some(&f[..]));
         assert_eq!(tx.elapsed, SimTime::ZERO);
         assert_eq!(tx.attempts, 1);
@@ -417,7 +403,7 @@ mod tests {
         let cfg = config(FaultConfig::default(), LinkProfile::constrained(100.0, 1.0));
         let mut t = SimTransport::new(1, &cfg, 7).unwrap();
         let f = frame();
-        let tx = t.transmit(0, &f, Direction::Download).unwrap();
+        let tx = t.transmit(0, &f, Dir::Down).unwrap();
         let expect = 1.0 + f.len() as f64 / 100.0;
         assert!((tx.elapsed.as_secs_f64() - expect).abs() < 1e-12);
     }
@@ -430,7 +416,7 @@ mod tests {
         };
         let cfg = config(faults, LinkProfile::ideal());
         let mut t = SimTransport::new(1, &cfg, 7).unwrap();
-        let tx = t.transmit(0, &frame(), Direction::Upload).unwrap();
+        let tx = t.transmit(0, &frame(), Dir::Up).unwrap();
         assert!(tx.delivered.is_none());
         assert_eq!(tx.attempts, cfg.max_retries + 1);
         assert_eq!(t.stats().failures, 1);
@@ -447,7 +433,7 @@ mod tests {
         };
         let cfg = config(faults, LinkProfile::ideal());
         let mut t = SimTransport::new(1, &cfg, 7).unwrap();
-        let tx = t.transmit(0, &frame(), Direction::Upload).unwrap();
+        let tx = t.transmit(0, &frame(), Dir::Up).unwrap();
         // Every attempt corrupts, so the message ultimately fails —
         // but every corruption was caught by the CRC, none delivered.
         assert!(tx.delivered.is_none());
@@ -473,7 +459,7 @@ mod tests {
         let f = frame();
         let mut delivered = 0;
         for _ in 0..50 {
-            let tx = t.transmit(0, &f, Direction::Upload).unwrap();
+            let tx = t.transmit(0, &f, Dir::Up).unwrap();
             if let Some(got) = tx.delivered {
                 assert_eq!(got, f, "delivered frames are never corrupted");
                 delivered += 1;
@@ -499,7 +485,7 @@ mod tests {
             let f = frame();
             let mut log = Vec::new();
             for i in 0..30 {
-                let tx = t.transmit(i % 3, &f, Direction::Upload).unwrap();
+                let tx = t.transmit(i % 3, &f, Dir::Up).unwrap();
                 log.push((tx.elapsed.as_secs_f64().to_bits(), tx.attempts));
             }
             (log, *t.stats())
@@ -512,7 +498,7 @@ mod tests {
         let cfg = config(FaultConfig::default(), LinkProfile::ideal());
         let mut t = SimTransport::new(1, &cfg, 0).unwrap();
         assert!(matches!(
-            t.transmit(5, &frame(), Direction::Upload),
+            t.transmit(5, &frame(), Dir::Up),
             Err(NetError::UnknownDevice { .. })
         ));
         assert!(t.set_link(9, LinkProfile::ideal()).is_err());
@@ -543,15 +529,15 @@ mod tests {
         assert_eq!(t.num_devices, 100_000);
         assert_eq!(touched_devices(&t), 0);
         let f = frame();
-        let a = t.transmit(99_999, &f, Direction::Upload).unwrap();
-        let b = t.transmit(3, &f, Direction::Upload).unwrap();
+        let a = t.transmit(99_999, &f, Dir::Up).unwrap();
+        let b = t.transmit(3, &f, Dir::Up).unwrap();
         assert!(touched_devices(&t) <= 2);
         // Per-device streams are pure in (seed, index): a transport that
         // serves the same devices in the opposite order sees identical
         // outcomes.
         let mut u = SimTransport::new(100_000, &cfg, 7).unwrap();
-        let b2 = u.transmit(3, &f, Direction::Upload).unwrap();
-        let a2 = u.transmit(99_999, &f, Direction::Upload).unwrap();
+        let b2 = u.transmit(3, &f, Dir::Up).unwrap();
+        let a2 = u.transmit(99_999, &f, Dir::Up).unwrap();
         assert_eq!(a, a2);
         assert_eq!(b, b2);
     }
@@ -577,8 +563,8 @@ mod tests {
         let fa = frame();
         let mut a2 = a.clone();
         let mut b2 = b.clone();
-        let ta = a2.transmit(2, &fa, Direction::Upload).unwrap();
-        let tb = b2.transmit(2, &fa, Direction::Upload).unwrap();
+        let ta = a2.transmit(2, &fa, Dir::Up).unwrap();
+        let tb = b2.transmit(2, &fa, Dir::Up).unwrap();
         assert_eq!(ta, tb);
     }
 }

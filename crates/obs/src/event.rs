@@ -4,42 +4,25 @@
 //! [`crate::set_sim_time`]); host wall-clock never appears in a trace,
 //! which is what makes traces bitwise reproducible across thread widths.
 //!
-//! The vendored `serde` stub derives only plain structs, so the enum
-//! (de)serializes through hand-written [`Serialize`]/[`Deserialize`]
-//! impls building the `Value` tree directly. The JSON shape is one
-//! object per event with a `"type"` discriminant:
+//! The JSON shape is one object per record: the timestamp, the
+//! `"type"` discriminant, then the variant's fields in declaration
+//! order, all derived:
 //!
 //! ```json
 //! {"t":12.5,"type":"FrameSent","device":3,"dir":"up","bytes":1024,"attempt":1}
 //! ```
 
-use serde::value::{find, Value};
-use serde::{de, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 
-/// Which way a frame travelled (mirrors the transport's direction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which way a frame travelled over the simulated transport.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Dir {
     /// Server → device (global model broadcast).
+    #[serde(rename = "down")]
     Down,
     /// Device → server (local update upload).
+    #[serde(rename = "up")]
     Up,
-}
-
-impl Dir {
-    fn as_str(self) -> &'static str {
-        match self {
-            Dir::Down => "down",
-            Dir::Up => "up",
-        }
-    }
-
-    fn parse(s: &str) -> Result<Self, de::Error> {
-        match s {
-            "down" => Ok(Dir::Down),
-            "up" => Ok(Dir::Up),
-            other => Err(de::Error::custom(format!("unknown direction `{other}`"))),
-        }
-    }
 }
 
 /// One structured event on the round-lifecycle timeline.
@@ -49,7 +32,8 @@ impl Dir {
 /// environment (broadcast, training completion, joins), the simulated
 /// transport (per-attempt frame outcomes), and the Helios soft-training
 /// regulator (mask issuance, skip settlement).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type")]
 pub enum TraceEvent {
     /// A new aggregation cycle begins.
     RoundStart {
@@ -122,6 +106,7 @@ pub enum TraceEvent {
         /// `"qi8"`). `None` — and *omitted from the serialized record* —
         /// for v1 frames, so traces captured before wire v2 (and runs
         /// with compression off) stay byte-identical.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
         mode: Option<String>,
     },
     /// An attempt was lost in flight.
@@ -226,10 +211,12 @@ pub enum TraceEvent {
         /// Cycle index at which the event was applied.
         cycle: u64,
         /// Stable event identifier (`join`, `leave`, `return`,
-        /// `throttle`, `drift_label_rotate`, `drift_input_shift`).
+        /// `throttle`, `outage`, `drift_label_rotate`,
+        /// `drift_input_shift`).
         kind: String,
         /// Affected device, when the event is device-scoped (`None` for
         /// fleet-wide effects such as drift or a fleet-wide throttle).
+        #[serde(default)]
         device: Option<u64>,
         /// Event magnitude: current scale for `throttle`, drift amount
         /// for drift kinds, the device id count for `join`, else `0`.
@@ -287,384 +274,16 @@ impl TraceEvent {
 }
 
 /// One event plus its simulated timestamp — the unit every sink
-/// receives and every JSONL line encodes.
-#[derive(Debug, Clone, PartialEq)]
+/// receives and every JSONL line encodes. Flat on the wire: the
+/// timestamp rides first, then the event's own fields —
+/// `{"t":1.5,"type":"Timeout","device":2}`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceRecord {
     /// Simulated time at emission, seconds.
     pub t: f64,
     /// The event payload.
+    #[serde(flatten)]
     pub event: TraceEvent,
-}
-
-fn map(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Map(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn u(v: u64) -> Value {
-    Value::UInt(v)
-}
-
-fn f(v: f64) -> Value {
-    Value::Float(v)
-}
-
-fn s(v: &str) -> Value {
-    Value::Str(v.to_string())
-}
-
-impl Serialize for TraceEvent {
-    fn to_value(&self) -> Value {
-        let kind = ("type", s(self.kind()));
-        match self {
-            TraceEvent::RoundStart { cycle, population } => map(vec![
-                kind,
-                ("cycle", u(*cycle)),
-                ("population", u(*population)),
-            ]),
-            TraceEvent::PhaseStart { cycle, phase } | TraceEvent::PhaseEnd { cycle, phase } => {
-                map(vec![kind, ("cycle", u(*cycle)), ("phase", s(phase))])
-            }
-            TraceEvent::DeviceSelected {
-                cycle,
-                device,
-                cohort,
-            } => map(vec![
-                kind,
-                ("cycle", u(*cycle)),
-                ("device", u(*device)),
-                ("cohort", u(*cohort)),
-            ]),
-            TraceEvent::BroadcastSent { cycle, devices } => {
-                map(vec![kind, ("cycle", u(*cycle)), ("devices", u(*devices))])
-            }
-            TraceEvent::MaskIssued {
-                cycle,
-                device,
-                active_units,
-                total_units,
-            } => map(vec![
-                kind,
-                ("cycle", u(*cycle)),
-                ("device", u(*device)),
-                ("active_units", u(*active_units)),
-                ("total_units", u(*total_units)),
-            ]),
-            TraceEvent::TrainDone { device, compute_s } => map(vec![
-                kind,
-                ("device", u(*device)),
-                ("compute_s", f(*compute_s)),
-            ]),
-            TraceEvent::FrameSent {
-                device,
-                dir,
-                bytes,
-                attempt,
-                mode,
-            } => {
-                let mut fields = vec![
-                    kind,
-                    ("device", u(*device)),
-                    ("dir", s(dir.as_str())),
-                    ("bytes", u(*bytes)),
-                    ("attempt", u(*attempt)),
-                ];
-                // Omitted (not null) when absent: v1 records keep their
-                // exact pre-wire-v2 bytes, pinning the trace digest.
-                if let Some(m) = mode {
-                    fields.push(("mode", s(m)));
-                }
-                map(fields)
-            }
-            TraceEvent::FrameDropped { device, attempt }
-            | TraceEvent::FrameCorrupted { device, attempt } => {
-                map(vec![kind, ("device", u(*device)), ("attempt", u(*attempt))])
-            }
-            TraceEvent::Retry {
-                device,
-                attempt,
-                backoff_s,
-            } => map(vec![
-                kind,
-                ("device", u(*device)),
-                ("attempt", u(*attempt)),
-                ("backoff_s", f(*backoff_s)),
-            ]),
-            TraceEvent::Delivered {
-                device,
-                bytes,
-                attempts,
-                elapsed_s,
-            } => map(vec![
-                kind,
-                ("device", u(*device)),
-                ("bytes", u(*bytes)),
-                ("attempts", u(*attempts)),
-                ("elapsed_s", f(*elapsed_s)),
-            ]),
-            TraceEvent::SendFailed {
-                device,
-                attempts,
-                elapsed_s,
-            } => map(vec![
-                kind,
-                ("device", u(*device)),
-                ("attempts", u(*attempts)),
-                ("elapsed_s", f(*elapsed_s)),
-            ]),
-            TraceEvent::Timeout { device } => map(vec![kind, ("device", u(*device))]),
-            TraceEvent::UpdateAggregated { cycle, device } => {
-                map(vec![kind, ("cycle", u(*cycle)), ("device", u(*device))])
-            }
-            TraceEvent::SkipSettled {
-                cycle,
-                device,
-                delivered,
-            } => map(vec![
-                kind,
-                ("cycle", u(*cycle)),
-                ("device", u(*device)),
-                ("delivered", Value::Bool(*delivered)),
-            ]),
-            TraceEvent::EvalDone {
-                cycle,
-                loss,
-                accuracy,
-            } => map(vec![
-                kind,
-                ("cycle", u(*cycle)),
-                ("loss", f(*loss)),
-                ("accuracy", f(*accuracy)),
-            ]),
-            TraceEvent::RoundEnd {
-                cycle,
-                span_s,
-                train_s,
-                comm_s,
-                aggregated,
-                missed,
-            } => map(vec![
-                kind,
-                ("cycle", u(*cycle)),
-                ("span_s", f(*span_s)),
-                ("train_s", f(*train_s)),
-                ("comm_s", f(*comm_s)),
-                ("aggregated", u(*aggregated)),
-                ("missed", u(*missed)),
-            ]),
-            TraceEvent::DeviceJoined { device } => map(vec![kind, ("device", u(*device))]),
-            TraceEvent::ScenarioEvent {
-                cycle,
-                kind: scenario_kind,
-                device,
-                value,
-            } => map(vec![
-                kind,
-                ("cycle", u(*cycle)),
-                ("kind", s(scenario_kind)),
-                ("device", device.map_or(Value::Null, u)),
-                ("value", f(*value)),
-            ]),
-        }
-    }
-}
-
-fn get<'a>(pairs: &'a [(String, Value)], key: &str) -> Result<&'a Value, de::Error> {
-    find(pairs, key).ok_or_else(|| de::Error::custom(format!("missing field `{key}`")))
-}
-
-fn get_u64(pairs: &[(String, Value)], key: &str) -> Result<u64, de::Error> {
-    match get(pairs, key)? {
-        Value::UInt(v) => Ok(*v),
-        Value::Int(v) if *v >= 0 => Ok(*v as u64),
-        other => Err(de::Error::custom(format!(
-            "field `{key}` is not an unsigned integer: {other:?}"
-        ))),
-    }
-}
-
-fn get_f64(pairs: &[(String, Value)], key: &str) -> Result<f64, de::Error> {
-    match get(pairs, key)? {
-        Value::Float(v) => Ok(*v),
-        Value::UInt(v) => Ok(*v as f64),
-        Value::Int(v) => Ok(*v as f64),
-        other => Err(de::Error::custom(format!(
-            "field `{key}` is not a number: {other:?}"
-        ))),
-    }
-}
-
-fn get_str<'a>(pairs: &'a [(String, Value)], key: &str) -> Result<&'a str, de::Error> {
-    match get(pairs, key)? {
-        Value::Str(v) => Ok(v),
-        other => Err(de::Error::custom(format!(
-            "field `{key}` is not a string: {other:?}"
-        ))),
-    }
-}
-
-/// Optional string field: absent or `null` reads as `None`.
-fn get_opt_str(pairs: &[(String, Value)], key: &str) -> Result<Option<String>, de::Error> {
-    match find(pairs, key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Str(v)) => Ok(Some(v.clone())),
-        Some(other) => Err(de::Error::custom(format!(
-            "field `{key}` is not a string or null: {other:?}"
-        ))),
-    }
-}
-
-/// Optional device field: absent or `null` reads as `None`.
-fn get_opt_u64(pairs: &[(String, Value)], key: &str) -> Result<Option<u64>, de::Error> {
-    match find(pairs, key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::UInt(v)) => Ok(Some(*v)),
-        Some(Value::Int(v)) if *v >= 0 => Ok(Some(*v as u64)),
-        Some(other) => Err(de::Error::custom(format!(
-            "field `{key}` is not an unsigned integer or null: {other:?}"
-        ))),
-    }
-}
-
-fn get_bool(pairs: &[(String, Value)], key: &str) -> Result<bool, de::Error> {
-    match get(pairs, key)? {
-        Value::Bool(v) => Ok(*v),
-        other => Err(de::Error::custom(format!(
-            "field `{key}` is not a bool: {other:?}"
-        ))),
-    }
-}
-
-impl Deserialize for TraceEvent {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let Value::Map(pairs) = v else {
-            return Err(de::Error::custom("trace event is not an object"));
-        };
-        let p = pairs.as_slice();
-        Ok(match get_str(p, "type")? {
-            "RoundStart" => TraceEvent::RoundStart {
-                cycle: get_u64(p, "cycle")?,
-                population: get_u64(p, "population")?,
-            },
-            "PhaseStart" => TraceEvent::PhaseStart {
-                cycle: get_u64(p, "cycle")?,
-                phase: get_str(p, "phase")?.to_string(),
-            },
-            "PhaseEnd" => TraceEvent::PhaseEnd {
-                cycle: get_u64(p, "cycle")?,
-                phase: get_str(p, "phase")?.to_string(),
-            },
-            "DeviceSelected" => TraceEvent::DeviceSelected {
-                cycle: get_u64(p, "cycle")?,
-                device: get_u64(p, "device")?,
-                cohort: get_u64(p, "cohort")?,
-            },
-            "BroadcastSent" => TraceEvent::BroadcastSent {
-                cycle: get_u64(p, "cycle")?,
-                devices: get_u64(p, "devices")?,
-            },
-            "MaskIssued" => TraceEvent::MaskIssued {
-                cycle: get_u64(p, "cycle")?,
-                device: get_u64(p, "device")?,
-                active_units: get_u64(p, "active_units")?,
-                total_units: get_u64(p, "total_units")?,
-            },
-            "TrainDone" => TraceEvent::TrainDone {
-                device: get_u64(p, "device")?,
-                compute_s: get_f64(p, "compute_s")?,
-            },
-            "FrameSent" => TraceEvent::FrameSent {
-                device: get_u64(p, "device")?,
-                dir: Dir::parse(get_str(p, "dir")?)?,
-                bytes: get_u64(p, "bytes")?,
-                attempt: get_u64(p, "attempt")?,
-                mode: get_opt_str(p, "mode")?,
-            },
-            "FrameDropped" => TraceEvent::FrameDropped {
-                device: get_u64(p, "device")?,
-                attempt: get_u64(p, "attempt")?,
-            },
-            "FrameCorrupted" => TraceEvent::FrameCorrupted {
-                device: get_u64(p, "device")?,
-                attempt: get_u64(p, "attempt")?,
-            },
-            "Retry" => TraceEvent::Retry {
-                device: get_u64(p, "device")?,
-                attempt: get_u64(p, "attempt")?,
-                backoff_s: get_f64(p, "backoff_s")?,
-            },
-            "Delivered" => TraceEvent::Delivered {
-                device: get_u64(p, "device")?,
-                bytes: get_u64(p, "bytes")?,
-                attempts: get_u64(p, "attempts")?,
-                elapsed_s: get_f64(p, "elapsed_s")?,
-            },
-            "SendFailed" => TraceEvent::SendFailed {
-                device: get_u64(p, "device")?,
-                attempts: get_u64(p, "attempts")?,
-                elapsed_s: get_f64(p, "elapsed_s")?,
-            },
-            "Timeout" => TraceEvent::Timeout {
-                device: get_u64(p, "device")?,
-            },
-            "UpdateAggregated" => TraceEvent::UpdateAggregated {
-                cycle: get_u64(p, "cycle")?,
-                device: get_u64(p, "device")?,
-            },
-            "SkipSettled" => TraceEvent::SkipSettled {
-                cycle: get_u64(p, "cycle")?,
-                device: get_u64(p, "device")?,
-                delivered: get_bool(p, "delivered")?,
-            },
-            "EvalDone" => TraceEvent::EvalDone {
-                cycle: get_u64(p, "cycle")?,
-                loss: get_f64(p, "loss")?,
-                accuracy: get_f64(p, "accuracy")?,
-            },
-            "RoundEnd" => TraceEvent::RoundEnd {
-                cycle: get_u64(p, "cycle")?,
-                span_s: get_f64(p, "span_s")?,
-                train_s: get_f64(p, "train_s")?,
-                comm_s: get_f64(p, "comm_s")?,
-                aggregated: get_u64(p, "aggregated")?,
-                missed: get_u64(p, "missed")?,
-            },
-            "DeviceJoined" => TraceEvent::DeviceJoined {
-                device: get_u64(p, "device")?,
-            },
-            "ScenarioEvent" => TraceEvent::ScenarioEvent {
-                cycle: get_u64(p, "cycle")?,
-                kind: get_str(p, "kind")?.to_string(),
-                device: get_opt_u64(p, "device")?,
-                value: get_f64(p, "value")?,
-            },
-            other => return Err(de::Error::custom(format!("unknown event type `{other}`"))),
-        })
-    }
-}
-
-impl Serialize for TraceRecord {
-    /// Flat object: the timestamp rides first (`"t"`), then the event's
-    /// own fields — `{"t":1.5,"type":"Timeout","device":2}`.
-    fn to_value(&self) -> Value {
-        let mut pairs = vec![("t".to_string(), Value::Float(self.t))];
-        if let Value::Map(event_pairs) = self.event.to_value() {
-            pairs.extend(event_pairs);
-        }
-        Value::Map(pairs)
-    }
-}
-
-impl Deserialize for TraceRecord {
-    fn from_value(v: &Value) -> Result<Self, de::Error> {
-        let Value::Map(pairs) = v else {
-            return Err(de::Error::custom("trace record is not an object"));
-        };
-        let t = get_f64(pairs, "t")?;
-        Ok(TraceRecord {
-            t,
-            event: TraceEvent::from_value(v)?,
-        })
-    }
 }
 
 #[cfg(test)]

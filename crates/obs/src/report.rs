@@ -228,11 +228,12 @@ pub fn validate(records: &[TraceRecord]) -> Result<(), String> {
     }
 
     // 5. Scenario events carry a known kind and a finite value.
-    const SCENARIO_KINDS: [&str; 6] = [
+    const SCENARIO_KINDS: [&str; 7] = [
         "join",
         "leave",
         "return",
         "throttle",
+        "outage",
         "drift_label_rotate",
         "drift_input_shift",
     ];

@@ -4,7 +4,7 @@ use helios_core::softtrain::{select_layer_mask, SoftTrainer};
 use helios_core::target::{keep_counts, probe_mask};
 use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
-use helios_fl::{aggregate, FlConfig, FlEnv, MaskedUpdate, Strategy, SyncFedAvg};
+use helios_fl::{FlConfig, FlEnv, MaskedUpdate, OnlineAggregator, Strategy, SyncFedAvg};
 use helios_integration::{bitwise_equal, with_threads};
 use helios_nn::models::ModelKind;
 use helios_nn::{models, MaskableUnits, ModelMask, NeuronId};
@@ -41,7 +41,9 @@ proptest! {
             })
             .collect();
         let mut global = base.clone();
-        aggregate(&mut global, &updates);
+        let mut acc = OnlineAggregator::new(n);
+        updates.iter().for_each(|u| acc.push(u));
+        acc.finish_into(&mut global);
         for (g, b) in global.iter().zip(&base) {
             prop_assert!((g - b).abs() < 1e-5);
         }
@@ -69,7 +71,9 @@ proptest! {
             })
             .collect();
         let mut global = prev.clone();
-        aggregate(&mut global, &updates);
+        let mut acc = OnlineAggregator::new(n);
+        updates.iter().for_each(|u| acc.push(u));
+        acc.finish_into(&mut global);
         for i in 0..n {
             let mut lo = prev[i];
             let mut hi = prev[i];

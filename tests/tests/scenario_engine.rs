@@ -152,8 +152,9 @@ fn link_outage_window_blacks_out_device_then_restores() {
     // The trace carries one targeted `outage` event per blacked-out
     // cycle — at cycles 1 and 2 and nowhere else.
     let text = String::from_utf8(reference.clone()).expect("utf8");
-    let outage_cycles: Vec<u64> = helios_obs::parse_jsonl(&text)
-        .expect("trace parses")
+    let records = helios_obs::parse_jsonl(&text).expect("trace parses");
+    helios_obs::report::validate(&records).expect("outage trace validates");
+    let outage_cycles: Vec<u64> = records
         .iter()
         .filter_map(|r| match &r.event {
             TraceEvent::ScenarioEvent {

@@ -13,10 +13,9 @@ use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
 use helios_fl::{FaultConfig, FlConfig, FlEnv, LinkProfile, NetConfig, Strategy};
 use helios_integration::SharedBuf;
-use helios_net::transport::Direction;
 use helios_net::{codec, SimTransport};
 use helios_nn::models::ModelKind;
-use helios_obs::{chrome_trace, RingBufferSink, TraceEvent};
+use helios_obs::{chrome_trace, Dir, RingBufferSink, TraceEvent};
 use helios_tensor::{ParallelismConfig, TensorRng};
 use proptest::prelude::*;
 
@@ -215,7 +214,7 @@ proptest! {
         let mut transport = SimTransport::new(2, &cfg, seed).expect("transport");
         let frame = codec::encode_full(0, 0, &[1.0, 2.0, 3.0, 4.0]).expect("frame");
         for i in 0..frames {
-            let dir = if i % 2 == 0 { Direction::Upload } else { Direction::Download };
+            let dir = if i % 2 == 0 { Dir::Up } else { Dir::Down };
             transport.transmit(i % 2, &frame, dir).expect("transmit");
         }
         drop(handle);
