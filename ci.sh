@@ -112,15 +112,13 @@ fi
 
 step "one mask type (non-test code of crates/*/src: no Vec<bool> or [bool])"
 # Unit and parameter masks are `UnitMask` bit-words from soft-training
-# selection to aggregation, stored the way the wire stores them. The two
-# ReLU activation-sign caches are per activation, not per unit, and are
-# allowed by name.
+# selection to aggregation, stored the way the wire stores them; so are
+# the ReLU and residual activation-sign caches.
 find crates/*/src -name '*.rs' -print0 | sort -z |
     xargs -0 awk '
         FNR == 1 { in_tests = 0 }
         /#\[cfg\(test\)\]/ { in_tests = 1 }
-        !in_tests && /(Vec<bool>|\[bool\])/ &&
-            !/^ *(cached_positive|cached_sum_positive): Option<Vec<bool>>,$/ {
+        !in_tests && /(Vec<bool>|\[bool\])/ {
             printf "%s:%d: %s\n", FILENAME, FNR, $0
             bad = 1
         }
@@ -172,13 +170,15 @@ cargo build --release --workspace
 step "cargo test -q"
 cargo test -q --workspace
 
-step "kernel parity under release codegen (helios-tensor unit tests, gemm_parity, parallel_parity)"
+step "kernel parity under release codegen (helios-tensor and helios-nn unit tests, gemm_parity, parallel_parity)"
 # The test profile builds at opt-level 1, where the microkernels may not
 # vectorize; the benchmark times opt-level 3. These suites pin the
-# kernels bitwise against their oracles, so they run again on the code
-# the benchmark runs. Named targets only: helios-integration's lib tests
-# check debug assertions, which release turns off.
+# kernels, packed execution and inference bitwise against their
+# oracles, so they run again on the code the benchmark runs. Named
+# targets only: helios-integration's lib tests check debug assertions,
+# which release turns off.
 cargo test -q --release -p helios-tensor --lib
+cargo test -q --release -p helios-nn --lib
 cargo test -q --release -p helios-integration --test gemm_parity --test parallel_parity
 
 step "thread-scoped state: tracing and counting tests at one test thread and eight"

@@ -10,7 +10,7 @@ use helios_device::{ResourceProfile, SimClock, SimTime};
 use helios_net::SimTransport;
 use helios_nn::models::ModelKind;
 use helios_nn::{CrossEntropyLoss, Network};
-use helios_tensor::{map_items_mut, TensorRng};
+use helios_tensor::{map_indexed, map_items_mut, TensorRng};
 use std::collections::{HashMap, HashSet};
 
 /// The full experimental setup: a fleet of [`Client`]s, the held-out test
@@ -439,28 +439,48 @@ impl FlEnv {
         self.clock.advance(span);
     }
 
-    /// Evaluates the current global model on the held-out test set.
+    /// Evaluates the current global model on the held-out test set and
+    /// returns `(loss, accuracy)`.
+    ///
+    /// The test set is cut, in order, into batches of
+    /// [`FlConfig::eval_batch`] samples, the last one possibly partial.
+    /// `loss` is the mean over those batches of each batch's mean
+    /// cross-entropy, so the partial batch weighs as much as a full one;
+    /// `accuracy` is the fraction of all test samples classified
+    /// correctly. The batches run inference-only ([`Network::infer`]) in
+    /// parallel within [`FlConfig::parallelism`]'s budget, and their
+    /// losses and counts are summed serially in batch order, so the
+    /// result is bitwise the same at any thread count.
     ///
     /// # Errors
     ///
     /// Propagates model errors (impossible under normal use).
     pub fn evaluate_global(&mut self) -> Result<(f64, f64)> {
-        // The run's parallelism budget also governs evaluation kernels.
-        let _guard = self.config.parallelism.scoped();
         self.eval_net.set_param_vector(&self.global)?;
         self.eval_net.clear_masks();
-        let loss_fn = CrossEntropyLoss::new();
-        let mut correct = 0usize;
-        let mut loss_sum = 0.0f64;
-        let mut batches = 0usize;
-        for (x, y) in self.test_set.batches(self.config.eval_batch) {
-            let logits = self.eval_net.forward(&x)?;
-            loss_sum += loss_fn.forward(&logits, &y)? as f64;
+        let (net, test, batch) = (&self.eval_net, &self.test_set, self.config.eval_batch);
+        let batches = test.len().div_ceil(batch);
+        let threads = self.config.parallelism.resolve();
+        let per_batch = map_indexed(batches, threads, |b| -> Result<(f64, usize)> {
+            let idx: Vec<usize> = (b * batch..test.len().min((b + 1) * batch)).collect();
+            let part = test.subset(&idx)?;
+            let logits = net.infer(part.images())?;
+            let loss = CrossEntropyLoss::new().forward(&logits, part.labels())?;
             let pred = logits.argmax_rows().map_err(helios_nn::NnError::from)?;
-            correct += pred.iter().zip(&y).filter(|(p, l)| p == l).count();
-            batches += 1;
+            let correct = pred
+                .iter()
+                .zip(part.labels())
+                .filter(|(p, l)| p == l)
+                .count();
+            Ok((f64::from(loss), correct))
+        });
+        let (mut loss_sum, mut correct) = (0.0f64, 0usize);
+        for r in per_batch {
+            let (loss, hits) = r?;
+            loss_sum += loss;
+            correct += hits;
         }
-        let n = self.test_set.len().max(1);
+        let n = test.len().max(1);
         Ok((loss_sum / batches.max(1) as f64, correct as f64 / n as f64))
     }
 }
@@ -498,6 +518,34 @@ mod tests {
 
     fn small_env(seed: u64) -> FlEnv {
         small_env_with(seed, NetConfig::default())
+    }
+
+    /// `evaluate_global` against the serial loop it replaced (training
+    /// forward per batch, summed as it goes) over six batches, the last
+    /// one partial: bitwise the same `(loss, accuracy)` at every thread
+    /// budget.
+    #[test]
+    fn evaluate_global_is_the_serial_loop_at_every_thread_budget() {
+        let mut env = small_env(3);
+        env.config.eval_batch = 7;
+        let mut net = env.eval_net.clone();
+        net.set_param_vector(&env.global).unwrap();
+        let (mut loss_sum, mut correct, mut batches) = (0.0f64, 0usize, 0usize);
+        for (x, y) in env.test_set.batches(7) {
+            let logits = net.forward(&x).unwrap();
+            loss_sum += f64::from(CrossEntropyLoss::new().forward(&logits, &y).unwrap());
+            let pred = logits.argmax_rows().unwrap();
+            correct += pred.iter().zip(&y).filter(|(p, l)| p == l).count();
+            batches += 1;
+        }
+        assert_eq!((batches, env.test_set.len()), (6, 40));
+        let want = (loss_sum / 6.0, correct as f64 / 40.0);
+        let bits = |(l, a): (f64, f64)| (l.to_bits(), a.to_bits());
+        for threads in [1, 2, 4, 8] {
+            env.config.parallelism = helios_tensor::ParallelismConfig::with_threads(threads);
+            let got = env.evaluate_global().unwrap();
+            assert_eq!(bits(got), bits(want), "{threads} threads");
+        }
     }
 
     #[test]

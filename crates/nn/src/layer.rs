@@ -1,8 +1,11 @@
 //! The [`Layer`] enum: closed set of layer kinds with static dispatch.
 
-use crate::layers::{AvgPool2d, Conv2d, Dense, Flatten, MaskedCore, MaxPool2d, Relu, Residual};
+use crate::layers::{
+    relu, AvgPool2d, Conv2d, Dense, Flatten, MaskedCore, MaxPool2d, Relu, Residual,
+};
 use crate::Result;
 use helios_tensor::{Tensor, UnitMask};
+use std::borrow::Cow;
 
 /// A single network layer.
 ///
@@ -30,31 +33,52 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Runs the forward pass, caching whatever backward needs.
+    /// Runs the forward pass, caching whatever backward needs. A layer
+    /// that keeps its input, or can compute in its buffer, takes `x` over
+    /// when it is owned and copies it only when it is borrowed.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the underlying tensor operations.
-    pub(crate) fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
+    pub(crate) fn forward(&mut self, x: Cow<'_, Tensor>) -> Result<Tensor> {
         match self {
             Layer::Dense(l) => l.forward(x),
             Layer::Conv2d(l) => l.forward(x),
             Layer::Relu(l) => l.forward(x),
-            Layer::MaxPool2d(l) => l.forward(x),
-            Layer::AvgPool2d(l) => l.forward(x),
+            Layer::MaxPool2d(l) => l.forward(&x),
+            Layer::AvgPool2d(l) => l.forward(&x),
             Layer::Flatten(l) => l.forward(x),
             Layer::Residual(l) => l.forward(x),
         }
     }
 
+    /// The forward pass for inference: the output [`Layer::forward`]
+    /// returns, bit for bit, with nothing cached.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from the underlying tensor operations.
+    pub(crate) fn infer(&self, x: Cow<'_, Tensor>) -> Result<Tensor> {
+        match self {
+            Layer::Dense(l) => l.infer(&x),
+            Layer::Conv2d(l) => l.infer(&x),
+            Layer::Relu(_) => Ok(relu(x)),
+            Layer::MaxPool2d(l) => l.infer(&x),
+            Layer::AvgPool2d(l) => l.infer(&x),
+            Layer::Flatten(_) => Flatten::infer(x),
+            Layer::Residual(l) => l.infer(&x),
+        }
+    }
+
     /// Runs the backward pass, accumulating parameter gradients and
-    /// returning the gradient with respect to the layer input.
+    /// returning the gradient with respect to the layer input, computed
+    /// in `grad_out`'s buffer where the layer can.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError::BackwardBeforeForward`] when no forward
     /// state is cached, and propagates tensor shape errors.
-    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    pub(crate) fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
         match self {
             Layer::Dense(l) => l.backward(grad_out),
             Layer::Conv2d(l) => l.backward(grad_out),

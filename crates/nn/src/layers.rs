@@ -12,9 +12,9 @@
 use crate::{NnError, Result};
 use helios_tensor::{
     avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward_packed, gather_channels, gather_elems,
-    gather_rows_cols, he_normal, max_pool2d, max_pool2d_backward, scatter_add_elems,
-    scatter_add_rows_cols, scatter_channels, scatter_cols, xavier_uniform, ConvSpec, PoolIndices,
-    PoolSpec, Tensor, TensorError, TensorRng, UnitMask,
+    gather_rows_cols, he_normal, max_pool2d, max_pool2d_backward, max_pool2d_values,
+    scatter_add_elems, scatter_add_rows_cols, scatter_channels, scatter_cols, xavier_uniform,
+    ConvSpec, PoolIndices, PoolSpec, Tensor, TensorError, TensorRng, UnitMask,
 };
 use std::borrow::Cow;
 
@@ -252,10 +252,11 @@ impl MaskedCore {
     /// `x` hold exact zeros, which the kernel would have skipped
     /// term-by-term, so dropping them preserves every accumulation
     /// order. Without a plan it runs full-width and the masked units are
-    /// zeroed.
+    /// zeroed. The core keeps `x` for backward, copying it only when
+    /// borrowed.
     fn forward(
         &mut self,
-        x: &Tensor,
+        x: Cow<'_, Tensor>,
         gather: Gather,
         scatter: Scatter,
         kernel: impl FnOnce(&Tensor, &Tensor, &Tensor) -> Result<Tensor>,
@@ -264,7 +265,7 @@ impl MaskedCore {
         let y = match &self.plan {
             Some(plan) => {
                 let out_idx = plan.out_idx.as_deref();
-                let x_p = gathered(x, plan.in_idx.as_deref(), gather)?;
+                let x_p = gathered(&x, plan.in_idx.as_deref(), gather)?;
                 let [rows, cols] = plan.weight_grid(self.unit_axis);
                 let w_p = gather_rows_cols(&self.weight, rows, cols)?;
                 let b_p = gathered(&self.bias, out_idx, gather_elems)?;
@@ -274,13 +275,22 @@ impl MaskedCore {
                     None => y_p,
                 }
             }
-            None => {
-                let mut y = kernel(x, &self.weight, &self.bias)?;
-                self.zero_masked(&mut y);
-                y
-            }
+            None => self.infer(&x, kernel)?,
         };
-        self.cached_input = Some(x.clone());
+        self.cached_input = Some(x.into_owned());
+        Ok(y)
+    }
+
+    /// The full-width forward pass alone, caching nothing: `kernel` over
+    /// the whole weight, then the masked units zeroed. Bitwise what
+    /// [`MaskedCore::forward`] computes with or without a plan.
+    fn infer(
+        &self,
+        x: &Tensor,
+        kernel: impl FnOnce(&Tensor, &Tensor, &Tensor) -> Result<Tensor>,
+    ) -> Result<Tensor> {
+        let mut y = kernel(x, &self.weight, &self.bias)?;
+        self.zero_masked(&mut y);
         Ok(y)
     }
 
@@ -296,7 +306,7 @@ impl MaskedCore {
     /// same GEMM terms the full-width kernel would have used.
     fn backward(
         &mut self,
-        grad_out: &Tensor,
+        grad_out: Tensor,
         layer: &'static str,
         gather: Gather,
         kernel: impl FnOnce(&Tensor, &Tensor, &Tensor, Accumulate<'_>) -> Result<Tensor>,
@@ -309,7 +319,7 @@ impl MaskedCore {
         let (g, x, w) = match &self.plan {
             Some(plan) => {
                 let out_idx = plan.out_idx.as_deref();
-                let g_p = gathered(grad_out, out_idx, gather)?;
+                let g_p = gathered(&grad_out, out_idx, gather)?;
                 let x_p = gathered(x, plan.in_idx.as_deref(), gather)?;
                 let mut grid = [None; 2];
                 grid[self.unit_axis] = out_idx;
@@ -320,7 +330,7 @@ impl MaskedCore {
                 (g_p, x_p, w_rows)
             }
             None => {
-                let mut g = grad_out.clone();
+                let mut g = grad_out;
                 self.zero_masked(&mut g);
                 (Cow::Owned(g), Cow::Borrowed(x), Cow::Borrowed(&self.weight))
             }
@@ -410,17 +420,19 @@ impl Dense {
         self.core.units()
     }
 
-    pub(crate) fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
+    pub(crate) fn forward(&mut self, x: Cow<'_, Tensor>) -> Result<Tensor> {
         self.core
-            .forward(x, dense_columns, scatter_cols, |x, w, b| {
-                Ok(x.matmul(w)?.add_row_broadcast(b)?)
-            })
+            .forward(x, dense_columns, scatter_cols, dense_kernel)
+    }
+
+    pub(crate) fn infer(&self, x: &Tensor) -> Result<Tensor> {
+        self.core.infer(x, dense_kernel)
     }
 
     /// dW = xᵀ·g and dX = g·Wᵀ via the transposed-operand GEMM entry
     /// points: the kernel reads `x` and the weight where they lie, no
     /// materialized `transpose()` copies on the training path.
-    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    pub(crate) fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
         self.core
             .backward(grad_out, "Dense", dense_columns, |x, w, g, accumulate| {
                 accumulate(Param::Weight, &x.matmul_tn(g)?)?;
@@ -428,6 +440,11 @@ impl Dense {
                 Ok(g.matmul_nt(w)?)
             })
     }
+}
+
+/// `x · W + b`, the dense layer's computation.
+fn dense_kernel(x: &Tensor, w: &Tensor, b: &Tensor) -> Result<Tensor> {
+    Ok(x.matmul(w)?.add_row_broadcast(b)?)
 }
 
 /// The columns `idx` of a `[N, features]` activation.
@@ -466,26 +483,24 @@ impl Conv2d {
         &self.spec
     }
 
-    pub(crate) fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
+    pub(crate) fn forward(&mut self, x: Cow<'_, Tensor>) -> Result<Tensor> {
         let spec = self.spec;
         self.core
             .forward(x, gather_channels, scatter_channels, |x, w, b| {
-                // The geometry of `w`, the whole weight or its packed
-                // sub-grid of active rows and channel blocks.
-                let packed = ConvSpec {
-                    in_channels: w.dims()[1] / (spec.kernel * spec.kernel),
-                    out_channels: w.dims()[0],
-                    ..spec
-                };
-                Ok(conv2d(x, w, b, &packed)?)
+                conv_kernel(&spec, x, w, b)
             })
+    }
+
+    pub(crate) fn infer(&self, x: &Tensor) -> Result<Tensor> {
+        self.core
+            .infer(x, |x, w, b| conv_kernel(&self.spec, x, w, b))
     }
 
     /// [`conv2d_backward_packed`] keeps the weight's input-column axis
     /// whole so `grad_input` comes back full-shape and bit-exact. With
     /// full-width operands it runs the same body as `conv2d_backward`,
     /// so one call serves the packed and the full-width branch.
-    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    pub(crate) fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
         let spec = self.spec;
         self.core.backward(
             grad_out,
@@ -501,6 +516,17 @@ impl Conv2d {
     }
 }
 
+/// The convolution of `spec` with the geometry of `w`, the whole weight
+/// or its packed sub-grid of active rows and channel blocks.
+fn conv_kernel(spec: &ConvSpec, x: &Tensor, w: &Tensor, b: &Tensor) -> Result<Tensor> {
+    let packed = ConvSpec {
+        in_channels: w.dims()[1] / (spec.kernel * spec.kernel),
+        out_channels: w.dims()[0],
+        ..*spec
+    };
+    Ok(conv2d(x, w, b, &packed)?)
+}
+
 // ---------------------------------------------------------------------------
 // Relu
 // ---------------------------------------------------------------------------
@@ -508,7 +534,8 @@ impl Conv2d {
 /// Rectified linear activation, `max(0, x)`, applied elementwise.
 #[derive(Debug, Clone, Default)]
 pub struct Relu {
-    cached_positive: Option<Vec<bool>>,
+    /// One bit per input element: whether it was positive.
+    cached_positive: Option<UnitMask>,
 }
 
 impl Relu {
@@ -517,24 +544,39 @@ impl Relu {
         Relu::default()
     }
 
-    pub(crate) fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        self.cached_positive = Some(x.as_slice().iter().map(|&v| v > 0.0).collect());
-        Ok(x.map(|v| v.max(0.0)))
+    pub(crate) fn forward(&mut self, x: Cow<'_, Tensor>) -> Result<Tensor> {
+        self.cached_positive = Some(positive(&x));
+        Ok(relu(x))
     }
 
-    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    pub(crate) fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
         let pos = self
             .cached_positive
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "Relu" })?;
-        let mut g = grad_out.clone();
-        for (v, &p) in g.as_mut_slice().iter_mut().zip(pos) {
-            if !p {
-                *v = 0.0;
-            }
-        }
-        Ok(g)
+        Ok(pass_positive(grad_out, pos))
     }
+}
+
+/// `max(0, x)` elementwise, in `x`'s own buffer when it is owned.
+pub(crate) fn relu(x: Cow<'_, Tensor>) -> Tensor {
+    let mut y = x.into_owned();
+    for v in y.as_mut_slice() {
+        *v = v.max(0.0);
+    }
+    y
+}
+
+/// The sign cache of a ReLU over `x`: which elements are positive.
+fn positive(x: &Tensor) -> UnitMask {
+    UnitMask::from_values(x.as_slice(), |v| v > 0.0)
+}
+
+/// `grad_out` with exact `+0.0` wherever the ReLU input was not
+/// positive, other bits unchanged.
+fn pass_positive(mut grad_out: Tensor, positive: &UnitMask) -> Tensor {
+    positive.zero_inactive(grad_out.as_mut_slice());
+    grad_out
 }
 
 // ---------------------------------------------------------------------------
@@ -568,12 +610,16 @@ impl MaxPool2d {
         Ok(y)
     }
 
-    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    pub(crate) fn infer(&self, x: &Tensor) -> Result<Tensor> {
+        Ok(max_pool2d_values(x, &self.spec)?)
+    }
+
+    pub(crate) fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
         let idx = self
             .cached_indices
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "MaxPool2d" })?;
-        Ok(max_pool2d_backward(grad_out, idx)?)
+        Ok(max_pool2d_backward(&grad_out, idx)?)
     }
 }
 
@@ -600,15 +646,19 @@ impl AvgPool2d {
 
     pub(crate) fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
         self.cached_input_dims = Some(x.dims().to_vec());
+        self.infer(x)
+    }
+
+    pub(crate) fn infer(&self, x: &Tensor) -> Result<Tensor> {
         Ok(avg_pool2d(x, &self.spec)?)
     }
 
-    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    pub(crate) fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
         let dims = self
             .cached_input_dims
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "AvgPool2d" })?;
-        Ok(avg_pool2d_backward(grad_out, &self.spec, dims)?)
+        Ok(avg_pool2d_backward(&grad_out, &self.spec, dims)?)
     }
 }
 
@@ -629,15 +679,18 @@ impl Flatten {
         Flatten::default()
     }
 
-    pub(crate) fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        let dims = x.dims().to_vec();
-        let n = dims[0];
-        let rest: usize = dims[1..].iter().product();
-        self.cached_dims = Some(dims);
-        Ok(x.reshape(&[n, rest])?)
+    pub(crate) fn forward(&mut self, x: Cow<'_, Tensor>) -> Result<Tensor> {
+        self.cached_dims = Some(x.dims().to_vec());
+        Flatten::infer(x)
     }
 
-    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    /// The flattened `x`, in `x`'s own buffer when it is owned.
+    pub(crate) fn infer(x: Cow<'_, Tensor>) -> Result<Tensor> {
+        let dims = [x.dims()[0], x.dims()[1..].iter().product()];
+        Ok(x.into_owned().reshape(&dims)?)
+    }
+
+    pub(crate) fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
         let dims = self
             .cached_dims
             .as_ref()
@@ -660,7 +713,8 @@ impl Flatten {
 pub struct Residual {
     body: Vec<crate::Layer>,
     shortcut: Option<Box<Conv2d>>,
-    cached_sum_positive: Option<Vec<bool>>,
+    /// One bit per element of the residual sum: whether it was positive.
+    cached_sum_positive: Option<UnitMask>,
 }
 
 impl Residual {
@@ -704,40 +758,45 @@ impl Residual {
         self.shortcut.as_deref_mut()
     }
 
-    pub(crate) fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        let mut h = x.clone();
+    pub(crate) fn forward(&mut self, x: Cow<'_, Tensor>) -> Result<Tensor> {
+        let mut h = Cow::Borrowed(&*x);
         for layer in &mut self.body {
-            h = layer.forward(&h)?;
+            h = Cow::Owned(layer.forward(h)?);
         }
-        let s = match &mut self.shortcut {
-            Some(conv) => conv.forward(x)?,
-            None => x.clone(),
+        let sum = match &mut self.shortcut {
+            Some(conv) => h.add(&conv.forward(Cow::Borrowed(&x))?)?,
+            None => h.add(&x)?,
         };
-        let sum = h.add(&s)?;
-        self.cached_sum_positive = Some(sum.as_slice().iter().map(|&v| v > 0.0).collect());
-        Ok(sum.map(|v| v.max(0.0)))
+        self.cached_sum_positive = Some(positive(&sum));
+        Ok(relu(Cow::Owned(sum)))
     }
 
-    pub(crate) fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    pub(crate) fn infer(&self, x: &Tensor) -> Result<Tensor> {
+        let mut h = Cow::Borrowed(x);
+        for layer in &self.body {
+            h = Cow::Owned(layer.infer(h)?);
+        }
+        let sum = match &self.shortcut {
+            Some(conv) => h.add(&conv.infer(x)?)?,
+            None => h.add(x)?,
+        };
+        Ok(relu(Cow::Owned(sum)))
+    }
+
+    pub(crate) fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
         let pos = self
             .cached_sum_positive
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "Residual" })?;
-        let mut g = grad_out.clone();
-        for (v, &p) in g.as_mut_slice().iter_mut().zip(pos) {
-            if !p {
-                *v = 0.0;
-            }
-        }
+        let g = pass_positive(grad_out, pos);
         let mut gb = g.clone();
         for layer in self.body.iter_mut().rev() {
-            gb = layer.backward(&gb)?;
+            gb = layer.backward(gb)?;
         }
-        let gs = match &mut self.shortcut {
-            Some(conv) => conv.backward(&g)?,
-            None => g,
-        };
-        Ok(gb.add(&gs)?)
+        Ok(match &mut self.shortcut {
+            Some(conv) => gb.add(&conv.backward(g)?)?,
+            None => gb.add(&g)?,
+        })
     }
 }
 
@@ -768,7 +827,7 @@ mod tests {
         d.core.weight = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
         d.core.bias = Tensor::from_vec(vec![0.5, -0.5], &[2]).unwrap();
         let x = Tensor::from_vec(vec![1.0, 1.0], &[1, 2]).unwrap();
-        let y = d.forward(&x).unwrap();
+        let y = d.forward(Cow::Borrowed(&x)).unwrap();
         // [1*1+1*3+0.5, 1*2+1*4-0.5] = [4.5, 5.5]
         assert_eq!(y.as_slice(), &[4.5, 5.5]);
     }
@@ -779,13 +838,13 @@ mod tests {
         d.core
             .set_unit_mask(Some((0..4).map(|j| j % 2 == 0).collect()));
         let x = Tensor::full(&[2, 3], 1.0);
-        let y = d.forward(&x).unwrap();
+        let y = d.forward(Cow::Borrowed(&x)).unwrap();
         for i in 0..2 {
             assert_eq!(y.get(&[i, 1]).unwrap(), 0.0);
             assert_eq!(y.get(&[i, 3]).unwrap(), 0.0);
         }
         // Backward: masked units accumulate zero gradient.
-        d.backward(&Tensor::full(&[2, 4], 1.0)).unwrap();
+        d.backward(Tensor::full(&[2, 4], 1.0)).unwrap();
         for k in 0..3 {
             assert_eq!(d.core.grad_weight.get(&[k, 1]).unwrap(), 0.0);
             assert_ne!(d.core.grad_weight.get(&[k, 0]).unwrap(), 0.0);
@@ -807,7 +866,7 @@ mod tests {
     fn dense_backward_before_forward_errors() {
         let mut d = Dense::new(2, 2, &mut rng());
         assert!(matches!(
-            d.backward(&Tensor::full(&[1, 2], 1.0)),
+            d.backward(Tensor::full(&[1, 2], 1.0)),
             Err(NnError::BackwardBeforeForward { .. })
         ));
     }
@@ -817,8 +876,8 @@ mod tests {
         let mut d = Dense::new(3, 2, &mut rng());
         let x = helios_tensor::uniform_init(&[4, 3], -1.0, 1.0, &mut rng());
         // Loss = sum of outputs.
-        let _ = d.forward(&x).unwrap();
-        let gin = d.backward(&Tensor::full(&[4, 2], 1.0)).unwrap();
+        let _ = d.forward(Cow::Borrowed(&x)).unwrap();
+        let gin = d.backward(Tensor::full(&[4, 2], 1.0)).unwrap();
         let eps = 1e-3f32;
         // Weight gradient check.
         for &i in &[0usize, 3, 5] {
@@ -826,7 +885,9 @@ mod tests {
             dp.core.weight.as_mut_slice()[i] += eps;
             let mut dm = d.clone();
             dm.core.weight.as_mut_slice()[i] -= eps;
-            let num = (dp.forward(&x).unwrap().sum() - dm.forward(&x).unwrap().sum()) / (2.0 * eps);
+            let num = (dp.forward(Cow::Borrowed(&x)).unwrap().sum()
+                - dm.forward(Cow::Borrowed(&x)).unwrap().sum())
+                / (2.0 * eps);
             let ana = d.core.grad_weight.as_slice()[i];
             assert!((num - ana).abs() < 1e-2, "weight {i}: {num} vs {ana}");
         }
@@ -842,7 +903,8 @@ mod tests {
         xp.axpy(eps, &dir).unwrap();
         let mut xm = x.clone();
         xm.axpy(-eps, &dir).unwrap();
-        let num = (d.clone().forward(&xp).unwrap().sum() - d.clone().forward(&xm).unwrap().sum())
+        let num = (d.clone().forward(Cow::Borrowed(&xp)).unwrap().sum()
+            - d.clone().forward(Cow::Borrowed(&xm)).unwrap().sum())
             / (2.0 * eps);
         assert!((num - analytic).abs() < 1e-2);
     }
@@ -853,13 +915,13 @@ mod tests {
         let mut c = Conv2d::new(spec, &mut rng());
         c.core.set_unit_mask(Some((0..3).map(|j| j != 1).collect()));
         let x = Tensor::full(&[1, 1, 4, 4], 1.0);
-        let y = c.forward(&x).unwrap();
+        let y = c.forward(Cow::Borrowed(&x)).unwrap();
         for h in 0..4 {
             for w in 0..4 {
                 assert_eq!(y.get(&[0, 1, h, w]).unwrap(), 0.0);
             }
         }
-        c.backward(&Tensor::full(&[1, 3, 4, 4], 1.0)).unwrap();
+        c.backward(Tensor::full(&[1, 3, 4, 4], 1.0)).unwrap();
         // Channel 1's weight row stays untrained.
         for k in 0..9 {
             assert_eq!(c.core.grad_weight.get(&[1, k]).unwrap(), 0.0);
@@ -872,9 +934,9 @@ mod tests {
     fn relu_masks_negative_gradient() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 2.0, 0.0, 3.0], &[1, 4]).unwrap();
-        let y = r.forward(&x).unwrap();
+        let y = r.forward(Cow::Borrowed(&x)).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0, 3.0]);
-        let g = r.backward(&Tensor::full(&[1, 4], 1.0)).unwrap();
+        let g = r.backward(Tensor::full(&[1, 4], 1.0)).unwrap();
         assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -882,9 +944,9 @@ mod tests {
     fn flatten_round_trips_shape() {
         let mut f = Flatten::new();
         let x = Tensor::full(&[2, 3, 4, 4], 1.0);
-        let y = f.forward(&x).unwrap();
+        let y = f.forward(Cow::Borrowed(&x)).unwrap();
         assert_eq!(y.dims(), &[2, 48]);
-        let g = f.backward(&y).unwrap();
+        let g = f.backward(y).unwrap();
         assert_eq!(g.dims(), &[2, 3, 4, 4]);
     }
 
@@ -897,10 +959,10 @@ mod tests {
         conv.core.bias = Tensor::zeros(&[1]);
         let mut block = Residual::new(vec![Layer::Conv2d(conv)]);
         let x = Tensor::full(&[1, 1, 2, 2], 1.5);
-        let y = block.forward(&x).unwrap();
+        let y = block.forward(Cow::Borrowed(&x)).unwrap();
         assert!(y.as_slice().iter().all(|&v| (v - 3.0).abs() < 1e-6));
         // Backward: gradient flows through both paths, so dx = 2·g.
-        let g = block.backward(&Tensor::full(&[1, 1, 2, 2], 1.0)).unwrap();
+        let g = block.backward(Tensor::full(&[1, 1, 2, 2], 1.0)).unwrap();
         assert!(g.as_slice().iter().all(|&v| (v - 2.0).abs() < 1e-6));
     }
 
@@ -915,9 +977,9 @@ mod tests {
         );
         let mut block = block;
         let x = Tensor::full(&[1, 2, 4, 4], 1.0);
-        let y = block.forward(&x).unwrap();
+        let y = block.forward(Cow::Borrowed(&x)).unwrap();
         assert_eq!(y.dims(), &[1, 4, 4, 4]);
-        let g = block.backward(&Tensor::full(&[1, 4, 4, 4], 1.0)).unwrap();
+        let g = block.backward(Tensor::full(&[1, 4, 4, 4], 1.0)).unwrap();
         assert_eq!(g.dims(), &[1, 2, 4, 4]);
     }
 

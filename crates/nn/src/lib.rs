@@ -7,7 +7,8 @@
 //! - a layer zoo ([`Dense`], [`Conv2d`], [`Relu`], [`MaxPool2d`],
 //!   [`AvgPool2d`], [`Flatten`], [`Residual`]) composed into a [`Network`];
 //! - explicit forward/backward passes (no autodiff tape — each layer caches
-//!   what its backward pass needs);
+//!   what its backward pass needs), and an inference pass
+//!   ([`Network::infer`]) that caches nothing;
 //! - **neuron masking**: every parameterized layer treats its output units
 //!   (dense neurons / conv channels) as the paper's "minimum model parameter
 //!   structure" (§V.A) and can exclude any subset from a training cycle,
@@ -85,6 +86,7 @@ mod packed_parity {
     //! oracle never accumulated, in the same order.
 
     use crate::layers::MaskedCore;
+    use crate::models::ModelKind;
     use crate::{
         models, Conv2d, CrossEntropyLoss, Dense, Flatten, Layer, MaxPool2d, ModelMask, Network,
         Relu, Residual, Sgd,
@@ -281,6 +283,38 @@ mod packed_parity {
             install(&mut packed, Some(&mask), false);
             let got = with_threads(threads, || train_twice(&mut packed, &x, &labels));
             assert_eq!(got, baseline, "packed run at {threads} threads diverged");
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Inference is the training forward pass without its caches: for
+    /// every zoo model, masked (packed forward against full-width,
+    /// zeroing inference) and cleared, `infer` returns `forward`'s logits
+    /// bit for bit at every thread width.
+    #[test]
+    fn infer_is_bitwise_forward_for_every_model_masked_and_cleared() {
+        for kind in [ModelKind::LeNet, ModelKind::AlexNet, ModelKind::ResNet18] {
+            let mut rng = TensorRng::seed_from(31);
+            let net = kind.build(10, &mut rng);
+            let [c, h, w] = kind.input_dims();
+            let x = uniform_init(&[3, c, h, w], -1.0, 1.0, &mut rng);
+            let mask = leading_units_mask(&mut net.clone(), 0.5);
+            for masked in [false, true] {
+                let mut net = net.clone();
+                install(&mut net, masked.then_some(&mask), false);
+                let want = bits(&with_threads(1, || net.forward(&x)).expect("forward"));
+                for threads in [1, 2, 4, 8] {
+                    let got = with_threads(threads, || net.infer(&x)).expect("infer");
+                    assert_eq!(
+                        bits(&got),
+                        want,
+                        "{kind} masked={masked} at {threads} threads"
+                    );
+                }
+            }
         }
     }
 

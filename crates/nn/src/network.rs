@@ -6,6 +6,7 @@ use crate::layers::MaskedCore;
 use crate::{NnError, Result};
 use helios_tensor::{Tensor, UnitMask};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Number of output units of each maskable layer of a network, in
 /// canonical walk order.
@@ -262,12 +263,30 @@ impl Network {
     /// Propagates tensor shape errors.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
         crate::profiler::timed(crate::profiler::Hotpath::Forward, || {
-            let mut h = x.clone();
+            let mut h = Cow::Borrowed(x);
             for layer in &mut self.layers {
-                h = layer.forward(&h)?;
+                h = Cow::Owned(layer.forward(h)?);
             }
-            Ok(h)
+            Ok(h.into_owned())
         })
+    }
+
+    /// Forward pass for inference: the logits [`Network::forward`] would
+    /// return, bit for bit, with nothing cached for a backward pass (no
+    /// layer inputs, ReLU signs or pooling indices). Masked layers run
+    /// full-width and zero their masked units, which is bitwise what
+    /// packed execution computes. It takes `&self`, so one network can
+    /// serve several threads at once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor shape errors.
+    pub fn infer(&self, x: &Tensor) -> Result<Tensor> {
+        let mut h = Cow::Borrowed(x);
+        for layer in &self.layers {
+            h = Cow::Owned(layer.infer(h)?);
+        }
+        Ok(h.into_owned())
     }
 
     /// Backward pass from the loss gradient at the logits.
@@ -280,7 +299,7 @@ impl Network {
         crate::profiler::timed(crate::profiler::Hotpath::Backward, || {
             let mut g = grad_logits.clone();
             for layer in self.layers.iter_mut().rev() {
-                g = layer.backward(&g)?;
+                g = layer.backward(g)?;
             }
             Ok(())
         })
@@ -425,8 +444,8 @@ impl Network {
     ///
     /// Returns [`NnError::BatchMismatch`] when `labels.len()` differs from
     /// the batch size, and propagates forward-pass errors.
-    pub fn accuracy(&mut self, x: &Tensor, labels: &[usize]) -> Result<f64> {
-        let logits = self.forward(x)?;
+    pub fn accuracy(&self, x: &Tensor, labels: &[usize]) -> Result<f64> {
+        let logits = self.infer(x)?;
         if logits.dims()[0] != labels.len() {
             return Err(NnError::BatchMismatch {
                 logits: logits.dims()[0],

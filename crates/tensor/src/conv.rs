@@ -648,7 +648,10 @@ pub struct PoolIndices {
 /// Max pooling forward pass on a `[N, C, H, W]` tensor.
 ///
 /// Returns the pooled tensor and the argmax indices consumed by
-/// [`max_pool2d_backward`].
+/// [`max_pool2d_backward`]. Each window's search is seeded with its
+/// first element and takes a later element that is strictly greater or
+/// NaN, so a NaN wins (the last NaN of the window) and ties keep the
+/// first maximum.
 ///
 /// # Errors
 ///
@@ -665,6 +668,7 @@ pub fn max_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<(Tensor, PoolIndice
     crate::instrument::record_kernel((n * c * oh * ow * window) as u64, (n * c * oh * ow) as u64);
     // Parallel over `N*C` planes; values and argmax indices are
     // partitioned in lockstep so each worker fills both for its planes.
+    let pool = max_pool_plane_fn(spec);
     for_each_block2(
         &mut out,
         oh * ow,
@@ -677,28 +681,7 @@ pub fn max_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<(Tensor, PoolIndice
                 .zip(idx_chunk.chunks_mut(oh * ow));
             for (bi, (out_plane, idx_plane)) in planes.enumerate() {
                 let plane = first + bi; // == ni * c + ci
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        // Seeded with the window's first element, so the
-                        // argmax stays inside the window even when no
-                        // element beats -inf; a NaN wins and propagates.
-                        let mut best_i = (plane * h + oy * spec.stride) * w + ox * spec.stride;
-                        let mut best_v = x[best_i];
-                        for ky in 0..spec.kernel {
-                            for kx in 0..spec.kernel {
-                                let iy = oy * spec.stride + ky;
-                                let ix = ox * spec.stride + kx;
-                                let fi = (plane * h + iy) * w + ix;
-                                if x[fi] > best_v || x[fi].is_nan() {
-                                    best_v = x[fi];
-                                    best_i = fi;
-                                }
-                            }
-                        }
-                        out_plane[oy * ow + ox] = best_v;
-                        idx_plane[oy * ow + ox] = best_i;
-                    }
-                }
+                pool(x, plane * h * w, [h, w], spec, out_plane, Some(idx_plane));
             }
         },
     );
@@ -709,6 +692,144 @@ pub fn max_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<(Tensor, PoolIndice
             input_dims: vec![n, c, h, w],
         },
     ))
+}
+
+/// [`max_pool2d`]'s pooled values alone, for inference: the same values
+/// bit for bit, without recording the argmax indices a backward pass
+/// would need.
+///
+/// # Errors
+///
+/// As [`max_pool2d`].
+pub fn max_pool2d_values(input: &Tensor, spec: &PoolSpec) -> Result<Tensor> {
+    let (n, c, h, w) = check_pool_input("max_pool2d", input.dims(), spec)?;
+    let (oh, ow) = spec.output_hw(h, w);
+    let x = input.as_slice();
+    let mut out = vec![0.0f32; n * c * oh * ow];
+    let window = spec.kernel * spec.kernel;
+    crate::instrument::record_kernel((n * c * oh * ow * window) as u64, (n * c * oh * ow) as u64);
+    let pool = max_pool_plane_fn(spec);
+    for_each_block(&mut out, oh * ow, oh * ow * window, |first, chunk| {
+        for (bi, out_plane) in chunk.chunks_mut(oh * ow).enumerate() {
+            pool(x, (first + bi) * h * w, [h, w], spec, out_plane, None);
+        }
+    });
+    Tensor::from_vec(out, &[n, c, oh, ow])
+}
+
+/// Pools one `[H, W]` input plane starting at `x[base]` into
+/// `out` (`[OH, OW]`), writing each maximum's flat input index into
+/// `idx` when given one.
+type MaxPoolPlane = fn(&[f32], usize, [usize; 2], &PoolSpec, &mut [f32], Option<&mut [usize]>);
+
+/// The plane body for `spec`: the 2×2 / stride-2 fast path for that
+/// shape (every pool of LeNet and AlexNet), the generic body otherwise.
+fn max_pool_plane_fn(spec: &PoolSpec) -> MaxPoolPlane {
+    if spec.kernel == 2 && spec.stride == 2 {
+        max_pool_plane_2x2
+    } else {
+        max_pool_plane
+    }
+}
+
+/// The generic [`MaxPoolPlane`]: any window and stride, one element at a
+/// time in row-major window order.
+fn max_pool_plane(
+    x: &[f32],
+    base: usize,
+    [h, w]: [usize; 2],
+    spec: &PoolSpec,
+    out: &mut [f32],
+    mut idx: Option<&mut [usize]>,
+) {
+    let (oh, ow) = spec.output_hw(h, w);
+    for oy in 0..oh {
+        for ox in 0..ow {
+            // Seeded with the window's first element, so the argmax
+            // stays inside the window even when no element beats -inf;
+            // a NaN wins and propagates.
+            let mut best_i = base + oy * spec.stride * w + ox * spec.stride;
+            let mut best_v = x[best_i];
+            for ky in 0..spec.kernel {
+                for kx in 0..spec.kernel {
+                    let iy = oy * spec.stride + ky;
+                    let ix = ox * spec.stride + kx;
+                    let fi = base + iy * w + ix;
+                    if x[fi] > best_v || x[fi].is_nan() {
+                        best_v = x[fi];
+                        best_i = fi;
+                    }
+                }
+            }
+            out[oy * ow + ox] = best_v;
+            if let Some(idx) = idx.as_deref_mut() {
+                idx[oy * ow + ox] = best_i;
+            }
+        }
+    }
+}
+
+/// The 2×2 / stride-2 [`MaxPoolPlane`]: each output row reads its two
+/// input rows directly and picks each window's maximum with selects, no
+/// branches (a pooled maximum's position is a coin flip to a branch
+/// predictor). Selecting the winner's offset from a table, rather than
+/// computing it from its position, is what keeps the compiled scalar
+/// loop, which rows too short to vectorize run, free of branches. The
+/// selection rule is [`max_pool_plane`]'s, taken in the same order:
+/// seeded with the window's first element, which the generic body
+/// compares with itself to no effect, then the other three, each taken
+/// when strictly greater or NaN. An odd last row or column is covered by
+/// no window, as there.
+fn max_pool_plane_2x2(
+    x: &[f32],
+    base: usize,
+    [h, w]: [usize; 2],
+    spec: &PoolSpec,
+    out: &mut [f32],
+    idx: Option<&mut [usize]>,
+) {
+    let ow = spec.output_hw(h, w).1;
+    // Window element `k` (row-major) lies `offsets[k]` past the window's
+    // first element.
+    let offsets = [0, 1, w, w + 1];
+    let window_max = |window: [f32; 4]| {
+        let (mut best, mut offset) = (window[0], 0);
+        for k in 1..4 {
+            let take = window[k] > best || window[k].is_nan();
+            best = if take { window[k] } else { best };
+            offset = if take { offsets[k] } else { offset };
+        }
+        (best, offset)
+    };
+    // The windows of output row `oy`, as `[top-left, top-right,
+    // bottom-left, bottom-right]`, and the index of its first element.
+    let windows = |oy: usize| {
+        let first = base + 2 * oy * w;
+        let (top, bottom) = (&x[first..][..2 * ow], &x[first + w..][..2 * ow]);
+        let pairs = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+        (first, pairs.map(|(t, b)| [t[0], t[1], b[0], b[1]]))
+    };
+    let rows = out.chunks_exact_mut(ow).enumerate();
+    match idx {
+        Some(idx) => {
+            for ((oy, out_row), idx_row) in rows.zip(idx.chunks_exact_mut(ow)) {
+                let (first, windows) = windows(oy);
+                let outs = out_row.iter_mut().zip(idx_row);
+                for (ox, ((v, i), window)) in outs.zip(windows).enumerate() {
+                    let (best, offset) = window_max(window);
+                    *v = best;
+                    *i = first + 2 * ox + offset;
+                }
+            }
+        }
+        None => {
+            for (oy, out_row) in rows {
+                for (v, window) in out_row.iter_mut().zip(windows(oy).1) {
+                    *v = window_max(window).0;
+                }
+            }
+        }
+    }
 }
 
 /// Max pooling backward pass: routes each output gradient to the input
@@ -1207,6 +1328,94 @@ mod unroll_oracle {
                     prop_assert!(same_bits(&img, &want_img, true), "col2im {tag}");
                 }
             }
+        }
+    }
+}
+
+/// The 2×2 / stride-2 max-pool fast path against the generic body, which
+/// is the oracle for that shape: same values bit for bit, same argmax.
+#[cfg(test)]
+mod pool_oracle {
+    use super::*;
+    use crate::ParallelismConfig;
+    use proptest::prelude::*;
+
+    /// Few distinct values, so windows tie often, mixed with ±0, ±∞ and
+    /// NaNs of two payloads and both signs, so a window can hold several
+    /// NaNs that only their bits tell apart.
+    fn element() -> impl Strategy<Value = f32> {
+        (0u32..14).prop_map(|r| match r {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::INFINITY,
+            3 => f32::NEG_INFINITY,
+            4 => f32::NAN,
+            5 => f32::from_bits(0xffc0_0001),
+            r => r as f32 / 4.0 - 2.0,
+        })
+    }
+
+    /// A batch of 1–3 items of 1–3 planes, 2–9 high and wide (odd sizes
+    /// leave a row or column no window covers), with its values.
+    fn case() -> impl Strategy<Value = ([usize; 4], Vec<f32>)> {
+        (1..=3usize, 1..=3usize, 2..=9usize, 2..=9usize).prop_flat_map(|(n, c, h, w)| {
+            proptest::collection::vec(element(), n * c * h * w).prop_map(move |x| ([n, c, h, w], x))
+        })
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn fast_2x2_path_is_bitwise_the_generic_body(cases in proptest::collection::vec(case(), 8)) {
+            let spec = PoolSpec::new(2, 2);
+            for (dims, x) in cases {
+                let [n, c, h, w] = dims;
+                let (oh, ow) = spec.output_hw(h, w);
+                let mut want = vec![0.0; n * c * oh * ow];
+                let mut want_idx = vec![0; want.len()];
+                let planes = want.chunks_mut(oh * ow).zip(want_idx.chunks_mut(oh * ow));
+                for (p, (out, idx)) in planes.enumerate() {
+                    max_pool_plane(&x, p * h * w, [h, w], &spec, out, Some(idx));
+                }
+                let input = Tensor::from_vec(x, &dims).unwrap();
+                for threads in [1, 2, 4, 8] {
+                    let _guard = ParallelismConfig::with_threads(threads).scoped();
+                    let tag = format!("{dims:?} threads={threads}");
+                    let (got, idx) = max_pool2d(&input, &spec).unwrap();
+                    prop_assert_eq!(bits(got.as_slice()), bits(&want), "values {}", &tag);
+                    prop_assert_eq!(&idx.indices, &want_idx, "argmax {}", &tag);
+                    let values = max_pool2d_values(&input, &spec).unwrap();
+                    prop_assert_eq!(bits(values.as_slice()), bits(&want), "values only {}", &tag);
+                }
+            }
+        }
+    }
+
+    /// The selection rule, spelled out on single windows: ties keep the
+    /// first maximum, a NaN beats every number, and of several NaNs the
+    /// last one wins.
+    #[test]
+    fn fast_path_keeps_the_selection_rule() {
+        let other_nan = f32::from_bits(0xffc0_0001);
+        let cases: [([f32; 4], usize); 5] = [
+            ([1.0, 3.0, 3.0, 2.0], 1),
+            ([f32::NEG_INFINITY; 4], 0),
+            ([5.0, f32::NAN, 9.0, f32::INFINITY], 1),
+            ([f32::NAN, 1.0, other_nan, 2.0], 2),
+            ([-0.0, 0.0, -0.0, 0.0], 0),
+        ];
+        for (window, at) in cases {
+            let input = Tensor::from_vec(window.to_vec(), &[1, 1, 2, 2]).unwrap();
+            let (out, idx) = max_pool2d(&input, &PoolSpec::new(2, 2)).unwrap();
+            assert_eq!(idx.indices, [at], "{window:?}");
+            assert_eq!(
+                out.as_slice()[0].to_bits(),
+                window[at].to_bits(),
+                "{window:?}"
+            );
         }
     }
 }

@@ -208,7 +208,9 @@ mod tests {
         let mut rng = TensorRng::seed_from(4);
         let t = he_normal(&[4096], 128, &mut rng);
         let mean = t.mean();
-        let std = (t.map(|x| (x - mean) * (x - mean)).mean()).sqrt();
+        let mut sq = t.clone();
+        sq.map_inplace(|x| (x - mean) * (x - mean));
+        let std = sq.mean().sqrt();
         let expected = (2.0f32 / 128.0).sqrt();
         assert!(mean.abs() < 0.01, "mean {mean} too far from 0");
         assert!(

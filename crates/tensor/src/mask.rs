@@ -148,6 +148,54 @@ impl UnitMask {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+
+    /// One unit per element of `values`, active where `active` holds for
+    /// it (a ReLU's sign cache, for one).
+    pub fn from_values(values: &[f32], active: impl Fn(f32) -> bool) -> Self {
+        let words = values
+            .chunks(WORD_BITS)
+            .map(|chunk| {
+                let mut word = 0;
+                // A whole word's loop runs a compile-time 64 times, which
+                // lets it vectorize.
+                if let Ok(chunk) = <&[f32; WORD_BITS]>::try_from(chunk) {
+                    for (j, &v) in chunk.iter().enumerate() {
+                        word |= u64::from(active(v)) << j;
+                    }
+                } else {
+                    for (j, &v) in chunk.iter().enumerate() {
+                        word |= u64::from(active(v)) << j;
+                    }
+                }
+                word
+            })
+            .collect();
+        UnitMask {
+            words,
+            len: values.len(),
+        }
+    }
+
+    /// Sets `values[i]` to `+0.0` for every inactive unit `i` and leaves
+    /// the bits of every active one's unchanged, without a branch. Values
+    /// past [`UnitMask::len`] are left as they are.
+    pub fn zero_inactive(&self, values: &mut [f32]) {
+        let keep = |v: &mut f32, word: u64, j: usize| {
+            *v = f32::from_bits(v.to_bits() & 0u32.wrapping_sub((word >> j & 1) as u32));
+        };
+        let len = self.len.min(values.len());
+        for (chunk, &word) in values[..len].chunks_mut(WORD_BITS).zip(&self.words) {
+            if let Ok(chunk) = <&mut [f32; WORD_BITS]>::try_from(&mut *chunk) {
+                for (j, v) in chunk.iter_mut().enumerate() {
+                    keep(v, word, j);
+                }
+            } else {
+                for (j, v) in chunk.iter_mut().enumerate() {
+                    keep(v, word, j);
+                }
+            }
+        }
+    }
 }
 
 impl FromIterator<bool> for UnitMask {
@@ -227,6 +275,31 @@ mod tests {
                 let read = UnitMask::from_le_bytes(&bytes, n);
                 prop_assert!(padding_is_zero(&read));
                 prop_assert_eq!(&read, &mask);
+            }
+        }
+
+        /// A mask read off values, and zeroing by it, agree element by
+        /// element with the bool-per-value cache and branch they replace
+        /// (a ReLU's), at every length across each word boundary.
+        #[test]
+        fn value_masks_match_a_bool_per_value(seed in 0u64..u64::MAX) {
+            let mut rng = crate::TensorRng::seed_from(seed);
+            let specials = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1.5, 2.5];
+            for n in 0..=200 {
+                let values: Vec<f32> = (0..n).map(|_| specials[rng.below(7)]).collect();
+                let positive: Vec<bool> = values.iter().map(|&v| v > 0.0).collect();
+                let mask = UnitMask::from_values(&values, |v| v > 0.0);
+                prop_assert_eq!(&mask, &positive.iter().copied().collect::<UnitMask>());
+                let mut want = values.clone();
+                for (v, &p) in want.iter_mut().zip(&positive) {
+                    if !p {
+                        *v = 0.0;
+                    }
+                }
+                let mut got = values.clone();
+                mask.zero_inactive(&mut got);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want), "n = {}", n);
             }
         }
     }

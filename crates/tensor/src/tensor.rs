@@ -118,12 +118,12 @@ impl Tensor {
             })
     }
 
-    /// Returns a tensor with the same data and a new shape.
+    /// The same data under a new shape, in the same buffer.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::SizeMismatch`] when the element counts differ.
-    pub fn reshape(&self, dims: &[usize]) -> Result<Self> {
+    pub fn reshape(self, dims: &[usize]) -> Result<Self> {
         let shape = Shape::new(dims);
         if shape.num_elements() != self.data.len() {
             return Err(TensorError::SizeMismatch {
@@ -133,16 +133,8 @@ impl Tensor {
         }
         Ok(Tensor {
             shape,
-            data: self.data.clone(),
+            data: self.data,
         })
-    }
-
-    /// Applies `f` to every element, producing a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Tensor {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
     }
 
     /// Applies `f` to every element in place.
@@ -292,7 +284,7 @@ mod tests {
     #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[2, 3]).unwrap();
-        let r = t.reshape(&[3, 2]).unwrap();
+        let r = t.clone().reshape(&[3, 2]).unwrap();
         assert_eq!(r.as_slice(), t.as_slice());
         assert!(t.reshape(&[4, 2]).is_err());
     }
