@@ -4,9 +4,11 @@
 # counts, a public-surface report (never fails), a no-shared-statics
 # gate, a single-thread-scope gate, a one-mask-type gate, a
 # derived-serde-schemas gate, a dev-profile checks gate, docs, release
-# build, tests, the kernel parity suites again under release codegen,
-# the thread-scoped-state test binaries and the packed-parity suite at
-# one and eight test threads, and the repository benchmark package
+# build, tests, the kernel parity suites and the goldens again under
+# release codegen, the goldens once more with glibc's FMA/AVX2 libm
+# variants off and once from an x86-64 baseline build, the
+# thread-scoped-state test binaries and the packed-parity suite at one
+# and eight test threads, and the repository benchmark package
 # (benchmark/) built, tested and smoke-run. Takes no arguments.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -170,16 +172,30 @@ cargo build --release --workspace
 step "cargo test -q"
 cargo test -q --workspace
 
-step "kernel parity under release codegen (helios-tensor and helios-nn unit tests, gemm_parity, parallel_parity)"
+step "kernel parity and goldens under release codegen (helios-tensor and helios-nn unit tests, gemm_parity, parallel_parity, golden_metrics, end_to_end)"
 # The test profile builds at opt-level 1, where the microkernels may not
 # vectorize; the benchmark times opt-level 3. These suites pin the
 # kernels, packed execution and inference bitwise against their
-# oracles, so they run again on the code the benchmark runs. Named
-# targets only: helios-integration's lib tests check debug assertions,
-# which release turns off.
+# oracles, and the goldens pin whole runs, so they run again on the
+# code the benchmark runs. Named targets only: helios-integration's lib
+# tests check debug assertions, which release turns off.
 cargo test -q --release -p helios-tensor --lib
 cargo test -q --release -p helios-nn --lib
-cargo test -q --release -p helios-integration --test gemm_parity --test parallel_parity
+cargo test -q --release -p helios-integration --test gemm_parity --test parallel_parity \
+    --test golden_metrics --test end_to_end
+
+step "libm and vector-width tripwire: goldens with glibc's FMA/AVX2 libm off, and from an x86-64 baseline build"
+# glibc picks `expf`, `logf`, `cos` and `cosf` by CPU feature at load
+# time, and .cargo/config.toml builds for the host CPU. The bitwise
+# goldens must depend on neither, so they run once with those libm
+# variants switched off and once from a build for the x86-64 baseline
+# (RUSTFLAGS replaces the config's flags; its own target directory
+# keeps the host build intact). Either fails the moment a result moves.
+goldens=(--test golden_metrics --test trace_determinism --test end_to_end --test paper_properties)
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 \
+    cargo test -q --release -p helios-integration "${goldens[@]}"
+RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64-baseline \
+    cargo test -q --release -p helios-integration "${goldens[@]}"
 
 step "thread-scoped state: tracing and counting tests at one test thread and eight"
 # Every test in these installs trace sinks or reads counter deltas with

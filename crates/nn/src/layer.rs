@@ -77,7 +77,9 @@ impl Layer {
     /// # Errors
     ///
     /// Returns [`crate::NnError::BackwardBeforeForward`] when no forward
-    /// state is cached, and propagates tensor shape errors.
+    /// state is cached — the backward pass takes it, so a second
+    /// backward needs a second forward — and propagates tensor shape
+    /// errors.
     pub(crate) fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
         match self {
             Layer::Dense(l) => l.backward(grad_out),
@@ -95,7 +97,7 @@ impl Layer {
     /// shortcut. This is the order of the flat parameter vector.
     pub(crate) fn for_each_core(&self, f: &mut dyn FnMut(&MaskedCore)) {
         match self {
-            Layer::Dense(Dense { core }) | Layer::Conv2d(Conv2d { core, .. }) => f(core),
+            Layer::Dense(Dense { core, .. }) | Layer::Conv2d(Conv2d { core, .. }) => f(core),
             Layer::Residual(l) => {
                 for inner in l.body() {
                     inner.for_each_core(f);
@@ -111,7 +113,7 @@ impl Layer {
     /// [`Layer::for_each_core`], mutably.
     pub(crate) fn for_each_core_mut(&mut self, f: &mut dyn FnMut(&mut MaskedCore)) {
         match self {
-            Layer::Dense(Dense { core }) | Layer::Conv2d(Conv2d { core, .. }) => f(core),
+            Layer::Dense(Dense { core, .. }) | Layer::Conv2d(Conv2d { core, .. }) => f(core),
             Layer::Residual(l) => {
                 for inner in l.body_mut() {
                     inner.for_each_core_mut(f);
@@ -150,7 +152,7 @@ impl Layer {
         prev: Option<&'a UnitMask>,
     ) -> Option<&'a UnitMask> {
         match self {
-            Layer::Dense(Dense { core }) | Layer::Conv2d(Conv2d { core, .. }) => {
+            Layer::Dense(Dense { core, .. }) | Layer::Conv2d(Conv2d { core, .. }) => {
                 core.set_input_mask(prev);
                 core.unit_mask()
             }

@@ -1,9 +1,13 @@
 //! Concrete layer implementations.
 //!
 //! Every layer owns its parameters, its accumulated gradients, and whatever
-//! forward-pass state its backward pass needs. Parameterized layers
-//! ([`Dense`], [`Conv2d`]) keep all of that in one [`MaskedCore`], which
-//! also carries an optional **unit mask**: the Helios soft-training
+//! forward-pass state its backward pass needs. [`Dense`] and [`Conv2d`]
+//! keep the operand of their weight-gradient GEMM (the input, the patch
+//! matrix), and their backward pass takes it: a second backward without
+//! a forward is [`NnError::BackwardBeforeForward`], and a network
+//! between steps holds no activations. They keep their parameters in
+//! one [`MaskedCore`], which also carries an optional
+//! **unit mask**: the Helios soft-training
 //! mechanism that excludes individual output neurons / channels from a
 //! training cycle. A masked-out unit produces zero activation and receives
 //! zero gradient, exactly the sub-model semantics of the paper's partial
@@ -11,10 +15,11 @@
 
 use crate::{NnError, Result};
 use helios_tensor::{
-    avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward_packed, gather_channels, gather_elems,
-    gather_rows_cols, he_normal, max_pool2d, max_pool2d_backward, max_pool2d_values,
-    scatter_add_elems, scatter_add_rows_cols, scatter_channels, scatter_cols, xavier_uniform,
-    ConvSpec, PoolIndices, PoolSpec, Tensor, TensorError, TensorRng, UnitMask,
+    avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward_with_patches, conv2d_with_patches,
+    gather_channels, gather_elems, gather_rows_cols, he_normal, max_pool2d, max_pool2d_backward,
+    max_pool2d_values, scatter_add_elems, scatter_add_rows_cols, scatter_channels, scatter_cols,
+    xavier_uniform, ConvPatches, ConvSpec, PoolIndices, PoolSpec, Tensor, TensorError, TensorRng,
+    UnitMask,
 };
 use std::borrow::Cow;
 
@@ -80,9 +85,9 @@ impl PackedPlan {
 
 /// The state [`Dense`] and [`Conv2d`] share: a `[rows, cols]` weight
 /// matrix whose output units lie along one axis, a bias per unit, their
-/// gradients, the unit and input masks, the packed plan derived from
-/// them, and the forward input that backward needs. The layer types keep
-/// only their kernel geometry.
+/// gradients, the unit and input masks, and the packed plan derived from
+/// them. The layer types keep their kernel geometry and what their
+/// forward pass hands to their backward pass.
 ///
 /// Alongside its own unit `mask`, a core carries an optional
 /// `input_mask`: a per-input guarantee, installed by
@@ -91,10 +96,12 @@ impl PackedPlan {
 /// With either mask installed the core runs **packed execution**: active
 /// inputs and units are gathered into compact tensors, the kernel runs on
 /// the packed shapes, and the results are scattered back — bitwise
-/// identical to full-width execution (the GEMM kernel already skips zero
-/// operands term-by-term) but proportionally cheaper. The full-width
-/// branch runs when neither axis is masked, or when a mask leaves an axis
-/// empty (trivially correct for degenerate shapes); masked units are then
+/// identical to full-width execution (each dropped term multiplies an
+/// exact zero: the GEMM's reference chain skips it, and the kernel skips
+/// it too or, when B is finite, adds it without moving a bit; DESIGN.md
+/// §4j) but proportionally cheaper. The full-width branch runs when
+/// neither axis is masked, or when a mask leaves an axis empty
+/// (trivially correct for degenerate shapes); masked units are then
 /// zeroed in the output and in the incoming gradient.
 #[derive(Debug, Clone)]
 pub(crate) struct MaskedCore {
@@ -114,7 +121,6 @@ pub(crate) struct MaskedCore {
     plan: Option<PackedPlan>,
     /// Set by every mask setter; cleared when `plan` is re-derived.
     plan_stale: bool,
-    cached_input: Option<Tensor>,
 }
 
 impl MaskedCore {
@@ -133,7 +139,6 @@ impl MaskedCore {
             maskable: true,
             plan: None,
             plan_stale: false,
-            cached_input: None,
         }
     }
 
@@ -245,40 +250,46 @@ impl MaskedCore {
     }
 
     /// The forward pass. `kernel(x, weight, bias)` is the layer's
-    /// computation. With a plan it runs on packed operands — `x`
-    /// gathered to the active inputs by `gather`, the weight to the
-    /// active sub-grid, the bias to the active units — and its output is
+    /// computation, returning its output and what the layer keeps for
+    /// backward. With a plan it runs on packed operands — `x` gathered
+    /// to the active inputs by `gather`, the weight to the active
+    /// sub-grid, the bias to the active units — and its output is
     /// scattered back to full width by `scatter`. The masked inputs of
-    /// `x` hold exact zeros, which the kernel would have skipped
-    /// term-by-term, so dropping them preserves every accumulation
-    /// order. Without a plan it runs full-width and the masked units are
-    /// zeroed. The core keeps `x` for backward, copying it only when
-    /// borrowed.
-    fn forward(
+    /// `x` hold exact zeros, whose terms the reference chain skips, so
+    /// dropping them preserves every accumulation order. Without a plan
+    /// it runs full-width and the masked units are zeroed, as in
+    /// [`MaskedCore::infer`].
+    fn forward<K>(
         &mut self,
         x: Cow<'_, Tensor>,
         gather: Gather,
         scatter: Scatter,
-        kernel: impl FnOnce(&Tensor, &Tensor, &Tensor) -> Result<Tensor>,
-    ) -> Result<Tensor> {
+        kernel: impl FnOnce(Cow<'_, Tensor>, &Tensor, &Tensor) -> Result<(Tensor, K)>,
+    ) -> Result<(Tensor, K)> {
         self.refresh_plan();
-        let y = match &self.plan {
+        match &self.plan {
             Some(plan) => {
                 let out_idx = plan.out_idx.as_deref();
-                let x_p = gathered(&x, plan.in_idx.as_deref(), gather)?;
+                let x_p = match plan.in_idx.as_deref() {
+                    Some(idx) => Cow::Owned(gather(&x, idx)?),
+                    None => x,
+                };
                 let [rows, cols] = plan.weight_grid(self.unit_axis);
                 let w_p = gather_rows_cols(&self.weight, rows, cols)?;
                 let b_p = gathered(&self.bias, out_idx, gather_elems)?;
-                let y_p = kernel(&x_p, &w_p, &b_p)?;
-                match out_idx {
+                let (y_p, kept) = kernel(x_p, &w_p, &b_p)?;
+                let y = match out_idx {
                     Some(idx) => scatter(&y_p, idx, self.units())?,
                     None => y_p,
-                }
+                };
+                Ok((y, kept))
             }
-            None => self.infer(&x, kernel)?,
-        };
-        self.cached_input = Some(x.into_owned());
-        Ok(y)
+            None => {
+                let (mut y, kept) = kernel(x, &self.weight, &self.bias)?;
+                self.zero_masked(&mut y);
+                Ok((y, kept))
+            }
+        }
     }
 
     /// The full-width forward pass alone, caching nothing: `kernel` over
@@ -294,50 +305,46 @@ impl MaskedCore {
         Ok(y)
     }
 
-    /// The backward pass. `kernel(x, weight_rows, grad, accumulate)`
-    /// hands the weight and bias gradients to `accumulate`, then returns
-    /// the input gradient. With a plan the masked output gradients are definitionally zero, so only
-    /// the active units' gradient planes are gathered, `x` is gathered as
-    /// in forward, and the packed weight/bias gradients scatter-add into
-    /// the active sub-grid (masked entries accumulate exactly nothing
-    /// either way). `weight_rows` keeps the weight's input axis
-    /// **whole**: `grad_input` must be bitwise identical everywhere,
-    /// including masked input positions, whose values come out of the
-    /// same GEMM terms the full-width kernel would have used.
+    /// The backward pass. `kernel(weight_rows, grad, accumulate)` —
+    /// holding what the layer kept from forward, which was computed
+    /// under the same plan — hands the weight and bias gradients to
+    /// `accumulate`, then returns the input gradient. With a plan the
+    /// masked output gradients are definitionally zero, so only the
+    /// active units' gradient planes are gathered, and the packed
+    /// weight/bias gradients scatter-add into the active sub-grid
+    /// (masked entries accumulate exactly nothing either way).
+    /// `weight_rows` keeps the weight's input axis **whole**:
+    /// `grad_input` must be bitwise identical everywhere, including
+    /// masked input positions, whose values come out of the same GEMM
+    /// terms the full-width kernel would have used.
     fn backward(
         &mut self,
         grad_out: Tensor,
-        layer: &'static str,
         gather: Gather,
-        kernel: impl FnOnce(&Tensor, &Tensor, &Tensor, Accumulate<'_>) -> Result<Tensor>,
+        kernel: impl FnOnce(&Tensor, &Tensor, Accumulate<'_>) -> Result<Tensor>,
     ) -> Result<Tensor> {
         self.refresh_plan();
-        let x = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::BackwardBeforeForward { layer })?;
-        let (g, x, w) = match &self.plan {
+        let (g, w) = match &self.plan {
             Some(plan) => {
                 let out_idx = plan.out_idx.as_deref();
                 let g_p = gathered(&grad_out, out_idx, gather)?;
-                let x_p = gathered(x, plan.in_idx.as_deref(), gather)?;
                 let mut grid = [None; 2];
                 grid[self.unit_axis] = out_idx;
                 let w_rows = match out_idx {
                     Some(_) => Cow::Owned(gather_rows_cols(&self.weight, grid[0], grid[1])?),
                     None => Cow::Borrowed(&self.weight),
                 };
-                (g_p, x_p, w_rows)
+                (g_p, w_rows)
             }
             None => {
                 let mut g = grad_out;
                 self.zero_masked(&mut g);
-                (Cow::Owned(g), Cow::Borrowed(x), Cow::Borrowed(&self.weight))
+                (Cow::Owned(g), Cow::Borrowed(&self.weight))
             }
         };
         let (plan, unit_axis) = (self.plan.as_ref(), self.unit_axis);
         let (grad_weight, grad_bias) = (&mut self.grad_weight, &mut self.grad_bias);
-        kernel(&x, &w, &g, &mut |param, grad| {
+        kernel(&w, &g, &mut |param, grad| {
             match (plan, param) {
                 (None, Param::Weight) => grad_weight.axpy(1.0, grad)?,
                 (None, Param::Bias) => grad_bias.axpy(1.0, grad)?,
@@ -392,6 +399,9 @@ impl MaskedCore {
 #[derive(Debug, Clone)]
 pub struct Dense {
     pub(crate) core: MaskedCore,
+    /// The forward input, gathered to the active inputs: the operand of
+    /// the weight-gradient GEMM.
+    kept_input: Option<Tensor>,
 }
 
 impl Dense {
@@ -400,6 +410,7 @@ impl Dense {
         let weight = xavier_uniform(&[in_features, out_features], in_features, out_features, rng);
         Dense {
             core: MaskedCore::new(weight, 1, in_features),
+            kept_input: None,
         }
     }
 
@@ -420,9 +431,15 @@ impl Dense {
         self.core.units()
     }
 
+    /// Keeps the (gathered) input, taking it over when it is owned.
     pub(crate) fn forward(&mut self, x: Cow<'_, Tensor>) -> Result<Tensor> {
-        self.core
-            .forward(x, dense_columns, scatter_cols, dense_kernel)
+        let (y, x) = self
+            .core
+            .forward(x, dense_columns, scatter_cols, |x, w, b| {
+                Ok((dense_kernel(&x, w, b)?, x.into_owned()))
+            })?;
+        self.kept_input = Some(x);
+        Ok(y)
     }
 
     pub(crate) fn infer(&self, x: &Tensor) -> Result<Tensor> {
@@ -433,9 +450,14 @@ impl Dense {
     /// points: the kernel reads `x` and the weight where they lie, no
     /// materialized `transpose()` copies on the training path.
     pub(crate) fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        let x = self
+            .kept_input
+            .take()
+            .ok_or(NnError::BackwardBeforeForward { layer: "Dense" })?;
         self.core
-            .backward(grad_out, "Dense", dense_columns, |x, w, g, accumulate| {
+            .backward(grad_out, dense_columns, |w, g, accumulate| {
                 accumulate(Param::Weight, &x.matmul_tn(g)?)?;
+                drop(x);
                 accumulate(Param::Bias, &g.sum_rows()?)?;
                 Ok(g.matmul_nt(w)?)
             })
@@ -466,6 +488,9 @@ fn dense_columns(t: &Tensor, idx: &[usize]) -> std::result::Result<Tensor, Tenso
 pub struct Conv2d {
     spec: ConvSpec,
     pub(crate) core: MaskedCore,
+    /// The patch matrix the forward unrolled its (gathered) input into:
+    /// the operand of the weight-gradient GEMM.
+    kept_patches: Option<ConvPatches>,
 }
 
 impl Conv2d {
@@ -475,6 +500,7 @@ impl Conv2d {
         Conv2d {
             spec,
             core: MaskedCore::new(he_normal(&wd, wd[1], rng), 0, spec.in_channels),
+            kept_patches: None,
         }
     }
 
@@ -483,48 +509,51 @@ impl Conv2d {
         &self.spec
     }
 
+    /// Keeps the patch matrix it unrolls, not the input.
     pub(crate) fn forward(&mut self, x: Cow<'_, Tensor>) -> Result<Tensor> {
         let spec = self.spec;
-        self.core
+        let (y, patches) = self
+            .core
             .forward(x, gather_channels, scatter_channels, |x, w, b| {
-                conv_kernel(&spec, x, w, b)
-            })
+                Ok(conv2d_with_patches(&x, w, b, &packed_spec(&spec, w))?)
+            })?;
+        self.kept_patches = Some(patches);
+        Ok(y)
     }
 
     pub(crate) fn infer(&self, x: &Tensor) -> Result<Tensor> {
-        self.core
-            .infer(x, |x, w, b| conv_kernel(&self.spec, x, w, b))
+        self.core.infer(x, |x, w, b| {
+            Ok(conv2d(x, w, b, &packed_spec(&self.spec, w))?)
+        })
     }
 
-    /// [`conv2d_backward_packed`] keeps the weight's input-column axis
-    /// whole so `grad_input` comes back full-shape and bit-exact. With
-    /// full-width operands it runs the same body as `conv2d_backward`,
-    /// so one call serves the packed and the full-width branch.
+    /// [`conv2d_backward_with_patches`] keeps the weight's input-column
+    /// axis whole so `grad_input` comes back full-shape and bit-exact;
+    /// one call serves the packed and the full-width branch.
     pub(crate) fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        let patches = self
+            .kept_patches
+            .take()
+            .ok_or(NnError::BackwardBeforeForward { layer: "Conv2d" })?;
         let spec = self.spec;
-        self.core.backward(
-            grad_out,
-            "Conv2d",
-            gather_channels,
-            |x, w, g, accumulate| {
-                let grads = conv2d_backward_packed(x, w, g, &spec)?;
+        self.core
+            .backward(grad_out, gather_channels, |w, g, accumulate| {
+                let grads = conv2d_backward_with_patches(patches, w, g, &spec)?;
                 accumulate(Param::Weight, &grads.grad_weight)?;
                 accumulate(Param::Bias, &grads.grad_bias)?;
                 Ok(grads.grad_input)
-            },
-        )
+            })
     }
 }
 
-/// The convolution of `spec` with the geometry of `w`, the whole weight
-/// or its packed sub-grid of active rows and channel blocks.
-fn conv_kernel(spec: &ConvSpec, x: &Tensor, w: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let packed = ConvSpec {
+/// `spec` with the channel counts of `w`, the whole weight or its packed
+/// sub-grid of active rows and channel blocks.
+fn packed_spec(spec: &ConvSpec, w: &Tensor) -> ConvSpec {
+    ConvSpec {
         in_channels: w.dims()[1] / (spec.kernel * spec.kernel),
         out_channels: w.dims()[0],
         ..*spec
-    };
-    Ok(conv2d(x, w, b, &packed)?)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -813,6 +842,26 @@ impl MaskedCore {
 }
 
 #[cfg(test)]
+impl crate::Layer {
+    /// Whether a Dense or Conv2d layer (for a residual block, one in it)
+    /// holds the operand its forward pass kept for backward.
+    pub(crate) fn holds_kept_operand(&self) -> bool {
+        use crate::Layer;
+        match self {
+            Layer::Dense(l) => l.kept_input.is_some(),
+            Layer::Conv2d(l) => l.kept_patches.is_some(),
+            Layer::Residual(l) => {
+                l.body.iter().any(Layer::holds_kept_operand)
+                    || l.shortcut
+                        .as_ref()
+                        .is_some_and(|s| s.kept_patches.is_some())
+            }
+            _ => false,
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::Layer;
@@ -869,6 +918,44 @@ mod tests {
             d.backward(Tensor::full(&[1, 2], 1.0)),
             Err(NnError::BackwardBeforeForward { .. })
         ));
+    }
+
+    #[test]
+    fn a_second_backward_without_a_forward_is_an_error() {
+        // The layer named in the error: a residual block's own sign cache
+        // survives, so its second backward fails in its body's conv.
+        let second_backward = |layer: &mut Layer, x: &Tensor| {
+            let y = layer.forward(Cow::Borrowed(x)).unwrap();
+            let g = Tensor::full(y.dims(), 1.0);
+            layer.backward(g.clone()).unwrap();
+            assert!(!layer.holds_kept_operand());
+            match layer.backward(g) {
+                Err(NnError::BackwardBeforeForward { layer }) => Some(layer),
+                _ => None,
+            }
+        };
+        let mut r = rng();
+        let spec = ConvSpec::new(2, 3, 3, 1, 1);
+        let body = vec![
+            Layer::Conv2d(Conv2d::new(ConvSpec::new(2, 2, 3, 1, 1), &mut r)),
+            Layer::Relu(Relu::new()),
+        ];
+        let image = Tensor::full(&[1, 2, 4, 4], 0.5);
+        for (mut layer, x, want) in [
+            (
+                Layer::Dense(Dense::new(3, 2, &mut r)),
+                Tensor::full(&[2, 3], 0.5),
+                "Dense",
+            ),
+            (
+                Layer::Conv2d(Conv2d::new(spec, &mut r)),
+                image.clone(),
+                "Conv2d",
+            ),
+            (Layer::Residual(Residual::new(body)), image, "Conv2d"),
+        ] {
+            assert_eq!(second_backward(&mut layer, &x), Some(want));
+        }
     }
 
     #[test]

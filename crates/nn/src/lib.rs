@@ -318,6 +318,46 @@ mod packed_parity {
         }
     }
 
+    /// A backward pass takes what its forward pass kept: after
+    /// `Network::backward`, no Dense or Conv2d layer of any zoo model —
+    /// masked (packed) or not — holds an input or a patch matrix, and a
+    /// second backward is an error.
+    #[test]
+    fn backward_leaves_no_forward_state() {
+        for kind in [ModelKind::LeNet, ModelKind::AlexNet, ModelKind::ResNet18] {
+            let mut rng = TensorRng::seed_from(37);
+            let net = kind.build(10, &mut rng);
+            let [c, h, w] = kind.input_dims();
+            let x = uniform_init(&[2, c, h, w], -1.0, 1.0, &mut rng);
+            let mask = leading_units_mask(&mut net.clone(), 0.5);
+            for masked in [false, true] {
+                let mut net = net.clone();
+                install(&mut net, masked.then_some(&mask), false);
+                let logits = net.forward(&x).expect("forward");
+                assert!(net.layers().iter().any(Layer::holds_kept_operand));
+                let (_, grad) = CrossEntropyLoss::new()
+                    .forward_backward(&logits, &[0, 1])
+                    .expect("loss");
+                net.backward(&grad).expect("backward");
+                let held: Vec<_> = net
+                    .layers()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, l)| l.holds_kept_operand())
+                    .map(|(i, _)| i)
+                    .collect();
+                assert!(held.is_empty(), "{kind} masked={masked}: layers {held:?}");
+                assert!(
+                    matches!(
+                        net.backward(&grad),
+                        Err(crate::NnError::BackwardBeforeForward { .. })
+                    ),
+                    "{kind} masked={masked}"
+                );
+            }
+        }
+    }
+
     /// The packed plan is derived once per installed mask, not per step.
     /// A network walked through mask A → mask B → cleared → mask A,
     /// training after each, tracks its full-width twin bit for bit at

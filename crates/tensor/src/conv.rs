@@ -7,7 +7,7 @@
 
 use crate::gemm::{gemm_into, Layout};
 use crate::parallel::{for_each_block, for_each_block2};
-use crate::workspace::{with_scratch, with_scratch_dirty};
+use crate::workspace::Scratch;
 use crate::{Result, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 
@@ -87,8 +87,8 @@ impl ConvSpec {
     }
 }
 
-/// Gradients produced by [`conv2d_backward`] and
-/// [`conv2d_backward_packed`].
+/// Gradients produced by [`conv2d_backward`], [`conv2d_backward_packed`]
+/// and [`conv2d_backward_with_patches`].
 ///
 /// After a packed backward the weight and bias gradients are in *packed*
 /// coordinates (active output rows, active input-channel column blocks)
@@ -104,6 +104,44 @@ pub struct Conv2dGrads {
     pub grad_weight: Tensor,
     /// Gradient with respect to the bias, `[O]`, or `[Oa]` packed.
     pub grad_bias: Tensor,
+}
+
+/// The patch matrix a convolution's forward pass unrolled from its input,
+/// kept for the backward pass: its weight gradient is a product with
+/// exactly this matrix, so the backward need not unroll the input again.
+///
+/// Returned by [`conv2d_with_patches`] and consumed by
+/// [`conv2d_backward_with_patches`]. The matrix lives in a workspace
+/// buffer, which returns to the pool of the thread that drops it.
+#[derive(Debug, Clone)]
+pub struct ConvPatches {
+    /// `[N*OH*OW, Ca*K*K]`, row-major.
+    cols: Scratch,
+    /// The geometry it was unrolled with; `in_channels` is `Ca`, the
+    /// input's channel count (fewer than the layer's when packed).
+    spec: ConvSpec,
+    /// `N`, `H` and `W` of the input.
+    n: usize,
+    h: usize,
+    w: usize,
+}
+
+impl ConvPatches {
+    /// Unrolls `input` (`[N, spec.in_channels, H, W]`) into a patch
+    /// matrix checked out of the workspace.
+    fn unroll(input: &Tensor, spec: &ConvSpec) -> Result<ConvPatches> {
+        let (n, _c, h, w) = check_nchw("im2col", input.dims())?;
+        let (oh, ow) = spec.output_hw(h, w);
+        let mut cols = Scratch::checkout(n * oh * ow * spec.patch_len());
+        im2col_into(&mut cols, input, spec)?;
+        Ok(ConvPatches {
+            cols,
+            spec: *spec,
+            n,
+            h,
+            w,
+        })
+    }
 }
 
 fn check_nchw(op: &'static str, d: &[usize]) -> Result<(usize, usize, usize, usize)> {
@@ -182,11 +220,11 @@ impl Unroll {
 }
 
 /// Unrolls `[N, C, H, W]` input patches into the `[N*OH*OW, C*K*K]`
-/// matrix `cols`, which must arrive zero-filled — the padding positions
-/// of each patch are simply never written. Callers check `cols` out of
-/// the workspace arena ([`with_scratch`]), so the steady-state training
-/// path reuses one buffer cycle after cycle instead of allocating a
-/// multi-megabyte `Vec` per forward/backward.
+/// matrix `cols`, writing every element: `+0.0` at the padding
+/// positions, so `cols` may arrive holding anything. Callers check
+/// `cols` out of the workspace arena ([`Scratch`]), so the steady-state
+/// training path reuses one buffer cycle after cycle instead of
+/// allocating a multi-megabyte `Vec` per forward.
 fn im2col_into(cols: &mut [f32], input: &Tensor, spec: &ConvSpec) -> Result<()> {
     let (n, c, h, w) = check_nchw("im2col", input.dims())?;
     if c != spec.in_channels {
@@ -220,7 +258,8 @@ fn im2col_into(cols: &mut [f32], input: &Tensor, spec: &ConvSpec) -> Result<()> 
 }
 
 /// One batch item of [`im2col_into`]: walks each output row `(oy, ox)`
-/// → `ci` → `ky` and moves the `K` inputs of one kernel row as one copy.
+/// → `ci` → `ky` and moves the `K` inputs of one kernel row as one copy,
+/// or writes its zeros where it reaches the padding.
 /// `K == 0` reads the kernel size from `g` at run time; any other `K`
 /// must equal it, so every kernel row is a slice of compile-time length.
 fn im2col_item<const K: usize>(item: &mut [f32], x: &[f32], g: &Unroll) {
@@ -231,6 +270,7 @@ fn im2col_item<const K: usize>(item: &mut [f32], x: &[f32], g: &Unroll) {
             for (ci, patch) in row.chunks_exact_mut(k * k).enumerate() {
                 for (ky, dst) in patch.chunks_exact_mut(k).enumerate() {
                     let Some(iy) = g.src(oy, ky, g.h) else {
+                        dst.fill(0.0);
                         continue;
                     };
                     let src = &x[(ci * g.h + iy) * g.w..][..g.w];
@@ -238,9 +278,7 @@ fn im2col_item<const K: usize>(item: &mut [f32], x: &[f32], g: &Unroll) {
                         Some(ix0) => dst.copy_from_slice(&src[ix0..ix0 + k]),
                         None => {
                             for (kx, d) in dst.iter_mut().enumerate() {
-                                if let Some(ix) = g.src(ox, kx, g.w) {
-                                    *d = src[ix];
-                                }
+                                *d = g.src(ox, kx, g.w).map_or(0.0, |ix| src[ix]);
                             }
                         }
                     }
@@ -340,6 +378,22 @@ fn col2im_item<const K: usize>(item: &mut [f32], cs: &[f32], g: &Unroll) {
 /// # }
 /// ```
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
+    Ok(conv2d_with_patches(input, weight, bias, spec)?.0)
+}
+
+/// [`conv2d`], also returning the patch matrix it unrolled `input` into,
+/// for [`conv2d_backward_with_patches`]. The output is [`conv2d`]'s, bit
+/// for bit: it is the same computation.
+///
+/// # Errors
+///
+/// As [`conv2d`].
+pub fn conv2d_with_patches(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &ConvSpec,
+) -> Result<(Tensor, ConvPatches)> {
     let (n, _c, h, w) = check_conv_input("conv2d", input, spec)?;
     if weight.dims() != spec.weight_dims() {
         return Err(TensorError::ShapeMismatch {
@@ -360,50 +414,46 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
     let pl = spec.patch_len();
     let rows_n = n * oh * ow;
     let b = bias.as_slice();
-    let mut out = vec![0.0f32; n * o * oh * ow];
-    // Both the patch matrix and the GEMM product are transient: they
-    // come from the workspace arena, so steady-state training reuses the
-    // same buffers every cycle.
-    with_scratch(rows_n * pl, |cols| -> Result<()> {
-        im2col_into(cols, input, spec)?;
-        with_scratch(rows_n * o, |prod| {
-            // [N*OH*OW, CKK] × [CKK, O] → [N*OH*OW, O]. The weight is
-            // stored `[O, CKK]` — the logical B transposed — and the
-            // kernel reads it in place; no materialized `transpose()`.
-            gemm_into(
-                prod,
-                rows_n,
-                pl,
-                o,
-                cols,
-                Layout::Normal,
-                weight.as_slice(),
-                Layout::Transposed,
-            );
-            // Parallel over batch items: relayout rows → NCHW plus bias,
-            // one contiguous output plane at a time.
-            let ohw = oh * ow;
-            for_each_block(&mut out, o * ohw, o * ohw, |first, chunk| {
-                for (bi, item) in chunk.chunks_mut(o * ohw).enumerate() {
-                    let rows = &prod[(first + bi) * ohw * o..][..ohw * o];
-                    for (oc, plane) in item.chunks_exact_mut(ohw).enumerate() {
-                        for (v, row) in plane.iter_mut().zip(rows.chunks_exact(o)) {
-                            *v = row[oc] + b[oc];
-                        }
-                    }
+    let patches = ConvPatches::unroll(input, spec)?;
+    // The GEMM product is transient workspace, overwritten in full.
+    let mut prod = Scratch::checkout(rows_n * o);
+    // [N*OH*OW, CKK] × [CKK, O] → [N*OH*OW, O]. The weight is stored
+    // `[O, CKK]` — the logical B transposed — and the kernel reads it in
+    // place; no materialized `transpose()`.
+    gemm_into(
+        &mut prod,
+        rows_n,
+        pl,
+        o,
+        &patches.cols,
+        Layout::Normal,
+        weight.as_slice(),
+        Layout::Transposed,
+    );
+    // Parallel over batch items: relayout rows → NCHW plus bias, one
+    // contiguous output plane at a time.
+    let ohw = oh * ow;
+    let mut out = vec![0.0f32; n * o * ohw];
+    for_each_block(&mut out, o * ohw, o * ohw, |first, chunk| {
+        for (bi, item) in chunk.chunks_mut(o * ohw).enumerate() {
+            let rows = &prod[(first + bi) * ohw * o..][..ohw * o];
+            for (oc, plane) in item.chunks_exact_mut(ohw).enumerate() {
+                for (v, row) in plane.iter_mut().zip(rows.chunks_exact(o)) {
+                    *v = row[oc] + b[oc];
                 }
-            });
-        });
-        Ok(())
-    })?;
-    Tensor::from_vec(out, &[n, o, oh, ow])
+            }
+        }
+    });
+    Ok((Tensor::from_vec(out, &[n, o, oh, ow])?, patches))
 }
 
 /// 2-D convolution backward pass.
 ///
 /// Given the forward `input`, the `weight` matrix, and `grad_output` of
 /// shape `[N, O, OH, OW]`, computes gradients with respect to input,
-/// weight, and bias.
+/// weight, and bias. It unrolls `input` again; a caller that kept the
+/// forward's [`ConvPatches`] runs [`conv2d_backward_with_patches`]
+/// instead, with the same result bit for bit.
 ///
 /// # Errors
 ///
@@ -415,17 +465,23 @@ pub fn conv2d_backward(
     grad_output: &Tensor,
     spec: &ConvSpec,
 ) -> Result<Conv2dGrads> {
-    let (n, _c, h, w) = check_conv_input("conv2d_backward", input, spec)?;
-    let (gn, go, goh, gow) = check_nchw("conv2d_backward", grad_output.dims())?;
+    const OP: &str = "conv2d_backward";
+    let (n, _c, h, w) = check_conv_input(OP, input, spec)?;
     let (oh, ow) = spec.output_hw(h, w);
-    if gn != n || go != spec.out_channels || goh != oh || gow != ow {
+    if grad_output.dims() != [n, spec.out_channels, oh, ow] {
         return Err(TensorError::ShapeMismatch {
-            op: "conv2d_backward",
+            op: OP,
             lhs: grad_output.dims().to_vec(),
             rhs: vec![n, spec.out_channels, oh, ow],
         });
     }
-    backward_body(input, weight, grad_output, spec, spec)
+    backward_body(
+        OP,
+        ConvPatches::unroll(input, spec)?,
+        weight,
+        grad_output,
+        spec,
+    )
 }
 
 /// 2-D convolution backward pass over a *packed* sub-model.
@@ -458,132 +514,166 @@ pub fn conv2d_backward_packed(
     grad_output_packed: &Tensor,
     spec: &ConvSpec,
 ) -> Result<Conv2dGrads> {
-    let (n, ca, h, w) = check_conv_input("conv2d_backward_packed", input_packed, spec)?;
-    let (gn, oa, goh, gow) = check_nchw("conv2d_backward_packed", grad_output_packed.dims())?;
-    let (oh, ow) = spec.output_hw(h, w);
-    if gn != n || goh != oh || gow != ow {
-        return Err(TensorError::ShapeMismatch {
-            op: "conv2d_backward_packed",
-            lhs: grad_output_packed.dims().to_vec(),
-            rhs: vec![n, oa, oh, ow],
-        });
-    }
-    if weight_rows.dims() != [oa, spec.patch_len()] {
-        return Err(TensorError::ShapeMismatch {
-            op: "conv2d_backward_packed",
-            lhs: weight_rows.dims().to_vec(),
-            rhs: vec![oa, spec.patch_len()],
-        });
-    }
-    if ca == 0 || ca > spec.in_channels || oa == 0 || oa > spec.out_channels {
-        return Err(TensorError::InvalidArgument {
-            what: format!(
-                "conv2d_backward_packed: packed channels ({ca} in, {oa} out) must be \
-                 nonzero and within the full spec ({} in, {} out)",
-                spec.in_channels, spec.out_channels
-            ),
-        });
+    const OP: &str = "conv2d_backward_packed";
+    let (_n, ca, _h, _w) = check_conv_input(OP, input_packed, spec)?;
+    if ca == 0 || ca > spec.in_channels {
+        return Err(packed_channels_error(OP, ca, grad_output_packed, spec));
     }
     // Patch matrix over the *active* input channels only: identical
     // entries to the active column blocks of the full im2col, in the
     // same relative order, because the column layout is channel-major.
     let cols_spec = ConvSpec {
         in_channels: ca,
-        out_channels: oa,
         ..*spec
     };
+    let patches = ConvPatches::unroll(input_packed, &cols_spec)?;
+    backward_body(OP, patches, weight_rows, grad_output_packed, spec)
+}
+
+/// The backward pass from the patch matrix [`conv2d_with_patches`] kept,
+/// which it consumes: the workspace buffer is released as soon as the
+/// weight gradient has read it.
+///
+/// `patches` may come from a packed forward — an input gathered to its
+/// `Ca` active channels, with `spec`'s kernel, stride and padding — and
+/// `weight_rows` and `grad_output` are then as in
+/// [`conv2d_backward_packed`]; the result is that function's on the same
+/// gathered input, bit for bit, and [`conv2d_backward`]'s when nothing is
+/// packed.
+///
+/// # Errors
+///
+/// Returns a [`TensorError`] when the operands are inconsistent with
+/// `spec`, with `patches` or with each other.
+pub fn conv2d_backward_with_patches(
+    patches: ConvPatches,
+    weight_rows: &Tensor,
+    grad_output: &Tensor,
+    spec: &ConvSpec,
+) -> Result<Conv2dGrads> {
     backward_body(
-        input_packed,
+        "conv2d_backward_with_patches",
+        patches,
         weight_rows,
-        grad_output_packed,
-        &cols_spec,
+        grad_output,
         spec,
     )
 }
 
-/// The backward pass behind [`conv2d_backward`] (`cols_spec == spec`)
-/// and [`conv2d_backward_packed`] (`cols_spec` narrowed to the active
-/// channels), whose callers have checked the operand shapes: `input` is
-/// `[N, Ca, H, W]`, `weight_rows` `[Oa, C*K*K]`, `grad_output`
-/// `[N, Oa, OH, OW]`. One body is what keeps the two bitwise
-/// comparable — every sum runs in the same per-element order at any
-/// channel count.
+/// The error for packed channel counts outside `1..=` the full spec's.
+fn packed_channels_error(
+    op: &'static str,
+    ca: usize,
+    grad_output: &Tensor,
+    spec: &ConvSpec,
+) -> TensorError {
+    let oa = grad_output.dims().get(1).copied().unwrap_or(0);
+    TensorError::InvalidArgument {
+        what: format!(
+            "{op}: packed channels ({ca} in, {oa} out) must be nonzero and within the \
+             full spec ({} in, {} out)",
+            spec.in_channels, spec.out_channels
+        ),
+    }
+}
+
+/// The one backward pass behind every public entry point: `patches`
+/// holds the `Ca`-channel patch matrix (`Ca == C` unpacked),
+/// `weight_rows` is `[Oa, C*K*K]` and `grad_output` `[N, Oa, OH, OW]`.
+/// One body is what keeps them bitwise comparable — every sum runs in
+/// the same per-element order at any channel count.
 fn backward_body(
-    input: &Tensor,
+    op: &'static str,
+    patches: ConvPatches,
     weight_rows: &Tensor,
     grad_output: &Tensor,
-    cols_spec: &ConvSpec,
     spec: &ConvSpec,
 ) -> Result<Conv2dGrads> {
-    let (n, h, w) = (input.dims()[0], input.dims()[2], input.dims()[3]);
-    let oa = grad_output.dims()[1];
+    let (n, h, w) = (patches.n, patches.h, patches.w);
+    let ca = patches.spec.in_channels;
+    let (gn, oa, goh, gow) = check_nchw(op, grad_output.dims())?;
     let (oh, ow) = spec.output_hw(h, w);
+    let ps = &patches.spec;
+    if (ps.kernel, ps.stride, ps.padding) != (spec.kernel, spec.stride, spec.padding) {
+        return Err(TensorError::InvalidArgument {
+            what: format!("{op}: patches unrolled with {ps:?}, not {spec:?}"),
+        });
+    }
+    if gn != n || goh != oh || gow != ow {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: grad_output.dims().to_vec(),
+            rhs: vec![n, oa, oh, ow],
+        });
+    }
+    if weight_rows.dims() != [oa, spec.patch_len()] {
+        return Err(TensorError::ShapeMismatch {
+            op,
+            lhs: weight_rows.dims().to_vec(),
+            rhs: vec![oa, spec.patch_len()],
+        });
+    }
+    if ca == 0 || ca > spec.in_channels || oa == 0 || oa > spec.out_channels {
+        return Err(packed_channels_error(op, ca, grad_output, spec));
+    }
     let pl = spec.patch_len();
-    let pl_p = cols_spec.patch_len();
+    let pl_p = ps.patch_len();
     let rows_n = n * oh * ow;
     let g = grad_output.as_slice();
-    let mut grad_bias = vec![0.0f32; oa];
-    let mut grad_weight = vec![0.0f32; oa * pl_p];
-    let mut grad_input = vec![0.0f32; n * spec.in_channels * h * w];
-    // The relayouted gradient, the patch matrix, and `dcols` are all
-    // transient workspace; `rows` is written in full by the relayout, so
-    // it skips even the zero-fill.
-    with_scratch_dirty(rows_n * oa, |rows| -> Result<()> {
-        // Re-layout grad_output from NCHW to rows [N*OH*OW, Oa], parallel
-        // over batch items (disjoint row blocks per item), reading one
-        // contiguous input plane at a time.
-        let ohw = oh * ow;
-        for_each_block(rows, ohw * oa, ohw * oa, |first, chunk| {
-            for (bi, item) in chunk.chunks_mut(ohw * oa).enumerate() {
-                let planes = &g[(first + bi) * oa * ohw..][..oa * ohw];
-                for (oc, plane) in planes.chunks_exact(ohw).enumerate() {
-                    for (row, &v) in item.chunks_exact_mut(oa).zip(plane) {
-                        row[oc] = v;
-                    }
+    // Re-layout grad_output from NCHW to rows [N*OH*OW, Oa], parallel
+    // over batch items (disjoint row blocks per item), reading one
+    // contiguous input plane at a time. It writes every slot.
+    let mut rows = Scratch::checkout(rows_n * oa);
+    let ohw = oh * ow;
+    for_each_block(&mut rows, ohw * oa, ohw * oa, |first, chunk| {
+        for (bi, item) in chunk.chunks_mut(ohw * oa).enumerate() {
+            let planes = &g[(first + bi) * oa * ohw..][..oa * ohw];
+            for (oc, plane) in planes.chunks_exact(ohw).enumerate() {
+                for (row, &v) in item.chunks_exact_mut(oa).zip(plane) {
+                    row[oc] = v;
                 }
             }
-        });
-        // Bias gradient: the rows run in ascending (ni, oy, ox) order,
-        // so each channel's sum is that chain, added across channels.
-        for row in rows.chunks_exact(oa) {
-            for (acc, &v) in grad_bias.iter_mut().zip(row) {
-                *acc += v;
-            }
         }
-        with_scratch(rows_n * pl_p, |cols| -> Result<()> {
-            im2col_into(cols, input, cols_spec)?;
-            // dW = gradᵀ × cols : [Oa, N*OH*OW] × [N*OH*OW, Ca*KK] →
-            // [Oa, Ca*KK]. `rows` stores the logical Aᵀ; read in place.
-            gemm_into(
-                &mut grad_weight,
-                oa,
-                rows_n,
-                pl_p,
-                rows,
-                Layout::Transposed,
-                cols,
-                Layout::Normal,
-            );
-            Ok(())
-        })?;
-        with_scratch(rows_n * pl, |dcols| {
-            // dcols = grad × W_rows : [N*OH*OW, Oa] × [Oa, C*KK] — full
-            // input columns, so col2im produces the full-shape
-            // grad_input.
-            gemm_into(
-                dcols,
-                rows_n,
-                oa,
-                pl,
-                rows,
-                Layout::Normal,
-                weight_rows.as_slice(),
-                Layout::Normal,
-            );
-            col2im_into(&mut grad_input, dcols, spec, n, h, w);
-        });
-        Ok(())
-    })?;
+    });
+    // Bias gradient: the rows run in ascending (ni, oy, ox) order, so
+    // each channel's sum is that chain, added across channels.
+    let mut grad_bias = vec![0.0f32; oa];
+    for row in rows.chunks_exact(oa) {
+        for (acc, &v) in grad_bias.iter_mut().zip(row) {
+            *acc += v;
+        }
+    }
+    // dW = gradᵀ × cols : [Oa, N*OH*OW] × [N*OH*OW, Ca*KK] → [Oa, Ca*KK].
+    // `rows` stores the logical Aᵀ; read in place.
+    let mut grad_weight = vec![0.0f32; oa * pl_p];
+    gemm_into(
+        &mut grad_weight,
+        oa,
+        rows_n,
+        pl_p,
+        &rows,
+        Layout::Transposed,
+        &patches.cols,
+        Layout::Normal,
+    );
+    // The patch matrix has served its one reader; its buffer is free
+    // for `dcols`, which has its size when nothing is packed.
+    drop(patches);
+    // dcols = grad × W_rows : [N*OH*OW, Oa] × [Oa, C*KK] — full input
+    // columns, so col2im produces the full-shape grad_input.
+    let mut dcols = Scratch::checkout(rows_n * pl);
+    gemm_into(
+        &mut dcols,
+        rows_n,
+        oa,
+        pl,
+        &rows,
+        Layout::Normal,
+        weight_rows.as_slice(),
+        Layout::Normal,
+    );
+    let mut grad_input = vec![0.0f32; n * spec.in_channels * h * w];
+    col2im_into(&mut grad_input, &dcols, spec, n, h, w);
     Ok(Conv2dGrads {
         grad_input: Tensor::from_vec(grad_input, &[n, spec.in_channels, h, w])?,
         grad_weight: Tensor::from_vec(grad_weight, &[oa, pl_p])?,
@@ -1307,6 +1397,35 @@ mod unroll_oracle {
             })
     }
 
+    #[test]
+    fn im2col_overwrites_a_poisoned_buffer() {
+        // K = 3 (the compile-time body) and K = 2 / 5 (runtime K), each
+        // with and without padding, at stride 1 and 2: every position of
+        // a NaN-filled buffer ends as the scalar unroll into zeros.
+        for (k, s, p) in [
+            (3, 1, 1),
+            (3, 2, 1),
+            (3, 1, 0),
+            (2, 2, 0),
+            (5, 1, 2),
+            (5, 2, 2),
+        ] {
+            let (n, c, h, w) = (2, 3, 7, 6);
+            let spec = ConvSpec::new(c, 1, k, s, p);
+            let x: Vec<f32> = (0..n * c * h * w).map(|i| i as f32 * 0.5 - 9.0).collect();
+            let input = Tensor::from_vec(x.clone(), &[n, c, h, w]).unwrap();
+            let (oh, ow) = spec.output_hw(h, w);
+            let mut want = vec![0.0; n * oh * ow * spec.patch_len()];
+            im2col_scalar(&mut want, &x, &spec, n, h, w);
+            for threads in [1, 2, 4, 8] {
+                let _guard = ParallelismConfig::with_threads(threads).scoped();
+                let mut cols = vec![f32::NAN; want.len()];
+                im2col_into(&mut cols, &input, &spec).unwrap();
+                assert!(same_bits(&cols, &want, false), "{spec:?} threads={threads}");
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn row_copies_are_bitwise_the_scalar_unroll(cases in proptest::collection::vec(case(), 8)) {
@@ -1319,7 +1438,8 @@ mod unroll_oracle {
                 col2im_scalar(&mut want_img, &cs, &spec, n, h, w);
                 for threads in [1, 2, 4, 8] {
                     let _guard = ParallelismConfig::with_threads(threads).scoped();
-                    let mut cols = vec![0.0; cs.len()];
+                    // A stale buffer: im2col must write every element.
+                    let mut cols = vec![f32::NAN; cs.len()];
                     im2col_into(&mut cols, &input, &spec).unwrap();
                     let tag = format!("{spec:?} {dims:?} threads={threads}");
                     prop_assert!(same_bits(&cols, &want_cols, false), "im2col {tag}");
@@ -1329,6 +1449,120 @@ mod unroll_oracle {
                 }
             }
         }
+    }
+}
+
+/// The backward pass from the patch matrix the forward kept against the
+/// public entry points that unroll the input again: the same three
+/// gradients, bit for bit, full-width and packed.
+#[cfg(test)]
+mod patches_oracle {
+    use super::*;
+    use crate::ParallelismConfig;
+    use proptest::prelude::*;
+
+    /// Ordinary values mixed with ±0, ±∞ and NaN.
+    fn element() -> impl Strategy<Value = f32> {
+        (0u32..u32::MAX).prop_map(|r| match r % 24 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::INFINITY,
+            3 => f32::NEG_INFINITY,
+            4 => f32::NAN,
+            _ => (r >> 5) as f32 / (1u32 << 27) as f32 * 2.0 - 1.0,
+        })
+    }
+
+    fn tensor(dims: &[usize]) -> impl Strategy<Value = Tensor> {
+        let dims = dims.to_vec();
+        proptest::collection::vec(element(), dims.iter().product::<usize>())
+            .prop_map(move |v| Tensor::from_vec(v, &dims).unwrap())
+    }
+
+    /// A full spec (kernel 1–3 or 5, stride 1–2, padding 0–2, 1–4
+    /// channels each way), packed channel counts `ca ≤ C` and
+    /// `oa ≤ O`, and operands: the packed input, the forward's packed
+    /// weight and bias, the backward's weight rows and the packed output
+    /// gradient.
+    #[allow(clippy::type_complexity)]
+    fn case() -> impl Strategy<Value = (ConvSpec, usize, [Tensor; 5])> {
+        (
+            (
+                (0..4usize).prop_map(|i| [1usize, 2, 3, 5][i]),
+                1..=2usize,
+                0..=2usize,
+            ),
+            (1..=4usize, 1..=4usize, 1..=2usize),
+        )
+            .prop_flat_map(|((k, s, p), (c, o, n))| {
+                let min = k.saturating_sub(2 * p).max(1);
+                (1..=c, 1..=o, min..min + 5, min..min + 5)
+                    .prop_map(move |(ca, oa, h, w)| (ConvSpec::new(c, o, k, s, p), ca, oa, n, h, w))
+            })
+            .prop_flat_map(|(spec, ca, oa, n, h, w)| {
+                let (oh, ow) = spec.output_hw(h, w);
+                let kk = spec.kernel * spec.kernel;
+                (
+                    tensor(&[n, ca, h, w]),
+                    tensor(&[oa, ca * kk]),
+                    tensor(&[oa]),
+                    tensor(&[oa, spec.patch_len()]),
+                    tensor(&[n, oa, oh, ow]),
+                )
+                    .prop_map(move |(x, w_p, b_p, w_rows, g)| (spec, ca, [x, w_p, b_p, w_rows, g]))
+            })
+    }
+
+    fn assert_same(a: &Conv2dGrads, b: &Conv2dGrads, tag: &str) {
+        for (name, x, y) in [
+            ("input", &a.grad_input, &b.grad_input),
+            ("weight", &a.grad_weight, &b.grad_weight),
+            ("bias", &a.grad_bias, &b.grad_bias),
+        ] {
+            assert_eq!(x.dims(), y.dims(), "{name} {tag}");
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(x), bits(y), "grad_{name} {tag}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn kept_patches_backward_is_bitwise_the_recomputing_one(
+            cases in proptest::collection::vec(case(), 6)
+        ) {
+            for (spec, ca, [x, w_p, b_p, w_rows, g]) in cases {
+                let oa = g.dims()[1];
+                let fwd_spec = ConvSpec { in_channels: ca, out_channels: oa, ..spec };
+                let full = ca == spec.in_channels && oa == spec.out_channels;
+                for threads in [1, 2, 4, 8] {
+                    let _guard = ParallelismConfig::with_threads(threads).scoped();
+                    let tag = format!("{spec:?} ca={ca} oa={oa} threads={threads}");
+                    let (y, patches) = conv2d_with_patches(&x, &w_p, &b_p, &fwd_spec).unwrap();
+                    let y_ref = conv2d(&x, &w_p, &b_p, &fwd_spec).unwrap();
+                    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&y), bits(&y_ref), "forward {}", &tag);
+                    let kept = conv2d_backward_with_patches(patches, &w_rows, &g, &spec).unwrap();
+                    let packed = conv2d_backward_packed(&x, &w_rows, &g, &spec).unwrap();
+                    assert_same(&kept, &packed, &format!("packed {tag}"));
+                    if full {
+                        let plain = conv2d_backward(&x, &w_rows, &g, &spec).unwrap();
+                        assert_same(&kept, &plain, &format!("full {tag}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn patches_from_another_geometry_are_rejected() {
+        let spec = ConvSpec::new(2, 3, 3, 1, 1);
+        let x = Tensor::full(&[1, 2, 5, 5], 1.0);
+        let (y, patches) =
+            conv2d_with_patches(&x, &Tensor::zeros(&[3, 18]), &Tensor::zeros(&[3]), &spec).unwrap();
+        let strided = ConvSpec { stride: 2, ..spec };
+        let g = Tensor::zeros(y.dims());
+        let r = conv2d_backward_with_patches(patches, &Tensor::zeros(&[3, 18]), &g, &strided);
+        assert!(matches!(r, Err(TensorError::InvalidArgument { .. })));
     }
 }
 

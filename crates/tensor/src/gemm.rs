@@ -53,15 +53,18 @@
 //! ```
 //!
 //! The blocked kernel preserves that chain *structurally*: `KC` slabs are
-//! processed in ascending-`k` order, the microkernel loads the current
-//! partial sums from `out`, appends its slab's terms in ascending order,
-//! and stores them back (an exact `f32` round trip). Tile padding cannot
-//! perturb results — padded A and B lanes only feed accumulator lanes
-//! that are never stored. Parallel execution partitions
-//! output *rows* across workers, which leaves each element's chain
-//! untouched, so results are bitwise identical to [`naive_matmul`] at
-//! every thread width. `tests/gemm_parity.rs` enforces this property over
-//! random, zero-heavy, `±0.0`, subnormal and non-finite operands.
+//! processed in ascending-`k` order; the first slab starts each
+//! accumulator at `+0.0`, every later one loads the partial sums the
+//! previous slab stored in `out` (an exact `f32` round trip); each
+//! appends its terms in ascending order. Whatever `out` held before the
+//! call is never read, so callers pass unzeroed scratch. Tile padding
+//! cannot perturb results — padded A and B lanes only feed accumulator
+//! lanes that are never stored. Parallel execution partitions output
+//! *rows* across workers, which leaves each element's chain untouched,
+//! so results are bitwise identical to [`naive_matmul`] at every thread
+//! width. `tests/gemm_parity.rs` enforces this property over random,
+//! zero-heavy, `±0.0`, subnormal and non-finite operands, and this
+//! module's tests over an `out` that arrives NaN-filled.
 //!
 //! The zero-skip is semantics, not a fast path: it makes masked
 //! (soft-training) operands contribute *no term at all*, which is what
@@ -77,7 +80,7 @@
 #![allow(clippy::too_many_arguments)]
 
 use crate::parallel::{for_each_block, for_each_block_aligned};
-use crate::workspace::with_scratch_dirty;
+use crate::workspace::Scratch;
 use crate::{Result, Tensor, TensorError};
 
 /// Microkernel tile height (output rows per register tile).
@@ -164,14 +167,13 @@ impl<'a> BSrc<'a> {
     }
 }
 
-/// Computes `out += A · B` for logical shapes `[m, k] × [k, n] → [m, n]`,
+/// Computes `out = A · B` for logical shapes `[m, k] × [k, n] → [m, n]`,
 /// with either operand optionally stored transposed.
 ///
-/// `out` must arrive filled with `+0.0` (every caller allocates via
-/// `vec![0.0; ..]` or the zeroing workspace arena): the product is then
-/// the reference chain, which starts at `+0.0`, and the finite-B dispatch
-/// below is exact. Work is recorded once, shape-derived, independent of
-/// layout and thread count.
+/// Whatever `out` holds on entry is ignored and overwritten: every
+/// element's chain starts at `+0.0`, as the reference's does, so callers
+/// hand in unzeroed workspace buffers. Work is recorded once,
+/// shape-derived, independent of layout and thread count.
 pub(crate) fn gemm_into(
     out: &mut [f32],
     m: usize,
@@ -189,7 +191,12 @@ pub(crate) fn gemm_into(
     // parallel split): one multiply-add per (i, k, j) triple. Packing is
     // data movement and records nothing.
     crate::instrument::record_kernel((2 * m * k * n) as u64, (m * n) as u64);
-    if m == 0 || n == 0 || k == 0 {
+    if k == 0 {
+        // No terms: every chain is its `+0.0` start.
+        out.fill(0.0);
+        return;
+    }
+    if m == 0 || n == 0 {
         return;
     }
     let nr_w = pick_nr(n);
@@ -210,17 +217,25 @@ pub(crate) fn gemm_into(
     // Scratch panels are packed serially, before the parallel region:
     // every worker reads the same panels, so packing once is both
     // cheaper and deterministic. The packers write every slot they hand
-    // to the kernel, so the scratch can skip its zero-fill.
+    // to the kernel, pad lanes included.
     match tb {
         Layout::Normal if n.is_multiple_of(nr_w) => run(out, BSrc::Direct { b, tail: None }),
-        Layout::Normal => with_scratch_dirty(k * nr_w, |tp| {
-            pack_b_tail(tp, b, k, n, nr_w);
-            run(out, BSrc::Direct { b, tail: Some(tp) });
-        }),
-        Layout::Transposed => with_scratch_dirty(nb * k * nr_w, |bp| {
-            pack_b_t(bp, b, k, n, nr_w);
-            run(out, BSrc::Packed(bp));
-        }),
+        Layout::Normal => {
+            let mut tp = Scratch::checkout(k * nr_w);
+            pack_b_tail(&mut tp, b, k, n, nr_w);
+            run(
+                out,
+                BSrc::Direct {
+                    b,
+                    tail: Some(&tp[..]),
+                },
+            );
+        }
+        Layout::Transposed => {
+            let mut bp = Scratch::checkout(nb * k * nr_w);
+            pack_b_t(&mut bp, b, k, n, nr_w);
+            run(out, BSrc::Packed(&bp));
+        }
     }
 }
 
@@ -257,23 +272,27 @@ fn gemm_row_block(
         // microkernel appends terms in ascending-k order, so each
         // output element sees one strictly increasing k chain.
         let kc = slab_base + usize::from(s < slab_extra);
+        // The first slab starts every chain at `+0.0`; later slabs
+        // resume the partial sums the previous one stored.
+        let resume = s > 0;
         for bi in 0..full_tiles {
             let gi = row0 + bi * MR;
             match ta {
                 Layout::Normal => {
                     let rows_a = std::array::from_fn(|i| &a[(gi + i) * k + kp..][..kc]);
                     for jp in 0..nb {
-                        let nr = nr_w.min(n - jp * nr_w);
+                        let (c0, nr) = (jp * nr_w, nr_w.min(n - jp * nr_w));
                         let (bpan, ldb) = bsrc.panel(jp, kp, k, n, nr_w);
-                        (kernels.rows)(block, n, bi * MR, jp * nr_w, nr, rows_a, kc, bpan, ldb);
+                        (kernels.rows)(block, n, bi * MR, c0, nr, rows_a, kc, bpan, ldb, resume);
                     }
                 }
                 Layout::Transposed => {
                     let a_base = &a[kp * m + gi..];
                     for jp in 0..nb {
-                        let nr = nr_w.min(n - jp * nr_w);
+                        let (c0, nr) = (jp * nr_w, nr_w.min(n - jp * nr_w));
                         let (bpan, ldb) = bsrc.panel(jp, kp, k, n, nr_w);
-                        (kernels.cols)(block, n, bi * MR, jp * nr_w, nr, a_base, m, kc, bpan, ldb);
+                        let r0 = bi * MR;
+                        (kernels.cols)(block, n, r0, c0, nr, a_base, m, kc, bpan, ldb, resume);
                     }
                 }
             }
@@ -306,6 +325,7 @@ fn gemm_row_block(
                     &tail_buf[..kc * MR],
                     bpan,
                     ldb,
+                    resume,
                 );
             }
         }
@@ -315,11 +335,13 @@ fn gemm_row_block(
 }
 
 /// Direct-A microkernel over `MR` row slices (normal layout).
-type RowsKernel = fn(&mut [f32], usize, usize, usize, usize, [&[f32]; MR], usize, &[f32], usize);
+type RowsKernel =
+    fn(&mut [f32], usize, usize, usize, usize, [&[f32]; MR], usize, &[f32], usize, bool);
 /// Direct-A microkernel over stride-`m` column chunks (transposed layout).
-type ColsKernel = fn(&mut [f32], usize, usize, usize, usize, &[f32], usize, usize, &[f32], usize);
+type ColsKernel =
+    fn(&mut [f32], usize, usize, usize, usize, &[f32], usize, usize, &[f32], usize, bool);
 /// Packed-A microkernel (tail tiles).
-type PackedKernel = fn(&mut [f32], usize, usize, usize, usize, usize, &[f32], &[f32], usize);
+type PackedKernel = fn(&mut [f32], usize, usize, usize, usize, usize, &[f32], &[f32], usize, bool);
 
 /// The three monomorphized microkernels one `gemm_into` call runs,
 /// resolved once from its panel width and B's finiteness.
@@ -354,8 +376,9 @@ impl Kernels {
     }
 }
 
-/// The register microkernel: `out[r0.., c0..] += a_tile · b` for an
-/// `mr × nr` live sub-tile of the `MR × NR_W` register tile. `a_tile` is
+/// The register microkernel: `out[r0.., c0..] = a_tile · b` for an
+/// `mr × nr` live sub-tile of the `MR × NR_W` register tile, or `+=`
+/// when `resume` continues the chains an earlier k slab stored there. `a_tile` is
 /// k-major packed (`MR` lanes per k step); B's k step `kk` is read at
 /// `b[kk * ldb ..][.. NR_W]`, which covers both in-place operands
 /// (`ldb == n`) and packed panels (`ldb == NR_W`).
@@ -389,12 +412,15 @@ fn micro_tile<const NR_W: usize, const CHECKED: bool>(
     a_tile: &[f32],
     b: &[f32],
     ldb: usize,
+    resume: bool,
 ) {
     let (a_steps, _) = a_tile.as_chunks::<MR>();
     let mut acc = [[0.0f32; NR_W]; MR];
-    for (i, acc_row) in acc.iter_mut().enumerate().take(mr) {
-        let row = (r0 + i) * ldc + c0;
-        acc_row[..nr].copy_from_slice(&out[row..row + nr]);
+    if resume {
+        for (i, acc_row) in acc.iter_mut().enumerate().take(mr) {
+            let row = (r0 + i) * ldc + c0;
+            acc_row[..nr].copy_from_slice(&out[row..row + nr]);
+        }
     }
     for (kk, a_k) in a_steps.iter().enumerate() {
         let b_k: &[f32; NR_W] = (&b[kk * ldb..kk * ldb + NR_W])
@@ -440,6 +466,7 @@ fn micro_rows<const NR_W: usize, const CHECKED: bool>(
     kc: usize,
     b: &[f32],
     ldb: usize,
+    resume: bool,
 ) {
     let r = [
         &rows_a[0][..kc],
@@ -448,9 +475,11 @@ fn micro_rows<const NR_W: usize, const CHECKED: bool>(
         &rows_a[3][..kc],
     ];
     let mut acc = [[0.0f32; NR_W]; MR];
-    for (i, acc_row) in acc.iter_mut().enumerate() {
-        let row = (r0 + i) * ldc + c0;
-        acc_row[..nr].copy_from_slice(&out[row..row + nr]);
+    if resume {
+        for (i, acc_row) in acc.iter_mut().enumerate() {
+            let row = (r0 + i) * ldc + c0;
+            acc_row[..nr].copy_from_slice(&out[row..row + nr]);
+        }
     }
     for kk in 0..kc {
         let b_k: &[f32; NR_W] = (&b[kk * ldb..kk * ldb + NR_W])
@@ -499,11 +528,14 @@ fn micro_cols<const NR_W: usize, const CHECKED: bool>(
     kc: usize,
     b: &[f32],
     ldb: usize,
+    resume: bool,
 ) {
     let mut acc = [[0.0f32; NR_W]; MR];
-    for (i, acc_row) in acc.iter_mut().enumerate() {
-        let row = (r0 + i) * ldc + c0;
-        acc_row[..nr].copy_from_slice(&out[row..row + nr]);
+    if resume {
+        for (i, acc_row) in acc.iter_mut().enumerate() {
+            let row = (r0 + i) * ldc + c0;
+            acc_row[..nr].copy_from_slice(&out[row..row + nr]);
+        }
     }
     for kk in 0..kc {
         let b_k: &[f32; NR_W] = (&b[kk * ldb..kk * ldb + NR_W])
@@ -752,6 +784,60 @@ mod tests {
         let c = a.matmul(&b).unwrap();
         assert_bitwise(&c, &naive_matmul(&a, &b).unwrap());
         assert_eq!(c.as_slice(), &[3.0, 4.0, 6.0, 8.0]);
+    }
+
+    #[test]
+    fn gemm_into_overwrites_whatever_out_holds() {
+        // `out` arrives NaN-poisoned; every layout must still produce the
+        // reference product, bit for bit, at every thread width: `k == 0`
+        // (all `+0.0`), one and several KC slabs, `m % MR` tails, and `n`
+        // off every panel width. The data holds exact zeros of both signs,
+        // and one B entry is ∞ where every A row is `-0.0`, so the checked
+        // kernels run too.
+        for (m, k, n) in [
+            (5, 0, 7),
+            (1, 1, 1),
+            (MR, KC, 16),
+            (7, 40, 49),
+            (9, 300, 33),
+            (6, 2 * KC + 3, NR + 1),
+            (13, 513, 144),
+        ] {
+            let a_data: Vec<f32> = seq(m * k, 0.25)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| if i % 11 == 3 { -0.0 } else { v })
+                .collect();
+            let mut b_data = seq(k * n, 0.125);
+            if k > 2 {
+                b_data[2 * n] = f32::INFINITY;
+            }
+            let mut a = t(a_data, &[m, k]);
+            if k > 2 {
+                for i in 0..m {
+                    a.as_mut_slice()[i * k + 2] = -0.0;
+                }
+            }
+            let b = t(b_data, &[k, n]);
+            let want = naive_matmul(&a, &b).unwrap();
+            let a_t = a.transpose().unwrap();
+            let b_t = b.transpose().unwrap();
+            for threads in [1, 2, 4, 8] {
+                let _guard = crate::ParallelismConfig::with_threads(threads).scoped();
+                for (name, ta, a_s, tb, b_s) in [
+                    ("nn", Layout::Normal, &a, Layout::Normal, &b),
+                    ("tn", Layout::Transposed, &a_t, Layout::Normal, &b),
+                    ("nt", Layout::Normal, &a, Layout::Transposed, &b_t),
+                ] {
+                    let mut out = vec![f32::NAN; m * n];
+                    gemm_into(&mut out, m, k, n, a_s.as_slice(), ta, b_s.as_slice(), tb);
+                    for (i, (x, y)) in out.iter().zip(want.as_slice()).enumerate() {
+                        let tag = format!("{name} {m}x{k}x{n} threads={threads}: element {i}");
+                        assert_eq!(x.to_bits(), y.to_bits(), "{tag}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

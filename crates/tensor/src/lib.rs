@@ -44,8 +44,9 @@ mod tensor;
 mod workspace;
 
 pub use conv::{
-    avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward, conv2d_backward_packed, max_pool2d,
-    max_pool2d_backward, max_pool2d_values, Conv2dGrads, ConvSpec, PoolIndices, PoolSpec,
+    avg_pool2d, avg_pool2d_backward, conv2d, conv2d_backward, conv2d_backward_packed,
+    conv2d_backward_with_patches, conv2d_with_patches, max_pool2d, max_pool2d_backward,
+    max_pool2d_values, Conv2dGrads, ConvPatches, ConvSpec, PoolIndices, PoolSpec,
 };
 pub use error::TensorError;
 pub use gemm::{naive_matmul, KC, MR};
