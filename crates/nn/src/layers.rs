@@ -5,8 +5,8 @@
 //! keep the operand of their weight-gradient GEMM (the input, the patch
 //! matrix), and their backward pass takes it: a second backward without
 //! a forward is [`NnError::BackwardBeforeForward`], and a network
-//! between steps holds no activations. They keep their parameters in
-//! one [`MaskedCore`], which also carries an optional
+//! between steps holds no layer input or patch matrix. They keep their
+//! parameters in one [`MaskedCore`], which also carries an optional
 //! **unit mask**: the Helios soft-training
 //! mechanism that excludes individual output neurons / channels from a
 //! training cycle. A masked-out unit produces zero activation and receives
@@ -457,6 +457,7 @@ impl Dense {
         self.core
             .backward(grad_out, dense_columns, |w, g, accumulate| {
                 accumulate(Param::Weight, &x.matmul_tn(g)?)?;
+                // Freed before the input gradient is allocated.
                 drop(x);
                 accumulate(Param::Bias, &g.sum_rows()?)?;
                 Ok(g.matmul_nt(w)?)

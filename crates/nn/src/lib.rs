@@ -323,7 +323,7 @@ mod packed_parity {
     /// masked (packed) or not — holds an input or a patch matrix, and a
     /// second backward is an error.
     #[test]
-    fn backward_leaves_no_forward_state() {
+    fn backward_takes_every_kept_operand() {
         for kind in [ModelKind::LeNet, ModelKind::AlexNet, ModelKind::ResNet18] {
             let mut rng = TensorRng::seed_from(37);
             let net = kind.build(10, &mut rng);
