@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the Helios workspace: formatting, lints (including an
 # unwrap/expect deny gate for the typed-error crates), first-party line
-# counts, a public-surface report (never fails), a no-shared-statics
+# counts, a public-surface report whose uncalled pub fns must be on a
+# kept list, a docs-name-only-what-exists gate, a no-shared-statics
 # gate, a single-thread-scope gate, a one-mask-type gate, a
 # derived-serde-schemas gate, a dev-profile checks gate, docs, release
 # build, tests, the kernel parity suites and the goldens again under
@@ -43,14 +44,32 @@ for crate in crates/*/; do
             END { printf "%-10s %6d\n", crate, lines }'
 done
 
-step "public surface per crate (report only, never fails)"
+step "public surface per crate, and no pub fn / pub const without a non-test caller"
 # Non-test `pub fn|struct|enum|const|type|trait` declarations per crate
 # (anything a caller outside the crate does not use is `pub(crate)`),
 # then every `pub fn` / `pub const` name that no non-test code mentions
 # outside its definition and `use` lines, searching crates/*/src (the
-# paper bins included), examples and benchmark/src. Each name listed
-# is kept for an integration-test or documented caller; a new one is
-# an orphan to delete or narrow.
+# paper bins included), examples and benchmark/src. A name on that list
+# must be in `kept` below with the caller it stays for; a new one is an
+# orphan to delete or narrow, and a kept name that gained a caller comes
+# off the list.
+kept=(
+    # analysis.rs's Prop 2 algebra, pinned by its unit tests; the ROADMAP
+    # item on Fig 6 and Prop 2 decides whether a run uses it.
+    variance_constraint_holds topv_selection_probabilities
+    optimal_selection_probabilities expected_active_count active_count_bound
+    admit_device          # paper_properties.rs: the §VI.C dynamic-join claim
+    content_digest        # trace_determinism.rs: the pinned trace digest
+    naive_matmul          # gemm_parity.rs: oracle of the blocked GEMM
+    transpose             # gemm_parity.rs, tensor proptests: matmul_tn/_nt oracle
+    eye                   # tensor proptests: matmul identity oracle
+    reset_workspace_stats # gemm_parity.rs: the workspace realloc count it pins
+    neuron_param_indices  # proptests.rs: param-mask expansion oracle
+    scenario_active       # scenario_engine.rs: the churn state it pins
+    offline_devices       # scenario_engine.rs: the churn state it pins
+    with_availability     # fleet_scale.rs, scenario_engine.rs: weighted sampling
+    with_jitter           # trace_determinism.rs, network_sim.rs: the jittered link
+)
 for crate in crates/*/; do
     find "$crate/src" -name '*.rs' -print0 | sort -z |
         xargs -0 awk -v crate="$(basename "$crate")" '
@@ -61,7 +80,8 @@ for crate in crates/*/; do
 done
 echo "pub fn / pub const names with no non-test caller:"
 find crates/*/src examples benchmark/src -name '*.rs' -print0 | sort -z |
-    xargs -0 awk '
+    xargs -0 awk -v kept="${kept[*]}" '
+        BEGIN { split(kept, k, " "); for (i in k) allowed[k[i]] = 1 }
         FNR == 1 { in_tests = 0; in_use = 0 }
         /#\[cfg\(test\)\]/ { in_tests = 1 }
         in_tests { next }
@@ -78,8 +98,86 @@ find crates/*/src examples benchmark/src -name '*.rs' -print0 | sort -z |
             n = split($0, t, " ")
             for (i = 1; i <= n; i++) seen[t[i]]++
         }
-        END { for (name in defs) if (seen[name] == defs[name]) printf "  %-32s %s\n", name, where[name] }' |
-    sort || true
+        END {
+            for (name in defs) if (seen[name] == defs[name]) {
+                printf "  %-32s %s%s\n", name, where[name], (name in allowed) ? "" : "  <- new orphan"
+                bad = bad || !(name in allowed)
+                orphan[name] = 1
+            }
+            for (name in allowed) if (!(name in orphan)) {
+                printf "  %-32s has a non-test caller (or is gone): drop it from kept\n", name
+                bad = 1
+            }
+            exit bad
+        }' | sort
+
+step "docs name only what exists (DESIGN.md, README.md, EXPERIMENTS.md, results/README.md)"
+# Every backticked identifier in these docs that looks like code (a `::`
+# path, or a name with an `_` or a capital inside it) must occur in the
+# tree's Rust code (comments stripped), in results/*.jsonl, or as the stem
+# of a .rs file (a bin or a test file). Each segment of a path counts; a
+# call's arguments, a file path's directories and its `.rs` are dropped
+# first. These docs cite ROADMAP items by title, never by number.
+# benchmark/README.md is left out: it still names the deleted
+# `set_packed_execution` and `HostMetricsScope`, and it is edited only
+# together with the benchmark itself.
+history=(
+    # DESIGN.md §4h: the whole-fleet functions the suffixed ones outlived.
+    train_all cycle_comm_bytes resource_based_env resource_based_combined
+    # DESIGN.md §2: a lock crate the deterministic engine does not need.
+    parking_lot
+)
+docs=(DESIGN.md README.md EXPERIMENTS.md results/README.md)
+{
+    find . \( -path ./target -o -path ./benchmark/target -o -path ./.bench_build \) -prune \
+        -o -name '*.rs' -print
+    find results -maxdepth 1 -name '*.jsonl'
+    printf '%s\n' "${docs[@]}"
+} | sort | tr '\n' '\0' | xargs -0 awk -v history="${history[*]}" '
+    BEGIN { split(history, h, " "); for (i in h) allowed[h[i]] = 1 }
+    FILENAME ~ /\.md$/ {
+        if (/[Ii]tems? #?[0-9]/) {
+            printf "%s:%d: cites a ROADMAP item by number\n", FILENAME, FNR
+            bad = 1
+        }
+        line = $0
+        while (match(line, /`[^`]+`/)) {
+            span = substr(line, RSTART + 1, RLENGTH - 2)
+            line = substr(line, RSTART + RLENGTH)
+            name = span
+            sub(/\(.*\)$/, "", name)
+            if (name ~ /^([A-Za-z0-9_.-]+\/)*[A-Za-z0-9_]+\.rs(::|$)/) {
+                sub(/^([A-Za-z0-9_.-]+\/)+/, "", name)
+                sub(/\.rs/, "", name)
+            }
+            gsub(/r#/, "", name)
+            if (name !~ /^[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*$/) continue
+            if (name !~ /::|_|[a-z0-9][A-Z]/ || name in allowed) continue
+            names[++n] = name; at[n] = FILENAME ":" FNR
+        }
+        next
+    }
+    FNR == 1 {
+        stem = FILENAME; sub(/.*\//, "", stem); sub(/\.rs$/, "", stem); known[stem] = 1
+    }
+    FILENAME ~ /\.rs$/ { sub(/\/\/.*/, "") }
+    {
+        gsub(/[^A-Za-z0-9_]+/, " ")
+        m = split($0, t, " ")
+        for (i = 1; i <= m; i++) known[t[i]] = 1
+    }
+    END {
+        for (i = 1; i <= n; i++) {
+            k = split(names[i], seg, "::")
+            for (j = 1; j <= k; j++) if (!(seg[j] in known)) {
+                printf "%s: `%s` names nothing in the code\n", at[i], names[i]
+                bad = 1
+                break
+            }
+        }
+        printf "%d backticked names checked\n", n
+        exit bad
+    }'
 
 step "no shared mutable statics (non-test code of crates/*/src, all of tests/)"
 # State belongs to the thread that drives the run: bus, counters and

@@ -8,7 +8,6 @@ use helios_net::{CompressionConfig, WireSize};
 use helios_nn::{CrossEntropyLoss, ModelMask, Network, NetworkCost, Sgd};
 use helios_scenario::DriftKind;
 use helios_tensor::{TensorRng, UnitMask};
-use std::sync::OnceLock;
 
 /// Global gradient-norm clip applied by every client's optimizer —
 /// protection against divergence on hard (heavily Non-IID) shards; large
@@ -49,7 +48,9 @@ pub struct LocalUpdate {
 /// Owns a full model replica (even when soft-training masks part of it —
 /// the paper's point is that *no structure is permanently lost*), a local
 /// data shard, an SGD optimizer, and the device's resource profile from
-/// which cycle times are derived.
+/// which cycle times are derived. The cost queries are pure functions of
+/// the architecture and a mask — the installed one, or one the caller
+/// passes in — so pricing a sub-model installs nothing.
 #[derive(Debug, Clone)]
 pub struct Client {
     id: usize,
@@ -62,9 +63,9 @@ pub struct Client {
     workload_scale: f64,
     rng: TensorRng,
     current_mask: Option<ModelMask>,
-    /// `current_mask` expanded to the flat parameter vector, derived on
-    /// first read after each install (see [`Client::param_mask`]).
-    param_mask: OnceLock<UnitMask>,
+    /// `current_mask` expanded to the flat parameter vector, derived by
+    /// [`Client::set_masks`].
+    param_mask: Option<UnitMask>,
     last_based_on: usize,
     /// Scenario-engine battery/thermal scale applied to the profile's
     /// compute bandwidth when deriving cycle times; `1.0` (the default)
@@ -117,7 +118,7 @@ impl Client {
             workload_scale,
             rng,
             current_mask: None,
-            param_mask: OnceLock::new(),
+            param_mask: None,
             last_based_on: 0,
             compute_scale: 1.0,
             drift_applied: 0,
@@ -149,14 +150,15 @@ impl Client {
         &self.net
     }
 
-    /// Mutable model access (used by the Helios scheduler for layout
-    /// queries).
+    /// Mutable model access. The library reads the architecture through
+    /// [`Client::network`]; the repository benchmark still calls this.
     pub fn network_mut(&mut self) -> &mut Network {
         &mut self.net
     }
 
     /// Installs the unit masks for the next training cycle (`None`
-    /// restores full-model training).
+    /// restores full-model training) and expands them to the flat
+    /// parameter vector once, for the upload.
     ///
     /// # Errors
     ///
@@ -166,7 +168,7 @@ impl Client {
             Some(m) => self.net.set_masks(m)?,
             None => self.net.clear_masks(),
         }
-        self.param_mask.take();
+        self.param_mask = mask.as_ref().map(|m| self.net.layout().param_mask(m));
         self.current_mask = mask;
         Ok(())
     }
@@ -174,17 +176,6 @@ impl Client {
     /// The currently installed mask, if any.
     pub fn current_mask(&self) -> Option<&ModelMask> {
         self.current_mask.as_ref()
-    }
-
-    /// The installed mask expanded to the flat parameter vector, derived
-    /// once per install on first read: a mask that is only costed (as
-    /// the keep-ratio fit's probes are) never pays for it.
-    fn param_mask(&self) -> Option<&UnitMask> {
-        let mask = self.current_mask.as_ref()?;
-        Some(
-            self.param_mask
-                .get_or_init(|| self.net.layout().param_mask(mask)),
-        )
     }
 
     /// Wire size of this client's next upload under the run's
@@ -197,12 +188,12 @@ impl Client {
     /// for the data-dependent delta/top-k layouts — see
     /// `CompressionConfig::upload_wire_size`).
     pub(crate) fn upload_wire_size(&self, compression: &CompressionConfig) -> WireSize {
-        let active = self.param_mask().map(UnitMask::count_ones);
+        let active = self.param_mask.as_ref().map(UnitMask::count_ones);
         compression.upload_wire_size(self.net.param_len(), active)
     }
 
     /// Fraction of maskable neurons active under the current mask.
-    pub(crate) fn keep_ratio(&mut self) -> f64 {
+    pub(crate) fn keep_ratio(&self) -> f64 {
         let units = self.net.maskable_units();
         match &self.current_mask {
             Some(m) => m.keep_ratio(&units),
@@ -250,7 +241,7 @@ impl Client {
             }
         }
         let params = self.net.param_vector();
-        let param_mask = self.param_mask().map(|m| m.words().to_vec());
+        let param_mask = self.param_mask.as_ref().map(|m| m.words().to_vec());
         let keep_ratio = self.keep_ratio();
         Ok(LocalUpdate {
             client: self.id,
@@ -267,10 +258,15 @@ impl Client {
         })
     }
 
-    /// The analytic workload of one local training cycle under the current
+    /// The analytic workload of one local training cycle under the installed
     /// mask: training FLOPs, memory traffic, and the parameter exchange.
     pub fn cycle_workload(&self) -> TrainingWorkload {
-        let per_batch = NetworkCost::of(&self.net, self.batch_size);
+        self.workload(self.current_mask.as_ref())
+    }
+
+    /// [`Client::cycle_workload`] under `mask` (`None`: the full model).
+    fn workload(&self, mask: Option<&ModelMask>) -> TrainingWorkload {
+        let per_batch = NetworkCost::of(&self.net, mask, self.batch_size);
         let batches_per_epoch = self.dataset.len().div_ceil(self.batch_size).max(1);
         let steps = (batches_per_epoch * self.local_epochs) as f64;
         // Upload + download of the active parameters (not scaled: the
@@ -283,17 +279,21 @@ impl Client {
         )
     }
 
-    /// Simulated duration of one local training cycle on this device,
-    /// under the current scenario compute scale (throttled devices take
-    /// proportionally longer).
+    /// Simulated duration of one local training cycle on this device
+    /// under the installed mask, at the current scenario compute scale
+    /// (throttled devices take proportionally longer).
     pub fn cycle_time(&self) -> SimTime {
+        self.cycle_time_with(self.current_mask.as_ref())
+    }
+
+    /// [`Client::cycle_time`] under `mask` instead of the installed one
+    /// (`None`: the full model).
+    pub fn cycle_time_with(&self, mask: Option<&ModelMask>) -> SimTime {
+        let workload = self.workload(mask);
         if self.compute_scale == 1.0 {
-            return CostModel::time_for(&self.profile, &self.cycle_workload());
+            return CostModel::time_for(&self.profile, &workload);
         }
-        CostModel::time_for(
-            &self.profile.compute_scaled(self.compute_scale),
-            &self.cycle_workload(),
-        )
+        CostModel::time_for(&self.profile.compute_scaled(self.compute_scale), &workload)
     }
 
     /// The current scenario compute scale (see
@@ -339,19 +339,14 @@ impl Client {
         Ok(())
     }
 
-    /// Peak training memory footprint under the current mask, in bytes
-    /// (of the scaled experiment model itself).
-    pub(crate) fn resident_bytes(&self) -> f64 {
-        NetworkCost::of(&self.net, self.batch_size).memory_bytes()
-    }
-
-    /// Training footprint mapped to full-model magnitude for comparison
-    /// against a device's Table I memory budget. Memory scales far less
-    /// than FLOPs between the scaled and full models (footprint grows
-    /// with parameters and activations, not with dataset passes), hence a
-    /// separate, smaller factor than `workload_scale`.
-    pub fn scaled_resident_bytes(&self) -> f64 {
-        self.resident_bytes() * DEFAULT_MEMORY_SCALE
+    /// Training footprint under `mask` (`None`: the full model) mapped
+    /// to full-model magnitude, for comparison against a device's Table I
+    /// memory budget. Memory scales far less than FLOPs between the
+    /// scaled and full models (footprint grows with parameters and
+    /// activations, not with dataset passes), hence a separate, smaller
+    /// factor than `workload_scale`.
+    pub fn scaled_resident_bytes(&self, mask: Option<&ModelMask>) -> f64 {
+        NetworkCost::of(&self.net, mask, self.batch_size).memory_bytes() * DEFAULT_MEMORY_SCALE
     }
 }
 
@@ -411,7 +406,7 @@ mod tests {
     fn mask_shrinks_cycle_time_and_update_mask() {
         let mut c = make_client(presets::deeplens_cpu());
         let full_time = c.cycle_time();
-        let units = c.network_mut().maskable_units();
+        let units = c.network().maskable_units();
         let mut mask = ModelMask::all_active(&units);
         for (i, &n) in units.0.iter().enumerate() {
             mask.set_layer(i, Some((0..n).map(|j| j < n / 2).collect()));

@@ -101,7 +101,7 @@ impl RoundPolicy for RandomPartial {
         let c = env.client_mut(client)?;
         match keep {
             Some(r) => {
-                let units = c.network_mut().maskable_units();
+                let units = c.network().maskable_units();
                 let mask = random_mask(&units, r, rng);
                 c.set_masks(Some(mask))
             }

@@ -161,6 +161,11 @@ impl SoftTrainer {
         })
     }
 
+    /// The maskable-layer widths this scheduler draws masks over.
+    pub(crate) fn units(&self) -> &MaskableUnits {
+        &self.units
+    }
+
     /// Current keep ratio (the straggler's expected model volume).
     pub(crate) fn keep(&self) -> f64 {
         self.keep
@@ -513,7 +518,7 @@ mod tests {
     fn contributions_from_delta_maps_layout_to_layers() {
         use helios_nn::models;
         let mut rng = TensorRng::seed_from(5);
-        let mut net = models::lenet(10, &mut rng);
+        let net = models::lenet(10, &mut rng);
         let layout = net.layout();
         let u = net.maskable_units();
         let prev = net.param_vector();

@@ -5,7 +5,7 @@ use crate::softtrain::{contributions_from_delta, Contributions, SoftTrainer};
 use crate::{aggregation, identify, target, HeliosError, Result};
 use helios_device::SimTime;
 use helios_fl::{FlEnv, MaskedUpdate, OnlineAggregator, RoundPolicy, RoutedCycle};
-use helios_nn::ModelMask;
+use helios_nn::{ModelMask, NeuronLayout};
 use helios_tensor::TensorRng;
 use std::collections::{BTreeSet, HashMap};
 
@@ -130,6 +130,10 @@ pub struct HeliosStrategy {
     config: HeliosConfig,
     stragglers: Vec<usize>,
     trainers: HashMap<usize, SoftTrainer>,
+    /// The neuron index of the run's architecture, built with the first
+    /// trainer: contribution deltas (Eq 1) read it for every straggler
+    /// update.
+    layout: Option<NeuronLayout>,
     contributions: HashMap<usize, Contributions>,
     deadline: SimTime,
     initialized: bool,
@@ -159,6 +163,7 @@ impl HeliosStrategy {
             config,
             stragglers: Vec::new(),
             trainers: HashMap::new(),
+            layout: None,
             contributions: HashMap::new(),
             deadline: SimTime::ZERO,
             initialized: false,
@@ -284,7 +289,9 @@ impl HeliosStrategy {
         keep: f64,
         rng: TensorRng,
     ) -> Result<()> {
-        let units = env.client_mut(client)?.network_mut().maskable_units();
+        let net = env.client_mut(client)?.network();
+        let units = net.maskable_units();
+        self.layout.get_or_insert_with(|| net.layout());
         let trainer = SoftTrainer::new(units, keep, self.config.p_s, self.config.regulation, rng)?;
         self.trainers.insert(client, trainer);
         Ok(())
@@ -367,9 +374,9 @@ impl HeliosStrategy {
 /// The largest volume whose compute fits `deadline` minus the device's
 /// expected (full-volume, hence conservative) link time — shrinking the
 /// model cannot speed up the download.
-fn fitted_keep(env: &mut FlEnv, deadline: SimTime, i: usize) -> Result<f64> {
+fn fitted_keep(env: &FlEnv, deadline: SimTime, i: usize) -> Result<f64> {
     let budget = target::comm_adjusted_deadline(deadline, env.comm_overhead(i)?);
-    target::fitted_keep_ratio(env.client_mut(i)?, budget)
+    target::fitted_keep_ratio(env.client(i)?, budget)
 }
 
 /// The scheduler stream of a device classified on its own.
@@ -456,8 +463,8 @@ impl RoundPolicy for HeliosStrategy {
             // `aggregate`, once this cycle's delivery outcome is known.
             self.issued_masks.insert(client, mask.clone());
             if helios_obs::enabled() {
-                let units = env.client_mut(client)?.network_mut().maskable_units();
-                let active: usize = mask.active_counts(&units).iter().sum();
+                let units = trainer.units();
+                let active: usize = mask.active_counts(units).iter().sum();
                 helios_obs::emit(|| helios_obs::TraceEvent::MaskIssued {
                     cycle: cycle as u64,
                     device: client as u64,
@@ -504,11 +511,9 @@ impl RoundPolicy for HeliosStrategy {
         self.issued_masks.clear();
         // Refresh contribution values U (Eq 1) for the next selection.
         for u in updates {
-            if self.trainers.contains_key(&u.client) {
-                let client = env.client_mut(u.client)?;
-                let layout = client.network_mut().layout();
-                let units = client.network_mut().maskable_units();
-                let c = contributions_from_delta(&layout, &units, &self.received_global, &u.params);
+            if let (Some(trainer), Some(layout)) = (self.trainers.get(&u.client), &self.layout) {
+                let (global, units) = (&self.received_global, trainer.units());
+                let c = contributions_from_delta(layout, units, global, &u.params);
                 self.contributions.insert(u.client, c);
             }
         }

@@ -33,56 +33,40 @@ pub fn probe_mask(units: &MaskableUnits, keep: f64) -> ModelMask {
     mask
 }
 
-/// Simulated cycle time of `client` under a uniform keep ratio; restores
-/// the client's previous mask before returning.
-///
-/// # Errors
-///
-/// Propagates mask-installation errors (impossible for well-formed
-/// ratios).
-pub fn masked_cycle_time(client: &mut Client, keep: f64) -> Result<SimTime> {
-    with_probe_mask(client, keep, Client::cycle_time)
-}
-
-/// Installs the uniform `keep` probe mask on `client`, reads it, and
-/// restores the client's previous mask.
-fn with_probe_mask<T>(
-    client: &mut Client,
-    keep: f64,
-    read: impl FnOnce(&Client) -> T,
-) -> Result<T> {
-    let saved = client.current_mask().cloned();
-    let units = client.network_mut().maskable_units();
-    client
-        .set_masks(Some(probe_mask(&units, keep)))
-        .map_err(HeliosError::from)?;
-    let value = read(client);
-    client.set_masks(saved).map_err(HeliosError::from)?;
-    Ok(value)
+/// Simulated cycle time of `client` under a uniform keep ratio: the
+/// analytic cost of its architecture under [`probe_mask`], with nothing
+/// installed on the client.
+pub fn masked_cycle_time(client: &Client, keep: f64) -> SimTime {
+    let units = client.network().maskable_units();
+    client.cycle_time_with(Some(&probe_mask(&units, keep)))
 }
 
 /// *Resource-fitted* volume determination: the largest keep ratio whose
 /// masked cycle time meets `deadline` and whose training footprint fits
 /// the device memory (binary search against the analytic cost model, the
-/// white-box path of §IV.C).
+/// white-box path of §IV.C). Each probed ratio is costed as a
+/// [`probe_mask`]; the client's installed mask is neither read nor
+/// changed.
 ///
 /// # Errors
 ///
 /// Returns [`HeliosError::InfeasibleVolume`] when even the minimum volume
 /// (`MIN_KEEP_RATIO`) misses the deadline or memory budget.
-pub fn fitted_keep_ratio(client: &mut Client, deadline: SimTime) -> Result<f64> {
-    // One install serves both checks; the memory check uses the same
-    // workload scaling as the time model.
-    let fits = |client: &mut Client, keep: f64| {
-        with_probe_mask(client, keep, |c| {
-            c.cycle_time() <= deadline
-                && CostModel::fits_memory(c.profile(), c.scaled_resident_bytes())
-        })
+pub fn fitted_keep_ratio(client: &Client, deadline: SimTime) -> Result<f64> {
+    let units = client.network().maskable_units();
+    // The memory check uses the same workload scaling as the time model.
+    let fits = |keep: f64| {
+        let mask = Some(probe_mask(&units, keep));
+        client.cycle_time_with(mask.as_ref()) <= deadline
+            && CostModel::fits_memory(
+                client.profile(),
+                client.scaled_resident_bytes(mask.as_ref()),
+            )
     };
-    if fits(client, 1.0)? {
+    if fits(1.0) {
         return Ok(1.0);
     }
-    if !fits(client, MIN_KEEP_RATIO)? {
+    if !fits(MIN_KEEP_RATIO) {
         return Err(HeliosError::InfeasibleVolume {
             client: client.id(),
             what: format!(
@@ -94,7 +78,7 @@ pub fn fitted_keep_ratio(client: &mut Client, deadline: SimTime) -> Result<f64> 
     let (mut lo, mut hi) = (MIN_KEEP_RATIO, 1.0f64);
     for _ in 0..24 {
         let mid = 0.5 * (lo + hi);
-        if fits(client, mid)? {
+        if fits(mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -208,43 +192,58 @@ mod tests {
 
     #[test]
     fn masked_cycle_time_is_monotone_in_volume() {
-        let mut c = client(presets::deeplens_cpu());
-        let t25 = masked_cycle_time(&mut c, 0.25).unwrap();
-        let t50 = masked_cycle_time(&mut c, 0.5).unwrap();
-        let t100 = masked_cycle_time(&mut c, 1.0).unwrap();
+        let c = client(presets::deeplens_cpu());
+        let t25 = masked_cycle_time(&c, 0.25);
+        let t50 = masked_cycle_time(&c, 0.5);
+        let t100 = masked_cycle_time(&c, 1.0);
         assert!(t25 < t50);
         assert!(t50 < t100);
-        // Probe restored the client's (empty) mask.
+        assert_eq!(t100, c.cycle_time());
+        // Costing installed nothing.
         assert!(c.current_mask().is_none());
     }
 
     #[test]
-    fn fitted_ratio_meets_deadline_maximally() {
+    fn probing_reads_no_installed_mask() {
         let mut c = client(presets::deeplens_cpu());
+        let deadline = SimTime::from_secs(c.cycle_time().as_secs_f64() / 3.0);
+        let keep = fitted_keep_ratio(&c, deadline).unwrap();
+        let t = masked_cycle_time(&c, 0.5);
+        let units = c.network().maskable_units();
+        let installed = probe_mask(&units, 0.25);
+        c.set_masks(Some(installed.clone())).unwrap();
+        assert_eq!(fitted_keep_ratio(&c, deadline).unwrap(), keep);
+        assert_eq!(masked_cycle_time(&c, 0.5), t);
+        assert_eq!(c.current_mask(), Some(&installed));
+    }
+
+    #[test]
+    fn fitted_ratio_meets_deadline_maximally() {
+        let c = client(presets::deeplens_cpu());
         let full = c.cycle_time();
         let deadline = SimTime::from_secs(full.as_secs_f64() / 3.0);
-        let keep = fitted_keep_ratio(&mut c, deadline).unwrap();
+        let keep = fitted_keep_ratio(&c, deadline).unwrap();
         assert!(keep < 1.0);
         assert!(keep >= MIN_KEEP_RATIO);
-        let t = masked_cycle_time(&mut c, keep).unwrap();
+        let t = masked_cycle_time(&c, keep);
         assert!(t <= deadline, "fitted volume must meet deadline");
         // Maximality: 25% more volume should overshoot.
-        let t_bigger = masked_cycle_time(&mut c, (keep * 1.25).min(1.0)).unwrap();
+        let t_bigger = masked_cycle_time(&c, (keep * 1.25).min(1.0));
         assert!(t_bigger > deadline);
     }
 
     #[test]
     fn fitted_ratio_full_model_when_deadline_is_loose() {
-        let mut c = client(presets::jetson_nano());
+        let c = client(presets::jetson_nano());
         let full = c.cycle_time();
         let deadline = SimTime::from_secs(full.as_secs_f64() * 2.0);
-        assert_eq!(fitted_keep_ratio(&mut c, deadline).unwrap(), 1.0);
+        assert_eq!(fitted_keep_ratio(&c, deadline).unwrap(), 1.0);
     }
 
     #[test]
     fn fitted_ratio_errors_when_infeasible() {
-        let mut c = client(presets::deeplens_cpu());
-        let err = fitted_keep_ratio(&mut c, SimTime::from_secs(1e-6));
+        let c = client(presets::deeplens_cpu());
+        let err = fitted_keep_ratio(&c, SimTime::from_secs(1e-6));
         assert!(matches!(err, Err(HeliosError::InfeasibleVolume { .. })));
     }
 

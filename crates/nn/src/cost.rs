@@ -3,13 +3,14 @@
 //! The Helios paper sizes straggler sub-models with an analytic resource
 //! model (`Te = W/C_cpu + M/V_mc + M/B_n`, §IV.B) rather than measuring
 //! real hardware. This module produces the `W` (computation workload) and
-//! `M` (memory usage) inputs to that formula, honouring any unit masks
-//! currently installed on the network: a masked-out neuron contributes
-//! neither FLOPs nor activation traffic, which is exactly how soft-training
-//! accelerates a straggler.
+//! `M` (memory usage) inputs to that formula for an architecture under a
+//! [`ModelMask`] it need not have installed: a masked-out neuron
+//! contributes neither FLOPs nor activation traffic, which is exactly how
+//! soft-training accelerates a straggler.
 
 use crate::layer::Layer;
-use crate::Network;
+use crate::layers::MaskedCore;
+use crate::{ModelMask, Network};
 use helios_tensor::UnitMask;
 use serde::Serialize;
 
@@ -26,18 +27,20 @@ pub struct LayerCost {
     pub activation_bytes: f64,
 }
 
-/// Aggregate cost profile of a network under its current masks.
+/// Aggregate cost profile of a network under a unit mask.
 ///
 /// # Example
 ///
 /// ```
-/// use helios_nn::models;
+/// use helios_nn::{models, ModelMask, NetworkCost};
 /// use helios_tensor::TensorRng;
 ///
-/// let mut net = models::lenet(10, &mut TensorRng::seed_from(0));
-/// let cost = helios_nn::NetworkCost::of(&net, 32);
+/// let net = models::lenet(10, &mut TensorRng::seed_from(0));
+/// let cost = NetworkCost::of(&net, None, 32);
 /// assert!(cost.flops_training() > 0.0);
-/// assert!(cost.memory_bytes() > 0.0);
+/// let mut half = ModelMask::all_active(&net.maskable_units());
+/// half.set_layer(0, Some((0..8).map(|j| j < 4).collect()));
+/// assert!(NetworkCost::of(&net, Some(&half), 32).memory_bytes() < cost.memory_bytes());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NetworkCost {
@@ -52,14 +55,17 @@ const BYTES_PER_PARAM: f64 = 4.0;
 const TRAIN_FLOPS_FACTOR: f64 = 3.0;
 
 impl NetworkCost {
-    /// Computes the cost profile of `net` for one mini-batch of
-    /// `batch_size` samples, honouring currently installed unit masks.
-    pub fn of(net: &Network, batch_size: usize) -> Self {
+    /// Computes the cost profile of `net`'s architecture for one
+    /// mini-batch of `batch` samples under `mask` (`None`: all active),
+    /// ignoring the masks installed on `net`. Each layer of `mask` must
+    /// fit its layer's units, as [`Network::set_masks`] requires.
+    pub fn of(net: &Network, mask: Option<&ModelMask>, batch: usize) -> Self {
         let mut layers = Vec::new();
         let mut shape = net.input_dims().to_vec();
-        let mut in_keep = 1.0f64;
+        let mut keep = 1.0f64;
+        let masks = &mut (0..).map(|i| mask.and_then(|m| m.layer(i)));
         for layer in net.layers() {
-            walk(layer, &mut shape, &mut in_keep, batch_size, &mut layers);
+            walk(layer, masks, &mut shape, &mut keep, batch, &mut layers);
         }
         NetworkCost { layers }
     }
@@ -90,12 +96,23 @@ impl NetworkCost {
     }
 }
 
-fn keep_of(mask: Option<&UnitMask>, units: usize) -> f64 {
-    mask.map_or(1.0, |m| m.count_ones() as f64 / units.max(1) as f64)
+/// Keep ratio of a maskable core under the next of the costed mask's
+/// layers (`None`: all units active); 1 for a head.
+fn keep_of(core: &MaskedCore, masks: &mut dyn Iterator<Item = Option<&UnitMask>>) -> f64 {
+    if !core.is_maskable() {
+        return 1.0;
+    }
+    let mask = masks.next().flatten();
+    debug_assert!(
+        mask.is_none_or(|m| m.len() == core.units()),
+        "mask layer of the wrong width"
+    );
+    mask.map_or(1.0, |m| m.count_ones() as f64 / core.units().max(1) as f64)
 }
 
 fn walk(
     layer: &Layer,
+    masks: &mut dyn Iterator<Item = Option<&UnitMask>>,
     shape: &mut Vec<usize>,
     in_keep: &mut f64,
     batch: usize,
@@ -105,7 +122,7 @@ fn walk(
     match layer {
         Layer::Dense(d) => {
             let (inf, outf) = (d.in_features() as f64, d.out_features() as f64);
-            let out_keep = keep_of(d.core.unit_mask(), d.out_features());
+            let out_keep = keep_of(&d.core, masks);
             out.push(LayerCost {
                 name: "dense",
                 flops_forward: 2.0 * inf * outf * *in_keep * out_keep * b,
@@ -121,7 +138,7 @@ fn walk(
             let (oh, ow) = spec.output_hw(h, w);
             let patch = (spec.in_channels * spec.kernel * spec.kernel) as f64;
             let o = spec.out_channels as f64;
-            let out_keep = keep_of(c.core.unit_mask(), spec.out_channels);
+            let out_keep = keep_of(&c.core, masks);
             out.push(LayerCost {
                 name: "conv2d",
                 flops_forward: 2.0 * patch * o * (oh * ow) as f64 * *in_keep * out_keep * b,
@@ -182,7 +199,7 @@ fn walk(
             let entry_shape = shape.clone();
             let entry_keep = *in_keep;
             for inner in r.body() {
-                walk(inner, shape, in_keep, batch, out);
+                walk(inner, masks, shape, in_keep, batch, out);
             }
             if let Some(proj) = r.shortcut() {
                 // Cost the projection with the block's entry state.
@@ -217,7 +234,6 @@ fn walk(
 mod tests {
     use super::*;
     use crate::models;
-    use crate::network::ModelMask;
     use helios_tensor::TensorRng;
 
     #[test]
@@ -225,8 +241,8 @@ mod tests {
         let mut rng = TensorRng::seed_from(0);
         let lenet = models::lenet(10, &mut rng);
         let alex = models::alexnet(10, &mut rng);
-        let c_lenet = NetworkCost::of(&lenet, 32);
-        let c_alex = NetworkCost::of(&alex, 32);
+        let c_lenet = NetworkCost::of(&lenet, None, 32);
+        let c_alex = NetworkCost::of(&alex, None, 32);
         assert!(c_lenet.flops_forward() > 0.0);
         assert!(
             c_alex.flops_forward() > c_lenet.flops_forward(),
@@ -238,7 +254,7 @@ mod tests {
     fn masking_reduces_cost_monotonically() {
         let mut rng = TensorRng::seed_from(0);
         let mut net = models::lenet(10, &mut rng);
-        let full = NetworkCost::of(&net, 16);
+        let full = NetworkCost::of(&net, None, 16);
         let units = net.maskable_units();
         // Keep only half the units of every maskable layer.
         let mut mask = ModelMask::all_active(&units);
@@ -246,21 +262,34 @@ mod tests {
             let m: UnitMask = (0..n).map(|j| j < n / 2).collect();
             mask.set_layer(i, Some(m));
         }
-        net.set_masks(&mask).unwrap();
-        let half = NetworkCost::of(&net, 16);
+        let half = NetworkCost::of(&net, Some(&mask), 16);
         assert!(half.flops_forward() < full.flops_forward() * 0.6);
         assert!(half.memory_bytes() < full.memory_bytes());
-        // Clearing masks restores the full cost.
-        net.clear_masks();
-        let again = NetworkCost::of(&net, 16);
-        assert_eq!(again.flops_forward(), full.flops_forward());
+        assert_eq!(
+            NetworkCost::of(&net, Some(&ModelMask::all_active(&units)), 16),
+            full
+        );
+        // What the network has installed does not move either cost.
+        net.set_masks(&mask).unwrap();
+        assert_eq!(NetworkCost::of(&net, None, 16), full);
+        assert_eq!(NetworkCost::of(&net, Some(&mask), 16), half);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "mask layer of the wrong width")]
+    fn a_mask_layer_of_the_wrong_width_is_a_bug() {
+        let net = models::lenet(10, &mut TensorRng::seed_from(0));
+        let mut mask = ModelMask::all_active(&net.maskable_units());
+        mask.set_layer(0, Some(UnitMask::full(3)));
+        NetworkCost::of(&net, Some(&mask), 1);
     }
 
     #[test]
     fn training_flops_are_three_times_forward() {
         let mut rng = TensorRng::seed_from(0);
         let net = models::lenet(10, &mut rng);
-        let c = NetworkCost::of(&net, 8);
+        let c = NetworkCost::of(&net, None, 8);
         assert!((c.flops_training() - 3.0 * c.flops_forward()).abs() < 1e-6);
     }
 
@@ -268,8 +297,8 @@ mod tests {
     fn cost_scales_linearly_with_batch() {
         let mut rng = TensorRng::seed_from(0);
         let net = models::alexnet(10, &mut rng);
-        let c1 = NetworkCost::of(&net, 1);
-        let c8 = NetworkCost::of(&net, 8);
+        let c1 = NetworkCost::of(&net, None, 1);
+        let c8 = NetworkCost::of(&net, None, 8);
         let ratio = c8.flops_forward() / c1.flops_forward();
         assert!((ratio - 8.0).abs() < 1e-9);
         // Param bytes do not scale with batch.
@@ -280,7 +309,7 @@ mod tests {
     fn resnet_cost_includes_projection_and_join() {
         let mut rng = TensorRng::seed_from(0);
         let net = models::resnet18(100, &mut rng);
-        let c = NetworkCost::of(&net, 4);
+        let c = NetworkCost::of(&net, None, 4);
         assert!(c.layers.iter().any(|l| l.name == "residual_projection"));
         assert!(c.layers.iter().any(|l| l.name == "residual_join"));
     }

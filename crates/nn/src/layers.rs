@@ -119,8 +119,6 @@ pub(crate) struct MaskedCore {
     input_mask: Option<UnitMask>,
     maskable: bool,
     plan: Option<PackedPlan>,
-    /// Set by every mask setter; cleared when `plan` is re-derived.
-    plan_stale: bool,
 }
 
 impl MaskedCore {
@@ -138,7 +136,6 @@ impl MaskedCore {
             input_mask: None,
             maskable: true,
             plan: None,
-            plan_stale: false,
         }
     }
 
@@ -183,7 +180,6 @@ impl MaskedCore {
     /// has checked with [`MaskedCore::validate_mask`].
     pub(crate) fn set_unit_mask(&mut self, mask: Option<UnitMask>) {
         self.mask = mask;
-        self.plan_stale = true;
     }
 
     /// The current unit mask, if any.
@@ -207,18 +203,14 @@ impl MaskedCore {
                 let per = inputs / p.len();
                 (0..inputs).map(|i| p.get(i / per)).collect()
             });
-        self.plan_stale = true;
     }
 
-    /// Derives the packed plan from the installed masks if a setter has
-    /// changed them since the last derivation: once per installed mask
-    /// that runs, never for one that is only costed. No plan (the
-    /// full-width branch) when neither axis is masked or an axis is
-    /// masked down to nothing.
-    fn refresh_plan(&mut self) {
-        if !std::mem::take(&mut self.plan_stale) {
-            return;
-        }
+    /// Derives the packed plan from the installed unit and input masks;
+    /// [`Network::set_masks`](crate::Network::set_masks) and
+    /// `clear_masks` call it once per install, after both masks are in
+    /// place. No plan (the full-width branch) when neither axis is
+    /// masked or an axis is masked down to nothing.
+    pub(crate) fn derive_plan(&mut self) {
         let out_idx = active_indices(self.mask.as_ref());
         let in_idx = active_indices(self.input_mask.as_ref());
         let packable = (out_idx.is_some() || in_idx.is_some())
@@ -266,7 +258,6 @@ impl MaskedCore {
         scatter: Scatter,
         kernel: impl FnOnce(Cow<'_, Tensor>, &Tensor, &Tensor) -> Result<(Tensor, K)>,
     ) -> Result<(Tensor, K)> {
-        self.refresh_plan();
         match &self.plan {
             Some(plan) => {
                 let out_idx = plan.out_idx.as_deref();
@@ -323,7 +314,6 @@ impl MaskedCore {
         gather: Gather,
         kernel: impl FnOnce(&Tensor, &Tensor, Accumulate<'_>) -> Result<Tensor>,
     ) -> Result<Tensor> {
-        self.refresh_plan();
         let (g, w) = match &self.plan {
             Some(plan) => {
                 let out_idx = plan.out_idx.as_deref();
@@ -835,10 +825,9 @@ impl MaskedCore {
     /// Drops the plan derived from the installed masks, so the next
     /// passes take the full-width branch whatever the masks: the zeroing
     /// oracle the packed-parity suite compares packed execution against.
-    /// The next mask setter derives a plan again.
+    /// The next mask install derives a plan again.
     pub(crate) fn force_full_width(&mut self) {
         self.plan = None;
-        self.plan_stale = false;
     }
 }
 
@@ -887,6 +876,7 @@ mod tests {
         let mut d = Dense::new(3, 4, &mut rng());
         d.core
             .set_unit_mask(Some((0..4).map(|j| j % 2 == 0).collect()));
+        d.core.derive_plan();
         let x = Tensor::full(&[2, 3], 1.0);
         let y = d.forward(Cow::Borrowed(&x)).unwrap();
         for i in 0..2 {
@@ -1002,6 +992,7 @@ mod tests {
         let spec = ConvSpec::new(1, 3, 3, 1, 1);
         let mut c = Conv2d::new(spec, &mut rng());
         c.core.set_unit_mask(Some((0..3).map(|j| j != 1).collect()));
+        c.core.derive_plan();
         let x = Tensor::full(&[1, 1, 4, 4], 1.0);
         let y = c.forward(Cow::Borrowed(&x)).unwrap();
         for h in 0..4 {

@@ -134,7 +134,7 @@ mod packed_parity {
     }
 
     /// First-⌈keep·n⌉-units-active mask over every maskable layer.
-    fn leading_units_mask(net: &mut Network, keep: f64) -> ModelMask {
+    fn leading_units_mask(net: &Network, keep: f64) -> ModelMask {
         let units = net.maskable_units();
         let mut mask = ModelMask::all_active(&units);
         for (i, &n) in units.0.iter().enumerate() {
@@ -269,7 +269,7 @@ mod packed_parity {
     #[test]
     fn packed_parity_holds_at_every_thread_width() {
         let net = conv_net(3, 6, 12, 3, 77);
-        let mask = leading_units_mask(&mut net.clone(), 0.5);
+        let mask = leading_units_mask(&net, 0.5);
         let mut rng = TensorRng::seed_from(78);
         let x = uniform_init(&[4, 3, 8, 8], -1.0, 1.0, &mut rng);
         let labels = vec![0, 1, 2, 0];
@@ -301,7 +301,7 @@ mod packed_parity {
             let net = kind.build(10, &mut rng);
             let [c, h, w] = kind.input_dims();
             let x = uniform_init(&[3, c, h, w], -1.0, 1.0, &mut rng);
-            let mask = leading_units_mask(&mut net.clone(), 0.5);
+            let mask = leading_units_mask(&net, 0.5);
             for masked in [false, true] {
                 let mut net = net.clone();
                 install(&mut net, masked.then_some(&mask), false);
@@ -329,7 +329,7 @@ mod packed_parity {
             let net = kind.build(10, &mut rng);
             let [c, h, w] = kind.input_dims();
             let x = uniform_init(&[2, c, h, w], -1.0, 1.0, &mut rng);
-            let mask = leading_units_mask(&mut net.clone(), 0.5);
+            let mask = leading_units_mask(&net, 0.5);
             for masked in [false, true] {
                 let mut net = net.clone();
                 install(&mut net, masked.then_some(&mask), false);
@@ -358,16 +358,15 @@ mod packed_parity {
         }
     }
 
-    /// The packed plan is derived once per installed mask, not per step.
+    /// The packed plan is derived once per install, not per step.
     /// A network walked through mask A → mask B → cleared → mask A,
     /// training after each, tracks its full-width twin bit for bit at
     /// every stage, so no plan outlives the mask it was derived from.
     #[test]
     fn no_stale_plan_survives_a_reinstall_or_a_clear() {
         let net = conv_net(3, 6, 12, 3, 91);
-        let mut probe = net.clone();
-        let mask_a = leading_units_mask(&mut probe, 0.5);
-        let units = probe.maskable_units();
+        let mask_a = leading_units_mask(&net, 0.5);
+        let units = net.maskable_units();
         let mask_b = ModelMask::from_layers(
             units
                 .0
@@ -408,7 +407,7 @@ mod packed_parity {
         let mut flops = Vec::new();
         let mut zeroing_flops = Vec::new();
         for keep in [0.25, 0.5, 1.0] {
-            let mask = leading_units_mask(&mut net.clone(), keep);
+            let mask = leading_units_mask(&net, keep);
             let (packed, zeroing) = assert_packed_parity(&net, &mask, &x, &labels);
             flops.push(packed);
             zeroing_flops.push(zeroing);
@@ -458,7 +457,7 @@ mod packed_parity {
         );
         let x = uniform_init(&[3, 2, 8, 8], -1.0, 1.0, &mut rng);
         let labels = vec![0, 1, 2];
-        let units = net.clone().maskable_units();
+        let units = net.maskable_units();
         assert_eq!(units.0, [6, 8, 8, 10], "the shortcut is not maskable");
 
         let strided = ModelMask::from_layers(
@@ -470,8 +469,8 @@ mod packed_parity {
         );
         let stem_only = ModelMask::from_layers(vec![Some((0..6).map(|j| j < 2).collect())]);
         for mask in [
-            leading_units_mask(&mut net.clone(), 0.25),
-            leading_units_mask(&mut net.clone(), 0.5),
+            leading_units_mask(&net, 0.25),
+            leading_units_mask(&net, 0.5),
             strided,
             stem_only,
         ] {

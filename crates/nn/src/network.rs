@@ -386,9 +386,9 @@ impl Network {
     }
 
     /// Output unit counts of the maskable layers, in canonical order.
-    pub fn maskable_units(&mut self) -> MaskableUnits {
+    pub fn maskable_units(&self) -> MaskableUnits {
         let mut units = Vec::new();
-        self.for_each_maskable(&mut |c| units.push(c.units()));
+        self.for_each_core(&mut |c| units.extend(c.is_maskable().then(|| c.units())));
         MaskableUnits(units)
     }
 
@@ -414,28 +414,30 @@ impl Network {
             c.set_unit_mask(mask.layer(idx).cloned());
             idx += 1;
         });
-        self.refresh_input_masks();
+        self.derive_plans();
         Ok(())
     }
 
     /// Removes all unit masks (every neuron active).
     pub fn clear_masks(&mut self) {
         self.for_each_maskable(&mut |c| c.set_unit_mask(None));
-        self.refresh_input_masks();
+        self.derive_plans();
     }
 
     /// Re-derives every layer's input mask from the unit masks of the
-    /// layers upstream of it. A unit mask guarantees the masked units'
-    /// outputs are exactly zero; threading that guarantee forward tells
-    /// each consuming layer which of its *inputs* are zero, which is
-    /// what lets packed execution drop the corresponding input
-    /// rows/channels without changing a single output bit. The network
-    /// input itself carries no guarantee.
-    fn refresh_input_masks(&mut self) {
+    /// layers upstream of it, then every core's packed plan from its two
+    /// masks: the one derivation an install makes. A unit mask
+    /// guarantees the masked units' outputs are exactly zero; threading
+    /// that guarantee forward tells each consuming layer which of its
+    /// *inputs* are zero, which is what lets packed execution drop the
+    /// corresponding input rows/channels without changing a single
+    /// output bit. The network input itself carries no guarantee.
+    fn derive_plans(&mut self) {
         let mut prev = None;
         for layer in &mut self.layers {
             prev = layer.thread_input_mask(prev);
         }
+        self.for_each_core_mut(&mut MaskedCore::derive_plan);
     }
 
     /// Classification accuracy on a labelled batch.
@@ -511,7 +513,7 @@ mod tests {
 
     #[test]
     fn layout_matches_param_len_and_masks() {
-        let mut net = tiny_net();
+        let net = tiny_net();
         let layout = net.layout();
         assert_eq!(layout.total_params(), net.param_len());
         // Groups: conv(2 units), dense(8 units), head dense(3 units).
@@ -558,7 +560,7 @@ mod tests {
 
     #[test]
     fn param_mask_marks_masked_units_inactive() {
-        let mut net = tiny_net();
+        let net = tiny_net();
         let layout = net.layout();
         let units = net.maskable_units();
         let mut mask = ModelMask::all_active(&units);

@@ -61,10 +61,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         "device", "full cycle", "keep", "masked"
     );
     for &i in &white_box {
-        let full = env.client(i)?.cycle_time();
-        let keep = target::fitted_keep_ratio(env.client_mut(i)?, deadline)?;
-        let masked = target::masked_cycle_time(env.client_mut(i)?, keep)?;
-        let name = env.client(i)?.profile().name().to_string();
+        let client = env.client(i)?;
+        let full = client.cycle_time();
+        let keep = target::fitted_keep_ratio(client, deadline)?;
+        let masked = target::masked_cycle_time(client, keep);
+        let name = client.profile().name();
         println!(
             "{name:<28} {:>12} {:>11.0}% {:>12}",
             full.to_string(),

@@ -17,7 +17,7 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
 }
 
 /// First-⌈keep·n⌉-units-active mask over every maskable layer.
-pub fn leading_units_mask(net: &mut Network, keep: f64) -> ModelMask {
+pub fn leading_units_mask(net: &Network, keep: f64) -> ModelMask {
     let units = net.maskable_units();
     let mut mask = ModelMask::all_active(&units);
     for (i, &n) in units.0.iter().enumerate() {

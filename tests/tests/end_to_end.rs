@@ -180,11 +180,7 @@ fn skip_regulator_bounds_neuron_starvation_end_to_end() {
     let mut s = HeliosStrategy::new(HeliosConfig::default());
     s.initialize(&mut env).expect("init");
     let keep = s.keep_ratio(1).expect("straggler volume");
-    let units = env
-        .client_mut(1)
-        .expect("client")
-        .network_mut()
-        .maskable_units();
+    let units = env.client(1).expect("client").network().maskable_units();
     let total: usize = units.total();
     let selected: usize = units
         .0

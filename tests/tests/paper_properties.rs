@@ -126,11 +126,7 @@ fn soft_training_covers_every_neuron() {
     let mut env = build_env(false, 7);
     let mut s = HeliosStrategy::new(HeliosConfig::default());
     s.initialize(&mut env).expect("init");
-    let units = env
-        .client_mut(2)
-        .expect("straggler")
-        .network_mut()
-        .maskable_units();
+    let units = env.client(2).expect("straggler").network().maskable_units();
     let mut seen: Vec<Vec<bool>> = units.0.iter().map(|&n| vec![false; n]).collect();
     for _ in 0..14 {
         let _ = s.run(&mut env, 1).expect("cycle");

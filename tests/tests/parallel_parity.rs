@@ -219,7 +219,7 @@ fn helios_round_parity() {
 /// Installs a first-`keep`-fraction-of-units mask on `client`.
 fn mask_leading_units(env: &mut FlEnv, client: usize, keep: f64) {
     let c = env.client_mut(client).expect("client");
-    let mask = leading_units_mask(c.network_mut(), keep);
+    let mask = leading_units_mask(c.network(), keep);
     c.set_masks(Some(mask)).expect("mask");
 }
 

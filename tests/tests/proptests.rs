@@ -212,7 +212,7 @@ proptest! {
     #[test]
     fn param_mask_size_is_consistent(keep in 0.1f64..0.9) {
         let mut rng = TensorRng::seed_from(3);
-        let mut net = models::lenet(10, &mut rng);
+        let net = models::lenet(10, &mut rng);
         let units = net.maskable_units();
         let layout = net.layout();
         let mask: ModelMask = probe_mask(&units, keep);
