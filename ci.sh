@@ -270,17 +270,22 @@ cargo build --release --workspace
 step "cargo test -q"
 cargo test -q --workspace
 
-step "kernel parity and goldens under release codegen (helios-tensor and helios-nn unit tests, gemm_parity, parallel_parity, golden_metrics, end_to_end)"
+step "kernel parity and goldens under release codegen (helios-tensor, helios-nn and helios-fl unit tests, gemm_parity, parallel_parity, golden_metrics, end_to_end, network_sim, fleet_scale, fanout_parity)"
 # The test profile builds at opt-level 1, where the microkernels may not
 # vectorize; the benchmark times opt-level 3. These suites pin the
 # kernels, packed execution and inference bitwise against their
 # oracles, and the goldens pin whole runs, so they run again on the
-# code the benchmark runs. Named targets only: helios-integration's lib
-# tests check debug assertions, which release turns off.
+# code the benchmark runs. The aggregation fold vectorizes only under
+# optimization too, so its streaming-vs-collect-then-average oracle
+# (helios-fl's unit tests) and the routed-fleet suites run here as
+# well. Named targets only: helios-integration's lib tests check debug
+# assertions, which release turns off.
 cargo test -q --release -p helios-tensor --lib
 cargo test -q --release -p helios-nn --lib
+cargo test -q --release -p helios-fl --lib
 cargo test -q --release -p helios-integration --test gemm_parity --test parallel_parity \
-    --test golden_metrics --test end_to_end
+    --test golden_metrics --test end_to_end --test network_sim --test fleet_scale \
+    --test fanout_parity
 
 step "libm and vector-width tripwire: goldens with glibc's FMA/AVX2 libm off, and from an x86-64 baseline build"
 # glibc picks `expf`, `logf`, `cos` and `cosf` by CPU feature at load

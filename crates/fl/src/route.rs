@@ -160,9 +160,10 @@ impl FlEnv {
         }
         let timeout = self.config.net.round_timeout_s.map(SimTime::from_secs);
         let outcome = simulate_round(transport, &broadcast, &jobs, timeout)?;
-        // Each worker swaps its update's parameters for the decoded ones
-        // and frees the delivered bytes as it goes, so no second copy of
-        // the cohort is ever held.
+        // Each worker swaps its update's parameters for the ones decoded
+        // from its delivery. An intact delivery borrows the job's upload
+        // frame, so the cohort's frames exist once, in `jobs`; only a
+        // damaged frame that passed the CRC would be a copy of its own.
         let mut slots: Vec<_> = updates.into_iter().zip(outcome.deliveries).collect();
         let decoded = map_items_mut(&mut slots, threads, |_, (u, delivery)| -> Result<bool> {
             let Some((_, bytes)) = delivery.take() else {

@@ -2,7 +2,7 @@
 //! partial-model averaging, and Helios's heterogeneity-weighted rule.
 
 use crate::LocalUpdate;
-use helios_tensor::{mask_bit, mask_population};
+use helios_tensor::{mask_ones, mask_population};
 
 /// Bytes exchanged with the server for a set of updates in one cycle
 /// under a [`CompressionConfig`](helios_net::CompressionConfig): each
@@ -114,17 +114,23 @@ impl OnlineAggregator {
             "weight must be non-negative and finite, got {}",
             u.weight
         );
+        let w = u.weight;
         match u.param_mask {
+            // One zipped pass with no index to bounds-check, which the
+            // compiler vectorizes; each index still takes the same
+            // multiply and adds in the same order.
             None => {
-                for i in 0..n {
-                    self.acc[i] += u.weight * u.params[i] as f64;
-                    self.wsum[i] += u.weight;
+                let sums = self.acc.iter_mut().zip(&mut self.wsum);
+                for ((acc, wsum), &p) in sums.zip(u.params) {
+                    *acc += w * p as f64;
+                    *wsum += w;
                 }
             }
+            // The population check above bounds every set bit below `n`.
             Some(words) => {
-                for i in (0..n).filter(|&i| mask_bit(words, i)) {
-                    self.acc[i] += u.weight * u.params[i] as f64;
-                    self.wsum[i] += u.weight;
+                for i in mask_ones(words) {
+                    self.acc[i] += w * u.params[i] as f64;
+                    self.wsum[i] += w;
                 }
             }
         }
@@ -151,7 +157,7 @@ impl OnlineAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helios_tensor::UnitMask;
+    use helios_tensor::{mask_bit, UnitMask};
 
     /// Streams `updates` through the production accumulator.
     fn aggregate(global: &mut [f32], updates: &[MaskedUpdate<'_>]) {

@@ -6,7 +6,7 @@ use crate::{aggregation, identify, target, HeliosError, Result};
 use helios_device::SimTime;
 use helios_fl::{FlEnv, MaskedUpdate, OnlineAggregator, RoundPolicy, RoutedCycle};
 use helios_nn::{ModelMask, NeuronLayout};
-use helios_tensor::TensorRng;
+use helios_tensor::{map_indexed, TensorRng};
 use std::collections::{BTreeSet, HashMap};
 
 /// How stragglers are identified (§IV.B).
@@ -257,15 +257,17 @@ impl HeliosStrategy {
             }
         }
         self.deadline = deadline;
-        // 3. Volume determination + soft-trainer construction.
+        // 3. Volume determination + soft-trainer construction. Each fit
+        // reads `env` alone, so the fits fan out over the thread budget.
         let volumes: Vec<(usize, f64)> = match &self.config.volume {
             VolumePolicy::Predefined(levels) => target::assign_predefined(&ranked, levels)?,
             VolumePolicy::ResourceFitted => {
-                let mut out = Vec::with_capacity(ranked.len());
-                for &i in &ranked {
-                    out.push((i, fitted_keep(env, deadline, i)?));
-                }
-                out
+                let threads = env.config().parallelism.resolve();
+                let fits = map_indexed(ranked.len(), threads, |k| {
+                    fitted_keep(env, deadline, ranked[k])
+                });
+                let keeps = fits.into_iter().collect::<Result<Vec<f64>>>()?;
+                ranked.iter().copied().zip(keeps).collect()
             }
         };
         for (client, keep) in volumes {
@@ -317,41 +319,18 @@ impl HeliosStrategy {
             });
         }
         let id = env.join_client(profile, shard).map_err(HeliosError::from)?;
-        self.classify_device(env, id)?;
+        self.classify_cohort(env, &[id])?;
         Ok(id)
-    }
-
-    /// Classifies one device against the established capable pace (the
-    /// §VI.C admission rule, also applied to devices first sampled after
-    /// the initial cohort): a device slower than `1.05 × deadline`
-    /// becomes a straggler with a fitted volume and its own
-    /// device-keyed RNG stream, so classification order never affects
-    /// the draw sequence.
-    fn classify_device(&mut self, env: &mut FlEnv, id: usize) -> Result<()> {
-        self.classified.insert(id);
-        let full_time = env.combined_cycle_time(id)?;
-        if full_time.as_secs_f64() > 1.05 * self.deadline.as_secs_f64() {
-            let keep = match &self.config.volume {
-                VolumePolicy::Predefined(levels) => {
-                    *levels.last().ok_or_else(|| HeliosError::InvalidConfig {
-                        what: "predefined volume ladder is empty".into(),
-                    })?
-                }
-                VolumePolicy::ResourceFitted => fitted_keep(env, self.deadline, id)?,
-            };
-            self.install_trainer(env, id, keep, device_rng(env.config().seed, id))?;
-            self.stragglers.push(id);
-            self.stragglers.sort_unstable();
-        }
-        Ok(())
     }
 
     /// Classifies whatever `cohort` surfaces for the first time. In
     /// incremental mode the first cohort establishes the reference frame
     /// cohort-relatively; after that (and on a fully classified fleet)
     /// newcomers — newly sampled, admitted, or joined by scenario churn —
-    /// are measured against the established pace, while re-sampled
-    /// devices keep their classification and trainer state.
+    /// are measured against the established pace ([`straggler_keep`]),
+    /// while re-sampled devices keep their classification and trainer
+    /// state. A newcomer's trainer gets its own device-keyed RNG stream,
+    /// so classification order never affects the draw sequence.
     fn classify_cohort(&mut self, env: &mut FlEnv, cohort: &[usize]) -> Result<()> {
         if self.incremental && !self.initialized {
             // Device-keyed streams (not a shared split chain): the same
@@ -361,14 +340,56 @@ impl HeliosStrategy {
             return self.establish(env, cohort, |i| device_rng(seed, i));
         }
         if self.initialized {
-            for &i in cohort {
-                if !self.classified.contains(&i) {
-                    self.classify_device(env, i)?;
+            // Verdicts read `env` alone, so they fan out over the thread
+            // budget; trainers are installed after, in cohort order, so
+            // the first error is still the first newcomer's to fail.
+            let fresh: Vec<usize> = cohort
+                .iter()
+                .copied()
+                .filter(|i| !self.classified.contains(i))
+                .collect();
+            let (volume, deadline) = (&self.config.volume, self.deadline);
+            let threads = env.config().parallelism.resolve();
+            let verdicts = map_indexed(fresh.len(), threads, |k| {
+                straggler_keep(env, volume, deadline, fresh[k])
+            });
+            for (&i, verdict) in fresh.iter().zip(verdicts) {
+                self.classified.insert(i);
+                if let Some(keep) = verdict? {
+                    self.install_trainer(env, i, keep, device_rng(env.config().seed, i))?;
+                    self.stragglers.push(i);
+                    self.stragglers.sort_unstable();
                 }
             }
         }
         Ok(())
     }
+}
+
+/// Device `id`'s classification against the established capable pace
+/// (the §VI.C admission rule, also applied to devices first sampled
+/// after the initial cohort): `Some(keep)` for a device slower than
+/// `1.05 × deadline`, a straggler with that volume; `None` for a capable
+/// one.
+fn straggler_keep(
+    env: &FlEnv,
+    volume: &VolumePolicy,
+    deadline: SimTime,
+    id: usize,
+) -> Result<Option<f64>> {
+    let full_time = env.combined_cycle_time(id)?;
+    if full_time.as_secs_f64() <= 1.05 * deadline.as_secs_f64() {
+        return Ok(None);
+    }
+    let keep = match volume {
+        VolumePolicy::Predefined(levels) => {
+            *levels.last().ok_or_else(|| HeliosError::InvalidConfig {
+                what: "predefined volume ladder is empty".into(),
+            })?
+        }
+        VolumePolicy::ResourceFitted => fitted_keep(env, deadline, id)?,
+    };
+    Ok(Some(keep))
 }
 
 /// The largest volume whose compute fits `deadline` minus the device's
@@ -509,11 +530,21 @@ impl RoundPolicy for HeliosStrategy {
             }
         }
         self.issued_masks.clear();
-        // Refresh contribution values U (Eq 1) for the next selection.
-        for u in updates {
-            if let (Some(trainer), Some(layout)) = (self.trainers.get(&u.client), &self.layout) {
-                let (global, units) = (&self.received_global, trainer.units());
-                let c = contributions_from_delta(layout, units, global, &u.params);
+        // Refresh contribution values U (Eq 1) for the next selection:
+        // one pure pass per delivered straggler update, fanned out over
+        // the thread budget and stored in participant order.
+        if let Some(layout) = &self.layout {
+            let stragglers: Vec<_> = updates
+                .iter()
+                .filter_map(|u| Some((u, self.trainers.get(&u.client)?.units())))
+                .collect();
+            let global = &self.received_global;
+            let threads = env.config().parallelism.resolve();
+            let refreshed = map_indexed(stragglers.len(), threads, |k| {
+                let (u, units) = stragglers[k];
+                contributions_from_delta(layout, units, global, &u.params)
+            });
+            for ((u, _), c) in stragglers.iter().zip(refreshed) {
                 self.contributions.insert(u.client, c);
             }
         }

@@ -53,7 +53,7 @@
 //! broadcast reconstruct identical bits.
 
 use crate::error::NetError;
-use helios_tensor::{mask_bit, mask_population, MaskWordsError, UnitMask};
+use helios_tensor::{mask_bit, mask_ones, mask_population, MaskWordsError, UnitMask};
 use serde::{Deserialize, Serialize};
 
 /// Magic bytes opening every frame.
@@ -679,10 +679,9 @@ pub fn encode_masked(
     let mut buf = Vec::with_capacity(WireSize::masked(params.len(), active).total_bytes());
     push_header(&mut buf, KIND_MASKED, sender, cycle, n, k);
     push_bitset(&mut buf, mask, params.len());
-    for (i, p) in params.iter().enumerate() {
-        if mask_bit(mask, i) {
-            buf.extend_from_slice(&p.to_le_bytes());
-        }
+    // `checked_population` bounds every set bit below `params.len()`.
+    for i in mask_ones(mask) {
+        buf.extend_from_slice(&params[i].to_le_bytes());
     }
     Ok(seal(buf))
 }

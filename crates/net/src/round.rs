@@ -7,6 +7,7 @@ use crate::error::NetError;
 use crate::transport::SimTransport;
 use helios_device::{EventQueue, SimTime};
 use helios_obs::Dir;
+use std::borrow::Cow;
 
 /// One participant's work in a round.
 #[derive(Debug, Clone)]
@@ -19,12 +20,14 @@ pub struct RoundJob {
     pub upload_frame: Vec<u8>,
 }
 
-/// The outcome of one simulated round.
+/// The outcome of one simulated round, borrowing the jobs' upload
+/// frames.
 #[derive(Debug, Clone)]
-pub struct RoundOutcome {
+pub struct RoundOutcome<'a> {
     /// Per job (by input index): completion time and the delivered
     /// upload frame, or `None` when the participant missed the cycle.
-    pub deliveries: Vec<Option<(SimTime, Vec<u8>)>>,
+    /// An intact upload is borrowed from its job's `upload_frame`.
+    pub deliveries: Vec<Option<(SimTime, Cow<'a, [u8]>)>>,
     /// Input indices of the jobs that missed the cycle (sorted).
     pub missed: Vec<usize>,
     /// The round's span: the latest completion among participants that
@@ -33,16 +36,17 @@ pub struct RoundOutcome {
     pub span: SimTime,
 }
 
-enum Phase {
+enum Phase<'a> {
     Downloaded(usize),
-    Uploaded(usize, Vec<u8>),
+    Uploaded(usize, Cow<'a, [u8]>),
 }
 
 /// Simulates one synchronous round: every job downloads
 /// `broadcast_frame`, computes for its `compute` span, then uploads its
 /// frame. Events are processed through the deterministic
 /// [`EventQueue`], so the transport's fault draws replay identically
-/// for identical inputs.
+/// for identical inputs. Download deliveries are dropped as they land
+/// (only their timing matters), and no intact frame is copied.
 ///
 /// A participant misses the cycle when any of its transfers exhausts
 /// its retries, or when `timeout` is set and its exchange would finish
@@ -52,13 +56,13 @@ enum Phase {
 ///
 /// Returns [`NetError::UnknownDevice`] when a job names a device the
 /// transport does not know.
-pub fn simulate_round(
+pub fn simulate_round<'a>(
     transport: &mut SimTransport,
     broadcast_frame: &[u8],
-    jobs: &[RoundJob],
+    jobs: &'a [RoundJob],
     timeout: Option<SimTime>,
-) -> Result<RoundOutcome, NetError> {
-    let mut deliveries: Vec<Option<(SimTime, Vec<u8>)>> = vec![None; jobs.len()];
+) -> Result<RoundOutcome<'a>, NetError> {
+    let mut deliveries: Vec<Option<(SimTime, Cow<'a, [u8]>)>> = vec![None; jobs.len()];
     let mut missed = Vec::new();
     let mut span = SimTime::ZERO;
     let mut queue = EventQueue::new();
@@ -191,13 +195,8 @@ mod tests {
         };
         let mut t = transport(&cfg, 3);
         let broadcast = encode_full(u32::MAX, 0, &[1.0; 8]).unwrap();
-        let out = simulate_round(
-            &mut t,
-            &broadcast,
-            &jobs(&[3.0, 9.0, 2.0]),
-            Some(SimTime::from_secs(4.0)),
-        )
-        .unwrap();
+        let js = jobs(&[3.0, 9.0, 2.0]);
+        let out = simulate_round(&mut t, &broadcast, &js, Some(SimTime::from_secs(4.0))).unwrap();
         assert_eq!(out.missed, vec![1]);
         assert!(out.deliveries[1].is_none());
         assert!(out.deliveries[0].is_some() && out.deliveries[2].is_some());
@@ -219,10 +218,43 @@ mod tests {
         };
         let mut t = transport(&cfg, 2);
         let broadcast = encode_full(u32::MAX, 0, &[1.0; 8]).unwrap();
-        let out = simulate_round(&mut t, &broadcast, &jobs(&[1.0, 2.0]), None).unwrap();
+        let js = jobs(&[1.0, 2.0]);
+        let out = simulate_round(&mut t, &broadcast, &js, None).unwrap();
         assert_eq!(out.missed, vec![0, 1]);
         assert!(out.deliveries.iter().all(Option::is_none));
         assert_eq!(t.stats().failures, 2);
+    }
+
+    /// Every delivery of a lossy round is its job's upload frame, borrowed
+    /// rather than copied.
+    #[test]
+    fn deliveries_are_the_jobs_frames() {
+        let cfg = NetConfig {
+            enabled: true,
+            link: LinkProfile::constrained(1e4, 0.1).with_jitter(0.3),
+            faults: FaultConfig {
+                drop_prob: 0.2,
+                corrupt_prob: 0.3,
+                delay_prob: 0.3,
+                max_extra_delay_s: 1.0,
+            },
+            ..NetConfig::default()
+        };
+        let mut t = transport(&cfg, 8);
+        let broadcast = encode_full(u32::MAX, 0, &[1.0; 16]).unwrap();
+        let js = jobs(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        let out = simulate_round(&mut t, &broadcast, &js, None).unwrap();
+        let delivered: Vec<usize> = (0..js.len())
+            .filter(|&idx| out.deliveries[idx].is_some())
+            .collect();
+        assert!(!delivered.is_empty() && t.stats().corruptions_detected > 0);
+        for idx in delivered {
+            let (_, frame) = out.deliveries[idx].as_ref().unwrap();
+            assert_eq!(frame[..], js[idx].upload_frame[..]);
+            assert!(
+                matches!(frame, Cow::Borrowed(b) if std::ptr::eq(*b, &js[idx].upload_frame[..]))
+            );
+        }
     }
 
     #[test]
@@ -241,8 +273,8 @@ mod tests {
         let run = || {
             let mut t = transport(&cfg, 4);
             let broadcast = encode_full(u32::MAX, 0, &[1.0; 16]).unwrap();
-            let out =
-                simulate_round(&mut t, &broadcast, &jobs(&[1.0, 2.0, 3.0, 4.0]), None).unwrap();
+            let js = jobs(&[1.0, 2.0, 3.0, 4.0]);
+            let out = simulate_round(&mut t, &broadcast, &js, None).unwrap();
             (
                 out.span.as_secs_f64().to_bits(),
                 out.missed.clone(),
@@ -250,7 +282,7 @@ mod tests {
                     .iter()
                     .map(|d| {
                         d.as_ref()
-                            .map(|(at, f)| (at.as_secs_f64().to_bits(), f.clone()))
+                            .map(|(at, f)| (at.as_secs_f64().to_bits(), f.to_vec()))
                     })
                     .collect::<Vec<_>>(),
             )

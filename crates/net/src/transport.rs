@@ -8,6 +8,7 @@ use helios_device::SimTime;
 use helios_obs::{Dir, TraceEvent};
 use helios_tensor::TensorRng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Aggregate counters over every transmission the transport performed.
@@ -75,9 +76,11 @@ pub struct DeviceStats {
 
 /// The outcome of transmitting one message.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Transmission {
-    /// The delivered frame, or `None` when every attempt failed.
-    pub delivered: Option<Vec<u8>>,
+pub struct Transmission<'a> {
+    /// The delivered frame, or `None` when every attempt failed. An
+    /// intact delivery is [`Cow::Borrowed`] from the sender's bytes: the
+    /// simulation copies a frame only to damage it.
+    pub delivered: Option<Cow<'a, [u8]>>,
     /// Simulated time from send to delivery (or to giving up), including
     /// retries and backoff.
     pub elapsed: SimTime,
@@ -231,12 +234,12 @@ impl SimTransport {
     /// Returns [`NetError::UnknownDevice`] for an out-of-range index.
     /// Exhausted retries are *not* an error: the returned
     /// [`Transmission`] reports `delivered: None`.
-    pub fn transmit(
+    pub fn transmit<'a>(
         &mut self,
         device: usize,
-        frame: &[u8],
+        frame: &'a [u8],
         direction: Dir,
-    ) -> Result<Transmission, NetError> {
+    ) -> Result<Transmission<'a>, NetError> {
         let link = *self.link(device)?;
         self.stats.messages += 1;
         // v2 frames carry their compression mode into the trace; v1
@@ -292,6 +295,7 @@ impl SimTransport {
                         // Unreachable for CRC32 and a single flipped
                         // byte, but if it ever passed the check the
                         // receiver would accept the damaged frame.
+                        let damaged = Cow::Owned(damaged);
                         return Ok(self.deliver(device, direction, damaged, elapsed, attempts));
                     }
                     self.stats.corruptions_detected += 1;
@@ -300,7 +304,8 @@ impl SimTransport {
                         attempt: u64::from(attempts),
                     });
                 } else {
-                    return Ok(self.deliver(device, direction, frame.to_vec(), elapsed, attempts));
+                    let intact = Cow::Borrowed(frame);
+                    return Ok(self.deliver(device, direction, intact, elapsed, attempts));
                 }
             }
             if attempts > self.max_retries {
@@ -328,14 +333,14 @@ impl SimTransport {
         }
     }
 
-    fn deliver(
+    fn deliver<'a>(
         &mut self,
         device: usize,
         direction: Dir,
-        frame: Vec<u8>,
+        frame: Cow<'a, [u8]>,
         elapsed: f64,
         attempts: u32,
-    ) -> Transmission {
+    ) -> Transmission<'a> {
         self.stats.delivered_bytes += frame.len() as u64;
         let d = self.device_stats.entry(device).or_default();
         match direction {
@@ -416,7 +421,8 @@ mod tests {
         };
         let cfg = config(faults, LinkProfile::ideal());
         let mut t = SimTransport::new(1, &cfg, 7).unwrap();
-        let tx = t.transmit(0, &frame(), Dir::Up).unwrap();
+        let f = frame();
+        let tx = t.transmit(0, &f, Dir::Up).unwrap();
         assert!(tx.delivered.is_none());
         assert_eq!(tx.attempts, cfg.max_retries + 1);
         assert_eq!(t.stats().failures, 1);
@@ -433,11 +439,65 @@ mod tests {
         };
         let cfg = config(faults, LinkProfile::ideal());
         let mut t = SimTransport::new(1, &cfg, 7).unwrap();
-        let tx = t.transmit(0, &frame(), Dir::Up).unwrap();
+        let f = frame();
+        let tx = t.transmit(0, &f, Dir::Up).unwrap();
         // Every attempt corrupts, so the message ultimately fails —
         // but every corruption was caught by the CRC, none delivered.
         assert!(tx.delivered.is_none());
         assert_eq!(t.stats().corruptions_detected as u32, cfg.max_retries + 1);
+    }
+
+    /// The borrow contract: an intact delivery is the sender's own bytes,
+    /// in either direction, however the link delays it.
+    #[test]
+    fn intact_delivery_borrows_the_sent_frame() {
+        let faults = FaultConfig {
+            delay_prob: 0.5,
+            max_extra_delay_s: 1.0,
+            ..FaultConfig::default()
+        };
+        let cfg = config(
+            faults,
+            LinkProfile::constrained(1e6, 0.01).with_jitter(0.01),
+        );
+        let mut t = SimTransport::new(1, &cfg, 3).unwrap();
+        let f = frame();
+        for direction in [Dir::Up, Dir::Down, Dir::Up] {
+            let tx = t.transmit(0, &f, direction).unwrap();
+            let Some(Cow::Borrowed(got)) = tx.delivered else {
+                panic!("an intact delivery must borrow the sent frame");
+            };
+            assert!(std::ptr::eq(got, &f[..]));
+        }
+    }
+
+    /// A corrupted attempt's damaged copy is caught by the CRC and never
+    /// handed to the receiver: every delivery is the sent frame, and
+    /// every attempt that did not deliver (no drops here) counts as a
+    /// detected corruption.
+    #[test]
+    fn corrupted_attempts_never_deliver_their_damaged_copy() {
+        let faults = FaultConfig {
+            corrupt_prob: 0.5,
+            ..FaultConfig::default()
+        };
+        let cfg = NetConfig {
+            max_retries: 3,
+            ..config(faults, LinkProfile::ideal())
+        };
+        let mut t = SimTransport::new(1, &cfg, 11).unwrap();
+        let f = frame();
+        let mut delivered = 0u64;
+        for _ in 0..64 {
+            if let Some(got) = t.transmit(0, &f, Dir::Up).unwrap().delivered {
+                assert!(matches!(got, Cow::Borrowed(b) if std::ptr::eq(b, &f[..])));
+                delivered += 1;
+            }
+        }
+        let stats = t.stats();
+        assert!(delivered > 0 && stats.failures > 0, "{stats:?}");
+        assert_eq!(delivered + stats.failures, 64);
+        assert_eq!(stats.corruptions_detected, stats.attempts - delivered);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use init::{he_normal, uniform_init, xavier_uniform, TensorRng};
 #[doc(hidden)]
 pub use instrument::charge_host_ns;
 pub use instrument::{kernel_counters, KernelCounters};
-pub use mask::{mask_bit, mask_population, MaskWordsError, UnitMask};
+pub use mask::{mask_bit, mask_ones, mask_population, MaskWordsError, UnitMask};
 pub use packed::{
     gather_channels, gather_elems, gather_rows_cols, scatter_add_elems, scatter_add_rows_cols,
     scatter_channels, scatter_cols,

@@ -65,6 +65,22 @@ pub fn mask_bit(words: &[u64], i: usize) -> bool {
     words[i / WORD_BITS] >> (i % WORD_BITS) & 1 != 0
 }
 
+/// The set bits of `words` read as a [`UnitMask`]'s words, ascending:
+/// one `trailing_zeros` step per set bit, so a sparse mask costs its
+/// population, not its length.
+pub fn mask_ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut rest = w;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                wi * WORD_BITS + bit
+            })
+        })
+    })
+}
+
 impl UnitMask {
     /// A mask of `len` units, all active.
     pub fn full(len: usize) -> Self {
@@ -132,16 +148,7 @@ impl UnitMask {
 
     /// The active units, ascending.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let bit = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    wi * WORD_BITS + bit
-                })
-            })
-        })
+        mask_ones(&self.words)
     }
 
     /// The LSB-first words (padding bits zero).
