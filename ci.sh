@@ -33,16 +33,20 @@ cargo clippy -p helios-fl -p helios-net -p helios-obs -p helios-scenario -p heli
 
 step "first-party non-test line counts per crate"
 # Lines before the first `#[cfg(test)]` of every file under
-# crates/*/src, summed per crate: the size trajectory appended to
-# results/BENCH_history.jsonl with each PR.
+# crates/*/src, summed per crate and then over all crates: the size
+# trajectory appended to results/BENCH_history.jsonl with each PR.
+total=0
 for crate in crates/*/; do
-    find "$crate/src" -name '*.rs' -print0 | sort -z |
+    count=$(find "$crate/src" -name '*.rs' -print0 | sort -z |
         xargs -0 awk -v crate="$(basename "$crate")" '
             FNR == 1 { in_tests = 0 }
             /#\[cfg\(test\)\]/ { in_tests = 1 }
             !in_tests { lines++ }
-            END { printf "%-10s %6d\n", crate, lines }'
+            END { printf "%-10s %6d\n", crate, lines }')
+    echo "$count"
+    total=$((total + ${count##* }))
 done
+printf '%-10s %6d\n' total "$total"
 
 step "public surface per crate, and no pub fn / pub const without a non-test caller"
 # Non-test `pub fn|struct|enum|const|type|trait` declarations per crate

@@ -174,7 +174,7 @@ impl RoundPolicy for AsyncFl {
     }
 
     fn aggregate(&mut self, env: &mut FlEnv, cycle: usize, routed: &RoutedCycle) -> Result<()> {
-        fedavg_into_global(env, &routed.updates)?;
+        fedavg_into_global(env, &routed.updates);
         // Delivered straggler arrivals re-download the fresh global.
         for u in &routed.updates {
             if self.straggler_ids.contains(&u.client) {
@@ -287,7 +287,6 @@ impl RoundPolicy for Afo {
             Self::mix(&mut global, &u.params, rate);
             env.set_global(global.clone())?;
             env.send_global_to(u.client, cycle + 1)?;
-            global = env.global().to_vec();
         }
         env.set_global(global)
     }

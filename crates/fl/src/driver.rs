@@ -18,8 +18,7 @@
 
 use crate::metrics::{PhaseBreakdown, RunProfile};
 use crate::{
-    FlEnv, LocalUpdate, MaskedUpdate, OnlineAggregator, Result, RoundRecord, RoutedCycle,
-    RunMetrics, Strategy,
+    FlEnv, LocalUpdate, MaskedUpdate, Result, RoundRecord, RoutedCycle, RunMetrics, Strategy,
 };
 use helios_device::SimTime;
 use helios_obs::{PhaseGuard, TraceEvent};
@@ -28,11 +27,11 @@ use std::time::Instant;
 /// The policy hooks a collaboration scheme plugs into the
 /// [`RoundDriver`]'s canonical cycle loop.
 ///
-/// Only [`RoundPolicy::aggregate`] is mandatory; every other hook has a
+/// Only [`RoundPolicy::name`] is mandatory; every other hook has a
 /// default that matches plain synchronous FedAvg (select everyone,
-/// broadcast to everyone, train full models, advance the clock by the
-/// routed round span). The driver calls the hooks in the order documented
-/// on `RoundDriver::run`.
+/// broadcast to everyone, train full models, FedAvg-fold the delivered
+/// updates, advance the clock by the routed round span). The driver
+/// calls the hooks in the order documented on `RoundDriver::run`.
 pub trait RoundPolicy {
     /// Short machine-friendly name (used in metrics and CSV output).
     fn name(&self) -> &str;
@@ -40,9 +39,12 @@ pub trait RoundPolicy {
     /// One-time setup before the first cycle of a `run` call:
     /// validation, straggler identification, seeding strategy RNGs.
     ///
-    /// Called once per [`Strategy::run`] invocation, so state derived
-    /// from the environment (periods, deadlines) is recomputed when the
-    /// same policy value is run again.
+    /// Called once per [`Strategy::run`] invocation. The baselines
+    /// recompute their environment-derived state (periods, RNG streams)
+    /// here, so running the same policy value again starts afresh.
+    /// Helios instead keeps its classification, deadline and trainers
+    /// across calls: a second `run` continues the collaboration, which
+    /// is how a device admitted between runs joins it (§VI.C).
     ///
     /// # Errors
     ///
@@ -93,12 +95,16 @@ pub trait RoundPolicy {
 
     /// Folds the delivered updates into the global model. The updates
     /// arrive in participant order with deadline-missing clients already
-    /// removed (see [`RoutedCycle`]).
+    /// removed (see [`RoutedCycle`]). Defaults to the FedAvg fold.
     ///
     /// # Errors
     ///
-    /// Returns aggregation errors (e.g. a global length change).
-    fn aggregate(&mut self, env: &mut FlEnv, cycle: usize, routed: &RoutedCycle) -> Result<()>;
+    /// Returns policy-state errors.
+    fn aggregate(&mut self, env: &mut FlEnv, cycle: usize, routed: &RoutedCycle) -> Result<()> {
+        let _ = cycle;
+        fedavg_into_global(env, &routed.updates);
+        Ok(())
+    }
 
     /// The simulated span the clock advances by after aggregation.
     /// Defaults to the routed round span (`max(compute + comm)` over
@@ -139,27 +145,13 @@ impl<P: RoundPolicy> Strategy for P {
 
 /// FedAvg aggregation into the environment's global model: each update's
 /// trained entries enter a sample-count-weighted masked average. The
-/// shared aggregation path of the synchronous, random-partial, and plain
-/// asynchronous policies.
-///
-/// # Errors
-///
-/// Propagates [`FlEnv::set_global`] length errors (impossible for updates
-/// produced by this environment's clients).
-pub(crate) fn fedavg_into_global(env: &mut FlEnv, updates: &[LocalUpdate]) -> Result<()> {
-    let mut global = env.global().to_vec();
-    // Stream one update at a time through the online accumulator,
-    // holding O(model) server state.
-    let mut acc = OnlineAggregator::new(global.len());
-    for u in updates {
-        acc.push(&MaskedUpdate {
-            params: &u.params,
-            param_mask: u.param_mask.as_deref(),
-            weight: u.num_samples as f64,
-        });
-    }
-    acc.finish_into(&mut global);
-    env.set_global(global)
+/// default aggregation hook, and the first step of [`crate::AsyncFl`]'s.
+pub(crate) fn fedavg_into_global(env: &mut FlEnv, updates: &[LocalUpdate]) {
+    env.fold_into_global(updates.iter().map(|u| MaskedUpdate {
+        params: &u.params,
+        param_mask: u.param_mask.as_deref(),
+        weight: u.num_samples as f64,
+    }));
 }
 
 /// The engine that owns the canonical round lifecycle (see

@@ -4,7 +4,7 @@ use crate::fleet::{AvailabilityModel, FleetSpec};
 use crate::population::{build_client, Population};
 use crate::sampler::ClientSampler;
 use crate::scenario_rt::{compute_scale, ScenarioRuntime};
-use crate::{Client, FlConfig, FlError, LocalUpdate, Result};
+use crate::{Client, FlConfig, FlError, LocalUpdate, MaskedUpdate, OnlineAggregator, Result};
 use helios_data::Dataset;
 use helios_device::{ResourceProfile, SimClock, SimTime};
 use helios_net::SimTransport;
@@ -327,7 +327,7 @@ impl FlEnv {
     ///
     /// Returns [`FlError::GlobalLengthMismatch`] if the length changes —
     /// the architecture is fixed per environment.
-    pub fn set_global(&mut self, params: Vec<f32>) -> Result<()> {
+    pub(crate) fn set_global(&mut self, params: Vec<f32>) -> Result<()> {
         if params.len() != self.global.len() {
             return Err(FlError::GlobalLengthMismatch {
                 expected: self.global.len(),
@@ -336,6 +336,18 @@ impl FlEnv {
         }
         self.global = params;
         Ok(())
+    }
+
+    /// Folds `updates`, in iteration order, into the global model: one
+    /// streaming [`OnlineAggregator`] pass holding O(model) server state
+    /// for any cohort size. Indices no update covers keep their value; a
+    /// malformed update panics as in [`OnlineAggregator::push`].
+    pub fn fold_into_global<'a>(&mut self, updates: impl IntoIterator<Item = MaskedUpdate<'a>>) {
+        let mut acc = OnlineAggregator::new(self.global.len());
+        for u in updates {
+            acc.push(&u);
+        }
+        acc.finish_into(&mut self.global);
     }
 
     /// Sends the current global model to every in-memory client, tagging

@@ -1,7 +1,7 @@
 //! Random partial-model training — the paper's "Random" baseline
 //! (federated dropout, Caldas et al. [12]).
 
-use crate::{FlEnv, FlError, Result, RoundPolicy, RoutedCycle};
+use crate::{FlEnv, FlError, Result, RoundPolicy};
 use helios_nn::{MaskableUnits, ModelMask};
 use helios_tensor::{TensorRng, UnitMask};
 
@@ -9,8 +9,7 @@ use helios_tensor::{TensorRng, UnitMask};
 /// maskable layer: the Random baseline's per-cycle draw.
 pub(crate) fn random_mask(units: &MaskableUnits, keep: f64, rng: &mut TensorRng) -> ModelMask {
     let mut mask = ModelMask::all_active(units);
-    for (i, &n) in units.0.iter().enumerate() {
-        let k = ((keep * n as f64).ceil() as usize).clamp(1, n);
+    for (i, (&n, k)) in units.0.iter().zip(units.keep_counts(keep)).enumerate() {
         let mut layer: UnitMask = std::iter::repeat_n(false, n).collect();
         for c in rng.sample_indices(n, k) {
             layer.set(c, true);
@@ -107,10 +106,6 @@ impl RoundPolicy for RandomPartial {
             }
             None => c.set_masks(None),
         }
-    }
-
-    fn aggregate(&mut self, env: &mut FlEnv, _cycle: usize, routed: &RoutedCycle) -> Result<()> {
-        crate::driver::fedavg_into_global(env, &routed.updates)
     }
 }
 

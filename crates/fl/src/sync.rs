@@ -1,7 +1,6 @@
 //! Synchronized FedAvg — the paper's "Syn. FL" baseline.
 
-use crate::driver::fedavg_into_global;
-use crate::{FlEnv, Result, RoundPolicy, RoutedCycle};
+use crate::RoundPolicy;
 
 /// Fully synchronous FedAvg: every cycle, every device (stragglers
 /// included) trains the complete model and the server waits for the
@@ -12,8 +11,8 @@ use crate::{FlEnv, Result, RoundPolicy, RoutedCycle};
 ///
 /// Expressed as a [`RoundPolicy`]: the [`crate::RoundDriver`] defaults
 /// (select everyone, broadcast to everyone, clear masks, advance by the
-/// routed round span) *are* synchronous FedAvg, so only the aggregation
-/// hook is filled in.
+/// routed round span, FedAvg-fold the delivered updates) *are*
+/// synchronous FedAvg, so only the name is filled in.
 ///
 /// # Example
 ///
@@ -34,16 +33,12 @@ impl RoundPolicy for SyncFedAvg {
     fn name(&self) -> &str {
         "sync_fedavg"
     }
-
-    fn aggregate(&mut self, env: &mut FlEnv, _cycle: usize, routed: &RoutedCycle) -> Result<()> {
-        fedavg_into_global(env, &routed.updates)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlConfig, Strategy};
+    use crate::{FlConfig, FlEnv, Strategy};
     use helios_data::{partition, Dataset, SyntheticVision};
     use helios_device::presets;
     use helios_nn::models::ModelKind;

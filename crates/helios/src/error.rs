@@ -65,6 +65,19 @@ impl From<helios_nn::NnError> for HeliosError {
     }
 }
 
+/// Adapts Helios errors onto the `helios_fl` error type, so the
+/// strategy's round hooks propagate them with `?`.
+impl From<HeliosError> for FlError {
+    fn from(e: HeliosError) -> Self {
+        match e {
+            HeliosError::Fl(inner) => inner,
+            other => FlError::InvalidStrategyConfig {
+                what: other.to_string(),
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -30,7 +30,7 @@ pub struct TimeIndexEntry {
 pub fn test_bench_index(env: &FlEnv, iterations: usize) -> Result<Vec<TimeIndexEntry>> {
     let mut entries = Vec::with_capacity(env.num_clients());
     for i in 0..env.num_clients() {
-        let client = env.client(i).map_err(HeliosError::from)?;
+        let client = env.client(i)?;
         // One full cycle covers `batches × epochs` iterations; scale to
         // the requested bench length.
         let full = client.cycle_workload();
@@ -45,7 +45,7 @@ pub fn test_bench_index(env: &FlEnv, iterations: usize) -> Result<Vec<TimeIndexE
         // over the device's link — a fast CPU behind a weak uplink still
         // reads as slow, exactly what the server observes in practice.
         // Zero when networking is disabled.
-        let comm = env.comm_overhead(i).map_err(HeliosError::from)?;
+        let comm = env.comm_overhead(i)?;
         entries.push(TimeIndexEntry {
             client: i,
             time: CostModel::time_for(client.profile(), &bench) + comm,

@@ -190,9 +190,7 @@ impl SoftTrainer {
     /// maskable neurons over the selected count per cycle.
     pub fn skip_threshold(&self) -> f64 {
         let m = self.units.total() as f64;
-        let selected: usize = crate::target::keep_counts(&self.units, self.keep)
-            .iter()
-            .sum();
+        let selected: usize = self.units.keep_counts(self.keep).iter().sum();
         1.0 + m / (selected.max(1) as f64)
     }
 
@@ -232,7 +230,7 @@ impl SoftTrainer {
                 assert_eq!(layer.len(), self.units.0[i], "layer {i} width mismatch");
             }
         }
-        let counts = crate::target::keep_counts(&self.units, self.keep);
+        let counts = self.units.keep_counts(self.keep);
         let forced = self.forced_rejoins();
         let mut mask = ModelMask::all_active(&self.units);
         for (i, (&n, &k)) in self.units.0.iter().zip(&counts).enumerate() {

@@ -4,10 +4,10 @@
 use crate::softtrain::{contributions_from_delta, Contributions, SoftTrainer};
 use crate::{aggregation, identify, target, HeliosError, Result};
 use helios_device::SimTime;
-use helios_fl::{FlEnv, MaskedUpdate, OnlineAggregator, RoundPolicy, RoutedCycle};
+use helios_fl::{FlEnv, MaskedUpdate, RoundPolicy, RoutedCycle};
 use helios_nn::{ModelMask, NeuronLayout};
 use helios_tensor::{map_indexed, TensorRng};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How stragglers are identified (§IV.B).
 #[derive(Debug, Clone, PartialEq)]
@@ -117,6 +117,11 @@ impl HeliosConfig {
                     what: "predefined volume ladder is empty".into(),
                 });
             }
+            if let Some(l) = levels.iter().find(|&&l| !(l > 0.0 && l <= 1.0)) {
+                return Err(HeliosError::InvalidConfig {
+                    what: format!("volume level {l} outside (0, 1]"),
+                });
+            }
         }
         Ok(())
     }
@@ -128,32 +133,36 @@ impl HeliosConfig {
 #[derive(Debug, Clone)]
 pub struct HeliosStrategy {
     config: HeliosConfig,
-    stragglers: Vec<usize>,
-    trainers: HashMap<usize, SoftTrainer>,
+    /// Every straggler's state, by client id.
+    stragglers: BTreeMap<usize, Straggler>,
     /// The neuron index of the run's architecture, built with the first
     /// trainer: contribution deltas (Eq 1) read it for every straggler
     /// update.
     layout: Option<NeuronLayout>,
-    contributions: HashMap<usize, Contributions>,
     deadline: SimTime,
-    initialized: bool,
-    /// The global vector every participant received at this cycle's
-    /// broadcast — the reference point for contribution deltas.
-    received_global: Vec<f32>,
-    /// Masks issued to stragglers this cycle, settled against the
-    /// trainers' skip counters only once the round outcome is known
-    /// (delivered vs missed). Observing optimistically at issue time
-    /// would reset counters for units that never actually contributed.
-    issued_masks: HashMap<usize, ModelMask>,
     /// Incremental (sampled-cohort) mode: classification happens per
     /// cohort instead of over the full fleet at `begin_run`.
     incremental: bool,
-    /// Devices already classified in incremental mode — never
-    /// re-profiled when re-sampled.
+    /// Devices already classified — never re-profiled when re-sampled.
+    /// Empty until the reference frame is established.
     classified: BTreeSet<usize>,
     /// The most recent cohort, driving the cohort-relative
     /// dynamic-volume pass in incremental mode.
     last_cohort: Vec<usize>,
+}
+
+/// One straggler's soft-training state.
+#[derive(Debug, Clone)]
+struct Straggler {
+    /// Volume, rotation RNG and skip counters `C_s` (§VI.A).
+    trainer: SoftTrainer,
+    /// Contribution values `U` (Eq 1) of the last delivered update.
+    contributions: Option<Contributions>,
+    /// The mask issued this cycle, settled against the skip counters
+    /// only once the round outcome is known (delivered vs missed).
+    /// Observing optimistically at issue time would reset counters for
+    /// units that never actually contributed.
+    issued: Option<ModelMask>,
 }
 
 impl HeliosStrategy {
@@ -161,35 +170,30 @@ impl HeliosStrategy {
     pub fn new(config: HeliosConfig) -> Self {
         HeliosStrategy {
             config,
-            stragglers: Vec::new(),
-            trainers: HashMap::new(),
+            stragglers: BTreeMap::new(),
             layout: None,
-            contributions: HashMap::new(),
             deadline: SimTime::ZERO,
-            initialized: false,
-            received_global: Vec::new(),
-            issued_masks: HashMap::new(),
             incremental: false,
             classified: BTreeSet::new(),
             last_cohort: Vec::new(),
         }
     }
 
-    /// The identified straggler client ids (sorted), available after
+    /// The identified straggler client ids, ascending, available after
     /// initialization.
-    pub fn stragglers(&self) -> &[usize] {
-        &self.stragglers
+    pub fn stragglers(&self) -> Vec<usize> {
+        self.stragglers.keys().copied().collect()
     }
 
     /// The current expected model volume of a straggler, if it is one.
     pub fn keep_ratio(&self, client: usize) -> Option<f64> {
-        self.trainers.get(&client).map(|t| t.keep())
+        self.trainer(client).map(SoftTrainer::keep)
     }
 
     /// Read-only access to a straggler's soft-training scheduler state
     /// (per-unit skip counters, keep ratio), for tests and diagnostics.
     pub fn trainer(&self, client: usize) -> Option<&SoftTrainer> {
-        self.trainers.get(&client)
+        self.stragglers.get(&client).map(|s| &s.trainer)
     }
 
     /// The capable-pace deadline the stragglers are fitted to.
@@ -204,7 +208,7 @@ impl HeliosStrategy {
     ///
     /// Returns identification or volume-fitting errors.
     pub fn initialize(&mut self, env: &mut FlEnv) -> Result<()> {
-        if self.initialized {
+        if !self.classified.is_empty() {
             return Ok(());
         }
         self.config.validate()?;
@@ -260,7 +264,7 @@ impl HeliosStrategy {
         // 3. Volume determination + soft-trainer construction. Each fit
         // reads `env` alone, so the fits fan out over the thread budget.
         let volumes: Vec<(usize, f64)> = match &self.config.volume {
-            VolumePolicy::Predefined(levels) => target::assign_predefined(&ranked, levels)?,
+            VolumePolicy::Predefined(levels) => target::assign_predefined(&ranked, levels),
             VolumePolicy::ResourceFitted => {
                 let threads = env.config().parallelism.resolve();
                 let fits = map_indexed(ranked.len(), threads, |k| {
@@ -273,14 +277,11 @@ impl HeliosStrategy {
         for (client, keep) in volumes {
             self.install_trainer(env, client, keep, trainer_rng(client))?;
         }
-        self.stragglers = ranked;
-        self.stragglers.sort_unstable();
         // Record the classified frontier: devices that appear later
         // (newly sampled, the §VI.C admission path, or scenario churn)
         // are measured against the established pace when they first
         // show up in a cohort.
         self.classified.extend(members.iter().copied());
-        self.initialized = true;
         Ok(())
     }
 
@@ -294,8 +295,12 @@ impl HeliosStrategy {
         let net = env.client_mut(client)?.network();
         let units = net.maskable_units();
         self.layout.get_or_insert_with(|| net.layout());
-        let trainer = SoftTrainer::new(units, keep, self.config.p_s, self.config.regulation, rng)?;
-        self.trainers.insert(client, trainer);
+        let straggler = Straggler {
+            trainer: SoftTrainer::new(units, keep, self.config.p_s, self.config.regulation, rng)?,
+            contributions: None,
+            issued: None,
+        };
+        self.stragglers.insert(client, straggler);
         Ok(())
     }
 
@@ -313,12 +318,12 @@ impl HeliosStrategy {
         profile: helios_device::ResourceProfile,
         shard: helios_data::Dataset,
     ) -> Result<usize> {
-        if !self.initialized {
+        if self.classified.is_empty() {
             return Err(HeliosError::InvalidConfig {
                 what: "admit_device requires an initialized strategy".into(),
             });
         }
-        let id = env.join_client(profile, shard).map_err(HeliosError::from)?;
+        let id = env.join_client(profile, shard)?;
         self.classify_cohort(env, &[id])?;
         Ok(id)
     }
@@ -332,34 +337,30 @@ impl HeliosStrategy {
     /// state. A newcomer's trainer gets its own device-keyed RNG stream,
     /// so classification order never affects the draw sequence.
     fn classify_cohort(&mut self, env: &mut FlEnv, cohort: &[usize]) -> Result<()> {
-        if self.incremental && !self.initialized {
+        if self.classified.is_empty() {
             // Device-keyed streams (not a shared split chain): the same
             // device gets the same stream regardless of which cohort
             // first surfaced it.
             let seed = env.config().seed;
             return self.establish(env, cohort, |i| device_rng(seed, i));
         }
-        if self.initialized {
-            // Verdicts read `env` alone, so they fan out over the thread
-            // budget; trainers are installed after, in cohort order, so
-            // the first error is still the first newcomer's to fail.
-            let fresh: Vec<usize> = cohort
-                .iter()
-                .copied()
-                .filter(|i| !self.classified.contains(i))
-                .collect();
-            let (volume, deadline) = (&self.config.volume, self.deadline);
-            let threads = env.config().parallelism.resolve();
-            let verdicts = map_indexed(fresh.len(), threads, |k| {
-                straggler_keep(env, volume, deadline, fresh[k])
-            });
-            for (&i, verdict) in fresh.iter().zip(verdicts) {
-                self.classified.insert(i);
-                if let Some(keep) = verdict? {
-                    self.install_trainer(env, i, keep, device_rng(env.config().seed, i))?;
-                    self.stragglers.push(i);
-                    self.stragglers.sort_unstable();
-                }
+        // Verdicts read `env` alone, so they fan out over the thread
+        // budget; trainers are installed after, in cohort order, so the
+        // first error is still the first newcomer's to fail.
+        let fresh: Vec<usize> = cohort
+            .iter()
+            .copied()
+            .filter(|i| !self.classified.contains(i))
+            .collect();
+        let (volume, deadline) = (&self.config.volume, self.deadline);
+        let threads = env.config().parallelism.resolve();
+        let verdicts = map_indexed(fresh.len(), threads, |k| {
+            straggler_keep(env, volume, deadline, fresh[k])
+        });
+        for (&i, verdict) in fresh.iter().zip(verdicts) {
+            self.classified.insert(i);
+            if let Some(keep) = verdict? {
+                self.install_trainer(env, i, keep, device_rng(env.config().seed, i))?;
             }
         }
         Ok(())
@@ -382,11 +383,8 @@ fn straggler_keep(
         return Ok(None);
     }
     let keep = match volume {
-        VolumePolicy::Predefined(levels) => {
-            *levels.last().ok_or_else(|| HeliosError::InvalidConfig {
-                what: "predefined volume ladder is empty".into(),
-            })?
-        }
+        // `HeliosConfig::validate` rejected an empty ladder.
+        VolumePolicy::Predefined(levels) => levels[levels.len() - 1],
         VolumePolicy::ResourceFitted => fitted_keep(env, deadline, id)?,
     };
     Ok(Some(keep))
@@ -423,13 +421,14 @@ impl RoundPolicy for HeliosStrategy {
     fn begin_run(&mut self, env: &mut FlEnv) -> helios_fl::Result<()> {
         if env.sampling_enabled() {
             if matches!(self.config.identification, Identification::TimeBased { .. }) {
-                return Err(to_fl_error(HeliosError::InvalidConfig {
+                return Err(HeliosError::InvalidConfig {
                     what: "time-based identification benches the full fleet; \
                            use ResourceBased identification with cohort sampling"
                         .into(),
-                }));
+                }
+                .into());
             }
-            self.config.validate().map_err(to_fl_error)?;
+            self.config.validate()?;
             // Classification is deferred to the first sampled cohort.
             self.incremental = true;
             return Ok(());
@@ -439,7 +438,7 @@ impl RoundPolicy for HeliosStrategy {
         for i in 0..env.num_clients() {
             env.ensure_client(i)?;
         }
-        self.initialize(env).map_err(to_fl_error)
+        Ok(self.initialize(env)?)
     }
 
     /// Draws the cycle's cohort via [`FlEnv::select_cohort`]; devices
@@ -449,23 +448,11 @@ impl RoundPolicy for HeliosStrategy {
     /// fully-classified fleet this is a no-op.
     fn select(&mut self, env: &mut FlEnv, cycle: usize) -> helios_fl::Result<Vec<usize>> {
         let cohort = env.select_cohort(cycle)?;
-        self.classify_cohort(env, &cohort).map_err(to_fl_error)?;
+        self.classify_cohort(env, &cohort)?;
         if self.incremental {
             self.last_cohort = cohort.clone();
         }
         Ok(cohort)
-    }
-
-    fn broadcast(
-        &mut self,
-        env: &mut FlEnv,
-        cycle: usize,
-        _participants: &[usize],
-    ) -> helios_fl::Result<()> {
-        env.broadcast_global(cycle)?;
-        // The reference point for this cycle's contribution deltas.
-        self.received_global = env.global().to_vec();
-        Ok(())
     }
 
     /// Installs this cycle's soft-training mask: stragglers get their
@@ -478,13 +465,13 @@ impl RoundPolicy for HeliosStrategy {
         cycle: usize,
         client: usize,
     ) -> helios_fl::Result<()> {
-        if let Some(trainer) = self.trainers.get_mut(&client) {
-            let mask = trainer.next_mask(self.contributions.get(&client));
+        if let Some(s) = self.stragglers.get_mut(&client) {
+            let mask = s.trainer.next_mask(s.contributions.as_ref());
             // Stash rather than observe: the skip counters settle in
             // `aggregate`, once this cycle's delivery outcome is known.
-            self.issued_masks.insert(client, mask.clone());
+            s.issued = Some(mask.clone());
             if helios_obs::enabled() {
-                let units = trainer.units();
+                let units = s.trainer.units();
                 let active: usize = mask.active_counts(units).iter().sum();
                 helios_obs::emit(|| helios_obs::TraceEvent::MaskIssued {
                     cycle: cycle as u64,
@@ -515,12 +502,14 @@ impl RoundPolicy for HeliosStrategy {
         let delivered = updates.iter().map(|u| (u.client, true));
         let missed = routed.missed.iter().map(|&client| (client, false));
         for (client, delivered) in delivered.chain(missed) {
-            let issued = self.issued_masks.remove(&client);
-            if let (Some(mask), Some(trainer)) = (issued, self.trainers.get_mut(&client)) {
+            let Some(s) = self.stragglers.get_mut(&client) else {
+                continue;
+            };
+            if let Some(mask) = s.issued.take() {
                 if delivered {
-                    trainer.observe(&mask);
+                    s.trainer.observe(&mask);
                 } else {
-                    trainer.observe_missed();
+                    s.trainer.observe_missed();
                 }
                 helios_obs::emit(|| helios_obs::TraceEvent::SkipSettled {
                     cycle: cycle as u64,
@@ -529,23 +518,27 @@ impl RoundPolicy for HeliosStrategy {
                 });
             }
         }
-        self.issued_masks.clear();
         // Refresh contribution values U (Eq 1) for the next selection:
         // one pure pass per delivered straggler update, fanned out over
-        // the thread budget and stored in participant order.
+        // the thread budget. The reference point is the global every
+        // participant received at this cycle's broadcast, which only the
+        // fold below replaces.
         if let Some(layout) = &self.layout {
-            let stragglers: Vec<_> = updates
+            let delivered: Vec<_> = updates
                 .iter()
-                .filter_map(|u| Some((u, self.trainers.get(&u.client)?.units())))
+                .filter_map(|u| Some((u, self.stragglers.get(&u.client)?)))
                 .collect();
-            let global = &self.received_global;
+            let global = env.global();
             let threads = env.config().parallelism.resolve();
-            let refreshed = map_indexed(stragglers.len(), threads, |k| {
-                let (u, units) = stragglers[k];
-                contributions_from_delta(layout, units, global, &u.params)
+            let refreshed = map_indexed(delivered.len(), threads, |k| {
+                let (u, s) = delivered[k];
+                let c = contributions_from_delta(layout, s.trainer.units(), global, &u.params);
+                (u.client, c)
             });
-            for ((u, _), c) in stragglers.iter().zip(refreshed) {
-                self.contributions.insert(u.client, c);
+            for (client, c) in refreshed {
+                if let Some(s) = self.stragglers.get_mut(&client) {
+                    s.contributions = Some(c);
+                }
             }
         }
         // §VI.B model aggregation (see AggregationMode).
@@ -558,24 +551,12 @@ impl RoundPolicy for HeliosStrategy {
             updates.iter().map(|u| u.num_samples as f64).collect()
         };
         let masked_upload = self.config.aggregation == AggregationMode::MaskedWeighted;
-        let mut global = env.global().to_vec();
-        // Stream the fold: one update at a time through the online
-        // accumulator — O(model) server state even for fleet-scale
-        // cohorts.
-        let mut acc = OnlineAggregator::new(global.len());
-        for (u, &w) in updates.iter().zip(&weights) {
-            acc.push(&MaskedUpdate {
-                params: &u.params,
-                param_mask: if masked_upload {
-                    u.param_mask.as_deref()
-                } else {
-                    None
-                },
-                weight: w,
-            });
-        }
-        acc.finish_into(&mut global);
-        env.set_global(global)
+        env.fold_into_global(updates.iter().zip(weights).map(|(u, weight)| MaskedUpdate {
+            params: &u.params,
+            param_mask: u.param_mask.as_deref().filter(|_| masked_upload),
+            weight,
+        }));
+        Ok(())
     }
 
     /// Dynamic volume adjustment toward the capable pace, during the
@@ -591,29 +572,19 @@ impl RoundPolicy for HeliosStrategy {
         let members = if self.incremental {
             self.last_cohort.clone()
         } else {
-            (0..env.num_clients()).collect()
+            self.stragglers()
         };
-        for &i in &members {
-            if let Some(trainer) = self.trainers.get_mut(&i) {
+        for i in members {
+            if let Some(s) = self.stragglers.get_mut(&i) {
+                let trainer = &mut s.trainer;
                 let masked_time = env.combined_cycle_time(i)?;
                 let next = target::adjust_keep_ratio(trainer.keep(), masked_time, self.deadline);
                 if (next - trainer.keep()).abs() > 1e-9 {
-                    trainer.set_keep(next).map_err(to_fl_error)?;
+                    trainer.set_keep(next)?;
                 }
             }
         }
         Ok(())
-    }
-}
-
-/// Adapts Helios errors onto the `helios_fl` error type so
-/// [`HeliosStrategy`] satisfies the shared [`Strategy`] signature.
-fn to_fl_error(e: HeliosError) -> helios_fl::FlError {
-    match e {
-        HeliosError::Fl(inner) => inner,
-        other => helios_fl::FlError::InvalidStrategyConfig {
-            what: other.to_string(),
-        },
     }
 }
 
@@ -839,12 +810,30 @@ mod tests {
         // Stragglers identified on the sampled cohorts carry shrunken
         // volumes; capable cohort members carry none.
         assert!(!ha.stragglers().is_empty(), "mixed cohort has stragglers");
-        for &s in ha.stragglers() {
+        for s in ha.stragglers() {
             let keep = ha.keep_ratio(s).unwrap();
             assert!(keep < 1.0, "straggler {s} keep {keep}");
         }
         // Only sampled devices were ever instantiated.
         assert!(a.materialized_clients() < 16);
+    }
+
+    /// Newcomers join the straggler map on the cohort path: after a
+    /// sampled run, the reported ids are ascending and name exactly the
+    /// devices that carry a volume and a trainer.
+    #[test]
+    fn newcomer_stragglers_get_one_record_each() {
+        let mut e = lazy_env(16, 83, helios_fl::SamplerConfig::uniform(6));
+        let mut h = HeliosStrategy::new(HeliosConfig::default());
+        h.run(&mut e, 3).unwrap();
+        assert!(h.classified.len() > 6, "later cohorts surfaced newcomers");
+        let ids = h.stragglers();
+        assert!(!ids.is_empty(), "mixed cohorts have stragglers");
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending: {ids:?}");
+        let with_state: Vec<usize> = (0..e.num_clients())
+            .filter(|&i| h.keep_ratio(i).is_some() && h.trainer(i).is_some())
+            .collect();
+        assert_eq!(ids, with_state);
     }
 
     #[test]
@@ -887,5 +876,21 @@ mod tests {
             ..HeliosConfig::default()
         });
         assert!(h.run(&mut e, 1).is_err());
+    }
+
+    #[test]
+    fn validate_checks_the_whole_volume_ladder() {
+        let ladder = |levels: Vec<f64>| {
+            HeliosConfig {
+                volume: VolumePolicy::Predefined(levels),
+                ..HeliosConfig::default()
+            }
+            .validate()
+        };
+        assert!(ladder(vec![0.25, 0.5, 1.0]).is_ok());
+        assert!(ladder(vec![]).is_err());
+        assert!(ladder(vec![1.5]).is_err());
+        assert!(ladder(vec![0.5, 0.0]).is_err());
+        assert!(ladder(vec![f64::NAN]).is_err());
     }
 }

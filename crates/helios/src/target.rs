@@ -10,22 +10,11 @@ use helios_nn::{MaskableUnits, ModelMask};
 /// sub-model degenerates (one neuron per layer carries no information).
 pub(crate) const MIN_KEEP_RATIO: f64 = 0.05;
 
-/// Per-layer active-unit counts for a uniform keep ratio `keep`:
-/// `ceil(keep · n_i)`, at least 1 (the paper's `P_i n_i` with a common
-/// `P_i = keep`).
-pub fn keep_counts(units: &MaskableUnits, keep: f64) -> Vec<usize> {
-    units
-        .0
-        .iter()
-        .map(|&n| ((keep * n as f64).ceil() as usize).clamp(1, n))
-        .collect()
-}
-
 /// A deterministic probe mask keeping the first `ceil(keep · n_i)` units
 /// of every layer — used only to evaluate the cost model, which depends on
 /// active *counts*, not on which units are active.
 pub fn probe_mask(units: &MaskableUnits, keep: f64) -> ModelMask {
-    let counts = keep_counts(units, keep);
+    let counts = units.keep_counts(keep);
     let mut mask = ModelMask::all_active(units);
     for (i, (&n, &k)) in units.0.iter().zip(&counts).enumerate() {
         mask.set_layer(i, Some((0..n).map(|j| j < k).collect()));
@@ -90,33 +79,14 @@ pub fn fitted_keep_ratio(client: &Client, deadline: SimTime) -> Result<f64> {
 /// *Predefined-level* volume determination (§IV.C "multiple model volume
 /// levels in advance"): stragglers ranked slowest first walk the `levels`
 /// ladder (slowest gets entry 0, the smallest volume; extras reuse the
-/// last level).
-///
-/// # Errors
-///
-/// Returns [`HeliosError::InvalidConfig`] when `levels` is empty or holds
-/// a ratio outside `(0, 1]`.
-pub(crate) fn assign_predefined(
-    ranked_stragglers: &[usize],
-    levels: &[f64],
-) -> Result<Vec<(usize, f64)>> {
-    if levels.is_empty() {
-        return Err(HeliosError::InvalidConfig {
-            what: "volume levels must not be empty".into(),
-        });
-    }
-    for &l in levels {
-        if !(l > 0.0 && l <= 1.0) {
-            return Err(HeliosError::InvalidConfig {
-                what: format!("volume level {l} outside (0, 1]"),
-            });
-        }
-    }
-    Ok(ranked_stragglers
+/// last level). `levels` is a ladder `HeliosConfig::validate` accepted:
+/// non-empty, every ratio in `(0, 1]`.
+pub(crate) fn assign_predefined(ranked_stragglers: &[usize], levels: &[f64]) -> Vec<(usize, f64)> {
+    ranked_stragglers
         .iter()
         .enumerate()
         .map(|(rank, &client)| (client, levels[rank.min(levels.len() - 1)]))
-        .collect())
+        .collect()
 }
 
 /// The compute budget left for local training once a device's expected
@@ -177,10 +147,10 @@ mod tests {
     #[test]
     fn keep_counts_round_up_and_clamp() {
         let units = MaskableUnits(vec![8, 64]);
-        assert_eq!(keep_counts(&units, 0.5), vec![4, 32]);
-        assert_eq!(keep_counts(&units, 0.01), vec![1, 1]);
-        assert_eq!(keep_counts(&units, 1.0), vec![8, 64]);
-        assert_eq!(keep_counts(&units, 0.33), vec![3, 22]);
+        assert_eq!(units.keep_counts(0.5), vec![4, 32]);
+        assert_eq!(units.keep_counts(0.01), vec![1, 1]);
+        assert_eq!(units.keep_counts(1.0), vec![8, 64]);
+        assert_eq!(units.keep_counts(0.33), vec![3, 22]);
     }
 
     #[test]
@@ -249,10 +219,8 @@ mod tests {
 
     #[test]
     fn predefined_assignment_ladders_by_rank() {
-        let out = assign_predefined(&[7, 3, 9], &[0.25, 0.5]).unwrap();
+        let out = assign_predefined(&[7, 3, 9], &[0.25, 0.5]);
         assert_eq!(out, vec![(7, 0.25), (3, 0.5), (9, 0.5)]);
-        assert!(assign_predefined(&[1], &[]).is_err());
-        assert!(assign_predefined(&[1], &[1.5]).is_err());
     }
 
     #[test]

@@ -28,6 +28,16 @@ impl MaskableUnits {
     pub fn total(&self) -> usize {
         self.0.iter().sum()
     }
+
+    /// Per-layer active-unit counts for a uniform keep ratio `keep`:
+    /// `ceil(keep · n_i)`, at least 1 so no layer is ever issued empty
+    /// (the paper's `P_i n_i` with a common `P_i = keep`).
+    pub fn keep_counts(&self, keep: f64) -> Vec<usize> {
+        self.0
+            .iter()
+            .map(|&n| ((keep * n as f64).ceil() as usize).clamp(1, n))
+            .collect()
+    }
 }
 
 /// Per-layer unit masks describing which neurons participate in a training

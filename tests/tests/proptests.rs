@@ -1,7 +1,7 @@
 //! Property-based tests over cross-crate invariants.
 
 use helios_core::softtrain::{select_layer_mask, SoftTrainer};
-use helios_core::target::{keep_counts, probe_mask};
+use helios_core::target::probe_mask;
 use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
 use helios_fl::{FlConfig, FlEnv, MaskedUpdate, OnlineAggregator, Strategy, SyncFedAvg};
@@ -95,8 +95,8 @@ proptest! {
     ) {
         let units = MaskableUnits(widths.clone());
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let ca = keep_counts(&units, lo);
-        let cb = keep_counts(&units, hi);
+        let ca = units.keep_counts(lo);
+        let cb = units.keep_counts(hi);
         for ((&n, &x), &y) in widths.iter().zip(&ca).zip(&cb) {
             prop_assert!(x >= 1 && x <= n);
             prop_assert!(y >= x, "monotone: keep {lo} gives {x}, {hi} gives {y}");
@@ -142,7 +142,7 @@ proptest! {
             true,
             TensorRng::seed_from(seed),
         ).expect("valid parameters");
-        let expected = keep_counts(&units, keep);
+        let expected = units.keep_counts(keep);
         let mut contributions: Vec<Vec<f32>> =
             widths.iter().map(|&n| vec![0.0; n]).collect();
         let mut rng = TensorRng::seed_from(seed ^ 1);
