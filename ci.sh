@@ -274,7 +274,7 @@ cargo build --release --workspace
 step "cargo test -q"
 cargo test -q --workspace
 
-step "kernel parity and goldens under release codegen (helios-tensor, helios-nn and helios-fl unit tests, gemm_parity, parallel_parity, golden_metrics, end_to_end, network_sim, fleet_scale, fanout_parity)"
+step "kernel parity and goldens under release codegen (helios-tensor, helios-nn, helios-fl and helios-net unit tests, gemm_parity, parallel_parity, golden_metrics, end_to_end, network_sim, fleet_scale, fanout_parity)"
 # The test profile builds at opt-level 1, where the microkernels may not
 # vectorize; the benchmark times opt-level 3. These suites pin the
 # kernels, packed execution and inference bitwise against their
@@ -282,11 +282,16 @@ step "kernel parity and goldens under release codegen (helios-tensor, helios-nn 
 # code the benchmark runs. The aggregation fold vectorizes only under
 # optimization too, so its streaming-vs-collect-then-average oracle
 # (helios-fl's unit tests) and the routed-fleet suites run here as
-# well. Named targets only: helios-integration's lib tests check debug
-# assertions, which release turns off.
+# well. The transport builds and CRC-checks a corrupted attempt's
+# damaged copy only in a `debug_assert!`, which fires in the dev-profile
+# `cargo test` above alone, so helios-net's transport and round tests
+# run here too, on the release path that skips the copy. Named targets
+# only: helios-integration's lib tests check debug assertions, which
+# release turns off.
 cargo test -q --release -p helios-tensor --lib
 cargo test -q --release -p helios-nn --lib
 cargo test -q --release -p helios-fl --lib
+cargo test -q --release -p helios-net --lib
 cargo test -q --release -p helios-integration --test gemm_parity --test parallel_parity \
     --test golden_metrics --test end_to_end --test network_sim --test fleet_scale \
     --test fanout_parity

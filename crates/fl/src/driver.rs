@@ -199,8 +199,6 @@ impl RoundDriver {
     ) -> Result<RunMetrics> {
         let mut metrics = RunMetrics::new(RoundPolicy::name(policy));
         let mut profile = RunProfile::default();
-        let run_kernels = helios_tensor::kernel_counters();
-        let run_nn = helios_nn::nn_timings();
 
         let t = Instant::now();
         policy.begin_run(env)?;
@@ -377,13 +375,6 @@ impl RoundDriver {
             });
         }
 
-        let kernels = helios_tensor::kernel_counters().since(&run_kernels);
-        profile.kernel_flops = kernels.flops;
-        profile.kernel_elements = kernels.elements;
-        let nn = helios_nn::nn_timings().since(&run_nn);
-        profile.nn_forward_s = nn.forward_s;
-        profile.nn_backward_s = nn.backward_s;
-        profile.nn_step_s = nn.step_s;
         metrics.set_profile(profile);
         Ok(metrics)
     }

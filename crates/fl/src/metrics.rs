@@ -88,14 +88,10 @@ pub struct RoundRecord {
 
 /// Host-side profile of one strategy run, filled in by the round driver.
 ///
-/// The time fields are *wall-clock* observations of this run (seconds
-/// of real time, summed across worker threads for the fan-out phases) —
-/// they describe how long the simulation took to execute, never the
-/// simulated timeline. The kernel counts are exact work counts,
-/// comparable across runs and widths. Everything here is read from the
-/// driving thread's own counters, so a concurrent run on another thread
-/// adds nothing to it; all of it is excluded from [`RunMetrics`]
-/// equality.
+/// The fields are *wall-clock* observations of this run's phases, timed
+/// on the driving thread (seconds of real time) — they describe how long
+/// the simulation took to execute, never the simulated timeline, and are
+/// excluded from [`RunMetrics`] equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunProfile {
     /// Wall time spent in client selection and per-client configuration.
@@ -110,16 +106,6 @@ pub struct RunProfile {
     pub aggregate_s: f64,
     /// Wall time spent evaluating the global model.
     pub eval_s: f64,
-    /// CPU time inside `Network::forward` across all threads.
-    pub nn_forward_s: f64,
-    /// CPU time inside `Network::backward` across all threads.
-    pub nn_backward_s: f64,
-    /// CPU time inside `Sgd::step` across all threads.
-    pub nn_step_s: f64,
-    /// Total kernel flops counted over the run (training + evaluation).
-    pub kernel_flops: u64,
-    /// Total kernel output elements counted over the run.
-    pub kernel_elements: u64,
 }
 
 /// Full metrics of one strategy run.
@@ -410,13 +396,12 @@ mod tests {
         let b = sample_run();
         a.set_profile(RunProfile {
             train_s: 123.0,
-            kernel_flops: 42,
             ..RunProfile::default()
         });
         assert_eq!(a, b, "host profile is wall-clock noise");
         let json = serde_json::to_string(&a).unwrap();
         let back: RunMetrics = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.profile().kernel_flops, 42);
+        assert_eq!(back.profile().train_s, 123.0);
         // Files written before the profile/phases fields existed load.
         let legacy = r#"{"strategy":"old","records":[{"cycle":0,"sim_time":1.5,
             "test_accuracy":0.5,"test_loss":1.0,"participants":2,"comm_bytes":8.0}]}"#;

@@ -107,7 +107,7 @@ impl FlEnv {
     pub fn route_updates(
         &mut self,
         cycle: usize,
-        updates: Vec<LocalUpdate>,
+        mut updates: Vec<LocalUpdate>,
         compute_times: &[SimTime],
     ) -> Result<RoutedCycle> {
         if updates.len() != compute_times.len() {
@@ -160,21 +160,20 @@ impl FlEnv {
         }
         let timeout = self.config.net.round_timeout_s.map(SimTime::from_secs);
         let outcome = simulate_round(transport, &broadcast, &jobs, timeout)?;
-        // Each worker swaps its update's parameters for the ones decoded
-        // from its delivery. An intact delivery borrows the job's upload
-        // frame, so the cohort's frames exist once, in `jobs`; only a
-        // damaged frame that passed the CRC would be a copy of its own.
-        let mut slots: Vec<_> = updates.into_iter().zip(outcome.deliveries).collect();
-        let decoded = map_items_mut(&mut slots, threads, |_, (u, delivery)| -> Result<bool> {
-            let Some((_, bytes)) = delivery.take() else {
+        // Each worker swaps an arrived update's parameters for the ones
+        // decoded from its job's upload frame: the transport delivers a
+        // frame intact or not at all, so the cohort's frames exist once,
+        // in `jobs`.
+        let decoded = map_items_mut(&mut updates, threads, |i, u| -> Result<bool> {
+            if outcome.arrivals[i].is_none() {
                 return Ok(false);
-            };
-            u.params = codec::decode(&bytes)?.into_params(global)?;
+            }
+            u.params = codec::decode(&jobs[i].upload_frame)?.into_params(global)?;
             Ok(true)
         });
-        let mut delivered = Vec::with_capacity(slots.len());
+        let mut delivered = Vec::with_capacity(updates.len());
         let mut missed = Vec::new();
-        for ((u, _), arrived) in slots.into_iter().zip(decoded) {
+        for (u, arrived) in updates.into_iter().zip(decoded) {
             if arrived? {
                 delivered.push(u);
             } else {

@@ -150,12 +150,10 @@ impl FlEnv {
                     trace(cycle, "return", Some(device), 1.0);
                 }
                 EventKind::Drift { kind, amount } => {
-                    if self.config.scenario.drift_test_set {
-                        // The evaluation distribution drifts with the
-                        // fleet, at fire time; client shards catch up
-                        // per participant in `scenario_prepare_cohort`.
-                        self.test_set = drifted(&self.test_set, kind, amount)?;
-                    }
+                    // The evaluation distribution drifts with the fleet,
+                    // at fire time; client shards catch up per
+                    // participant in `scenario_prepare_cohort`.
+                    self.test_set = drifted(&self.test_set, kind, amount)?;
                     trace(cycle, kind.trace_kind(), None, amount);
                 }
             }

@@ -58,30 +58,29 @@ pub fn test_bench_index(env: &FlEnv, iterations: usize) -> Result<Vec<TimeIndexE
 }
 
 /// *Time-based approximation*: the top-`k` devices of the time index are
-/// declared potential stragglers.
+/// declared potential stragglers (ascending ids).
 ///
 /// # Errors
 ///
-/// Returns [`HeliosError::Identification`] when `k` is zero or not
-/// smaller than the fleet (at least one capable device must remain).
+/// Returns [`HeliosError::Identification`] when the bench has no
+/// iterations, or `k` is zero or not smaller than the fleet (at least
+/// one capable device must remain).
 pub fn time_based(env: &FlEnv, iterations: usize, k: usize) -> Result<Vec<usize>> {
-    if k == 0 {
+    let mut ids = slowest_k(env, iterations, k)?;
+    ids.sort_unstable();
+    Ok(ids)
+}
+
+/// [`time_based`]'s stragglers, slowest first, with its errors.
+pub(crate) fn slowest_k(env: &FlEnv, iterations: usize, k: usize) -> Result<Vec<usize>> {
+    let n = env.num_clients();
+    if iterations == 0 || k == 0 || k >= n {
         return Err(HeliosError::Identification {
-            what: "top-k must be nonzero".into(),
-        });
-    }
-    if k >= env.num_clients() {
-        return Err(HeliosError::Identification {
-            what: format!(
-                "top-{k} of {} devices leaves no capable device",
-                env.num_clients()
-            ),
+            what: format!("a {iterations}-iteration bench, top-{k} of {n} devices"),
         });
     }
     let index = test_bench_index(env, iterations)?;
-    let mut ids: Vec<usize> = index.iter().take(k).map(|e| e.client).collect();
-    ids.sort_unstable();
-    Ok(ids)
+    Ok(index.iter().take(k).map(|e| e.client).collect())
 }
 
 /// Positions in `times` more than `slowdown_threshold` times slower
@@ -207,6 +206,7 @@ mod tests {
         assert_eq!(time_based(&e, 2, 1).unwrap().len(), 1);
         assert!(time_based(&e, 2, 0).is_err());
         assert!(time_based(&e, 2, 4).is_err());
+        assert!(time_based(&e, 0, 2).is_err());
     }
 
     #[test]

@@ -111,6 +111,13 @@ impl HeliosConfig {
                 what: format!("P_s {} outside [0, 1]", self.p_s),
             });
         }
+        if let Identification::TimeBased { iterations, top_k } = self.identification {
+            if iterations == 0 || top_k == 0 {
+                return Err(HeliosError::InvalidConfig {
+                    what: format!("time-based bench: {iterations} iterations, top-{top_k}"),
+                });
+            }
+        }
         if let VolumePolicy::Predefined(levels) = &self.volume {
             if levels.is_empty() {
                 return Err(HeliosError::InvalidConfig {
@@ -231,11 +238,10 @@ impl HeliosStrategy {
     ) -> Result<()> {
         // 1. Straggler identification, ranked slowest first.
         let ranked: Vec<usize> = match &self.config.identification {
+            // Benches the full fleet (`begin_run` rejects it for sampled
+            // cohorts).
             Identification::TimeBased { iterations, top_k } => {
-                // Benches the full fleet (`begin_run` rejects it for
-                // sampled cohorts).
-                let index = identify::test_bench_index(env, *iterations)?;
-                index.iter().take(*top_k).map(|e| e.client).collect()
+                identify::slowest_k(env, *iterations, *top_k)?
             }
             Identification::ResourceBased { slowdown_threshold } => {
                 // Combined time = compute + expected link transfer, so a
@@ -876,6 +882,27 @@ mod tests {
             ..HeliosConfig::default()
         });
         assert!(h.run(&mut e, 1).is_err());
+    }
+
+    /// A time-based config that benches nothing, names no straggler or
+    /// leaves no capable device is a typed error, not a degenerate run.
+    #[test]
+    fn time_based_rejects_an_empty_bench_or_a_top_k_outside_the_fleet() {
+        for (iterations, top_k, expect) in [(2, 0, "top-0"), (2, 4, "top-4 of 4"), (0, 1, "0 iter")]
+        {
+            let mut e = env(2, 2, 86);
+            let err = HeliosStrategy::new(HeliosConfig {
+                identification: Identification::TimeBased { iterations, top_k },
+                volume: VolumePolicy::Predefined(vec![0.5]),
+                ..HeliosConfig::default()
+            })
+            .run(&mut e, 1)
+            .unwrap_err();
+            assert!(
+                matches!(&err, helios_fl::FlError::InvalidStrategyConfig { what } if what.contains(expect)),
+                "({iterations}, {top_k}): {err}"
+            );
+        }
     }
 
     #[test]

@@ -1364,15 +1364,28 @@ mod tests {
         assert!(WireSize::masked(n, active).total_bytes() < WireSize::full(n).total_bytes());
     }
 
+    /// Every single-byte error — each byte flipped by each nonzero value,
+    /// the transport's corruption fault model — fails `verify` and
+    /// `decode`, so a damaged frame is never delivered.
+    fn assert_every_byte_flip_detected(frame: &[u8]) {
+        let mut bad = frame.to_vec();
+        for i in 0..frame.len() {
+            for flip in 1..=255u8 {
+                bad[i] = frame[i] ^ flip;
+                assert!(!verify(&bad), "flip {flip:#04x} at byte {i} undetected");
+                assert!(
+                    decode(&bad).is_err(),
+                    "flip {flip:#04x} at byte {i} decoded"
+                );
+            }
+            bad[i] = frame[i];
+        }
+    }
+
     #[test]
     fn corruption_is_detected_at_every_byte() {
-        let frame = encode_full(0, 0, &[1.0, 2.0, 3.0]).unwrap();
-        for i in 0..frame.len() {
-            let mut bad = frame.clone();
-            bad[i] ^= 0x41;
-            assert!(!verify(&bad), "flip at byte {i} undetected");
-            assert!(decode(&bad).is_err(), "flip at byte {i} decoded");
-        }
+        assert_every_byte_flip_detected(&encode_full(0, 0, &[1.0, 2.0, 3.0]).unwrap());
+        assert_every_byte_flip_detected(&encode_masked(0, 0, &[1.0, 2.0, 3.0], &[0b101]).unwrap());
     }
 
     #[test]
@@ -1734,11 +1747,7 @@ mod tests {
             encode_quant_f16(1, 2, &[0.75, 1.5, 2.5], None, &base).unwrap(),
             encode_quant_i8(1, 2, &[0.75, 1.5, 2.5], None, &base).unwrap(),
         ] {
-            for i in 0..frame.len() {
-                let mut bad = frame.clone();
-                bad[i] ^= 0x41;
-                assert!(decode(&bad).is_err(), "flip at byte {i} decoded");
-            }
+            assert_every_byte_flip_detected(&frame);
         }
     }
 

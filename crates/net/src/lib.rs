@@ -45,7 +45,10 @@
 //! let mut transport = SimTransport::new(1, &cfg, 42).unwrap();
 //! let frame = codec::encode_full(0, 0, &[1.0, -2.5, 3.25]).unwrap();
 //! let tx = transport.transmit(0, &frame, Dir::Up).unwrap();
-//! let decoded = codec::decode(&tx.delivered.unwrap()).unwrap();
+//! // A delivered frame is the sender's own bytes; the receiver decodes them.
+//! assert!(tx.delivered);
+//! assert_eq!(transport.stats().delivered_bytes, frame.len() as u64);
+//! let decoded = codec::decode(&frame).unwrap();
 //! assert_eq!(decoded.into_params(&[0.0; 3]).unwrap(), vec![1.0, -2.5, 3.25]);
 //! ```
 

@@ -7,7 +7,6 @@ use crate::error::NetError;
 use crate::transport::SimTransport;
 use helios_device::{EventQueue, SimTime};
 use helios_obs::Dir;
-use std::borrow::Cow;
 
 /// One participant's work in a round.
 #[derive(Debug, Clone)]
@@ -20,33 +19,29 @@ pub struct RoundJob {
     pub upload_frame: Vec<u8>,
 }
 
-/// The outcome of one simulated round, borrowing the jobs' upload
-/// frames.
+/// The outcome of one simulated round.
 #[derive(Debug, Clone)]
-pub struct RoundOutcome<'a> {
-    /// Per job (by input index): completion time and the delivered
-    /// upload frame, or `None` when the participant missed the cycle.
-    /// An intact upload is borrowed from its job's `upload_frame`.
-    pub deliveries: Vec<Option<(SimTime, Cow<'a, [u8]>)>>,
-    /// Input indices of the jobs that missed the cycle (sorted).
-    pub missed: Vec<usize>,
+pub struct RoundOutcome {
+    /// Per job (by input index): the time its upload arrived, or `None`
+    /// when the participant missed the cycle. An arrived upload is its
+    /// job's `upload_frame`, byte for byte.
+    pub arrivals: Vec<Option<SimTime>>,
     /// The round's span: the latest completion among participants that
     /// made it, extended to the failure/deadline point of those that
     /// did not.
     pub span: SimTime,
 }
 
-enum Phase<'a> {
+enum Phase {
     Downloaded(usize),
-    Uploaded(usize, Cow<'a, [u8]>),
+    Uploaded(usize),
 }
 
 /// Simulates one synchronous round: every job downloads
 /// `broadcast_frame`, computes for its `compute` span, then uploads its
 /// frame. Events are processed through the deterministic
 /// [`EventQueue`], so the transport's fault draws replay identically
-/// for identical inputs. Download deliveries are dropped as they land
-/// (only their timing matters), and no intact frame is copied.
+/// for identical inputs. No frame is copied: only arrival times matter.
 ///
 /// A participant misses the cycle when any of its transfers exhausts
 /// its retries, or when `timeout` is set and its exchange would finish
@@ -56,14 +51,13 @@ enum Phase<'a> {
 ///
 /// Returns [`NetError::UnknownDevice`] when a job names a device the
 /// transport does not know.
-pub fn simulate_round<'a>(
+pub fn simulate_round(
     transport: &mut SimTransport,
     broadcast_frame: &[u8],
-    jobs: &'a [RoundJob],
+    jobs: &[RoundJob],
     timeout: Option<SimTime>,
-) -> Result<RoundOutcome<'a>, NetError> {
-    let mut deliveries: Vec<Option<(SimTime, Cow<'a, [u8]>)>> = vec![None; jobs.len()];
-    let mut missed = Vec::new();
+) -> Result<RoundOutcome, NetError> {
+    let mut arrivals = vec![None; jobs.len()];
     let mut span = SimTime::ZERO;
     let mut queue = EventQueue::new();
     let clip = |t: SimTime| match timeout {
@@ -74,60 +68,48 @@ pub fn simulate_round<'a>(
                 at: SimTime,
                 deadline_hit: bool,
                 transport: &mut SimTransport,
-                span: &mut SimTime,
-                missed: &mut Vec<usize>| {
+                span: &mut SimTime| {
         if deadline_hit {
             transport.note_timeout(jobs[idx].device);
         } else {
             transport.note_failure_missed(jobs[idx].device);
         }
         *span = span.max(clip(at));
-        missed.push(idx);
     };
     for (idx, job) in jobs.iter().enumerate() {
         let tx = transport.transmit(job.device, broadcast_frame, Dir::Down)?;
-        match tx.delivered {
-            Some(_) => queue.schedule(tx.elapsed, Phase::Downloaded(idx)),
-            None => miss(idx, tx.elapsed, false, transport, &mut span, &mut missed),
+        if tx.delivered {
+            queue.schedule(tx.elapsed, Phase::Downloaded(idx));
+        } else {
+            miss(idx, tx.elapsed, false, transport, &mut span);
         }
     }
     while let Some((t, phase)) = queue.pop() {
         match phase {
             Phase::Downloaded(idx) => {
                 if timeout.is_some_and(|d| t > d) {
-                    miss(idx, t, true, transport, &mut span, &mut missed);
+                    miss(idx, t, true, transport, &mut span);
                     continue;
                 }
                 let ready = t + jobs[idx].compute;
                 let tx = transport.transmit(jobs[idx].device, &jobs[idx].upload_frame, Dir::Up)?;
-                match tx.delivered {
-                    Some(frame) => queue.schedule(ready + tx.elapsed, Phase::Uploaded(idx, frame)),
-                    None => miss(
-                        idx,
-                        ready + tx.elapsed,
-                        false,
-                        transport,
-                        &mut span,
-                        &mut missed,
-                    ),
+                if tx.delivered {
+                    queue.schedule(ready + tx.elapsed, Phase::Uploaded(idx));
+                } else {
+                    miss(idx, ready + tx.elapsed, false, transport, &mut span);
                 }
             }
-            Phase::Uploaded(idx, frame) => {
+            Phase::Uploaded(idx) => {
                 if timeout.is_some_and(|d| t > d) {
-                    miss(idx, t, true, transport, &mut span, &mut missed);
+                    miss(idx, t, true, transport, &mut span);
                 } else {
                     span = span.max(t);
-                    deliveries[idx] = Some((t, frame));
+                    arrivals[idx] = Some(t);
                 }
             }
         }
     }
-    missed.sort_unstable();
-    Ok(RoundOutcome {
-        deliveries,
-        missed,
-        span,
-    })
+    Ok(RoundOutcome { arrivals, span })
 }
 
 #[cfg(test)]
@@ -162,13 +144,13 @@ mod tests {
         let broadcast = encode_full(u32::MAX, 0, &[1.0; 8]).unwrap();
         let js = jobs(&[3.0, 7.0, 5.0]);
         let out = simulate_round(&mut t, &broadcast, &js, None).unwrap();
-        assert!(out.missed.is_empty());
         assert_eq!(out.span.as_secs_f64(), 7.0);
-        for (idx, d) in out.deliveries.iter().enumerate() {
-            let (at, frame) = d.as_ref().unwrap();
-            assert_eq!(at.as_secs_f64(), [3.0, 7.0, 5.0][idx]);
-            assert_eq!(frame, &js[idx].upload_frame);
-        }
+        let arrivals: Vec<f64> = out
+            .arrivals
+            .iter()
+            .map(|a| a.unwrap().as_secs_f64())
+            .collect();
+        assert_eq!(arrivals, [3.0, 7.0, 5.0]);
     }
 
     #[test]
@@ -197,9 +179,8 @@ mod tests {
         let broadcast = encode_full(u32::MAX, 0, &[1.0; 8]).unwrap();
         let js = jobs(&[3.0, 9.0, 2.0]);
         let out = simulate_round(&mut t, &broadcast, &js, Some(SimTime::from_secs(4.0))).unwrap();
-        assert_eq!(out.missed, vec![1]);
-        assert!(out.deliveries[1].is_none());
-        assert!(out.deliveries[0].is_some() && out.deliveries[2].is_some());
+        let arrived: Vec<bool> = out.arrivals.iter().map(Option::is_some).collect();
+        assert_eq!(arrived, [true, false, true]);
         // The server waited until the deadline for the latecomer.
         assert_eq!(out.span.as_secs_f64(), 4.0);
         assert_eq!(t.stats().timeouts, 1);
@@ -220,41 +201,8 @@ mod tests {
         let broadcast = encode_full(u32::MAX, 0, &[1.0; 8]).unwrap();
         let js = jobs(&[1.0, 2.0]);
         let out = simulate_round(&mut t, &broadcast, &js, None).unwrap();
-        assert_eq!(out.missed, vec![0, 1]);
-        assert!(out.deliveries.iter().all(Option::is_none));
+        assert!(out.arrivals.iter().all(Option::is_none));
         assert_eq!(t.stats().failures, 2);
-    }
-
-    /// Every delivery of a lossy round is its job's upload frame, borrowed
-    /// rather than copied.
-    #[test]
-    fn deliveries_are_the_jobs_frames() {
-        let cfg = NetConfig {
-            enabled: true,
-            link: LinkProfile::constrained(1e4, 0.1).with_jitter(0.3),
-            faults: FaultConfig {
-                drop_prob: 0.2,
-                corrupt_prob: 0.3,
-                delay_prob: 0.3,
-                max_extra_delay_s: 1.0,
-            },
-            ..NetConfig::default()
-        };
-        let mut t = transport(&cfg, 8);
-        let broadcast = encode_full(u32::MAX, 0, &[1.0; 16]).unwrap();
-        let js = jobs(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let out = simulate_round(&mut t, &broadcast, &js, None).unwrap();
-        let delivered: Vec<usize> = (0..js.len())
-            .filter(|&idx| out.deliveries[idx].is_some())
-            .collect();
-        assert!(!delivered.is_empty() && t.stats().corruptions_detected > 0);
-        for idx in delivered {
-            let (_, frame) = out.deliveries[idx].as_ref().unwrap();
-            assert_eq!(frame[..], js[idx].upload_frame[..]);
-            assert!(
-                matches!(frame, Cow::Borrowed(b) if std::ptr::eq(*b, &js[idx].upload_frame[..]))
-            );
-        }
     }
 
     #[test]
@@ -275,17 +223,9 @@ mod tests {
             let broadcast = encode_full(u32::MAX, 0, &[1.0; 16]).unwrap();
             let js = jobs(&[1.0, 2.0, 3.0, 4.0]);
             let out = simulate_round(&mut t, &broadcast, &js, None).unwrap();
-            (
-                out.span.as_secs_f64().to_bits(),
-                out.missed.clone(),
-                out.deliveries
-                    .iter()
-                    .map(|d| {
-                        d.as_ref()
-                            .map(|(at, f)| (at.as_secs_f64().to_bits(), f.to_vec()))
-                    })
-                    .collect::<Vec<_>>(),
-            )
+            let bits = |at: SimTime| at.as_secs_f64().to_bits();
+            let arrivals: Vec<_> = out.arrivals.iter().map(|a| a.map(bits)).collect();
+            (bits(out.span), arrivals, *t.stats())
         };
         assert_eq!(run(), run());
     }

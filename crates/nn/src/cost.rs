@@ -223,9 +223,12 @@ fn walk(
                 param_bytes: 0.0,
                 activation_bytes: elems * BYTES_PER_PARAM,
             });
-            // The shortcut restores masked channels at the join, so the
-            // keep ratio leaving the block reflects only the body mask
-            // (conservative: downstream still sees body keep).
+            // `in_keep` leaves the block at the body's last keep, although
+            // the shortcut restores every masked channel at the join and
+            // the next layer gets no input mask. This under-charges: the
+            // next block's first conv, ReLU and pooling are priced at
+            // keep·keep where the kernels run keep. Mending it moves sim
+            // time; `cost_pin.rs` pins today's bits.
         }
     }
 }

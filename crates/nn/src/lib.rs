@@ -54,7 +54,6 @@ mod loss;
 pub mod models;
 mod network;
 mod optim;
-pub mod profiler;
 
 pub use cost::{LayerCost, NetworkCost};
 pub use error::NnError;
@@ -63,7 +62,6 @@ pub use layers::{AvgPool2d, Conv2d, Dense, Flatten, MaxPool2d, Relu, Residual};
 pub use loss::CrossEntropyLoss;
 pub use network::{MaskableUnits, ModelMask, Network, NeuronId, NeuronLayout, ParamGroup};
 pub use optim::Sgd;
-pub use profiler::{nn_timings, NnTimings};
 
 #[doc(no_inline)]
 pub use helios_tensor::{ParallelismConfig, ParallelismGuard};

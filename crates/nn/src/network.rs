@@ -272,13 +272,11 @@ impl Network {
     ///
     /// Propagates tensor shape errors.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor> {
-        crate::profiler::timed(crate::profiler::Hotpath::Forward, || {
-            let mut h = Cow::Borrowed(x);
-            for layer in &mut self.layers {
-                h = Cow::Owned(layer.forward(h)?);
-            }
-            Ok(h.into_owned())
-        })
+        let mut h = Cow::Borrowed(x);
+        for layer in &mut self.layers {
+            h = Cow::Owned(layer.forward(h)?);
+        }
+        Ok(h.into_owned())
     }
 
     /// Forward pass for inference: the logits [`Network::forward`] would
@@ -306,13 +304,11 @@ impl Network {
     /// Returns [`NnError::BackwardBeforeForward`] when called without a
     /// preceding [`Network::forward`].
     pub fn backward(&mut self, grad_logits: &Tensor) -> Result<()> {
-        crate::profiler::timed(crate::profiler::Hotpath::Backward, || {
-            let mut g = grad_logits.clone();
-            for layer in self.layers.iter_mut().rev() {
-                g = layer.backward(g)?;
-            }
-            Ok(())
-        })
+        let mut g = grad_logits.clone();
+        for layer in self.layers.iter_mut().rev() {
+            g = layer.backward(g)?;
+        }
+        Ok(())
     }
 
     /// Resets all accumulated gradients.

@@ -83,10 +83,6 @@ impl Sgd {
     /// Propagates tensor shape errors (only possible if the network
     /// architecture changed between steps).
     pub fn step(&mut self, net: &mut Network) -> Result<()> {
-        crate::profiler::timed(crate::profiler::Hotpath::Step, || self.step_inner(net))
-    }
-
-    fn step_inner(&mut self, net: &mut Network) -> Result<()> {
         let grad_scale = match self.max_grad_norm {
             Some(max_norm) => {
                 let mut sq = 0.0f64;

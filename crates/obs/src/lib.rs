@@ -9,8 +9,8 @@
 //!
 //! Everything on the bus is stamped with **simulated** time (published
 //! by the round driver via [`set_sim_time`]); host wall-clock never
-//! appears in a trace. Host-side profiling (kernel flop counters,
-//! `nn::profiler` wall timers) stays out of traces entirely. The payoff
+//! appears in a trace. Host-side profiling (kernel flop counters, phase
+//! wall timers) stays out of traces entirely. The payoff
 //! is the workspace determinism contract: a fixed-seed run emits a
 //! byte-identical JSONL trace at any thread width.
 //!

@@ -48,10 +48,6 @@ fn one() -> usize {
     1
 }
 
-fn default_true() -> bool {
-    true
-}
-
 fn default_floor() -> f64 {
     0.1
 }
@@ -258,7 +254,7 @@ impl DiurnalWave {
 /// `helios_fl::FlConfig::scenario` behind `#[serde(default)]` so
 /// existing configuration files still load (empty scenario, engine
 /// behavior bit-identical to a static fleet).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioConfig {
     /// Discrete join/leave/return events.
     #[serde(default)]
@@ -272,26 +268,11 @@ pub struct ScenarioConfig {
     /// Scheduled link-outage windows.
     #[serde(default)]
     pub outages: Vec<OutageWindow>,
-    /// Scheduled label/concept drift events.
+    /// Scheduled label/concept drift events. Each also rewrites the
+    /// held-out test set at fire time, modeling a world that changed
+    /// under everyone.
     #[serde(default)]
     pub drift: Vec<DriftEvent>,
-    /// When `true` (the default), drift also rewrites the held-out test
-    /// set at fire time, modeling a world that changed under everyone.
-    #[serde(default = "default_true")]
-    pub drift_test_set: bool,
-}
-
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        ScenarioConfig {
-            churn: Vec::new(),
-            diurnal: None,
-            throttle: Vec::new(),
-            outages: Vec::new(),
-            drift: Vec::new(),
-            drift_test_set: true,
-        }
-    }
 }
 
 impl ScenarioConfig {
@@ -557,7 +538,6 @@ mod tests {
     fn default_scenario_is_empty_and_valid() {
         let s = ScenarioConfig::default();
         assert!(s.is_empty());
-        assert!(s.drift_test_set);
         assert!(s.validate(0).is_ok());
         assert!(s.compile().events().is_empty());
     }
@@ -583,7 +563,6 @@ mod tests {
         assert_eq!(wave.phase_spread, 1.0, "phase_spread defaults to 1");
         assert_eq!(s.throttle[0].floor, 0.1, "floor defaults to 0.1");
         assert!(s.throttle[0].device.is_none());
-        assert!(s.drift_test_set, "drift_test_set defaults to true");
         let echo: ScenarioConfig =
             serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
         assert_eq!(echo, s);
@@ -592,6 +571,10 @@ mod tests {
     #[test]
     fn empty_json_object_is_default() {
         let s: ScenarioConfig = serde_json::from_str("{}").unwrap();
+        assert_eq!(s, ScenarioConfig::default());
+        // Files written while test-set drift was a switch still load;
+        // the test set now always drifts.
+        let s: ScenarioConfig = serde_json::from_str(r#"{"drift_test_set": true}"#).unwrap();
         assert_eq!(s, ScenarioConfig::default());
     }
 

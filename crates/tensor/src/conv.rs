@@ -755,7 +755,7 @@ pub fn max_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<(Tensor, PoolIndice
     let mut idx = vec![0usize; n * c * oh * ow];
     let window = spec.kernel * spec.kernel;
     // One comparison per window element, counted once from the shapes.
-    crate::instrument::record_kernel((n * c * oh * ow * window) as u64, (n * c * oh * ow) as u64);
+    crate::instrument::record_kernel((n * c * oh * ow * window) as u64);
     // Parallel over `N*C` planes; values and argmax indices are
     // partitioned in lockstep so each worker fills both for its planes.
     let pool = max_pool_plane_fn(spec);
@@ -797,7 +797,7 @@ pub fn max_pool2d_values(input: &Tensor, spec: &PoolSpec) -> Result<Tensor> {
     let x = input.as_slice();
     let mut out = vec![0.0f32; n * c * oh * ow];
     let window = spec.kernel * spec.kernel;
-    crate::instrument::record_kernel((n * c * oh * ow * window) as u64, (n * c * oh * ow) as u64);
+    crate::instrument::record_kernel((n * c * oh * ow * window) as u64);
     let pool = max_pool_plane_fn(spec);
     for_each_block(&mut out, oh * ow, oh * ow * window, |first, chunk| {
         for (bi, out_plane) in chunk.chunks_mut(oh * ow).enumerate() {
@@ -941,7 +941,7 @@ pub fn max_pool2d_backward(grad_output: &Tensor, indices: &PoolIndices) -> Resul
     let out_per_plane = indices.indices.len() / (d[0] * d[1]);
     let g = grad_output.as_slice();
     // One scatter-add per recorded argmax.
-    crate::instrument::record_kernel(indices.indices.len() as u64, (d[0] * d[1] * h * w) as u64);
+    crate::instrument::record_kernel(indices.indices.len() as u64);
     let mut grad = Tensor::zeros(d);
     // Parallel over `N*C` planes: every argmax index recorded for a
     // plane points inside that plane of the input, so the scatter-adds
@@ -971,10 +971,7 @@ pub fn avg_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<Tensor> {
     let x = input.as_slice();
     let area = (spec.kernel * spec.kernel) as f32;
     // One add per window element plus the final divide, per output.
-    crate::instrument::record_kernel(
-        (n * c * oh * ow * (spec.kernel * spec.kernel + 1)) as u64,
-        (n * c * oh * ow) as u64,
-    );
+    crate::instrument::record_kernel((n * c * oh * ow * (spec.kernel * spec.kernel + 1)) as u64);
     let mut out = vec![0.0f32; n * c * oh * ow];
     // Parallel over `N*C` planes.
     for_each_block(
@@ -1027,10 +1024,7 @@ pub fn avg_pool2d_backward(
     let g = grad_output.as_slice();
     let area = (spec.kernel * spec.kernel) as f32;
     // One divide per window plus one add per spread entry.
-    crate::instrument::record_kernel(
-        (n * c * oh * ow * (spec.kernel * spec.kernel + 1)) as u64,
-        (n * c * h * w) as u64,
-    );
+    crate::instrument::record_kernel((n * c * oh * ow * (spec.kernel * spec.kernel + 1)) as u64);
     let mut out = vec![0.0f32; n * c * h * w];
     // Parallel over `N*C` planes: each window of a plane spreads its
     // gradient only within that plane's slice.

@@ -190,7 +190,7 @@ pub(crate) fn gemm_into(
     // Shape-derived work accounting (once per call, independent of the
     // parallel split): one multiply-add per (i, k, j) triple. Packing is
     // data movement and records nothing.
-    crate::instrument::record_kernel((2 * m * k * n) as u64, (m * n) as u64);
+    crate::instrument::record_kernel((2 * m * k * n) as u64);
     if k == 0 {
         // No terms: every chain is its `+0.0` start.
         out.fill(0.0);
@@ -668,7 +668,7 @@ pub fn naive_matmul(lhs: &Tensor, rhs: &Tensor) -> Result<Tensor> {
     }
     let a = lhs.as_slice();
     let b = rhs.as_slice();
-    crate::instrument::record_kernel((2 * m * k * n) as u64, (m * n) as u64);
+    crate::instrument::record_kernel((2 * m * k * n) as u64);
     let mut out = vec![0.0f32; m * n];
     for_each_block(&mut out, n, k * n, |first_row, block| {
         for (bi, o_row) in block.chunks_mut(n).enumerate() {

@@ -51,8 +51,6 @@ pub use conv::{
 pub use error::TensorError;
 pub use gemm::{naive_matmul, KC, MR};
 pub use init::{he_normal, uniform_init, xavier_uniform, TensorRng};
-#[doc(hidden)]
-pub use instrument::charge_host_ns;
 pub use instrument::{kernel_counters, KernelCounters};
 pub use mask::{mask_bit, mask_ones, mask_population, MaskWordsError, UnitMask};
 pub use packed::{

@@ -119,7 +119,7 @@ fn plan_threads(items: usize, item_work: usize) -> usize {
 /// single block is `f(0, a, b)` on the calling thread.
 ///
 /// The join is also where counters change hands: each worker returns
-/// its thread's [`instrument`] block and the caller adds it to its own,
+/// its thread's [`instrument`] flop total and the caller adds it to its own,
 /// in worker order. A worker that itself fans out has already folded
 /// its own workers by the time it returns, so counts reach the thread
 /// that drives the run through any depth of nesting.
@@ -147,13 +147,13 @@ where
             let start = first_item;
             workers.push(scope.spawn(move || {
                 f(start, chunk_a, chunk_b);
-                instrument::block()
+                instrument::thread_flops()
             }));
             first_item += take_items;
         }
         for worker in workers {
             match worker.join() {
-                Ok(block) => instrument::fold(block),
+                Ok(flops) => instrument::record_kernel(flops),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
@@ -427,16 +427,16 @@ mod tests {
             let mut items = vec![vec![0u32; 6]; 4];
             let before = instrument::kernel_counters();
             map_items_mut(&mut items, threads, |_, item| {
-                instrument::record_kernel(7, 1);
+                instrument::record_kernel(7);
                 // Large item_work defeats the small-work cutoff.
                 for_each_block(item, 1, usize::MAX / 64, |_, chunk| {
-                    instrument::record_kernel(chunk.len() as u64, 0);
+                    instrument::record_kernel(chunk.len() as u64);
                 });
             });
             instrument::kernel_counters().since(&before)
         };
         let serial = spent(1);
-        assert_eq!((serial.flops, serial.elements), (4 * (7 + 6), 4));
+        assert_eq!(serial.flops, 4 * (7 + 6));
         // Four client workers; then four workers with two kernel threads
         // each, whose counts reach this thread through two joins.
         assert_eq!(spent(4), serial);

@@ -262,12 +262,9 @@ fn fixed_seed_runs_match_pre_refactor_golden_metrics() {
             );
         }
         assert_phases_consistent(&m);
-        // The engine profiled the run: host phase timers and the nn/kernel
-        // instrumentation all saw work.
+        // The engine profiled the run: the host phase timers saw work.
         let p = m.profile();
         assert!(p.train_s > 0.0 && p.eval_s > 0.0);
-        assert!(p.nn_forward_s > 0.0 && p.nn_backward_s > 0.0 && p.nn_step_s > 0.0);
-        assert!(p.kernel_flops > 0 && p.kernel_elements > 0);
         // And the records survive a serialization round-trip unchanged.
         let json = serde_json::to_string(&m).expect("serialize");
         let back: RunMetrics = serde_json::from_str(&json).expect("deserialize");
