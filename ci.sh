@@ -5,8 +5,8 @@
 # kept list, a docs-name-only-what-exists gate, a no-shared-statics
 # gate, a single-thread-scope gate, a one-mask-type gate, a
 # derived-serde-schemas gate, a dev-profile checks gate, docs, release
-# build, tests, the kernel parity suites and the goldens again under
-# release codegen, the goldens once more with glibc's FMA/AVX2 libm
+# build, tests, the kernel parity suites, the goldens and the wire-v2
+# top-k pins again under release codegen, the goldens once more with glibc's FMA/AVX2 libm
 # variants off and once from an x86-64 baseline build, the
 # thread-scoped-state test binaries and the packed-parity suite at one
 # and eight test threads, and the repository benchmark package
@@ -274,7 +274,7 @@ cargo build --release --workspace
 step "cargo test -q"
 cargo test -q --workspace
 
-step "kernel parity and goldens under release codegen (helios-tensor, helios-nn, helios-fl and helios-net unit tests, gemm_parity, parallel_parity, golden_metrics, end_to_end, network_sim, fleet_scale, fanout_parity)"
+step "kernel parity and goldens under release codegen (helios-tensor, helios-nn, helios-fl and helios-net unit tests, gemm_parity, parallel_parity, golden_metrics, end_to_end, network_sim, fleet_scale, fanout_parity, wire_v2)"
 # The test profile builds at opt-level 1, where the microkernels may not
 # vectorize; the benchmark times opt-level 3. These suites pin the
 # kernels, packed execution and inference bitwise against their
@@ -285,16 +285,18 @@ step "kernel parity and goldens under release codegen (helios-tensor, helios-nn,
 # well. The transport builds and CRC-checks a corrupted attempt's
 # damaged copy only in a `debug_assert!`, which fires in the dev-profile
 # `cargo test` above alone, so helios-net's transport and round tests
-# run here too, on the release path that skips the copy. Named targets
-# only: helios-integration's lib tests check debug assertions, which
-# release turns off.
+# run here too, on the release path that skips the copy. `fleet_topk`
+# times release-built top-k encoding, so wire_v2's bitwise pin (top-k
+# at ratio 1.0) and its tolerance harness run here as well. Named
+# targets only: helios-integration's lib tests check debug assertions,
+# which release turns off.
 cargo test -q --release -p helios-tensor --lib
 cargo test -q --release -p helios-nn --lib
 cargo test -q --release -p helios-fl --lib
 cargo test -q --release -p helios-net --lib
 cargo test -q --release -p helios-integration --test gemm_parity --test parallel_parity \
     --test golden_metrics --test end_to_end --test network_sim --test fleet_scale \
-    --test fanout_parity
+    --test fanout_parity --test wire_v2
 
 step "libm and vector-width tripwire: goldens with glibc's FMA/AVX2 libm off, and from an x86-64 baseline build"
 # glibc picks `expf`, `logf`, `cos` and `cosf` by CPU feature at load

@@ -184,8 +184,8 @@ impl Client {
     /// off it is the masked layout when a soft-training mask is
     /// installed (bitset + active parameters only — how a straggler's
     /// upload genuinely shrinks on the wire) and the full layout
-    /// otherwise; the v2 modes shrink it further (worst-case estimates
-    /// for the data-dependent delta/top-k layouts — see
+    /// otherwise; top-k shrinks it further (a worst-case estimate for
+    /// its data-dependent layout — see
     /// `CompressionConfig::upload_wire_size`).
     pub(crate) fn upload_wire_size(&self, compression: &CompressionConfig) -> WireSize {
         let active = self.param_mask.as_ref().map(UnitMask::count_ones);

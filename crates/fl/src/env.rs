@@ -777,62 +777,33 @@ mod tests {
         }
     }
 
-    /// Delta and full-ratio top-k frames reconstruct every update
-    /// bit-for-bit, so routing through them is as transparent as v1.
+    /// Full-ratio top-k frames reconstruct every update bit-for-bit, so
+    /// routing through them is as transparent as v1.
     #[test]
     fn lossless_v2_compression_is_bitwise_transparent() {
         use helios_net::CompressionMode;
-        for mode in [CompressionMode::Delta, CompressionMode::TopK] {
-            let mut direct = small_env(8);
-            let mut routed_env = small_env_with(8, net_with_mode(mode, 1.0));
-            direct.broadcast_global(0).unwrap();
-            routed_env.broadcast_global(0).unwrap();
-            let du = direct.train_selected(&[0, 1]).unwrap();
-            let ru = routed_env.train_selected(&[0, 1]).unwrap();
-            let times: Vec<SimTime> = direct.clients().map(Client::cycle_time).collect();
-            let d = direct.route_updates(0, du, &times).unwrap();
-            let r = routed_env.route_updates(0, ru, &times).unwrap();
-            assert!(r.missed.is_empty());
-            for (a, b) in d.updates.iter().zip(&r.updates) {
-                let ab: Vec<u32> = a.params.iter().map(|p| p.to_bits()).collect();
-                let bb: Vec<u32> = b.params.iter().map(|p| p.to_bits()).collect();
-                assert_eq!(ab, bb, "{mode:?} roundtrip must be bit-exact");
-            }
-            let up = routed_env.transport().unwrap().stats().bytes_on_wire;
-            let v1 = d
-                .updates
-                .iter()
-                .map(|u| codec::WireSize::full(u.params.len()).total_bytes())
-                .sum::<usize>();
-            assert!(up > 0 && v1 > 0);
+        let mut direct = small_env(8);
+        let mut routed_env = small_env_with(8, net_with_mode(CompressionMode::TopK, 1.0));
+        direct.broadcast_global(0).unwrap();
+        routed_env.broadcast_global(0).unwrap();
+        let du = direct.train_selected(&[0, 1]).unwrap();
+        let ru = routed_env.train_selected(&[0, 1]).unwrap();
+        let times: Vec<SimTime> = direct.clients().map(Client::cycle_time).collect();
+        let d = direct.route_updates(0, du, &times).unwrap();
+        let r = routed_env.route_updates(0, ru, &times).unwrap();
+        assert!(r.missed.is_empty());
+        for (a, b) in d.updates.iter().zip(&r.updates) {
+            let ab: Vec<u32> = a.params.iter().map(|p| p.to_bits()).collect();
+            let bb: Vec<u32> = b.params.iter().map(|p| p.to_bits()).collect();
+            assert_eq!(ab, bb, "top-k roundtrip must be bit-exact");
         }
-    }
-
-    /// Quantized modes deliver approximate updates: close to the direct
-    /// values, never missing, and cheaper on the wire than v1 full frames.
-    #[test]
-    fn quantized_v2_compression_stays_within_bounds() {
-        use helios_net::CompressionMode;
-        for (mode, tol) in [
-            (CompressionMode::QuantF16, 1e-2f32),
-            (CompressionMode::QuantInt8, 5e-2f32),
-        ] {
-            let mut direct = small_env(8);
-            let mut routed_env = small_env_with(8, net_with_mode(mode, 0.1));
-            direct.broadcast_global(0).unwrap();
-            routed_env.broadcast_global(0).unwrap();
-            let du = direct.train_selected(&[0, 1]).unwrap();
-            let ru = routed_env.train_selected(&[0, 1]).unwrap();
-            let times: Vec<SimTime> = direct.clients().map(Client::cycle_time).collect();
-            let d = direct.route_updates(0, du, &times).unwrap();
-            let r = routed_env.route_updates(0, ru, &times).unwrap();
-            assert!(r.missed.is_empty());
-            for (a, b) in d.updates.iter().zip(&r.updates) {
-                for (x, y) in a.params.iter().zip(&b.params) {
-                    assert!((x - y).abs() <= tol, "{mode:?}: {x} vs {y}");
-                }
-            }
-        }
+        let up = routed_env.transport().unwrap().stats().bytes_on_wire;
+        let v1 = d
+            .updates
+            .iter()
+            .map(|u| codec::WireSize::full(u.params.len()).total_bytes())
+            .sum::<usize>();
+        assert!(up > 0 && v1 > 0);
     }
 
     /// The analytic comm estimate follows the configured mode.
@@ -844,21 +815,21 @@ mod tests {
             ..net_with_mode(CompressionMode::None, 0.1)
         };
         let env_v1 = small_env_with(4, slow);
-        let env_i8 = small_env_with(
+        let env_topk = small_env_with(
             4,
             NetConfig {
                 compression: helios_net::CompressionConfig {
-                    mode: CompressionMode::QuantInt8,
+                    mode: CompressionMode::TopK,
                     topk_ratio: 0.1,
                 },
                 ..slow
             },
         );
         let t_v1 = env_v1.comm_overhead(0).unwrap();
-        let t_i8 = env_i8.comm_overhead(0).unwrap();
+        let t_topk = env_topk.comm_overhead(0).unwrap();
         assert!(
-            t_i8 < t_v1,
-            "int8 uploads must plan cheaper than v1 ({t_i8:?} vs {t_v1:?})"
+            t_topk < t_v1,
+            "top-k uploads must plan cheaper than v1 ({t_topk:?} vs {t_v1:?})"
         );
     }
 

@@ -84,8 +84,8 @@ impl FlEnv {
     /// transport: the global broadcast goes down every participant's
     /// link, each update comes back up as a wire frame (masked layout
     /// for soft-trained clients, or the wire-v2 layout selected by
-    /// `net.compression` — delta/top-k/quantized frames encoded against
-    /// the broadcast global), and the round's simulated span is
+    /// `net.compression` — top-k frames encoded against the broadcast
+    /// global), and the round's simulated span is
     /// `max(compute + comm)` over participants.
     ///
     /// With networking disabled this is a transparent passthrough whose

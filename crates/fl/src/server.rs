@@ -26,7 +26,7 @@ pub fn cycle_comm_bytes_with(
                 active.unwrap_or(n) * 4
             } else {
                 let size = compression.upload_wire_size(n, active);
-                size.mask_bytes + size.index_bytes + size.scale_bytes + size.payload_bytes
+                size.mask_bytes + size.index_bytes + size.payload_bytes
             };
             (up + n * 4) as f64
         })
@@ -220,17 +220,14 @@ mod tests {
         // Off: 4 B per trained param up (10 + 5) and 4 B per param down.
         let off = cycle_comm_bytes_with(&updates, &CompressionConfig::default());
         assert_eq!(off, 140.0);
-        // Quantized uploads bill fewer bytes than v1; downloads (4 B per
-        // param per participant) are unchanged.
-        for mode in [CompressionMode::QuantF16, CompressionMode::QuantInt8] {
-            let cfg = CompressionConfig {
-                mode,
-                ..CompressionConfig::default()
-            };
-            let with = cycle_comm_bytes_with(&updates, &cfg);
-            assert!(with < off, "{mode:?}: {with}");
-            assert!(with > 80.0, "downloads still billed");
-        }
+        // Top-k uploads (one kept entry of ten: a 4 B index + a 4 B
+        // value each) bill fewer bytes than v1; downloads (4 B per param
+        // per participant) are unchanged.
+        let cfg = CompressionConfig {
+            mode: CompressionMode::TopK,
+            ..CompressionConfig::default()
+        };
+        assert_eq!(cycle_comm_bytes_with(&updates, &cfg), 2.0 * (8.0 + 40.0));
     }
 
     #[test]

@@ -25,20 +25,13 @@
 //!
 //! **Version 2** (negotiated compression; see [`CompressionMode`]):
 //!
-//! - kind 2 `delta`: body = `⌈n/8⌉` changed-bitset + `4·k` raw f32
-//!   values of the entries whose bits differ from the broadcast base.
-//!   *Lossless*: reconstruction copies bits, no arithmetic.
 //! - kind 3 `topk`: body = `4·k` strictly-ascending u32 LE indices +
 //!   `4·k` raw f32 values. Kept entries are bit-exact; dropped entries
 //!   revert to the base. Selection ranks `|update − base|` with
 //!   [`f32::total_cmp`], ties broken toward the lower index.
-//! - kind 4 `qf16`: body = optional `⌈n/8⌉` bitset (present iff k < n) +
-//!   `2·k` IEEE binary16 LE *delta* values (`update − base`, round to
-//!   nearest even, finite overflow saturating to ±65504, the largest
-//!   finite binary16).
-//! - kind 5 `qi8`: body = optional bitset (iff k < n) + 4-byte f32 LE
-//!   per-tensor scale + `k` i8 quantized deltas
-//!   (`round(delta/scale)` clamped to ±127, `scale = max|delta|/127`).
+//!
+//! Any other kind under version 2 (2, 4 and 5 included) is
+//! [`NetError::UnknownFrameKind`].
 //!
 //! The v1 `f32` payloads are copied bit-for-bit
 //! (`to_le_bytes`/`from_le_bytes`), so the codec is roundtrip-exact for
@@ -47,13 +40,13 @@
 //! receiver reconstructs the full vector against its own copy of the
 //! broadcast global, which is valid because a soft-trained client's
 //! masked-out parameters still hold exactly the broadcast values (see
-//! `helios_fl::LocalUpdate::param_mask`). The v2 modes push the same
-//! idea further: every quantity on the wire is a deterministic pure
-//! function of `(update, base)`, so any two receivers holding the same
-//! broadcast reconstruct identical bits.
+//! `helios_fl::LocalUpdate::param_mask`). A top-k frame pushes the same
+//! idea further: every quantity on it is a deterministic pure function
+//! of `(update, base)`, so any two receivers holding the same broadcast
+//! reconstruct identical bits.
 
 use crate::error::NetError;
-use helios_tensor::{mask_bit, mask_ones, mask_population, MaskWordsError, UnitMask};
+use helios_tensor::{mask_ones, mask_population, MaskWordsError, UnitMask};
 use serde::{Deserialize, Serialize};
 
 /// Magic bytes opening every frame.
@@ -62,7 +55,7 @@ pub(crate) const MAGIC: [u8; 4] = *b"HNET";
 /// Original wire format version (full + masked frames).
 pub(crate) const VERSION: u8 = 1;
 
-/// Wire format version carrying the compressed frame kinds.
+/// Wire format version carrying the top-k frame kind.
 pub(crate) const VERSION_V2: u8 = 2;
 
 /// Sender id used for server→client broadcast frames.
@@ -76,41 +69,28 @@ pub(crate) const CHECKSUM_BYTES: usize = 4;
 
 const KIND_FULL: u8 = 0;
 const KIND_MASKED: u8 = 1;
-const KIND_DELTA: u8 = 2;
 const KIND_TOPK: u8 = 3;
-const KIND_QF16: u8 = 4;
-const KIND_QI8: u8 = 5;
 
 /// Upload frame layout negotiated for a run — the knob a
 /// `CompressionConfig` (in `helios_net::link`) carries.
 ///
-/// `None` keeps the byte-frozen v1 layouts; every other mode emits
-/// version-2 frames encoded *against the broadcast global* the receiver
-/// already holds. `Delta` is lossless (bit-copy of changed entries);
-/// `TopK`, `QuantF16`, and `QuantInt8` are lossy with deterministic,
-/// documented error behavior.
+/// `None` keeps the byte-frozen v1 layouts; `TopK` emits version-2
+/// frames encoded *against the broadcast global* the receiver already
+/// holds, lossy with deterministic, documented error behavior.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum CompressionMode {
     /// v1 frames (full / masked) — the bit-transparent default.
     #[default]
     None,
-    /// v2 delta frames: bitwise-changed entries only. Lossless.
-    Delta,
     /// v2 top-k sparsification by `|update − base|`. Lossy: dropped
     /// entries revert to the broadcast base.
     TopK,
-    /// v2 f16-quantized deltas. Lossy: per-entry relative error ≤ 2⁻¹¹
-    /// for deltas in the binary16 normal range.
-    QuantF16,
-    /// v2 int8-quantized deltas with a per-tensor scale. Lossy:
-    /// per-entry absolute error ≤ scale/2 (up to f32 rounding).
-    QuantInt8,
 }
 
 impl CompressionMode {
     /// Whether reconstruction is bit-exact for every update.
     pub fn is_lossless(self) -> bool {
-        matches!(self, CompressionMode::None | CompressionMode::Delta)
+        self == CompressionMode::None
     }
 }
 
@@ -120,16 +100,11 @@ impl CompressionMode {
 /// this to stamp `FrameSent` trace events; v1 frames deliberately map to
 /// `None` so traces captured before wire v2 stay byte-identical.
 pub fn frame_mode(bytes: &[u8]) -> Option<&'static str> {
-    if bytes.len() < HEADER_BYTES || bytes[..4] != MAGIC || bytes[4] != VERSION_V2 {
-        return None;
-    }
-    match bytes[5] {
-        KIND_DELTA => Some("delta"),
-        KIND_TOPK => Some("topk"),
-        KIND_QF16 => Some("qf16"),
-        KIND_QI8 => Some("qi8"),
-        _ => None,
-    }
+    let topk = bytes.len() >= HEADER_BYTES
+        && bytes[..4] == MAGIC
+        && bytes[4] == VERSION_V2
+        && bytes[5] == KIND_TOPK;
+    topk.then_some("topk")
 }
 
 /// IEEE 802.3 CRC32 slicing tables, built at compile time.
@@ -206,22 +181,15 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Byte-level breakdown of one frame — the report the benchmarks use to
 /// show that a soft-trained straggler's upload is genuinely smaller than
 /// a full-model upload.
-///
-/// The `index_bytes`/`scale_bytes` fields arrived with wire v2 and carry
-/// `#[serde(default)]`, so artifacts written before v2 still parse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireSize {
     /// Fixed header bytes (`HEADER_BYTES`).
     pub header_bytes: usize,
-    /// Activity/changed-bitset bytes (`⌈n/8⌉` when present, else 0).
+    /// Activity-bitset bytes (`⌈n/8⌉` for masked frames, else 0).
     pub mask_bytes: usize,
     /// Index-block bytes (4 per kept entry, top-k frames only).
-    #[serde(default)]
     pub index_bytes: usize,
-    /// Per-tensor scale bytes (4 for int8 frames, else 0).
-    #[serde(default)]
-    pub scale_bytes: usize,
-    /// Value payload bytes (4 per f32, 2 per f16, 1 per i8 entry).
+    /// Value payload bytes (4 per f32 entry).
     pub payload_bytes: usize,
     /// CRC trailer bytes (`CHECKSUM_BYTES`).
     pub checksum_bytes: usize,
@@ -234,7 +202,6 @@ impl WireSize {
             header_bytes: HEADER_BYTES,
             mask_bytes: 0,
             index_bytes: 0,
-            scale_bytes: 0,
             payload_bytes: 4 * params,
             checksum_bytes: CHECKSUM_BYTES,
         }
@@ -246,16 +213,9 @@ impl WireSize {
             header_bytes: HEADER_BYTES,
             mask_bytes: params.div_ceil(8),
             index_bytes: 0,
-            scale_bytes: 0,
             payload_bytes: 4 * active,
             checksum_bytes: CHECKSUM_BYTES,
         }
-    }
-
-    /// Size of a v2 delta frame carrying `changed` of `params` entries
-    /// (same shape as a masked frame: bitset + raw f32 values).
-    pub(crate) fn delta(params: usize, changed: usize) -> Self {
-        WireSize::masked(params, changed)
     }
 
     /// Size of a v2 top-k frame keeping `kept` entries.
@@ -264,42 +224,7 @@ impl WireSize {
             header_bytes: HEADER_BYTES,
             mask_bytes: 0,
             index_bytes: 4 * kept,
-            scale_bytes: 0,
             payload_bytes: 4 * kept,
-            checksum_bytes: CHECKSUM_BYTES,
-        }
-    }
-
-    /// Size of a v2 f16-quantized frame carrying `active` of `params`
-    /// entries (the bitset is omitted when every entry is active).
-    pub(crate) fn quant_f16(params: usize, active: usize) -> Self {
-        WireSize {
-            header_bytes: HEADER_BYTES,
-            mask_bytes: if active < params {
-                params.div_ceil(8)
-            } else {
-                0
-            },
-            index_bytes: 0,
-            scale_bytes: 0,
-            payload_bytes: 2 * active,
-            checksum_bytes: CHECKSUM_BYTES,
-        }
-    }
-
-    /// Size of a v2 int8-quantized frame carrying `active` of `params`
-    /// entries plus its per-tensor scale.
-    pub(crate) fn quant_i8(params: usize, active: usize) -> Self {
-        WireSize {
-            header_bytes: HEADER_BYTES,
-            mask_bytes: if active < params {
-                params.div_ceil(8)
-            } else {
-                0
-            },
-            index_bytes: 0,
-            scale_bytes: 4,
-            payload_bytes: active,
             checksum_bytes: CHECKSUM_BYTES,
         }
     }
@@ -309,89 +234,9 @@ impl WireSize {
         self.header_bytes
             + self.mask_bytes
             + self.index_bytes
-            + self.scale_bytes
             + self.payload_bytes
             + self.checksum_bytes
     }
-}
-
-/// Converts an `f32` to IEEE 754 binary16 bits, rounding to nearest even.
-///
-/// Deterministic pure-integer arithmetic — no platform FPU mode can
-/// perturb it. Finite values beyond the binary16 range saturate to
-/// ±65504; infinities stay infinite; NaNs stay NaN with the top 10
-/// payload bits preserved (a zeroed payload is forced to 1 to keep the
-/// value NaN). Values below the smallest subnormal round to signed zero.
-pub(crate) fn f32_to_f16_bits(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 0xff {
-        if man == 0 {
-            return sign | 0x7c00; // ±inf
-        }
-        let payload = ((man >> 13) as u16) & 0x03ff;
-        return sign | 0x7c00 | if payload == 0 { 1 } else { payload };
-    }
-    let unbiased = exp - 127;
-    if unbiased >= 16 {
-        return sign | 0x7bff; // finite overflow → ±65504
-    }
-    if unbiased >= -14 {
-        // Normal binary16 range: drop 13 mantissa bits with RNE.
-        let mut h = (((unbiased + 15) as u32) << 10) | (man >> 13);
-        let rest = man & 0x1fff;
-        if rest > 0x1000 || (rest == 0x1000 && h & 1 != 0) {
-            h += 1;
-        }
-        if h >= 0x7c00 {
-            return sign | 0x7bff; // rounding carried past the max
-        }
-        return sign | h as u16;
-    }
-    if unbiased >= -25 {
-        // Subnormal binary16: shift the (implicit-bit) mantissa into
-        // units of 2⁻²⁴ with RNE.
-        let m = man | 0x0080_0000;
-        let shift = (-unbiased - 1) as u32;
-        let h = (m >> shift) as u16;
-        let rest = m & ((1 << shift) - 1);
-        let half = 1u32 << (shift - 1);
-        if rest > half || (rest == half && h & 1 != 0) {
-            return sign | (h + 1);
-        }
-        return sign | h;
-    }
-    sign // underflow to signed zero
-}
-
-/// Converts IEEE 754 binary16 bits to the exactly-representable `f32`.
-///
-/// Every binary16 value (including subnormals, ±0, ±inf, and NaN
-/// payloads) maps to a distinct `f32` bit pattern, so
-/// `f32_to_f16_bits(f16_bits_to_f32(h)) == h` for all 65536 inputs.
-pub(crate) fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = (u32::from(h) & 0x8000) << 16;
-    let exp = (h >> 10) & 0x1f;
-    let man = u32::from(h & 0x03ff);
-    let bits = match exp {
-        0 => {
-            if man == 0 {
-                sign // ±0
-            } else {
-                // Subnormal: normalize. msb ∈ 0..=9 is the position of
-                // the leading set bit; value = man · 2⁻²⁴.
-                let msb = 31 - man.leading_zeros();
-                let exp32 = (msb + 103) << 23;
-                let man32 = (man << (23 - msb)) & 0x007f_ffff;
-                sign | exp32 | man32
-            }
-        }
-        0x1f => sign | 0x7f80_0000 | (man << 13), // inf / NaN (payload kept)
-        _ => sign | ((u32::from(exp) + 112) << 23) | (man << 13),
-    };
-    f32::from_bits(bits)
 }
 
 /// A decoded wire frame.
@@ -418,14 +263,6 @@ pub enum Payload {
         /// Values of the active parameters, in mask order.
         active: Vec<f32>,
     },
-    /// Raw values of the entries whose bits differ from the broadcast
-    /// base (v2, lossless).
-    Delta {
-        /// Per-parameter changed flag (length = total parameter count).
-        changed: UnitMask,
-        /// Values of the changed parameters, in bitset order.
-        values: Vec<f32>,
-    },
     /// The k largest-magnitude update entries by `|update − base|`
     /// (v2, lossy: dropped entries revert to base).
     TopK {
@@ -435,22 +272,6 @@ pub enum Payload {
         indices: Vec<u32>,
         /// Raw update values at those indices.
         values: Vec<f32>,
-    },
-    /// IEEE binary16 quantized deltas against the base (v2, lossy).
-    QuantF16 {
-        /// Per-parameter activity (length = total parameter count).
-        mask: UnitMask,
-        /// binary16 bits of `update − base` for the active entries.
-        values: Vec<u16>,
-    },
-    /// int8 quantized deltas with a per-tensor scale (v2, lossy).
-    QuantInt8 {
-        /// Per-parameter activity (length = total parameter count).
-        mask: UnitMask,
-        /// Dequantization scale: `delta ≈ q · scale`.
-        scale: f32,
-        /// Quantized deltas for the active entries.
-        values: Vec<i8>,
     },
 }
 
@@ -480,9 +301,6 @@ impl Frame {
     /// Reassembles the full parameter vector. For every kind except
     /// `Full`, entries the frame does not carry are filled from `base` —
     /// the receiver's copy of the global vector the sender trained from.
-    /// Quantized entries whose encoded delta is exactly ±0 keep the base
-    /// bits untouched, so an update that didn't move a parameter never
-    /// perturbs it (not even `-0.0` → `+0.0`).
     ///
     /// # Errors
     ///
@@ -499,18 +317,11 @@ impl Frame {
                 check_base(p.len(), base)?;
                 Ok(p)
             }
-            Payload::Masked {
-                mask: bits,
-                active: values,
-            }
-            | Payload::Delta {
-                changed: bits,
-                values,
-            } => {
-                check_base(bits.len(), base)?;
-                check_bitset_pairing(&bits, values.len())?;
+            Payload::Masked { mask, active } => {
+                check_base(mask.len(), base)?;
+                check_bitset_pairing(&mask, active.len())?;
                 let mut out = base.to_vec();
-                for (i, v) in bits.iter_ones().zip(values) {
+                for (i, v) in mask.iter_ones().zip(active) {
                     out[i] = v;
                 }
                 Ok(out)
@@ -531,38 +342,6 @@ impl Frame {
                 let mut out = base.to_vec();
                 for (&i, &v) in indices.iter().zip(&values) {
                     out[i as usize] = v;
-                }
-                Ok(out)
-            }
-            Payload::QuantF16 { mask, values } => {
-                check_base(mask.len(), base)?;
-                check_bitset_pairing(&mask, values.len())?;
-                let mut out = base.to_vec();
-                for (i, h) in mask.iter_ones().zip(values) {
-                    // ±0 delta: keep the base bits untouched.
-                    if h & 0x7fff != 0 {
-                        out[i] += f16_bits_to_f32(h);
-                    }
-                }
-                Ok(out)
-            }
-            Payload::QuantInt8 {
-                mask,
-                scale,
-                values,
-            } => {
-                check_base(mask.len(), base)?;
-                check_bitset_pairing(&mask, values.len())?;
-                if !(scale.is_finite() && scale >= 0.0) {
-                    return Err(NetError::BadScale {
-                        scale_bits: scale.to_bits(),
-                    });
-                }
-                let mut out = base.to_vec();
-                for (i, q) in mask.iter_ones().zip(values) {
-                    if q != 0 {
-                        out[i] += f32::from(q) * scale;
-                    }
                 }
                 Ok(out)
             }
@@ -686,47 +465,6 @@ pub fn encode_masked(
     Ok(seal(buf))
 }
 
-/// Encodes a v2 delta frame: the bitset of entries whose bits differ
-/// from `base`, plus their raw f32 values. Lossless by construction —
-/// reconstruction copies bits, no arithmetic — and strictly no larger
-/// than the masked layout whenever the update obeys the soft-training
-/// invariant (masked-out entries hold the broadcast values, so they are
-/// never "changed").
-///
-/// # Errors
-///
-/// Returns [`NetError::ParamLengthMismatch`] when `base` and `params`
-/// disagree, or [`NetError::TooManyParams`] for oversized vectors.
-pub fn encode_delta(
-    sender: u32,
-    cycle: u32,
-    params: &[f32],
-    base: &[f32],
-) -> Result<Vec<u8>, NetError> {
-    check_base(params.len(), base)?;
-    let n = check_len(params.len())?;
-    let differs = |(p, b): (&f32, &f32)| p.to_bits() != b.to_bits();
-    let count = params.iter().zip(base).filter(|&pb| differs(pb)).count();
-    let k = check_len(count)?;
-    let mut buf = Vec::with_capacity(WireSize::delta(params.len(), count).total_bytes());
-    push_header(&mut buf, KIND_DELTA, sender, cycle, n, k);
-    // One pass fills the bitset a byte at a time (into its reserved
-    // slot) while the changed values stream in behind it.
-    let bitset_at = buf.len();
-    buf.resize(bitset_at + params.len().div_ceil(8), 0);
-    for (byte, (ps, bs)) in params.chunks(8).zip(base.chunks(8)).enumerate() {
-        let mut packed = 0u8;
-        for (bit, (p, b)) in ps.iter().zip(bs).enumerate() {
-            if differs((p, b)) {
-                packed |= 1 << bit;
-                buf.extend_from_slice(&p.to_le_bytes());
-            }
-        }
-        buf[bitset_at + byte] = packed;
-    }
-    Ok(seal(buf))
-}
-
 /// Encodes a v2 top-k frame keeping (at most) the `k` largest-magnitude
 /// entries of `update − base` as `(index, raw value)` pairs.
 ///
@@ -786,121 +524,6 @@ fn topk_rank(a: &(u32, f32), b: &(u32, f32)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
-/// Encodes a v2 f16-quantized frame: `update − base` deltas of the
-/// active entries as IEEE binary16, round-to-nearest-even, finite
-/// overflow saturating to ±65504. The bitset rides along only when
-/// a mask leaves some entries inactive.
-///
-/// Determinism argument: binary16 conversion is pure integer bit
-/// manipulation (`f32_to_f16_bits`), and the delta subtraction is a
-/// single IEEE f32 operation — identical on every host.
-///
-/// # Errors
-///
-/// Returns [`NetError::ParamLengthMismatch`] when `base` and `params`
-/// disagree, the [`encode_masked`] mask errors for a bad mask, or
-/// [`NetError::TooManyParams`] for oversized vectors.
-pub fn encode_quant_f16(
-    sender: u32,
-    cycle: u32,
-    params: &[f32],
-    mask: Option<&[u64]>,
-    base: &[f32],
-) -> Result<Vec<u8>, NetError> {
-    check_base(params.len(), base)?;
-    let (n, k, all) = quant_extent(params.len(), mask)?;
-    let mut buf = Vec::with_capacity(WireSize::quant_f16(params.len(), k as usize).total_bytes());
-    push_header(&mut buf, KIND_QF16, sender, cycle, n, k);
-    if let Some(m) = mask {
-        if !all {
-            push_bitset(&mut buf, m, params.len());
-        }
-    }
-    for (i, (p, b)) in params.iter().zip(base).enumerate() {
-        if mask.is_none_or(|m| mask_bit(m, i)) {
-            // Bit-equal entries encode a zero delta so the receiver keeps
-            // the base bits exactly (`inf - inf` would otherwise smuggle
-            // a NaN into an unchanged slot).
-            let h = if p.to_bits() == b.to_bits() {
-                0
-            } else {
-                f32_to_f16_bits(p - b)
-            };
-            buf.extend_from_slice(&h.to_le_bytes());
-        }
-    }
-    Ok(seal(buf))
-}
-
-/// Encodes a v2 int8-quantized frame: active deltas scaled by the
-/// per-tensor scale `max|delta|/127` (computed over *finite* deltas;
-/// non-finite deltas quantize to 0 and reconstruct as the base value),
-/// rounded half-away-from-zero and clamped to ±127.
-///
-/// Determinism argument: the scale is a fold over the deltas in index
-/// order with `f32::max` (order-insensitive for the finite values it
-/// sees), and `f32::round` ties away from zero — both exactly specified
-/// by IEEE 754, so every host produces identical bytes.
-///
-/// # Errors
-///
-/// Returns [`NetError::ParamLengthMismatch`] when `base` and `params`
-/// disagree, the [`encode_masked`] mask errors for a bad mask, or
-/// [`NetError::TooManyParams`] for oversized vectors.
-pub fn encode_quant_i8(
-    sender: u32,
-    cycle: u32,
-    params: &[f32],
-    mask: Option<&[u64]>,
-    base: &[f32],
-) -> Result<Vec<u8>, NetError> {
-    check_base(params.len(), base)?;
-    let (n, k, all) = quant_extent(params.len(), mask)?;
-    let mut max_abs = 0.0f32;
-    for (i, (p, b)) in params.iter().zip(base).enumerate() {
-        if mask.is_none_or(|m| mask_bit(m, i)) {
-            let d = p - b;
-            if d.is_finite() {
-                max_abs = max_abs.max(d.abs());
-            }
-        }
-    }
-    let scale = max_abs / 127.0;
-    let mut buf = Vec::with_capacity(WireSize::quant_i8(params.len(), k as usize).total_bytes());
-    push_header(&mut buf, KIND_QI8, sender, cycle, n, k);
-    if let Some(m) = mask {
-        if !all {
-            push_bitset(&mut buf, m, params.len());
-        }
-    }
-    buf.extend_from_slice(&scale.to_le_bytes());
-    for (i, (p, b)) in params.iter().zip(base).enumerate() {
-        if mask.is_none_or(|m| mask_bit(m, i)) {
-            let d = p - b;
-            let q = if d.is_finite() && scale > 0.0 {
-                (d / scale).round().clamp(-127.0, 127.0) as i8
-            } else {
-                0
-            };
-            buf.push(q as u8);
-        }
-    }
-    Ok(seal(buf))
-}
-
-/// Shared mask bookkeeping for the quantized encoders: validates the
-/// mask length and returns `(n, k, mask_covers_everything)`.
-fn quant_extent(params: usize, mask: Option<&[u64]>) -> Result<(u32, u32, bool), NetError> {
-    let n = check_len(params)?;
-    match mask {
-        Some(m) => {
-            let active = checked_population(m, params)?;
-            Ok((n, check_len(active)?, active == params))
-        }
-        None => Ok((n, n, true)),
-    }
-}
-
 /// Encodes a local update, choosing the masked layout when a mask is
 /// present and the full layout otherwise.
 ///
@@ -948,10 +571,6 @@ fn read_u32(bytes: &[u8], offset: usize) -> u32 {
     u32::from_le_bytes(raw)
 }
 
-fn read_f32(bytes: &[u8], offset: usize) -> f32 {
-    f32::from_bits(read_u32(bytes, offset))
-}
-
 /// Reads an LSB-first bitset of `n` bits starting at `offset` and checks
 /// its population against the declared count `k`. Padding bits in the
 /// last byte are ignored (cleared).
@@ -981,8 +600,7 @@ fn read_f32_block(bytes: &[u8], offset: usize, count: usize) -> Vec<f32> {
 /// Returns a [`NetError`] describing the first violated invariant: bad
 /// magic, unsupported version, truncation, trailing bytes, checksum
 /// mismatch, unknown kind (each version pins its own legal kind set),
-/// a bitset/active-count disagreement, a malformed top-k index block,
-/// or a non-finite quantization scale.
+/// a bitset/active-count disagreement, or a malformed top-k index block.
 pub fn decode(bytes: &[u8]) -> Result<Frame, NetError> {
     if bytes.len() < HEADER_BYTES + CHECKSUM_BYTES {
         return Err(NetError::Truncated {
@@ -1013,7 +631,7 @@ pub fn decode(bytes: &[u8]) -> Result<Frame, NetError> {
     // malformed frame, not a negotiation.
     let version_ok = match kind {
         KIND_FULL | KIND_MASKED => version == VERSION,
-        KIND_DELTA | KIND_TOPK | KIND_QF16 | KIND_QI8 => version == VERSION_V2,
+        KIND_TOPK => version == VERSION_V2,
         _ => false,
     };
     if !version_ok {
@@ -1028,10 +646,7 @@ pub fn decode(bytes: &[u8]) -> Result<Frame, NetError> {
     let expected = match kind {
         KIND_FULL => WireSize::full(n).total_bytes(),
         KIND_MASKED => WireSize::masked(n, k).total_bytes(),
-        KIND_DELTA => WireSize::delta(n, k).total_bytes(),
-        KIND_TOPK => WireSize::topk(k).total_bytes(),
-        KIND_QF16 => WireSize::quant_f16(n, k).total_bytes(),
-        _ => WireSize::quant_i8(n, k).total_bytes(),
+        _ => WireSize::topk(k).total_bytes(),
     };
     if bytes.len() < expected {
         return Err(NetError::Truncated {
@@ -1055,23 +670,12 @@ pub fn decode(bytes: &[u8]) -> Result<Frame, NetError> {
             }
             Payload::Full(read_f32_block(bytes, HEADER_BYTES, n))
         }
-        KIND_MASKED | KIND_DELTA => {
-            let mask_bytes = n.div_ceil(8);
+        KIND_MASKED => {
             let mask = read_bitset(bytes, HEADER_BYTES, n, k)?;
-            let values = read_f32_block(bytes, HEADER_BYTES + mask_bytes, k);
-            if kind == KIND_MASKED {
-                Payload::Masked {
-                    mask,
-                    active: values,
-                }
-            } else {
-                Payload::Delta {
-                    changed: mask,
-                    values,
-                }
-            }
+            let active = read_f32_block(bytes, HEADER_BYTES + n.div_ceil(8), k);
+            Payload::Masked { mask, active }
         }
-        KIND_TOPK => {
+        _ => {
             let indices: Vec<u32> = read_words(bytes, HEADER_BYTES, k).collect();
             check_indices(&indices, n)?;
             let values = read_f32_block(bytes, HEADER_BYTES + 4 * k, k);
@@ -1081,50 +685,12 @@ pub fn decode(bytes: &[u8]) -> Result<Frame, NetError> {
                 values,
             }
         }
-        KIND_QF16 => {
-            let (mask, off) = read_quant_mask(bytes, n, k)?;
-            let values = bytes[off..off + 2 * k]
-                .chunks_exact(2)
-                .map(|h| u16::from_le_bytes([h[0], h[1]]))
-                .collect();
-            Payload::QuantF16 { mask, values }
-        }
-        _ => {
-            let (mask, off) = read_quant_mask(bytes, n, k)?;
-            let scale = read_f32(bytes, off);
-            if !(scale.is_finite() && scale >= 0.0) {
-                return Err(NetError::BadScale {
-                    scale_bits: scale.to_bits(),
-                });
-            }
-            let values = bytes[off + 4..off + 4 + k]
-                .iter()
-                .map(|&q| q as i8)
-                .collect();
-            Payload::QuantInt8 {
-                mask,
-                scale,
-                values,
-            }
-        }
     };
     Ok(Frame {
         sender,
         cycle,
         payload,
     })
-}
-
-/// Reads the optional activity bitset of a quantized frame (present iff
-/// `k < n`; an omitted bitset means every entry is active). Returns the
-/// materialized mask and the offset just past it.
-fn read_quant_mask(bytes: &[u8], n: usize, k: usize) -> Result<(UnitMask, usize), NetError> {
-    if k < n {
-        let mask = read_bitset(bytes, HEADER_BYTES, n, k)?;
-        Ok((mask, HEADER_BYTES + n.div_ceil(8)))
-    } else {
-        Ok((UnitMask::full(n), HEADER_BYTES))
-    }
 }
 
 #[cfg(test)]
@@ -1224,19 +790,14 @@ mod tests {
         let base = vec![10.0, 20.0, 30.0, 40.0, 50.0];
         let trained = vec![10.0, -2.0, 30.0, 40.0, 7.5];
         let m = mask(&[false, true, false, false, true]);
-        for frame in [
-            encode_masked(1, 0, &trained, m.words()).unwrap(),
-            encode_quant_f16(1, 0, &trained, Some(m.words()), &base).unwrap(),
-            encode_quant_i8(1, 0, &trained, Some(m.words()), &base).unwrap(),
-        ] {
-            let clean = decode(&frame).unwrap().into_params(&base).unwrap();
-            let mut padded = frame.clone();
-            padded[HEADER_BYTES] |= 0b1110_0000;
-            reseal(&mut padded);
-            assert_ne!(padded, frame);
-            let out = decode(&padded).unwrap().into_params(&base).unwrap();
-            assert_eq!(bits_of(&out), bits_of(&clean));
-        }
+        let frame = encode_masked(1, 0, &trained, m.words()).unwrap();
+        let clean = decode(&frame).unwrap().into_params(&base).unwrap();
+        let mut padded = frame.clone();
+        padded[HEADER_BYTES] |= 0b1110_0000;
+        reseal(&mut padded);
+        assert_ne!(padded, frame);
+        let out = decode(&padded).unwrap().into_params(&base).unwrap();
+        assert_eq!(bits_of(&out), bits_of(&clean));
     }
 
     fn bits_of(v: &[f32]) -> Vec<u32> {
@@ -1479,46 +1040,25 @@ mod tests {
         ));
     }
 
-    /// The same pairing check guards the v2 bitset payloads.
+    /// The same pairing check guards the v2 top-k payload: one value per
+    /// index.
     #[test]
     fn into_params_checks_pairing_on_v2_payloads() {
-        let frame = Frame {
-            sender: 0,
-            cycle: 0,
-            payload: Payload::Delta {
-                changed: UnitMask::full(2),
-                values: vec![1.0],
-            },
-        };
-        assert!(matches!(
-            frame.into_params(&[0.0; 2]),
-            Err(NetError::MaskCountMismatch { .. })
-        ));
-        let frame = Frame {
-            sender: 0,
-            cycle: 0,
-            payload: Payload::QuantF16 {
-                mask: UnitMask::full(2),
-                values: vec![0x3c00, 0x3c00, 0x3c00],
-            },
-        };
-        assert!(matches!(
-            frame.into_params(&[0.0; 2]),
-            Err(NetError::MaskCountMismatch { .. })
-        ));
-        let frame = Frame {
-            sender: 0,
-            cycle: 0,
-            payload: Payload::QuantInt8 {
-                mask: mask(&[true, false]),
-                scale: 1.0,
-                values: vec![],
-            },
-        };
-        assert!(matches!(
-            frame.into_params(&[0.0; 2]),
-            Err(NetError::MaskCountMismatch { .. })
-        ));
+        for values in [vec![1.0], vec![1.0, 2.0, 3.0]] {
+            let frame = Frame {
+                sender: 0,
+                cycle: 0,
+                payload: Payload::TopK {
+                    len: 3,
+                    indices: vec![0, 2],
+                    values,
+                },
+            };
+            assert!(matches!(
+                frame.into_params(&[0.0; 3]),
+                Err(NetError::MaskCountMismatch { counted: 2, .. })
+            ));
+        }
     }
 
     /// Regression: `verify` used to accept any version byte as long as
@@ -1540,60 +1080,37 @@ mod tests {
     #[test]
     fn verify_accepts_v2_frames() {
         let base = vec![1.0, 2.0, 3.0];
-        let frame = encode_delta(0, 0, &[1.0, 2.5, 3.0], &base).unwrap();
+        let frame = encode_topk(0, 0, &[1.0, 2.5, 3.0], &base, 1).unwrap();
         assert_eq!(frame[4], VERSION_V2);
         assert!(verify(&frame));
     }
 
-    /// Decode enforces the kind ↔ version pairing in both directions.
+    /// A sealed v2 top-k frame relabelled as `kind`.
+    fn v2_frame_of_kind(kind: u8) -> Vec<u8> {
+        let mut frame = encode_topk(0, 0, &[2.0], &[1.0], 1).unwrap();
+        frame[5] = kind;
+        reseal(&mut frame);
+        frame
+    }
+
+    /// Decode enforces the kind ↔ version pairing in both directions,
+    /// and the retired v2 kinds (2, 4, 5) are unknown kinds.
     #[test]
     fn decode_rejects_mismatched_kind_and_version() {
-        // A v1 frame claiming a v2 kind...
+        // A v1 frame claiming the v2 kind...
         let mut frame = encode_full(0, 0, &[1.0]).unwrap();
-        frame[5] = KIND_DELTA;
-        let body = frame.len() - CHECKSUM_BYTES;
-        let crc = crc32(&frame[..body]).to_le_bytes();
-        frame[body..].copy_from_slice(&crc);
-        assert!(matches!(
-            decode(&frame),
-            Err(NetError::UnknownFrameKind { .. })
-        ));
-        // ...and a v2 frame claiming a v1 kind.
-        let mut frame = encode_delta(0, 0, &[2.0], &[1.0]).unwrap();
-        frame[5] = KIND_FULL;
-        let body = frame.len() - CHECKSUM_BYTES;
-        let crc = crc32(&frame[..body]).to_le_bytes();
-        frame[body..].copy_from_slice(&crc);
-        assert!(matches!(
-            decode(&frame),
-            Err(NetError::UnknownFrameKind { .. })
-        ));
-    }
-
-    #[test]
-    fn delta_roundtrip_is_bitwise_exact() {
-        let base = vec![1.0, -0.0, f32::NAN, 4.0, 5.0];
-        let mut update = base.clone();
-        update[0] = 1.5;
-        update[2] = f32::from_bits(0x7fc0_beef); // NaN → different NaN
-        update[4] = f32::NEG_INFINITY;
-        let frame = encode_delta(7, 3, &update, &base).unwrap();
-        assert_eq!(frame.len(), WireSize::delta(5, 3).total_bytes());
-        let out = decode(&frame).unwrap().into_params(&base).unwrap();
-        let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-        let expect: Vec<u32> = update.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits, expect);
-    }
-
-    #[test]
-    fn delta_of_identical_params_is_empty() {
-        let base = vec![1.0, f32::NAN, -0.0];
-        let frame = encode_delta(0, 0, &base, &base).unwrap();
-        assert_eq!(frame.len(), WireSize::delta(3, 0).total_bytes());
-        let out = decode(&frame).unwrap().into_params(&base).unwrap();
-        let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-        let expect: Vec<u32> = base.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits, expect);
+        frame[5] = KIND_TOPK;
+        reseal(&mut frame);
+        assert_eq!(decode(&frame), Err(NetError::UnknownFrameKind(KIND_TOPK)));
+        // ...a v2 frame claiming a v1 kind...
+        let frame = v2_frame_of_kind(KIND_FULL);
+        assert_eq!(decode(&frame), Err(NetError::UnknownFrameKind(KIND_FULL)));
+        // ...and a v2 frame of a retired kind, CRC intact.
+        for kind in [2, 4, 5] {
+            let frame = v2_frame_of_kind(kind);
+            assert!(verify(&frame), "kind {kind}");
+            assert_eq!(decode(&frame), Err(NetError::UnknownFrameKind(kind)));
+        }
     }
 
     #[test]
@@ -1631,91 +1148,6 @@ mod tests {
     }
 
     #[test]
-    fn quant_f16_roundtrip_respects_error_bound() {
-        let base = vec![0.5, -1.0, 2.0, 0.0];
-        let update = vec![0.75, -1.125, 2.0, 1e-5];
-        let frame = encode_quant_f16(0, 0, &update, None, &base).unwrap();
-        assert_eq!(frame.len(), WireSize::quant_f16(4, 4).total_bytes());
-        let out = decode(&frame).unwrap().into_params(&base).unwrap();
-        for ((o, u), b) in out.iter().zip(&update).zip(&base) {
-            let delta = (u - b).abs();
-            // f16 has 11 significand bits → relative error ≤ 2^-11.
-            let bound = delta / 1024.0 + 1e-7;
-            assert!((o - u).abs() <= bound, "out {o} vs update {u}");
-        }
-    }
-
-    #[test]
-    fn quant_zero_delta_preserves_base_bits() {
-        // A ±0 encoded delta must not rewrite base bits (e.g. −0.0 → +0.0).
-        let base = vec![-0.0, 1.0, f32::NAN];
-        let update = base.clone();
-        for frame in [
-            encode_quant_f16(0, 0, &update, None, &base).unwrap(),
-            encode_quant_i8(0, 0, &update, None, &base).unwrap(),
-        ] {
-            let out = decode(&frame).unwrap().into_params(&base).unwrap();
-            let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            let expect: Vec<u32> = base.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits, expect);
-        }
-    }
-
-    #[test]
-    fn quant_i8_roundtrip_respects_scale_bound() {
-        let base = vec![0.0, 10.0, -5.0, 2.5];
-        let update = vec![1.0, 9.0, -5.5, 2.5];
-        let frame = encode_quant_i8(0, 0, &update, None, &base).unwrap();
-        assert_eq!(frame.len(), WireSize::quant_i8(4, 4).total_bytes());
-        let Payload::QuantInt8 { scale, .. } = decode(&frame).unwrap().payload else {
-            panic!("expected int8 payload");
-        };
-        let out = decode(&frame).unwrap().into_params(&base).unwrap();
-        for (o, u) in out.iter().zip(&update) {
-            let bound = scale * 0.5 + scale * 1e-5 + 1e-7;
-            assert!((o - u).abs() <= bound, "out {o} vs update {u} (±{bound})");
-        }
-    }
-
-    #[test]
-    fn quant_frames_compose_with_activity_mask() {
-        let base = vec![1.0, 2.0, 3.0, 4.0];
-        let update = vec![1.5, 2.0, 3.25, 4.0];
-        let mask = [0b0101];
-        for frame in [
-            encode_quant_f16(0, 0, &update, Some(&mask), &base).unwrap(),
-            encode_quant_i8(0, 0, &update, Some(&mask), &base).unwrap(),
-        ] {
-            let out = decode(&frame).unwrap().into_params(&base).unwrap();
-            // Masked-out entries keep base *bits*; active ones approximate.
-            assert_eq!(out[1].to_bits(), base[1].to_bits());
-            assert_eq!(out[3].to_bits(), base[3].to_bits());
-            assert!((out[0] - update[0]).abs() < 0.01);
-            assert!((out[2] - update[2]).abs() < 0.01);
-        }
-    }
-
-    #[test]
-    fn quant_i8_of_all_zero_delta_uses_zero_scale() {
-        let base = vec![3.0, -2.0];
-        let frame = encode_quant_i8(0, 0, &base, None, &base).unwrap();
-        let out = decode(&frame).unwrap().into_params(&base).unwrap();
-        assert_eq!(out, base);
-    }
-
-    #[test]
-    fn decode_rejects_nonfinite_i8_scale() {
-        let base = vec![0.0];
-        let mut frame = encode_quant_i8(0, 0, &[1.0], None, &base).unwrap();
-        // Scale sits right after the header when no bitset is present.
-        frame[HEADER_BYTES..HEADER_BYTES + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-        let body = frame.len() - CHECKSUM_BYTES;
-        let crc = crc32(&frame[..body]).to_le_bytes();
-        frame[body..].copy_from_slice(&crc);
-        assert!(matches!(decode(&frame), Err(NetError::BadScale { .. })));
-    }
-
-    #[test]
     fn decode_rejects_malformed_topk_index_blocks() {
         let base = vec![0.0; 4];
         let good = encode_topk(0, 0, &[1.0, 2.0, 3.0, 4.0], &base, 2).unwrap();
@@ -1741,87 +1173,20 @@ mod tests {
     #[test]
     fn v2_corruption_is_detected_at_every_byte() {
         let base = vec![0.5, 1.5, 2.5];
-        for frame in [
-            encode_delta(1, 2, &[0.5, 9.0, 2.5], &base).unwrap(),
-            encode_topk(1, 2, &[0.5, 9.0, 8.0], &base, 1).unwrap(),
-            encode_quant_f16(1, 2, &[0.75, 1.5, 2.5], None, &base).unwrap(),
-            encode_quant_i8(1, 2, &[0.75, 1.5, 2.5], None, &base).unwrap(),
-        ] {
-            assert_every_byte_flip_detected(&frame);
-        }
-    }
-
-    /// f16 conversion is exact on the full 16-bit domain: every half
-    /// bit pattern survives a trip through f32 and back unchanged.
-    #[test]
-    fn f16_roundtrip_is_exhaustively_exact() {
-        for h in 0..=u16::MAX {
-            let back = f32_to_f16_bits(f16_bits_to_f32(h));
-            assert_eq!(back, h, "half bits {h:#06x} roundtripped to {back:#06x}");
-        }
-    }
-
-    #[test]
-    fn f16_conversion_handles_special_values() {
-        assert_eq!(f32_to_f16_bits(f32::INFINITY), 0x7c00);
-        assert_eq!(f32_to_f16_bits(f32::NEG_INFINITY), 0xfc00);
-        assert_eq!(f32_to_f16_bits(0.0), 0x0000);
-        assert_eq!(f32_to_f16_bits(-0.0), 0x8000);
-        // Finite overflow saturates to ±65504 (the largest finite
-        // binary16) instead of rounding to inf.
-        assert_eq!(f32_to_f16_bits(1e9), 0x7bff);
-        assert_eq!(f32_to_f16_bits(-1e9), 0xfbff);
-        assert_eq!(f16_bits_to_f32(0x7bff), 65504.0);
-        // NaN stays NaN.
-        assert!(f16_bits_to_f32(f32_to_f16_bits(f32::NAN)).is_nan());
-        // Round-to-nearest-even at the halfway point: 1 + 2^-11 is exactly
-        // between 1.0 and the next half; ties go to the even significand.
-        assert_eq!(f32_to_f16_bits(1.0 + f32::powi(2.0, -11)), 0x3c00);
-        assert_eq!(f32_to_f16_bits(1.0 + 3.0 * f32::powi(2.0, -11)), 0x3c02);
+        let frame = encode_topk(1, 2, &[0.5, 9.0, 8.0], &base, 1).unwrap();
+        assert_every_byte_flip_detected(&frame);
     }
 
     #[test]
     fn wire_size_accounts_for_v2_layouts() {
-        // Delta frames have exactly the masked shape.
-        assert_eq!(
-            WireSize::delta(100, 7).total_bytes(),
-            WireSize::masked(100, 7).total_bytes()
-        );
-        // Top-k pays 8 bytes per kept entry.
+        // Top-k pays 8 bytes per kept entry and carries no bitset.
         let topk = WireSize::topk(5);
         assert_eq!(topk.index_bytes, 20);
         assert_eq!(topk.payload_bytes, 20);
-        // Quantized frames halve (f16) or quarter (int8) the payload.
-        assert_eq!(WireSize::quant_f16(8, 8).payload_bytes, 16);
-        assert_eq!(WireSize::quant_i8(8, 8).payload_bytes, 8);
-        assert_eq!(WireSize::quant_i8(8, 8).scale_bytes, 4);
-        // The bitset appears only when the frame is partial.
-        assert_eq!(WireSize::quant_f16(8, 8).mask_bytes, 0);
-        assert_eq!(WireSize::quant_f16(8, 3).mask_bytes, 1);
+        assert_eq!(topk.mask_bytes, 0);
         // Encoded frames match their predicted sizes.
-        let base = vec![0.0; 8];
-        let update = vec![1.0; 8];
-        assert_eq!(
-            encode_quant_f16(0, 0, &update, None, &base).unwrap().len(),
-            WireSize::quant_f16(8, 8).total_bytes()
-        );
-        assert_eq!(
-            encode_quant_i8(0, 0, &update, None, &base).unwrap().len(),
-            WireSize::quant_i8(8, 8).total_bytes()
-        );
-    }
-
-    /// `WireSize` artifacts written before wire v2 (no `index_bytes` /
-    /// `scale_bytes` fields) still deserialize.
-    #[test]
-    fn wire_size_accepts_pre_v2_json() {
-        let v: WireSize = serde_json::from_str(
-            r#"{"header_bytes":22,"mask_bytes":0,"payload_bytes":8,"checksum_bytes":4}"#,
-        )
-        .unwrap();
-        assert_eq!(v.index_bytes, 0);
-        assert_eq!(v.scale_bytes, 0);
-        assert_eq!(v.total_bytes(), 34);
+        let frame = encode_topk(0, 0, &[1.0; 8], &[0.0; 8], 5).unwrap();
+        assert_eq!(frame.len(), topk.total_bytes());
     }
 
     #[test]
@@ -1832,21 +1197,12 @@ mod tests {
         let masked = encode_masked(0, 0, &base, &[0b01]).unwrap();
         assert_eq!(frame_mode(&masked), None);
         assert_eq!(
-            frame_mode(&encode_delta(0, 0, &[9.0, 2.0], &base).unwrap()),
-            Some("delta")
-        );
-        assert_eq!(
             frame_mode(&encode_topk(0, 0, &[9.0, 2.0], &base, 1).unwrap()),
             Some("topk")
         );
-        assert_eq!(
-            frame_mode(&encode_quant_f16(0, 0, &[9.0, 2.0], None, &base).unwrap()),
-            Some("qf16")
-        );
-        assert_eq!(
-            frame_mode(&encode_quant_i8(0, 0, &[9.0, 2.0], None, &base).unwrap()),
-            Some("qi8")
-        );
+        for kind in [2, 4, 5] {
+            assert_eq!(frame_mode(&v2_frame_of_kind(kind)), None, "kind {kind}");
+        }
         assert_eq!(frame_mode(b"xx"), None);
     }
 }

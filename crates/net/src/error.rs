@@ -66,12 +66,6 @@ pub enum NetError {
         /// Description of the violation.
         what: String,
     },
-    /// A quantized frame's per-tensor scale is not a finite non-negative
-    /// number.
-    BadScale {
-        /// Bit pattern of the offending `f32` scale.
-        scale_bits: u32,
-    },
     /// A parameter vector exceeds the wire format's `u32` length field.
     TooManyParams(usize),
     /// A device index is out of range for the transport.
@@ -122,13 +116,6 @@ impl fmt::Display for NetError {
             }
             NetError::BadIndexBlock { what } => {
                 write!(f, "malformed top-k index block: {what}")
-            }
-            NetError::BadScale { scale_bits } => {
-                write!(
-                    f,
-                    "quantization scale {} (bits {scale_bits:#010x}) is not finite and non-negative",
-                    f32::from_bits(*scale_bits)
-                )
             }
             NetError::TooManyParams(n) => {
                 write!(

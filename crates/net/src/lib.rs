@@ -10,10 +10,9 @@
 //!   (little-endian `f32` payload, shape header, CRC32 trailer),
 //!   roundtrip-exact for every bit pattern, with a [`WireSize`] report
 //!   showing that a straggler's masked upload is genuinely smaller.
-//!   Wire v2 adds negotiated upload compression behind the frame-version
-//!   byte ([`CompressionMode`]): lossless delta frames, top-k
-//!   sparsification, and f16/int8 quantized deltas with deterministic
-//!   dequantization — configured through [`CompressionConfig`];
+//!   Wire v2 adds negotiated top-k upload sparsification behind the
+//!   frame-version byte ([`CompressionMode`]), configured through
+//!   [`CompressionConfig`];
 //! - [`LinkProfile`] / [`FaultConfig`] / [`NetConfig`] — `Copy`,
 //!   serde-defaulted knobs describing per-device bandwidth/latency/
 //!   jitter and injected faults (drop, corrupt-detected-by-CRC, delay);

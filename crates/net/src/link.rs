@@ -15,15 +15,15 @@ fn default_topk_ratio() -> f64 {
     0.1
 }
 
-/// Upload-compression section of a [`NetConfig`]: which wire-v2 frame
-/// layout (if any) clients use for their update uploads, and the top-k
-/// keep fraction.
+/// Upload-compression section of a [`NetConfig`]: whether clients upload
+/// v1 frames or wire-v2 top-k frames, and the top-k keep fraction.
 ///
 /// Every field has a `serde` default and the default mode is
 /// [`CompressionMode::None`], so configurations written before wire v2
-/// keep loading — and running — bit-for-bit unchanged. Broadcasts are
-/// *never* compressed: the broadcast **is** the shared base every v2
-/// mode encodes against, so it must arrive bit-exact (see the
+/// keep loading — and running — bit-for-bit unchanged. A mode name other
+/// than `None` or `TopK` is a deserialization error. Broadcasts are
+/// *never* compressed: the broadcast **is** the shared base a top-k
+/// frame encodes against, so it must arrive bit-exact (see the
 /// negotiation rule in DESIGN.md §4k).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompressionConfig {
@@ -31,7 +31,7 @@ pub struct CompressionConfig {
     #[serde(default)]
     pub mode: CompressionMode,
     /// Fraction of parameters the `TopK` mode keeps (rounded up to at
-    /// least one entry), in `(0, 1]`. Ignored by the other modes.
+    /// least one entry), in `(0, 1]`. Ignored by `None`.
     #[serde(default = "default_topk_ratio")]
     pub topk_ratio: f64,
 }
@@ -74,7 +74,7 @@ impl CompressionConfig {
     /// broadcast `base` the receiver holds. With mode `None` this is
     /// exactly the v1 `codec::encode_update` path. `mask` is the
     /// parameter mask as LSB-first `u64` words (a `UnitMask`'s words,
-    /// `params.len()` bits); the delta and top-k modes do not consult it.
+    /// `params.len()` bits); top-k does not consult it.
     ///
     /// # Errors
     ///
@@ -91,32 +91,25 @@ impl CompressionConfig {
     ) -> Result<Vec<u8>, NetError> {
         match self.mode {
             CompressionMode::None => codec::encode_update(sender, cycle, params, mask),
-            CompressionMode::Delta => codec::encode_delta(sender, cycle, params, base),
             CompressionMode::TopK => {
                 codec::encode_topk(sender, cycle, params, base, self.topk_count(params.len()))
             }
-            CompressionMode::QuantF16 => codec::encode_quant_f16(sender, cycle, params, mask, base),
-            CompressionMode::QuantInt8 => codec::encode_quant_i8(sender, cycle, params, mask, base),
         }
     }
 
     /// Deterministic upload-size estimate for a model of `params`
     /// parameters with `active` of them trained (`None` = no mask). This
     /// is the planning-side counterpart of [`Self::encode_update`], used
-    /// for deadline fitting and analytic comm accounting; `Delta` and
-    /// `TopK` sizes depend on how many entries actually changed, so the
-    /// estimate uses the worst case (every active entry changed).
+    /// for deadline fitting and analytic comm accounting; a `TopK` size
+    /// depends on how many entries actually changed, so the estimate uses
+    /// the worst case (every active entry changed).
     pub fn upload_wire_size(&self, params: usize, active: Option<usize>) -> WireSize {
-        let act = active.unwrap_or(params);
-        match self.mode {
-            CompressionMode::None => match active {
-                Some(a) => WireSize::masked(params, a),
-                None => WireSize::full(params),
-            },
-            CompressionMode::Delta => WireSize::delta(params, act),
-            CompressionMode::TopK => WireSize::topk(self.topk_count(params).min(act)),
-            CompressionMode::QuantF16 => WireSize::quant_f16(params, act),
-            CompressionMode::QuantInt8 => WireSize::quant_i8(params, act),
+        match (self.mode, active) {
+            (CompressionMode::None, Some(a)) => WireSize::masked(params, a),
+            (CompressionMode::None, None) => WireSize::full(params),
+            (CompressionMode::TopK, _) => {
+                WireSize::topk(self.topk_count(params).min(active.unwrap_or(params)))
+            }
         }
     }
 }
@@ -423,9 +416,17 @@ mod tests {
         assert_eq!(v.mode, CompressionMode::TopK);
         assert_eq!(v.topk_ratio, 0.1);
         let v: CompressionConfig =
-            serde_json::from_str(r#"{"mode": "QuantInt8", "topk_ratio": 0.25}"#).unwrap();
-        assert_eq!(v.mode, CompressionMode::QuantInt8);
+            serde_json::from_str(r#"{"mode": "None", "topk_ratio": 0.25}"#).unwrap();
+        assert_eq!(v.mode, CompressionMode::None);
         assert_eq!(v.topk_ratio, 0.25);
+        // The retired modes are typed errors, not a silent fallback.
+        for mode in ["Delta", "QuantF16", "QuantInt8"] {
+            let json = format!(r#"{{"mode": "{mode}"}}"#);
+            assert!(
+                serde_json::from_str::<CompressionConfig>(&json).is_err(),
+                "{mode} parsed"
+            );
+        }
     }
 
     #[test]
@@ -478,10 +479,7 @@ mod tests {
         let update = vec![1.5, 2.0, 3.5];
         let cases = [
             (CompressionMode::None, None),
-            (CompressionMode::Delta, Some("delta")),
             (CompressionMode::TopK, Some("topk")),
-            (CompressionMode::QuantF16, Some("qf16")),
-            (CompressionMode::QuantInt8, Some("qi8")),
         ];
         for (mode, expect) in cases {
             let cfg = CompressionConfig {
@@ -505,45 +503,34 @@ mod tests {
         ));
     }
 
-    /// Every mode that reads the mask rejects a malformed word slice with
-    /// a typed error instead of panicking.
+    /// The one mode that reads the mask (`None`, whose masked frames
+    /// carry it) rejects a malformed word slice with a typed error
+    /// instead of panicking.
     #[test]
     fn encode_update_rejects_malformed_mask_words_in_every_masking_mode() {
         let params = vec![0.5f32; 70];
         let good = [u64::MAX, 0b11_1111];
-        for mode in [
-            CompressionMode::None,
-            CompressionMode::QuantF16,
-            CompressionMode::QuantInt8,
-        ] {
-            let cfg = CompressionConfig {
-                mode,
-                ..CompressionConfig::default()
-            };
-            let encode = |mask: &[u64]| cfg.encode_update(0, 0, &params, Some(mask), &params);
-            assert!(encode(&good).is_ok(), "{mode:?}");
-            assert_eq!(
-                encode(&good[..1]),
-                Err(NetError::MaskLengthMismatch {
-                    params: 70,
-                    mask: 1
-                }),
-                "{mode:?}"
-            );
-            assert_eq!(
-                encode(&[u64::MAX, 0, 0]),
-                Err(NetError::MaskLengthMismatch {
-                    params: 70,
-                    mask: 3
-                }),
-                "{mode:?}"
-            );
-            assert_eq!(
-                encode(&[u64::MAX, 1 << 6]),
-                Err(NetError::MaskPaddingSet { params: 70 }),
-                "{mode:?}"
-            );
-        }
+        let cfg = CompressionConfig::default();
+        let encode = |mask: &[u64]| cfg.encode_update(0, 0, &params, Some(mask), &params);
+        assert!(encode(&good).is_ok());
+        assert_eq!(
+            encode(&good[..1]),
+            Err(NetError::MaskLengthMismatch {
+                params: 70,
+                mask: 1
+            })
+        );
+        assert_eq!(
+            encode(&[u64::MAX, 0, 0]),
+            Err(NetError::MaskLengthMismatch {
+                params: 70,
+                mask: 3
+            })
+        );
+        assert_eq!(
+            encode(&[u64::MAX, 1 << 6]),
+            Err(NetError::MaskPaddingSet { params: 70 })
+        );
     }
 
     #[test]
@@ -564,11 +551,6 @@ mod tests {
             mk(CompressionMode::None).upload_wire_size(n, None),
             WireSize::full(n)
         );
-        // Delta plans the masked shape (worst case: all active changed).
-        assert_eq!(
-            mk(CompressionMode::Delta).upload_wire_size(n, Some(act)),
-            WireSize::delta(n, act)
-        );
         // Top-k keeps ratio·n entries, capped by the active count.
         assert_eq!(
             mk(CompressionMode::TopK).upload_wire_size(n, Some(act)),
@@ -578,14 +560,9 @@ mod tests {
             mk(CompressionMode::TopK).upload_wire_size(n, Some(50)),
             WireSize::topk(50)
         );
-        // Quantized estimates shrink with the active count.
         assert_eq!(
-            mk(CompressionMode::QuantF16).upload_wire_size(n, Some(act)),
-            WireSize::quant_f16(n, act)
-        );
-        assert_eq!(
-            mk(CompressionMode::QuantInt8).upload_wire_size(n, None),
-            WireSize::quant_i8(n, n)
+            mk(CompressionMode::TopK).upload_wire_size(n, None),
+            WireSize::topk(100)
         );
     }
 }

@@ -223,12 +223,9 @@ fn walk(
                 param_bytes: 0.0,
                 activation_bytes: elems * BYTES_PER_PARAM,
             });
-            // `in_keep` leaves the block at the body's last keep, although
-            // the shortcut restores every masked channel at the join and
-            // the next layer gets no input mask. This under-charges: the
-            // next block's first conv, ReLU and pooling are priced at
-            // keep·keep where the kernels run keep. Mending it moves sim
-            // time; `cost_pin.rs` pins today's bits.
+            // The shortcut restores every masked channel at the join, so
+            // the next layer reads all of them (and gets no input mask).
+            *in_keep = 1.0;
         }
     }
 }

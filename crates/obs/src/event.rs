@@ -102,10 +102,10 @@ pub enum TraceEvent {
         bytes: u64,
         /// Attempt number (1-based).
         attempt: u64,
-        /// Wire-v2 compression mode tag (`"delta"`, `"topk"`, `"qf16"`,
-        /// `"qi8"`). `None` — and *omitted from the serialized record* —
-        /// for v1 frames, so traces captured before wire v2 (and runs
-        /// with compression off) stay byte-identical.
+        /// Wire-v2 compression mode tag (`"topk"`). `None` — and
+        /// *omitted from the serialized record* — for v1 frames, so
+        /// traces captured before wire v2 (and runs with compression
+        /// off) stay byte-identical.
         #[serde(default, skip_serializing_if = "Option::is_none")]
         mode: Option<String>,
     },
@@ -335,7 +335,7 @@ mod tests {
                 dir: Dir::Up,
                 bytes: 512,
                 attempt: 1,
-                mode: Some("qi8".into()),
+                mode: Some("topk".into()),
             },
             TraceEvent::FrameDropped {
                 device: 0,
@@ -440,7 +440,7 @@ mod tests {
         r#"{"t":2.5,"type":"MaskIssued","cycle":3,"device":2,"active_units":17,"total_units":42}"#,
         r#"{"t":3.0,"type":"TrainDone","device":2,"compute_s":1.25}"#,
         r#"{"t":3.5,"type":"FrameSent","device":0,"dir":"up","bytes":2048,"attempt":1}"#,
-        r#"{"t":4.0,"type":"FrameSent","device":0,"dir":"up","bytes":512,"attempt":1,"mode":"qi8"}"#,
+        r#"{"t":4.0,"type":"FrameSent","device":0,"dir":"up","bytes":512,"attempt":1,"mode":"topk"}"#,
         r#"{"t":4.5,"type":"FrameDropped","device":0,"attempt":1}"#,
         r#"{"t":5.0,"type":"FrameCorrupted","device":0,"attempt":2}"#,
         r#"{"t":5.5,"type":"Retry","device":0,"attempt":2,"backoff_s":0.5}"#,

@@ -212,7 +212,7 @@ pub fn validate(records: &[TraceRecord]) -> Result<(), String> {
 
     // 4. FrameSent mode tags, when present, name a known wire-v2 mode
     //    (v1 frames omit the field entirely).
-    const FRAME_MODES: [&str; 4] = ["delta", "topk", "qf16", "qi8"];
+    const FRAME_MODES: [&str; 1] = ["topk"];
     for (i, rec) in records.iter().enumerate() {
         if let TraceEvent::FrameSent {
             mode: Some(mode), ..
@@ -422,22 +422,20 @@ mod tests {
 
     #[test]
     fn validation_checks_frame_mode_tags() {
-        // Every known wire-v2 mode validates.
-        for mode in ["delta", "topk", "qf16", "qi8"] {
+        let with_mode = |mode: &str| {
             let mut records = healthy_trace();
             let TraceEvent::FrameSent { mode: slot, .. } = &mut records[2].event else {
                 panic!("record 2 should be the FrameSent");
             };
             *slot = Some(mode.into());
-            validate(&records).expect("known mode");
-        }
-        // An unknown tag is rejected.
-        let mut records = healthy_trace();
-        let TraceEvent::FrameSent { mode: slot, .. } = &mut records[2].event else {
-            panic!("record 2 should be the FrameSent");
+            validate(&records)
         };
-        *slot = Some("gzip".into());
-        let err = validate(&records).expect_err("unknown mode");
-        assert!(err.contains("gzip"), "{err}");
+        // The one wire-v2 mode validates.
+        with_mode("topk").expect("known mode");
+        // A retired mode's tag and an unknown tag are rejected.
+        for mode in ["qf16", "gzip"] {
+            let err = with_mode(mode).expect_err("unknown mode");
+            assert!(err.contains(mode), "{err}");
+        }
     }
 }

@@ -2,8 +2,8 @@
 //! helpers those tests share.
 
 use helios_fl::FlEnv;
-use helios_nn::{ModelMask, Network};
-use helios_tensor::{ParallelismConfig, Tensor};
+use helios_nn::{MaskableUnits, ModelMask, Network};
+use helios_tensor::{ParallelismConfig, Tensor, TensorRng, UnitMask};
 use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -23,6 +23,22 @@ pub fn leading_units_mask(net: &Network, keep: f64) -> ModelMask {
     for (i, &n) in units.0.iter().enumerate() {
         let k = ((keep * n as f64).ceil() as usize).clamp(1, n);
         mask.set_layer(i, Some((0..n).map(|j| j < k).collect()));
+    }
+    mask
+}
+
+/// Each maskable layer keeps a random 1..=n of its units, at random
+/// positions (seed 17).
+pub fn random_mask(units: &MaskableUnits) -> ModelMask {
+    let mut rng = TensorRng::seed_from(17);
+    let mut mask = ModelMask::all_active(units);
+    for (i, &n) in units.0.iter().enumerate() {
+        let k = 1 + rng.below(n);
+        let mut layer: UnitMask = std::iter::repeat_n(false, n).collect();
+        for c in rng.sample_indices(n, k) {
+            layer.set(c, true);
+        }
+        mask.set_layer(i, Some(layer));
     }
     mask
 }

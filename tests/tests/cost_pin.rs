@@ -8,9 +8,10 @@
 //! the cost is read here without installing anything.
 
 use helios_core::target::probe_mask;
+use helios_integration::random_mask;
 use helios_nn::models::ModelKind;
-use helios_nn::{ModelMask, NetworkCost};
-use helios_tensor::{TensorRng, UnitMask};
+use helios_nn::NetworkCost;
+use helios_tensor::TensorRng;
 
 /// `("model mask", [flops_training, memory_bytes, param_bytes])` as f64
 /// bits, batch 16.
@@ -26,28 +27,12 @@ const PINS: [(&str, [u64; 3]); 15] = [
     ("AlexNet k100", [0x419879e000000000, 0x413baed000000000, 0x4113d8a000000000]),
     ("AlexNet random", [0x417535ca00000000, 0x4124891000000000, 0x40e2b08000000000]),
     ("AlexNet none", [0x419879e000000000, 0x413baed000000000, 0x4113d8a000000000]),
-    ("ResNet18 k25", [0x417defe000000000, 0x4139625000000000, 0x40c7740000000000]),
-    ("ResNet18 k50", [0x419b57f000000000, 0x4142b16800000000, 0x40e5c50000000000]),
+    ("ResNet18 k25", [0x418ccbc000000000, 0x4139da5000000000, 0x40d9fa0000000000]),
+    ("ResNet18 k50", [0x41a215f000000000, 0x4142f8e800000000, 0x40ee750000000000]),
     ("ResNet18 k100", [0x41ba41f800000000, 0x414fa4e800000000, 0x4104fd4000000000]),
-    ("ResNet18 random", [0x418fda5400000000, 0x414016d400000000, 0x40e05a8000000000]),
+    ("ResNet18 random", [0x4194946000000000, 0x414049e800000000, 0x40e6950000000000]),
     ("ResNet18 none", [0x41ba41f800000000, 0x414fa4e800000000, 0x4104fd4000000000]),
 ];
-
-/// Each maskable layer keeps a random 1..=n of its units, at random
-/// positions (seed 17).
-fn random_mask(units: &helios_nn::MaskableUnits) -> ModelMask {
-    let mut rng = TensorRng::seed_from(17);
-    let mut mask = ModelMask::all_active(units);
-    for (i, &n) in units.0.iter().enumerate() {
-        let k = 1 + rng.below(n);
-        let mut layer: UnitMask = std::iter::repeat_n(false, n).collect();
-        for c in rng.sample_indices(n, k) {
-            layer.set(c, true);
-        }
-        mask.set_layer(i, Some(layer));
-    }
-    mask
-}
 
 #[test]
 fn cost_bits_are_pinned_per_model_and_mask() {
