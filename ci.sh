@@ -71,7 +71,6 @@ kept=(
     neuron_param_indices  # proptests.rs: param-mask expansion oracle
     scenario_active       # scenario_engine.rs: the churn state it pins
     offline_devices       # scenario_engine.rs: the churn state it pins
-    with_availability     # fleet_scale.rs, scenario_engine.rs: weighted sampling
     with_jitter           # trace_determinism.rs, network_sim.rs: the jittered link
 )
 for crate in crates/*/; do

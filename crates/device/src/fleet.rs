@@ -26,7 +26,7 @@ const PROFILE_STREAM: u64 = 0x5052_4f46;
 /// Used to derive independent per-device draws from
 /// `base_seed ^ tag ^ GOLDEN·(index+1)` without any stored state.
 #[must_use]
-pub fn mix64(mut x: u64) -> u64 {
+fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(GOLDEN);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -36,7 +36,7 @@ pub fn mix64(mut x: u64) -> u64 {
 
 /// Maps a mixed 64-bit draw to a uniform `f64` in `[0, 1)`.
 #[must_use]
-pub fn unit_from_bits(bits: u64) -> f64 {
+fn unit_from_bits(bits: u64) -> f64 {
     // Top 53 bits — the full f64 mantissa width.
     (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }

@@ -50,8 +50,8 @@ pub struct FlConfig {
     /// unchanged.
     #[serde(default)]
     pub sampling: SamplerConfig,
-    /// Declarative scenario timeline: device churn, diurnal availability
-    /// waves, battery/thermal throttling, and data drift. Defaults to
+    /// Declarative scenario timeline: device churn, battery/thermal
+    /// throttling, link outages, and data drift. Defaults to
     /// *empty* (a static fleet — bit-identical to runs before the
     /// scenario engine existed), so older configs keep loading
     /// unchanged.

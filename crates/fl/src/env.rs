@@ -24,9 +24,9 @@ use std::collections::{HashMap, HashSet};
 ///
 /// [`FlEnv::new`] builds every client up front — right for the paper's
 /// tens-of-devices experiments. [`FlEnv::new_lazy`] instead takes a
-/// [`FleetSpec`] whose profiles, shards, and availability are pure
-/// functions of `(seed, device_index)`, so a 100k-device population
-/// costs O(1) memory per enrolled device until [`FlEnv::select_cohort`]
+/// [`FleetSpec`] whose profiles and shards are pure functions of
+/// `(seed, device_index)`, so a 100k-device population costs O(1)
+/// memory per enrolled device until [`FlEnv::select_cohort`]
 /// materializes the sampled cohort. Both are the same client store (all
 /// clients resident, or none yet plus a generator source), and an
 /// on-demand environment run through the same cohorts is bitwise
@@ -42,9 +42,6 @@ pub struct FlEnv {
     /// Present iff `config.net.enabled`: the simulated transport every
     /// synchronous round is routed through.
     pub(crate) transport: Option<SimTransport>,
-    /// Participation propensities consumed by availability-weighted
-    /// sampling; `always_on` unless a [`FleetSpec`] says otherwise.
-    availability: AvailabilityModel,
     /// Present iff `config.scenario` is non-empty: the compiled timeline
     /// plus the churn overlay the round driver consults each cycle.
     pub(crate) scenario_rt: Option<ScenarioRuntime>,
@@ -73,13 +70,11 @@ impl FlEnv {
                 shards: shards.len(),
             });
         }
-        let availability = AvailabilityModel::always_on();
         Self::assemble(
             model,
             fleet.len(),
             test_set,
             config,
-            availability,
             |template, seeds, config| {
                 let devices = fleet.into_iter().zip(shards).zip(seeds).enumerate();
                 Population::resident(devices.map(|(id, ((profile, shard), seed))| {
@@ -110,27 +105,24 @@ impl FlEnv {
         test_set: Dataset,
         config: FlConfig,
     ) -> Result<Self> {
-        let (population, availability) = (spec.population, spec.availability);
         Self::assemble(
             model,
-            population,
+            spec.population,
             test_set,
             config,
-            availability,
             |template, seeds, _| Population::sourced(spec, template.clone(), seeds),
         )
     }
 
     /// The constructor tail both entry points share: validate, seed the
     /// model template and the per-device split chain from the master
-    /// RNG, let `store` place the devices, then attach transport,
-    /// scenario runtime, and availability.
+    /// RNG, let `store` place the devices, then attach transport and
+    /// scenario runtime.
     fn assemble(
         model: ModelKind,
         population: usize,
         test_set: Dataset,
         config: FlConfig,
-        mut availability: AvailabilityModel,
         store: impl FnOnce(&Network, Vec<u64>, &FlConfig) -> Population,
     ) -> Result<Self> {
         config.validate()?;
@@ -149,9 +141,6 @@ impl FlEnv {
             None
         };
         let scenario_rt = ScenarioRuntime::compile(&config, &store)?;
-        if let Some(w) = config.scenario.diurnal {
-            availability = availability.with_wave(w);
-        }
         Ok(FlEnv {
             store,
             test_set,
@@ -160,7 +149,6 @@ impl FlEnv {
             clock: SimClock::new(),
             config,
             transport,
-            availability,
             scenario_rt,
         })
     }
@@ -220,20 +208,20 @@ impl FlEnv {
     /// enrolled population, in id order — the pre-fleet behavior.
     ///
     /// The draw is a pure function of `(config.sampling, config.seed,
-    /// population, cycle)` plus the availability model, so reruns replay
-    /// the identical cohort sequence at any thread width.
+    /// population, cycle)`, so reruns replay the identical cohort
+    /// sequence at any thread width.
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::InvalidRunConfig`] when sampling yields an
-    /// empty cohort (every device offline) and propagates
+    /// Returns [`FlError::InvalidRunConfig`] when the cohort is empty
+    /// after churn removed departed devices, and propagates
     /// materialization errors.
     pub fn select_cohort(&mut self, cycle: usize) -> Result<Vec<usize>> {
         let sampler = ClientSampler::new(self.config.sampling, self.config.seed);
-        let mut cohort = sampler.cohort(self.num_clients(), cycle, &self.availability);
+        let mut cohort = sampler.cohort(self.num_clients(), cycle, &AvailabilityModel::always_on());
         if let Some(rt) = &self.scenario_rt {
             // Departed devices are filtered after the draw rather than
-            // re-weighted inside it, so the sampler's stream stays a
+            // excluded inside it, so the sampler's stream stays a
             // pure function of (config, seed, population, cycle) and
             // cohorts replay bitwise whether or not churn is active.
             cohort.retain(|d| !rt.offline.contains(d));
@@ -702,6 +690,13 @@ mod tests {
         assert!(!cfg.sampling.enabled, "sampling defaults to disabled");
         assert!(cfg.scenario.is_empty(), "scenario defaults to empty");
         cfg.validate().unwrap();
+        // A sampling section naming the retired availability-weighted
+        // draw loads as uniform sampling.
+        let sampling: crate::SamplerConfig = serde_json::from_str(
+            r#"{"enabled": true, "per_round": 5, "strategy": "WeightedByAvailability"}"#,
+        )
+        .unwrap();
+        assert_eq!(sampling, crate::SamplerConfig::uniform(5));
         // And a round-trip of the current shape preserves the section.
         let enabled = FlConfig {
             net: NetConfig {

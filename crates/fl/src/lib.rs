@@ -94,7 +94,7 @@ pub use fleet::{AvailabilityModel, FleetSpec};
 pub use metrics::{PhaseBreakdown, RoundRecord, RunMetrics, RunProfile};
 pub use random_partial::RandomPartial;
 pub use route::RoutedCycle;
-pub use sampler::{ClientSampler, SamplerConfig, SamplingStrategy};
+pub use sampler::{ClientSampler, SamplerConfig};
 pub use server::{cycle_comm_bytes_with, MaskedUpdate, OnlineAggregator};
 pub use strategy::Strategy;
 pub use sync::SyncFedAvg;
@@ -107,7 +107,7 @@ pub use helios_net::{
 };
 #[doc(no_inline)]
 pub use helios_scenario::{
-    ChurnAction, ChurnEvent, DiurnalWave, DriftEvent, DriftKind, ScenarioConfig, ThrottleRule,
+    ChurnAction, ChurnEvent, DriftEvent, DriftKind, ScenarioConfig, ThrottleRule,
 };
 #[doc(no_inline)]
 pub use helios_tensor::ParallelismConfig;

@@ -18,7 +18,8 @@
 //!   jitter and injected faults (drop, corrupt-detected-by-CRC, delay);
 //! - [`SimTransport`] — the transport itself: per-device ChaCha RNG
 //!   streams forked from the run seed, retry-with-backoff, and
-//!   statistics ([`TransportStats`], [`DeviceStats`]);
+//!   aggregate statistics ([`TransportStats`]); per-device outcomes go
+//!   to the trace (`helios_obs`);
 //! - [`simulate_round`] — one synchronous round (download → compute →
 //!   upload per participant) driven by `helios_device`'s deterministic
 //!   [`EventQueue`](helios_device::EventQueue), with a per-round
@@ -67,4 +68,4 @@ pub use codec::{CompressionMode, Frame, Payload, WireSize};
 pub use error::NetError;
 pub use link::{CompressionConfig, FaultConfig, LinkProfile, NetConfig};
 pub use round::{simulate_round, RoundJob, RoundOutcome};
-pub use transport::{DeviceStats, SimTransport, TransportStats};
+pub use transport::{SimTransport, TransportStats};

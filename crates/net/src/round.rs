@@ -71,8 +71,6 @@ pub fn simulate_round(
                 span: &mut SimTime| {
         if deadline_hit {
             transport.note_timeout(jobs[idx].device);
-        } else {
-            transport.note_failure_missed(jobs[idx].device);
         }
         *span = span.max(clip(at));
     };
@@ -178,13 +176,24 @@ mod tests {
         let mut t = transport(&cfg, 3);
         let broadcast = encode_full(u32::MAX, 0, &[1.0; 8]).unwrap();
         let js = jobs(&[3.0, 9.0, 2.0]);
+        let ring = helios_obs::RingBufferSink::with_capacity(1 << 10);
+        let handle = helios_obs::install(Box::new(ring.clone()));
         let out = simulate_round(&mut t, &broadcast, &js, Some(SimTime::from_secs(4.0))).unwrap();
+        drop(handle);
         let arrived: Vec<bool> = out.arrivals.iter().map(Option::is_some).collect();
         assert_eq!(arrived, [true, false, true]);
         // The server waited until the deadline for the latecomer.
         assert_eq!(out.span.as_secs_f64(), 4.0);
         assert_eq!(t.stats().timeouts, 1);
-        assert_eq!(t.device_stats(1).missed_cycles, 1);
+        // The trace names the device that timed out, and only it.
+        let summary = helios_obs::report::summarize(&ring.records());
+        let missed: Vec<(u64, u64)> = summary
+            .devices
+            .iter()
+            .map(|(&d, s)| (d, s.timeouts + s.failed))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        assert_eq!(missed, [(1, 1)]);
     }
 
     #[test]

@@ -59,20 +59,6 @@ impl TransportStats {
     }
 }
 
-/// Per-device traffic counters, used by the benchmarks to compare a
-/// soft-trained straggler's wire volume against a full-model client's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DeviceStats {
-    /// Bytes uploaded by this device (delivered messages only).
-    pub upload_bytes: u64,
-    /// Bytes downloaded by this device (delivered messages only).
-    pub download_bytes: u64,
-    /// Re-transmissions on this device's link.
-    pub retries: u64,
-    /// Cycles this device missed (deadline or retry exhaustion).
-    pub missed_cycles: u64,
-}
-
 /// The outcome of transmitting one message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Transmission {
@@ -99,11 +85,11 @@ pub struct Transmission {
 ///
 /// Per-device state is **sparse**: a device's RNG stream is created on
 /// its first transmission from `device_seed(base_seed, index)` — a pure
-/// function of the device index — and link overrides / traffic counters
-/// are stored only for devices that diverge from the defaults. A
-/// 100k-device fleet therefore costs O(sampled devices), not
-/// O(population), while remaining bitwise identical to an eagerly
-/// constructed transport for any traffic order.
+/// function of the device index — and link overrides are stored only
+/// for devices that diverge from the default link. A 100k-device fleet
+/// therefore costs O(sampled devices), not O(population), while
+/// remaining bitwise identical to an eagerly constructed transport for
+/// any traffic order.
 #[derive(Debug, Clone)]
 pub struct SimTransport {
     num_devices: usize,
@@ -113,7 +99,6 @@ pub struct SimTransport {
     retry_backoff_s: f64,
     rngs: BTreeMap<usize, TensorRng>,
     stats: TransportStats,
-    device_stats: BTreeMap<usize, DeviceStats>,
     base_seed: u64,
     default_link: LinkProfile,
 }
@@ -141,7 +126,6 @@ impl SimTransport {
             retry_backoff_s: config.retry_backoff_s,
             rngs: BTreeMap::new(),
             stats: TransportStats::default(),
-            device_stats: BTreeMap::new(),
             base_seed: seed,
             default_link: config.link,
         })
@@ -197,28 +181,13 @@ impl SimTransport {
         &self.stats
     }
 
-    /// Traffic statistics of `device`. Devices that never saw traffic
-    /// report all-zero counters.
-    pub fn device_stats(&self, device: usize) -> DeviceStats {
-        self.device_stats.get(&device).copied().unwrap_or_default()
-    }
-
     /// Records that `device` missed a cycle because of the per-round
     /// deadline (called by the round layer).
     pub(crate) fn note_timeout(&mut self, device: usize) {
         self.stats.timeouts += 1;
-        if device < self.num_devices {
-            self.device_stats.entry(device).or_default().missed_cycles += 1;
-        }
         helios_obs::emit(|| TraceEvent::Timeout {
             device: device as u64,
         });
-    }
-
-    pub(crate) fn note_failure_missed(&mut self, device: usize) {
-        if device < self.num_devices {
-            self.device_stats.entry(device).or_default().missed_cycles += 1;
-        }
     }
 
     /// Transmits `frame` over `device`'s link, retrying dropped or
@@ -301,13 +270,7 @@ impl SimTransport {
                         attempt: u64::from(attempts),
                     });
                 } else {
-                    return Ok(self.deliver(
-                        device,
-                        direction,
-                        frame.len() as u64,
-                        elapsed,
-                        attempts,
-                    ));
+                    return Ok(self.deliver(device, frame.len() as u64, elapsed, attempts));
                 }
             }
             if attempts > self.max_retries {
@@ -324,7 +287,6 @@ impl SimTransport {
                 });
             }
             self.stats.retries += 1;
-            self.device_stats.entry(device).or_default().retries += 1;
             let backoff = self.retry_backoff_s * f64::from(1u32 << (attempts - 1).min(16));
             helios_obs::emit(|| TraceEvent::Retry {
                 device: device as u64,
@@ -335,20 +297,8 @@ impl SimTransport {
         }
     }
 
-    fn deliver(
-        &mut self,
-        device: usize,
-        direction: Dir,
-        bytes: u64,
-        elapsed: f64,
-        attempts: u32,
-    ) -> Transmission {
+    fn deliver(&mut self, device: usize, bytes: u64, elapsed: f64, attempts: u32) -> Transmission {
         self.stats.delivered_bytes += bytes;
-        let d = self.device_stats.entry(device).or_default();
-        match direction {
-            Dir::Down => d.download_bytes += bytes,
-            Dir::Up => d.upload_bytes += bytes,
-        }
         helios_obs::emit(|| TraceEvent::Delivered {
             device: device as u64,
             bytes,
@@ -372,13 +322,12 @@ mod tests {
         encode_full(0, 0, &[1.0, 2.0, 3.0, 4.0]).unwrap()
     }
 
-    /// Number of devices with materialized per-device state (RNG stream,
-    /// link override, or traffic counters) — the transport's actual
-    /// footprint, which stays O(sampled), not O(population).
+    /// Number of devices with materialized per-device state (RNG stream
+    /// or link override) — the transport's actual footprint, which
+    /// stays O(sampled), not O(population).
     fn touched_devices(t: &SimTransport) -> usize {
         let mut touched: std::collections::BTreeSet<usize> = t.rngs.keys().copied().collect();
         touched.extend(t.link_overrides.keys());
-        touched.extend(t.device_stats.keys());
         touched.len()
     }
 
@@ -402,7 +351,7 @@ mod tests {
         assert_eq!(tx.attempts, 1);
         assert_eq!(t.stats().retries, 0);
         assert_eq!(t.stats().bytes_on_wire, f.len() as u64);
-        assert_eq!(t.device_stats(0).upload_bytes, f.len() as u64);
+        assert_eq!(t.stats().delivered_bytes, f.len() as u64);
     }
 
     #[test]
@@ -570,15 +519,6 @@ mod tests {
         let a2 = u.transmit(99_999, &f, Dir::Up).unwrap();
         assert_eq!(a, a2);
         assert_eq!(b, b2);
-    }
-
-    #[test]
-    fn untouched_devices_report_zero_stats() {
-        let cfg = config(FaultConfig::default(), LinkProfile::ideal());
-        let t = SimTransport::new(10, &cfg, 1).unwrap();
-        assert_eq!(t.device_stats(9), DeviceStats::default());
-        // Out-of-range queries are also all-zero rather than a panic.
-        assert_eq!(t.device_stats(10_000), DeviceStats::default());
     }
 
     #[test]

@@ -2,16 +2,16 @@
 //!
 //! A [`ScenarioConfig`] describes, from configuration alone, how a
 //! federated fleet evolves over simulated time: device churn
-//! (join/leave/return), diurnal availability waves, battery/thermal
-//! throttling curves, and label/concept drift. The config is pure data:
+//! (join/leave/return), battery/thermal throttling curves, link
+//! outages, and label/concept drift. The config is pure data:
 //! `helios-fl` compiles it into a [`Schedule`] and applies the events at
 //! fixed hook points in the round driver, so every effect is a pure
 //! function of `(config, seed, device, cycle)` and runs replay bitwise
 //! at any thread width.
 //!
 //! This crate deliberately depends on nothing but `serde`: it owns the
-//! vocabulary and the math (wave shapes, decay curves, schedule
-//! compilation and validation) and leaves application to the engine.
+//! vocabulary and the math (decay curves, schedule compilation and
+//! validation) and leaves application to the engine.
 //! An empty scenario — the [`Default`] — compiles to an empty schedule
 //! and must leave the engine's behavior bit-identical to a build
 //! without any scenario support.
@@ -50,10 +50,6 @@ fn one() -> usize {
 
 fn default_floor() -> f64 {
     0.1
-}
-
-fn default_phase_spread() -> f64 {
-    1.0
 }
 
 /// What a [`ChurnEvent`] does to the enrolled population.
@@ -215,41 +211,6 @@ pub struct DriftEvent {
     pub amount: f64,
 }
 
-/// A diurnal availability wave: per-device phase-shifted sinusoid that
-/// modulates the availability weight over simulated time.
-///
-/// The wave is pure math over a *unit phase* in `[0, 1)` that the
-/// engine derives per device from the run seed, so the crate stays
-/// dependency-free while the composed availability remains a pure
-/// function of `(base_seed, device, cycle)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DiurnalWave {
-    /// Length of one day in cycles.
-    pub period_cycles: usize,
-    /// Trough of the wave (`0` = fully unavailable at night).
-    #[serde(default)]
-    pub min_scale: f64,
-    /// How much of a full period device phases spread over (`1` =
-    /// devices are staggered across the whole day, `0` = all in sync).
-    #[serde(default = "default_phase_spread")]
-    pub phase_spread: f64,
-}
-
-impl DiurnalWave {
-    /// Wave scale in `[min_scale, 1]` for a device with the given unit
-    /// phase at `cycle`. Pure in `(unit_phase, cycle)`.
-    #[must_use]
-    pub fn scale(&self, unit_phase: f64, cycle: usize) -> f64 {
-        let period = self.period_cycles.max(1);
-        // Reduce modulo the period in integers so the wave is *exactly*
-        // periodic in floating point, not just mathematically.
-        let pos = (cycle % period) as f64 / period as f64;
-        let phase = unit_phase * self.phase_spread;
-        let s = 0.5 * (1.0 + (std::f64::consts::TAU * (pos + phase)).sin());
-        self.min_scale + (1.0 - self.min_scale) * s
-    }
-}
-
 /// A declarative scenario timeline, carried on
 /// `helios_fl::FlConfig::scenario` behind `#[serde(default)]` so
 /// existing configuration files still load (empty scenario, engine
@@ -259,9 +220,6 @@ pub struct ScenarioConfig {
     /// Discrete join/leave/return events.
     #[serde(default)]
     pub churn: Vec<ChurnEvent>,
-    /// Optional diurnal availability wave over the whole fleet.
-    #[serde(default)]
-    pub diurnal: Option<DiurnalWave>,
     /// Battery/thermal throttling curves.
     #[serde(default)]
     pub throttle: Vec<ThrottleRule>,
@@ -281,7 +239,6 @@ impl ScenarioConfig {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.churn.is_empty()
-            && self.diurnal.is_none()
             && self.throttle.is_empty()
             && self.outages.is_empty()
             && self.drift.is_empty()
@@ -336,30 +293,13 @@ impl ScenarioConfig {
     /// Checks the timeline against an initial population: every leave /
     /// return targets a device that exists (and is in the right online
     /// state) at event time, joins enroll at least one device, decay
-    /// curves and wave parameters are in range.
+    /// curves are in range.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError`] describing the first inconsistency in
     /// schedule order.
     pub fn validate(&self, initial_population: usize) -> Result<(), ScenarioError> {
-        if let Some(w) = &self.diurnal {
-            if w.period_cycles == 0 {
-                return Err(invalid("diurnal period_cycles must be >= 1"));
-            }
-            if !(0.0..=1.0).contains(&w.min_scale) {
-                return Err(invalid(format!(
-                    "diurnal min_scale must be in [0, 1], got {}",
-                    w.min_scale
-                )));
-            }
-            if !(0.0..=1.0).contains(&w.phase_spread) {
-                return Err(invalid(format!(
-                    "diurnal phase_spread must be in [0, 1], got {}",
-                    w.phase_spread
-                )));
-            }
-        }
         for (i, r) in self.throttle.iter().enumerate() {
             if !(0.0..=1.0).contains(&r.compute_decay) || !(0.0..=1.0).contains(&r.bandwidth_decay)
             {
@@ -549,7 +489,6 @@ mod tests {
                 {"cycle": 1, "action": "Join", "count": 2},
                 {"cycle": 2, "action": "Leave", "device": 0}
             ],
-            "diurnal": {"period_cycles": 8},
             "throttle": [{"start_cycle": 1, "compute_decay": 0.2}],
             "drift": [{"cycle": 3, "kind": "LabelRotate", "amount": 1.0}]
         }"#;
@@ -558,9 +497,6 @@ mod tests {
         assert_eq!(s.churn[0].count, 2);
         assert_eq!(s.churn[1].device, 0);
         assert_eq!(s.churn[1].count, 1, "count defaults to 1");
-        let wave = s.diurnal.unwrap();
-        assert_eq!(wave.period_cycles, 8);
-        assert_eq!(wave.phase_spread, 1.0, "phase_spread defaults to 1");
         assert_eq!(s.throttle[0].floor, 0.1, "floor defaults to 0.1");
         assert!(s.throttle[0].device.is_none());
         let echo: ScenarioConfig =
@@ -575,6 +511,11 @@ mod tests {
         // Files written while test-set drift was a switch still load;
         // the test set now always drifts.
         let s: ScenarioConfig = serde_json::from_str(r#"{"drift_test_set": true}"#).unwrap();
+        assert_eq!(s, ScenarioConfig::default());
+        // Files naming the retired diurnal wave still load; the wave is
+        // ignored.
+        let s: ScenarioConfig =
+            serde_json::from_str(r#"{"diurnal": {"period_cycles": 8}}"#).unwrap();
         assert_eq!(s, ScenarioConfig::default());
     }
 
@@ -642,16 +583,6 @@ mod tests {
 
     #[test]
     fn validate_checks_parameter_ranges() {
-        let bad_wave = ScenarioConfig {
-            diurnal: Some(DiurnalWave {
-                period_cycles: 0,
-                min_scale: 0.0,
-                phase_spread: 1.0,
-            }),
-            ..ScenarioConfig::default()
-        };
-        assert!(bad_wave.validate(4).is_err());
-
         let bad_decay = ScenarioConfig {
             throttle: vec![ThrottleRule {
                 start_cycle: 0,
@@ -791,34 +722,6 @@ mod tests {
         );
         assert!(!r.active_at(1));
         assert!(r.active_at(2));
-    }
-
-    #[test]
-    fn wave_stays_in_band_and_is_periodic() {
-        let w = DiurnalWave {
-            period_cycles: 24,
-            min_scale: 0.25,
-            phase_spread: 1.0,
-        };
-        for cycle in 0..100 {
-            for phase in [0.0, 0.33, 0.99] {
-                let s = w.scale(phase, cycle);
-                assert!((0.25..=1.0).contains(&s), "scale {s} out of band");
-            }
-        }
-        assert_eq!(
-            w.scale(0.4, 3).to_bits(),
-            w.scale(0.4, 3 + 24).to_bits(),
-            "exactly periodic"
-        );
-        // Phase actually separates devices.
-        assert_ne!(w.scale(0.0, 5).to_bits(), w.scale(0.5, 5).to_bits());
-        // Zero spread puts everyone in sync regardless of phase.
-        let sync = DiurnalWave {
-            phase_spread: 0.0,
-            ..w
-        };
-        assert_eq!(sync.scale(0.1, 7).to_bits(), sync.scale(0.9, 7).to_bits());
     }
 
     #[test]

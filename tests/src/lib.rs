@@ -3,7 +3,9 @@
 
 use helios_fl::FlEnv;
 use helios_nn::{MaskableUnits, ModelMask, Network};
+use helios_obs::TraceRecord;
 use helios_tensor::{ParallelismConfig, Tensor, TensorRng, UnitMask};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -71,6 +73,17 @@ pub fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
             "{what}: element {i} differs ({x} vs {y})"
         );
     }
+}
+
+/// Exchanges each device missed in a trace — its `Timeout` plus
+/// `SendFailed` events — for every device that missed at least one.
+pub fn missed_by_device(records: &[TraceRecord]) -> BTreeMap<u64, u64> {
+    helios_obs::report::summarize(records)
+        .devices
+        .into_iter()
+        .map(|(device, s)| (device, s.timeouts + s.failed))
+        .filter(|&(_, missed)| missed > 0)
+        .collect()
 }
 
 /// Shared byte buffer standing in for a trace file.

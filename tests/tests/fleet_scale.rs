@@ -9,10 +9,10 @@
 //! generators, for every strategy and at every thread width. The
 //! per-round [`helios_fl::ClientSampler`] promises deterministic replay
 //! (same seed ⇒ same cohort sequence, regardless of threads or process
-//! restarts) and sane statistics (uniform coverage, no offline
-//! selections). The streaming [`helios_fl::OnlineAggregator`] promises
-//! to equal collect-then-average bitwise on the real update streams of
-//! all five strategies, dropped updates included.
+//! restarts) and sane statistics (uniform coverage). The streaming
+//! [`helios_fl::OnlineAggregator`] promises to equal
+//! collect-then-average bitwise on the real update streams of all five
+//! strategies, dropped updates included.
 
 use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, ShardSynthesizer, SyntheticVision};
@@ -196,46 +196,43 @@ proptest! {
 }
 
 /// Same seed ⇒ identical cohort sequence, across independent
-/// environments and thread widths, for both sampling strategies; and
-/// consecutive cycles draw different cohorts.
+/// environments and thread widths; and consecutive cycles draw
+/// different cohorts.
 #[test]
 fn cohort_sequence_replays_bitwise_across_runs_and_thread_widths() {
     const SEED: u64 = 611;
     const POPULATION: usize = 64;
     const CYCLES: usize = 6;
-    for sampling in [SamplerConfig::uniform(8), SamplerConfig::weighted(8)] {
-        let spec =
-            fleet_spec(POPULATION, SEED).with_availability(AvailabilityModel::new(SEED, 0.25));
-        let draw_sequence = |threads: usize| -> Vec<Vec<usize>> {
-            let test = spec.shards.test_set(10).expect("test set");
-            let mut env = FlEnv::new_lazy(
-                ModelKind::LeNet,
-                spec.clone(),
-                test,
-                fl_config(SEED, threads, sampling),
-            )
-            .expect("lazy env");
-            (0..CYCLES)
-                .map(|c| env.select_cohort(c).expect("cohort"))
-                .collect()
-        };
-        let reference = draw_sequence(1);
-        assert_eq!(reference.len(), CYCLES);
-        for cohort in &reference {
-            assert_eq!(cohort.len(), 8, "exact cohort size");
-            assert!(cohort.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
-        }
-        assert!(
-            (1..CYCLES).any(|c| reference[c] != reference[0]),
-            "cycles must not all draw the same cohort"
+    let spec = fleet_spec(POPULATION, SEED);
+    let draw_sequence = |threads: usize| -> Vec<Vec<usize>> {
+        let test = spec.shards.test_set(10).expect("test set");
+        let mut env = FlEnv::new_lazy(
+            ModelKind::LeNet,
+            spec.clone(),
+            test,
+            fl_config(SEED, threads, SamplerConfig::uniform(8)),
+        )
+        .expect("lazy env");
+        (0..CYCLES)
+            .map(|c| env.select_cohort(c).expect("cohort"))
+            .collect()
+    };
+    let reference = draw_sequence(1);
+    assert_eq!(reference.len(), CYCLES);
+    for cohort in &reference {
+        assert_eq!(cohort.len(), 8, "exact cohort size");
+        assert!(cohort.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
+    }
+    assert!(
+        (1..CYCLES).any(|c| reference[c] != reference[0]),
+        "cycles must not all draw the same cohort"
+    );
+    for threads in [2usize, 4, 8] {
+        assert_eq!(
+            draw_sequence(threads),
+            reference,
+            "cohort sequence changed at {threads} threads"
         );
-        for threads in [2usize, 4, 8] {
-            assert_eq!(
-                draw_sequence(threads),
-                reference,
-                "cohort sequence changed at {threads} threads"
-            );
-        }
     }
 }
 
@@ -285,38 +282,6 @@ fn uniform_sampling_covers_the_population_evenly() {
         (8_500.0..=10_500.0).contains(&chi2),
         "dispersion statistic {chi2:.1} outside the uniform window"
     );
-}
-
-/// Weighted sampling on a population with permanently offline devices:
-/// offline devices are never drawn into a cohort, end to end through
-/// `FlEnv::select_cohort`, and a full training run over the weighted
-/// cohorts completes with exactly the configured participation.
-#[test]
-fn weighted_sampling_never_selects_offline_devices_end_to_end() {
-    const SEED: u64 = 355;
-    const POPULATION: usize = 60;
-    let availability = AvailabilityModel::new(SEED, 0.4);
-    let spec = fleet_spec(POPULATION, SEED).with_availability(availability);
-    let test = spec.shards.test_set(10).expect("test set");
-    let mut env = FlEnv::new_lazy(
-        ModelKind::LeNet,
-        spec,
-        test,
-        fl_config(SEED, 2, SamplerConfig::weighted(10)),
-    )
-    .expect("lazy env");
-    for cycle in 0..6 {
-        let cohort = env.select_cohort(cycle).expect("cohort");
-        assert_eq!(cohort.len(), 10);
-        for &d in &cohort {
-            assert!(
-                availability.availability(d, cycle) > 0.0,
-                "cycle {cycle} drew permanently offline device {d}"
-            );
-        }
-    }
-    let metrics = SyncFedAvg::new().run(&mut env, 2).expect("weighted run");
-    assert!(metrics.records().iter().all(|r| r.participants == 10));
 }
 
 /// Wraps a policy and checks, at every aggregation, that the streaming

@@ -15,9 +15,10 @@ use helios_fl::{
     CompressionConfig, CompressionMode, FaultConfig, FlConfig, FlEnv, FlError, LinkProfile,
     LocalUpdate, NetConfig, RunMetrics, Strategy, SyncFedAvg,
 };
-use helios_integration::global_bits;
+use helios_integration::{global_bits, missed_by_device};
 use helios_net::{codec, NetError};
 use helios_nn::models::ModelKind;
+use helios_obs::RingBufferSink;
 use helios_tensor::{ParallelismConfig, TensorRng, UnitMask};
 use proptest::prelude::*;
 
@@ -150,18 +151,16 @@ fn round_timeout_drops_slow_participant_without_error() {
     // The straggler (client 2) gets a link so slow its exchange alone
     // blows the deadline; capable clients keep ideal links.
     env.set_link(2, LinkProfile::constrained(1e4, 1.0)).unwrap();
+    let ring = RingBufferSink::with_capacity(1 << 16);
+    let handle = helios_obs::install(Box::new(ring.clone()));
     let metrics = SyncFedAvg::new().run(&mut env, 2).expect("timeout run");
+    drop(handle);
     let stats = env.transport().expect("transport").stats();
     assert!(stats.timeouts > 0, "deadline must trip: {stats:?}");
     for r in metrics.records() {
         assert_eq!(r.participants, 2, "only the on-time clients aggregate");
     }
-    let missed = env
-        .transport()
-        .expect("transport")
-        .device_stats(2)
-        .missed_cycles;
-    assert_eq!(missed, 2);
+    assert_eq!(missed_by_device(&ring.records()), [(2, 2)].into());
 }
 
 /// The benchmark's `fleet_lossy` link and fault profile under `mode`.

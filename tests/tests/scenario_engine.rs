@@ -1,20 +1,18 @@
-//! Scenario-engine contract: every dynamics axis — churn, diurnal
-//! availability, throttling, drift — is driven purely from the
-//! declarative [`ScenarioConfig`] timeline, replays bitwise at any
-//! thread width, and leaves empty-scenario runs untouched.
+//! Scenario-engine contract: every dynamics axis — churn, throttling,
+//! link outages, drift — is driven purely from the declarative
+//! [`ScenarioConfig`] timeline, replays bitwise at any thread width, and
+//! leaves empty-scenario runs untouched.
 
 use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, ShardSynthesizer, SyntheticVision};
 use helios_device::{presets, ProfileSynthesizer};
-use helios_fl::{
-    AvailabilityModel, FlConfig, FlEnv, FleetSpec, NetConfig, SamplerConfig, Strategy, SyncFedAvg,
-};
-use helios_integration::{SharedBuf, THREAD_WIDTHS as WIDTHS};
+use helios_fl::{FlConfig, FlEnv, FleetSpec, NetConfig, SamplerConfig, Strategy, SyncFedAvg};
+use helios_integration::{missed_by_device, SharedBuf, THREAD_WIDTHS as WIDTHS};
 use helios_nn::models::ModelKind;
 use helios_obs::TraceEvent;
 use helios_scenario::{
-    ChurnAction, ChurnEvent, DiurnalWave, DriftEvent, DriftKind, EventKind, OutageWindow,
-    ScenarioConfig, ThrottleRule,
+    ChurnAction, ChurnEvent, DriftEvent, DriftKind, EventKind, OutageWindow, ScenarioConfig,
+    ThrottleRule,
 };
 use helios_tensor::{ParallelismConfig, TensorRng};
 use proptest::prelude::*;
@@ -28,14 +26,12 @@ fn lazy_env(
     threads: usize,
     sampling: SamplerConfig,
     scenario: ScenarioConfig,
-    availability: AvailabilityModel,
 ) -> FlEnv {
     let spec = FleetSpec::new(
         population,
         ProfileSynthesizer::new(seed, 0.3),
         ShardSynthesizer::new(SyntheticVision::mnist_like(), 8, seed).expect("shards"),
-    )
-    .with_availability(availability);
+    );
     let test = spec.shards.test_set(24).expect("test set");
     FlEnv::new_lazy(
         ModelKind::LeNet,
@@ -127,7 +123,7 @@ fn link_outage_window_blacks_out_device_then_restores() {
         }],
         ..ScenarioConfig::default()
     };
-    let run = |threads: usize| -> (Vec<u8>, Vec<u64>, Option<f64>) {
+    let run = |threads: usize| -> (Vec<u8>, Option<f64>) {
         let buf = SharedBuf::default();
         let handle =
             helios_obs::install(Box::new(helios_obs::JsonlSink::new(Box::new(buf.clone()))));
@@ -135,16 +131,10 @@ fn link_outage_window_blacks_out_device_then_restores() {
         SyncFedAvg::new().run(&mut env, 5).expect("outage run");
         drop(handle);
         let transport = env.transport().expect("transport");
-        let missed = (0..2).map(|d| transport.device_stats(d).missed_cycles);
         let restored = transport.link(1).expect("link 1").bandwidth_bps;
-        (buf.take(), missed.collect(), restored)
+        (buf.take(), restored)
     };
-    let (reference, missed, restored) = run(1);
-    assert_eq!(
-        missed,
-        vec![0, 2],
-        "device 1 misses exactly the two windowed cycles, device 0 none"
-    );
+    let (reference, restored) = run(1);
     assert_eq!(
         restored, None,
         "after the window the device is back on its configured (ideal) link"
@@ -154,6 +144,11 @@ fn link_outage_window_blacks_out_device_then_restores() {
     let text = String::from_utf8(reference.clone()).expect("utf8");
     let records = helios_obs::parse_jsonl(&text).expect("trace parses");
     helios_obs::report::validate(&records).expect("outage trace validates");
+    assert_eq!(
+        missed_by_device(&records),
+        [(1, 2)].into(),
+        "device 1 misses exactly the two windowed cycles, device 0 none"
+    );
     let outage_cycles: Vec<u64> = records
         .iter()
         .filter_map(|r| match &r.event {
@@ -172,8 +167,7 @@ fn link_outage_window_blacks_out_device_then_restores() {
         .collect();
     assert_eq!(outage_cycles, vec![1, 2], "one event per windowed cycle");
     for threads in &WIDTHS[1..] {
-        let (bytes, m, r) = run(*threads);
-        assert_eq!(m, missed);
+        let (bytes, r) = run(*threads);
         assert_eq!(r, restored);
         assert_eq!(
             bytes, reference,
@@ -211,14 +205,7 @@ fn churn_scenario() -> ScenarioConfig {
 #[test]
 fn churn_timeline_drives_population_and_replays_bitwise() {
     let run = |threads: usize| {
-        let mut env = lazy_env(
-            4,
-            91,
-            threads,
-            SamplerConfig::default(),
-            churn_scenario(),
-            AvailabilityModel::always_on(),
-        );
+        let mut env = lazy_env(4, 91, threads, SamplerConfig::default(), churn_scenario());
         let m = SyncFedAvg::new().run(&mut env, 5).expect("churn run");
         (m, env.num_clients(), env.offline_devices())
     };
@@ -244,14 +231,7 @@ fn churn_timeline_drives_population_and_replays_bitwise() {
 
 #[test]
 fn helios_classifies_scenario_joiners_mid_run() {
-    let mut env = lazy_env(
-        4,
-        91,
-        2,
-        SamplerConfig::default(),
-        churn_scenario(),
-        AvailabilityModel::always_on(),
-    );
+    let mut env = lazy_env(4, 91, 2, SamplerConfig::default(), churn_scenario());
     let mut helios = HeliosStrategy::new(HeliosConfig::default());
     let m = helios.run(&mut env, 5).expect("helios churn run");
     assert_eq!(env.num_clients(), 5);
@@ -268,60 +248,6 @@ fn helios_classifies_scenario_joiners_mid_run() {
         assert!(keep.expect("straggler volume") < 1.0);
     } else {
         assert!(keep.is_none());
-    }
-}
-
-#[test]
-fn diurnal_wave_biases_weighted_cohorts_and_replays_bitwise() {
-    let wave = DiurnalWave {
-        period_cycles: 4,
-        min_scale: 0.05,
-        phase_spread: 1.0,
-    };
-    let scenario = ScenarioConfig {
-        diurnal: Some(wave),
-        ..ScenarioConfig::default()
-    };
-    let avail = AvailabilityModel::new(17, 0.25);
-    let cohorts = |scenario: ScenarioConfig| -> Vec<Vec<usize>> {
-        let mut env = lazy_env(40, 17, 1, SamplerConfig::weighted(6), scenario, avail);
-        (0..8)
-            .map(|c| env.select_cohort(c).expect("cohort"))
-            .collect()
-    };
-    let waved = cohorts(scenario.clone());
-    assert_eq!(waved, cohorts(scenario.clone()), "cohort draws are pure");
-    assert_ne!(
-        waved,
-        cohorts(ScenarioConfig::default()),
-        "the wave must bias the weighted draw"
-    );
-    // Every selected device is awake (positive weight) that cycle.
-    let model = avail.with_wave(wave);
-    for (cycle, cohort) in waved.iter().enumerate() {
-        for &d in cohort {
-            assert!(model.availability(d, cycle) > 0.0);
-        }
-    }
-    // Full runs replay bitwise at every width.
-    let run = |threads: usize| {
-        let mut env = lazy_env(
-            40,
-            17,
-            threads,
-            SamplerConfig::weighted(6),
-            scenario.clone(),
-            avail,
-        );
-        SyncFedAvg::new().run(&mut env, 4).expect("diurnal run")
-    };
-    let reference = run(1);
-    for threads in &WIDTHS[1..] {
-        assert_eq!(
-            run(*threads).records(),
-            reference.records(),
-            "diurnal run must replay bitwise at {threads} threads"
-        );
     }
 }
 
@@ -465,14 +391,7 @@ fn traced_scenario_bytes(threads: usize, scenario: ScenarioConfig) -> Vec<u8> {
     let buf = SharedBuf::default();
     let sink = helios_obs::JsonlSink::new(Box::new(buf.clone()));
     let handle = helios_obs::install(Box::new(sink));
-    let mut env = lazy_env(
-        4,
-        37,
-        threads,
-        SamplerConfig::default(),
-        scenario,
-        AvailabilityModel::always_on(),
-    );
+    let mut env = lazy_env(4, 37, threads, SamplerConfig::default(), scenario);
     SyncFedAvg::new().run(&mut env, 4).expect("traced run");
     drop(handle); // detach + flush
     buf.take()
@@ -518,14 +437,7 @@ fn fleet_throttle_ramp() -> ThrottleRule {
 
 /// The 6-device seed-61 lazy fleet both tests below run for 8 cycles.
 fn ramp_fleet(scenario: ScenarioConfig) -> FlEnv {
-    lazy_env(
-        6,
-        61,
-        2,
-        SamplerConfig::default(),
-        scenario,
-        AvailabilityModel::always_on(),
-    )
+    lazy_env(6, 61, 2, SamplerConfig::default(), scenario)
 }
 
 /// Runs Helios over [`ramp_fleet`] and returns the stragglers'
@@ -614,7 +526,6 @@ fn empty_scenario_is_bitwise_inert_and_emits_no_events() {
         1,
         SamplerConfig::default(),
         ScenarioConfig::default(),
-        AvailabilityModel::always_on(),
     );
     assert!(!env.scenario_active(), "empty scenario installs no runtime");
     let bytes = traced_scenario_bytes(1, ScenarioConfig::default());
@@ -633,7 +544,6 @@ fn empty_scenario_is_bitwise_inert_and_emits_no_events() {
         1,
         SamplerConfig::default(),
         ScenarioConfig::default(),
-        AvailabilityModel::always_on(),
     );
     let ma = SyncFedAvg::new().run(&mut a, 3).expect("run a");
     let mb = SyncFedAvg::new().run(&mut env, 3).expect("run b");

@@ -13,7 +13,9 @@ use helios_core::{HeliosConfig, HeliosStrategy, VolumePolicy};
 use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
 use helios_fl::{FlConfig, FlEnv, LinkProfile, NetConfig, Strategy};
+use helios_integration::missed_by_device;
 use helios_nn::models::ModelKind;
+use helios_obs::RingBufferSink;
 use helios_tensor::TensorRng;
 
 const SEED: u64 = 4242;
@@ -69,14 +71,20 @@ fn missed_cycles_increment_skip_counters_and_force_rejoins() {
         dynamic_volume_cycles: 0,
         ..HeliosConfig::default()
     });
+    let ring = RingBufferSink::with_capacity(1 << 16);
+    let handle = helios_obs::install(Box::new(ring.clone()));
     let metrics = strategy.run(&mut env, CYCLES).expect("lossy helios run");
+    drop(handle);
 
     // The constrained link really did cut the straggler out of every
     // round: only the two capable clients ever aggregated.
     let transport = env.transport().expect("transport");
     assert!(transport.stats().timeouts > 0, "deadline must trip");
-    let missed = transport.device_stats(STRAGGLER).missed_cycles;
-    assert_eq!(missed, CYCLES as u64, "straggler must miss every cycle");
+    assert_eq!(
+        missed_by_device(&ring.records()),
+        [(STRAGGLER as u64, CYCLES as u64)].into(),
+        "straggler must miss every cycle, and no one else any"
+    );
     for r in metrics.records() {
         assert_eq!(r.participants, 2, "only on-time clients aggregate");
     }
