@@ -69,8 +69,6 @@ kept=(
     eye                   # tensor proptests: matmul identity oracle
     reset_workspace_stats # gemm_parity.rs: the workspace realloc count it pins
     neuron_param_indices  # proptests.rs: param-mask expansion oracle
-    scenario_active       # scenario_engine.rs: the churn state it pins
-    offline_devices       # scenario_engine.rs: the churn state it pins
     with_jitter           # trace_determinism.rs, network_sim.rs: the jittered link
 )
 for crate in crates/*/; do
@@ -304,7 +302,8 @@ step "libm and vector-width tripwire: goldens with glibc's FMA/AVX2 libm off, an
 # variants switched off and once from a build for the x86-64 baseline
 # (RUSTFLAGS replaces the config's flags; its own target directory
 # keeps the host build intact). Either fails the moment a result moves.
-goldens=(--test golden_metrics --test trace_determinism --test end_to_end --test paper_properties)
+goldens=(--test golden_metrics --test trace_determinism --test end_to_end --test paper_properties
+    --test scenario_engine)
 GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 \
     cargo test -q --release -p helios-integration "${goldens[@]}"
 RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64-baseline \

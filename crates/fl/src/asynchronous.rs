@@ -130,13 +130,9 @@ impl AsyncFl {
     }
 
     /// Async FL with a forced straggler period — the paper's Fig 2
-    /// settings aggregate the straggler every 2 or every 3 epochs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
+    /// settings aggregate the straggler every 2 or every 3 epochs. A
+    /// zero period is rejected when the run begins.
     pub fn with_fixed_period(straggler_ids: Vec<usize>, period: usize) -> Self {
-        assert!(period > 0, "period must be nonzero");
         AsyncFl {
             fixed_period: Some(period),
             ..AsyncFl::new(straggler_ids)
@@ -150,6 +146,11 @@ impl RoundPolicy for AsyncFl {
     }
 
     fn begin_run(&mut self, env: &mut FlEnv) -> Result<()> {
+        if self.fixed_period == Some(0) {
+            return Err(FlError::InvalidStrategyConfig {
+                what: "async fixed period must be nonzero".into(),
+            });
+        }
         let (duration, periods) = async_begin_run(env, &self.straggler_ids)?;
         self.cycle_duration = duration;
         self.periods = match self.fixed_period {
@@ -363,6 +364,15 @@ mod tests {
         let mut e = env(1, 1, 23);
         assert!(AsyncFl::new(vec![5]).run(&mut e, 1).is_err());
         assert!(AsyncFl::new(vec![0, 1]).run(&mut e, 1).is_err());
+    }
+
+    #[test]
+    fn zero_fixed_period_is_a_typed_error() {
+        let mut e = env(1, 1, 23);
+        assert!(matches!(
+            AsyncFl::with_fixed_period(vec![1], 0).run(&mut e, 1),
+            Err(FlError::InvalidStrategyConfig { .. })
+        ));
     }
 
     #[test]

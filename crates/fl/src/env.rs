@@ -42,8 +42,8 @@ pub struct FlEnv {
     /// Present iff `config.net.enabled`: the simulated transport every
     /// synchronous round is routed through.
     pub(crate) transport: Option<SimTransport>,
-    /// Present iff `config.scenario` is non-empty: the compiled timeline
-    /// plus the churn overlay the round driver consults each cycle.
+    /// Present iff `config.scenario` is non-empty: the churn overlay
+    /// and firing watermark the round driver consults each cycle.
     pub(crate) scenario_rt: Option<ScenarioRuntime>,
 }
 
@@ -140,7 +140,7 @@ impl FlEnv {
         } else {
             None
         };
-        let scenario_rt = ScenarioRuntime::compile(&config, &store)?;
+        let scenario_rt = ScenarioRuntime::new(&config, &store)?;
         Ok(FlEnv {
             store,
             test_set,

@@ -1,10 +1,12 @@
 //! Scenario-engine runtime state and the two hooks the round driver
-//! calls each cycle to replay the timeline onto the environment.
+//! calls each cycle to replay the timeline onto the environment. The
+//! hooks read `FlConfig::scenario` directly; the runtime keeps only
+//! the churn overlay and how far the timeline has fired.
 
 use crate::client::drifted;
 use crate::population::Population;
 use crate::{FlConfig, FlEnv, FlError, Result};
-use helios_scenario::{ChurnAction, DriftKind, EventKind, ScenarioConfig, Schedule, ThrottleRule};
+use helios_scenario::{ChurnAction, ChurnEvent, ScenarioConfig, ThrottleRule};
 use std::collections::BTreeSet;
 
 /// Bandwidth a link collapses to during a scenario outage window. The
@@ -20,8 +22,6 @@ const OUTAGE_TRICKLE_BPS: f64 = 1e-6;
 /// runs.
 #[derive(Debug, Clone)]
 pub(crate) struct ScenarioRuntime {
-    /// The compiled, time-sorted event timeline.
-    schedule: Schedule,
     /// Devices currently departed (scenario `Leave` without a matching
     /// `Return`). They are filtered out of every cohort but keep their
     /// id, skip counters, and materialized state, so a `Return` resumes
@@ -32,16 +32,19 @@ pub(crate) struct ScenarioRuntime {
     /// materialized mid-run so it picks up the throttle scale already
     /// in force.
     pub(crate) current_cycle: usize,
-    /// Index into `schedule.events()` of the first unapplied event.
-    next_event: usize,
+    /// Cycles whose churn and drift have fired: `0..fired`. It only
+    /// grows, so a second run on the same environment, whose cycle
+    /// count restarts at 0, fires nothing twice.
+    fired: usize,
 }
 
 impl ScenarioRuntime {
-    /// Compiles the config's scenario timeline into runtime state, or
-    /// `None` for an empty scenario (static fleet, historical behavior).
+    /// Validates the config's scenario timeline and starts its runtime
+    /// state, or `None` for an empty scenario (static fleet, historical
+    /// behavior).
     /// Scenario `Join` events grow the population from the store's
     /// generator source, so they require one that retains its clients.
-    pub(crate) fn compile(config: &FlConfig, store: &Population) -> Result<Option<Self>> {
+    pub(crate) fn new(config: &FlConfig, store: &Population) -> Result<Option<Self>> {
         let scenario = &config.scenario;
         if scenario.is_empty() {
             return Ok(None);
@@ -55,10 +58,9 @@ impl ScenarioRuntime {
             store.check_growable()?;
         }
         Ok(Some(ScenarioRuntime {
-            schedule: scenario.compile(),
             offline: BTreeSet::new(),
             current_cycle: 0,
-            next_event: 0,
+            fired: 0,
         }))
     }
 }
@@ -90,21 +92,11 @@ fn trace(cycle: usize, kind: &str, device: Option<usize>, value: f64) {
 }
 
 impl FlEnv {
-    /// Whether a non-empty scenario timeline is driving this run.
-    pub fn scenario_active(&self) -> bool {
-        self.scenario_rt.is_some()
-    }
-
-    /// Number of devices currently departed under scenario churn
-    /// (`Leave` without a matching `Return`).
-    pub fn offline_devices(&self) -> usize {
-        self.scenario_rt.as_ref().map_or(0, |rt| rt.offline.len())
-    }
-
     /// Scenario hook the round driver calls at the top of every cycle,
-    /// before cohort selection: applies all timeline events due at
-    /// `cycle` (joins grow the population, leaves/returns update the
-    /// churn overlay, drift rotates the held-out test set) and
+    /// before cohort selection: walks every not-yet-fired cycle up to
+    /// `cycle` and applies its churn, then its drift, each in config
+    /// order (joins grow the population, leaves/returns update the
+    /// churn overlay, drift rotates the held-out test set); then
     /// recomputes every materialized client's throttle scale from the
     /// timeline. A no-op when the scenario is empty.
     ///
@@ -121,41 +113,43 @@ impl FlEnv {
             return Ok(());
         };
         rt.current_cycle = cycle;
-        let events = rt.schedule.events();
-        let start = rt.next_event;
-        let end = start + events[start..].partition_point(|e| e.cycle <= cycle);
-        rt.next_event = end;
-        // Copied out: applying an event needs the whole environment.
-        let due = events[start..end].to_vec();
-        for ev in due {
-            match ev.kind {
-                EventKind::Join { count } => {
-                    for _ in 0..count {
-                        // Newcomers come from the store's generators.
-                        let (profile, shard) = self.store.generate(self.store.len())?;
-                        let id = self.join_client(profile, shard)?;
-                        trace(cycle, "join", Some(id), 1.0);
+        let unfired = rt.fired..=cycle;
+        rt.fired = rt.fired.max(cycle + 1);
+        for fire in unfired {
+            // Copied out: a join needs the whole environment.
+            let churn = &self.config.scenario.churn;
+            let due: Vec<ChurnEvent> = churn.iter().filter(|e| e.cycle == fire).copied().collect();
+            for ev in due {
+                match ev.action {
+                    ChurnAction::Join => {
+                        for _ in 0..ev.count {
+                            // Newcomers come from the store's generators.
+                            let (profile, shard) = self.store.generate(self.store.len())?;
+                            let id = self.join_client(profile, shard)?;
+                            trace(cycle, "join", Some(id), 1.0);
+                        }
+                    }
+                    ChurnAction::Leave => {
+                        if let Some(rt) = &mut self.scenario_rt {
+                            rt.offline.insert(ev.device);
+                        }
+                        trace(cycle, "leave", Some(ev.device), 0.0);
+                    }
+                    ChurnAction::Return => {
+                        if let Some(rt) = &mut self.scenario_rt {
+                            rt.offline.remove(&ev.device);
+                        }
+                        trace(cycle, "return", Some(ev.device), 1.0);
                     }
                 }
-                EventKind::Leave { device } => {
-                    if let Some(rt) = &mut self.scenario_rt {
-                        rt.offline.insert(device);
-                    }
-                    trace(cycle, "leave", Some(device), 0.0);
-                }
-                EventKind::Return { device } => {
-                    if let Some(rt) = &mut self.scenario_rt {
-                        rt.offline.remove(&device);
-                    }
-                    trace(cycle, "return", Some(device), 1.0);
-                }
-                EventKind::Drift { kind, amount } => {
-                    // The evaluation distribution drifts with the fleet,
-                    // at fire time; client shards catch up per
-                    // participant in `scenario_prepare_cohort`.
-                    self.test_set = drifted(&self.test_set, kind, amount)?;
-                    trace(cycle, kind.trace_kind(), None, amount);
-                }
+            }
+            // The evaluation distribution drifts with the fleet, at fire
+            // time; client shards catch up per participant in
+            // `scenario_prepare_cohort`.
+            let drift = &self.config.scenario.drift;
+            for ev in drift.iter().filter(|e| e.cycle == fire) {
+                self.test_set = drifted(&self.test_set, ev.kind, ev.amount)?;
+                trace(cycle, ev.kind.trace_kind(), None, ev.amount);
             }
         }
         // Battery/thermal throttling: recompute every materialized
@@ -190,24 +184,15 @@ impl FlEnv {
     ///
     /// Propagates materialization, drift transform, and link errors.
     pub fn scenario_prepare_cohort(&mut self, cycle: usize, participants: &[usize]) -> Result<()> {
-        let Some(rt) = &self.scenario_rt else {
+        if self.scenario_rt.is_none() {
             return Ok(());
-        };
+        }
         if !self.config.scenario.drift.is_empty() {
-            let due: Vec<(DriftKind, f64)> = rt
-                .schedule
-                .events()
-                .iter()
-                .filter(|e| e.cycle <= cycle)
-                .filter_map(|e| match e.kind {
-                    EventKind::Drift { kind, amount } => Some((kind, amount)),
-                    _ => None,
-                })
-                .collect();
+            let due = self.config.scenario.drift_through(cycle);
             for &p in participants {
                 let c = self.client_mut(p)?;
-                while let Some(&(kind, amount)) = due.get(c.drift_applied()) {
-                    c.apply_drift(kind, amount)?;
+                while let Some(ev) = due.get(c.drift_applied()) {
+                    c.apply_drift(ev.kind, ev.amount)?;
                 }
             }
         }

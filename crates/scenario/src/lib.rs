@@ -4,17 +4,17 @@
 //! federated fleet evolves over simulated time: device churn
 //! (join/leave/return), battery/thermal throttling curves, link
 //! outages, and label/concept drift. The config is pure data:
-//! `helios-fl` compiles it into a [`Schedule`] and applies the events at
-//! fixed hook points in the round driver, so every effect is a pure
-//! function of `(config, seed, device, cycle)` and runs replay bitwise
-//! at any thread width.
+//! `helios-fl` reads it directly at fixed hook points in the round
+//! driver, firing each cycle's churn and then its drift in config
+//! order, so every effect is a pure function of
+//! `(config, seed, device, cycle)` and runs replay bitwise at any
+//! thread width.
 //!
 //! This crate deliberately depends on nothing but `serde`: it owns the
-//! vocabulary and the math (decay curves, schedule compilation and
-//! validation) and leaves application to the engine.
-//! An empty scenario — the [`Default`] — compiles to an empty schedule
-//! and must leave the engine's behavior bit-identical to a build
-//! without any scenario support.
+//! vocabulary and the math (decay curves, firing order and validation)
+//! and leaves application to the engine.
+//! An empty scenario — the [`Default`] — must leave the engine's
+//! behavior bit-identical to a build without any scenario support.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -244,37 +244,18 @@ impl ScenarioConfig {
             && self.drift.is_empty()
     }
 
-    /// Compiles the timeline into a deterministic [`Schedule`]: one
-    /// entry per discrete event, sorted by `(cycle, source order)`.
-    /// Pure in `self`; identical configs compile to identical
-    /// schedules.
+    /// Drift events due by `cycle`, in firing order: by cycle, then
+    /// config order.
     #[must_use]
-    pub fn compile(&self) -> Schedule {
-        let mut events = Vec::with_capacity(self.churn.len() + self.drift.len());
-        for (i, ev) in self.churn.iter().enumerate() {
-            let kind = match ev.action {
-                ChurnAction::Join => EventKind::Join { count: ev.count },
-                ChurnAction::Leave => EventKind::Leave { device: ev.device },
-                ChurnAction::Return => EventKind::Return { device: ev.device },
-            };
-            events.push(ScheduledEvent {
-                cycle: ev.cycle,
-                seq: i,
-                kind,
-            });
-        }
-        for (i, ev) in self.drift.iter().enumerate() {
-            events.push(ScheduledEvent {
-                cycle: ev.cycle,
-                seq: self.churn.len() + i,
-                kind: EventKind::Drift {
-                    kind: ev.kind,
-                    amount: ev.amount,
-                },
-            });
-        }
-        events.sort_by_key(|e| (e.cycle, e.seq));
-        Schedule { events }
+    pub fn drift_through(&self, cycle: usize) -> Vec<DriftEvent> {
+        let mut due: Vec<DriftEvent> = self
+            .drift
+            .iter()
+            .filter(|e| e.cycle <= cycle)
+            .copied()
+            .collect();
+        due.sort_by_key(|e| e.cycle);
+        due
     }
 
     /// Population size at the start of `cycle`, after all joins with
@@ -298,7 +279,7 @@ impl ScenarioConfig {
     /// # Errors
     ///
     /// Returns [`ScenarioError`] describing the first inconsistency in
-    /// schedule order.
+    /// firing order.
     pub fn validate(&self, initial_population: usize) -> Result<(), ScenarioError> {
         for (i, r) in self.throttle.iter().enumerate() {
             if !(0.0..=1.0).contains(&r.compute_decay) || !(0.0..=1.0).contains(&r.bandwidth_decay)
@@ -344,102 +325,46 @@ impl ScenarioConfig {
             }
         }
 
-        // Replay the compiled churn timeline tracking population growth
-        // and the offline set, exactly as the engine will.
+        // Replay the churn in firing order (by cycle, then config order)
+        // tracking population growth and the offline set, exactly as the
+        // engine will.
+        let mut firing: Vec<&ChurnEvent> = self.churn.iter().collect();
+        firing.sort_by_key(|e| e.cycle);
         let mut population = initial_population;
         let mut offline: BTreeSet<usize> = BTreeSet::new();
-        for ev in self.compile().events() {
-            match ev.kind {
-                EventKind::Join { count } => {
-                    if count == 0 {
+        for ev in firing {
+            let (cycle, device) = (ev.cycle, ev.device);
+            match ev.action {
+                ChurnAction::Join => {
+                    if ev.count == 0 {
                         return Err(invalid(format!(
-                            "churn at cycle {}: join count must be >= 1",
-                            ev.cycle
+                            "churn at cycle {cycle}: join count must be >= 1"
                         )));
                     }
-                    population += count;
+                    population += ev.count;
                 }
-                EventKind::Leave { device } => {
+                ChurnAction::Leave => {
                     if device >= population {
                         return Err(invalid(format!(
-                            "churn at cycle {}: leave targets device {device} but only {population} exist",
-                            ev.cycle
+                            "churn at cycle {cycle}: leave targets device {device} but only {population} exist"
                         )));
                     }
                     if !offline.insert(device) {
                         return Err(invalid(format!(
-                            "churn at cycle {}: device {device} is already offline",
-                            ev.cycle
+                            "churn at cycle {cycle}: device {device} is already offline"
                         )));
                     }
                 }
-                EventKind::Return { device } => {
+                ChurnAction::Return => {
                     if !offline.remove(&device) {
                         return Err(invalid(format!(
-                            "churn at cycle {}: device {device} returns but never left",
-                            ev.cycle
+                            "churn at cycle {cycle}: device {device} returns but never left"
                         )));
                     }
                 }
-                EventKind::Drift { .. } => {}
             }
         }
         Ok(())
-    }
-}
-
-/// One compiled timeline entry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScheduledEvent {
-    /// Cycle at whose start the event fires.
-    pub cycle: usize,
-    /// Stable source-order tie-break within a cycle.
-    pub seq: usize,
-    /// What happens.
-    pub kind: EventKind,
-}
-
-/// Payload of a [`ScheduledEvent`]. Internal engine vocabulary — not
-/// serialized, so it may carry data unlike the serde-facing config
-/// enums.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EventKind {
-    /// Enroll `count` new devices.
-    Join {
-        /// Number of devices appended to the population.
-        count: usize,
-    },
-    /// Take `device` offline.
-    Leave {
-        /// Target device.
-        device: usize,
-    },
-    /// Bring `device` back online.
-    Return {
-        /// Target device.
-        device: usize,
-    },
-    /// Shift the data distribution.
-    Drift {
-        /// Label rotation or input shift.
-        kind: DriftKind,
-        /// Magnitude.
-        amount: f64,
-    },
-}
-
-/// A compiled, deterministic event schedule: discrete events sorted by
-/// `(cycle, source order)`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Schedule {
-    events: Vec<ScheduledEvent>,
-}
-
-impl Schedule {
-    /// All events in firing order.
-    #[must_use]
-    pub fn events(&self) -> &[ScheduledEvent] {
-        &self.events
     }
 }
 
@@ -479,7 +404,7 @@ mod tests {
         let s = ScenarioConfig::default();
         assert!(s.is_empty());
         assert!(s.validate(0).is_ok());
-        assert!(s.compile().events().is_empty());
+        assert!(s.drift_through(usize::MAX).is_empty());
     }
 
     #[test]
@@ -520,29 +445,21 @@ mod tests {
     }
 
     #[test]
-    fn compile_sorts_by_cycle_with_stable_source_order() {
+    fn drift_through_orders_by_cycle_then_config_order() {
+        let drift = |cycle, amount| DriftEvent {
+            cycle,
+            kind: DriftKind::InputShift,
+            amount,
+        };
         let s = ScenarioConfig {
-            churn: vec![join(5, 1), leave(1, 0), join(1, 2)],
-            drift: vec![DriftEvent {
-                cycle: 1,
-                kind: DriftKind::InputShift,
-                amount: 0.1,
-            }],
+            drift: vec![drift(3, 0.0), drift(1, 1.0), drift(2, 2.0), drift(1, 3.0)],
             ..ScenarioConfig::default()
         };
-        let schedule = s.compile();
-        let cycles: Vec<usize> = schedule.events().iter().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![1, 1, 1, 5]);
-        // Within cycle 1: churn events in source order, then drift.
-        assert_eq!(
-            schedule.events()[0].kind,
-            EventKind::Leave { device: 0 },
-            "source order preserved within a cycle"
-        );
-        assert_eq!(schedule.events()[1].kind, EventKind::Join { count: 2 });
-        assert!(matches!(schedule.events()[2].kind, EventKind::Drift { .. }));
-        // Compilation is deterministic.
-        assert_eq!(s.compile(), schedule);
+        let amounts =
+            |cycle| -> Vec<f64> { s.drift_through(cycle).iter().map(|e| e.amount).collect() };
+        assert!(amounts(0).is_empty());
+        assert_eq!(amounts(1), vec![1.0, 3.0]);
+        assert_eq!(amounts(5), vec![1.0, 3.0, 2.0, 0.0]);
     }
 
     #[test]
@@ -553,6 +470,11 @@ mod tests {
             ..ScenarioConfig::default()
         };
         assert!(s.validate(4).is_ok());
+        let listed_backwards = ScenarioConfig {
+            churn: vec![ret(5, 10), leave(3, 10), join(2, 8)],
+            ..ScenarioConfig::default()
+        };
+        assert!(listed_backwards.validate(4).is_ok(), "fires by cycle");
         assert_eq!(s.population_at(4, 1), 4);
         assert_eq!(s.population_at(4, 2), 12);
 

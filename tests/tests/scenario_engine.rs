@@ -11,8 +11,7 @@ use helios_integration::{missed_by_device, SharedBuf, THREAD_WIDTHS as WIDTHS};
 use helios_nn::models::ModelKind;
 use helios_obs::TraceEvent;
 use helios_scenario::{
-    ChurnAction, ChurnEvent, DriftEvent, DriftKind, EventKind, OutageWindow, ScenarioConfig,
-    ThrottleRule,
+    ChurnAction, ChurnEvent, DriftEvent, DriftKind, OutageWindow, ScenarioConfig, ThrottleRule,
 };
 use helios_tensor::{ParallelismConfig, TensorRng};
 use proptest::prelude::*;
@@ -202,12 +201,45 @@ fn churn_scenario() -> ScenarioConfig {
     }
 }
 
+/// Runs `f` with a JSONL trace sink installed; returns its result and
+/// the trace bytes.
+fn traced<T>(f: impl FnOnce() -> T) -> (T, Vec<u8>) {
+    let buf = SharedBuf::default();
+    let handle = helios_obs::install(Box::new(helios_obs::JsonlSink::new(Box::new(buf.clone()))));
+    let out = f();
+    drop(handle); // detach + flush
+    (out, buf.take())
+}
+
+/// The `(cycle, kind, device)` of every churn `ScenarioEvent` in a
+/// JSONL trace, in emission order.
+fn churn_events(trace: &[u8]) -> Vec<(u64, String, Option<u64>)> {
+    let text = String::from_utf8(trace.to_vec()).expect("utf8");
+    let records = helios_obs::parse_jsonl(&text).expect("trace parses");
+    records
+        .into_iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::ScenarioEvent {
+                cycle,
+                kind,
+                device,
+                ..
+            } if ["join", "leave", "return"].contains(&kind.as_str()) => {
+                Some((cycle, kind, device))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 #[test]
 fn churn_timeline_drives_population_and_replays_bitwise() {
     let run = |threads: usize| {
         let mut env = lazy_env(4, 91, threads, SamplerConfig::default(), churn_scenario());
-        let m = SyncFedAvg::new().run(&mut env, 5).expect("churn run");
-        (m, env.num_clients(), env.offline_devices())
+        let (m, trace) = traced(|| SyncFedAvg::new().run(&mut env, 5).expect("churn run"));
+        let churn = churn_events(&trace);
+        let count = |kind: &str| churn.iter().filter(|(_, k, _)| k == kind).count();
+        (m, env.num_clients(), count("leave") - count("return"))
     };
     let (reference, population, offline) = run(1);
     assert_eq!(population, 5, "the join grew the enrolled population");
@@ -227,6 +259,60 @@ fn churn_timeline_drives_population_and_replays_bitwise() {
             "churn run must replay bitwise at {threads} threads"
         );
     }
+}
+
+/// Churn fires by cycle, not by its place in the config: a `Return`
+/// listed before its `Leave` still validates, and the device leaves at
+/// cycle 2 and comes back at cycle 4.
+#[test]
+fn churn_listed_out_of_cycle_order_fires_in_cycle_order() {
+    let churn = |cycle, action| ChurnEvent {
+        cycle,
+        action,
+        device: 0,
+        count: 1,
+    };
+    let scenario = ScenarioConfig {
+        churn: vec![churn(4, ChurnAction::Return), churn(2, ChurnAction::Leave)],
+        ..ScenarioConfig::default()
+    };
+    assert!(
+        scenario.validate(4).is_ok(),
+        "firing order, not config order"
+    );
+    let mut env = lazy_env(4, 91, 1, SamplerConfig::default(), scenario);
+    let (m, trace) = traced(|| SyncFedAvg::new().run(&mut env, 5).expect("churn run"));
+    assert_eq!(
+        churn_events(&trace),
+        vec![
+            (2, "leave".to_string(), Some(0)),
+            (4, "return".to_string(), Some(0)),
+        ]
+    );
+    let participants: Vec<usize> = m.records().iter().map(|r| r.participants).collect();
+    assert_eq!(participants, vec![4, 4, 3, 3, 4]);
+}
+
+/// Churn fires once per environment: a second `run` on the same env
+/// restarts its cycle count at 0 but re-fires nothing already fired.
+/// Three cycles fire the join (1) and the leave (2); five more reach
+/// the return (4) only.
+#[test]
+fn churn_fires_once_across_runs_on_one_env() {
+    let mut env = lazy_env(4, 91, 1, SamplerConfig::default(), churn_scenario());
+    let ((), trace) = traced(|| {
+        SyncFedAvg::new().run(&mut env, 3).expect("first run");
+        SyncFedAvg::new().run(&mut env, 5).expect("second run");
+    });
+    assert_eq!(
+        churn_events(&trace),
+        vec![
+            (1, "join".to_string(), Some(4)),
+            (2, "leave".to_string(), Some(0)),
+            (4, "return".to_string(), Some(0)),
+        ]
+    );
+    assert_eq!(env.num_clients(), 5);
 }
 
 #[test]
@@ -385,22 +471,31 @@ fn combined_scenario() -> ScenarioConfig {
     }
 }
 
+/// `content_digest` and length of the combined scenario's one-thread
+/// trace.
+const COMBINED_TRACE_DIGEST: u64 = 0xbada_1e42_3ea8_9f2c;
+const COMBINED_TRACE_LEN: usize = 10_238;
+
 /// Runs the combined scenario at `threads` and returns the raw JSONL
 /// trace bytes.
 fn traced_scenario_bytes(threads: usize, scenario: ScenarioConfig) -> Vec<u8> {
-    let buf = SharedBuf::default();
-    let sink = helios_obs::JsonlSink::new(Box::new(buf.clone()));
-    let handle = helios_obs::install(Box::new(sink));
-    let mut env = lazy_env(4, 37, threads, SamplerConfig::default(), scenario);
-    SyncFedAvg::new().run(&mut env, 4).expect("traced run");
-    drop(handle); // detach + flush
-    buf.take()
+    let ((), trace) = traced(|| {
+        let mut env = lazy_env(4, 37, threads, SamplerConfig::default(), scenario);
+        SyncFedAvg::new().run(&mut env, 4).expect("traced run");
+    });
+    trace
 }
 
 #[test]
 fn scenario_traces_are_byte_identical_across_widths() {
     let reference = traced_scenario_bytes(1, combined_scenario());
-    assert!(!reference.is_empty());
+    // Pins the event order too (the leave fires before the drift at
+    // cycle 2), which a width comparison alone cannot see.
+    assert_eq!(
+        (helios_obs::content_digest(&reference), reference.len()),
+        (COMBINED_TRACE_DIGEST, COMBINED_TRACE_LEN),
+        "combined-scenario trace bytes changed"
+    );
     for threads in &WIDTHS[1..] {
         assert_eq!(
             traced_scenario_bytes(*threads, combined_scenario()),
@@ -520,14 +615,6 @@ fn helios_beats_sync_under_churn_throttle_and_drift() {
 
 #[test]
 fn empty_scenario_is_bitwise_inert_and_emits_no_events() {
-    let mut env = lazy_env(
-        4,
-        37,
-        1,
-        SamplerConfig::default(),
-        ScenarioConfig::default(),
-    );
-    assert!(!env.scenario_active(), "empty scenario installs no runtime");
     let bytes = traced_scenario_bytes(1, ScenarioConfig::default());
     let text = String::from_utf8(bytes).expect("utf8");
     let records = helios_obs::parse_jsonl(&text).expect("trace parses");
@@ -538,25 +625,26 @@ fn empty_scenario_is_bitwise_inert_and_emits_no_events() {
         "an empty scenario must emit no scenario events"
     );
     // And explicitly: the hooks are no-ops on the metrics too.
-    let mut a = lazy_env(
-        4,
-        37,
-        1,
-        SamplerConfig::default(),
-        ScenarioConfig::default(),
-    );
-    let ma = SyncFedAvg::new().run(&mut a, 3).expect("run a");
-    let mb = SyncFedAvg::new().run(&mut env, 3).expect("run b");
-    assert_eq!(ma.records(), mb.records());
+    let run = || {
+        let mut env = lazy_env(
+            4,
+            37,
+            1,
+            SamplerConfig::default(),
+            ScenarioConfig::default(),
+        );
+        SyncFedAvg::new().run(&mut env, 3).expect("run")
+    };
+    assert_eq!(run().records(), run().records());
 }
 
 proptest! {
-    /// Valid-by-construction timelines always validate, compile
-    /// deterministically into a schedule sorted by simulated time, and
-    /// every compiled churn event references a device enrolled at (and
-    /// live for the action at) its fire time.
+    /// Valid-by-construction timelines always validate, and replaying
+    /// their churn in firing order (by cycle, then config order) only
+    /// ever touches a device enrolled at (and live for the action at)
+    /// its fire time.
     #[test]
-    fn compiled_schedules_are_deterministic_sorted_and_reference_live_devices(
+    fn valid_timelines_validate_and_fire_on_live_devices(
         initial in 1usize..6,
         ops in proptest::collection::vec(
             (0u8..4, 0usize..4, 1usize..3, 0usize..64),
@@ -620,37 +708,30 @@ proptest! {
                 }),
             }
         }
+        // List later cycles first (config order kept within a cycle):
+        // validation must replay by cycle, not by position.
+        churn.sort_by_key(|e: &ChurnEvent| std::cmp::Reverse(e.cycle));
         let cfg = ScenarioConfig {
             churn,
             drift,
             ..ScenarioConfig::default()
         };
         prop_assert!(cfg.validate(initial).is_ok(), "constructed timeline must validate");
-        let a = cfg.compile();
-        let b = cfg.compile();
-        prop_assert_eq!(a.events(), b.events(), "compilation is deterministic");
-        prop_assert!(
-            a.events()
-                .windows(2)
-                .all(|w| (w[0].cycle, w[0].seq) <= (w[1].cycle, w[1].seq)),
-            "schedule must be sorted by simulated time"
-        );
-        // Replaying the compiled schedule only ever touches devices that
-        // exist (and are in the right liveness state) at event time.
+        let mut firing: Vec<&ChurnEvent> = cfg.churn.iter().collect();
+        firing.sort_by_key(|e| e.cycle);
         let mut pop = initial;
         let mut off: BTreeSet<usize> = BTreeSet::new();
-        for e in a.events() {
-            match e.kind {
-                EventKind::Join { count } => pop += count,
-                EventKind::Leave { device } => {
-                    prop_assert!(device < pop, "leave of unenrolled device {}", device);
-                    prop_assert!(off.insert(device), "double leave of {}", device);
+        for e in firing {
+            match e.action {
+                ChurnAction::Join => pop += e.count,
+                ChurnAction::Leave => {
+                    prop_assert!(e.device < pop, "leave of unenrolled device {}", e.device);
+                    prop_assert!(off.insert(e.device), "double leave of {}", e.device);
                 }
-                EventKind::Return { device } => {
-                    prop_assert!(device < pop);
-                    prop_assert!(off.remove(&device), "return of online device {}", device);
+                ChurnAction::Return => {
+                    prop_assert!(e.device < pop);
+                    prop_assert!(off.remove(&e.device), "return of online device {}", e.device);
                 }
-                EventKind::Drift { .. } => {}
             }
         }
     }
