@@ -15,7 +15,7 @@
 
 use helios_bench::{
     format_curves, format_summary, results_dir, run_strategies, write_csvs, ExperimentSpec,
-    StrategySet, Workload,
+    Workload, PAPER_STRATEGIES,
 };
 
 fn target_for(w: Workload) -> f64 {
@@ -48,7 +48,7 @@ fn main() {
                 spec.stragglers,
                 cycles
             );
-            let metrics = run_strategies(&spec, StrategySet::Paper, cycles);
+            let metrics = run_strategies(&spec, PAPER_STRATEGIES, cycles);
             println!("{}", format_curves(&metrics, (cycles / 10).max(1)));
             println!("{}", format_summary(&metrics, target_for(workload)));
             let prefix = format!("fig5_{}_{}dev", workload.label().replace('/', "_"), devices);

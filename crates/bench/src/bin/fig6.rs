@@ -11,7 +11,8 @@
 //! genuinely disagree (see `DESIGN.md` §4a.3).
 
 use helios_bench::{
-    format_curves, results_dir, run_strategies, write_csvs, ExperimentSpec, StrategySet, Workload,
+    format_curves, results_dir, run_strategies, write_csvs, ExperimentSpec, Workload,
+    ABLATION_STRATEGIES,
 };
 
 fn main() {
@@ -35,7 +36,7 @@ fn main() {
                 per_client: 150,
                 ..ExperimentSpec::paper_fleet(Workload::AlexnetCifar10, 4, true, seed)
             };
-            let metrics = run_strategies(&spec, StrategySet::AggregationAblation, cycles);
+            let metrics = run_strategies(&spec, ABLATION_STRATEGIES, cycles);
             for (i, m) in metrics.iter().enumerate() {
                 tail[i] += m.tail_accuracy(8) / seeds.len() as f64;
                 std[i] += m.tail_accuracy_std(10) / seeds.len() as f64;

@@ -12,7 +12,7 @@
 
 use helios_bench::{
     format_curves, format_summary, results_dir, run_strategies, write_csvs, ExperimentSpec,
-    StrategySet, Workload,
+    Workload, PAPER_STRATEGIES,
 };
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
             spec.stragglers,
             cycles
         );
-        let metrics = run_strategies(&spec, StrategySet::Paper, cycles);
+        let metrics = run_strategies(&spec, PAPER_STRATEGIES, cycles);
         println!("{}", format_curves(&metrics, (cycles / 10).max(1)));
         println!("{}", format_summary(&metrics, 0.5));
         write_csvs(

@@ -8,7 +8,9 @@
 //!
 //! Usage: `repro [cycles]` (default 12).
 
-use helios_bench::{format_summary, run_strategies, ExperimentSpec, StrategySet, Workload};
+use helios_bench::{
+    format_summary, run_strategies, ExperimentSpec, Workload, ABLATION_STRATEGIES, PAPER_STRATEGIES,
+};
 use std::process::Command;
 
 fn run_binary(name: &str) {
@@ -36,19 +38,19 @@ fn main() {
     println!("━━━ fig5 (smoke, {cycles} cycles, MNIST-like) ━━━");
     for devices in [4usize, 6] {
         let spec = ExperimentSpec::paper_fleet(Workload::LenetMnist, devices, false, 42);
-        let metrics = run_strategies(&spec, StrategySet::Paper, cycles);
+        let metrics = run_strategies(&spec, PAPER_STRATEGIES, cycles);
         println!("{devices} devices:");
         println!("{}", format_summary(&metrics, 0.6));
     }
 
     println!("━━━ fig7 (smoke, {cycles} cycles, Non-IID MNIST-like) ━━━");
     let spec = ExperimentSpec::paper_fleet(Workload::LenetMnist, 4, true, 42);
-    let metrics = run_strategies(&spec, StrategySet::Paper, cycles);
+    let metrics = run_strategies(&spec, PAPER_STRATEGIES, cycles);
     println!("{}", format_summary(&metrics, 0.5));
 
     println!("━━━ fig6 (smoke, {cycles} cycles) ━━━");
     let spec = ExperimentSpec::paper_fleet(Workload::AlexnetCifar10, 4, true, 42);
-    let metrics = run_strategies(&spec, StrategySet::AggregationAblation, cycles);
+    let metrics = run_strategies(&spec, ABLATION_STRATEGIES, cycles);
     println!("{}", format_summary(&metrics, 0.5));
 
     println!("smoke reproduction complete; see EXPERIMENTS.md for full runs.");

@@ -21,9 +21,8 @@
 //! }
 //! ```
 
-use crate::{ExperimentSpec, Workload};
-use helios_core::{HeliosConfig, HeliosStrategy};
-use helios_fl::{Afo, AsyncFl, RandomPartial, RunMetrics, Strategy, SyncFedAvg};
+use crate::{run_strategies, ExperimentSpec, Workload, STRATEGY_NAMES};
+use helios_fl::RunMetrics;
 use serde::{Deserialize, Serialize};
 
 /// A complete experiment description, deserializable from JSON.
@@ -126,12 +125,10 @@ impl ExperimentConfig {
             return Err(ConfigError::Invalid("no strategies listed".into()));
         }
         for s in &self.strategies {
-            if !matches!(
-                s.as_str(),
-                "sync" | "async" | "afo" | "random" | "helios" | "st_only"
-            ) {
+            if !STRATEGY_NAMES.contains(&s.as_str()) {
                 return Err(ConfigError::Invalid(format!(
-                    "unknown strategy {s:?} (use sync|async|afo|random|helios|st_only)"
+                    "unknown strategy {s:?} (use {})",
+                    STRATEGY_NAMES.join("|")
                 )));
             }
         }
@@ -164,27 +161,7 @@ impl ExperimentConfig {
     /// Panics when a strategy run fails (impossible for validated
     /// configs).
     pub fn run(&self) -> Vec<RunMetrics> {
-        let spec = self.spec();
-        let straggler_ids = spec.straggler_ids();
-        let mut out = Vec::new();
-        for name in &self.strategies {
-            let mut strategy: Box<dyn Strategy> = match name.as_str() {
-                "sync" => Box::new(SyncFedAvg::new()),
-                "async" => Box::new(AsyncFl::new(straggler_ids.clone())),
-                "afo" => Box::new(Afo::new(straggler_ids.clone())),
-                "random" => Box::new(RandomPartial::new(spec.helios_volumes())),
-                "helios" => Box::new(HeliosStrategy::new(HeliosConfig::default())),
-                "st_only" => Box::new(HeliosStrategy::new(HeliosConfig::soft_training_only())),
-                other => unreachable!("validated strategy {other}"),
-            };
-            let mut env = spec.build_env();
-            out.push(
-                strategy
-                    .run(&mut env, self.cycles)
-                    .expect("validated config runs"),
-            );
-        }
-        out
+        run_strategies(&self.spec(), &self.strategies, self.cycles)
     }
 }
 

@@ -186,9 +186,8 @@ impl ExperimentSpec {
 
     /// Initializes a Helios strategy against a scratch environment and
     /// returns the fitted keep ratio per client (`None` for capable
-    /// devices) — handed to the Random baseline so both train the same
-    /// expected volumes, as in the paper's comparison.
-    pub(crate) fn helios_volumes(&self) -> Vec<Option<f64>> {
+    /// devices).
+    fn helios_volumes(&self) -> Vec<Option<f64>> {
         let mut env = self.build_env();
         let mut helios = HeliosStrategy::new(HeliosConfig::default());
         helios
@@ -198,48 +197,55 @@ impl ExperimentSpec {
     }
 }
 
-/// Which strategies a sweep covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StrategySet {
-    /// All five of §VII.A: Syn. FL, Asyn. FL, AFO, Random, Helios.
-    Paper,
-    /// Helios vs soft-training-only (Fig 6 ablation).
-    AggregationAblation,
+/// Every strategy name a sweep or an [`ExperimentConfig`] may list.
+/// The first five are §VII.A's comparison: Syn. FL, Asyn. FL, AFO,
+/// Random, Helios; `st_only` is Helios with soft training only.
+pub(crate) const STRATEGY_NAMES: &[&str] = &["sync", "async", "afo", "random", "helios", "st_only"];
+
+/// The five strategies of §VII.A, in the paper's order.
+pub const PAPER_STRATEGIES: &[&str] = STRATEGY_NAMES.split_at(5).0;
+
+/// Soft-training-only vs full Helios (Fig 6 ablation).
+pub const ABLATION_STRATEGIES: &[&str] = &["st_only", "helios"];
+
+/// A fresh strategy for `name` (one of [`STRATEGY_NAMES`]), sized for
+/// `spec`'s fleet; `None` for an unknown name. `random` trains the keep
+/// ratios Helios fits on a scratch environment built from `spec`, so
+/// both train the same expected volumes, as in the paper's comparison.
+fn strategy(name: &str, spec: &ExperimentSpec) -> Option<Box<dyn Strategy>> {
+    Some(match name {
+        "sync" => Box::new(SyncFedAvg::new()),
+        "async" => Box::new(AsyncFl::new(spec.straggler_ids())),
+        "afo" => Box::new(Afo::new(spec.straggler_ids())),
+        "random" => Box::new(RandomPartial::new(spec.helios_volumes())),
+        "helios" => Box::new(HeliosStrategy::new(HeliosConfig::default())),
+        "st_only" => Box::new(HeliosStrategy::new(HeliosConfig::soft_training_only())),
+        _ => return None,
+    })
 }
 
-/// Runs the selected strategies, each against a fresh identically-seeded
-/// environment, for `cycles` aggregation cycles.
+/// Runs the named strategies (see [`PAPER_STRATEGIES`] and
+/// [`ABLATION_STRATEGIES`]) in order, each against a fresh
+/// identically-seeded environment, for `cycles` aggregation cycles.
 ///
 /// # Panics
 ///
-/// Panics when a strategy fails (impossible for valid specs).
-pub fn run_strategies(spec: &ExperimentSpec, set: StrategySet, cycles: usize) -> Vec<RunMetrics> {
-    let straggler_ids = spec.straggler_ids();
-    let mut out = Vec::new();
-    match set {
-        StrategySet::Paper => {
-            let volumes = spec.helios_volumes();
-            let runs: Vec<Box<dyn Strategy>> = vec![
-                Box::new(SyncFedAvg::new()),
-                Box::new(AsyncFl::new(straggler_ids.clone())),
-                Box::new(Afo::new(straggler_ids)),
-                Box::new(RandomPartial::new(volumes)),
-                Box::new(HeliosStrategy::new(HeliosConfig::default())),
-            ];
-            for mut s in runs {
-                let mut env = spec.build_env();
-                out.push(s.run(&mut env, cycles).expect("strategy run succeeds"));
-            }
-        }
-        StrategySet::AggregationAblation => {
-            for config in [HeliosConfig::soft_training_only(), HeliosConfig::default()] {
-                let mut env = spec.build_env();
-                let mut s = HeliosStrategy::new(config);
-                out.push(s.run(&mut env, cycles).expect("strategy run succeeds"));
-            }
-        }
-    }
-    out
+/// Panics on an unknown strategy name or when a strategy fails
+/// (impossible for valid specs).
+pub fn run_strategies(
+    spec: &ExperimentSpec,
+    names: &[impl AsRef<str>],
+    cycles: usize,
+) -> Vec<RunMetrics> {
+    names
+        .iter()
+        .map(|name| {
+            let name = name.as_ref();
+            let mut s = strategy(name, spec).unwrap_or_else(|| panic!("unknown strategy {name}"));
+            let mut env = spec.build_env();
+            s.run(&mut env, cycles).expect("strategy run succeeds")
+        })
+        .collect()
 }
 
 /// Runs a single Helios configuration against a fresh environment
@@ -407,7 +413,7 @@ mod tests {
             test_samples: 30,
             ..ExperimentSpec::paper_fleet(Workload::LenetMnist, 2, false, 3)
         };
-        let metrics = run_strategies(&spec, StrategySet::AggregationAblation, 2);
+        let metrics = run_strategies(&spec, ABLATION_STRATEGIES, 2);
         let curves = format_curves(&metrics, 1);
         assert!(curves.contains("helios_st_only"));
         assert!(curves.contains("helios"));

@@ -41,6 +41,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Non-test code has no panicking `unwrap`/`expect` shortcut; this keeps
+// them out. Tests may still unwrap freely.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod clock;
 mod cost;

@@ -55,11 +55,17 @@ fn validate_stragglers(env: &FlEnv, straggler_ids: &[usize]) -> Result<()> {
     Ok(())
 }
 
-/// Shared `begin_run` body of the asynchronous policies: validates the
+/// Shared `begin_run` body of the asynchronous policies: rejects cohort
+/// sampling (every capable device trains every cycle), validates the
 /// straggler set, clears every mask (async methods do not shrink
 /// models), and hands the stragglers their initial global download.
 /// Returns `(cycle_duration, natural periods)`.
 fn async_begin_run(env: &mut FlEnv, straggler_ids: &[usize]) -> Result<(SimTime, Vec<usize>)> {
+    if env.sampling_enabled() {
+        return Err(FlError::InvalidStrategyConfig {
+            what: "asynchronous baselines do not run with cohort sampling".into(),
+        });
+    }
     validate_stragglers(env, straggler_ids)?;
     for i in 0..env.num_clients() {
         env.client_mut(i)?.set_masks(None)?;

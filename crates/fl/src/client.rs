@@ -20,6 +20,14 @@ pub const GRAD_CLIP_NORM: f32 = 5.0;
 /// paper's Table I memory budgets.
 pub(crate) const DEFAULT_MEMORY_SCALE: f64 = 60.0;
 
+/// Factor mapping a scaled experiment model's analytic FLOPs and memory
+/// traffic to the paper's full-size models, so `W/C_cpu` dominates the
+/// cost formula as in Table I. Affects only *simulated* time.
+const WORKLOAD_SCALE: f64 = 2000.0;
+
+/// SGD momentum of every client's optimizer.
+const MOMENTUM: f32 = 0.9;
+
 /// The result of one local training cycle, ready for aggregation.
 #[derive(Debug, Clone)]
 pub struct LocalUpdate {
@@ -59,8 +67,6 @@ pub struct Client {
     profile: ResourceProfile,
     optimizer: Sgd,
     batch_size: usize,
-    local_epochs: usize,
-    workload_scale: f64,
     rng: TensorRng,
     current_mask: Option<ModelMask>,
     /// `current_mask` expanded to the flat parameter vector, derived by
@@ -83,39 +89,24 @@ impl Client {
     ///
     /// `net` must already hold the initial global parameters; `rng` drives
     /// this client's batch shuffling (seed it per-client for reproducible
-    /// but decorrelated shuffles). `workload_scale` maps the scaled-down
-    /// experiment model's analytic FLOPs/memory back to the magnitude of
-    /// the paper's full-size models (see `FlConfig::workload_scale`), so
-    /// the compute term dominates the cost formula exactly as in Table I.
-    #[allow(clippy::too_many_arguments)]
+    /// but decorrelated shuffles). Cycle times price the paper's
+    /// full-size models: 2000× the scaled model's FLOPs and memory.
     pub(crate) fn new(
         id: usize,
         net: Network,
         dataset: Dataset,
         profile: ResourceProfile,
         learning_rate: f32,
-        momentum: f32,
         batch_size: usize,
-        local_epochs: usize,
-        workload_scale: f64,
         rng: TensorRng,
     ) -> Self {
-        // Invariant backstop: `FlConfig::validate` rejects bad scales
-        // before any client is built; a direct caller bypassing the
-        // config path still gets a loud failure here.
-        assert!(
-            workload_scale.is_finite() && workload_scale > 0.0,
-            "workload scale must be positive and finite, got {workload_scale}"
-        );
         Client {
             id,
             net,
             dataset,
             profile,
-            optimizer: Sgd::with_momentum(learning_rate, momentum).with_grad_clip(GRAD_CLIP_NORM),
+            optimizer: Sgd::with_momentum(learning_rate, MOMENTUM).with_grad_clip(GRAD_CLIP_NORM),
             batch_size,
-            local_epochs,
-            workload_scale,
             rng,
             current_mask: None,
             param_mask: None,
@@ -214,8 +205,8 @@ impl Client {
         Ok(())
     }
 
-    /// Runs one local training cycle (`local_epochs` passes over the
-    /// shard) and returns the resulting update.
+    /// Runs one local training cycle (one pass over the shard, in a
+    /// fresh shuffle) and returns the resulting update.
     ///
     /// # Errors
     ///
@@ -225,20 +216,18 @@ impl Client {
         let loss_fn = CrossEntropyLoss::new();
         let mut total_loss = 0.0f32;
         let mut batches = 0usize;
-        for _ in 0..self.local_epochs {
-            let mut shuffle_rng = self.rng.split();
-            for (x, y) in self
-                .dataset
-                .shuffled_batches(self.batch_size, &mut shuffle_rng)
-            {
-                self.net.zero_grad();
-                let logits = self.net.forward(&x)?;
-                let (l, grad) = loss_fn.forward_backward(&logits, &y)?;
-                self.net.backward(&grad)?;
-                self.optimizer.step(&mut self.net)?;
-                total_loss += l;
-                batches += 1;
-            }
+        let mut shuffle_rng = self.rng.split();
+        for (x, y) in self
+            .dataset
+            .shuffled_batches(self.batch_size, &mut shuffle_rng)
+        {
+            self.net.zero_grad();
+            let logits = self.net.forward(&x)?;
+            let (l, grad) = loss_fn.forward_backward(&logits, &y)?;
+            self.net.backward(&grad)?;
+            self.optimizer.step(&mut self.net)?;
+            total_loss += l;
+            batches += 1;
         }
         let params = self.net.param_vector();
         let param_mask = self.param_mask.as_ref().map(|m| m.words().to_vec());
@@ -267,14 +256,13 @@ impl Client {
     /// [`Client::cycle_workload`] under `mask` (`None`: the full model).
     fn workload(&self, mask: Option<&ModelMask>) -> TrainingWorkload {
         let per_batch = NetworkCost::of(&self.net, mask, self.batch_size);
-        let batches_per_epoch = self.dataset.len().div_ceil(self.batch_size).max(1);
-        let steps = (batches_per_epoch * self.local_epochs) as f64;
+        let steps = self.dataset.len().div_ceil(self.batch_size).max(1) as f64;
         // Upload + download of the active parameters (not scaled: the
         // exchanged model is the scaled one in both worlds).
         let net_bytes = 2.0 * per_batch.param_bytes();
         TrainingWorkload::new(
-            per_batch.flops_training() * steps * self.workload_scale,
-            per_batch.memory_bytes() * steps * self.workload_scale,
+            per_batch.flops_training() * steps * WORKLOAD_SCALE,
+            per_batch.memory_bytes() * steps * WORKLOAD_SCALE,
             net_bytes,
         )
     }
@@ -344,7 +332,7 @@ impl Client {
     /// memory budget. Memory scales far less than FLOPs between the
     /// scaled and full models (footprint grows with parameters and
     /// activations, not with dataset passes), hence a separate, smaller
-    /// factor than `workload_scale`.
+    /// factor than the workload scale (2000).
     pub fn scaled_resident_bytes(&self, mask: Option<&ModelMask>) -> f64 {
         NetworkCost::of(&self.net, mask, self.batch_size).memory_bytes() * DEFAULT_MEMORY_SCALE
     }
@@ -373,7 +361,7 @@ mod tests {
         let (train, _) = SyntheticVision::mnist_like()
             .generate(40, 0, &mut rng)
             .unwrap();
-        Client::new(0, net, train, profile, 0.05, 0.9, 16, 1, 2000.0, rng)
+        Client::new(0, net, train, profile, 0.05, 16, rng)
     }
 
     #[test]

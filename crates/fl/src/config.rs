@@ -12,23 +12,11 @@ use serde::{Deserialize, Serialize};
 pub struct FlConfig {
     /// Mini-batch size for local training.
     pub batch_size: usize,
-    /// Local epochs per aggregation cycle.
-    pub local_epochs: usize,
     /// SGD learning rate.
     pub learning_rate: f32,
-    /// SGD momentum.
-    pub momentum: f32,
-    /// Batch size used for test-set evaluation.
-    pub eval_batch: usize,
     /// Master seed; model init, client shuffling, and strategy randomness
     /// all derive from it, making runs bit-reproducible.
     pub seed: u64,
-    /// Maps the scaled experiment models' analytic FLOPs/memory to the
-    /// magnitude of the paper's full-size models (32×32 inputs, full
-    /// channel counts, full datasets), so `W/C_cpu` dominates the cost
-    /// formula as in Table I. Affects only *simulated* time, never the
-    /// learned parameters.
-    pub workload_scale: f64,
     /// Thread budget for the parallel execution engine: caps the client
     /// fan-out of [`FlEnv::train_selected`](crate::FlEnv::train_selected)
     /// and the kernel width during evaluation. Results are bitwise
@@ -63,12 +51,8 @@ impl Default for FlConfig {
     fn default() -> Self {
         FlConfig {
             batch_size: 16,
-            local_epochs: 1,
             learning_rate: 0.05,
-            momentum: 0.9,
-            eval_batch: 64,
             seed: 42,
-            workload_scale: 2000.0,
             parallelism: ParallelismConfig::auto(),
             net: NetConfig::default(),
             sampling: SamplerConfig::default(),
@@ -82,33 +66,18 @@ impl FlConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`FlError::InvalidRunConfig`] for zero batch/epoch
-    /// counts, a non-finite or non-positive learning rate or workload
-    /// scale, a momentum outside `[0, 1)`, or an invalid `net` section.
+    /// Returns [`FlError::InvalidRunConfig`] for a zero batch size, a
+    /// non-finite or non-positive learning rate, or an invalid `net`
+    /// section.
     pub(crate) fn validate(&self) -> Result<()> {
         let invalid = |what: String| Err(FlError::InvalidRunConfig { what });
         if self.batch_size == 0 {
             return invalid("batch_size must be nonzero".into());
         }
-        if self.eval_batch == 0 {
-            return invalid("eval_batch must be nonzero".into());
-        }
-        if self.local_epochs == 0 {
-            return invalid("local_epochs must be nonzero".into());
-        }
         if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
             return invalid(format!(
                 "learning_rate {} must be positive and finite",
                 self.learning_rate
-            ));
-        }
-        if !(self.momentum.is_finite() && (0.0..1.0).contains(&self.momentum)) {
-            return invalid(format!("momentum {} outside [0, 1)", self.momentum));
-        }
-        if !(self.workload_scale.is_finite() && self.workload_scale > 0.0) {
-            return invalid(format!(
-                "workload_scale {} must be positive and finite",
-                self.workload_scale
             ));
         }
         self.sampling.validate()?;

@@ -13,6 +13,9 @@ use helios_nn::{CrossEntropyLoss, Network};
 use helios_tensor::{map_indexed, map_items_mut, TensorRng};
 use std::collections::{HashMap, HashSet};
 
+/// Test-set samples per `FlEnv::evaluate_global` batch.
+const EVAL_BATCH: usize = 64;
+
 /// The full experimental setup: a fleet of [`Client`]s, the held-out test
 /// set, the global parameter vector, and the simulated clock.
 ///
@@ -442,8 +445,8 @@ impl FlEnv {
     /// Evaluates the current global model on the held-out test set and
     /// returns `(loss, accuracy)`.
     ///
-    /// The test set is cut, in order, into batches of
-    /// [`FlConfig::eval_batch`] samples, the last one possibly partial.
+    /// The test set is cut, in order, into batches of 64 samples, the
+    /// last one possibly partial.
     /// `loss` is the mean over those batches of each batch's mean
     /// cross-entropy, so the partial batch weighs as much as a full one;
     /// `accuracy` is the fraction of all test samples classified
@@ -458,7 +461,7 @@ impl FlEnv {
     pub fn evaluate_global(&mut self) -> Result<(f64, f64)> {
         self.eval_net.set_param_vector(&self.global)?;
         self.eval_net.clear_masks();
-        let (net, test, batch) = (&self.eval_net, &self.test_set, self.config.eval_batch);
+        let (net, test, batch) = (&self.eval_net, &self.test_set, EVAL_BATCH);
         let batches = test.len().div_ceil(batch);
         let threads = self.config.parallelism.resolve();
         let per_batch = map_indexed(batches, threads, |b| -> Result<(f64, usize)> {
@@ -521,25 +524,29 @@ mod tests {
     }
 
     /// `evaluate_global` against the serial loop it replaced (training
-    /// forward per batch, summed as it goes) over six batches, the last
-    /// one partial: bitwise the same `(loss, accuracy)` at every thread
-    /// budget.
+    /// forward per batch, summed as it goes) over a 150-sample test set,
+    /// three batches of 64 / 64 / 22, the last one partial: bitwise the
+    /// same `(loss, accuracy)` at every thread budget.
     #[test]
     fn evaluate_global_is_the_serial_loop_at_every_thread_budget() {
         let mut env = small_env(3);
-        env.config.eval_batch = 7;
+        let mut rng = TensorRng::seed_from(11);
+        env.test_set = SyntheticVision::mnist_like()
+            .generate(1, 150, &mut rng)
+            .unwrap()
+            .1;
         let mut net = env.eval_net.clone();
         net.set_param_vector(&env.global).unwrap();
         let (mut loss_sum, mut correct, mut batches) = (0.0f64, 0usize, 0usize);
-        for (x, y) in env.test_set.batches(7) {
+        for (x, y) in env.test_set.batches(EVAL_BATCH) {
             let logits = net.forward(&x).unwrap();
             loss_sum += f64::from(CrossEntropyLoss::new().forward(&logits, &y).unwrap());
             let pred = logits.argmax_rows().unwrap();
             correct += pred.iter().zip(&y).filter(|(p, l)| p == l).count();
             batches += 1;
         }
-        assert_eq!((batches, env.test_set.len()), (6, 40));
-        let want = (loss_sum / 6.0, correct as f64 / 40.0);
+        assert_eq!((batches, env.test_set.len()), (3, 150));
+        let want = (loss_sum / 3.0, correct as f64 / 150.0);
         let bits = |(l, a): (f64, f64)| (l.to_bits(), a.to_bits());
         for threads in [1, 2, 4, 8] {
             env.config.parallelism = helios_tensor::ParallelismConfig::with_threads(threads);
@@ -657,12 +664,6 @@ mod tests {
             "{err:?}"
         );
         assert!(FlConfig {
-            momentum: 1.0,
-            ..FlConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(FlConfig {
             batch_size: 0,
             ..FlConfig::default()
         }
@@ -672,7 +673,9 @@ mod tests {
     }
 
     /// Configs serialized before the `net` section existed (and before
-    /// `parallelism`) must keep deserializing, with networking disabled.
+    /// `parallelism`), naming the since-retired `local_epochs`,
+    /// `momentum`, `eval_batch` and `workload_scale` keys, must keep
+    /// deserializing, with networking disabled.
     #[test]
     fn pre_net_config_json_still_loads() {
         let legacy = r#"{
@@ -685,6 +688,8 @@ mod tests {
             "workload_scale": 2000.0
         }"#;
         let cfg: FlConfig = serde_json::from_str(legacy).unwrap();
+        // The retired recipe keys are ignored: the run's recipe is fixed.
+        assert_eq!(cfg, FlConfig::default());
         assert!(!cfg.net.enabled);
         assert_eq!(cfg.net, NetConfig::default());
         assert!(!cfg.sampling.enabled, "sampling defaults to disabled");

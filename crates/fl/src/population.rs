@@ -54,10 +54,7 @@ pub(crate) fn build_client(
         shard,
         profile,
         config.learning_rate,
-        config.momentum,
         config.batch_size,
-        config.local_epochs,
-        config.workload_scale,
         TensorRng::seed_from(seed),
     )
 }

@@ -31,14 +31,13 @@ pub fn test_bench_index(env: &FlEnv, iterations: usize) -> Result<Vec<TimeIndexE
     let mut entries = Vec::with_capacity(env.num_clients());
     for i in 0..env.num_clients() {
         let client = env.client(i)?;
-        // One full cycle covers `batches × epochs` iterations; scale to
-        // the requested bench length.
+        // One full cycle covers one pass of `batches` iterations; scale
+        // to the requested bench length.
         let full = client.cycle_workload();
         let batches = client
             .num_samples()
             .div_ceil(env.config().batch_size)
-            .max(1)
-            * env.config().local_epochs;
+            .max(1);
         let frac = iterations as f64 / batches as f64;
         let bench = full.scaled(frac.clamp(f64::MIN_POSITIVE, 1.0));
         // The black-box measurement includes shipping the bench model

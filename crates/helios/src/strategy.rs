@@ -5,7 +5,7 @@ use crate::softtrain::{contributions_from_delta, Contributions, SoftTrainer};
 use crate::{aggregation, identify, target, HeliosError, Result};
 use helios_device::SimTime;
 use helios_fl::{FlEnv, MaskedUpdate, RoundPolicy, RoutedCycle};
-use helios_nn::{ModelMask, NeuronLayout};
+use helios_nn::NeuronLayout;
 use helios_tensor::{map_indexed, TensorRng};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -165,11 +165,6 @@ struct Straggler {
     trainer: SoftTrainer,
     /// Contribution values `U` (Eq 1) of the last delivered update.
     contributions: Option<Contributions>,
-    /// The mask issued this cycle, settled against the skip counters
-    /// only once the round outcome is known (delivered vs missed).
-    /// Observing optimistically at issue time would reset counters for
-    /// units that never actually contributed.
-    issued: Option<ModelMask>,
 }
 
 impl HeliosStrategy {
@@ -304,7 +299,6 @@ impl HeliosStrategy {
         let straggler = Straggler {
             trainer: SoftTrainer::new(units, keep, self.config.p_s, self.config.regulation, rng)?,
             contributions: None,
-            issued: None,
         };
         self.stragglers.insert(client, straggler);
         Ok(())
@@ -472,10 +466,10 @@ impl RoundPolicy for HeliosStrategy {
         client: usize,
     ) -> helios_fl::Result<()> {
         if let Some(s) = self.stragglers.get_mut(&client) {
+            // Not observed yet: the skip counters settle in `aggregate`
+            // against the client's installed mask, once this cycle's
+            // delivery outcome is known.
             let mask = s.trainer.next_mask(s.contributions.as_ref());
-            // Stash rather than observe: the skip counters settle in
-            // `aggregate`, once this cycle's delivery outcome is known.
-            s.issued = Some(mask.clone());
             if helios_obs::enabled() {
                 let units = s.trainer.units();
                 let active: usize = mask.active_counts(units).iter().sum();
@@ -505,24 +499,29 @@ impl RoundPolicy for HeliosStrategy {
         // skip counters, while a missed cycle (update dropped or timed
         // out) increments *every* counter — the scheduled units were
         // wasted and the idle ones skipped another cycle regardless.
+        // Both come only from this cycle's participants, which stay
+        // resident and keep the mask `configure_client` installed until
+        // their next configuration. Observing optimistically at issue
+        // time would reset counters for units that never contributed.
         let delivered = updates.iter().map(|u| (u.client, true));
         let missed = routed.missed.iter().map(|&client| (client, false));
         for (client, delivered) in delivered.chain(missed) {
             let Some(s) = self.stragglers.get_mut(&client) else {
                 continue;
             };
-            if let Some(mask) = s.issued.take() {
-                if delivered {
-                    s.trainer.observe(&mask);
-                } else {
-                    s.trainer.observe_missed();
-                }
-                helios_obs::emit(|| helios_obs::TraceEvent::SkipSettled {
-                    cycle: cycle as u64,
-                    device: client as u64,
-                    delivered,
-                });
+            let Some(mask) = env.client(client)?.current_mask() else {
+                continue;
+            };
+            if delivered {
+                s.trainer.observe(mask);
+            } else {
+                s.trainer.observe_missed();
             }
+            helios_obs::emit(|| helios_obs::TraceEvent::SkipSettled {
+                cycle: cycle as u64,
+                device: client as u64,
+                delivered,
+            });
         }
         // Refresh contribution values U (Eq 1) for the next selection:
         // one pure pass per delivered straggler update, fanned out over

@@ -257,10 +257,6 @@ fn default_max_retries() -> u32 {
     3
 }
 
-fn default_retry_backoff_s() -> f64 {
-    0.05
-}
-
 /// The network section of a federated run configuration.
 ///
 /// Every field has a `serde` default, so configs written before this
@@ -283,9 +279,6 @@ pub struct NetConfig {
     /// up as failed.
     #[serde(default = "default_max_retries")]
     pub max_retries: u32,
-    /// Base retry backoff in seconds; attempt `i` waits `backoff · 2^i`.
-    #[serde(default = "default_retry_backoff_s")]
-    pub retry_backoff_s: f64,
     /// Per-round deadline in seconds; a participant whose exchange
     /// completes later misses the cycle (`None` = wait forever).
     #[serde(default)]
@@ -302,7 +295,6 @@ impl Default for NetConfig {
             link: LinkProfile::ideal(),
             faults: FaultConfig::default(),
             max_retries: default_max_retries(),
-            retry_backoff_s: default_retry_backoff_s(),
             round_timeout_s: None,
             compression: CompressionConfig::default(),
         }
@@ -315,19 +307,11 @@ impl NetConfig {
     /// # Errors
     ///
     /// Returns [`NetError::InvalidConfig`] when the link, faults,
-    /// backoff, or timeout hold invalid values.
+    /// compression, or timeout hold invalid values.
     pub fn validate(&self) -> Result<(), NetError> {
         self.link.validate()?;
         self.faults.validate()?;
         self.compression.validate()?;
-        if !(self.retry_backoff_s.is_finite() && self.retry_backoff_s >= 0.0) {
-            return Err(NetError::InvalidConfig {
-                what: format!(
-                    "retry_backoff_s {} must be non-negative and finite",
-                    self.retry_backoff_s
-                ),
-            });
-        }
         if let Some(t) = self.round_timeout_s {
             if !(t.is_finite() && t > 0.0) {
                 return Err(NetError::InvalidConfig {
@@ -388,11 +372,6 @@ mod tests {
             ..NetConfig::default()
         };
         assert!(cfg.validate().is_err());
-        let cfg = NetConfig {
-            retry_backoff_s: f64::INFINITY,
-            ..NetConfig::default()
-        };
-        assert!(cfg.validate().is_err());
     }
 
     #[test]
@@ -404,7 +383,10 @@ mod tests {
         assert_eq!(v.link.latency_s, 0.1);
         assert!(v.link.bandwidth_bps.is_none());
         assert_eq!(v.max_retries, 3);
-        assert_eq!(v.retry_backoff_s, 0.05);
+        // A config naming the retired `retry_backoff_s` still loads; the
+        // backoff is fixed and the value is ignored.
+        let legacy: NetConfig = serde_json::from_str(r#"{"retry_backoff_s": 0.5}"#).unwrap();
+        assert_eq!(legacy, NetConfig::default());
         // Pre-v2 configs carry no `compression` section → v1 behavior.
         assert_eq!(v.compression.mode, CompressionMode::None);
         assert_eq!(v.compression.topk_ratio, 0.1);

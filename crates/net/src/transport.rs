@@ -10,6 +10,10 @@ use helios_tensor::TensorRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// Base retry backoff in seconds: retry `i` (from 1) waits
+/// `RETRY_BACKOFF_S · 2^(i-1)`.
+const RETRY_BACKOFF_S: f64 = 0.05;
+
 /// Aggregate counters over every transmission the transport performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransportStats {
@@ -96,7 +100,6 @@ pub struct SimTransport {
     link_overrides: BTreeMap<usize, LinkProfile>,
     faults: FaultConfig,
     max_retries: u32,
-    retry_backoff_s: f64,
     rngs: BTreeMap<usize, TensorRng>,
     stats: TransportStats,
     base_seed: u64,
@@ -123,7 +126,6 @@ impl SimTransport {
             link_overrides: BTreeMap::new(),
             faults: config.faults,
             max_retries: config.max_retries,
-            retry_backoff_s: config.retry_backoff_s,
             rngs: BTreeMap::new(),
             stats: TransportStats::default(),
             base_seed: seed,
@@ -287,7 +289,7 @@ impl SimTransport {
                 });
             }
             self.stats.retries += 1;
-            let backoff = self.retry_backoff_s * f64::from(1u32 << (attempts - 1).min(16));
+            let backoff = RETRY_BACKOFF_S * f64::from(1u32 << (attempts - 1).min(16));
             helios_obs::emit(|| TraceEvent::Retry {
                 device: device as u64,
                 attempt: u64::from(attempts),

@@ -18,9 +18,9 @@ use helios_core::{HeliosConfig, HeliosStrategy};
 use helios_data::{partition, Dataset, ShardSynthesizer, SyntheticVision};
 use helios_device::{presets, ProfileSynthesizer};
 use helios_fl::{
-    Afo, AsyncFl, AvailabilityModel, ClientSampler, FaultConfig, FlConfig, FlEnv, FleetSpec,
-    LinkProfile, MaskedUpdate, NetConfig, OnlineAggregator, RandomPartial, Result, RoundPolicy,
-    RoutedCycle, RunMetrics, SamplerConfig, Strategy, SyncFedAvg,
+    Afo, AsyncFl, AvailabilityModel, ClientSampler, FaultConfig, FlConfig, FlEnv, FlError,
+    FleetSpec, LinkProfile, MaskedUpdate, NetConfig, OnlineAggregator, RandomPartial, Result,
+    RoundPolicy, RoutedCycle, RunMetrics, SamplerConfig, Strategy, SyncFedAvg,
 };
 use helios_integration::{bits, THREAD_WIDTHS};
 use helios_nn::models::ModelKind;
@@ -533,5 +533,36 @@ fn helios_identifies_stragglers_on_sampled_cohorts() {
             "sampled Helios run diverged at {threads} threads"
         );
         assert_eq!(g, global, "global parameters diverged at {threads} threads");
+    }
+}
+
+/// The asynchronous baselines train every capable device each cycle, so
+/// on a sampled fleet they would materialize the whole population: both
+/// reject cohort sampling with a typed error before building a client.
+#[test]
+fn asynchronous_baselines_reject_cohort_sampling() {
+    const SEED: u64 = 515;
+    const POPULATION: usize = 40;
+    let spec = fleet_spec(POPULATION, SEED).evict_unsampled();
+    let strategies: [Box<dyn Strategy>; 2] = [
+        Box::new(AsyncFl::new(vec![POPULATION - 1])),
+        Box::new(Afo::new(vec![POPULATION - 1])),
+    ];
+    for mut strategy in strategies {
+        let test = spec.shards.test_set(8).expect("test set");
+        let mut env = FlEnv::new_lazy(
+            ModelKind::LeNet,
+            spec.clone(),
+            test,
+            fl_config(SEED, 1, SamplerConfig::uniform(4)),
+        )
+        .expect("lazy env");
+        let err = strategy.run(&mut env, 1);
+        assert!(
+            matches!(err, Err(FlError::InvalidStrategyConfig { .. })),
+            "{}: {err:?}",
+            strategy.name()
+        );
+        assert_eq!(env.materialized_clients(), 0, "{}", strategy.name());
     }
 }
