@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the Helios workspace: formatting, lints (including an
 # unwrap/expect deny gate for the typed-error crates fl, net, obs,
-# scenario, helios, nn and device), first-party line
+# scenario, helios, nn, device and data), first-party line
 # counts, a public-surface report whose uncalled pub fns must be on a
 # kept list, a docs-name-only-what-exists gate, a no-shared-statics
 # gate, a single-thread-scope gate, a one-mask-type gate, a
@@ -24,14 +24,14 @@ cargo fmt --all -- --check
 step "cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step "clippy unwrap/expect deny gate (crates/fl, crates/net, crates/obs, crates/scenario, crates/helios, crates/nn, crates/device)"
+step "clippy unwrap/expect deny gate (crates/fl, crates/net, crates/obs, crates/scenario, crates/helios, crates/nn, crates/device, crates/data)"
 # These crates carry `#![cfg_attr(not(test), deny(clippy::unwrap_used,
 # clippy::expect_used))]`, locking in the PR 3 typed-error migration for
 # non-test code (nn and device never had such a call); this step compiles
 # them standalone so a violation fails CI even if the workspace pass
 # above is ever narrowed.
 cargo clippy -p helios-fl -p helios-net -p helios-obs -p helios-scenario -p helios-core \
-    -p helios-nn -p helios-device --all-targets
+    -p helios-nn -p helios-device -p helios-data --all-targets
 
 step "first-party non-test line counts per crate"
 # Lines before the first `#[cfg(test)]` of every file under

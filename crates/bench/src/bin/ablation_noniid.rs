@@ -7,65 +7,14 @@
 //! (stale straggler updates lose unique classes), and Helios tracks sync
 //! far closer than async at every severity.
 
-use helios_bench::{ExperimentSpec, Workload};
-use helios_core::{HeliosConfig, HeliosStrategy};
-use helios_data::{partition, Dataset};
-use helios_device::presets;
-use helios_fl::{AsyncFl, FlConfig, FlEnv, Strategy, SyncFedAvg};
-use helios_tensor::TensorRng;
+use helios_bench::{run_strategies, ExperimentSpec, Split, Workload};
 
-#[derive(Clone, Copy)]
-enum Skew {
-    Iid,
-    Dirichlet(f64),
-    LabelShards,
-}
-
-impl Skew {
-    fn label(self) -> String {
-        match self {
-            Skew::Iid => "iid".into(),
-            Skew::Dirichlet(a) => format!("dirichlet({a})"),
-            Skew::LabelShards => "label-shards".into(),
-        }
+fn label(split: Split) -> String {
+    match split {
+        Split::Iid => "iid".into(),
+        Split::Dirichlet(a) => format!("dirichlet({a})"),
+        Split::LabelShards => "label-shards".into(),
     }
-}
-
-fn build_env(skew: Skew, seed: u64) -> FlEnv {
-    let spec = ExperimentSpec::paper_fleet(Workload::LenetMnist, 4, false, seed);
-    let clients = spec.devices();
-    let mut rng = TensorRng::seed_from(seed);
-    let (train, test) = spec
-        .workload
-        .dataset_spec()
-        .generate(spec.per_client * clients, spec.test_samples, &mut rng)
-        .expect("generation succeeds");
-    let idx = match skew {
-        Skew::Iid => partition::iid(train.len(), clients, &mut rng),
-        Skew::Dirichlet(a) => {
-            partition::dirichlet(train.labels(), train.num_classes(), clients, a, &mut rng)
-                .expect("valid alpha")
-        }
-        Skew::LabelShards => {
-            partition::label_shards(train.labels(), clients, 2, &mut rng).expect("fits")
-        }
-    };
-    let shards: Vec<Dataset> = idx
-        .into_iter()
-        .map(|i| train.subset(&i).expect("in range"))
-        .collect();
-    FlEnv::new(
-        spec.workload.model(),
-        presets::mixed_fleet(spec.capable, spec.stragglers),
-        shards,
-        test,
-        FlConfig {
-            seed,
-            learning_rate: 0.04,
-            ..FlConfig::default()
-        },
-    )
-    .expect("env builds")
 }
 
 fn main() {
@@ -76,35 +25,28 @@ fn main() {
         "{:<16} {:>10} {:>10} {:>10} {:>16}",
         "skew", "sync", "async", "helios", "helios−async"
     );
-    for skew in [
-        Skew::Iid,
-        Skew::Dirichlet(10.0),
-        Skew::Dirichlet(1.0),
-        Skew::Dirichlet(0.3),
-        Skew::LabelShards,
+    for split in [
+        Split::Iid,
+        Split::Dirichlet(10.0),
+        Split::Dirichlet(1.0),
+        Split::Dirichlet(0.3),
+        Split::LabelShards,
     ] {
         let mut acc = [0.0f64; 3];
         for &seed in &seeds {
-            let mut env = build_env(skew, seed);
-            acc[0] += SyncFedAvg::new()
-                .run(&mut env, cycles)
-                .expect("sync")
-                .tail_accuracy(5);
-            let mut env = build_env(skew, seed);
-            acc[1] += AsyncFl::new(vec![2, 3])
-                .run(&mut env, cycles)
-                .expect("async")
-                .tail_accuracy(5);
-            let mut env = build_env(skew, seed);
-            acc[2] += HeliosStrategy::new(HeliosConfig::default())
-                .run(&mut env, cycles)
-                .expect("helios")
-                .tail_accuracy(5);
+            let spec = ExperimentSpec {
+                split,
+                ..ExperimentSpec::paper_fleet(Workload::LenetMnist, 4, false, seed)
+            };
+            let runs = run_strategies(&spec, &["sync", "async", "helios"], cycles);
+            for (a, m) in acc.iter_mut().zip(&runs) {
+                *a += m.tail_accuracy(5);
+            }
         }
         let n = seeds.len() as f64;
         println!(
             "{:<16} {:>10.4} {:>10.4} {:>10.4} {:>+16.4}",
-            skew.label(),
+            label(split),
             acc[0] / n,
             acc[1] / n,
             acc[2] / n,

@@ -21,7 +21,7 @@
 //! }
 //! ```
 
-use crate::{run_strategies, ExperimentSpec, Workload, STRATEGY_NAMES};
+use crate::{run_strategies, ExperimentSpec, Split, Workload, STRATEGY_NAMES};
 use helios_fl::RunMetrics;
 use serde::{Deserialize, Serialize};
 
@@ -148,7 +148,11 @@ impl ExperimentConfig {
             stragglers: self.stragglers,
             per_client: self.per_client,
             test_samples: self.test_samples,
-            non_iid: self.non_iid,
+            split: if self.non_iid {
+                Split::LabelShards
+            } else {
+                Split::Iid
+            },
             seed: self.seed,
         }
     }

@@ -100,6 +100,18 @@ impl Workload {
     }
 }
 
+/// How the training set is split across clients.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Split {
+    /// Uniform random shards.
+    Iid,
+    /// Zhao et al. label shards, 2 per client: the paper's Non-IID split
+    /// (§VII.D).
+    LabelShards,
+    /// Dirichlet(α) label skew (beyond the paper; smaller α, more skew).
+    Dirichlet(f64),
+}
+
 /// One experiment's fleet and data configuration.
 #[derive(Debug, Clone)]
 pub struct ExperimentSpec {
@@ -113,15 +125,16 @@ pub struct ExperimentSpec {
     pub per_client: usize,
     /// Held-out test samples.
     pub test_samples: usize,
-    /// Label-shard Non-IID split instead of IID.
-    pub non_iid: bool,
+    /// How the training set is split across clients.
+    pub split: Split,
     /// Master seed.
     pub seed: u64,
 }
 
 impl ExperimentSpec {
     /// The paper's standard fleets: 4 devices (2 capable + 2 stragglers)
-    /// or 6 devices (3 + 3), §VII.B.
+    /// or 6 devices (3 + 3), §VII.B, split by label shards when `non_iid`
+    /// and IID otherwise.
     pub fn paper_fleet(workload: Workload, devices: usize, non_iid: bool, seed: u64) -> Self {
         let stragglers = devices / 2;
         ExperimentSpec {
@@ -130,7 +143,11 @@ impl ExperimentSpec {
             stragglers,
             per_client: 120,
             test_samples: 300,
-            non_iid,
+            split: if non_iid {
+                Split::LabelShards
+            } else {
+                Split::Iid
+            },
             seed,
         }
     }
@@ -159,12 +176,18 @@ impl ExperimentSpec {
             .dataset_spec()
             .generate(self.per_client * clients, self.test_samples, &mut rng)
             .expect("dataset generation cannot fail for valid specs");
-        let idx_sets = if self.non_iid {
-            // Zhao et al. label shards: 2 shards per client (§VII.D).
-            partition::label_shards(train.labels(), clients, 2, &mut rng)
-                .expect("shard partition fits")
-        } else {
-            partition::iid(train.len(), clients, &mut rng)
+        let idx_sets = match self.split {
+            Split::Iid => partition::iid(train.len(), clients, &mut rng),
+            Split::LabelShards => partition::label_shards(train.labels(), clients, 2, &mut rng)
+                .expect("shard partition fits"),
+            Split::Dirichlet(alpha) => partition::dirichlet(
+                train.labels(),
+                train.num_classes(),
+                clients,
+                alpha,
+                &mut rng,
+            )
+            .expect("valid Dirichlet alpha"),
         };
         let shards: Vec<Dataset> = idx_sets
             .into_iter()
@@ -387,7 +410,8 @@ mod tests {
         assert_eq!(s4.straggler_ids(), vec![2, 3]);
         let s6 = ExperimentSpec::paper_fleet(Workload::LenetMnist, 6, true, 1);
         assert_eq!((s6.capable, s6.stragglers), (3, 3));
-        assert!(s6.non_iid);
+        assert_eq!(s6.split, Split::LabelShards);
+        assert_eq!(s4.split, Split::Iid);
     }
 
     #[test]

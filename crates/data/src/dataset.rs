@@ -214,11 +214,19 @@ impl Iterator for Batches<'_> {
         let end = (self.cursor + self.batch_size).min(self.order.len());
         let idx = &self.order[self.cursor..end];
         self.cursor = end;
-        let batch = self
-            .dataset
-            .subset(idx)
-            .expect("indices come from 0..len and are always valid");
-        Some((batch.images.clone(), batch.labels))
+        // `order` holds indices in 0..len, so each row copy is in range.
+        let dataset = self.dataset;
+        let mut dims = dataset.images.dims().to_vec();
+        dims[0] = idx.len();
+        let mut images = Tensor::zeros(&dims);
+        let sample_len: usize = dims[1..].iter().product();
+        let (src, dst) = (dataset.images.as_slice(), images.as_mut_slice());
+        for (k, &i) in idx.iter().enumerate() {
+            dst[k * sample_len..(k + 1) * sample_len]
+                .copy_from_slice(&src[i * sample_len..(i + 1) * sample_len]);
+        }
+        let labels = idx.iter().map(|&i| dataset.labels[i]).collect();
+        Some((images, labels))
     }
 }
 

@@ -40,6 +40,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No panicking shortcut in non-test code; tests may still unwrap freely.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod dataset;
 mod error;

@@ -1,5 +1,6 @@
-//! Straggler identification (§IV.B): time-based approximation and
-//! resource-based profiling.
+//! Straggler identification (§IV.B): resource-based profiling, which
+//! [`crate::HeliosStrategy`] runs, and the time-based approximation, a
+//! black-box ranking that examples print and tests check against it.
 
 use crate::{HeliosError, Result};
 use helios_device::{CostModel, SimTime};
@@ -65,13 +66,6 @@ pub fn test_bench_index(env: &FlEnv, iterations: usize) -> Result<Vec<TimeIndexE
 /// iterations, or `k` is zero or not smaller than the fleet (at least
 /// one capable device must remain).
 pub fn time_based(env: &FlEnv, iterations: usize, k: usize) -> Result<Vec<usize>> {
-    let mut ids = slowest_k(env, iterations, k)?;
-    ids.sort_unstable();
-    Ok(ids)
-}
-
-/// [`time_based`]'s stragglers, slowest first, with its errors.
-pub(crate) fn slowest_k(env: &FlEnv, iterations: usize, k: usize) -> Result<Vec<usize>> {
     let n = env.num_clients();
     if iterations == 0 || k == 0 || k >= n {
         return Err(HeliosError::Identification {
@@ -79,7 +73,9 @@ pub(crate) fn slowest_k(env: &FlEnv, iterations: usize, k: usize) -> Result<Vec<
         });
     }
     let index = test_bench_index(env, iterations)?;
-    Ok(index.iter().take(k).map(|e| e.client).collect())
+    let mut ids: Vec<usize> = index.iter().take(k).map(|e| e.client).collect();
+    ids.sort_unstable();
+    Ok(ids)
 }
 
 /// Positions in `times` more than `slowdown_threshold` times slower

@@ -4,10 +4,12 @@
 //! Helios removes the FL *straggler* problem without discarding straggler
 //! information. Its pipeline (the paper's Fig 3):
 //!
-//! 1. **Straggler identification** ([`identify`]) — either *time-based
-//!    approximation* (black box: rank devices by a lightweight test-bench
-//!    timing) or *resource-based profiling* (white box: evaluate the
-//!    analytic cost model on each device's resource profile).
+//! 1. **Straggler identification** ([`identify`]) — *resource-based
+//!    profiling* (white box: evaluate the analytic cost model on each
+//!    device's resource profile), the one [`HeliosStrategy`] runs; the
+//!    paper's *time-based approximation* (black box: rank devices by a
+//!    lightweight test-bench timing) is kept as a diagnostic that agrees
+//!    with it.
 //! 2. **Optimization-target determination** ([`target`]) — compute each
 //!    straggler's *expected model volume*: the neuron keep-ratio that lets
 //!    it finish a training cycle at the capable devices' pace (and within
@@ -80,7 +82,7 @@ mod strategy;
 pub mod target;
 
 pub use error::HeliosError;
-pub use strategy::{AggregationMode, HeliosConfig, HeliosStrategy, Identification, VolumePolicy};
+pub use strategy::{AggregationMode, HeliosConfig, HeliosStrategy, VolumePolicy};
 
 /// Crate-wide result alias carrying a [`HeliosError`].
 pub(crate) type Result<T> = std::result::Result<T, HeliosError>;

@@ -9,25 +9,10 @@ use helios_nn::NeuronLayout;
 use helios_tensor::{map_indexed, TensorRng};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How stragglers are identified (§IV.B).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Identification {
-    /// Black box: rank devices by a lightweight test-bench timing and take
-    /// the top `k`.
-    TimeBased {
-        /// Mini-batch iterations of the test bench.
-        iterations: usize,
-        /// Number of devices to declare stragglers.
-        top_k: usize,
-    },
-    /// White box: evaluate the cost model on each device's resource
-    /// profile; stragglers are devices slower than `slowdown_threshold`
-    /// times the fastest device.
-    ResourceBased {
-        /// Slowdown factor above which a device is a straggler (> 1).
-        slowdown_threshold: f64,
-    },
-}
+/// Straggler identification is resource-based profiling (§IV.B, white
+/// box): a device whose combined cycle time exceeds this factor times
+/// the fastest member's is a straggler.
+const SLOWDOWN_THRESHOLD: f64 = 1.5;
 
 /// How each straggler's expected model volume is determined (§IV.C).
 #[derive(Debug, Clone, PartialEq)]
@@ -53,17 +38,13 @@ pub enum AggregationMode {
     /// the paper's "S.T. Only" ablation (Fig 6): partial models drag the
     /// global model equally, causing the fluctuation the figure shows.
     FullPlain,
-    /// Only uploaded (actually trained) neurons enter the average,
-    /// α-weighted and normalized per parameter. More aggressive than the
-    /// paper's rule; exposed for ablation studies.
-    MaskedWeighted,
 }
 
-/// Configuration of the Helios pipeline.
+/// Configuration of the Helios pipeline. Stragglers are always
+/// identified by resource profile: a device more than 1.5× slower than
+/// the fastest member (compute plus expected link time) is one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeliosConfig {
-    /// Straggler identification method.
-    pub identification: Identification,
     /// Volume determination policy.
     pub volume: VolumePolicy,
     /// Fraction of each straggler's kept set reserved for top-contribution
@@ -83,9 +64,6 @@ pub struct HeliosConfig {
 impl Default for HeliosConfig {
     fn default() -> Self {
         HeliosConfig {
-            identification: Identification::ResourceBased {
-                slowdown_threshold: 1.5,
-            },
             volume: VolumePolicy::ResourceFitted,
             p_s: 0.1,
             aggregation: AggregationMode::FullWeighted,
@@ -110,13 +88,6 @@ impl HeliosConfig {
             return Err(HeliosError::InvalidConfig {
                 what: format!("P_s {} outside [0, 1]", self.p_s),
             });
-        }
-        if let Identification::TimeBased { iterations, top_k } = self.identification {
-            if iterations == 0 || top_k == 0 {
-                return Err(HeliosError::InvalidConfig {
-                    what: format!("time-based bench: {iterations} iterations, top-{top_k}"),
-                });
-            }
         }
         if let VolumePolicy::Predefined(levels) = &self.volume {
             if levels.is_empty() {
@@ -231,28 +202,17 @@ impl HeliosStrategy {
         members: &[usize],
         mut trainer_rng: impl FnMut(usize) -> TensorRng,
     ) -> Result<()> {
-        // 1. Straggler identification, ranked slowest first.
-        let ranked: Vec<usize> = match &self.config.identification {
-            // Benches the full fleet (`begin_run` rejects it for sampled
-            // cohorts).
-            Identification::TimeBased { iterations, top_k } => {
-                identify::slowest_k(env, *iterations, *top_k)?
-            }
-            Identification::ResourceBased { slowdown_threshold } => {
-                // Combined time = compute + expected link transfer, so a
-                // device behind a constrained uplink ranks as the
-                // straggler it effectively is (identical to pure compute
-                // ranking when networking is disabled).
-                let ids =
-                    identify::resource_based_combined_cohort(env, members, *slowdown_threshold)?;
-                let mut times: Vec<(usize, f64)> = Vec::with_capacity(ids.len());
-                for i in ids {
-                    times.push((i, env.combined_cycle_time(i)?.as_secs_f64()));
-                }
-                times.sort_by(|a, b| b.1.total_cmp(&a.1));
-                times.into_iter().map(|(i, _)| i).collect()
-            }
-        };
+        // 1. Straggler identification, ranked slowest first. Combined
+        // time = compute + expected link transfer, so a device behind a
+        // constrained uplink ranks as the straggler it effectively is
+        // (identical to pure compute ranking when networking is disabled).
+        let ids = identify::resource_based_combined_cohort(env, members, SLOWDOWN_THRESHOLD)?;
+        let mut times: Vec<(usize, f64)> = Vec::with_capacity(ids.len());
+        for i in ids {
+            times.push((i, env.combined_cycle_time(i)?.as_secs_f64()));
+        }
+        times.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let ranked: Vec<usize> = times.into_iter().map(|(i, _)| i).collect();
         // 2. Capable pace = slowest capable member at full volume,
         // communication included.
         let mut deadline = SimTime::ZERO;
@@ -414,20 +374,11 @@ impl RoundPolicy for HeliosStrategy {
         match self.config.aggregation {
             AggregationMode::FullWeighted => "helios",
             AggregationMode::FullPlain => "helios_st_only",
-            AggregationMode::MaskedWeighted => "helios_masked",
         }
     }
 
     fn begin_run(&mut self, env: &mut FlEnv) -> helios_fl::Result<()> {
         if env.sampling_enabled() {
-            if matches!(self.config.identification, Identification::TimeBased { .. }) {
-                return Err(HeliosError::InvalidConfig {
-                    what: "time-based identification benches the full fleet; \
-                           use ResourceBased identification with cohort sampling"
-                        .into(),
-                }
-                .into());
-            }
             self.config.validate()?;
             // Classification is deferred to the first sampled cohort.
             self.incremental = true;
@@ -546,19 +497,18 @@ impl RoundPolicy for HeliosStrategy {
                 }
             }
         }
-        // §VI.B model aggregation (see AggregationMode).
-        let weighted = self.config.aggregation != AggregationMode::FullPlain;
-        let weights: Vec<f64> = if weighted {
+        // §VI.B model aggregation (see AggregationMode): full vectors,
+        // masked entries carrying the received global values.
+        let weights: Vec<f64> = if self.config.aggregation == AggregationMode::FullWeighted {
             let ratios: Vec<f64> = updates.iter().map(|u| u.keep_ratio).collect();
             let samples: Vec<usize> = updates.iter().map(|u| u.num_samples).collect();
             aggregation::combined_weights(&ratios, &samples)
         } else {
             updates.iter().map(|u| u.num_samples as f64).collect()
         };
-        let masked_upload = self.config.aggregation == AggregationMode::MaskedWeighted;
         env.fold_into_global(updates.iter().zip(weights).map(|(u, weight)| MaskedUpdate {
             params: &u.params,
-            param_mask: u.param_mask.as_deref().filter(|_| masked_upload),
+            param_mask: None,
             weight,
         }));
         Ok(())
@@ -699,21 +649,14 @@ mod tests {
         assert_eq!(fleet.classified, cohort.classified);
     }
 
+    /// The black-box time bench agrees with the resource profile the
+    /// strategy identifies by (§IV.B offers either).
     #[test]
     fn time_based_identification_matches_resource_based() {
-        let mut e1 = env(2, 2, 73);
-        let mut e2 = env(2, 2, 73);
-        let mut a = HeliosStrategy::new(HeliosConfig {
-            identification: Identification::TimeBased {
-                iterations: 2,
-                top_k: 2,
-            },
-            ..HeliosConfig::default()
-        });
-        let mut b = HeliosStrategy::new(HeliosConfig::default());
-        a.initialize(&mut e1).unwrap();
-        b.initialize(&mut e2).unwrap();
-        assert_eq!(a.stragglers(), b.stragglers());
+        let mut e = env(2, 2, 73);
+        let mut h = HeliosStrategy::new(HeliosConfig::default());
+        h.initialize(&mut e).unwrap();
+        assert_eq!(identify::time_based(&e, 2, 2).unwrap(), h.stragglers());
     }
 
     #[test]
@@ -842,20 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn time_based_identification_rejected_with_sampling() {
-        let mut e = lazy_env(16, 82, helios_fl::SamplerConfig::uniform(6));
-        let mut h = HeliosStrategy::new(HeliosConfig {
-            identification: Identification::TimeBased {
-                iterations: 2,
-                top_k: 2,
-            },
-            ..HeliosConfig::default()
-        });
-        let err = h.run(&mut e, 1);
-        assert!(err.is_err(), "time-based + sampling must be rejected");
-    }
-
-    #[test]
     fn helios_run_is_deterministic() {
         let mut a = env(1, 1, 77);
         let mut b = env(1, 1, 77);
@@ -881,27 +810,6 @@ mod tests {
             ..HeliosConfig::default()
         });
         assert!(h.run(&mut e, 1).is_err());
-    }
-
-    /// A time-based config that benches nothing, names no straggler or
-    /// leaves no capable device is a typed error, not a degenerate run.
-    #[test]
-    fn time_based_rejects_an_empty_bench_or_a_top_k_outside_the_fleet() {
-        for (iterations, top_k, expect) in [(2, 0, "top-0"), (2, 4, "top-4 of 4"), (0, 1, "0 iter")]
-        {
-            let mut e = env(2, 2, 86);
-            let err = HeliosStrategy::new(HeliosConfig {
-                identification: Identification::TimeBased { iterations, top_k },
-                volume: VolumePolicy::Predefined(vec![0.5]),
-                ..HeliosConfig::default()
-            })
-            .run(&mut e, 1)
-            .unwrap_err();
-            assert!(
-                matches!(&err, helios_fl::FlError::InvalidStrategyConfig { what } if what.contains(expect)),
-                "({iterations}, {top_k}): {err}"
-            );
-        }
     }
 
     #[test]

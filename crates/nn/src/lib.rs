@@ -37,7 +37,7 @@
 //! let loss = CrossEntropyLoss::new();
 //! let (value, grad) = loss.forward_backward(&logits, &[0, 1, 2, 3])?;
 //! net.backward(&grad)?;
-//! Sgd::new(0.1).step(&mut net)?;
+//! Sgd::with_momentum(0.1, 0.0).step(&mut net)?;
 //! assert!(value.is_finite());
 //! # Ok(())
 //! # }

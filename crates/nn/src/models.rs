@@ -222,7 +222,7 @@ mod tests {
         let x = helios_tensor::uniform_init(&[8, 1, 16, 16], 0.0, 1.0, &mut rng());
         let labels: Vec<usize> = (0..8).map(|i| i % 4).collect();
         let loss = CrossEntropyLoss::new();
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Sgd::with_momentum(0.1, 0.0);
         let logits = net.forward(&x).unwrap();
         let (l0, grad) = loss.forward_backward(&logits, &labels).unwrap();
         net.backward(&grad).unwrap();

@@ -661,7 +661,7 @@ mod tests {
                 .forward_backward(&net.forward(&x).unwrap(), &[0, 1])
                 .unwrap();
             net.backward(&grad).unwrap();
-            crate::Sgd::new(0.1).step(net).unwrap();
+            crate::Sgd::with_momentum(0.1, 0.0).step(net).unwrap();
             net.param_vector()
                 .iter()
                 .map(|v| v.to_bits())

@@ -33,17 +33,7 @@ pub struct Sgd {
 }
 
 impl Sgd {
-    /// Plain SGD with the given learning rate and no momentum.
-    pub fn new(learning_rate: f32) -> Self {
-        Sgd {
-            learning_rate,
-            momentum: 0.0,
-            max_grad_norm: None,
-            velocities: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
+    /// SGD with momentum (`0.0` for plain SGD).
     pub fn with_momentum(learning_rate: f32, momentum: f32) -> Self {
         Sgd {
             learning_rate,
@@ -158,7 +148,7 @@ mod tests {
         let _ = net.forward(&x).unwrap();
         net.backward(&Tensor::full(&[1, 2], 1.0)).unwrap();
         let before = net.param_vector();
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Sgd::with_momentum(0.1, 0.0);
         opt.step(&mut net).unwrap();
         let after = net.param_vector();
         // dW = xᵀg = all ones, db = ones → every param decreases by 0.1.
@@ -205,7 +195,7 @@ mod tests {
         net.backward(&Tensor::full(&[1, 2], 1.0)).unwrap();
         net.zero_grad();
         let before = net.param_vector();
-        Sgd::new(0.1).step(&mut net).unwrap();
+        Sgd::with_momentum(0.1, 0.0).step(&mut net).unwrap();
         assert_eq!(before, net.param_vector());
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline, every strategy, one
 //! roof.
 
-use helios_core::{HeliosConfig, HeliosStrategy, Identification, VolumePolicy};
+use helios_core::{identify, HeliosConfig, HeliosStrategy, VolumePolicy};
 use helios_data::{partition, Dataset, SyntheticVision};
 use helios_device::presets;
 use helios_fl::{Afo, AsyncFl, FlConfig, FlEnv, RandomPartial, Strategy, SyncFedAvg};
@@ -89,32 +89,16 @@ fn helios_matches_sync_pace_of_capable_devices() {
     );
 }
 
+/// The strategy identifies stragglers by resource profile; the paper's
+/// black-box time bench must name the same devices.
 #[test]
 fn helios_strategies_agree_across_identification_modes() {
-    let configs = [
-        HeliosConfig {
-            identification: Identification::ResourceBased {
-                slowdown_threshold: 1.5,
-            },
-            ..HeliosConfig::default()
-        },
-        HeliosConfig {
-            identification: Identification::TimeBased {
-                iterations: 2,
-                top_k: 2,
-            },
-            ..HeliosConfig::default()
-        },
-    ];
-    let mut straggler_sets = Vec::new();
-    for config in configs {
-        let mut env = build_env(ModelKind::LeNet, 2, 2, 7);
-        let mut s = HeliosStrategy::new(config);
-        s.initialize(&mut env).expect("init");
-        straggler_sets.push(s.stragglers().to_vec());
-    }
-    assert_eq!(straggler_sets[0], straggler_sets[1]);
-    assert_eq!(straggler_sets[0], vec![2, 3]);
+    let mut env = build_env(ModelKind::LeNet, 2, 2, 7);
+    let mut s = HeliosStrategy::new(HeliosConfig::default());
+    s.initialize(&mut env).expect("init");
+    let by_time = identify::time_based(&env, 2, 2).expect("time bench");
+    assert_eq!(s.stragglers(), by_time);
+    assert_eq!(by_time, vec![2, 3]);
 }
 
 #[test]

@@ -241,7 +241,7 @@ fn selection_overhead_is_negligible_next_to_a_training_step() {
     let x = uniform_init(&[16, 3, 16, 16], -1.0, 1.0, &mut rng);
     let labels: Vec<usize> = (0..16).map(|i| i % 10).collect();
     let loss = CrossEntropyLoss::new();
-    let mut opt = Sgd::new(0.01);
+    let mut opt = Sgd::with_momentum(0.01, 0.0);
     let step = median_time(5, || {
         net.zero_grad();
         let logits = net.forward(black_box(&x)).expect("forward");
