@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI gate for the Helios workspace: formatting, lints (including an
 # unwrap/expect deny gate for the typed-error crates fl, net, obs,
-# scenario, helios, nn, device and data), first-party line
-# counts, a public-surface report whose uncalled pub fns must be on a
-# kept list, a docs-name-only-what-exists gate, a no-shared-statics
-# gate, a single-thread-scope gate, a one-mask-type gate, a
+# scenario, helios, nn, device and data), first-party and vendored
+# line counts, a no-dead-dependency gate, a public-surface report
+# whose uncalled pub fns must be on a kept list, a
+# docs-name-only-what-exists gate, a no-shared-statics gate, a
+# single-thread-scope gate, a one-mask-type gate, a
 # derived-serde-schemas gate, a dev-profile checks gate, docs, release
 # build, tests, the kernel parity suites, the goldens and the wire-v2
 # top-k pins again under release codegen, the goldens once more with glibc's FMA/AVX2 libm
@@ -49,6 +50,35 @@ for crate in crates/*/; do
     total=$((total + ${count##* }))
 done
 printf '%-10s %6d\n' total "$total"
+# The vendored stubs under vendor/*/src, counted the same way but kept
+# out of the first-party total, so code moving between the two shows.
+find vendor/*/src -name '*.rs' -print0 | sort -z |
+    xargs -0 awk '
+        FNR == 1 { in_tests = 0 }
+        /#\[cfg\(test\)\]/ { in_tests = 1 }
+        !in_tests { lines++ }
+        END { printf "%-10s %6d\n", "vendor", lines }'
+
+step "every declared dependency is named in its package's code (crates/*, tests, examples)"
+# Each key under [dependencies] and [dev-dependencies] of these
+# manifests, `-` read as `_`, must occur as a word in the code (`//`
+# comments stripped) of some .rs file of that package. An edge no code
+# names only adds to every build.
+dead=0
+for pkg in crates/*/ tests/ examples/; do
+    for dep in $(awk '
+        /^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]") }
+        on && match($0, /^[A-Za-z0-9_-]+/) { print substr($0, RSTART, RLENGTH) }
+    ' "${pkg}Cargo.toml"); do
+        name=${dep//-/_}
+        uses=$(grep -rhw --include='*.rs' -- "$name" "$pkg" | sed 's|//.*||' | grep -cw -- "$name" || true)
+        if [ "$uses" -eq 0 ]; then
+            echo "${pkg}Cargo.toml: $dep is named in no .rs file of the package"
+            dead=1
+        fi
+    done
+done
+[ "$dead" -eq 0 ]
 
 step "public surface per crate, and no pub fn / pub const without a non-test caller"
 # Non-test `pub fn|struct|enum|const|type|trait` declarations per crate

@@ -9,9 +9,9 @@
 //! reconstructed bit-for-bit at any time, in any order.
 //!
 //! The hash chain is an inline splitmix64 finalizer rather than the
-//! workspace's ChaCha [`TensorRng`](https://docs.rs/rand_chacha): this
-//! crate deliberately has no tensor dependency, and a profile needs only
-//! a handful of well-mixed 64-bit draws, not a stream.
+//! workspace's ChaCha8 [`TensorRng`](../../helios_tensor/struct.TensorRng.html):
+//! this crate deliberately has no tensor dependency, and a profile needs
+//! only a handful of well-mixed 64-bit draws, not a stream.
 
 use crate::{presets, ResourceProfile};
 use serde::{Deserialize, Serialize};

@@ -71,7 +71,7 @@ fn alexnet_learns_separable_problem() {
     let mut net = models::alexnet(2, &mut rng);
     let (x, labels) = separable_images(32, 3, 16, &mut rng);
     // lr 0.02: with momentum 0.9, 0.05 is unstable for some init draws
-    // (the vendored ChaCha stream differs from upstream rand_chacha).
+    // of `TensorRng`'s ChaCha8 stream.
     let (first, last) = train(&mut net, &x, &labels, 30, 0.02);
     assert!(last < 0.5 * first, "loss should halve: {first} → {last}");
 }
