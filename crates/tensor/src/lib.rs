@@ -64,3 +64,25 @@ pub use workspace::{reset_workspace_stats, workspace_stats, WorkspaceStats};
 
 /// Crate-wide result alias carrying a [`TensorError`].
 pub(crate) type Result<T> = std::result::Result<T, TensorError>;
+
+#[cfg(test)]
+mod tests {
+    use super::TensorRng;
+
+    #[test]
+    fn same_seed_same_stream() {
+        let mut a = TensorRng::seed_from(7);
+        let mut b = TensorRng::seed_from(7);
+        for _ in 0..100 {
+            assert_eq!(a.next_seed(), b.next_seed());
+        }
+    }
+
+    #[test]
+    fn different_seeds_diverge() {
+        let mut a = TensorRng::seed_from(1);
+        let mut b = TensorRng::seed_from(2);
+        let same = (0..64).filter(|_| a.next_seed() == b.next_seed()).count();
+        assert!(same < 4, "streams should diverge, {same}/64 collisions");
+    }
+}
